@@ -24,9 +24,9 @@ def pytest_addoption(parser):
         "--build-workers",
         type=int,
         default=None,
-        help="build every benchmark graph on the process-parallel path "
-             "with this many workers (worker-count-invariant; default: "
-             "the legacy sequential build)",
+        help="build every benchmark graph with this many build-pool "
+             "workers (worker-count-invariant; default: "
+             "REPRO_BUILD_WORKERS, else 1)",
     )
 
 
@@ -35,7 +35,7 @@ def _build_workers_option(request):
     """Route ``--build-workers`` to the harness via the env knob.
 
     The harness graph cache keys on the worker count, so a session
-    mixing both build paths keeps them distinct.
+    mixing worker counts keeps their graphs apart.
     """
     workers = request.config.getoption("--build-workers")
     if workers is None:

@@ -1,20 +1,22 @@
 #!/usr/bin/env python
-"""Equivalence gate: parallel graph builds vs the serial reference.
+"""Equivalence gate: parallel and default graph builds vs the serial reference.
 
-Two claims are enforced, both as *bit-equality*, not tolerance:
+Three claims are enforced, all as *bit-equality*, not tolerance:
 
-1. **Worker-count invariance.** For every graph builder on the
-   partitioned path (``mrpg``, ``mrpg-basic``, ``kgraph``) and every
-   metric family (L2, L1, angular vectors; edit strings), the graph
-   built with ``build_workers=W`` for W in {2, 4} — under both ``fork``
-   and ``spawn`` start methods where available — is identical (CSR
+1. **Worker-count invariance.** For every graph builder (``mrpg``,
+   ``mrpg-basic``, ``kgraph``) and every metric family (L2, L1,
+   angular vectors; edit strings), the graph built with
+   ``build_workers=W`` for W in {2, 4} — under both ``fork`` and
+   ``spawn`` start methods where available — is identical (CSR
    adjacency, pivot flags, exact-K'NN ids *and* float64 distance bits)
    to the ``build_workers=1`` in-process serial reference.
 
-2. **Downstream exactness.** Outlier sets served over parallel-built
-   graphs are bit-identical to brute force over the same data, for both
-   the legacy sequential build (``build_workers=None``) and the
-   parallel path — the graph only ever changes cost, never answers.
+2. **One default.** A build that omits ``build_workers`` is the
+   ``build_workers=1`` build, for every builder and metric.
+
+3. **Downstream exactness.** Outlier sets served over graphs built with
+   1 and 4 workers are bit-identical to brute force over the same
+   data — the graph only ever changes cost, never answers.
 
 This is a correctness gate, not a timing gate — deliberately small and
 deterministic so CI runs it on every push.
@@ -45,14 +47,13 @@ def _start_methods() -> "tuple[str, ...]":
     return tuple(m for m in ("fork", "spawn") if m in available)
 
 
-def _build(graph, dataset, workers, start_method=None, seed=13, K=8):
+def _build(graph, dataset, workers=None, start_method=None, seed=13, K=8):
+    """``workers=None`` omits ``build_workers`` (the default build)."""
+    kwargs = {} if workers is None else {
+        "build_workers": workers, "build_start_method": start_method,
+    }
     return build_graph(
-        graph,
-        dataset.view(),
-        K=K,
-        rng=np.random.default_rng(seed),
-        build_workers=workers,
-        build_start_method=start_method,
+        graph, dataset.view(), K=K, rng=np.random.default_rng(seed), **kwargs
     )
 
 
@@ -61,6 +62,12 @@ def check_invariance(dataset: Dataset, label: str) -> "tuple[list[str], int]":
     checks = 0
     for graph in GRAPHS:
         reference = _build(graph, dataset, workers=1)
+        checks += 1
+        if not graphs_equal(reference, _build(graph, dataset)):
+            failures.append(
+                f"{label}/{graph}: the default build diverged from "
+                f"build_workers=1"
+            )
         for workers in WORKER_COUNTS:
             for method in _start_methods():
                 checks += 1
@@ -82,7 +89,7 @@ def check_downstream(
     checks = 0
     ref = brute_force_outliers(dataset.view(), r, k)
     for graph in GRAPHS:
-        for workers in (None, 1, 4):
+        for workers in (1, 4):
             checks += 1
             g = _build(graph, dataset, workers=workers)
             res = graph_dod(dataset.view(), g, r, k)
@@ -150,7 +157,8 @@ def main(argv=None) -> int:
         )
         return 1
     print(
-        f"parallel builds bit-identical to the serial reference and exact "
+        f"parallel and default builds bit-identical to the serial "
+        f"reference and exact "
         f"downstream on all {checks} checks "
         f"(start methods: {', '.join(_start_methods())}; {elapsed:.1f}s)"
     )

@@ -72,10 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(map an --input .npy written by "
                                "repro.io.create_memmap_store; out-of-core, "
                                "identical answers)")
-    p_detect.add_argument("--build-workers", type=int, default=None,
+    p_detect.add_argument("--build-workers", type=int, default=1,
                           help="processes for graph construction (worker-count-"
                                "invariant: same seed, same graph at any count; "
-                               "default: legacy sequential build)")
+                               "default: 1, in-process)")
     p_detect.add_argument("--verbose", action="store_true",
                           help="print per-phase graph-build statistics")
     p_detect.add_argument("--output", help="write outlier ids to this file")
@@ -123,9 +123,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(map an --input .npy written by "
                               "repro.io.create_memmap_store; out-of-core, "
                               "identical answers)")
-    p_sweep.add_argument("--build-workers", type=int, default=None,
+    p_sweep.add_argument("--build-workers", type=int, default=1,
                          help="processes for graph construction (worker-count-"
-                              "invariant; default: legacy sequential build)")
+                              "invariant; default: 1, in-process)")
     p_sweep.add_argument("--check", action="store_true",
                          help="verify every grid point against a fresh graph_dod "
                               "run and report the reuse speedup")
@@ -183,9 +183,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="object storage: ram (per-worker copies) or shm "
                                "(one growable shared segment every shard "
                                "worker maps zero-copy; identical answers)")
-    p_update.add_argument("--build-workers", type=int, default=None,
+    p_update.add_argument("--build-workers", type=int, default=1,
                           help="processes for graph rebuilds (worker-count-"
-                               "invariant; default: legacy sequential build)")
+                               "invariant; default: 1, in-process)")
     p_update.add_argument("--rebalance", action="store_true",
                           help="run the automatic shard split/merge policy "
                                "after every batch (needs --shards > 1)")
@@ -253,9 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "shared segment, needs --mutable), or memmap "
                               "(map an --input .npy written by "
                               "repro.io.create_memmap_store)")
-    p_serve.add_argument("--build-workers", type=int, default=None,
+    p_serve.add_argument("--build-workers", type=int, default=1,
                          help="processes for graph construction (worker-count-"
-                              "invariant; default: legacy sequential build)")
+                              "invariant; default: 1, in-process)")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8734,
                          help="listening port (0 picks a free port)")
@@ -339,7 +339,7 @@ def _print_build_stats(engine) -> None:
             secs = entry.get("build_seconds")
             secs = "?" if secs is None else f"{float(secs):.3f}s"
             print(f"  shard {s}: build {secs}, "
-                  f"workers {entry.get('build_workers', 'legacy')}")
+                  f"workers {entry.get('build_workers', 1)}")
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -615,16 +615,11 @@ def _cmd_update(args: argparse.Namespace) -> int:
     if args.snapshot is not None and os.path.exists(args.snapshot):
         from .io import load_any_engine
 
-        warm_kwargs = {}
-        if args.build_workers is not None:
-            # Explicit flag overrides the parallelism recorded in the
-            # snapshot; omitted, the snapshot's setting is restored.
-            warm_kwargs["build_workers"] = args.build_workers
         try:
             engine = load_any_engine(
                 args.snapshot, objects=objects, workers=args.workers,
                 rebuild_every=args.rebuild_every, backend=args.backend,
-                **warm_kwargs,
+                build_workers=args.build_workers,
             )
         except GraphError as exc:
             print(f"update: cannot load snapshot: {exc}", file=sys.stderr)

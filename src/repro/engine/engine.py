@@ -213,15 +213,13 @@ class DetectionEngine:
         memo_outliers: bool = True,
         memo_budget: int | None = None,
         backend: "str | None" = None,
-        build_workers: "int | None" = None,
+        build_workers: int = 1,
         **graph_params,
     ) -> "DetectionEngine":
         """Offline phase in one call: dataset + graph + verifier + engine.
 
-        ``build_workers`` moves graph construction onto the process-
-        parallel, worker-count-invariant path (see
-        :mod:`repro.graphs.parallel_build`); ``None`` keeps the legacy
-        sequential build.
+        ``build_workers`` sizes the worker-count-invariant build pool
+        (see :mod:`repro.graphs.parallel_build`): same graph at any count.
         """
         gen = ensure_rng(seed)
         dataset = Dataset(objects, metric)

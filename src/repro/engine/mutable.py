@@ -94,7 +94,7 @@ class MutableDetectionEngine:
         cache_radii: "int | None" = None,
         pinned: Sequence[float] = (),
         backend: "str | None" = None,
-        build_workers: "int | None" = None,
+        build_workers: int = 1,
     ):
         if K < 1:
             raise ParameterError(f"K must be >= 1, got {K}")
@@ -115,7 +115,7 @@ class MutableDetectionEngine:
         self.verify = verify
         self.rebuild_graph = rebuild_graph
         self.rebuild_every = rebuild_every
-        self.build_workers = None if build_workers is None else int(build_workers)
+        self.build_workers = int(build_workers)
         self.cache_radii = cache_radii
         # Resolved once so screen/rescreen counters survive the dataset
         # refreshes every mutation triggers (the instance is the stats

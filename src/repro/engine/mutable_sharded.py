@@ -103,7 +103,7 @@ class MutableShardWorker:
         backend: "str | None" = None,
         shared_store: bool = False,
         store_meta: "dict | None" = None,
-        build_workers: "int | None" = None,
+        build_workers: int = 1,
     ):
         self.metric = resolve_metric(metric)
         self.shard_index = int(shard_index)
@@ -116,7 +116,7 @@ class MutableShardWorker:
         # Shard workers are daemon processes, so BuildPool falls back to
         # one in-process worker here — the partitioned build is
         # worker-count-invariant, so results match the parent's anyway.
-        self.build_workers = None if build_workers is None else int(build_workers)
+        self.build_workers = int(build_workers)
         resolve_filter_mode(mode, None)
         self.mode = mode
         self.batch_size = int(batch_size)
@@ -794,7 +794,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         store: str = "list",
         foreign_descent: bool = True,
         evidence_transfer: bool = True,
-        build_workers: "int | None" = None,
+        build_workers: int = 1,
     ):
         if n_shards < 1:
             raise ParameterError(f"n_shards must be >= 1, got {n_shards}")
@@ -829,7 +829,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self.batch_size = int(batch_size)
         self.cache_radii = cache_radii
         self.rebuild_every = rebuild_every
-        self.build_workers = None if build_workers is None else int(build_workers)
+        self.build_workers = int(build_workers)
         self._rng = ensure_rng(seed)
         self._pinned: set[float] = {float(r) for r in pinned}
         self.n_shards = int(n_shards)

@@ -227,7 +227,7 @@ def create_engine(
     start_method: "str | None" = None,
     backend: "str | Sequence[str] | None" = None,
     store: str = "ram",
-    build_workers: "int | None" = None,
+    build_workers: int = 1,
     **graph_params,
 ) -> EngineCore:
     """Build the engine variant matching a workload shape.
@@ -237,7 +237,7 @@ def create_engine(
     and ``split_shard`` rebuilds) onto the process-parallel,
     worker-count-invariant path of
     :mod:`repro.graphs.parallel_build`.  Same seed, same graph, at any
-    worker count; ``None`` keeps the legacy sequential builds.
+    worker count; ``1`` (the default) builds in-process.
 
     ``data`` is raw objects or a prepared :class:`~repro.data.Dataset`
     (static engines require it; mutable engines may start empty and be

@@ -986,17 +986,16 @@ class ShardedDetectionEngine(_ShardMergeBase):
         backend: "str | Sequence[str] | None" = None,
         foreign_descent: bool = True,
         foreign_index: "bool | None" = None,
-        build_workers: "int | None" = None,
+        build_workers: int = 1,
         **graph_params,
     ):
         gen = ensure_rng(rng)
-        # Per-shard graph builds ride the worker-count-invariant pool
-        # path when requested.  Inside daemonic shard processes the pool
-        # runs in-process (daemons may not have children) — bit-identical
-        # by invariance, so the knob is safe at any (workers, shards).
-        self.build_workers = None if build_workers is None else int(build_workers)
-        if self.build_workers is not None:
-            graph_params.setdefault("build_workers", self.build_workers)
+        # Per-shard graph builds ride the worker-count-invariant pool.
+        # Inside daemonic shard processes the pool runs in-process
+        # (daemons may not have children) — bit-identical by invariance,
+        # so the knob is safe at any (workers, shards).
+        self.build_workers = int(build_workers)
+        graph_params.setdefault("build_workers", self.build_workers)
         if shard_ids is None:
             shard_ids = plan_shards(dataset.n, n_shards, strategy=strategy, rng=gen)
         else:

@@ -315,7 +315,7 @@ class Graph:
 
         One flat dict for engine ``stats()`` / serving ``/stats`` / CLI
         ``--verbose``: builder name, wall-clock per phase, NN-Descent
-        round convergence, and — for pool-built graphs — the worker
+        round convergence, and — for kgraph and MRPG builds — the worker
         count, start method, per-stage seconds and worker pair counts
         recorded by :mod:`repro.graphs.parallel_build`.  Keys absent
         from ``meta`` are omitted rather than padded with ``None``.

@@ -74,18 +74,17 @@ def build_graph(
     K: int = 16,
     rng: "int | np.random.Generator | None" = None,
     clamp_K: bool = False,
-    build_workers: "int | None" = None,
+    build_workers: int = 1,
     build_start_method: "str | None" = None,
     **params,
 ) -> Graph:
     """Build the proximity graph ``name`` over ``dataset``.
 
-    ``build_workers`` selects the process-parallel, worker-count-
-    invariant construction path of
-    :mod:`repro.graphs.parallel_build` for builders that support it
+    ``build_workers`` sizes the process pool of
+    :mod:`repro.graphs.parallel_build` for builders that use it
     (kgraph, mrpg, mrpg-basic; nsw/hnsw ignore it) — the same seed
-    yields a bit-identical graph at any worker count.  ``None`` keeps
-    the legacy sequential algorithms byte-for-byte.
+    yields a bit-identical graph at any worker count, and ``1`` runs
+    in-process.
 
     ``clamp_K`` lowers ``K`` to ``dataset.n - 1`` when the dataset is
     too small to have ``K`` distinct neighbors per object — the normal
@@ -111,8 +110,6 @@ def build_graph(
         raise GraphError(f"unknown graph {name!r}; known: {available_graphs()}")
     if clamp_K:
         K = max(1, min(int(K), dataset.n - 1))
-    if build_workers is not None:
-        params["build_workers"] = int(build_workers)
-        if build_start_method is not None:
-            params["build_start_method"] = str(build_start_method)
+    params["build_workers"] = int(build_workers)
+    params["build_start_method"] = build_start_method
     return _BUILDERS[key](dataset, K=K, rng=rng, **params)

@@ -12,7 +12,9 @@ they matter (small distances).
 
 ``scan_monotonicity`` is the bounded-hop ``Get-Non-Monotonic()``; it
 also reports every pivot encountered, which Algorithm 5 uses to pick the
-"pivots with small distances to p" for the secondary 2-hop scans.
+"pivots with small distances to p" for the secondary 2-hop scans.  A
+build runs all of a batch's scans together through the level-synchronous
+kernels of :mod:`repro.graphs.build_kernels`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ..data import Dataset
 from ..exceptions import ParameterError
 from ..rng import ensure_rng
 from .adjacency import Graph
+from .build_kernels import detour_chains, graph_arrays, multi_scan
 
 
 @dataclass
@@ -53,61 +56,27 @@ def scan_monotonicity(
     """Bounded BFS from ``start`` checking monotonicity towards ``reference``."""
     if max_hops < 1:
         raise ParameterError(f"max_hops must be >= 1, got {max_hops}")
-    seen: set[int] = {start, reference}
     start_d = dataset.dist(reference, start) if start != reference else 0.0
-    frontier_nodes = [start]
-    frontier_dists = [start_d]
-    frontier_mono = [True]
-
-    all_nodes: list[int] = []
-    all_dists: list[float] = []
-    all_hops: list[int] = []
-    all_mono: list[bool] = []
-
-    for hop in range(1, max_hops + 1):
-        next_nodes: list[int] = []
-        parent_dists: list[float] = []
-        parent_mono: list[bool] = []
-        for v, dv, mono in zip(frontier_nodes, frontier_dists, frontier_mono):
-            for w in graph.neighbors(v):
-                w = int(w)
-                if w in seen:
-                    continue
-                seen.add(w)
-                next_nodes.append(w)
-                parent_dists.append(dv)
-                parent_mono.append(mono)
-        if not next_nodes:
-            break
-        batch = np.asarray(next_nodes, dtype=np.int64)
-        d = dataset.dist_many(reference, batch)
-        mono_now = np.asarray(parent_mono) & (np.asarray(parent_dists) <= d)
-        all_nodes.extend(next_nodes)
-        all_dists.extend(d.tolist())
-        all_hops.extend([hop] * len(next_nodes))
-        all_mono.extend(mono_now.tolist())
-        frontier_nodes = next_nodes
-        frontier_dists = d.tolist()
-        frontier_mono = mono_now.tolist()
-
-    return BFSScan(
-        np.asarray(all_nodes, dtype=np.int64),
-        np.asarray(all_dists, dtype=np.float64),
-        np.asarray(all_hops, dtype=np.int64),
-        np.asarray(all_mono, dtype=bool),
+    indptr, indices = graph.csr()
+    _, nodes, dists, hops, mono = multi_scan(
+        dataset, indptr, indices, np.asarray([reference], dtype=np.int64),
+        np.asarray([start], dtype=np.int64), np.asarray([start_d]), max_hops,
     )
+    return BFSScan(nodes, dists, hops, mono)
 
 
 def _sample_targets(
-    graph: Graph, n_targets: int, gen: np.random.Generator, pivot_weight: float = 4.0
+    pivots: np.ndarray,
+    exact: np.ndarray,
+    n_targets: int,
+    gen: np.random.Generator,
+    pivot_weight: float = 4.0,
 ) -> np.ndarray:
     """Pivot-weighted sample of source objects (exact-K'NN holders excluded)."""
-    eligible = np.asarray(
-        [v for v in range(graph.n) if not graph.has_exact_knn(v)], dtype=np.int64
-    )
+    eligible = np.flatnonzero(~exact)
     if eligible.size == 0:
         return eligible
-    weights = np.where(graph.pivots[eligible], pivot_weight, 1.0)
+    weights = np.where(pivots[eligible], pivot_weight, 1.0)
     weights /= weights.sum()
     size = min(n_targets, eligible.size)
     return gen.choice(eligible, size=size, replace=False, p=weights)
@@ -122,12 +91,15 @@ def remove_detours(
     cap: int | None = None,
     source_hops: int = 3,
     pivot_hops: int = 2,
+    pool=None,
 ) -> dict:
     """Create approximate monotonic paths in place.
 
     Defaults follow §5.3: ``|P'| = O(n/K)`` targets, ``|P_piv| = O(K)``
     secondary pivots per target, and at most ``O(K^2)`` chained objects
-    per target (the closest ones).
+    per target (the closest ones).  Every target is scanned against one
+    snapshot of the graph — on ``pool``'s workers when given, else
+    in-process — and the chains are linked in target order.
     """
     gen = ensure_rng(rng)
     t0 = time.perf_counter()
@@ -139,58 +111,26 @@ def remove_detours(
     if cap is None:
         cap = K * K
 
-    targets = _sample_targets(graph, n_targets, gen)
+    snapshot = graph_arrays(graph)
+    targets = _sample_targets(snapshot[2], snapshot[3], n_targets, gen)
+    common = (source_hops, pivot_hops, pivots_per_target, cap)
+    if pool is None:
+        results = detour_chains(dataset, *snapshot, targets, *common)
+    else:
+        pool.broadcast("load_graph", snapshot)
+        results = pool.run("detour_scan", targets.tolist(), common=common)
     links_added = 0
-    for p in targets:
-        p = int(p)
-        scan = scan_monotonicity(dataset, graph, reference=p, start=p, max_hops=source_hops)
-        # Collect non-monotonic vertices: node -> smallest observed distance.
-        found: dict[int, float] = {}
-        for t in np.flatnonzero(~scan.monotonic):
-            v = int(scan.nodes[t])
-            d = float(scan.dists[t])
-            if d < found.get(v, np.inf):
-                found[v] = d
-
-        # Secondary scans from nearby pivots (hop >= 2, no exact lists).
-        piv_mask = (
-            graph.pivots[scan.nodes]
-            & (scan.hops >= 2)
-        )
-        piv_candidates = [
-            (float(scan.dists[t]), int(scan.nodes[t]))
-            for t in np.flatnonzero(piv_mask)
-            if not graph.has_exact_knn(int(scan.nodes[t]))
-        ]
-        piv_candidates.sort()
-        for _, pv in piv_candidates[:pivots_per_target]:
-            sub = scan_monotonicity(
-                dataset, graph, reference=p, start=pv, max_hops=pivot_hops
-            )
-            for t in np.flatnonzero(~sub.monotonic):
-                v = int(sub.nodes[t])
-                d = float(sub.dists[t])
-                if d < found.get(v, np.inf):
-                    found[v] = d
-
-        if not found:
-            continue
-        # Direct neighbors already have a trivially monotonic 1-hop path.
-        direct = set(graph.neighbors_list(p))
-        chain = sorted(
-            (d, v) for v, d in found.items() if v not in direct and v != p
-        )[:cap]
+    scans = 0
+    for p, (chain, n_scans) in zip(targets.tolist(), results):
+        scans += n_scans
         prev = p
-        for _, v in chain:
+        for v in chain.tolist():
             if not graph.has_exact_knn(v) and not graph.has_exact_knn(prev):
-                if graph.add_link(prev, v):
-                    links_added += 1
-                if graph.add_link(v, prev):
-                    links_added += 1
+                links_added += graph.add_link(prev, v) + graph.add_link(v, prev)
             prev = v
-
     return {
         "targets": int(targets.size),
         "links_added": links_added,
+        "scans": scans,
         "seconds": time.perf_counter() - t0,
     }

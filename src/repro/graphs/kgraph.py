@@ -15,7 +15,7 @@ import numpy as np
 from ..data import Dataset
 from .adjacency import Graph
 from .nndescent import nndescent
-from .parallel_build import resolve_build_pool
+from .parallel_build import BuildPool
 
 
 def build_kgraph(
@@ -23,18 +23,16 @@ def build_kgraph(
     K: int = 16,
     max_iters: int = 12,
     rng: "int | np.random.Generator | None" = None,
-    build_workers: int | None = None,
+    build_workers: int = 1,
     build_start_method: str | None = None,
 ) -> Graph:
     """Build a KGraph with plain NNDescent (random init, no skipping).
 
-    ``build_workers`` selects the worker-count-invariant partitioned
-    NN-Descent of :mod:`repro.graphs.parallel_build`; ``None`` (default)
-    keeps the legacy sequential loop byte-for-byte.
+    ``build_workers`` sizes the build pool of
+    :mod:`repro.graphs.parallel_build`; any count yields the same graph.
     """
     t0 = time.perf_counter()
-    pool = resolve_build_pool(dataset, build_workers, build_start_method)
-    try:
+    with BuildPool(dataset, build_workers, build_start_method) as pool:
         result = nndescent(dataset, K, max_iters=max_iters, rng=rng, pool=pool)
         g = Graph(dataset.n)
         for p in range(dataset.n):
@@ -46,18 +44,14 @@ def build_kgraph(
         g.meta["updates_per_round"] = list(result.updates_per_iter)
         g.meta["phase_seconds"] = {"nndescent": time.perf_counter() - t0}
         g.meta["build_seconds"] = time.perf_counter() - t0
-        if pool is not None:
-            pairs = pool.take_pairs()
-            dataset.counter.pairs += pairs
-            g.meta["build_workers"] = pool.workers
-            g.meta["build_stats"] = dict(
-                result.stage_seconds,
-                workers=pool.workers,
-                requested_workers=pool.requested_workers,
-                start_method=pool.start_method,
-                build_pairs=pairs,
-            )
-    finally:
-        if pool is not None:
-            pool.release()
+        pairs = pool.take_pairs()
+        dataset.counter.pairs += pairs
+        g.meta["build_workers"] = pool.workers
+        g.meta["build_stats"] = dict(
+            result.stage_seconds,
+            workers=pool.workers,
+            requested_workers=pool.requested_workers,
+            start_method=pool.start_method,
+            build_pairs=pairs,
+        )
     return g

@@ -33,11 +33,7 @@ from .adjacency import Graph
 from .connect import connect_subgraphs
 from .detours import remove_detours
 from .nndescent_plus import nndescent_plus
-from .parallel_build import (
-    remove_detours_batched,
-    remove_links_batched,
-    resolve_build_pool,
-)
+from .parallel_build import BuildPool
 from .prune import remove_links
 
 
@@ -63,11 +59,9 @@ class MRPGConfig:
     connect: bool = True
     detours: bool = True
     prune: bool = True
-    #: ``None`` keeps the legacy sequential construction byte-for-byte;
-    #: an int selects the worker-count-invariant partitioned build of
-    #: :mod:`repro.graphs.parallel_build` (``1`` runs it in-process —
-    #: the bit-identical serial reference for any larger pool).
-    build_workers: int | None = None
+    #: worker processes of the build pool (:mod:`repro.graphs.parallel_build`);
+    #: ``1`` runs in-process, and any count yields the same graph.
+    build_workers: int = 1
     #: multiprocessing start method for the build pool (``None`` =
     #: platform default: ``fork`` where available, else ``spawn``).
     build_start_method: str | None = None
@@ -92,8 +86,7 @@ def build_mrpg(
 
     # One pool outlives every stage (descent rounds, exact K'-NN, detour
     # and prune scans) so the fork/spawn cost is paid once per build.
-    pool = resolve_build_pool(dataset, cfg.build_workers, cfg.build_start_method)
-    try:
+    with BuildPool(dataset, cfg.build_workers, cfg.build_start_method) as pool:
         t0 = time.perf_counter()
         k_prime = cfg.K if basic else cfg.K_prime
         ndp = nndescent_plus(
@@ -131,34 +124,21 @@ def build_mrpg(
             g.meta["connect_patches"] = stats["patches"]
 
         if cfg.detours:
-            if pool is not None:
-                stats = remove_detours_batched(
-                    dataset,
-                    g,
-                    pool,
-                    gen,
-                    n_targets=cfg.detour_targets,
-                    pivots_per_target=cfg.detour_pivots,
-                    cap=cfg.detour_cap,
-                )
-                g.meta["detour_scans"] = stats["scans"]
-            else:
-                stats = remove_detours(
-                    dataset,
-                    g,
-                    rng=gen,
-                    n_targets=cfg.detour_targets,
-                    pivots_per_target=cfg.detour_pivots,
-                    cap=cfg.detour_cap,
-                )
+            stats = remove_detours(
+                dataset,
+                g,
+                rng=gen,
+                n_targets=cfg.detour_targets,
+                pivots_per_target=cfg.detour_pivots,
+                cap=cfg.detour_cap,
+                pool=pool,
+            )
             phases["remove_detours"] = stats["seconds"]
+            g.meta["detour_scans"] = stats["scans"]
             g.meta["detour_links_added"] = stats["links_added"]
 
         if cfg.prune:
-            if pool is not None:
-                stats = remove_links_batched(g, pool)
-            else:
-                stats = remove_links(g)
+            stats = remove_links(g, pool=pool)
             phases["remove_links"] = stats["seconds"]
             g.meta["links_removed"] = stats["removed"]
 
@@ -174,20 +154,16 @@ def build_mrpg(
         g.meta["nndescent_plus_timings"] = ndp.timings
         g.meta["phase_seconds"] = phases
         g.meta["build_seconds"] = sum(phases.values())
-        if pool is not None:
-            # Fold worker-side distance evaluations back into the parent
-            # counter so build-cost accounting matches sequential builds.
-            pairs = pool.take_pairs()
-            dataset.counter.pairs += pairs
-            g.meta["build_workers"] = pool.workers
-            g.meta["build_stats"] = dict(
-                ndp.knn.stage_seconds,
-                workers=pool.workers,
-                requested_workers=pool.requested_workers,
-                start_method=pool.start_method,
-                build_pairs=pairs,
-            )
-    finally:
-        if pool is not None:
-            pool.release()
+        # Fold worker-side distance evaluations back into the parent
+        # counter so build-cost accounting covers every stage.
+        pairs = pool.take_pairs()
+        dataset.counter.pairs += pairs
+        g.meta["build_workers"] = pool.workers
+        g.meta["build_stats"] = dict(
+            ndp.knn.stage_seconds,
+            workers=pool.workers,
+            requested_workers=pool.requested_workers,
+            start_method=pool.start_method,
+            build_pairs=pairs,
+        )
     return g

@@ -11,9 +11,13 @@ We implement the *basic* variant the paper targets (§5.1 footnote 3):
    objects for anything closer than its current K-th neighbor,
 3. rounds repeat until no list changes (or ``max_iters``).
 
-The per-object probe is expressed as one candidate-id union plus a single
-vectorised distance kernel, followed by an argsort merge — no Python
-inner loop over candidates.
+Rounds are *Jacobi* rounds over fixed id partitions: every partition
+joins against the round-start lists with the array-at-a-time kernel
+:func:`~repro.graphs.build_kernels.join_partition`, and
+:func:`~repro.graphs.build_kernels.merge_patches` folds the candidates
+in.  Partitions run on a :class:`~repro.graphs.parallel_build.BuildPool`
+and draw from per-(round, partition) random streams, so the result is a
+function of the seed alone, whatever the pool size.
 
 The update-skipping optimisation of NNDescent+ (§5.1: only probe similar
 objects whose own list changed last round) is implemented here behind the
@@ -23,6 +27,7 @@ ablation is a parameter flip.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +35,8 @@ import numpy as np
 from ..data import Dataset
 from ..exceptions import ParameterError
 from ..rng import ensure_rng
+from .build_kernels import merge_patches
+from .parallel_build import build_partitions, pool_or_local
 
 
 @dataclass
@@ -40,8 +47,7 @@ class NNDescentResult:
     knn_dists: np.ndarray
     iterations: int
     updates_per_iter: list[int] = field(default_factory=list)
-    #: pooled-build timing detail (init seconds, per-round join seconds);
-    #: empty for the legacy sequential path.
+    #: build timing detail (init seconds, per-round join seconds).
     stage_seconds: dict = field(default_factory=dict)
 
     @property
@@ -55,88 +61,12 @@ class NNDescentResult:
         return self.knn_dists.sum(axis=1)
 
 
-#: pairs per distance kernel when scoring the random initial lists.
-_INIT_PAIR_CHUNK = 1 << 16
-
-
-def _random_init(
-    dataset: Dataset, K: int, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """K distinct random neighbors per object, with distances.
-
-    Distances are evaluated in chunked ``pair_dist`` kernels over many
-    objects' rows at once instead of one tiny ``dist_many`` call per
-    object.
-    """
-    n = dataset.n
-    ids = np.empty((n, K), dtype=np.int64)
-    for p in range(n):
-        picks = gen.choice(n - 1, size=K, replace=False)
-        picks[picks >= p] += 1  # skip self without rejection sampling
-        ids[p] = picks
-    dists = np.empty((n, K), dtype=np.float64)
-    rows = max(1, _INIT_PAIR_CHUNK // K)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        left = np.repeat(np.arange(lo, hi, dtype=np.int64), K)
-        dists[lo:hi] = dataset.pair_dist(
-            left, ids[lo:hi].ravel(), consistent=True
-        ).reshape(hi - lo, K)
-    return ids, dists
-
-
 def _sort_rows(ids: np.ndarray, dists: np.ndarray) -> None:
     """Sort each AKNN row ascending by distance, in place."""
     order = np.argsort(dists, axis=1, kind="stable")
     taken = np.take_along_axis(ids, order, axis=1)
     ids[:] = taken
     dists[:] = np.take_along_axis(dists, order, axis=1)
-
-
-def _reverse_lists(
-    knn_ids: np.ndarray, cap: int, gen: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group owners by target: reverse AKNN lists in CSR form.
-
-    Returns ``(owners, starts, ends)`` with ``owners[starts[p]:ends[p]]``
-    the reverse AKNNs of ``p``.  Hub objects (huge reverse lists, common
-    in high dimensions) are down-sampled to ``cap`` to bound the join.
-    """
-    n, K = knn_ids.shape
-    targets = knn_ids.ravel()
-    owners = np.repeat(np.arange(n, dtype=np.int64), K)
-    order = np.argsort(targets, kind="stable")
-    targets = targets[order]
-    owners = owners[order]
-    starts = np.searchsorted(targets, np.arange(n), side="left")
-    ends = np.searchsorted(targets, np.arange(n), side="right")
-    if cap > 0:
-        lengths = ends - starts
-        over = np.flatnonzero(lengths > cap)
-        if over.size:
-            keep_owner_chunks = []
-            keep_bounds = np.stack([starts, ends], axis=1)
-            for p in over:
-                lo, hi = int(starts[p]), int(ends[p])
-                picks = gen.choice(hi - lo, size=cap, replace=False) + lo
-                picks.sort()
-                keep_owner_chunks.append((p, owners[picks]))
-            # Rebuild the owner array with capped chunks.
-            pieces = []
-            cursor = 0
-            new_starts = starts.copy()
-            new_ends = ends.copy()
-            capped = dict(keep_owner_chunks)
-            for p in range(n):
-                lo, hi = int(keep_bounds[p, 0]), int(keep_bounds[p, 1])
-                chunk = capped.get(p, owners[lo:hi])
-                new_starts[p] = cursor
-                cursor += len(chunk)
-                new_ends[p] = cursor
-                pieces.append(chunk)
-            owners = np.concatenate(pieces) if pieces else owners[:0]
-            starts, ends = new_starts, new_ends
-    return owners, starts, ends
 
 
 def nndescent(
@@ -168,12 +98,9 @@ def nndescent(
         Cap on the per-object candidate union (default ``8K``); beyond
         it a random subset is probed.
     pool:
-        Optional :class:`~repro.graphs.parallel_build.BuildPool`.  When
-        given, rounds run as partitioned *Jacobi* local joins across the
-        pool's worker processes — a worker-count-invariant algorithm
-        whose result depends only on the seed, not on the pool size
-        (see :mod:`repro.graphs.parallel_build`).  ``None`` keeps the
-        legacy sequential Gauss-Seidel loop byte-for-byte.
+        The :class:`~repro.graphs.parallel_build.BuildPool` whose workers
+        run the partition joins; ``None`` runs them in-process.  The
+        result depends only on the seed, never on the pool size.
     """
     n = dataset.n
     if K < 1:
@@ -185,114 +112,59 @@ def nndescent(
         reverse_cap = 3 * K
     if max_candidates is None:
         max_candidates = 8 * K
-    if init_ids is not None:
-        seed_shape = np.asarray(init_ids).shape
-        if seed_shape != (n, K):
-            raise ParameterError(
-                f"init_ids must have shape ({n}, {K}), got {seed_shape}"
+    if init_ids is not None or init_dists is not None:
+        for name, seed in (("init_ids", init_ids), ("init_dists", init_dists)):
+            shape = None if seed is None else np.shape(seed)
+            if shape != (n, K):
+                raise ParameterError(
+                    f"{name} must have shape ({n}, {K}), got {shape}"
+                )
+
+    with pool_or_local(dataset, pool) as pool:
+        # One seed root drawn from ``gen``; every random decision after it
+        # comes from a per-(stage, round, partition) stream.
+        seed_root = int(gen.integers(2**31 - 1))
+        part_tasks = list(enumerate(build_partitions(n)))
+        t0 = time.perf_counter()
+        knn_ids = np.empty((n, K), dtype=np.int64)
+        knn_dists = np.empty((n, K), dtype=np.float64)
+        if init_ids is None:
+            rows = pool.run("init_rows", part_tasks, common=(K, seed_root))
+        else:
+            seed_ids = np.asarray(init_ids, dtype=np.int64)
+            seed_dists = np.asarray(init_dists, dtype=np.float64)
+            fill_tasks = [
+                (i, part, seed_ids[part], seed_dists[part]) for i, part in part_tasks
+            ]
+            rows = pool.run("fill_rows", fill_tasks, common=(seed_root,))
+        for (_, part), (ids, dists) in zip(part_tasks, rows):
+            knn_ids[part] = ids
+            knn_dists[part] = dists
+        _sort_rows(knn_ids, knn_dists)
+        init_seconds = time.perf_counter() - t0
+
+        changed = np.ones(n, dtype=bool)
+        updates_per_iter: list[int] = []
+        round_seconds: list[float] = []
+        for round_no in range(max_iters):
+            t0 = time.perf_counter()
+            patches = pool.run(
+                "join_round",
+                part_tasks,
+                common=(
+                    knn_ids, knn_dists, changed, round_no, seed_root,
+                    reverse_cap, max_candidates, skip_unchanged,
+                ),
             )
-
-    if pool is not None:
-        from .parallel_build import nndescent_pooled
-
-        return nndescent_pooled(
-            dataset,
-            K,
-            pool,
-            gen,
-            max_iters,
-            init_ids,
-            init_dists,
-            skip_unchanged,
-            reverse_cap,
-            max_candidates,
-        )
-
-    if init_ids is None:
-        knn_ids, knn_dists = _random_init(dataset, K, gen)
-    else:
-        knn_ids = np.array(init_ids, dtype=np.int64, copy=True)
-        knn_dists = np.array(init_dists, dtype=np.float64, copy=True)
-        if knn_ids.shape != (n, K):
-            raise ParameterError(
-                f"init_ids must have shape ({n}, {K}), got {knn_ids.shape}"
-            )
-        _fill_padding(dataset, knn_ids, knn_dists, gen)
-    _sort_rows(knn_ids, knn_dists)
-
-    changed_prev = np.ones(n, dtype=bool)
-    updates_per_iter: list[int] = []
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        rev_owners, rev_starts, rev_ends = _reverse_lists(knn_ids, reverse_cap, gen)
-        changed_now = np.zeros(n, dtype=bool)
-        total_updates = 0
-        for p in range(n):
-            similar = np.concatenate(
-                (knn_ids[p], rev_owners[rev_starts[p] : rev_ends[p]])
-            )
-            if skip_unchanged:
-                similar = similar[changed_prev[similar]]
-            if similar.size == 0:
-                continue
-            similar = np.unique(similar)
-            # Candidate pool: AKNNs and reverse AKNNs of similar objects.
-            pool = [knn_ids[similar].ravel()]
-            for s in similar:
-                pool.append(rev_owners[rev_starts[s] : rev_ends[s]])
-            cands = np.unique(np.concatenate(pool))
-            # Drop self and already-known neighbors.
-            cands = cands[cands != p]
-            known = np.isin(cands, knn_ids[p], assume_unique=True)
-            cands = cands[~known]
-            if cands.size == 0:
-                continue
-            if cands.size > max_candidates:
-                cands = gen.choice(cands, size=max_candidates, replace=False)
-            worst = knn_dists[p, -1]
-            d = dataset.dist_many(p, cands, bound=worst)
-            better = d < worst
-            if not np.any(better):
-                continue
-            merged_ids = np.concatenate((knn_ids[p], cands[better]))
-            merged_d = np.concatenate((knn_dists[p], d[better]))
-            order = np.argsort(merged_d, kind="stable")[:K]
-            new_ids = merged_ids[order]
-            n_new = K - int(np.isin(new_ids, knn_ids[p], assume_unique=False).sum())
-            knn_ids[p] = new_ids
-            knn_dists[p] = merged_d[order]
-            if n_new > 0:
-                changed_now[p] = True
-                total_updates += n_new
-        updates_per_iter.append(total_updates)
-        changed_prev = changed_now
-        if total_updates == 0:
-            break
-    return NNDescentResult(knn_ids, knn_dists, iterations, updates_per_iter)
-
-
-def _fill_padding(
-    dataset: Dataset,
-    knn_ids: np.ndarray,
-    knn_dists: np.ndarray,
-    gen: np.random.Generator,
-) -> None:
-    """Replace −1 padding slots with random distinct neighbors."""
-    n, K = knn_ids.shape
-    for p in range(n):
-        row = knn_ids[p]
-        missing = np.flatnonzero(row < 0)
-        if missing.size == 0:
-            continue
-        present = set(int(v) for v in row[row >= 0])
-        present.add(p)
-        fresh: list[int] = []
-        while len(fresh) < missing.size:
-            cand = int(gen.integers(n))
-            if cand not in present:
-                present.add(cand)
-                fresh.append(cand)
-        picks = np.asarray(fresh, dtype=np.int64)
-        knn_ids[p, missing] = picks
-        knn_dists[p, missing] = dataset.dist_many(p, picks)
+            changed, updates = merge_patches(knn_ids, knn_dists, patches)
+            round_seconds.append(time.perf_counter() - t0)
+            updates_per_iter.append(updates)
+            if updates == 0:
+                break
+    return NNDescentResult(
+        knn_ids,
+        knn_dists,
+        len(updates_per_iter),
+        updates_per_iter,
+        {"init_seconds": init_seconds, "round_seconds": round_seconds},
+    )

@@ -25,10 +25,10 @@ import numpy as np
 
 from ..data import Dataset
 from ..exceptions import ParameterError
-from ..index.linear import brute_force_knn
 from ..index.partition import vp_partition
 from ..rng import ensure_rng
 from .nndescent import NNDescentResult, nndescent
+from .parallel_build import exact_knn_pooled, pool_or_local
 
 
 @dataclass
@@ -68,8 +68,8 @@ def nndescent_plus(
     ``K_prime`` defaults to ``4K`` (the paper's setting); pass
     ``K_prime=K`` to obtain the MRPG-basic flavour.
 
-    ``pool`` (a :class:`~repro.graphs.parallel_build.BuildPool`) moves
-    the descent rounds and the exact-K'-NN scans onto worker processes;
+    ``pool`` (a :class:`~repro.graphs.parallel_build.BuildPool`) runs
+    the descent rounds and the exact-K'-NN scans (``None``: in-process);
     the VP-tree partition stays in the caller's process (it drives the
     shared generator).  Results are worker-count-invariant.
     """
@@ -96,32 +96,24 @@ def nndescent_plus(
     )
     timings["partition"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    knn = nndescent(
-        dataset,
-        K,
-        max_iters=max_iters,
-        rng=gen,
-        init_ids=part.init_ids,
-        init_dists=part.init_dists,
-        skip_unchanged=True,
-        pool=pool,
-    )
-    timings["descent"] = time.perf_counter() - t0
+    with pool_or_local(dataset, pool) as pool:
+        t0 = time.perf_counter()
+        knn = nndescent(
+            dataset,
+            K,
+            max_iters=max_iters,
+            rng=gen,
+            init_ids=part.init_ids,
+            init_dists=part.init_dists,
+            skip_unchanged=True,
+            pool=pool,
+        )
+        timings["descent"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    exact: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    if n_exact > 0:
+        t0 = time.perf_counter()
         order = np.argsort(-knn.sum_dists, kind="stable")[:n_exact]
-        if pool is not None:
-            from .parallel_build import exact_knn_pooled
-
-            exact = exact_knn_pooled(pool, order, K_prime)
-        else:
-            for p in order:
-                ids, dists = brute_force_knn(dataset, int(p), K_prime)
-                exact[int(p)] = (ids, dists)
-    timings["exact_knn"] = time.perf_counter() - t0
+        exact = exact_knn_pooled(pool, order, K_prime)
+        timings["exact_knn"] = time.perf_counter() - t0
 
     seeded = float(np.count_nonzero(part.covered)) / n
     return NNDescentPlusResult(knn, part.pivots, exact, seeded, timings)

@@ -10,14 +10,11 @@ of long-lived worker *processes* over a zero-copy view of the dataset
 
 The construction stages map onto the pool as follows:
 
-* **NN-Descent rounds** become *Jacobi* rounds: workers read a frozen
-  round-start snapshot of the AKNN lists, locally join their partitions,
-  and return candidate patches ``(p, better_ids, better_dists)``; the
-  parent merges every patch with the same stable-argsort discipline the
-  sequential loop uses.  (The sequential loop is *Gauss-Seidel* — it
-  updates lists mid-round — so the two algorithms converge along
-  slightly different paths; both produce valid AKNN graphs, and the DOD
-  algorithm is exact over any graph.)
+* **NN-Descent rounds** are *Jacobi* rounds: workers read a frozen
+  round-start snapshot of the AKNN lists, join their partitions with
+  the array-at-a-time kernels of :mod:`repro.graphs.build_kernels`, and
+  return candidate patches ``(ps, counts, flat_ids, flat_dists)``; the
+  parent merges them all in one stable lexsort.
 * **Exact K'-NN retrieval**, **Remove-Detours scans** and
   **Remove-Links scans** are embarrassingly parallel per-object maps:
   workers compute against a broadcast CSR snapshot and the parent
@@ -34,18 +31,13 @@ random decision inside a partition draws from a stream seeded by
 are processed in ascending id order, and the parent applies all patches
 in partition/target order.  The result is a pure function of the seed —
 bit-identical at 1, 2 or 8 workers, fork or spawn.  ``build_workers=1``
-runs the identical algorithm in-process and is the serial reference the
-``build-equivalence`` CI gate compares against.
-
-``build_workers=None`` (the default everywhere) keeps the legacy
-sequential algorithm byte-for-byte, so every pre-existing seeded
-artifact and equivalence gate is untouched.
+(the default everywhere) runs the identical algorithm in-process.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
+from contextlib import contextmanager
 from functools import partial
 from typing import Any, Sequence
 
@@ -55,17 +47,20 @@ from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..index.linear import brute_force_knn
 from .adjacency import Graph
-from .nndescent import (
-    _INIT_PAIR_CHUNK,
-    NNDescentResult,
-    _reverse_lists,
-    _sort_rows,
+from .build_kernels import (
+    detour_chains,
+    join_partition,
+    prune_proposals,
+    reverse_lists,
 )
 
 #: fixed number of logical work partitions.  Independent of the worker
 #: count by design — this is the invariance anchor: partition ``j``'s
 #: RNG stream and object order never change, only *where* it executes.
 BUILD_PARTITIONS = 16
+
+#: pairs per distance kernel when scoring the random initial lists.
+_INIT_PAIR_CHUNK = 1 << 16
 
 # RNG stream tags: one namespace per randomized stage.
 _TAG_INIT = 1
@@ -96,27 +91,6 @@ def build_partitions(n: int) -> list[np.ndarray]:
     ]
 
 
-def _snapshot_graph(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    pivots: np.ndarray,
-    exact_ids: np.ndarray,
-) -> Graph:
-    """A read-only :class:`Graph` over a broadcast CSR snapshot.
-
-    Only the surface the scan kernels touch is populated: ``neighbors``
-    (CSR), ``pivots`` and ``has_exact_knn`` membership.  The adjacency
-    lists stay empty — mutating a snapshot graph is a bug.
-    """
-    g = Graph(n)
-    g._csr = (indptr, indices)
-    g.pivots = pivots
-    empty = np.empty(0, dtype=np.int64)
-    g.exact_knn = {int(v): (empty, empty) for v in exact_ids}
-    return g
-
-
 class BuildWorker:
     """Stateless-per-call build executor hosted by a :class:`BuildPool`.
 
@@ -133,7 +107,7 @@ class BuildWorker:
             self.dataset = payload.materialize()
         else:
             self.dataset = payload.view()
-        self._graph: Graph | None = None
+        self._graph: tuple | None = None
         self._pairs_taken = 0
 
     # -- NN-Descent stages -------------------------------------------------
@@ -203,63 +177,23 @@ class BuildWorker:
     ) -> list:
         """One Jacobi local-join round over the assigned partitions.
 
-        Reads only the round-start snapshot; returns per-partition
-        candidate patches ``(ps, counts, flat_ids, flat_dists)`` for the
-        parent to merge.  The reverse-AKNN lists are recomputed here from
-        the snapshot with a round-level stream shared by every worker,
-        so all partitions see identical hub down-sampling.
+        Reads only the round-start snapshot; returns one
+        :func:`~repro.graphs.build_kernels.join_partition` patch per
+        partition.  The reverse-AKNN lists are recomputed here from the
+        snapshot with a round-level stream shared by every worker, so all
+        partitions see identical hub down-sampling.
         """
-        rev_owners, rev_starts, rev_ends = _reverse_lists(
+        rev = reverse_lists(
             knn_ids, reverse_cap, _stream(seed_root, _TAG_REVERSE, round_no)
         )
-        out = []
-        for part_idx, ids in tasks:
-            gen = _stream(seed_root, _TAG_JOIN, round_no, part_idx)
-            ps: list[int] = []
-            counts: list[int] = []
-            flat_ids: list[np.ndarray] = []
-            flat_dists: list[np.ndarray] = []
-            for p in ids:
-                p = int(p)
-                similar = np.concatenate(
-                    (knn_ids[p], rev_owners[rev_starts[p] : rev_ends[p]])
-                )
-                if skip_unchanged:
-                    similar = similar[changed_prev[similar]]
-                if similar.size == 0:
-                    continue
-                similar = np.unique(similar)
-                cand_pool = [knn_ids[similar].ravel()]
-                for s in similar:
-                    cand_pool.append(rev_owners[rev_starts[s] : rev_ends[s]])
-                cands = np.unique(np.concatenate(cand_pool))
-                cands = cands[cands != p]
-                known = np.isin(cands, knn_ids[p], assume_unique=True)
-                cands = cands[~known]
-                if cands.size == 0:
-                    continue
-                if cands.size > max_candidates:
-                    cands = gen.choice(cands, size=max_candidates, replace=False)
-                worst = knn_dists[p, -1]
-                d = self.dataset.dist_many(p, cands, bound=worst)
-                better = d < worst
-                if not np.any(better):
-                    continue
-                ps.append(p)
-                counts.append(int(np.count_nonzero(better)))
-                flat_ids.append(cands[better])
-                flat_dists.append(d[better])
-            out.append(
-                (
-                    np.asarray(ps, dtype=np.int64),
-                    np.asarray(counts, dtype=np.int64),
-                    np.concatenate(flat_ids) if flat_ids else np.empty(0, np.int64),
-                    np.concatenate(flat_dists)
-                    if flat_dists
-                    else np.empty(0, np.float64),
-                )
+        return [
+            join_partition(
+                self.dataset, ids, knn_ids, knn_dists, changed_prev, rev,
+                _stream(seed_root, _TAG_JOIN, round_no, part_idx),
+                max_candidates, skip_unchanged,
             )
-        return out
+            for part_idx, ids in tasks
+        ]
 
     def exact_rows(self, tasks: list, K_prime: int) -> list:
         """Exact K'-NN lists (full scans) for each target id."""
@@ -272,13 +206,16 @@ class BuildWorker:
         indptr: np.ndarray,
         indices: np.ndarray,
         pivots: np.ndarray,
-        exact_ids: np.ndarray,
+        exact: np.ndarray,
     ) -> bool:
         """Install the CSR snapshot the scan stages read."""
-        self._graph = _snapshot_graph(
-            self.dataset.n, indptr, indices, pivots, exact_ids
-        )
+        self._graph = (indptr, indices, pivots, exact)
         return True
+
+    def _snapshot(self) -> tuple:
+        if self._graph is None:
+            raise GraphError("graph scan before load_graph")
+        return self._graph
 
     def detour_scan(
         self,
@@ -288,89 +225,15 @@ class BuildWorker:
         pivots_per_target: int,
         cap: int,
     ) -> list:
-        """Remove-Detours scans for each target against the snapshot.
-
-        Returns ``(chain, n_scans)`` per target, where ``chain`` is the
-        capped ascending-distance list of non-monotonic vertices — the
-        parent applies the actual link insertions in target order.
-        """
-        from .detours import scan_monotonicity
-
-        if self._graph is None:
-            raise GraphError("detour_scan before load_graph")
-        graph = self._graph
-        out = []
-        for p in tasks:
-            p = int(p)
-            n_scans = 1
-            scan = scan_monotonicity(
-                self.dataset, graph, reference=p, start=p, max_hops=source_hops
-            )
-            found: dict[int, float] = {}
-            for t in np.flatnonzero(~scan.monotonic):
-                v = int(scan.nodes[t])
-                d = float(scan.dists[t])
-                if d < found.get(v, np.inf):
-                    found[v] = d
-            piv_mask = graph.pivots[scan.nodes] & (scan.hops >= 2)
-            piv_candidates = [
-                (float(scan.dists[t]), int(scan.nodes[t]))
-                for t in np.flatnonzero(piv_mask)
-                if not graph.has_exact_knn(int(scan.nodes[t]))
-            ]
-            piv_candidates.sort()
-            for _, pv in piv_candidates[:pivots_per_target]:
-                n_scans += 1
-                sub = scan_monotonicity(
-                    self.dataset, graph, reference=p, start=pv, max_hops=pivot_hops
-                )
-                for t in np.flatnonzero(~sub.monotonic):
-                    v = int(sub.nodes[t])
-                    d = float(sub.dists[t])
-                    if d < found.get(v, np.inf):
-                        found[v] = d
-            direct = set(int(w) for w in graph.neighbors(p))
-            chain = sorted(
-                (d, v) for v, d in found.items() if v not in direct and v != p
-            )[:cap]
-            out.append((chain, n_scans))
-        return out
+        """Remove-Detours ``(chain, n_scans)`` for each target id."""
+        return detour_chains(
+            self.dataset, *self._snapshot(), np.asarray(tasks, dtype=np.int64),
+            source_hops, pivot_hops, pivots_per_target, cap,
+        )
 
     def prune_scan(self, tasks: list) -> list:
-        """Remove-Links candidates for each ``(part_idx, ids)`` partition.
-
-        Mirrors the sequential pass against the snapshot, but only
-        *proposes* ``(p, [q...])`` removals — the parent re-checks the
-        live degree/link guards while applying them in order.
-        """
-        if self._graph is None:
-            raise GraphError("prune_scan before load_graph")
-        graph = self._graph
-        out = []
-        for part_idx, ids in tasks:
-            entries = []
-            for p in ids:
-                p = int(p)
-                if graph.is_pivot(p) or graph.has_exact_knn(p):
-                    continue
-                nbrs = graph.neighbors(p)
-                pivot_nbrs = [int(v) for v in nbrs if graph.is_pivot(v)]
-                if not pivot_nbrs:
-                    continue
-                p_nbrs = set(int(v) for v in nbrs)
-                victims: set[int] = set()
-                for piv in pivot_nbrs:
-                    common = p_nbrs.intersection(
-                        int(v) for v in graph.neighbors(piv)
-                    )
-                    for q in common:
-                        if graph.is_pivot(q) or graph.has_exact_knn(q):
-                            continue
-                        victims.add(q)
-                if victims:
-                    entries.append((p, sorted(victims)))
-            out.append(entries)
-        return out
+        """Remove-Links ``(ps, qs)`` proposals for each id partition."""
+        return [prune_proposals(*self._snapshot(), ids) for ids in tasks]
 
     # -- accounting --------------------------------------------------------
 
@@ -415,8 +278,7 @@ class BuildPool:
 
         if int(workers) < 1:
             raise ParameterError(
-                f"build_workers must be >= 1 (or None for the legacy "
-                f"sequential build), got {workers}"
+                f"build_workers must be >= 1, got {workers}"
             )
         self.requested_workers = int(workers)
         workers = self.requested_workers
@@ -506,120 +368,19 @@ class BuildPool:
         self.release()
 
 
-def resolve_build_pool(
-    dataset: Dataset,
-    build_workers: "int | None",
-    start_method: "str | None" = None,
-) -> "BuildPool | None":
-    """``None`` for the legacy sequential path, else a ready pool."""
-    if build_workers is None:
-        return None
-    return BuildPool(dataset, build_workers, start_method)
+@contextmanager
+def pool_or_local(dataset: Dataset, pool: "BuildPool | None"):
+    """``pool`` itself, or a one-worker in-process pool for the block.
 
-
-# -- pooled NN-Descent --------------------------------------------------------
-
-
-def nndescent_pooled(
-    dataset: Dataset,
-    K: int,
-    pool: BuildPool,
-    gen: np.random.Generator,
-    max_iters: int,
-    init_ids: "np.ndarray | None",
-    init_dists: "np.ndarray | None",
-    skip_unchanged: bool,
-    reverse_cap: int,
-    max_candidates: int,
-) -> NNDescentResult:
-    """Partitioned Jacobi NN-Descent over a :class:`BuildPool`.
-
-    Called by :func:`repro.graphs.nndescent.nndescent` when a pool is
-    supplied; the parameter validation happened there.  One seed root is
-    drawn from ``gen`` (the only way the caller's generator advances),
-    and every random decision derives from per-(stage, round, partition)
-    streams — the result is invariant in the worker count.
+    The local pool's distance pairs are folded into ``dataset.counter``
+    on exit, so a stage run outside a builder still accounts its cost.
     """
-    n = dataset.n
-    seed_root = int(gen.integers(2**31 - 1))
-    parts = build_partitions(n)
-    part_tasks = [(i, part) for i, part in enumerate(parts)]
-    timings: dict[str, Any] = {}
-
-    t0 = time.perf_counter()
-    knn_ids = np.empty((n, K), dtype=np.int64)
-    knn_dists = np.empty((n, K), dtype=np.float64)
-    if init_ids is None:
-        for (_, part), (rows, dists) in zip(
-            part_tasks, pool.run("init_rows", part_tasks, common=(K, seed_root))
-        ):
-            knn_ids[part] = rows
-            knn_dists[part] = dists
-    else:
-        seed_rows = np.array(init_ids, dtype=np.int64, copy=True)
-        seed_dists = np.array(init_dists, dtype=np.float64, copy=True)
-        fill_tasks = [
-            (i, part, seed_rows[part], seed_dists[part])
-            for i, part in enumerate(parts)
-        ]
-        for (_, part), (rows, dists) in zip(
-            part_tasks, pool.run("fill_rows", fill_tasks, common=(seed_root,))
-        ):
-            knn_ids[part] = rows
-            knn_dists[part] = dists
-    _sort_rows(knn_ids, knn_dists)
-    timings["init_seconds"] = time.perf_counter() - t0
-
-    changed_prev = np.ones(n, dtype=bool)
-    updates_per_iter: list[int] = []
-    round_seconds: list[float] = []
-    iterations = 0
-    for round_no in range(max_iters):
-        iterations += 1
-        t0 = time.perf_counter()
-        patches = pool.run(
-            "join_round",
-            part_tasks,
-            common=(
-                knn_ids,
-                knn_dists,
-                changed_prev,
-                round_no,
-                seed_root,
-                reverse_cap,
-                max_candidates,
-                skip_unchanged,
-            ),
-        )
-        changed_now = np.zeros(n, dtype=bool)
-        total_updates = 0
-        for ps, counts, flat_ids, flat_d in patches:
-            offset = 0
-            for p, count in zip(ps, counts):
-                p = int(p)
-                cand_ids = flat_ids[offset : offset + count]
-                cand_d = flat_d[offset : offset + count]
-                offset += count
-                merged_ids = np.concatenate((knn_ids[p], cand_ids))
-                merged_d = np.concatenate((knn_dists[p], cand_d))
-                order = np.argsort(merged_d, kind="stable")[:K]
-                new_ids = merged_ids[order]
-                n_new = K - int(
-                    np.isin(new_ids, knn_ids[p], assume_unique=False).sum()
-                )
-                knn_ids[p] = new_ids
-                knn_dists[p] = merged_d[order]
-                if n_new > 0:
-                    changed_now[p] = True
-                    total_updates += n_new
-        round_seconds.append(time.perf_counter() - t0)
-        updates_per_iter.append(total_updates)
-        changed_prev = changed_now
-        if total_updates == 0:
-            break
-    result = NNDescentResult(knn_ids, knn_dists, iterations, updates_per_iter)
-    result.stage_seconds = dict(timings, round_seconds=round_seconds)
-    return result
+    if pool is not None:
+        yield pool
+        return
+    with BuildPool(dataset) as local:
+        yield local
+        dataset.counter.pairs += local.take_pairs()
 
 
 def exact_knn_pooled(
@@ -628,94 +389,6 @@ def exact_knn_pooled(
     """Exact K'-NN lists for ``order`` (insertion order preserved)."""
     results = pool.run("exact_rows", [int(p) for p in order], common=(K_prime,))
     return {int(p): (ids, dists) for p, (ids, dists) in zip(order, results)}
-
-
-# -- pooled MRPG refinement stages --------------------------------------------
-
-
-def _broadcast_graph(pool: BuildPool, graph: Graph) -> None:
-    indptr, indices = graph.csr()
-    exact_ids = np.asarray(sorted(graph.exact_knn), dtype=np.int64)
-    pool.broadcast("load_graph", (indptr, indices, graph.pivots, exact_ids))
-
-
-def remove_detours_batched(
-    dataset: Dataset,
-    graph: Graph,
-    pool: BuildPool,
-    gen: np.random.Generator,
-    n_targets: "int | None" = None,
-    pivots_per_target: "int | None" = None,
-    cap: "int | None" = None,
-    source_hops: int = 3,
-    pivot_hops: int = 2,
-) -> dict:
-    """Batched Remove-Detours: snapshot scans, ordered application.
-
-    All targets are scanned against one round-start snapshot (the
-    sequential pass lets earlier targets' new links feed later scans;
-    the batched pass trades that coupling for parallelism — both are
-    approximations of the same monotonic-path repair, and the DOD
-    algorithm is exact over either graph).  Chains are applied in target
-    order with the live-graph guards, so the result only depends on the
-    seed.
-    """
-    from .detours import _sample_targets
-
-    t0 = time.perf_counter()
-    K = int(graph.meta.get("K", 16))
-    if n_targets is None:
-        n_targets = max(1, graph.n // max(K, 1))
-    if pivots_per_target is None:
-        pivots_per_target = K
-    if cap is None:
-        cap = K * K
-
-    targets = _sample_targets(graph, n_targets, gen)
-    _broadcast_graph(pool, graph)
-    results = pool.run(
-        "detour_scan",
-        [int(t) for t in targets],
-        common=(source_hops, pivot_hops, pivots_per_target, cap),
-    )
-    links_added = 0
-    scans = 0
-    for p, (chain, n_scans) in zip(targets, results):
-        p = int(p)
-        scans += int(n_scans)
-        prev = p
-        for _, v in chain:
-            if not graph.has_exact_knn(v) and not graph.has_exact_knn(prev):
-                if graph.add_link(prev, v):
-                    links_added += 1
-                if graph.add_link(v, prev):
-                    links_added += 1
-            prev = v
-    return {
-        "targets": int(targets.size),
-        "links_added": links_added,
-        "scans": scans,
-        "seconds": time.perf_counter() - t0,
-    }
-
-
-def remove_links_batched(graph: Graph, pool: BuildPool) -> dict:
-    """Batched Remove-Links: snapshot proposals, guarded application."""
-    t0 = time.perf_counter()
-    min_degree = 2
-    _broadcast_graph(pool, graph)
-    part_tasks = [(i, part) for i, part in enumerate(build_partitions(graph.n))]
-    removed = 0
-    for entries in pool.run("prune_scan", part_tasks):
-        for p, victims in entries:
-            for q in victims:
-                if graph.degree(p) <= min_degree or graph.degree(q) <= min_degree:
-                    continue
-                if not graph.has_link(p, q) and not graph.has_link(q, p):
-                    continue
-                graph.remove_edge(p, q)
-                removed += 1
-    return {"removed": removed, "seconds": time.perf_counter() - t0}
 
 
 # -- equality ----------------------------------------------------------------

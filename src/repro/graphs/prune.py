@@ -19,30 +19,35 @@ from __future__ import annotations
 import time
 
 from .adjacency import Graph
+from .build_kernels import graph_arrays, prune_proposals
+from .parallel_build import build_partitions
 
 
-def remove_links(graph: Graph) -> dict:
+def remove_links(graph: Graph, pool=None) -> dict:
     """Prune pivot-shadowed redundant links in place.
 
-    Returns ``{"removed": #undirected edges removed, "seconds": ...}``.
+    Removal candidates come from one snapshot of the graph — per id
+    partition on ``pool``'s workers when given, else in-process — and
+    are applied in ascending ``(p, q)`` order, each re-checked against
+    the live degree floor and link state.  Returns ``{"removed":
+    #undirected edges removed, "seconds": ...}``.
     """
     t0 = time.perf_counter()
-    removed = 0
     min_degree = 2
-    for p in range(graph.n):
-        if graph.is_pivot(p) or graph.has_exact_knn(p):
-            continue
-        pivot_nbrs = [v for v in graph.neighbors_list(p) if graph.is_pivot(v)]
-        if not pivot_nbrs:
-            continue
-        for piv in pivot_nbrs:
-            p_nbrs = set(graph.neighbors_list(p))
-            common = p_nbrs.intersection(graph.neighbors_list(piv))
-            for q in common:
-                if graph.is_pivot(q) or graph.has_exact_knn(q):
-                    continue
-                if graph.degree(p) <= min_degree or graph.degree(q) <= min_degree:
-                    continue
-                graph.remove_edge(p, q)
-                removed += 1
+    snapshot = graph_arrays(graph)
+    parts = build_partitions(graph.n)
+    if pool is None:
+        proposals = [prune_proposals(*snapshot, ids) for ids in parts]
+    else:
+        pool.broadcast("load_graph", snapshot)
+        proposals = pool.run("prune_scan", parts)
+    removed = 0
+    for ps, qs in proposals:
+        for p, q in zip(ps.tolist(), qs.tolist()):
+            if graph.degree(p) <= min_degree or graph.degree(q) <= min_degree:
+                continue
+            if not graph.has_link(p, q) and not graph.has_link(q, p):
+                continue
+            graph.remove_edge(p, q)
+            removed += 1
     return {"removed": removed, "seconds": time.perf_counter() - t0}

@@ -13,9 +13,9 @@ Environment knobs:
   (default 1.0; use e.g. 0.25 for a quick pass).
 * ``REPRO_BENCH_SUITES`` — comma-separated suite subset or ``all``
   (figure sweeps default to a three-suite subset to bound wall time).
-* ``REPRO_BUILD_WORKERS`` — build every cached graph on the
-  process-parallel path with this many workers (unset: the legacy
-  sequential build).  The benchmarks' ``--build-workers`` flag sets it.
+* ``REPRO_BUILD_WORKERS`` — build every cached graph with this many
+  build-pool workers (unset: 1, in-process; any count yields the same
+  graph).  The benchmarks' ``--build-workers`` flag sets it.
 """
 
 from __future__ import annotations
@@ -97,15 +97,11 @@ def hardware_gate(
     }
 
 
-def build_workers_env() -> "int | None":
-    """Graph-build worker count from ``REPRO_BUILD_WORKERS``.
-
-    ``None`` (unset/empty) keeps the legacy sequential build; any
-    integer >= 1 selects the worker-count-invariant parallel path.
-    """
+def build_workers_env() -> int:
+    """Graph-build worker count from ``REPRO_BUILD_WORKERS`` (unset: 1)."""
     raw = os.environ.get("REPRO_BUILD_WORKERS", "").strip()
     if not raw:
-        return None
+        return 1
     workers = int(raw)
     if workers < 1:
         raise ParameterError(

@@ -616,8 +616,9 @@ def load_mutable_engine(path: "str | Path", objects, **kwargs):
             f"has {len(object_log)} — wrong object log for this snapshot"
         )
     # Loaded engines keep rebuilding with the snapshot's parallelism
-    # unless the caller overrides it explicitly.
-    kwargs.setdefault("build_workers", meta.get("build_workers"))
+    # unless the caller overrides it explicitly.  Snapshots written
+    # before every build was pooled store null: one worker.
+    kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
     engine = MutableDetectionEngine(
         metric=str(meta.get("metric", "l2")),
         K=int(meta.get("K", 16)),
@@ -843,7 +844,7 @@ def load_sharded_engine(
         backend=backend,
         build_workers=(
             build_workers if build_workers is not None
-            else meta.get("build_workers")
+            else meta.get("build_workers") or 1
         ),
     )
     _restore_stats(engine, meta.get("stats", {}))
@@ -1021,7 +1022,7 @@ def load_mutable_sharded_engine(path: "str | Path", objects, **kwargs):
             f"for {n_shards} shards"
         )
     metric = str(meta.get("metric", "l2"))
-    kwargs.setdefault("build_workers", meta.get("build_workers"))
+    kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
     engine = MutableShardedDetectionEngine(
         metric=metric,
         n_shards=n_shards,

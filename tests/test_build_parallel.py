@@ -4,9 +4,8 @@ The contract of :mod:`repro.graphs.parallel_build`: for a fixed seed,
 ``build_workers=W`` produces the *bit-identical* graph for every W >= 1
 and for either multiprocessing start method, because all randomness
 comes from per-(seed, stage, round, partition) streams and all merges
-happen in fixed partition order.  ``build_workers=None`` keeps the
-legacy sequential algorithm (a different, order-dependent fixed point)
-so existing seeded artifacts stay valid.
+happen in fixed partition order.  Omitting ``build_workers`` means one
+in-process worker — the same build.
 """
 
 import multiprocessing as mp
@@ -106,14 +105,12 @@ def test_spawn_matches_fork(request, metric):
     assert spawned.meta["build_stats"]["start_method"] == "spawn"
 
 
-def test_legacy_default_is_untouched(l2_dataset, mrpg_l2):
-    # build_workers=None must keep producing the historical sequential
-    # graph — the session fixture was built that way.
-    again = build_graph(
-        "mrpg", l2_dataset.view(), K=8, rng=np.random.default_rng(0)
-    )
+def test_default_build_equals_one_worker(l2_dataset, mrpg_l2):
+    # No build_workers argument is build_workers=1: the session fixture
+    # (built without it) is bit-identical to an explicit one-worker build.
+    again = _build(l2_dataset, workers=1, seed=0, K=8)
     assert graphs_equal(mrpg_l2, again)
-    assert "build_workers" not in again.meta
+    assert again.meta["build_workers"] == mrpg_l2.meta["build_workers"] == 1
 
 
 # -- downstream exactness -----------------------------------------------------

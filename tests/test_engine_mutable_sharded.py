@@ -456,3 +456,17 @@ def test_foreign_descent_toggle_matches(pool):
         assert on.stats["phase_pairs"]["verify_descent"] > 0
     on.close()
     off.close()
+
+
+def test_per_shard_build_stats_cover_the_pooled_build(pool):
+    eng = MutableShardedDetectionEngine.fit(
+        pool[:150], metric="l2", n_shards=3, workers=1, K=6, seed=0
+    )
+    stats = eng.build_stats()
+    assert stats["build_workers"] == 1
+    assert len(stats["per_shard"]) == 3
+    for entry in stats["per_shard"]:
+        for key in ("build_pairs", "init_seconds", "round_seconds"):
+            assert key in entry, key
+        assert entry["build_pairs"] > 0
+    eng.close()

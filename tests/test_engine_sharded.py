@@ -391,3 +391,20 @@ def test_shard_load_is_mean_normalised(l2_dataset, l2_params):
     assert np.all(load >= 0.0)
     assert np.isclose(load.mean(), 1.0)
     engine.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_per_shard_build_stats_cover_the_pooled_build(l2_dataset, workers):
+    # Every shard graph is built by the one pooled builder, so each
+    # per-shard entry carries its pair count and stage timings.
+    with ShardedDetectionEngine(
+        l2_dataset, n_shards=3, workers=workers, graph="mrpg", K=6, rng=0
+    ) as engine:
+        stats = engine.build_stats()
+    assert stats["build_workers"] == 1
+    assert len(stats["per_shard"]) == 3
+    for entry in stats["per_shard"]:
+        for key in ("build_pairs", "init_seconds", "round_seconds"):
+            assert key in entry, key
+        assert entry["build_pairs"] > 0
+        assert len(entry["round_seconds"]) == entry["iterations"]

@@ -17,14 +17,17 @@ from repro import (
     Dataset,
     DetectionEngine,
     MutableDetectionEngine,
+    MutableShardedDetectionEngine,
     ShardedDetectionEngine,
     load_engine,
     load_graph,
     load_mutable_engine,
+    load_mutable_sharded_engine,
     load_sharded_engine,
     save_engine,
     save_graph,
     save_mutable_engine,
+    save_mutable_sharded_engine,
     save_sharded_engine,
 )
 from repro.exceptions import GraphError, ParameterError
@@ -541,3 +544,74 @@ def test_load_sharded_rejects_bad_manifest_metadata(
     _rewrite_manifest(path, manifest_meta=np.asarray("{broken"))
     with pytest.raises(GraphError, match="JSON"):
         load_sharded_engine(path, l2_dataset)
+
+
+# -- snapshots from before every build was pooled --------------------------------
+#
+# Such snapshots store ``build_workers: null``.  They must load unchanged,
+# and every later rebuild must run the one builder with one worker.
+
+
+def _null_build_workers(path, key):
+    with np.load(path) as data:
+        meta = json.loads(str(data[key]))
+    assert "build_workers" in meta
+    meta["build_workers"] = None
+    _rewrite(path, **{key: np.asarray(json.dumps(meta))})
+
+
+def _assert_pooled_build(stats):
+    assert stats["build_workers"] == 1
+    assert stats["build_pairs"] > 0
+
+
+def test_mutable_snapshot_with_null_build_workers(blob_points, tmp_path):
+    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng.insert(blob_points[:150])
+    reference = eng.detect(1.8, 5)
+    path = tmp_path / "mutable.npz"
+    save_mutable_engine(eng, path)
+    _null_build_workers(path, "mutable_meta")
+    loaded = load_mutable_engine(path, eng.object_log(), rebuild_every=20)
+    assert loaded.build_workers == 1
+    np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
+    rebuilds = loaded.stats["rebuilds"]
+    loaded.insert(blob_points[150:175])  # crosses rebuild_every
+    loaded.detect(1.8, 5)
+    assert loaded.stats["rebuilds"] == rebuilds + 1
+    _assert_pooled_build(loaded.build_stats())
+    loaded.close()
+    eng.close()
+
+
+def test_sharded_snapshot_with_null_build_workers(
+    sharded_engine, l2_dataset, l2_params, tmp_path
+):
+    r, k = l2_params
+    path = tmp_path / "sharded"
+    save_sharded_engine(sharded_engine, path)
+    _null_build_workers(path / "manifest.npz", "manifest_meta")
+    loaded = load_sharded_engine(path, l2_dataset, workers=1)
+    assert loaded.build_workers == 1
+    assert np.array_equal(
+        loaded.query(r, k).outliers, sharded_engine.query(r, k).outliers
+    )
+    loaded.close()
+
+
+def test_mutable_sharded_snapshot_with_null_build_workers(blob_points, tmp_path):
+    eng = MutableShardedDetectionEngine.fit(
+        blob_points[:160], metric="l2", n_shards=2, workers=1, K=6, seed=0
+    )
+    reference = eng.detect(1.8, 5)
+    path = tmp_path / "msharded"
+    save_mutable_sharded_engine(eng, path)
+    _null_build_workers(path / "manifest.npz", "manifest_meta")
+    loaded = load_mutable_sharded_engine(path, eng.object_log(), workers=1)
+    assert loaded.build_workers == 1
+    np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
+    new_index = loaded.split_shard()  # rebuilds both halves' graphs
+    np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
+    _assert_pooled_build(loaded.build_stats()["per_shard"][new_index])
+    loaded.close()
+    eng.close()

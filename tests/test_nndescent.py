@@ -103,6 +103,12 @@ def test_validation(l2_dataset):
             init_ids=np.zeros((3, 4), dtype=np.int64),
             init_dists=np.zeros((3, 4)),
         )
+    n = l2_dataset.n
+    seeds = np.tile(np.arange(1, 5, dtype=np.int64), (n, 1))
+    with pytest.raises(ParameterError, match="init_dists"):
+        nndescent(l2_dataset, K=4, init_ids=seeds, init_dists=np.zeros((n, 3)))
+    with pytest.raises(ParameterError, match="init_dists"):
+        nndescent(l2_dataset, K=4, init_ids=seeds, init_dists=None)
 
 
 def test_max_iters_respected(l2_dataset):
