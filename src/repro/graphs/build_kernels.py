@@ -35,6 +35,9 @@ import numpy as np
 from ..data import Dataset
 from ..exceptions import ParameterError
 
+#: rows joined per batch; bounds a batch's candidate keys at about
+#: ``JOIN_ROWS x (K + reverse_cap)^2``.
+JOIN_ROWS = 512
 #: targets whose detour scans run as one multi-source batch; bounds the
 #: frontier arrays at ``SCAN_TARGETS x |E|`` keys and the visited bitmap
 #: at ``SCAN_TARGETS x (1 + pivots per target) x n`` bytes.
@@ -158,12 +161,24 @@ def join_partition(
     objects* (its own AKNNs and reverse AKNNs; with ``skip_unchanged``
     only those whose list changed last round).  Candidates are ascending
     ids minus ``p`` and its current list; rows over ``max_candidates``
-    keep a random subset drawn from ``gen``.  All distances come from
-    one exact ``pair_dist`` call.  Reads only the round-start lists and
-    returns the patch ``(ps, counts, flat_ids, flat_dists)``: the
-    candidates closer than each ``p``'s current K-th neighbour, in probe
-    order.
+    keep a random subset drawn from ``gen``.  Each batch of
+    :data:`JOIN_ROWS` rows takes its distances from one exact
+    ``pair_dist`` call.  Reads only the round-start lists and returns
+    the patch ``(ps, counts, flat_ids, flat_dists)``: the candidates
+    closer than each ``p``'s current K-th neighbour, in probe order.
     """
+    batches = [
+        _join_rows(dataset, ids[lo : lo + JOIN_ROWS], knn_ids, knn_dists,
+                   changed_prev, rev, gen, max_candidates, skip_unchanged)
+        for lo in range(0, ids.size, JOIN_ROWS)
+    ]
+    return tuple(np.concatenate(col) for col in zip(*batches))
+
+
+def _join_rows(
+    dataset, ids, knn_ids, knn_dists, changed_prev, rev, gen,
+    max_candidates, skip_unchanged,
+):
     n = knn_ids.shape[0]
     rows = np.arange(ids.size, dtype=np.int64)
     r, s = _neighbourhoods(rows, ids, knn_ids, rev)
@@ -197,28 +212,28 @@ def merge_patches(
 ) -> tuple[np.ndarray, int]:
     """Fold every partition's patch into the AKNN lists, in place.
 
-    A stable lexsort on ``(row, distance)`` keeps each row's old entries
-    ahead of equally distant candidates, and the first ``K`` survive.
-    Returns ``(changed, updates)``: which rows gained an id, and how
-    many ids were gained in total.
+    Per patch, a stable lexsort on ``(row, distance)`` keeps each row's
+    old entries ahead of equally distant candidates, and the first
+    ``K`` survive.  Returns ``(changed, updates)``: which rows gained an
+    id, and how many ids were gained in total.
     """
     n, K = knn_ids.shape
     changed = np.zeros(n, dtype=bool)
-    ps, counts, flat_ids, flat_d = (np.concatenate(col) for col in zip(*patches))
-    if ps.size == 0:
-        return changed, 0
-    rows = np.arange(ps.size, dtype=np.int64)
-    row = np.concatenate((np.repeat(rows, K), np.repeat(rows, counts)))
-    ids = np.concatenate((knn_ids[ps].ravel(), flat_ids))
-    dists = np.concatenate((knn_dists[ps].ravel(), flat_d))
-    order = np.lexsort((dists, row))
-    sizes = counts + K
-    take = order[(np.cumsum(sizes) - sizes)[:, None] + np.arange(K)]
-    knn_ids[ps] = ids[take]
-    knn_dists[ps] = dists[take]
-    gained = np.count_nonzero(take >= ps.size * K, axis=1)
-    changed[ps] = gained > 0
-    return changed, int(gained.sum())
+    updates = 0
+    for ps, counts, flat_ids, flat_d in patches:
+        rows = np.arange(ps.size, dtype=np.int64)
+        row = np.concatenate((np.repeat(rows, K), np.repeat(rows, counts)))
+        ids = np.concatenate((knn_ids[ps].ravel(), flat_ids))
+        dists = np.concatenate((knn_dists[ps].ravel(), flat_d))
+        order = np.lexsort((dists, row))
+        sizes = counts + K
+        take = order[(np.cumsum(sizes) - sizes)[:, None] + np.arange(K)]
+        knn_ids[ps] = ids[take]
+        knn_dists[ps] = dists[take]
+        gained = np.count_nonzero(take >= ps.size * K, axis=1)
+        changed[ps] = gained > 0
+        updates += int(gained.sum())
+    return changed, updates
 
 
 # -- Remove-Detours ----------------------------------------------------------

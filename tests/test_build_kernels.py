@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import Dataset, build_graph
-from repro.graphs import Graph, build_partitions, scan_monotonicity
+from repro.graphs import Graph, build_kernels, build_partitions, scan_monotonicity
 from repro.graphs.build_kernels import (
     detour_chains,
     graph_arrays,
@@ -244,10 +244,12 @@ JOIN_CASES = [
 ]
 
 
+@pytest.mark.parametrize("join_rows", [build_kernels.JOIN_ROWS, 2])
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("n,K,reverse_cap,max_candidates,skip", JOIN_CASES)
-def test_join_round_matches_loop(request, metric, n, K, reverse_cap,
-                                 max_candidates, skip):
+def test_join_round_matches_loop(request, monkeypatch, metric, n, K,
+                                 reverse_cap, max_candidates, skip, join_rows):
+    monkeypatch.setattr(build_kernels, "JOIN_ROWS", join_rows)
     ds = _dataset(request, metric, n)
     knn_ids, knn_dists, changed = _aknn_state(ds, K, seed=n + K)
     full = K == n - 1  # every list already holds every other object
