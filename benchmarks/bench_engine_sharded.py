@@ -9,18 +9,14 @@ PRs regress against.
 
 Record fields: ``n, dim, metric, graph, K, k, r, engine, shards,
 workers, seconds, cache_seconds, filter_seconds, verify_seconds,
-pairs, verify_pairs, verify_descent_pairs, verify_index_pairs,
-verify_sweep_pairs, outliers``; the payload also carries ``cpu_count``
+pairs, verify_pairs, outliers``; the payload also carries ``cpu_count``
 and the headline ``speedup`` (single / sharded-at-4-workers).
 
-The sharded engine runs twice at 1 worker: once with the phase-C v2
-path disabled (``sharded-sweep``, the linear-sweep baseline) and once
-with it on (``sharded``, the default: selective graph descent plus
-per-shard VP-tree exact counting).  Two pair gates always run at full
-scale (pair counts are deterministic, so they are not hardware
-claims): the v2 path must cut phase-C verify pairs by >= 2x versus
-the sweep-only path, and the 4-shard phase-C verify pairs must stay
-within 1.5x of the single engine's *total* pairs.
+Phase C (cross-shard verification) is one path: cooperative linear
+sweep rounds with a stall handoff.  Its gate is in seconds, not pairs,
+and runs at full scale on any core count (the in-process engine uses
+one core): the best-of-3 4-shard verify seconds must stay within 1.5x
+of the best-of-3 single-engine cold query seconds.
 
 The >= 1.8x acceptance headline is a *hardware* claim: shard workers
 are processes, so it only applies where at least 4 cores are actually
@@ -67,15 +63,17 @@ def workload_10k():
     return dataset, float(r)
 
 
-def _best_cold_query(engine, r):
-    """Fastest of ``REPEATS`` cold queries (cache cleared between runs)."""
-    best = None
+def _cold_queries(engine, r):
+    """``REPEATS`` cold queries (cache cleared between runs)."""
+    results = []
     for _ in range(REPEATS):
         engine.reset_cache()
-        res = engine.query(r, K_NEIGHBORS)
-        if best is None or res.seconds < best.seconds:
-            best = res
-    return best
+        results.append(engine.query(r, K_NEIGHBORS))
+    return results
+
+
+def _fastest(results):
+    return min(results, key=lambda res: res.seconds)
 
 
 def _record(dataset, r, engine_kind, shards, workers, res):
@@ -96,90 +94,67 @@ def _record(dataset, r, engine_kind, shards, workers, res):
         "verify_seconds": round(res.phases.get("verify", 0.0), 6),
         "pairs": res.pairs,
         "verify_pairs": int(res.phase_pairs.get("verify", 0)),
-        "verify_descent_pairs": int(res.phase_pairs.get("verify_descent", 0)),
-        "verify_index_pairs": int(res.phase_pairs.get("verify_index", 0)),
-        "verify_sweep_pairs": int(res.phase_pairs.get("verify_sweep", 0)),
         "outliers": res.n_outliers,
     }
 
 
 def test_sharded_speedup_and_baseline(workload_10k):
     dataset, r = workload_10k
+    full_scale = int(round(N_FULL * bench_scale())) >= N_FULL
     records = []
 
     graph = build_graph(GRAPH, dataset, K=DEGREE, rng=0)
     single = DetectionEngine(dataset, graph, rng=0)
-    single_res = _best_cold_query(single, r)
+    single_res = _fastest(_cold_queries(single, r))
+    single.close()
     records.append(_record(dataset, r, "single", 1, 1, single_res))
 
-    # Linear-sweep phase C (descent and exact index off): the baseline
-    # the graph-assisted foreign counting is gated against.
-    sweep_engine = ShardedDetectionEngine(
-        dataset, n_shards=N_SHARDS, workers=1,
-        graph=GRAPH, K=DEGREE, rng=0, foreign_descent=False,
-    )
-    sweep_res = _best_cold_query(sweep_engine, r)
-    sweep_engine.close()
-    assert sweep_res.same_outliers(single_res), "sweep-only"
-    records.append(_record(dataset, r, "sharded-sweep", N_SHARDS, 1, sweep_res))
-
     sharded_seconds = {}
-    descent_res = None
+    verify_seconds = None
     for workers in WORKER_COUNTS:
         engine = ShardedDetectionEngine(
             dataset, n_shards=N_SHARDS, workers=workers,
             graph=GRAPH, K=DEGREE, rng=0,
         )
-        res = _best_cold_query(engine, r)
+        runs = _cold_queries(engine, r)
         engine.close()
+        res = _fastest(runs)
         # Exactness headline: bit-identical outlier sets at any scale.
         assert res.same_outliers(single_res), workers
         sharded_seconds[workers] = res.seconds
-        if descent_res is None:
-            descent_res = res
+        if workers == 1:
+            verify_seconds = min(run.phases["verify"] for run in runs)
         records.append(_record(dataset, r, "sharded", N_SHARDS, workers, res))
-    single.close()
 
-    # Phase C gates: deterministic pair counts, so they run at full
-    # scale regardless of core count.
-    verify_on = int(descent_res.phase_pairs.get("verify", 0))
-    verify_off = int(sweep_res.phase_pairs.get("verify", 0))
-    if int(round(N_FULL * bench_scale())) >= N_FULL:
-        assert verify_on * 2 <= verify_off, (
-            f"phase C v2 saves < 2x verify pairs "
-            f"({verify_on} on vs {verify_off} off)"
-        )
-        assert verify_on <= 1.5 * single_res.pairs, (
-            f"phase-C verify pairs {verify_on} exceed 1.5x single-engine "
-            f"pairs {single_res.pairs}"
-        )
-
+    # Phase C in seconds: the in-process (one-core) 4-shard verify
+    # phase must cost at most 1.5x a whole single-engine cold query.
+    verify_ratio = verify_seconds / max(single_res.seconds, 1e-12)
+    verify_gate = hardware_gate(full_scale=full_scale, required_cores=1)
     speedup = single_res.seconds / max(sharded_seconds[4], 1e-12)
     # The >= 1.8x headline is a hardware claim: it has only ever run
     # where 4 real cores exist at full scale.  The gate decision is
     # embedded in the committed JSON (cores_available / assertion_ran)
     # so a 1-CPU container's numbers cannot masquerade as a tested claim.
-    gate = hardware_gate(
-        full_scale=int(round(N_FULL * bench_scale())) >= N_FULL,
-        required_cores=4,
-    )
+    gate = hardware_gate(full_scale=full_scale, required_cores=4)
     payload = {
         "description": "single-process DetectionEngine vs shard-per-worker "
-                       "ShardedDetectionEngine, cold (r, k) queries; "
-                       "sharded-sweep disables the phase-C foreign descent",
+                       "ShardedDetectionEngine, cold (r, k) queries",
         "cpu_count": gate["cores_available"],
         "records": records,
         "speedup_vs_single_at_4_workers": round(speedup, 3),
-        "verify_pairs_descent_on": verify_on,
-        "verify_pairs_descent_off": verify_off,
-        "verify_pair_reduction": round(verify_off / max(verify_on, 1), 3),
+        "verify_seconds_in_process": round(verify_seconds, 6),
+        "verify_seconds_vs_single_query": round(verify_ratio, 3),
+        "verify_seconds_gate_ran": verify_gate["assertion_ran"],
         **gate,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\nsharded speedup at {N_SHARDS} shards x 4 workers: {speedup:.2f}x "
-          f"on {gate['cores_available']} cpus (baseline written to "
-          f"{OUTPUT.name}; assertion_ran={gate['assertion_ran']})")
+          f"on {gate['cores_available']} cpus; in-process verify / single "
+          f"query = {verify_ratio:.2f} (baseline written to {OUTPUT.name}; "
+          f"assertion_ran={gate['assertion_ran']})")
 
+    if verify_gate["assertion_ran"]:
+        assert verify_ratio <= 1.5, payload
     if gate["assertion_ran"]:
         # Acceptance headline on >= 4 real cores at full scale.
         assert speedup >= 1.8, payload

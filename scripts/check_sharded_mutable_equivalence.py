@@ -147,15 +147,15 @@ def churn_trace(
 def rebalance_transfer_trace(
     dataset_objects, metric, r, k, label: str
 ) -> list[str]:
-    """Evidence transfer + foreign descent must be invisible under churn.
+    """Evidence transfer must be invisible under churn.
 
     Drives two 4-shard engines through the identical
-    insert/remove/split/merge trace — one with the graph-assisted
-    foreign descent and evidence-preserving rebalance on, one with
-    both off — and fails if either ever differs from brute force over
-    the live objects, or if a split preserves fewer than half of the
-    affected shard's evidence entries (the transfer counters exist to
-    prove the rebalance is repair-style, not reset-style).
+    insert/remove/split/merge trace — one with evidence-preserving
+    rebalance on, one with it off — and fails if either ever differs
+    from brute force over the live objects, or if a split preserves
+    fewer than half of the affected shard's evidence entries (the
+    transfer counters exist to prove the rebalance is repair-style,
+    not reset-style).
     """
     failures: list[str] = []
     full = MutableShardedDetectionEngine(
@@ -163,7 +163,7 @@ def rebalance_transfer_trace(
     )
     plain = MutableShardedDetectionEngine(
         metric=metric, n_shards=4, workers=1, K=6, seed=0,
-        foreign_descent=False, evidence_transfer=False,
+        evidence_transfer=False,
     )
 
     def brute_check(tag: str) -> None:
@@ -174,7 +174,7 @@ def rebalance_transfer_trace(
         )
         brute = keep[brute_force_outliers(live_ds.view(), r, k)]
         if not np.array_equal(full.detect(r, k).outliers, brute):
-            failures.append(f"{tag}: descent+transfer engine differs from brute")
+            failures.append(f"{tag}: transfer engine differs from brute")
         if not np.array_equal(plain.detect(r, k).outliers, brute):
             failures.append(f"{tag}: plain engine differs from brute")
 
@@ -221,10 +221,6 @@ def rebalance_transfer_trace(
         full.split_shard(hot)
         plain.split_shard(hot)
         brute_check(f"{label}/hot-split")
-    if full.stats["phase_pairs"]["verify_descent"] == 0 < full.stats[
-        "phase_pairs"
-    ]["verify"]:
-        failures.append(f"{label}: foreign descent never fired")
     full.close()
     plain.close()
     return failures

@@ -50,7 +50,7 @@ from .engine import (
     plan_shards,
     supports,
 )
-from .extensions import DynamicDODetector, top_n_outliers
+from .extensions import top_n_outliers
 from .graphs import (
     Graph,
     MRPGConfig,
@@ -118,7 +118,6 @@ __all__ = [
     "VPTree",
     "brute_force_outliers",
     "top_n_outliers",
-    "DynamicDODetector",
     "SlidingWindowDOD",
     "save_graph",
     "load_graph",

@@ -14,7 +14,6 @@ from .base import (
     resolve_backend,
 )
 from .float32 import Float32ScreenBackend
-from . import gpu  # noqa: F401  (registers the cupy/torch stubs)
 
 __all__ = [
     "BackendStats",

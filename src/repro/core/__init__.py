@@ -31,14 +31,12 @@ from .store import STORE_NAME_PREFIX, SharedObjectStore
 from .traversal import (
     DEFAULT_BLOCK,
     BlockTracker,
-    foreign_count_block,
     greedy_count_block,
 )
 from .verify import Verifier
 
 __all__ = [
     "greedy_count",
-    "foreign_count_block",
     "greedy_count_block",
     "BlockTracker",
     "DEFAULT_BLOCK",

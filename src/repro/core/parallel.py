@@ -354,11 +354,9 @@ class ShardPool:
         """Run ``actor.method(*args)`` only on shards where ``mask`` holds.
 
         The selective sibling of :meth:`call` for broadcasts whose
-        per-shard payload is often empty (the foreign-descent phase
-        skips each candidate's home shard and empty shards): skipped
-        shards get ``None`` in the shard-ordered result list, and a
-        worker process none of whose shards are selected sees **no
-        pipe round-trip at all**.
+        per-shard payload is often empty: skipped shards get ``None``
+        in the shard-ordered result list, and a worker process none of
+        whose shards are selected sees **no pipe round-trip at all**.
         """
         if self._closed:
             raise ParameterError("ShardPool.call_where after close")

@@ -256,192 +256,3 @@ def greedy_count_block(
 
     return counts
 
-
-def foreign_count_block(
-    dataset: Dataset,
-    graph: Graph,
-    vertex_ids: np.ndarray,
-    sources: np.ndarray,
-    r: float,
-    stop_at: "int | np.ndarray",
-    tracker: BlockTracker | None = None,
-    follow_pivots: bool | None = None,
-    n_seeds: int = 4,
-) -> np.ndarray:
-    """Within-subset count lower bounds for *foreign* query objects.
-
-    The sharded merge's Phase C needs, for each surviving candidate,
-    its neighbor count inside every **other** shard — objects that are
-    not vertices of that shard's graph, so :func:`greedy_count_block`
-    cannot start from them.  This kernel runs the same multi-source
-    wave over the target shard's graph, seeded from a fixed spread of
-    member vertices, with one extra rule: a source whose frontier dies
-    before reaching the radius ball *chases* the closest member it has
-    evaluated so far (classic greedy graph descent), so the wave first
-    navigates toward the query and then drains its within-``r``
-    closure exactly as Algorithm 2 does.
-
-    ``vertex_ids[v]`` maps graph vertex ``v`` to its id in ``dataset``
-    (the full collection), and ``sources`` are dataset ids; distances
-    are always evaluated between a source and a member.  The returned
-    count is the number of *distinct* members found within ``r`` of
-    each source (the source itself excluded if it is a member) — by
-    Lemma 1 a valid **lower bound** on the source's within-subset
-    count, never a verdict on its own.  A source retires once its
-    count reaches its ``stop_at`` threshold (the residual the global
-    merge still needs); a count below the threshold means the descent
-    *stalled* and the caller must fall back to an exact subset sweep.
-
-    Determinism: seeds are a fixed spread of member positions, waves
-    are slot-sorted, and the chase step breaks distance ties by the
-    smaller vertex id — so counts (and evaluated-pair totals) are
-    identical across process layouts, which the CI equivalence gates
-    assert.
-    """
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
-    sources = np.asarray(sources, dtype=np.int64)
-    nsrc = sources.size
-    if nsrc == 0:
-        return np.empty(0, dtype=np.int64)
-    vertex_ids = np.asarray(vertex_ids, dtype=np.int64)
-    n = graph.n
-    if vertex_ids.size != n:
-        raise ParameterError(
-            f"vertex_ids maps {vertex_ids.size} vertices for a "
-            f"{n}-vertex graph"
-        )
-    stops = np.broadcast_to(np.asarray(stop_at, dtype=np.int64), sources.shape)
-    if np.any(stops < 1):
-        raise ParameterError("stop_at thresholds must be >= 1")
-    if tracker is None:
-        tracker = BlockTracker(n, nsrc)
-    elif tracker.n != n or tracker.block_size < nsrc:
-        raise ParameterError(
-            f"BlockTracker(n={tracker.n}, block_size={tracker.block_size}) "
-            f"cannot serve {nsrc} sources over a {n}-vertex graph"
-        )
-    if follow_pivots is None:
-        follow_pivots = bool(graph.pivots.any())
-    indptr, indices = graph.csr()
-    pivots = graph.pivots
-    avg_deg = max(1.0, indices.size / n)
-
-    tracker.new_epoch()
-    counts = np.zeros(nsrc, dtype=np.int64)
-    alive = np.ones(nsrc, dtype=bool)
-    #: closest member distance each source has seen (the chase monotone).
-    best = np.full(nsrc, np.inf)
-    first_round = max(32, 2 * int(stops.max()))
-
-    # Every source starts from the same deterministic spread of member
-    # positions; the chase rule then walks each source toward its own
-    # region of the shard.
-    seeds = np.unique(
-        np.linspace(0, n - 1, num=min(int(n_seeds), n)).astype(np.int64)
-    )
-    slots = np.arange(nsrc, dtype=np.int64)
-    cand_slot = np.repeat(slots, seeds.size)
-    cand_vtx = np.tile(seeds, nsrc)
-    work_key = np.empty(0, dtype=np.int64)
-    first_wave = True
-
-    while True:
-        if not first_wave:
-            if work_key.size == 0:
-                break
-            work_key = np.sort(work_key)
-            work_slot = work_key // n
-            live = alive[work_slot]
-            work_key = work_key[live]
-            work_slot = work_slot[live]
-            if work_key.size == 0:
-                break
-            rank, n_segments = _segment_ranks(work_slot)
-            window = max(1, int(8192 / (n_segments * avg_deg)))
-            take = rank < window
-            frontier_slot = work_slot[take]
-            frontier_vtx = work_key[take] - frontier_slot * n
-            work_key = work_key[~take]
-
-            starts = indptr[frontier_vtx]
-            degs = indptr[frontier_vtx + 1] - starts
-            total = int(degs.sum())
-            if total == 0:
-                continue
-            cum = np.cumsum(degs) - degs
-            flat = np.arange(total, dtype=np.int64) - np.repeat(cum, degs)
-            cand_vtx = indices[np.repeat(starts, degs) + flat]
-            cand_slot = np.repeat(frontier_slot, degs)
-            key = np.sort(cand_slot * n + cand_vtx)
-            if key.size > 1:
-                key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-            cand_slot, cand_vtx = np.divmod(key, n)
-            fresh = tracker.fresh_mask(cand_slot, cand_vtx)
-            cand_slot = cand_slot[fresh]
-            cand_vtx = cand_vtx[fresh]
-            if cand_vtx.size == 0:
-                continue
-        tracker.visit(cand_slot, cand_vtx)
-        first_wave = False
-
-        # -- rank rounds, as in greedy_count_block, plus per-slot wave
-        # minima for the chase rule --------------------------------------
-        rank, _ = _segment_ranks(cand_slot)
-        max_rank = int(rank.max()) + 1
-        grown: list[np.ndarray] = [work_key]
-        wave_min = np.full(nsrc, np.inf)
-        wave_arg = np.full(nsrc, -1, dtype=np.int64)
-        base, width = 0, first_round
-        while base < max_rank:
-            sel = (rank >= base) & (rank < base + width)
-            if base > 0:
-                sel &= alive[cand_slot]
-            s_slot = cand_slot[sel]
-            s_vtx = cand_vtx[sel]
-            base += width
-            width *= 2
-            if s_vtx.size == 0:
-                continue
-            targets = vertex_ids[s_vtx]
-            d = dataset.pair_dist(
-                sources[s_slot], targets, bound=r, consistent=True
-            )
-            within = (d <= r) & (targets != sources[s_slot])
-            counts += np.bincount(s_slot[within], minlength=nsrc)
-            alive &= counts < stops
-            expand = within
-            if follow_pivots:
-                expand = expand | (pivots[s_vtx] & ~within)
-            keep = expand & alive[s_slot]
-            if keep.any():
-                grown.append(s_slot[keep] * n + s_vtx[keep])
-            # Track each slot's closest evaluated member (ties: smaller
-            # vertex id; earlier rounds win) for the chase below.
-            order = np.lexsort((s_vtx, d, s_slot))
-            ss = s_slot[order]
-            head = np.concatenate(([True], ss[1:] != ss[:-1]))
-            m_slot = ss[head]
-            m_d = d[order][head]
-            m_vtx = s_vtx[order][head]
-            better = m_d < wave_min[m_slot]
-            wave_min[m_slot[better]] = m_d[better]
-            wave_arg[m_slot[better]] = m_vtx[better]
-        work_key = np.concatenate(grown) if len(grown) > 1 else grown[0]
-
-        # -- chase: a source with no frontier left pursues its closest
-        # member, but only on strict improvement (each vertex is visited
-        # once, so the descent is bounded) -------------------------------
-        has_work = np.zeros(nsrc, dtype=bool)
-        if work_key.size:
-            has_work[work_key // n] = True
-        chase = np.flatnonzero(
-            alive & ~has_work & (wave_arg >= 0) & (wave_min < best)
-        )
-        np.minimum(best, wave_min, out=best)
-        if chase.size:
-            work_key = np.concatenate(
-                [work_key, chase * n + wave_arg[chase]]
-            )
-
-    return counts

@@ -68,6 +68,31 @@ def _checked_vector_input(objects: Any, metric_name: str) -> Any:
     return objects
 
 
+def prepare_insert_batch(
+    metric: Metric, objects: Any, width: "int | None" = None
+) -> Any:
+    """Validate and prepare a batch before a mutable engine appends it.
+
+    Engines call this before any state changes, so a rejected batch
+    leaves them exactly as they were.  A ragged or non-numeric vector
+    batch, or one whose rows are not ``width`` wide (the object log's
+    row width; ``None`` while the log is empty), raises
+    :class:`GraphError`; content the metric rejects — non-finite
+    coordinates, non-string edit objects — raises
+    :class:`~repro.exceptions.MetricError`.  Returns the prepared
+    batch.
+    """
+    if not metric.is_vector:
+        return metric.prepare(objects)
+    rows = metric.prepare(_checked_vector_input(objects, metric.name))
+    if width is not None and rows.shape[1] != width:
+        raise GraphError(
+            f"{metric.name}: insert of {rows.shape[1]}-wide rows into a "
+            f"log of {width}-wide rows"
+        )
+    return rows
+
+
 class DistanceCounter:
     """Tallies distance evaluations.
 

@@ -42,7 +42,7 @@ from ..core.result import DODResult
 from ..core.traversal import DEFAULT_BLOCK
 from ..core.verify import Verifier
 from ..backends import resolve_backend
-from ..data import Dataset
+from ..data import Dataset, prepare_insert_batch
 from ..exceptions import ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
@@ -59,10 +59,9 @@ class MutableDetectionEngine:
     Parameters
     ----------
     metric, K, seed, search_attempts:
-        As in the old ``DynamicDODetector``: the metric, the incremental
-        graph degree, the rng seed, and the number of NSW-style greedy
-        searches used to collect link candidates when no repair scan is
-        available.
+        The metric, the incremental graph degree, the rng seed, and the
+        number of NSW-style greedy searches used to collect link
+        candidates when no repair scan is available.
     n_jobs, mode, batch_size, verify:
         Execution knobs handed to the compacted serving engine.
     rebuild_graph:
@@ -329,6 +328,13 @@ class MutableDetectionEngine:
         if not objects:
             self.last_insert_neighbors = []
             return np.empty(0, dtype=np.int64)
+        # Validate before any state changes: a bad batch must leave the
+        # log, graph and cache exactly as they were.
+        width = (
+            np.size(self._objects[0])
+            if self._objects and self.metric.is_vector else None
+        )
+        prepare_insert_batch(self.metric, objects, width)
         self._invalidate_compact()
         first_new = self.n_total
         self._objects.extend(objects)
@@ -598,9 +604,9 @@ class MutableDetectionEngine:
 
         Restores filter quality after heavy churn; repaired evidence
         survives (it is about the data, not the graph).  With
-        ``renumber=True`` (the historical ``DynamicDODetector``
-        semantics) the internal numbering is compacted first and the id
-        remap returned; ``renumber=False`` keeps stable ids, which is
+        ``renumber=True`` the internal numbering is compacted first
+        (live ids become ``0..n_active-1`` in insertion order) and the
+        id remap returned; ``renumber=False`` keeps stable ids, which is
         what :attr:`rebuild_every` uses.
         """
         remap = None

@@ -46,40 +46,35 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.counting import VisitTracker, classify_chunk_arrays, resolve_filter_mode
+from ..core.counting import resolve_filter_mode
 from ..core.result import DODResult
 from ..core.store import SharedObjectStore
-from ..core.traversal import DEFAULT_BLOCK, BlockTracker, foreign_count_block
+from ..core.traversal import DEFAULT_BLOCK
 from ..backends import resolve_backend
-from ..data import Dataset, _checked_vector_input
+from ..data import Dataset, prepare_insert_batch
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
 from ..index.linear import linear_count_block
 from ..metrics import Metric, resolve_metric
 from ..rng import ensure_rng
-from .evidence import NO_BOUND, EvidenceCache, build_delete_evidence
+from .evidence import EvidenceCache, build_delete_evidence
 from .protocol import EngineCapabilities
-from .sharded import DESCENT_BLOCK, _ShardMergeBase
-
-_EMPTY = np.empty(0, dtype=np.int64)
+from .sharded import _EMPTY, ShardWorker, _ServeView, _ShardMergeBase
 
 
-class MutableShardWorker:
+class MutableShardWorker(ShardWorker):
     """One shard of a mutable collection; lives inside a ``ShardPool`` actor.
 
-    Holds a replica of the full object log (append-only; global id =
-    log position), the global alive mask, this shard's *membership*
-    (which live objects it owns), a shard-local proximity graph over
-    the members, and an :class:`EvidenceCache` of **within-shard**
-    count bounds indexed by global id.  Mutations arrive as broadcasts:
+    A :class:`~repro.engine.sharded.ShardWorker` whose members change.
+    It holds the full object log (a private replica, or a mapping of
+    the parent's shared segment), the global alive mask, this shard's
+    *membership* (which live objects it owns) and a shard-local
+    proximity graph over the members.  Mutations arrive as broadcasts:
     every worker appends/retires log entries, the owning worker
     additionally repairs its graph and cache from the batch's own
-    distance sweeps.  Queries see a lazily compacted live-member view,
-    rebuilt per mutation epoch.
-
-    All public methods return ``(payload..., pairs)`` with the distance
-    computations the call performed.
+    distance sweeps.  Queries run the inherited protocol over a lazily
+    compacted live-member view, rebuilt per mutation epoch.
     """
 
     def __init__(
@@ -110,16 +105,16 @@ class MutableShardWorker:
         # Resolved in the worker process: each shard owns its backend
         # instance (screen state + counters), so per-shard backend
         # choices need nothing shared beyond the name.
-        self._backend = None if backend is None else resolve_backend(backend)
+        self._init_serving(
+            None, None if backend is None else resolve_backend(backend),
+            mode, batch_size, None, knn_radii,
+        )
         self.K = int(K)
         self.graph_name = graph
         # Shard workers are daemon processes, so BuildPool falls back to
         # one in-process worker here — the partitioned build is
         # worker-count-invariant, so results match the parent's anyway.
         self.build_workers = int(build_workers)
-        resolve_filter_mode(mode, None)
-        self.mode = mode
-        self.batch_size = int(batch_size)
         self.cache_radii = cache_radii
         self._rng = ensure_rng(seed)
         self._pinned: set[float] = {float(r) for r in pinned}
@@ -146,13 +141,6 @@ class MutableShardWorker:
         self._local_of: dict[int, int] = {
             g: i for i, g in enumerate(self._member_gids)
         }
-        self._dataset: Dataset | None = None
-        self._banked = 0
-        self._descent_tracker: "BlockTracker | None" = None
-        self._graph: Graph | None = None
-        self.cache: EvidenceCache | None = None
-        self._knn_radii: set[float] = set(float(r) for r in knn_radii)
-        self._serve: "tuple | None" = None
         if self.n_total:
             self._refresh_dataset()
             self.cache = (
@@ -174,10 +162,7 @@ class MutableShardWorker:
             else:
                 self._graph = Graph(len(self._member_gids))
                 self._graph.meta = {"builder": "mutable-shard", "K": self.K}
-        # Offline construction work is not query cost.
-        self._banked = 0
-        if self._dataset is not None:
-            self._dataset.reset_counter()
+        self._take_pairs()  # offline construction work is not query cost
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -189,14 +174,14 @@ class MutableShardWorker:
         self._bank_pairs()
         if self._shared:
             assert self._store_handle is not None
-            self._dataset = Dataset.from_prepared(
+            self._full = Dataset.from_prepared(
                 self._store_handle.rows(self._n_log),
                 self.metric,
                 backend=self._backend,
                 kind="shm",
             )
             return
-        self._dataset = Dataset(
+        self._full = Dataset(
             np.asarray(self._objects, dtype=np.float64)
             if self.metric.is_vector
             else self._objects,
@@ -211,38 +196,9 @@ class MutableShardWorker:
         owner); the full float64 replica otherwise.  Screening state
         (a float32 copy, when a backend is attached) is not included.
         """
-        if self._dataset is None:
+        if self._full is None:
             return 0
-        return int(self._dataset.resident_nbytes)
-
-    def backend_stats(self) -> dict:
-        if self._backend is None:
-            return {
-                "backend": "numpy64",
-                "screen_calls": 0,
-                "screened_pairs": 0,
-                "rescreened_pairs": 0,
-            }
-        return self._backend.stats_dict()
-
-    def build_stats(self) -> dict:
-        """Per-phase timings of this shard's most recent graph build."""
-        if self._graph is None:
-            return {}
-        return self._graph.build_stats()
-
-    def _bank_pairs(self) -> None:
-        if self._dataset is not None:
-            self._banked += self._dataset.counter.pairs
-            self._dataset.reset_counter()
-        if self._serve is not None and self._serve[0] is not None:
-            self._banked += self._serve[0].counter.pairs
-            self._serve[0].counter.reset()
-
-    def _take_pairs(self) -> int:
-        self._bank_pairs()
-        delta, self._banked = self._banked, 0
-        return int(delta)
+        return int(self._full.resident_nbytes)
 
     def _drop_serve(self) -> None:
         self._bank_pairs()
@@ -267,8 +223,8 @@ class MutableShardWorker:
         graph = Graph(max(1, members.size))
         graph.meta = {"builder": f"mutable-shard:{self.graph_name}", "K": self.K}
         if live_local.size > 1:
-            assert self._dataset is not None
-            sub = self._dataset.subset(members[live_local])
+            assert self._full is not None
+            sub = self._full.subset(members[live_local])
             if live_local.size > self.K + 1:
                 built = build_graph(
                     self.graph_name,
@@ -340,7 +296,7 @@ class MutableShardWorker:
             # may carry a relocation, and re-mapping unmaps pages a
             # stale dataset view would still dereference.
             self._bank_pairs()
-            self._dataset = None
+            self._full = None
             if self._store_handle is None:
                 self._store_handle = SharedObjectStore.attach(meta)
             else:
@@ -372,7 +328,7 @@ class MutableShardWorker:
         else:
             self._graph.grow(len(self._member_gids))
 
-        assert self._dataset is not None
+        assert self._full is not None
         alive = np.asarray(self._alive, dtype=bool)
         members = np.asarray(self._member_gids, dtype=np.int64)
         live_members = members[alive[members]]
@@ -388,7 +344,7 @@ class MutableShardWorker:
             bound = (
                 None if self._graph.exact_knn or not radii else tuple(radii)
             )
-            D = self._dataset.pair_dist(
+            D = self._full.pair_dist(
                 np.repeat(owned_gids, targets.size),
                 np.tile(targets, B),
                 bound=bound, consistent=True,
@@ -465,11 +421,11 @@ class MutableShardWorker:
         )
         radii = self._scan_radii()
         if owned.size and self.cache is not None and radii:
-            assert self._dataset is not None
+            assert self._full is not None
             self.cache.apply_delete_batch(
                 owned,
                 build_delete_evidence(
-                    self._dataset, owned.tolist(), np.flatnonzero(alive),
+                    self._full, owned.tolist(), np.flatnonzero(alive),
                     radii, known, self.n_total,
                 ),
             )
@@ -523,7 +479,7 @@ class MutableShardWorker:
             # Compaction always relocates: drop the mapped view first
             # (see ingest), then re-attach the fresh segment.
             self._bank_pairs()
-            self._dataset = None
+            self._full = None
             if store_meta is not None and self._store_handle is not None:
                 self._store_handle.sync(store_meta)
             self._n_log = int(keep.size)
@@ -544,7 +500,7 @@ class MutableShardWorker:
                 self._member_gids = []
             self._local_of = {g: i for i, g in enumerate(self._member_gids)}
         if keep.size == 0:
-            self._dataset = None
+            self._full = None
             self.cache = None
             return self._take_pairs()
         self._refresh_dataset()
@@ -552,215 +508,32 @@ class MutableShardWorker:
             self.cache = self.cache.take(keep)
         return self._take_pairs()
 
-    # -- serving (the merge protocol) --------------------------------------
+    # -- serving: the live-member view -------------------------------------
 
-    def _ensure_serve(self):
-        if self._serve is not None:
-            return self._serve
-        members = np.asarray(self._member_gids, dtype=np.int64)
-        live_local = (
-            np.flatnonzero(self._live_member_mask()) if members.size else _EMPTY
-        )
-        if live_local.size == 0:
-            self._serve = (None, None, _EMPTY, None, [None], (
-                _EMPTY, _EMPTY, np.zeros(1, dtype=np.int64),
-                np.empty(0, dtype=np.float64),
-            ))
-            return self._serve
-        serve_gids = members[live_local]  # ascending: adoption order is by gid
-        assert self._graph is not None and self._dataset is not None
-        graph, _ = self._graph.compact(live_local)
-        sub = self._dataset.subset(serve_gids)
-        self._serve = (
-            sub,
-            graph,
-            serve_gids,
-            VisitTracker(int(live_local.size)),
-            [None],  # BlockTracker slot, allocated on first batched filter
-            graph.exact_knn_arrays(),
-        )
-        return self._serve
-
-    def _ensure_knn_evidence(self, r: float) -> None:
-        _, _, serve_gids, _, _, knn = self._ensure_serve()
-        owners, sizes, ptr, dists = knn
-        if r in self._knn_radii or owners.size == 0:
-            return
-        self._knn_radii.add(r)
-        within = np.add.reduceat(
-            (dists <= r).astype(np.int64), ptr[:-1]
-        )
-        assert self.cache is not None
-        self.cache.record(
-            r, serve_gids[owners], within, exact_mask=within < sizes
-        )
-
-    def prepare(self, r: float):
-        """Phase A: fold the cache; within-shard bounds over the full log.
-
-        A shard with no live members knows every within-shard count is
-        exactly zero — it reports that instead of "unknown", so empty
-        shards never block the merge's exact upper bounds.
-        """
-        r = float(r)
-        n = self.n_total
-        if self.cache is None:
-            zero = np.zeros(n, dtype=np.int64)
-            return zero, zero.copy(), self._take_pairs()
-        _, _, serve_gids, _, _, _ = self._ensure_serve()
-        if serve_gids.size == 0:
-            zero = np.zeros(n, dtype=np.int64)
-            return zero, zero.copy(), self._take_pairs()
-        self._ensure_knn_evidence(r)
-        return (
-            self.cache.lower_bounds(r),
-            self.cache.upper_bounds(r),
-            self._take_pairs(),
-        )
-
-    def filter(self, r: float, k: int, home_gids: np.ndarray):
-        """Phase B: shard-local Greedy-Counting over home residue."""
-        r, k = float(r), int(k)
-        home_gids = np.asarray(home_gids, dtype=np.int64)
-        if home_gids.size == 0 or self.cache is None:
-            return home_gids, _EMPTY, np.empty(0, bool), self._take_pairs()
-        sub, graph, serve_gids, tracker, block_slot, _ = self._ensure_serve()
-        if serve_gids.size == 0:
-            return (
-                np.empty(0, np.int64), _EMPTY, np.empty(0, bool),
-                self._take_pairs(),
-            )
-        lb = self.cache.lower_bounds(r)[home_gids]
-        ub = self.cache.upper_bounds(r)[home_gids]
-        settled = ((ub != NO_BOUND) & (lb >= ub)) | (lb >= k)
-        counts = lb.copy()
-        exact = (ub != NO_BOUND) & (lb >= ub)
-        walk = np.flatnonzero(~settled)
-        if walk.size:
-            local = np.searchsorted(serve_gids, home_gids[walk])
-            if self.mode != "scalar" and block_slot[0] is None:
-                block_slot[0] = BlockTracker(
-                    int(serve_gids.size), self.batch_size
+    def _ensure_serve(self) -> _ServeView:
+        """The live members' compacted view, rebuilt per mutation epoch."""
+        if self._serve is None:
+            members = np.asarray(self._member_gids, dtype=np.int64)
+            live_local = np.flatnonzero(self._live_member_mask())
+            if live_local.size == 0:
+                self._serve = _ServeView(None, None, _EMPTY)
+            else:
+                assert self._graph is not None and self._full is not None
+                serve_gids = members[live_local]  # ascending: adopted by gid
+                graph, _ = self._graph.compact(live_local)
+                self._serve = _ServeView(
+                    self._full.subset(serve_gids), graph, serve_gids
                 )
-            _, w_counts, _, w_exact = classify_chunk_arrays(
-                sub, graph, local, r, k,
-                tracker=tracker,
-                mode=self.mode, batch_size=self.batch_size,
-                block_tracker=block_slot[0],
-            )
-            np.maximum(w_counts, counts[walk], out=w_counts)
-            counts[walk] = w_counts
-            exact[walk] = w_exact
-            self.cache.record(r, home_gids[walk], w_counts, exact_mask=w_exact)
-        return home_gids, counts, exact, self._take_pairs()
-
-    def count_descent(self, r: float, ids: np.ndarray, need: np.ndarray):
-        """Phase C v2: graph-speed within-shard lower bounds for foreign ids.
-
-        The mutable twin of :meth:`ShardWorker.count_descent`: the
-        descent runs over the epoch's compacted serve graph, so counts
-        cover exactly the live members — an empty shard answers zeros
-        (its prepare already reported exact zeros, so the merge never
-        asks).
-        """
-        r = float(r)
-        ids = np.asarray(ids, dtype=np.int64)
-        _, graph, serve_gids, _, _, _ = self._ensure_serve()
-        if ids.size == 0 or graph is None or serve_gids.size == 0:
-            return np.zeros(ids.size, dtype=np.int64), self._take_pairs()
-        need = np.broadcast_to(np.asarray(need, dtype=np.int64), ids.shape)
-        counts = np.zeros(ids.size, dtype=np.int64)
-        block = min(ids.size, DESCENT_BLOCK)
-        m = int(serve_gids.size)
-        tracker = self._descent_tracker
-        if tracker is None or tracker.n != m or tracker.block_size < block:
-            tracker = self._descent_tracker = BlockTracker(m, block)
-        assert self._dataset is not None
-        for lo in range(0, ids.size, block):
-            sl = slice(lo, lo + block)
-            counts[sl] = foreign_count_block(
-                self._dataset, graph, serve_gids, ids[sl], r, need[sl],
-                tracker=tracker,
-            )
-        return counts, self._take_pairs()
-
-    def count_range(self, r: float, ids: np.ndarray, lo: int, hi: int):
-        """Phase C: hits among live-member positions ``[lo, hi)``."""
-        r = float(r)
-        ids = np.asarray(ids, dtype=np.int64)
-        _, _, serve_gids, _, _, _ = self._ensure_serve()
-        m = int(serve_gids.size)
-        lo, hi = int(lo), min(int(hi), m)
-        if ids.size == 0 or lo >= hi:
-            return np.zeros(ids.size, dtype=np.int64), self._take_pairs()
-        span = hi - lo
-        idx = serve_gids[lo:hi]
-        assert self._dataset is not None
-        d = self._dataset.pair_dist(
-            np.repeat(ids, span), np.tile(idx, ids.size), bound=r,
-            consistent=True,
-        )
-        add = (d <= r).reshape(ids.size, span).sum(axis=1).astype(np.int64)
-        pos = np.searchsorted(serve_gids, ids)
-        pos_safe = np.minimum(pos, m - 1)
-        own = (serve_gids[pos_safe] == ids) & (pos_safe >= lo) & (pos_safe < hi)
-        add[own] -= 1
-        return add, self._take_pairs()
-
-    def count_tail(self, r: float, ids: np.ndarray, lo: int):
-        """Phase C stall fallback: exhaust live-member positions ``[lo, m)``."""
-        r = float(r)
-        ids = np.asarray(ids, dtype=np.int64)
-        _, _, serve_gids, _, _, _ = self._ensure_serve()
-        lo = int(lo)
-        if ids.size == 0 or lo >= serve_gids.size:
-            return np.zeros(ids.size, dtype=np.int64), self._take_pairs()
-        assert self._dataset is not None
-        counts = linear_count_block(
-            self._dataset, ids, r, subset=serve_gids[lo:]
-        )
-        return counts, self._take_pairs()
-
-    def record(self, r: float, ids: np.ndarray, counts: np.ndarray,
-               exact_mask: np.ndarray):
-        """Deposit merged phase-C evidence back into this shard's cache."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and self.cache is not None:
-            self.cache.record(
-                float(r), ids, np.asarray(counts, dtype=np.int64),
-                exact_mask=np.asarray(exact_mask, dtype=bool),
-            )
-        return 0
+        return self._serve
 
     # -- snapshots / diagnostics -------------------------------------------
 
     def state(self) -> dict:
         """Everything a snapshot or a rebalancing epoch needs."""
-        return {
-            "graph": self._graph,
-            "cache": self.cache,
-            "member_gids": list(self._member_gids),
-            "knn_radii": sorted(self._knn_radii),
-            "pinned": sorted(self._pinned),
-        }
-
-    def nbytes(self) -> int:
-        total = 0
-        if self._graph is not None:
-            total += self._graph.nbytes
-        if self.cache is not None:
-            total += self.cache.nbytes
-        return int(total)
-
-    def reset_cache(self) -> None:
-        if self.cache is not None:
-            self.cache.clear()
-        self._knn_radii.clear()
-
-
-def _make_mutable_worker(**kwargs) -> MutableShardWorker:
-    """Module-level factory so spawn-based pools can pickle it."""
-    return MutableShardWorker(**kwargs)
+        out = super().state()
+        out["member_gids"] = list(self._member_gids)
+        out["pinned"] = sorted(self._pinned)
+        return out
 
 
 class MutableShardedDetectionEngine(_ShardMergeBase):
@@ -792,7 +565,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         start_method: "str | None" = None,
         backend: "str | Sequence[str] | None" = None,
         store: str = "list",
-        foreign_descent: bool = True,
         evidence_transfer: bool = True,
         build_workers: int = 1,
     ):
@@ -845,8 +617,8 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         # Backend spec: a scalar name applies to every shard; a sequence
         # assigns per shard and cycles if rebalancing later changes the
         # shard count (split/merge keeps whatever pattern was given).
-        # Resolve each distinct name now so unknown backends and missing
-        # optional dependencies fail here, not inside a worker process.
+        # Resolve each distinct name now so unknown backends fail here,
+        # not inside a worker process.
         if backend is None or isinstance(backend, str):
             self._backend_spec: "tuple[str | None, ...]" = (backend,)
         else:
@@ -866,7 +638,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self.epoch = 0
         self.pairs = 0
         self.last_insert_neighbors: list[dict[float, np.ndarray]] = []
-        self.foreign_descent = bool(foreign_descent)
         self.evidence_transfer = bool(evidence_transfer)
         self.stats = self._fresh_merge_stats()
         self.stats.update({
@@ -937,7 +708,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self.workers = min(self._workers_requested, self.n_shards)
         self._shard_load = np.zeros(self.n_shards, dtype=np.int64)
         factories = [
-            partial(_make_mutable_worker, **self._worker_kwargs(s, state))
+            partial(MutableShardWorker, **self._worker_kwargs(s, state))
             for s, state in enumerate(shard_states)
         ]
         self._pool = ShardPool(
@@ -965,8 +736,9 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             return self
         from .sharded import plan_shards
 
+        prepared = self._prepare_rows(objects)
         if self.store_kind == "shm":
-            n = self._append_prepared(self._prepare_rows(objects))
+            n = self._append_prepared(prepared)
         else:
             n = len(objects)
             self._objects = objects
@@ -989,11 +761,19 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
 
     # -- the object store --------------------------------------------------
 
-    def _prepare_rows(self, objects) -> np.ndarray:
-        """Validate and prepare a raw batch for the shared store."""
-        return self.metric.prepare(
-            _checked_vector_input(objects, self.metric.name)
-        )
+    def _prepare_rows(self, objects):
+        """Validate and prepare a raw batch against the object log.
+
+        Runs before any state changes, on either store, so a bad batch
+        (ragged, non-finite, wrong width) aborts clean.
+        """
+        width = None
+        if self.metric.is_vector and self.n_total:
+            width = (
+                self._store.dim if self.store_kind == "shm"
+                else np.size(self._objects[0])
+            )
+        return prepare_insert_batch(self.metric, objects, width)
 
     def _append_prepared(self, prepared: np.ndarray) -> int:
         """Append prepared rows, creating the store lazily; returns count."""
@@ -1143,21 +923,15 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             self.last_insert_neighbors = []
             return _EMPTY
         first_gid = self.n_total
-        if self.store_kind == "shm":
-            # Validate and prepare *before* any bookkeeping mutates, so
-            # a bad batch (ragged, non-finite, wrong dim) aborts clean.
-            prepared = self._prepare_rows(objects)
-            B = int(prepared.shape[0])
-        else:
-            prepared = None
-            B = len(objects)
+        prepared = self._prepare_rows(objects)
+        B = len(objects)
         sizes = self.shard_sizes().astype(np.int64)
         owner = np.empty(B, dtype=np.int64)
         for i in range(B):
             s = int(np.argmin(sizes))
             owner[i] = s
             sizes[s] += 1
-        if prepared is not None:
+        if self.store_kind == "shm":
             self._append_prepared(prepared)
             payload = self._store.meta()
         else:

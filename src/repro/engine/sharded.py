@@ -72,14 +72,13 @@ from ..core.counting import (
 )
 from ..core.parallel import DatasetTransport, ShardPool, default_start_method
 from ..core.result import DODResult
-from ..core.traversal import DEFAULT_BLOCK, BlockTracker, foreign_count_block
+from ..core.traversal import DEFAULT_BLOCK, BlockTracker
 from ..backends import resolve_backend
 from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
 from ..index.linear import linear_count_block
-from ..index.vptree import VPTree
 from ..metrics import Metric
 from ..rng import ensure_rng
 from .engine import SweepResult, _sweep_order
@@ -89,9 +88,7 @@ from .protocol import EngineCapabilities
 #: recognised dataset-partitioning strategies.
 SHARD_STRATEGIES = ("contiguous", "permuted")
 
-#: foreign candidates per descent kernel — bounds the BlockTracker's
-#: ``block_size * shard_n`` stamp matrix while keeping waves batched.
-DESCENT_BLOCK = 256
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def plan_shards(
@@ -131,15 +128,45 @@ def plan_shards(
     return [np.sort(chunk) for chunk in np.array_split(order, n_shards)]
 
 
+class _ServeView:
+    """The members a shard's queries run over, plus their trackers.
+
+    ``ids`` are the members' global ids (ascending), ``sub`` the
+    sub-dataset over them (local ids ``0..m-1``) and ``graph`` the
+    shard-local proximity graph that filtering walks.  A static shard
+    builds one view at construction; a mutable shard rebuilds it per
+    mutation epoch over its live members (an empty shard's view has
+    no ``sub``/``graph``).
+    """
+
+    __slots__ = ("sub", "graph", "ids", "knn", "tracker", "block_tracker")
+
+    def __init__(
+        self, sub: "Dataset | None", graph: "Graph | None", ids: np.ndarray
+    ):
+        self.sub = sub
+        self.graph = graph
+        self.ids = ids
+        self.knn = None if graph is None else graph.exact_knn_arrays()
+        self.tracker: "VisitTracker | None" = None
+        self.block_tracker: "BlockTracker | None" = None
+
+
 class ShardWorker:
     """One shard's sub-engine; lives inside a :class:`ShardPool` actor.
 
-    Holds the shard's slice ids, a sub-dataset over them, a proximity
-    graph built on that sub-dataset, and an :class:`EvidenceCache` of
-    **within-shard** count bounds indexed by *global* object id.  All
-    public methods return ``(payload..., pairs)`` where ``pairs`` is
-    the number of distance computations the call performed, so the
-    parent can aggregate cost accounting across processes.
+    Holds a view of the full dataset, the shard's members with a
+    proximity graph over them (:class:`_ServeView`), and an
+    :class:`EvidenceCache` of **within-shard** count bounds indexed by
+    *global* object id.  All public methods return ``(payload...,
+    pairs)`` where ``pairs`` is the number of distance computations the
+    call performed, so the parent can aggregate cost accounting across
+    processes.
+
+    The query protocol (``prepare``/``filter``/``count_range``/
+    ``count_tail``/``record``) is written once here;
+    :class:`~repro.engine.mutable_sharded.MutableShardWorker` adds only
+    its data plane, its live-member view and its mutations.
     """
 
     def __init__(
@@ -155,105 +182,121 @@ class ShardWorker:
         cache: "EvidenceCache | None" = None,
         knn_radii: "tuple[float, ...]" = (),
         backend: "str | None" = None,
-        foreign_index: bool = True,
     ):
         if isinstance(dataset, DatasetTransport):
             dataset = dataset.materialize()
-        self.ids = np.asarray(ids, dtype=np.int64)
-        if self.ids.size == 0:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size == 0:
             raise ParameterError("shard must hold at least one object")
-        self.n = dataset.n
-        self.m = int(self.ids.size)
         #: full-dataset view: cross-shard subset sweeps + own pair counter.
-        self._full = dataset.view()
+        full = dataset.view()
         if backend is not None:
             # Each worker instantiates its own backend (transport strips
-            # it), so per-shard choices — one GPU per worker — need no
-            # cross-process state beyond the name.
-            self._full.set_backend(backend)
+            # it), so per-shard choices need no cross-process state
+            # beyond the name.
+            full.set_backend(backend)
         #: shard sub-dataset (local ids 0..m-1): traversal + own counter.
         #: Shares the full view's backend instance so the worker's
         #: screen stats aggregate in one place.
-        self.sub = self._full.subset(self.ids)
+        sub = full.subset(ids)
         if isinstance(graph, Graph):
-            if graph.n != self.m:
+            if graph.n != ids.size:
                 raise GraphError(
                     f"shard graph has {graph.n} vertices for a "
-                    f"{self.m}-object shard"
+                    f"{ids.size}-object shard"
                 )
             if not graph.finalized:
                 graph.finalize()
-            self.graph = graph
-        elif self.m == 1:
+        elif ids.size == 1:
             # A single-object shard has no neighbors to link; traversal
             # degenerates to "count 0" and verification decides.
-            self.graph = Graph(1).finalize()
-            self.graph.meta["builder"] = "trivial"
+            graph = Graph(1).finalize()
+            graph.meta["builder"] = "trivial"
         else:
-            self.graph = build_graph(
-                graph, self.sub, K=K, rng=seed, clamp_K=True,
+            graph = build_graph(
+                graph, sub, K=K, rng=seed, clamp_K=True,
                 **(graph_params or {}),
             )
-        #: per-shard Exact-Counting index (§4): a VP-tree over this
-        #: shard's members on the *full-log* view, so phase C can count
-        #: foreign candidates exactly with metric pruning instead of a
-        #: linear subset sweep.  Phase-C survivors are by construction
-        #: far from most data (true outliers dominate them), which is
-        #: precisely where ball pruning collapses the scan.
-        self._ftree: "VPTree | None" = None
-        if foreign_index and self.m > 1:
-            self._ftree = VPTree(
-                self._full, capacity=16, rng=seed, indices=self.ids
-            )
-        self.sub.counter.reset()  # offline build cost is not query cost
-        self._full.counter.reset()
+        self._init_serving(
+            full, full.backend, mode, batch_size,
+            cache if cache is not None else EvidenceCache(dataset.n),
+            knn_radii,
+        )
+        self._graph = graph
+        self._serve = _ServeView(sub, graph, ids)
+        self._take_pairs()  # offline build cost is not query cost
+
+    def _init_serving(
+        self, full, backend, mode, batch_size, cache, knn_radii
+    ) -> None:
+        """The state the query protocol reads, shared by every worker."""
         resolve_filter_mode(mode, None)
         self.mode = mode
         self.batch_size = int(batch_size)
-        self.cache = cache if cache is not None else EvidenceCache(self.n)
-        self._tracker = VisitTracker(self.m)
-        self._block_tracker: "BlockTracker | None" = None
-        self._descent_tracker: "BlockTracker | None" = None
-        (
-            self._knn_owners,
-            self._knn_sizes,
-            self._knn_ptr,
-            self._knn_dists,
-        ) = self.graph.exact_knn_arrays()
-        self._knn_radii: set[float] = set(float(r) for r in knn_radii)
-        self._pairs_seen = 0
+        self._full: "Dataset | None" = full
+        self._backend = backend
+        self._graph: "Graph | None" = None
+        self.cache: "EvidenceCache | None" = cache
+        self._knn_radii: set[float] = {float(r) for r in knn_radii}
+        self._serve: "_ServeView | None" = None
+        self._banked = 0
+
+    @property
+    def n_total(self) -> int:
+        """Size of the id space the shard's evidence is indexed by."""
+        return self._full.n
+
+    def _ensure_serve(self) -> _ServeView:
+        """The members queries run over (fixed for a static shard)."""
+        return self._serve
 
     # -- cost accounting ---------------------------------------------------
 
+    def _bank_pairs(self) -> None:
+        """Move the full and serve datasets' pair counters into the bank."""
+        serve = self._serve
+        for ds in (self._full, None if serve is None else serve.sub):
+            if ds is not None:
+                self._banked += ds.counter.pairs
+                ds.counter.reset()
+
     def _take_pairs(self) -> int:
-        """Distance computations since the last call (sub + full views)."""
-        total = self.sub.counter.pairs + self._full.counter.pairs
-        delta = total - self._pairs_seen
-        self._pairs_seen = total
-        return delta
+        """Distance computations since the last call."""
+        self._bank_pairs()
+        delta, self._banked = self._banked, 0
+        return int(delta)
 
     # -- query phases ------------------------------------------------------
 
     def _ensure_knn_evidence(self, r: float) -> None:
         """Exact within-shard counts from the shard graph's K'NN lists."""
-        if r in self._knn_radii or self._knn_owners.size == 0:
+        view = self._ensure_serve()
+        owners, sizes, ptr, dists = view.knn
+        if r in self._knn_radii or owners.size == 0:
             return
         self._knn_radii.add(r)
-        within = np.add.reduceat(
-            (self._knn_dists <= r).astype(np.int64), self._knn_ptr[:-1]
-        )
+        within = np.add.reduceat((dists <= r).astype(np.int64), ptr[:-1])
         self.cache.record(
-            r,
-            self.ids[self._knn_owners],
-            within,
-            exact_mask=within < self._knn_sizes,
+            r, view.ids[owners], within, exact_mask=within < sizes
         )
 
     def prepare(self, r: float):
-        """Phase A: fold the cache; return full within-shard bound arrays."""
+        """Phase A: fold the cache; return full within-shard bound arrays.
+
+        A shard with no live members knows every within-shard count is
+        exactly zero — it reports that instead of "unknown", so empty
+        shards never block the merge's exact upper bounds.
+        """
         r = float(r)
+        if self.cache is None or self._ensure_serve().ids.size == 0:
+            zero = np.zeros(self.n_total, dtype=np.int64)
+            return zero, zero.copy(), self._take_pairs()
         self._ensure_knn_evidence(r)
-        return self.cache.lower_bounds(r), self.cache.upper_bounds(r), self._take_pairs()
+        return (
+            self.cache.lower_bounds(r),
+            self.cache.upper_bounds(r),
+            self._take_pairs(),
+        )
 
     def filter(self, r: float, k: int, home_ids: np.ndarray):
         """Phase B: shard-local Greedy-Counting over *home* objects.
@@ -265,25 +308,28 @@ class ShardWorker:
         """
         r, k = float(r), int(k)
         home_ids = np.asarray(home_ids, dtype=np.int64)
-        if home_ids.size == 0:
-            return home_ids, np.empty(0, np.int64), np.empty(0, bool), 0
+        view = self._ensure_serve()
+        if home_ids.size == 0 or self.cache is None or view.ids.size == 0:
+            return _EMPTY, _EMPTY, np.empty(0, bool), self._take_pairs()
         # Objects whose within-shard count is already cached — exactly,
         # or as a lower bound that alone clears k — need no re-walk.
         lb = self.cache.lower_bounds(r)[home_ids]
         ub = self.cache.upper_bounds(r)[home_ids]
-        settled = ((ub != NO_BOUND) & (lb >= ub)) | (lb >= k)
-        counts = lb.copy()
         exact = (ub != NO_BOUND) & (lb >= ub)
-        walk = np.flatnonzero(~settled)
+        counts = lb.copy()
+        walk = np.flatnonzero(~(exact | (lb >= k)))
         if walk.size:
-            local = np.searchsorted(self.ids, home_ids[walk])
-            if self.mode != "scalar" and self._block_tracker is None:
-                self._block_tracker = BlockTracker(self.m, self.batch_size)
+            m = int(view.ids.size)
+            if view.tracker is None:
+                view.tracker = VisitTracker(m)
+            if self.mode != "scalar" and view.block_tracker is None:
+                view.block_tracker = BlockTracker(m, self.batch_size)
             _, w_counts, _, w_exact = classify_chunk_arrays(
-                self.sub, self.graph, local, r, k,
-                tracker=self._tracker,
+                view.sub, view.graph, np.searchsorted(view.ids, home_ids[walk]),
+                r, k,
+                tracker=view.tracker,
                 mode=self.mode, batch_size=self.batch_size,
-                block_tracker=self._block_tracker,
+                block_tracker=view.block_tracker,
             )
             np.maximum(w_counts, counts[walk], out=w_counts)
             counts[walk] = w_counts
@@ -291,68 +337,8 @@ class ShardWorker:
             self.cache.record(r, home_ids[walk], w_counts, exact_mask=w_exact)
         return home_ids, counts, exact, self._take_pairs()
 
-    def count_descent(self, r: float, ids: np.ndarray, need: np.ndarray):
-        """Phase C v2: graph-speed within-shard lower bounds for foreign ids.
-
-        Seeds a multi-source descent on this shard's graph from each
-        foreign candidate (:func:`foreign_count_block`) and stops a
-        candidate at its ``need`` residual — the count the global merge
-        is still missing.  Counts are sound within-shard **lower
-        bounds**: a candidate that reaches ``need`` retires from the
-        sweep rounds entirely, a stalled one falls back to the exact
-        subset sweeps unchanged, so verdicts stay bit-identical.
-        """
-        r = float(r)
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.zeros(0, dtype=np.int64), 0
-        need = np.broadcast_to(np.asarray(need, dtype=np.int64), ids.shape)
-        counts = np.zeros(ids.size, dtype=np.int64)
-        block = min(ids.size, DESCENT_BLOCK)
-        tracker = self._descent_tracker
-        if tracker is None or tracker.n != self.m or tracker.block_size < block:
-            tracker = self._descent_tracker = BlockTracker(self.m, block)
-        for lo in range(0, ids.size, block):
-            sl = slice(lo, lo + block)
-            counts[sl] = foreign_count_block(
-                self._full, self.graph, self.ids, ids[sl], r, need[sl],
-                tracker=tracker,
-            )
-        return counts, self._take_pairs()
-
-    def count_exact(self, r: float, ids: np.ndarray, need: np.ndarray):
-        """Phase C v2 fallback: early-terminated *exact* within-shard counts.
-
-        Counts each candidate against this shard's members through the
-        per-shard VP-tree (the §4 Exact-Counting index, built offline
-        over the shard's ids), stopping at the candidate's ``need``
-        residual.  A returned count below ``need`` saw every member —
-        it is the true within-shard count; a count at or above ``need``
-        is a truncated lower bound that already retires the candidate
-        at the merge.  Without a tree the call degrades to the exact
-        linear subset sweep with the same per-candidate stops.
-        """
-        r = float(r)
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return (
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), 0
-            )
-        need = np.broadcast_to(np.asarray(need, dtype=np.int64), ids.shape)
-        if self._ftree is not None:
-            counts = np.empty(ids.size, dtype=np.int64)
-            for t in range(ids.size):
-                counts[t] = self._ftree.count_within(
-                    int(ids[t]), r, stop_at=int(need[t])
-                )
-        else:
-            counts = linear_count_block(
-                self._full, ids, r, stop_at=need, subset=self.ids
-            )
-        return counts, counts < need, self._take_pairs()
-
     def count_range(self, r: float, ids: np.ndarray, lo: int, hi: int):
-        """Phase C: hits among shard positions ``[lo, hi)`` per candidate.
+        """Phase C: hits among member positions ``[lo, hi)`` per candidate.
 
         One slice of the cooperative cross-shard sweep: the parent
         re-merges after every round and retires a candidate the moment
@@ -365,24 +351,23 @@ class ShardWorker:
         """
         r = float(r)
         ids = np.asarray(ids, dtype=np.int64)
-        lo, hi = int(lo), min(int(hi), self.m)
+        members = self._ensure_serve().ids
+        m = int(members.size)
+        lo, hi = int(lo), min(int(hi), m)
         if ids.size == 0 or lo >= hi:
-            return np.zeros(ids.size, dtype=np.int64), 0
+            return np.zeros(ids.size, dtype=np.int64), self._take_pairs()
         span = hi - lo
-        idx = self.ids[lo:hi]
         d = self._full.pair_dist(
-            np.repeat(ids, span), np.tile(idx, ids.size), bound=r,
+            np.repeat(ids, span), np.tile(members[lo:hi], ids.size), bound=r,
             consistent=True,
         )
         add = (d <= r).reshape(ids.size, span).sum(axis=1).astype(np.int64)
-        pos = np.searchsorted(self.ids, ids)
-        pos_safe = np.minimum(pos, self.m - 1)
-        own = (self.ids[pos_safe] == ids) & (pos_safe >= lo) & (pos_safe < hi)
-        add[own] -= 1
+        pos = np.minimum(np.searchsorted(members, ids), m - 1)
+        add[(members[pos] == ids) & (pos >= lo) & (pos < hi)] -= 1
         return add, self._take_pairs()
 
     def count_tail(self, r: float, ids: np.ndarray, lo: int):
-        """Phase C stall fallback: exhaust shard positions ``[lo, m)``.
+        """Phase C stall fallback: exhaust member positions ``[lo, m)``.
 
         An exact :func:`~repro.index.linear.linear_count_block` sweep
         over the remaining slice — the survivors at this point are
@@ -390,59 +375,59 @@ class ShardWorker:
         """
         r = float(r)
         ids = np.asarray(ids, dtype=np.int64)
+        members = self._ensure_serve().ids
         lo = int(lo)
-        if ids.size == 0 or lo >= self.m:
-            return np.zeros(ids.size, dtype=np.int64), 0
-        counts = linear_count_block(self._full, ids, r, subset=self.ids[lo:])
+        if ids.size == 0 or lo >= members.size:
+            return np.zeros(ids.size, dtype=np.int64), self._take_pairs()
+        counts = linear_count_block(self._full, ids, r, subset=members[lo:])
         return counts, self._take_pairs()
 
     def record(self, r: float, ids: np.ndarray, counts: np.ndarray,
                exact_mask: np.ndarray):
         """Deposit merged phase-C evidence back into this shard's cache."""
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size:
+        if ids.size and self.cache is not None:
             self.cache.record(
                 float(r), ids, np.asarray(counts, dtype=np.int64),
                 exact_mask=np.asarray(exact_mask, dtype=bool),
             )
         return 0
 
-    # -- bookkeeping ---------------------------------------------------------
+    # -- bookkeeping -------------------------------------------------------
 
     def state(self) -> dict:
         """Everything a snapshot needs: graph, cache, served K'NN radii."""
         return {
-            "graph": self.graph,
+            "graph": self._graph,
             "cache": self.cache,
             "knn_radii": sorted(self._knn_radii),
         }
 
     def nbytes(self) -> int:
-        return int(self.graph.nbytes + self.cache.nbytes)
+        return int(sum(
+            part.nbytes for part in (self._graph, self.cache)
+            if part is not None
+        ))
 
     def reset_cache(self) -> None:
-        self.cache.clear()
+        if self.cache is not None:
+            self.cache.clear()
         self._knn_radii.clear()
 
     def backend_stats(self) -> dict:
         """This worker's backend name + screen/rescreen counters."""
-        return self._full.backend_stats()
+        if self._backend is None:
+            return {
+                "backend": "numpy64",
+                "screen_calls": 0,
+                "screened_pairs": 0,
+                "rescreened_pairs": 0,
+            }
+        return self._backend.stats_dict()
 
     def build_stats(self) -> dict:
         """Construction observability of this shard's graph."""
-        return self.graph.build_stats()
-
-
-def _make_worker(dataset, ids, graph, K, seed, mode, batch_size,
-                 graph_params, cache, knn_radii, backend=None,
-                 foreign_index=True) -> ShardWorker:
-    """Module-level factory so spawn-based pools can pickle it."""
-    return ShardWorker(
-        dataset, ids, graph=graph, K=K, seed=seed, mode=mode,
-        batch_size=batch_size, graph_params=graph_params,
-        cache=cache, knn_radii=knn_radii, backend=backend,
-        foreign_index=foreign_index,
-    )
+        return {} if self._graph is None else self._graph.build_stats()
 
 
 class _ShardMergeBase:
@@ -474,14 +459,11 @@ class _ShardMergeBase:
             "cache_decided": 0,
             "filtered": 0,
             "verified": 0,
-            "descent_decided": 0,
             "phase_seconds": {"cache": 0.0, "filter": 0.0, "verify": 0.0},
             "phase_pairs": {
                 "cache": 0,
                 "filter": 0,
                 "verify": 0,
-                "verify_descent": 0,
-                "verify_index": 0,
                 "verify_sweep": 0,
             },
         }
@@ -589,18 +571,9 @@ class _ShardMergeBase:
         # outliers, which must see everything), the rounds hand off to
         # exhaustive per-shard linear_count_block subset sweeps.
         t0 = time.perf_counter()
-        vdetail = {
-            "descent_pairs": 0, "index_pairs": 0, "sweep_pairs": 0,
-            "descent_decided": 0,
-        }
         if candidates.size:
-            verified, vdetail = self._verify_candidates(
+            verified, pairs["verify"] = self._verify_candidates(
                 r, k, candidates, lbs, ubs
-            )
-            pairs["verify"] = (
-                vdetail["descent_pairs"]
-                + vdetail["index_pairs"]
-                + vdetail["sweep_pairs"]
             )
         else:
             verified = np.empty(0, dtype=np.int64)
@@ -613,16 +586,13 @@ class _ShardMergeBase:
         self.stats["cache_decided"] += cache_decided
         self.stats["filtered"] += int(undecided.size)
         self.stats["verified"] += int(candidates.size)
-        self.stats["descent_decided"] += vdetail["descent_decided"]
         phase_seconds = {
             "cache": cache_seconds,
             "filter": filter_seconds,
             "verify": verify_seconds,
         }
         phase_pairs = dict(pairs)
-        phase_pairs["verify_descent"] = vdetail["descent_pairs"]
-        phase_pairs["verify_index"] = vdetail["index_pairs"]
-        phase_pairs["verify_sweep"] = vdetail["sweep_pairs"]
+        phase_pairs["verify_sweep"] = pairs["verify"]
         for key, sec in phase_seconds.items():
             self.stats["phase_seconds"][key] += sec
         for key, cnt in phase_pairs.items():
@@ -644,21 +614,17 @@ class _ShardMergeBase:
                 "cache_decided": cache_decided,
                 "cache_outliers": int(cache_outliers.size),
                 "filtered": int(undecided.size),
-                "descent_decided": vdetail["descent_decided"],
             },
         )
 
     def _verify_candidates(self, r, k, candidates, lbs, ubs):
-        """Cooperative cross-shard verification: ``(outlier ids, detail)``.
+        """Cooperative cross-shard verification: ``(outlier ids, pairs)``.
 
         Maintains per-shard prefix hit counts for every candidate and
         re-merges after each scan round; evidence (partial-prefix lower
-        bounds, exact counts for fully-swept shards, foreign-descent
-        lower bounds) is deposited back into the shard caches at the
-        end so warm re-queries decide from phase A alone.  ``detail``
-        splits the cost into ``descent_pairs`` / ``sweep_pairs`` and
-        reports ``descent_decided`` — candidates the graph phase
-        retired before any linear sweep round ran.
+        bounds, exact counts for fully-swept shards) is deposited back
+        into the shard caches at the end so warm re-queries decide from
+        phase A alone.
         """
         from ..index.linear import _pairs_per_kernel
 
@@ -679,116 +645,6 @@ class _ShardMergeBase:
         outliers: list[int] = []
         empty = np.empty(0, dtype=np.int64)
 
-        # -- phase C v2: graph-assisted foreign counting ---------------------
-        # Before any linear round, each foreign shard runs a seeded
-        # descent on its own graph (``count_descent``) and stops a
-        # candidate at the residual its merge still needs.  The counts
-        # are Lemma-1 lower bounds, so max-merging them into ``bound``
-        # and retiring at ``sum >= k`` is exactly the phase-A inlier
-        # rule — candidates the descent cannot finish fall through to
-        # the sweep rounds untouched, keeping verdicts bit-identical.
-        descent_pairs = 0
-        descent_decided = 0
-        descended = np.zeros((S, C), dtype=bool)
-        if getattr(self, "foreign_descent", True):
-            home = self._home_shards(candidates)
-            tot0 = bound.sum(axis=0)
-            shard_args: list[tuple] = []
-            mask: list[bool] = []
-            sel_sets: list[np.ndarray] = []
-            # A graph walk can realistically close only a *small*
-            # residual: a candidate still missing most of k is almost
-            # always a true outlier, whose count the descent cannot
-            # reach (there is nothing to find) — every pair spent on it
-            # is wasted.  Descend only where the merge is already more
-            # than halfway there; the rest go straight to exact
-            # counting.
-            cap = max(1, k // 2)
-            for s in range(S):
-                # Home shards were walked in phase B (the candidate is a
-                # vertex there); empty shards contribute exact zeros.
-                sel = (
-                    np.flatnonzero(~exact_known[s] & (home != s))
-                    if sizes[s] > 0
-                    else empty
-                )
-                need = np.maximum(1, k - (tot0[sel] - bound[s, sel]))
-                keep = need <= cap
-                sel, need = sel[keep], need[keep]
-                sel_sets.append(sel)
-                if sel.size == 0:
-                    mask.append(False)
-                    shard_args.append((r, empty, empty))
-                    continue
-                mask.append(True)
-                shard_args.append((r, candidates[sel], need))
-            results = self._pool.call_where("count_descent", shard_args, mask)
-            for s in range(S):
-                if results[s] is None:
-                    continue
-                counts_s, shard_pairs = results[s]
-                descent_pairs += shard_pairs
-                self._shard_load[s] += shard_pairs
-                sel = sel_sets[s]
-                bound[s, sel] = np.maximum(bound[s, sel], counts_s)
-                descended[s, sel] = True
-            settled = bound[:, active].sum(axis=0) >= k
-            descent_decided = int(np.count_nonzero(settled))
-            active = active[~settled]
-
-        # -- phase C v2: per-shard exact-counting index -----------------------
-        # Survivors here are dominated by true outliers, whose exact
-        # within-shard counts are mandatory (an outlier verdict needs
-        # every shard's true count).  Each shard answers through its
-        # VP-tree (``count_exact``) with the candidate's residual as
-        # the stop: a truncated count retires an inlier exactly like a
-        # truncated sweep, a complete one is the true within-shard
-        # count — ball pruning makes both far cheaper than a linear
-        # sweep precisely because these candidates sit far from the
-        # data.  Any candidate the stage leaves undecided (never, with
-        # every shard answering) falls through to the sweep rounds.
-        index_pairs = 0
-        treed = np.zeros((S, C), dtype=bool)
-        if active.size and getattr(self, "_foreign_index", False):
-            tot0 = bound.sum(axis=0)
-            shard_args = []
-            mask = []
-            sel_sets = []
-            for s in range(S):
-                sel = (
-                    active[~exact_known[s, active]] if sizes[s] > 0 else empty
-                )
-                sel_sets.append(sel)
-                if sel.size == 0:
-                    mask.append(False)
-                    shard_args.append((r, empty, empty))
-                    continue
-                need = np.maximum(1, k - (tot0[sel] - bound[s, sel]))
-                mask.append(True)
-                shard_args.append((r, candidates[sel], need))
-            results = self._pool.call_where("count_exact", shard_args, mask)
-            for s in range(S):
-                if results[s] is None:
-                    continue
-                counts_s, exact_s, shard_pairs = results[s]
-                index_pairs += shard_pairs
-                self._shard_load[s] += shard_pairs
-                sel = sel_sets[s]
-                bound[s, sel] = np.maximum(bound[s, sel], counts_s)
-                exact_known[s, sel] |= exact_s
-                treed[s, sel] = True
-                # A complete count doubles as an exact deposit: mark the
-                # shard fully covered so the record phase flags it.
-                covered[s, sel[exact_s]] = sizes[s]
-            tot = bound[:, active].sum(axis=0)
-            complete = np.all(
-                exact_known[:, active] | (sizes == 0)[:, None], axis=0
-            )
-            is_inlier = tot >= k
-            is_outlier = ~is_inlier & complete
-            outliers.extend(int(p) for p in candidates[active[is_outlier]])
-            active = active[~is_inlier & ~is_outlier]
-
         while active.size:
             # One round costs ~budget pairs across ALL shards together,
             # mirroring the single engine's sweep economics: a candidate
@@ -796,7 +652,7 @@ class _ShardMergeBase:
             # tracks what one early-terminated global scan would pay.
             span = max(64, budget // (S * int(active.size)))
             scan_sets: list[np.ndarray] = []
-            shard_args = []
+            shard_args: list[tuple] = []
             for s in range(S):
                 if offset[s] >= sizes[s]:
                     scan_sets.append(empty)
@@ -855,15 +711,12 @@ class _ShardMergeBase:
                 active = survivors
 
         # Deposit what the phase proved back into the shard caches: a
-        # scanned prefix or a descent count is a valid lower bound at r,
-        # and a fully-swept shard's count is exact (doubles as an upper
-        # bound) — so a descent-decided candidate re-decides from phase
-        # A alone on the next query.
+        # scanned prefix is a valid lower bound at r, and a fully-swept
+        # shard's count is exact (doubles as an upper bound) — so the
+        # next query at r re-decides every candidate from phase A alone.
         shard_args = []
         for s in range(S):
-            touched = np.flatnonzero(
-                (covered[s] > 0) | descended[s] | treed[s]
-            )
+            touched = np.flatnonzero(covered[s] > 0)
             shard_args.append((
                 r,
                 candidates[touched],
@@ -871,13 +724,7 @@ class _ShardMergeBase:
                 covered[s, touched] >= sizes[s],
             ))
         self._pool.call("record", shard_args=shard_args)
-        detail = {
-            "descent_pairs": int(descent_pairs),
-            "index_pairs": int(index_pairs),
-            "sweep_pairs": int(pairs),
-            "descent_decided": descent_decided,
-        }
-        return np.asarray(sorted(outliers), dtype=np.int64), detail
+        return np.asarray(sorted(outliers), dtype=np.int64), int(pairs)
 
     def batch(self, queries) -> list[DODResult]:
         """Answer ``(r, k)`` queries in the given order (serving semantics)."""
@@ -984,8 +831,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         shard_ids: "list[np.ndarray] | None" = None,
         shard_state: "list[dict] | None" = None,
         backend: "str | Sequence[str] | None" = None,
-        foreign_descent: bool = True,
-        foreign_index: "bool | None" = None,
         build_workers: int = 1,
         **graph_params,
     ):
@@ -1015,9 +860,8 @@ class ShardedDetectionEngine(_ShardMergeBase):
         self.workers = max(1, min(int(workers), self.n_shards))
         self._start_method = start_method or default_start_method()
         # One backend name per shard: a scalar applies everywhere, a
-        # sequence picks per shard (the seam for one-GPU-per-worker).
-        # Resolve each distinct name here so unknown backends and
-        # missing optional dependencies fail in the parent process.
+        # sequence picks per shard.  Resolve each distinct name here so
+        # unknown backends fail in the parent process.
         if backend is None or isinstance(backend, str):
             backend_names: "list[str | None]" = [backend] * self.n_shards
         else:
@@ -1036,15 +880,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         for s, ids in enumerate(shard_ids):
             self._shard_of[ids] = s
 
-        self.foreign_descent = bool(foreign_descent)
-        #: phase C v2 exact-counting index: per-shard VP-trees, built at
-        #: fit time.  Defaults to following ``foreign_descent`` so the
-        #: single toggle selects the whole v2 path vs the linear-sweep
-        #: baseline; pass it explicitly to mix stages.
-        self._foreign_index = (
-            self.foreign_descent if foreign_index is None else bool(foreign_index)
-        )
-
         seeds = [int(v) for v in gen.integers(0, 2**63 - 1, size=self.n_shards)]
         self._transport: "DatasetTransport | None" = None
         payload: "Dataset | DatasetTransport" = dataset
@@ -1054,11 +889,12 @@ class ShardedDetectionEngine(_ShardMergeBase):
         for s in range(self.n_shards):
             state = shard_state[s] if shard_state is not None else {}
             factories.append(partial(
-                _make_worker, payload, shard_ids[s],
-                state.get("graph", graph), self.K, seeds[s], mode,
-                self.batch_size, dict(graph_params),
-                state.get("cache"), tuple(state.get("knn_radii", ())),
-                backend_names[s], self._foreign_index,
+                ShardWorker, payload, shard_ids[s],
+                graph=state.get("graph", graph), K=self.K, seed=seeds[s],
+                mode=mode, batch_size=self.batch_size,
+                graph_params=dict(graph_params), cache=state.get("cache"),
+                knn_radii=tuple(state.get("knn_radii", ())),
+                backend=backend_names[s],
             ))
         try:
             self._pool = ShardPool(
@@ -1093,8 +929,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         batch_size: int = DEFAULT_BLOCK,
         start_method: "str | None" = None,
         backend: "str | Sequence[str] | None" = None,
-        foreign_descent: bool = True,
-        foreign_index: "bool | None" = None,
         **graph_params,
     ) -> "ShardedDetectionEngine":
         """Offline phase in one call: dataset + per-shard graphs + engine.
@@ -1106,9 +940,7 @@ class ShardedDetectionEngine(_ShardMergeBase):
         return cls(
             dataset, n_shards=n_shards, workers=workers, strategy=strategy,
             graph=graph, K=K, rng=seed, mode=mode, batch_size=batch_size,
-            start_method=start_method, backend=backend,
-            foreign_descent=foreign_descent, foreign_index=foreign_index,
-            **graph_params,
+            start_method=start_method, backend=backend, **graph_params,
         )
 
     @property

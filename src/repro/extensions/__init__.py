@@ -1,17 +1,15 @@
 """Extensions beyond the paper's core problem statement.
 
-* top-n ranking DOD (the formulation of the paper's Nested-loop
-  baseline reference), accelerated by the same proximity graphs;
-* incrementally maintained DOD over a mutable collection (the static-P
-  assumption of §2, relaxed).
+Top-n ranking DOD (the formulation of the paper's Nested-loop baseline
+reference), accelerated by the same proximity graphs.  Incrementally
+maintained DOD over a mutable collection (the static-P assumption of
+§2, relaxed) lives in :class:`repro.engine.MutableDetectionEngine`.
 """
 
-from .dynamic import DynamicDODetector
 from .topn import TopNResult, knn_distance_scores, top_n_outliers
 
 __all__ = [
     "top_n_outliers",
     "knn_distance_scores",
     "TopNResult",
-    "DynamicDODetector",
 ]

@@ -16,10 +16,10 @@ POST      /remove     ``{"ids": [...]}`` → ``{"removed": N}``
 ========  ==========  =====================================================
 
 Error mapping keeps failures client-visible and sockets clean: bad
-parameters → 400, unsupported operation (e.g. mutation on an immutable
-engine) → 501, queue-full admission rejection → 503, deadline expiry →
-504, anything unexpected → 500.  Every error body is
-``{"error": "...", "kind": "..."}``.
+parameters or an insert batch the engine rejects → 400, unsupported
+operation (e.g. mutation on an immutable engine) → 501, queue-full
+admission rejection → 503, deadline expiry → 504, anything unexpected
+→ 500.  Every error body is ``{"error": "...", "kind": "..."}``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import json
 import numpy as np
 
 from ..engine.protocol import supports
-from ..exceptions import ParameterError, ReproError
+from ..exceptions import GraphError, MetricError, ParameterError, ReproError
 from .coalescer import AdmissionError, DeadlineExceeded, QueryCoalescer, ServingConfig
 
 #: request-line + header block size bound (we never need more).
@@ -272,9 +272,16 @@ class EngineServer:
             objects = req["objects"]
             if objects and isinstance(objects[0], list):
                 objects = np.asarray(objects, dtype=np.float64)
-            ids = await self.coalescer.insert(
-                objects, deadline=req.get("deadline")
-            )
+            try:
+                ids = await self.coalescer.insert(
+                    objects, deadline=req.get("deadline")
+                )
+            except (GraphError, MetricError) as exc:
+                # Engines validate a batch before they mutate, so these
+                # are a malformed payload, not an engine fault.
+                raise _HttpError(
+                    400, f"bad request: {exc}", "parameter"
+                ) from None
             return 200, {"ids": [int(i) for i in ids]}
         if path == "/remove":
             self._require(method, "POST", path)
@@ -309,9 +316,8 @@ class EngineServer:
             "n_live": live,
         }
         # Sharded merges break their cost into phases A/B/C (cache /
-        # filter / verify, with verify split descent-vs-sweep); surface
-        # them as a first-class block so dashboards need not know the
-        # engine.stats schema.
+        # filter / verify); surface them as a first-class block so
+        # dashboards need not know the engine.stats schema.
         if isinstance(engine.stats.get("phase_seconds"), dict):
             payload["phases"] = {
                 "seconds": dict(engine.stats["phase_seconds"]),

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro import Dataset
 from repro.engine import DetectionEngine, MutableDetectionEngine
 from repro.engine.evidence import NO_BOUND, EvidenceCache
-from repro.exceptions import ParameterError
+from repro.exceptions import GraphError, MetricError, ParameterError
 from repro.graphs.base import build_graph
 from repro.index import brute_force_outliers
 
@@ -237,6 +237,65 @@ def test_validation(pool):
     with pytest.raises(ParameterError):
         eng.remove([3])
     assert eng.insert([]).size == 0
+    eng.close()
+
+
+@pytest.mark.parametrize(
+    "kind, error", [("width", GraphError), ("nan", MetricError)]
+)
+def test_malformed_insert_leaves_engine_unchanged(pool, kind, error):
+    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng.insert(pool[:100])
+    eng.detect(1.8, 5)  # evidence at one radius: inserts repair it
+    n_total, active = eng.n_total, eng.active_ids()
+    bad = pool[100:104].copy()
+    if kind == "width":
+        bad = bad[:, :-1].copy()
+    else:
+        bad[1, 2] = np.nan
+    with pytest.raises(error):
+        eng.insert(bad)
+    assert eng.n_total == n_total
+    np.testing.assert_array_equal(eng.active_ids(), active)
+    _oracle_check(eng, 1.8, 5)
+    np.testing.assert_array_equal(
+        eng.insert(pool[100:104]), np.arange(100, 104)
+    )
+    _oracle_check(eng, 1.8, 5)
+    eng.close()
+
+
+def test_rebuild_renumbers_in_insertion_order(pool, rng):
+    """``rebuild(renumber=True)`` maps live ids to ``0..n_active-1`` in
+    their previous order, and the answers follow the remap."""
+    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng.insert(pool[:150])
+    eng.remove(rng.choice(120, size=40, replace=False).tolist())
+    live = eng.active_ids()
+    before = eng.detect(1.8, 5)
+    remap = eng.rebuild(renumber=True)
+    np.testing.assert_array_equal(remap[live], np.arange(live.size))
+    assert np.all(np.delete(remap, live) == -1)
+    assert eng.n_total == eng.n_active == live.size
+    np.testing.assert_array_equal(
+        np.asarray(eng.live_objects()), pool[:150][live]
+    )
+    after = _oracle_check(eng, 1.8, 5)
+    np.testing.assert_array_equal(after.outliers, remap[before.outliers])
+    eng.close()
+
+
+def test_removing_an_exact_list_member_stays_exact(pool):
+    """Deleting an object that sits in a stored exact-K'NN list keeps
+    every answer exact."""
+    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng.insert(pool[:150])
+    eng.rebuild(renumber=False)  # MRPG: stores exact lists
+    holders = list(eng._graph.exact_knn)
+    assert holders
+    victim = int(eng._graph.exact_knn[holders[0]][0][0])
+    eng.remove([victim])
+    _oracle_check(eng, 1.8, 5)
     eng.close()
 
 

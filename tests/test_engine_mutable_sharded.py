@@ -21,7 +21,7 @@ from repro import (
     MutableDetectionEngine,
     MutableShardedDetectionEngine,
 )
-from repro.exceptions import ParameterError
+from repro.exceptions import GraphError, MetricError, ParameterError
 from repro.graphs.base import build_graph
 from repro.index import brute_force_outliers
 
@@ -362,7 +362,36 @@ def test_validation(pool):
     eng.close()
 
 
-# -- evidence-preserving rebalance (phase C v2) -------------------------------
+@pytest.mark.parametrize("store", ["ram", "shm"])
+@pytest.mark.parametrize(
+    "kind, error", [("width", GraphError), ("nan", MetricError)]
+)
+def test_malformed_insert_leaves_engine_unchanged(pool, store, kind, error):
+    """Both stores reject a bad batch before any state changes."""
+    eng = MutableShardedDetectionEngine(
+        metric="l2", n_shards=2, workers=1, K=6, seed=0, store=store
+    )
+    eng.insert(pool[:100])
+    eng.detect(1.8, 5)
+    n_total, active = eng.n_total, eng.active_ids()
+    bad = pool[100:104].copy()
+    if kind == "width":
+        bad = bad[:, :-1].copy()
+    else:
+        bad[1, 2] = np.nan
+    with pytest.raises(error):
+        eng.insert(bad)
+    assert eng.n_total == n_total
+    np.testing.assert_array_equal(eng.active_ids(), active)
+    _oracle_check(eng, 1.8, 5)
+    np.testing.assert_array_equal(
+        eng.insert(pool[100:104]), np.arange(100, 104)
+    )
+    _oracle_check(eng, 1.8, 5)
+    eng.close()
+
+
+# -- evidence-preserving rebalance --------------------------------------------
 
 
 def test_evidence_transfer_matches_cache_drop_rebuild(pool):
@@ -438,24 +467,30 @@ def test_rebalance_load_trigger_and_validation(pool):
     eng.close()
 
 
-def test_foreign_descent_toggle_matches(pool):
-    on = MutableShardedDetectionEngine(
+def test_one_worker_protocol_for_both_sharded_engines(pool):
+    """The mutable shard worker inherits the static worker's query
+    protocol: both engines agree, and phase C is the sweep rounds."""
+    from repro.engine import (
+        MutableShardWorker,
+        ShardedDetectionEngine,
+        ShardWorker,
+    )
+
+    assert issubclass(MutableShardWorker, ShardWorker)
+    mutable = MutableShardedDetectionEngine(
         metric="l2", n_shards=3, workers=1, K=6, seed=0
     )
-    off = MutableShardedDetectionEngine(
-        metric="l2", n_shards=3, workers=1, K=6, seed=0,
-        foreign_descent=False,
+    mutable.insert(pool[:140])
+    static = ShardedDetectionEngine.fit(
+        pool[:140], metric="l2", graph="kgraph", K=6, n_shards=3, workers=1
     )
-    for e in (on, off):
-        e.insert(pool[:140])
-    a = on.detect(1.8, 5)
-    b = off.detect(1.8, 5)
+    a = _oracle_check(mutable, 1.8, 5)
+    b = static.query(1.8, 5)
     np.testing.assert_array_equal(a.outliers, b.outliers)
-    assert off.stats["phase_pairs"]["verify_descent"] == 0
-    if on.stats["phase_pairs"]["verify"]:
-        assert on.stats["phase_pairs"]["verify_descent"] > 0
-    on.close()
-    off.close()
+    for res in (a, b):
+        assert res.phase_pairs["verify_sweep"] == res.phase_pairs["verify"]
+    mutable.close()
+    static.close()
 
 
 def test_per_shard_build_stats_cover_the_pooled_build(pool):

@@ -290,72 +290,47 @@ def test_shard_worker_rejects_mismatched_prebuilt_graph(l2_dataset):
         ShardWorker(l2_dataset, np.arange(20), graph=tiny)
 
 
-# -- phase C v2: graph-assisted foreign counting ------------------------------
+# -- phase C: cooperative sweep rounds ----------------------------------------
 
 
-def test_foreign_descent_matches_sweep_only(l2_dataset, l2_params, l2_reference):
-    """Descent-assisted phase C is invisible in the answers and fires."""
+def test_phase_c_evidence_makes_requery_a_cache_hit(
+    l2_dataset, l2_params, l2_reference
+):
+    """Phase C is the sweep rounds alone, and its counts land in the
+    shard caches: the re-query is a pure phase-A decision."""
     r, k = l2_params
-    on = ShardedDetectionEngine(
+    engine = ShardedDetectionEngine(
         l2_dataset, n_shards=4, workers=1, graph="mrpg", K=8, rng=0
     )
-    off = ShardedDetectionEngine(
-        l2_dataset, n_shards=4, workers=1, graph="mrpg", K=8, rng=0,
-        foreign_descent=False,
-    )
-    a = on.query(r, k)
-    b = off.query(r, k)
-    np.testing.assert_array_equal(a.outliers, l2_reference)
-    np.testing.assert_array_equal(b.outliers, l2_reference)
-    assert b.phase_pairs["verify_descent"] == 0
-    assert b.phase_pairs["verify_index"] == 0
-    if a.phase_pairs["verify"]:
-        # The v2 path decided phase C by graph descent + exact index;
-        # the linear sweep rounds never ran.
-        assert (
-            a.phase_pairs["verify_descent"] + a.phase_pairs["verify_index"]
-        ) > 0
-        assert a.phase_pairs["verify_sweep"] == 0
-    # Descent lower bounds land in the shard caches like sweep counts
-    # do: the re-query is a pure phase-A decision.
-    warm = on.query(r, k)
+    cold = engine.query(r, k)
+    np.testing.assert_array_equal(cold.outliers, l2_reference)
+    assert cold.phase_pairs["verify_sweep"] == cold.phase_pairs["verify"]
+    warm = engine.query(r, k)
     assert warm.pairs == 0
     np.testing.assert_array_equal(warm.outliers, l2_reference)
-    on.close()
-    off.close()
+    engine.close()
 
 
-def test_shard_worker_count_exact_is_sound(l2_dataset, l2_params):
-    """``count_exact`` flags are trustworthy against the linear oracle.
-
-    For every candidate the tree answers: a count flagged exact equals
-    the true within-shard count, a truncated count is a lower bound
-    that already reaches its ``need`` stop — and the treeless worker
-    (``foreign_index=False``) returns the same counts through the
-    linear subset sweep.
-    """
+def test_shard_worker_sweep_counts_match_linear_oracle(l2_dataset, l2_params):
+    """``count_range`` slices plus ``count_tail`` give exact within-shard
+    counts, for member and foreign candidates alike (a member never
+    counts itself)."""
     from repro.engine import ShardWorker
     from repro.index.linear import linear_count_block
 
     r, _ = l2_params
     n = l2_dataset.n
     ids = np.arange(0, n, 2, dtype=np.int64)
-    qs = np.arange(1, 40, 2, dtype=np.int64)  # foreign to the shard
-    need = np.full(qs.size, 4, dtype=np.int64)
+    qs = np.arange(0, 40, dtype=np.int64)  # even ids are shard members
     worker = ShardWorker(l2_dataset, ids, graph="kgraph", K=6, seed=3)
-    counts, exact, pairs = worker.count_exact(r, qs, need)
-    assert pairs > 0
+    head, pairs = worker.count_range(r, qs, 0, 25)
+    assert pairs == qs.size * 25
+    tail, _ = worker.count_tail(r, qs, 25)
     truth = linear_count_block(l2_dataset, qs, r, subset=ids)
-    np.testing.assert_array_equal(counts[exact], truth[exact])
-    assert np.all(counts[~exact] >= need[~exact])
-    assert np.all(counts <= truth)
-    plain = ShardWorker(
-        l2_dataset, ids, graph="kgraph", K=6, seed=3, foreign_index=False,
+    np.testing.assert_array_equal(head + tail, truth)
+    np.testing.assert_array_equal(
+        head, linear_count_block(l2_dataset, qs, r, subset=ids[:25])
     )
-    assert plain._ftree is None
-    p_counts, p_exact, _ = plain.count_exact(r, qs, need)
-    np.testing.assert_array_equal(p_counts[p_exact], truth[p_exact])
-    assert np.all(p_counts[~p_exact] >= need[~p_exact])
 
 
 def test_sharded_stats_phase_breakdown(l2_dataset, l2_params):
@@ -366,17 +341,11 @@ def test_sharded_stats_phase_breakdown(l2_dataset, l2_params):
     res = engine.query(r, k)
     assert set(engine.stats["phase_seconds"]) == {"cache", "filter", "verify"}
     pp = engine.stats["phase_pairs"]
-    assert pp["verify"] == (
-        pp["verify_descent"] + pp["verify_index"] + pp["verify_sweep"]
-    )
+    assert set(pp) == {"cache", "filter", "verify", "verify_sweep"}
+    assert pp["verify"] == pp["verify_sweep"]
     assert res.pairs == pp["cache"] + pp["filter"] + pp["verify"]
-    assert res.phase_pairs["verify"] == (
-        res.phase_pairs["verify_descent"]
-        + res.phase_pairs["verify_index"]
-        + res.phase_pairs["verify_sweep"]
-    )
+    assert res.phase_pairs["verify"] == res.phase_pairs["verify_sweep"]
     assert all(v >= 0.0 for v in engine.stats["phase_seconds"].values())
-    assert res.counts["descent_decided"] >= 0
     engine.close()
 
 

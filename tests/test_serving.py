@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import Dataset
 from repro.engine import create_engine
 from repro.engine.protocol import EngineCapabilities
 from repro.exceptions import ParameterError
@@ -492,6 +493,30 @@ def test_http_churn_equivalence(blob_points, l2_params):
     assert stats["n_live"] == len(blob_points) - len(ids[::3])
 
 
+def test_http_malformed_insert_leaves_engine_healthy(blob_points, l2_params):
+    """On the ``serve --mutable --shards 2 --workers 1`` topology a
+    rejected /insert (wrong width, then NaN) changes nothing: later
+    queries are exact and a good insert still succeeds."""
+    r, k = l2_params
+    engine = _make_engine("mutable-sharded", blob_points[:200])
+    nan_rows = blob_points[200:202].copy()
+    nan_rows[0, 0] = np.nan
+    with _ServerThread(engine) as address:
+        with ServingClient(*address) as client:
+            for bad in (blob_points[200:202, :-1], nan_rows):
+                with pytest.raises(ServingClientError) as rejected:
+                    client.insert(bad)
+                assert rejected.value.status == 400
+            got = client.query(r, k)["outliers"]
+            ids = client.insert(blob_points[200:210])
+            after = client.query(r, k)["outliers"]
+    ref = brute_force_outliers(Dataset(blob_points[:200], "l2"), r, k)
+    assert got == [int(p) for p in ref]
+    assert ids == list(range(200, 210))
+    ref = brute_force_outliers(Dataset(blob_points[:210], "l2"), r, k)
+    assert after == [int(p) for p in ref]
+
+
 @pytest.mark.slow
 def test_http_multiprocess_sharded_serving(blob_points, l2_params):
     """Full stack: HTTP -> coalescer -> shard broadcast over real processes."""
@@ -599,16 +624,11 @@ def test_http_stats_surface_phase_breakdown(blob_points, l2_params):
             stats = client.stats()
     phases = stats["phases"]
     assert set(phases["seconds"]) == {"cache", "filter", "verify"}
-    assert phases["pairs"]["verify"] == (
-        phases["pairs"]["verify_descent"]
-        + phases["pairs"]["verify_index"]
-        + phases["pairs"]["verify_sweep"]
-    )
+    assert phases["pairs"]["verify"] == phases["pairs"]["verify_sweep"]
     assert phases == {
         "seconds": stats["engine"]["phase_seconds"],
         "pairs": stats["engine"]["phase_pairs"],
     }
-    assert stats["engine"]["descent_decided"] >= 0
     # Single-process engines have no phase stats block.
     single = _make_engine("static", blob_points)
     with _ServerThread(single) as address:

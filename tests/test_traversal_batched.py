@@ -249,75 +249,3 @@ def test_csr_matches_neighbors(mrpg_l2):
             indices[indptr[v]:indptr[v + 1]], mrpg_l2.neighbors(v)
         )
 
-
-# -- foreign multi-source descent (sharded phase C v2) ------------------------
-
-
-def _foreign_setup(l2_dataset):
-    """A half-dataset 'shard' graph plus out-of-shard query sources."""
-    from repro.graphs.base import build_graph
-
-    rng = np.random.default_rng(3)
-    member = np.sort(
-        rng.choice(l2_dataset.n, size=l2_dataset.n // 2, replace=False)
-    )
-    shard = l2_dataset.subset(member)
-    graph = build_graph("kgraph", shard, K=8, rng=0)
-    sources = rng.choice(l2_dataset.n, size=48, replace=False).astype(np.int64)
-    return member, graph, sources
-
-
-def test_foreign_count_block_is_a_sound_lower_bound(l2_dataset, l2_params):
-    from repro.core import foreign_count_block
-    from repro.index.linear import linear_count_block
-
-    r, k = l2_params
-    member, graph, sources = _foreign_setup(l2_dataset)
-    counts = foreign_count_block(
-        l2_dataset.view(), graph, member, sources, r, k
-    )
-    exact = linear_count_block(l2_dataset.view(), sources, r, subset=member)
-    assert np.all(counts >= 0)
-    assert np.all(counts <= exact)  # every counted hit is a real neighbor
-    # The descent must be useful, not vacuous: sources with many true
-    # in-shard neighbors reach their stop threshold.
-    assert np.count_nonzero(counts[exact >= k] >= k) > 0
-
-
-def test_foreign_count_block_is_deterministic(l2_dataset, l2_params):
-    from repro.core import BlockTracker, foreign_count_block
-
-    r, k = l2_params
-    member, graph, sources = _foreign_setup(l2_dataset)
-    first = foreign_count_block(l2_dataset.view(), graph, member, sources, r, k)
-    again = foreign_count_block(l2_dataset.view(), graph, member, sources, r, k)
-    np.testing.assert_array_equal(first, again)
-    # A reused tracker (the engine's per-worker scratch) changes nothing.
-    tracker = BlockTracker(graph.n, sources.size)
-    warm = foreign_count_block(
-        l2_dataset.view(), graph, member, sources, r, k, tracker=tracker
-    )
-    np.testing.assert_array_equal(first, warm)
-    rerun = foreign_count_block(
-        l2_dataset.view(), graph, member, sources, r, k, tracker=tracker
-    )
-    np.testing.assert_array_equal(first, rerun)
-
-
-def test_foreign_count_block_per_source_stops(l2_dataset, l2_params):
-    from repro.core import foreign_count_block
-
-    r, k = l2_params
-    member, graph, sources = _foreign_setup(l2_dataset)
-    stops = np.full(sources.size, k, dtype=np.int64)
-    stops[::2] = 1
-    counts = foreign_count_block(
-        l2_dataset.view(), graph, member, sources, r, stops
-    )
-    uniform = foreign_count_block(
-        l2_dataset.view(), graph, member, sources, r, k
-    )
-    # Tighter stops can only terminate earlier, never change soundness.
-    assert np.all(counts[counts < stops] <= uniform[counts < stops])
-    with pytest.raises(ParameterError):
-        foreign_count_block(l2_dataset.view(), graph, member, sources, r, 0)
