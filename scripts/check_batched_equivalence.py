@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Exactness gate: batched filtering/verification vs the scalar oracle.
 
-Runs ``graph_dod`` in every mode over small L2/L1/edit datasets x all
-graph builders x adversarial block sizes and fails (exit 1) on any
-difference in outlier sets, filter verdicts, or sub-``k`` counts.  This
-is a correctness gate, not a timing gate — it is deliberately small and
-deterministic so CI can run it on every push.
+Runs ``graph_dod`` in every mode over small L2/L1/angular/edit datasets
+x all graph builders x both verifier strategies (VP-tree and linear
+scan) x adversarial block sizes and fails (exit 1) on any difference in
+outlier sets, filter verdicts, verification exactness flags, or
+sub-``k`` counts.  This is a correctness gate, not a timing gate — it
+is deliberately small and deterministic so CI can run it on every push.
 
 Usage: python scripts/check_batched_equivalence.py [--n N]
 """
@@ -19,36 +20,67 @@ import time
 import numpy as np
 
 from repro import Dataset, build_graph
-from repro.core.counting import classify_chunk_arrays
+from repro.core.counting import CANDIDATE_CODE, classify_chunk_arrays
 from repro.core.dod import graph_dod
 from repro.core.verify import Verifier
 from repro.datasets import blobs_with_outliers, words_with_outliers
 from repro.index import brute_force_outliers
 
 GRAPHS = ("mrpg", "mrpg-basic", "kgraph", "nsw")
+STRATEGIES = ("vptree", "linear")
 
 
-def check_config(dataset, graph, r, k, label: str) -> list[str]:
-    """All mode/block-size equivalence checks for one configuration."""
+def check_verify(verifier, dataset, candidates, r, k, label: str) -> list[str]:
+    """Scalar vs batched ``verify_chunk`` on one candidate set."""
+    scalar = verifier.verify_chunk(
+        candidates, r, k, dataset=dataset.view(), mode="scalar"
+    )
+    batched = verifier.verify_chunk(
+        candidates, r, k, dataset=dataset.view(), mode="batched"
+    )
+    ids_s, cnt_s, ex_s = (np.asarray(col) for col in zip(*scalar))
+    ids_b, cnt_b, ex_b = (np.asarray(col) for col in zip(*batched))
     failures: list[str] = []
-    verifier = Verifier(dataset, strategy="linear")
+    if not np.array_equal(ids_s, ids_b):
+        failures.append(f"{label}: verified objects differ")
+    if not np.array_equal(ex_s, ex_b):
+        failures.append(f"{label}: verify exactness flags differ")
+    sub_k = (cnt_s < k) | (cnt_b < k)
+    if not np.array_equal(cnt_s[sub_k], cnt_b[sub_k]):
+        failures.append(f"{label}: sub-k verify counts differ")
+    if not np.array_equal(ids_s[cnt_s < k], ids_b[cnt_b < k]):
+        failures.append(f"{label}: verified outlier sets differ")
+    return failures
+
+
+def check_config(dataset, graph, r, k, verifiers, label: str) -> list[str]:
+    """All mode/block-size/strategy equivalence checks for one configuration."""
+    failures: list[str] = []
     reference = brute_force_outliers(dataset.view(), r, k)
-    scalar = graph_dod(dataset.view(), graph, r, k, verifier=verifier, mode="scalar")
-    if not np.array_equal(scalar.outliers, reference):
-        failures.append(f"{label}: scalar outliers differ from brute force")
     ids_s, cnt_s, code_s, ex_s = classify_chunk_arrays(
         dataset.view(), graph, np.arange(dataset.n), r, k, mode="scalar"
     )
+    candidates = np.sort(ids_s[code_s == CANDIDATE_CODE])
+    for strategy, verifier in verifiers.items():
+        tag = f"{label} {strategy}"
+        scalar = graph_dod(
+            dataset.view(), graph, r, k, verifier=verifier, mode="scalar"
+        )
+        if not np.array_equal(scalar.outliers, reference):
+            failures.append(f"{tag}: scalar outliers differ from brute force")
+        if candidates.size:
+            failures += check_verify(verifier, dataset, candidates, r, k, tag)
+        for batch_size in (1, 7, dataset.n):
+            batched = graph_dod(
+                dataset.view(), graph, r, k,
+                verifier=verifier, mode="batched", batch_size=batch_size,
+            )
+            if not np.array_equal(batched.outliers, scalar.outliers):
+                failures.append(f"{tag} bs={batch_size}: batched outlier set differs")
+            if batched.counts["candidates"] != scalar.counts["candidates"]:
+                failures.append(f"{tag} bs={batch_size}: candidate set size differs")
     for batch_size in (1, 7, dataset.n):
         tag = f"{label} bs={batch_size}"
-        batched = graph_dod(
-            dataset.view(), graph, r, k,
-            verifier=verifier, mode="batched", batch_size=batch_size,
-        )
-        if not np.array_equal(batched.outliers, scalar.outliers):
-            failures.append(f"{tag}: batched outlier set differs")
-        if batched.counts["candidates"] != scalar.counts["candidates"]:
-            failures.append(f"{tag}: candidate set size differs")
         ids_b, cnt_b, code_b, ex_b = classify_chunk_arrays(
             dataset.view(), graph, np.arange(dataset.n), r, k,
             mode="batched", batch_size=batch_size,
@@ -76,8 +108,9 @@ def main(argv=None) -> int:
         args.n, dim=6, n_clusters=4, core_std=0.8, tail_std=2.5, tail_frac=0.06,
         center_spread=12.0, planted_frac=0.015, planted_spread=60.0, rng=42,
     )
-    for metric in ("l2", "l1"):
+    for metric in ("l2", "l1", "angular"):
         dataset = Dataset(points, metric)
+        verifiers = {s: Verifier(dataset, strategy=s, rng=0) for s in STRATEGIES}
         gen = np.random.default_rng(0)
         a = gen.integers(0, dataset.n, size=1500)
         b = gen.integers(0, dataset.n, size=1500)
@@ -85,14 +118,19 @@ def main(argv=None) -> int:
         r = float(np.quantile(dataset.pair_dist(a[keep], b[keep]), 0.10))
         for graph_name in GRAPHS:
             graph = build_graph(graph_name, dataset, K=8, rng=0)
-            failures += check_config(dataset, graph, r, 8, f"{metric}/{graph_name}")
+            failures += check_config(
+                dataset, graph, r, 8, verifiers, f"{metric}/{graph_name}"
+            )
             checks += 1
 
     words = words_with_outliers(160, n_stems=12, planted_frac=0.02, rng=7)
     dataset = Dataset(words, "edit")
+    verifiers = {s: Verifier(dataset, strategy=s, rng=0) for s in STRATEGIES}
     for graph_name in GRAPHS:
         graph = build_graph(graph_name, dataset, K=6, rng=0)
-        failures += check_config(dataset, graph, 2.0, 4, f"edit/{graph_name}")
+        failures += check_config(
+            dataset, graph, 2.0, 4, verifiers, f"edit/{graph_name}"
+        )
         checks += 1
 
     elapsed = time.perf_counter() - t0

@@ -13,11 +13,17 @@ estimate; the threshold default (8) is deliberately more permissive than
 the paper's "less than 5" footnote because the estimator is biased low
 on clustered data.
 
-The linear strategy additionally offers a *batched* sweep
-(:meth:`Verifier.verify_block`, via
-:func:`~repro.index.linear.linear_count_block`): one chunked pass over
-the store decides every pending candidate per kernel with early
-retirement, instead of one early-terminated scan per candidate.
+Each strategy also has one *batched* path
+(:meth:`Verifier.verify_block`) that decides every candidate of a
+chunk together, with early retirement at ``k``, instead of one
+early-terminated count per candidate:
+
+* the VP-tree descends once for all candidates, level by level
+  (:meth:`~repro.index.vptree.VPTree.count_within_block`);
+* the linear scan sweeps the store once, evaluating each store chunk
+  against all pending candidates
+  (:func:`~repro.index.linear.linear_count_block`).
+
 Verdicts and sub-``k`` counts are identical to the scalar loop's.
 """
 
@@ -87,9 +93,7 @@ class Verifier:
 
     def is_outlier(self, p: int, r: float, k: int, dataset: Dataset | None = None) -> bool:
         """Exact verdict: does ``p`` have fewer than ``k`` neighbors?"""
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        return self.count(p, r, stop_at=k, dataset=dataset) < k
+        return self.count_evidence(p, r, k, dataset=dataset)[1]
 
     def count_evidence(
         self, p: int, r: float, k: int, dataset: Dataset | None = None
@@ -101,29 +105,35 @@ class Verifier:
         neighbors, so a returned count *below* ``k`` means the scan ran
         to completion and is the true neighbor count.
         """
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
         count = self.count(p, r, stop_at=k, dataset=dataset)
         return count, count < k
 
     def verify_block(
         self, chunk, r: float, k: int, dataset: Dataset | None = None
     ) -> list[tuple[int, int, bool]]:
-        """Batched Exact-Counting: one store sweep for *all* candidates.
+        """Batched Exact-Counting: one kernel pass for *all* candidates.
 
-        Uses :func:`~repro.index.linear.linear_count_block` — every
-        chunk of the store is evaluated against all still-pending
-        candidates in one ``pair_dist`` kernel, with candidates retiring
-        the moment they reach ``k``.  Only the linear strategy has a
-        batched sweep; a VP-tree verifier falls back to the per-object
-        loop (its traversal is inherently per-query).  Sub-``k`` counts
-        and exactness flags are identical to :meth:`verify_chunk`'s.
+        A VP-tree verifier descends its tree once for the whole chunk
+        (:meth:`~repro.index.vptree.VPTree.count_within_block`); a linear
+        one sweeps the store once
+        (:func:`~repro.index.linear.linear_count_block`).  Either way
+        each step is one ``pair_dist`` kernel over every pending
+        candidate, and candidates retire the moment they reach ``k``.
+        Sub-``k`` counts and exactness flags are identical to
+        :meth:`verify_chunk`'s scalar mode.
         """
         ds = dataset if dataset is not None else self.dataset
+        chunk = np.asarray(chunk, dtype=np.int64)
         if self.vptree is not None:
-            return self.verify_chunk(chunk, r, k, dataset=ds)
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        counts = linear_count_block(ds, chunk, r, stop_at=k)
-        return [(int(p), int(c), bool(c < k)) for p, c in zip(chunk, counts)]
+            counts = self.vptree.count_within_block(chunk, r, k, dataset=ds)
+        else:
+            counts = linear_count_block(ds, chunk, r, stop_at=k)
+        return [
+            (p, c, bool(c < k))
+            for p, c in zip(chunk.tolist(), counts.tolist())
+        ]
 
     def verify_chunk(
         self,
@@ -138,14 +148,18 @@ class Verifier:
         ``chunk``.  Used identically by ``graph_dod`` and the engine.
 
         ``mode="batched"``/``"auto"`` routes through :meth:`verify_block`
-        (identical verdicts, one kernel per store chunk instead of one
-        scan per candidate); ``"scalar"`` keeps the per-object loop.
+        (identical verdicts, one kernel per tree level or store chunk
+        instead of one count per candidate); ``"scalar"`` keeps the
+        per-object loop, the oracle the batched paths are checked
+        against.
         """
         if mode not in FILTER_MODES:
             raise ParameterError(
                 f"unknown verify mode {mode!r}; known: {FILTER_MODES}"
             )
-        if mode in ("auto", "batched") and len(chunk) > 1:
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
+        if mode in ("auto", "batched"):
             return self.verify_block(chunk, r, k, dataset=dataset)
         return [
             (int(p), *self.count_evidence(int(p), r, k, dataset=dataset))

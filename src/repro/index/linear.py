@@ -69,6 +69,8 @@ def linear_count(
         raise ParameterError(f"radius must be non-negative, got {r}")
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
+    if stop_at is not None and stop_at < 1:
+        raise ParameterError("stop_at thresholds must be >= 1")
     n = dataset.n
     count = 0
     for lo in range(0, n, chunk):

@@ -16,7 +16,14 @@ the vantage to the subtree's objects; a query ball ``[d-r, d+r]`` that
 misses that annulus prunes the subtree (triangle inequality).
 
 The tree is stored in flat numpy arrays (structure-of-arrays) with an
-explicit work stack — no recursion, no per-node Python objects.
+explicit work stack — no recursion, no per-node Python objects.  Leaves
+are stored once, in CSR form: leaf ``L`` holds
+``leaf_items[leaf_ptr[L]:leaf_ptr[L + 1]]``.
+
+:meth:`VPTree.count_within` walks the tree for one query;
+:meth:`VPTree.count_within_block` descends it for many queries at once,
+one level at a time, so each level costs a few array kernels instead of
+one small distance call per visited node.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import numpy as np
 from ..data import Dataset
 from ..exceptions import ParameterError
 from ..rng import ensure_rng
+from .linear import _pairs_per_kernel
 
 #: child-slot value meaning "no child".
 _NO_CHILD = np.iinfo(np.int64).min
@@ -76,8 +84,8 @@ class VPTree:
         leaves: list[np.ndarray] = []
 
         def new_leaf(items: np.ndarray) -> int:
-            leaves.append(np.ascontiguousarray(items, dtype=np.int64))
-            return -len(leaves)  # leaf ref: -1 => leaves[0]
+            leaves.append(items)
+            return -len(leaves)  # leaf ref: -1 => leaf 0
 
         # Build iteratively.  Work items carry the subset plus the slot
         # (node id, side) the resulting child reference must be stored in;
@@ -126,7 +134,9 @@ class VPTree:
         self._r_max = np.asarray(r_max, dtype=np.float64)
         self._left = np.asarray(left, dtype=np.int64)
         self._right = np.asarray(right, dtype=np.int64)
-        self._leaves = leaves
+        self._leaf_ptr = np.zeros(len(leaves) + 1, dtype=np.int64)
+        np.cumsum([leaf.size for leaf in leaves], out=self._leaf_ptr[1:])
+        self._leaf_items = np.concatenate(leaves)
 
     # -- introspection -------------------------------------------------------
 
@@ -146,9 +156,15 @@ class VPTree:
             + self._r_max.nbytes
             + self._left.nbytes
             + self._right.nbytes
+            + self._leaf_ptr.nbytes
+            + self._leaf_items.nbytes
         )
-        total += sum(leaf.nbytes for leaf in self._leaves)
         return int(total)
+
+    def _leaf(self, ref: int) -> np.ndarray:
+        """Items of the leaf behind child reference ``ref`` (< 0)."""
+        leaf = -ref - 1
+        return self._leaf_items[self._leaf_ptr[leaf]:self._leaf_ptr[leaf + 1]]
 
     # -- queries ---------------------------------------------------------------
 
@@ -170,6 +186,8 @@ class VPTree:
         """
         if r < 0:
             raise ParameterError(f"radius must be non-negative, got {r}")
+        if stop_at is not None and stop_at < 1:
+            raise ParameterError("stop_at thresholds must be >= 1")
         ds = dataset if dataset is not None else self.dataset
         target = None if stop_at is None else int(stop_at)
         count = 0
@@ -179,7 +197,7 @@ class VPTree:
             if ref == _NO_CHILD:
                 continue
             if ref < 0:
-                items = self._leaves[-ref - 1]
+                items = self._leaf(ref)
                 if items.size == 0:
                     continue
                 d = ds.dist_many(q, items, bound=r)
@@ -201,6 +219,109 @@ class VPTree:
                 return count
         return count
 
+    def count_within_block(
+        self,
+        qs: np.ndarray,
+        r: float,
+        stop_at: "int | np.ndarray",
+        dataset: Dataset | None = None,
+        exclude_self: bool = True,
+    ) -> np.ndarray:
+        """Neighbor counts for *all* of ``qs`` in one batched descent.
+
+        The batched counterpart of :meth:`count_within`: every query
+        descends the tree together, one level at a time.  A level is one
+        frontier of (query, node) pairs, evaluated with
+
+        * one unbounded ``pair_dist`` for the vantage distances (the
+          same floats :meth:`count_within` gets from ``dist``),
+        * the two annulus tests as array masks, and
+        * one bounded ``pair_dist`` over the items of every reached leaf.
+
+        Both kernels split at
+        :func:`~repro.index.linear._pairs_per_kernel` pairs, so memory
+        stays bounded even when nothing prunes (``k`` near ``n``).
+
+        After each level, queries whose count reached ``stop_at`` (one
+        threshold, or one per query) leave the frontier.  Pruning never
+        depends on the count, so a query that stays below its threshold
+        visits exactly the nodes :meth:`count_within` visits: counts
+        below ``stop_at`` are identical to its counts (counts at or
+        above it may overshoot differently).  The tree is only read, so
+        threads may share it.
+        """
+        if r < 0:
+            raise ParameterError(f"radius must be non-negative, got {r}")
+        qs = np.asarray(qs, dtype=np.int64)
+        stops = np.asarray(stop_at, dtype=np.int64)
+        if np.any(stops < 1):
+            raise ParameterError("stop_at thresholds must be >= 1")
+        stops = np.broadcast_to(stops, qs.shape)
+        ds = dataset if dataset is not None else self.dataset
+        budget = _pairs_per_kernel(ds)
+        counts = np.zeros(qs.size, dtype=np.int64)
+        # Frontier: query slot (position in ``qs``) and node reference.
+        slots = np.arange(qs.size, dtype=np.int64)
+        refs = np.full(qs.size, self.root, dtype=np.int64)
+        while slots.size:
+            inner = refs >= 0
+            leaf_slots = slots[~inner]
+            if leaf_slots.size:
+                self._count_leaves(
+                    ds, qs, leaf_slots, -refs[~inner] - 1, r,
+                    exclude_self, budget, counts,
+                )
+            slots, nodes = slots[inner], refs[inner]
+            if not slots.size:
+                break
+            q = qs[slots]
+            v = self._vantage[nodes]
+            d = np.concatenate([
+                ds.pair_dist(q[lo:lo + budget], v[lo:lo + budget],
+                             consistent=True)
+                for lo in range(0, q.size, budget)
+            ])
+            hit = d <= r
+            if exclude_self:
+                hit &= v != q
+            counts += np.bincount(slots[hit], minlength=qs.size)
+            lo, hi = d - r, d + r
+            go_left = (lo <= self._l_max[nodes]) & (hi >= self._l_min[nodes])
+            go_right = (lo <= self._r_max[nodes]) & (hi >= self._r_min[nodes])
+            slots = np.concatenate((slots[go_left], slots[go_right]))
+            refs = np.concatenate(
+                (self._left[nodes[go_left]], self._right[nodes[go_right]])
+            )
+            keep = (refs != _NO_CHILD) & (counts[slots] < stops[slots])
+            slots, refs = slots[keep], refs[keep]
+        return counts
+
+    def _count_leaves(
+        self, ds, qs, slots, leaves, r, exclude_self, budget, counts
+    ) -> None:
+        """Add to ``counts`` each (query slot, leaf) pair's neighbors.
+
+        The pairs' items are expanded and evaluated in kernels of at
+        most ``budget`` item pairs (a single larger leaf gets its own).
+        """
+        starts = self._leaf_ptr[leaves]
+        sizes = self._leaf_ptr[leaves + 1] - starts
+        ends = np.cumsum(sizes)
+        lo = done = 0
+        while lo < slots.size:
+            hi = max(lo + 1, int(np.searchsorted(ends, done + budget, "right")))
+            size = sizes[lo:hi]
+            owner = np.repeat(slots[lo:hi], size)
+            first = np.repeat(starts[lo:hi] - (ends[lo:hi] - size - done), size)
+            items = self._leaf_items[first + np.arange(owner.size)]
+            q = qs[owner]
+            within = ds.pair_dist(q, items, bound=r, consistent=True) <= r
+            if exclude_self:
+                within &= items != q
+            counts += np.bincount(owner[within], minlength=qs.size)
+            done = int(ends[hi - 1])
+            lo = hi
+
     def range_search(self, q: int, r: float, exclude_self: bool = True) -> np.ndarray:
         """Ids of all indexed objects within distance ``r`` of object ``q``."""
         if r < 0:
@@ -213,7 +334,7 @@ class VPTree:
             if ref == _NO_CHILD:
                 continue
             if ref < 0:
-                items = self._leaves[-ref - 1]
+                items = self._leaf(ref)
                 if items.size == 0:
                     continue
                 d = ds.dist_many(q, items, bound=r)
@@ -269,7 +390,7 @@ class VPTree:
             if lb > tau() or ref == _NO_CHILD:
                 continue
             if ref < 0:
-                items = self._leaves[-ref - 1]
+                items = self._leaf(ref)
                 if items.size == 0:
                     continue
                 offer(items, ds.dist_many(q, items))

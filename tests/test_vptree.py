@@ -5,7 +5,7 @@ import pytest
 
 from repro import Dataset, VPTree
 from repro.exceptions import ParameterError
-from repro.index import brute_force_knn, brute_force_range
+from repro.index import brute_force_knn, brute_force_range, linear_count
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +88,8 @@ def test_subset_index(l2_dataset):
 def test_subset_index_foreign_queries(l2_dataset):
     """Counts for queries *outside* the indexed subset are exact.
 
-    The sharded engine's phase C counts candidates against foreign
-    shards through per-shard subset trees; the query object is then a
-    dataset member that is not one of the tree's items, and must not
-    be excluded from anything.
+    Such a query is a dataset member that is not one of the tree's
+    items, so self-exclusion must never remove anything from its count.
     """
     subset = np.arange(0, l2_dataset.n, 2, dtype=np.int64)
     tree = VPTree(l2_dataset, capacity=4, rng=0, indices=subset)
@@ -132,6 +130,21 @@ def test_negative_radius_rejected(tree):
         tree.count_within(0, -1.0)
     with pytest.raises(ParameterError):
         tree.range_search(0, -0.1)
+    with pytest.raises(ParameterError):
+        tree.count_within_block(np.arange(3), -1.0, 4)
+
+
+def test_stop_at_below_one_rejected(tree, l2_dataset):
+    with pytest.raises(ParameterError, match="stop_at"):
+        tree.count_within(0, 3.0, stop_at=0)
+    with pytest.raises(ParameterError, match="stop_at"):
+        tree.count_within_block(np.arange(3), 3.0, 0)
+    with pytest.raises(ParameterError, match="stop_at"):
+        tree.count_within_block(np.arange(3), 3.0, np.array([2, 0, 5]))
+    with pytest.raises(ParameterError, match="stop_at"):
+        tree.count_within_block(np.empty(0, dtype=np.int64), 3.0, 0)
+    with pytest.raises(ParameterError, match="stop_at"):
+        linear_count(l2_dataset, 0, 3.0, stop_at=0)
 
 
 def test_knn_k_validation(tree):
@@ -148,3 +161,99 @@ def test_deterministic_given_seed(l2_dataset):
     t2 = VPTree(l2_dataset, capacity=8, rng=5)
     np.testing.assert_array_equal(t1._vantage, t2._vantage)
     assert t1.node_count == t2.node_count
+
+
+# -- batched descent (count_within_block) vs the per-query walk ---------------
+
+
+def _assert_block_matches_scalar(tree, qs, r, stop_at, **kwargs):
+    """Same verdicts and sub-``stop_at`` counts as ``count_within``."""
+    got = tree.count_within_block(qs, r, stop_at, **kwargs)
+    stops = np.broadcast_to(np.asarray(stop_at, dtype=np.int64), qs.shape)
+    ref = np.asarray([
+        tree.count_within(int(q), r, stop_at=int(s), **kwargs)
+        for q, s in zip(qs, stops)
+    ], dtype=np.int64)
+    np.testing.assert_array_equal(got < stops, ref < stops)
+    sub = ref < stops
+    np.testing.assert_array_equal(got[sub], ref[sub])
+    return got
+
+
+@pytest.mark.parametrize("capacity", [1, 4, 16])
+@pytest.mark.parametrize("metric", ["l2", "l1", "angular", "edit"])
+def test_count_within_block_matches_count_within(request, metric, capacity):
+    ds = request.getfixturevalue(f"{metric}_dataset")
+    tree = VPTree(ds, capacity=capacity, rng=3)
+    qs = np.arange(0, ds.n, 3, dtype=np.int64)
+    per_query = np.random.default_rng(4).integers(1, 12, size=qs.size)
+    per_query[::5] = ds.n  # never reached: full counts
+    for r in _radii(ds)[:2]:
+        _assert_block_matches_scalar(tree, qs, r, 8)
+        full = _assert_block_matches_scalar(tree, qs, r, per_query)
+        for j in range(0, 20, 5):  # stop_at = n: the true counts
+            assert full[j] == brute_force_range(ds, int(qs[j]), r).size
+
+
+def test_count_within_block_counts_self_when_asked(tree, l2_dataset):
+    qs = np.arange(0, l2_dataset.n, 4, dtype=np.int64)
+    r = _radii(l2_dataset)[0]
+    with_self = _assert_block_matches_scalar(
+        tree, qs, r, l2_dataset.n + 1, exclude_self=False
+    )
+    _assert_block_matches_scalar(tree, qs, r, 3, exclude_self=False)
+    without = tree.count_within_block(qs, r, l2_dataset.n)
+    np.testing.assert_array_equal(with_self, without + 1)
+
+
+def test_count_within_block_subset_tree_foreign_queries(l2_dataset):
+    subset = np.arange(0, l2_dataset.n, 2, dtype=np.int64)
+    tree = VPTree(l2_dataset, capacity=4, rng=0, indices=subset)
+    qs = np.arange(1, l2_dataset.n, 2, dtype=np.int64)
+    r = _radii(l2_dataset)[1]
+    full = _assert_block_matches_scalar(tree, qs, r, l2_dataset.n)
+    _assert_block_matches_scalar(tree, qs, r, 5)
+    for j in (0, 16, 125):
+        expected = np.intersect1d(
+            brute_force_range(l2_dataset, int(qs[j]), r), subset
+        ).size
+        assert full[j] == expected
+
+
+def test_count_within_block_identical_points_chain():
+    ds = Dataset(np.zeros((40, 3)), "l2")
+    tree = VPTree(ds, capacity=4, rng=0)
+    qs = np.arange(40, dtype=np.int64)
+    full = _assert_block_matches_scalar(tree, qs, 0.0, 40)
+    np.testing.assert_array_equal(full, np.full(40, 39))
+    _assert_block_matches_scalar(tree, qs, 0.0, 6)
+
+
+def test_count_within_block_empty_queries(tree):
+    out = tree.count_within_block(np.empty(0, dtype=np.int64), 1.0, 4)
+    assert out.dtype == np.int64 and out.size == 0
+
+
+@pytest.mark.parametrize("budget", [5, 40])
+def test_count_within_block_split_kernels(monkeypatch, l2_dataset, budget):
+    """Leaf pairs split across kernels leave every count unchanged."""
+    tree = VPTree(l2_dataset, capacity=16, rng=0)
+    qs = np.arange(l2_dataset.n, dtype=np.int64)
+    r = _radii(l2_dataset)[2]  # generous: queries reach many leaves
+    whole_view = l2_dataset.view()
+    whole = tree.count_within_block(qs, r, l2_dataset.n, dataset=whole_view)
+
+    monkeypatch.setattr("repro.index.vptree._pairs_per_kernel", lambda ds: budget)
+    split_view = l2_dataset.view()
+    sizes: list[int] = []
+    real_pair_dist = split_view.pair_dist
+
+    def recording_pair_dist(a, b, **kwargs):
+        sizes.append(len(a))
+        return real_pair_dist(a, b, **kwargs)
+
+    monkeypatch.setattr(split_view, "pair_dist", recording_pair_dist)
+    split = tree.count_within_block(qs, r, l2_dataset.n, dataset=split_view)
+    np.testing.assert_array_equal(split, whole)
+    assert split_view.counter.calls > whole_view.counter.calls
+    assert max(sizes) <= max(budget, tree.capacity)
