@@ -27,6 +27,32 @@ from .metrics import Metric, resolve_metric
 #: to the unchunked one.
 MEMMAP_ELEM_BUDGET = 1 << 19
 
+#: target number of array elements (pairs x dimensionality) per batched
+#: verification kernel on in-RAM stores — bounds the materialised
+#: difference block.
+BLOCK_ELEM_BUDGET = 1 << 21
+
+
+def pairs_per_kernel(dataset: "Dataset") -> int:
+    """Pair budget per batched verification kernel, scaled by row width.
+
+    A screening backend computes the block in narrower floats, so its
+    :attr:`~Dataset.kernel_budget_scale` widens the pair budget to keep
+    the materialised bytes per kernel roughly constant.  Memmap-backed
+    datasets get the tighter :data:`MEMMAP_ELEM_BUDGET`: sweeping them
+    materialises each chunk's rows in RAM, and the chunk size is the
+    memory ceiling the out-of-core path promises.
+    """
+    shape = getattr(dataset.store, "shape", None)
+    dim = int(shape[1]) if shape is not None and len(shape) == 2 else 64
+    budget = (
+        MEMMAP_ELEM_BUDGET
+        if getattr(dataset, "store_kind", "ram") == "memmap"
+        else BLOCK_ELEM_BUDGET
+    )
+    pairs = max(256, budget // max(1, dim))
+    return int(pairs * dataset.kernel_budget_scale)
+
 
 def _checked_vector_input(objects: Any, metric_name: str) -> Any:
     """Reject stores the float kernels cannot take, before they crash.

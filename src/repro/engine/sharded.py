@@ -74,7 +74,7 @@ from ..core.parallel import DatasetTransport, ShardPool, default_start_method
 from ..core.result import DODResult
 from ..core.traversal import DEFAULT_BLOCK, BlockTracker
 from ..backends import resolve_backend
-from ..data import Dataset
+from ..data import Dataset, pairs_per_kernel
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
@@ -626,8 +626,6 @@ class _ShardMergeBase:
         into the shard caches at the end so warm re-queries decide from
         phase A alone.
         """
-        from ..index.linear import _pairs_per_kernel
-
         S, C = self.n_shards, candidates.size
         sizes = self._scan_sizes()
         cached_lb = np.stack([lb[candidates] for lb in lbs])
@@ -639,7 +637,7 @@ class _ShardMergeBase:
         prefix = np.zeros((S, C), dtype=np.int64)
         covered = np.zeros((S, C), dtype=np.int64)  # scanned prefix length
         offset = np.zeros(S, dtype=np.int64)
-        budget = _pairs_per_kernel(self._budget_dataset())
+        budget = pairs_per_kernel(self._budget_dataset())
         pairs = 0
         active = np.arange(C, dtype=np.int64)
         outliers: list[int] = []

@@ -17,39 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data import MEMMAP_ELEM_BUDGET, Dataset
+from ..data import Dataset, pairs_per_kernel
 from ..exceptions import ParameterError
 
 #: default number of objects per distance kernel call.
 DEFAULT_CHUNK = 2048
-
-#: target number of array elements (pairs x dimensionality) per batched
-#: verification kernel — bounds the materialised difference block.
-#: Out-of-core stores use the tighter, canonical
-#: :data:`repro.data.MEMMAP_ELEM_BUDGET` instead (re-exported here),
-#: shared with the chunked ``Dataset`` gathers.
-BLOCK_ELEM_BUDGET = 1 << 21
-
-
-def _pairs_per_kernel(dataset: Dataset) -> int:
-    """Pair budget per kernel, scaled by the store's row width.
-
-    A screening backend computes the block in narrower floats, so its
-    :attr:`~repro.data.Dataset.kernel_budget_scale` widens the pair
-    budget to keep the materialised bytes per kernel roughly constant.
-    Memmap-backed datasets get a tighter budget: sweeping them
-    materialises each chunk's rows in RAM, and the chunk size is the
-    memory ceiling the out-of-core path promises.
-    """
-    shape = getattr(dataset.store, "shape", None)
-    dim = int(shape[1]) if shape is not None and len(shape) == 2 else 64
-    budget = (
-        MEMMAP_ELEM_BUDGET
-        if getattr(dataset, "store_kind", "ram") == "memmap"
-        else BLOCK_ELEM_BUDGET
-    )
-    pairs = max(256, budget // max(1, dim))
-    return int(pairs * dataset.kernel_budget_scale)
 
 
 def linear_count(
@@ -152,7 +124,7 @@ def linear_count_block(
         pos = np.searchsorted(subset, qs)
         pos_safe = np.minimum(pos, n - 1)
         qpos = np.where(subset[pos_safe] == qs, pos_safe, -1)
-    budget = _pairs_per_kernel(dataset)
+    budget = pairs_per_kernel(dataset)
     pending = np.arange(qs.size, dtype=np.int64)
     lo = 0
     while lo < n and pending.size:

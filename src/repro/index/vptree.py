@@ -32,10 +32,9 @@ import heapq
 
 import numpy as np
 
-from ..data import Dataset
+from ..data import Dataset, pairs_per_kernel
 from ..exceptions import ParameterError
 from ..rng import ensure_rng
-from .linear import _pairs_per_kernel
 
 #: child-slot value meaning "no child".
 _NO_CHILD = np.iinfo(np.int64).min
@@ -146,6 +145,11 @@ class VPTree:
         return int(self._vantage.size)
 
     @property
+    def leaf_count(self) -> int:
+        """Number of leaves."""
+        return int(self._leaf_ptr.size - 1)
+
+    @property
     def nbytes(self) -> int:
         """Approximate index memory (excludes the dataset itself)."""
         total = (
@@ -223,67 +227,81 @@ class VPTree:
         self,
         qs: np.ndarray,
         r: float,
-        stop_at: "int | np.ndarray",
+        stop_at: int,
         dataset: Dataset | None = None,
-        exclude_self: bool = True,
     ) -> np.ndarray:
         """Neighbor counts for *all* of ``qs`` in one batched descent.
 
-        The batched counterpart of :meth:`count_within`: every query
-        descends the tree together, one level at a time.  A level is one
+        The batched counterpart of :meth:`count_within`: the queries
+        descend the tree together, one level at a time.  A level is one
         frontier of (query, node) pairs, evaluated with
 
-        * one unbounded ``pair_dist`` for the vantage distances (the
-          same floats :meth:`count_within` gets from ``dist``),
+        * one unbounded distance kernel for the vantage distances,
         * the two annulus tests as array masks, and
-        * one bounded ``pair_dist`` over the items of every reached leaf.
+        * one bounded distance kernel over the items of every reached
+          leaf.
 
-        Both kernels split at
-        :func:`~repro.index.linear._pairs_per_kernel` pairs, so memory
-        stays bounded even when nothing prunes (``k`` near ``n``).
+        Both kernels are ``pair_dist(consistent=True)``, so they return
+        the floats :meth:`count_within` computes, and they split at
+        :func:`~repro.data.pairs_per_kernel` pairs.  The queries descend
+        in blocks of ``budget // (nodes + leaves)``, so a block's
+        frontier, summed over all levels, also stays within that budget
+        (a tree larger than the budget descends one query at a time),
+        and memory is bounded even when nothing prunes (``k`` near
+        ``n``).  A metric whose pair kernel is not row-consistent with
+        ``dist_many`` (angular: its BLAS matvec rounds by batch size)
+        has no batched form with those floats, so each of its queries
+        walks with :meth:`count_within` instead.
 
-        After each level, queries whose count reached ``stop_at`` (one
-        threshold, or one per query) leave the frontier.  Pruning never
-        depends on the count, so a query that stays below its threshold
-        visits exactly the nodes :meth:`count_within` visits: counts
-        below ``stop_at`` are identical to its counts (counts at or
-        above it may overshoot differently).  The tree is only read, so
-        threads may share it.
+        After each level, queries whose count reached ``stop_at`` leave
+        the frontier.  Pruning never depends on the count, so a query
+        that stays below ``stop_at`` visits exactly the nodes
+        :meth:`count_within` visits: counts below ``stop_at`` are
+        identical to its counts (counts at or above it may overshoot
+        differently).  A query never counts itself.  The tree is only
+        read, so threads may share it.
         """
         if r < 0:
             raise ParameterError(f"radius must be non-negative, got {r}")
-        qs = np.asarray(qs, dtype=np.int64)
-        stops = np.asarray(stop_at, dtype=np.int64)
-        if np.any(stops < 1):
+        if stop_at < 1:
             raise ParameterError("stop_at thresholds must be >= 1")
-        stops = np.broadcast_to(stops, qs.shape)
+        qs = np.asarray(qs, dtype=np.int64)
         ds = dataset if dataset is not None else self.dataset
-        budget = _pairs_per_kernel(ds)
+        if not ds.metric.pair_rowwise_consistent:
+            # Replaying the walk's batches (one per vantage, one per
+            # leaf) level by level measured slower than the walk itself.
+            return np.asarray(
+                [self.count_within(int(q), r, stop_at, dataset=ds) for q in qs],
+                dtype=np.int64,
+            )
+        budget = pairs_per_kernel(ds)
+        block = max(1, budget // (self.node_count + self.leaf_count))
         counts = np.zeros(qs.size, dtype=np.int64)
+        for lo in range(0, qs.size, block):
+            self._descend(ds, qs[lo:lo + block], r, stop_at, budget,
+                          counts[lo:lo + block])
+        return counts
+
+    def _descend(self, ds, qs, r, stop_at, budget, counts) -> None:
+        """Add to ``counts`` (a view) the neighbors of one query block."""
         # Frontier: query slot (position in ``qs``) and node reference.
         slots = np.arange(qs.size, dtype=np.int64)
         refs = np.full(qs.size, self.root, dtype=np.int64)
         while slots.size:
-            inner = refs >= 0
-            leaf_slots = slots[~inner]
-            if leaf_slots.size:
-                self._count_leaves(
-                    ds, qs, leaf_slots, -refs[~inner] - 1, r,
-                    exclude_self, budget, counts,
-                )
-            slots, nodes = slots[inner], refs[inner]
+            leaf = refs < 0
+            if leaf.any():
+                self._count_leaves(ds, qs, slots[leaf], -refs[leaf] - 1, r,
+                                   budget, counts)
+            slots, nodes = slots[~leaf], refs[~leaf]
             if not slots.size:
                 break
-            q = qs[slots]
-            v = self._vantage[nodes]
+            q, v = qs[slots], self._vantage[nodes]
             d = np.concatenate([
                 ds.pair_dist(q[lo:lo + budget], v[lo:lo + budget],
                              consistent=True)
                 for lo in range(0, q.size, budget)
             ])
-            hit = d <= r
-            if exclude_self:
-                hit &= v != q
+            hit = (d <= r) & (v != q)
             counts += np.bincount(slots[hit], minlength=qs.size)
             lo, hi = d - r, d + r
             go_left = (lo <= self._l_max[nodes]) & (hi >= self._l_min[nodes])
@@ -292,35 +310,30 @@ class VPTree:
             refs = np.concatenate(
                 (self._left[nodes[go_left]], self._right[nodes[go_right]])
             )
-            keep = (refs != _NO_CHILD) & (counts[slots] < stops[slots])
+            keep = (refs != _NO_CHILD) & (counts[slots] < stop_at)
             slots, refs = slots[keep], refs[keep]
-        return counts
 
-    def _count_leaves(
-        self, ds, qs, slots, leaves, r, exclude_self, budget, counts
-    ) -> None:
+    def _count_leaves(self, ds, qs, slots, leaves, r, budget, counts) -> None:
         """Add to ``counts`` each (query slot, leaf) pair's neighbors.
 
-        The pairs' items are expanded and evaluated in kernels of at
-        most ``budget`` item pairs (a single larger leaf gets its own).
+        A leaf holds at most ``capacity`` items, so slicing the pairs in
+        steps of ``budget // capacity`` bounds every kernel by
+        ``budget`` item pairs.
         """
-        starts = self._leaf_ptr[leaves]
-        sizes = self._leaf_ptr[leaves + 1] - starts
-        ends = np.cumsum(sizes)
-        lo = done = 0
-        while lo < slots.size:
-            hi = max(lo + 1, int(np.searchsorted(ends, done + budget, "right")))
-            size = sizes[lo:hi]
-            owner = np.repeat(slots[lo:hi], size)
-            first = np.repeat(starts[lo:hi] - (ends[lo:hi] - size - done), size)
-            items = self._leaf_items[first + np.arange(owner.size)]
+        step = max(1, budget // self.capacity)
+        for lo in range(0, slots.size, step):
+            leaf = leaves[lo:lo + step]
+            starts = self._leaf_ptr[leaf]
+            sizes = self._leaf_ptr[leaf + 1] - starts
+            # Item t of pair j sits at leaf_items[starts[j] + t].
+            pair = np.repeat(np.arange(leaf.size), sizes)
+            first = starts - np.cumsum(sizes) + sizes
+            items = self._leaf_items[first[pair] + np.arange(pair.size)]
+            owner = slots[lo:lo + step][pair]
             q = qs[owner]
             within = ds.pair_dist(q, items, bound=r, consistent=True) <= r
-            if exclude_self:
-                within &= items != q
-            counts += np.bincount(owner[within], minlength=qs.size)
-            done = int(ends[hi - 1])
-            lo = hi
+            counts += np.bincount(owner[within & (items != q)],
+                                  minlength=qs.size)
 
     def range_search(self, q: int, r: float, exclude_self: bool = True) -> np.ndarray:
         """Ids of all indexed objects within distance ``r`` of object ``q``."""

@@ -1,5 +1,7 @@
 """Unit tests for the VP-tree index."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ def test_stop_at_below_one_rejected(tree, l2_dataset):
     with pytest.raises(ParameterError, match="stop_at"):
         tree.count_within_block(np.arange(3), 3.0, 0)
     with pytest.raises(ParameterError, match="stop_at"):
-        tree.count_within_block(np.arange(3), 3.0, np.array([2, 0, 5]))
+        tree.count_within_block(np.arange(3), 3.0, -2)
     with pytest.raises(ParameterError, match="stop_at"):
         tree.count_within_block(np.empty(0, dtype=np.int64), 3.0, 0)
     with pytest.raises(ParameterError, match="stop_at"):
@@ -166,16 +168,15 @@ def test_deterministic_given_seed(l2_dataset):
 # -- batched descent (count_within_block) vs the per-query walk ---------------
 
 
-def _assert_block_matches_scalar(tree, qs, r, stop_at, **kwargs):
+def _assert_block_matches_scalar(tree, qs, r, stop_at):
     """Same verdicts and sub-``stop_at`` counts as ``count_within``."""
-    got = tree.count_within_block(qs, r, stop_at, **kwargs)
-    stops = np.broadcast_to(np.asarray(stop_at, dtype=np.int64), qs.shape)
-    ref = np.asarray([
-        tree.count_within(int(q), r, stop_at=int(s), **kwargs)
-        for q, s in zip(qs, stops)
-    ], dtype=np.int64)
-    np.testing.assert_array_equal(got < stops, ref < stops)
-    sub = ref < stops
+    got = tree.count_within_block(qs, r, stop_at)
+    ref = np.asarray(
+        [tree.count_within(int(q), r, stop_at=stop_at) for q in qs],
+        dtype=np.int64,
+    )
+    np.testing.assert_array_equal(got < stop_at, ref < stop_at)
+    sub = ref < stop_at
     np.testing.assert_array_equal(got[sub], ref[sub])
     return got
 
@@ -186,24 +187,35 @@ def test_count_within_block_matches_count_within(request, metric, capacity):
     ds = request.getfixturevalue(f"{metric}_dataset")
     tree = VPTree(ds, capacity=capacity, rng=3)
     qs = np.arange(0, ds.n, 3, dtype=np.int64)
-    per_query = np.random.default_rng(4).integers(1, 12, size=qs.size)
-    per_query[::5] = ds.n  # never reached: full counts
     for r in _radii(ds)[:2]:
-        _assert_block_matches_scalar(tree, qs, r, 8)
-        full = _assert_block_matches_scalar(tree, qs, r, per_query)
-        for j in range(0, 20, 5):  # stop_at = n: the true counts
+        for stop_at in (1, 8):
+            _assert_block_matches_scalar(tree, qs, r, stop_at)
+        full = _assert_block_matches_scalar(tree, qs, r, ds.n)  # true counts
+        for j in range(0, 20, 5):
             assert full[j] == brute_force_range(ds, int(qs[j]), r).size
 
 
-def test_count_within_block_counts_self_when_asked(tree, l2_dataset):
-    qs = np.arange(0, l2_dataset.n, 4, dtype=np.int64)
-    r = _radii(l2_dataset)[0]
-    with_self = _assert_block_matches_scalar(
-        tree, qs, r, l2_dataset.n + 1, exclude_self=False
-    )
-    _assert_block_matches_scalar(tree, qs, r, 3, exclude_self=False)
-    without = tree.count_within_block(qs, r, l2_dataset.n)
-    np.testing.assert_array_equal(with_self, without + 1)
+@pytest.mark.parametrize("capacity", [1, 4])
+def test_count_within_block_angular_ties(angular_dataset, capacity):
+    """Radii equal to the walk's own distances still give its counts.
+
+    Angular's one-to-many kernel rounds by batch size, so only replaying
+    the walk's batches (one per vantage, one per leaf) keeps a distance
+    that ties the radius on the same side of it.
+    """
+    ds = angular_dataset
+    tree = VPTree(ds, capacity=capacity, rng=3)
+    gen = np.random.default_rng(11)
+    m = 150
+    vantages = tree._vantage[gen.integers(0, tree.node_count, size=m)]
+    leaves = gen.integers(0, tree.leaf_count, size=m)
+    qs = gen.integers(0, ds.n, size=2 * m)
+    ties = [ds.dist(int(q), int(v)) for q, v in zip(qs[:m], vantages)]
+    for q, leaf in zip(qs[m:], leaves):
+        d = ds.dist_many(int(q), tree._leaf(-int(leaf) - 1))
+        ties.append(float(d[gen.integers(d.size)]))
+    for q, r in zip(qs, ties):
+        _assert_block_matches_scalar(tree, np.asarray([q]), r, ds.n)
 
 
 def test_count_within_block_subset_tree_foreign_queries(l2_dataset):
@@ -243,7 +255,7 @@ def test_count_within_block_split_kernels(monkeypatch, l2_dataset, budget):
     whole_view = l2_dataset.view()
     whole = tree.count_within_block(qs, r, l2_dataset.n, dataset=whole_view)
 
-    monkeypatch.setattr("repro.index.vptree._pairs_per_kernel", lambda ds: budget)
+    monkeypatch.setattr("repro.index.vptree.pairs_per_kernel", lambda ds: budget)
     split_view = l2_dataset.view()
     sizes: list[int] = []
     real_pair_dist = split_view.pair_dist
@@ -257,3 +269,26 @@ def test_count_within_block_split_kernels(monkeypatch, l2_dataset, budget):
     np.testing.assert_array_equal(split, whole)
     assert split_view.counter.calls > whole_view.counter.calls
     assert max(sizes) <= max(budget, tree.capacity)
+
+
+def test_count_within_block_bounds_frontier(monkeypatch, l2_dataset):
+    """Peak memory follows the kernel budget, not queries x tree size.
+
+    With nothing pruned and nothing retired, descending all queries at
+    once would hold one frontier entry per (query, node) pair reached.
+    """
+    tree = VPTree(l2_dataset, capacity=2, rng=0)
+    qs = np.arange(60, dtype=np.int64)
+    n = l2_dataset.n
+    monkeypatch.setattr("repro.index.vptree.pairs_per_kernel", lambda ds: 64)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = tree.count_within_block(qs, 1e9, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(counts, np.full(qs.size, n - 1))
+    all_pairs = qs.size * (tree.node_count + tree.leaf_count)
+    assert peak < all_pairs * 8 // 2  # half of one int64 frontier array
