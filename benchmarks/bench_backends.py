@@ -83,7 +83,7 @@ def _best_run(dataset, graph, r, repeats=3):
     for _ in range(repeats):
         res = graph_dod(
             dataset.view(), graph, r, K_NEIGHBORS,
-            verifier=verifier, mode="batched", batch_size=256,
+            verifier=verifier, mode="batched",
         )
         if best is None or res.seconds < best.seconds:
             best = res

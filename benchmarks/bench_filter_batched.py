@@ -6,9 +6,11 @@ KGraph, in scalar and batched mode, asserting bit-identical outlier
 sets and emitting a machine-readable ``BENCH_filter.json`` at the repo
 root — the perf baseline future PRs regress against.
 
-Record fields: ``n, dim, metric, graph, mode, batch_size, k,
+Record fields: ``n, dim, metric, graph, mode, block_rows, k,
 filter_seconds, verify_seconds, seconds, filter_pairs, verify_pairs,
-pairs, outliers``.
+pairs, outliers``.  ``block_rows`` is the number of sources per batched
+block the filter derives from its memory budget (1 for the scalar
+walk); at 10k objects it is 209.
 
 Scale knob: ``REPRO_BENCH_SCALE`` shrinks the cardinality for a quick
 pass (the 3x headline assertion only applies at full scale).
@@ -25,6 +27,7 @@ import pytest
 
 from repro import Dataset, build_graph
 from repro.core.dod import graph_dod
+from repro.core.traversal import block_rows
 from repro.core.verify import Verifier
 from repro.datasets import blobs_with_outliers, calibrate_r
 from repro.harness import bench_scale
@@ -50,13 +53,13 @@ def workload_10k():
     return dataset, float(r)
 
 
-def _best_run(dataset, graph, r, verifier, mode, batch_size, repeats=3):
+def _best_run(dataset, graph, r, verifier, mode, repeats=3):
     """Fastest of ``repeats`` runs (phase timings from that run)."""
     best = None
     for _ in range(repeats):
         res = graph_dod(
             dataset.view(), graph, r, K_NEIGHBORS,
-            verifier=verifier, mode=mode, batch_size=batch_size,
+            verifier=verifier, mode=mode,
         )
         if best is None or res.seconds < best.seconds:
             best = res
@@ -72,7 +75,7 @@ def test_filter_phase_speedup_and_baseline(workload_10k):
         verifier = Verifier(dataset, strategy="linear")
         runs = {}
         for mode in ("scalar", "batched"):
-            res = _best_run(dataset, graph, r, verifier, mode, batch_size=256)
+            res = _best_run(dataset, graph, r, verifier, mode)
             runs[mode] = res
             records.append({
                 "n": dataset.n,
@@ -81,7 +84,7 @@ def test_filter_phase_speedup_and_baseline(workload_10k):
                 "graph": builder,
                 "K": degree,
                 "mode": mode,
-                "batch_size": 256 if mode == "batched" else 1,
+                "block_rows": block_rows(dataset.n) if mode == "batched" else 1,
                 "k": K_NEIGHBORS,
                 "r": r,
                 "filter_seconds": round(res.phases["filter"], 6),

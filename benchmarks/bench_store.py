@@ -158,7 +158,7 @@ _CHILD_SWEEP = textwrap.dedent("""\
 
     resource.setrlimit(resource.RLIMIT_DATA, ({cap}, {cap}))
     dataset = open_memmap_dataset({path!r}, "l2")
-    with create_engine(dataset, seed=3, K=8, batch_size=64) as engine:
+    with create_engine(dataset, seed=3, K=8) as engine:
         sweep = engine.sweep({r_grid!r}, k={k})
         out = {{f"{{r:.17g}}": sweep.result(r, {k}).outliers.tolist()
                for r in {r_grid!r}}}
@@ -205,7 +205,7 @@ def _out_of_core_leg(tmpdir: str):
     r_grid = [0.95 * r, r, 1.05 * r]
     from repro.engine import create_engine
 
-    with create_engine(dataset, seed=3, K=8, batch_size=64) as engine:
+    with create_engine(dataset, seed=3, K=8) as engine:
         sweep = engine.sweep(r_grid, k=K_NEIGHBORS)
         ram_out = {f"{rr:.17g}": sweep.result(rr, K_NEIGHBORS).outliers.tolist()
                    for rr in r_grid}

@@ -3,10 +3,17 @@
 
 Runs ``graph_dod`` in every mode over small L2/L1/angular/edit datasets
 x all graph builders x both verifier strategies (VP-tree and linear
-scan) x adversarial block sizes and fails (exit 1) on any difference in
-outlier sets, filter verdicts, verification exactness flags, or
-sub-``k`` counts.  This is a correctness gate, not a timing gate — it
-is deliberately small and deterministic so CI can run it on every push.
+scan) x adversarial block sizes, each without and with the center-cell
+certificate (passed to both modes and to ``graph_dod``), and fails
+(exit 1) on any difference in outlier sets, filter verdicts,
+verification exactness flags, or sub-``k`` counts, or on any outlier
+set that differs from brute force.  This is a correctness gate, not a
+timing gate — it is deliberately small and deterministic so CI can run
+it on every push.
+
+The filter sizes its blocks from a memory budget; the gate forces the
+1-row, 7-row and whole-chunk splits by replacing ``block_rows`` where
+the filter module imports it.
 
 Usage: python scripts/check_batched_equivalence.py [--n N]
 """
@@ -14,20 +21,33 @@ Usage: python scripts/check_batched_equivalence.py [--n N]
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
 import numpy as np
 
+import repro.core.counting as counting
 from repro import Dataset, build_graph
 from repro.core.counting import CANDIDATE_CODE, classify_chunk_arrays
 from repro.core.dod import graph_dod
 from repro.core.verify import Verifier
 from repro.datasets import blobs_with_outliers, words_with_outliers
-from repro.index import brute_force_outliers
+from repro.index import CenterCells, brute_force_outliers
 
 GRAPHS = ("mrpg", "mrpg-basic", "kgraph", "nsw")
 STRATEGIES = ("vptree", "linear")
+
+
+@contextlib.contextmanager
+def block_rows(rows: int):
+    """Filter in blocks of ``rows`` sources instead of the budget's."""
+    budgeted = counting.block_rows
+    counting.block_rows = lambda n: rows
+    try:
+        yield
+    finally:
+        counting.block_rows = budgeted
 
 
 def check_verify(verifier, dataset, candidates, r, k, label: str) -> list[str]:
@@ -53,38 +73,46 @@ def check_verify(verifier, dataset, candidates, r, k, label: str) -> list[str]:
     return failures
 
 
-def check_config(dataset, graph, r, k, verifiers, label: str) -> list[str]:
+def check_config(
+    dataset, graph, r, k, verifiers, label: str, cells=None
+) -> list[str]:
     """All mode/block-size/strategy equivalence checks for one configuration."""
     failures: list[str] = []
+    if cells is not None:
+        label += " +cells"
     reference = brute_force_outliers(dataset.view(), r, k)
     ids_s, cnt_s, code_s, ex_s = classify_chunk_arrays(
-        dataset.view(), graph, np.arange(dataset.n), r, k, mode="scalar"
+        dataset.view(), graph, np.arange(dataset.n), r, k, mode="scalar",
+        cells=cells,
     )
     candidates = np.sort(ids_s[code_s == CANDIDATE_CODE])
     for strategy, verifier in verifiers.items():
         tag = f"{label} {strategy}"
         scalar = graph_dod(
-            dataset.view(), graph, r, k, verifier=verifier, mode="scalar"
+            dataset.view(), graph, r, k, verifier=verifier, mode="scalar",
+            cells=cells,
         )
         if not np.array_equal(scalar.outliers, reference):
             failures.append(f"{tag}: scalar outliers differ from brute force")
         if candidates.size:
             failures += check_verify(verifier, dataset, candidates, r, k, tag)
-        for batch_size in (1, 7, dataset.n):
-            batched = graph_dod(
-                dataset.view(), graph, r, k,
-                verifier=verifier, mode="batched", batch_size=batch_size,
-            )
-            if not np.array_equal(batched.outliers, scalar.outliers):
-                failures.append(f"{tag} bs={batch_size}: batched outlier set differs")
+        for rows in (1, 7, dataset.n):
+            with block_rows(rows):
+                batched = graph_dod(
+                    dataset.view(), graph, r, k,
+                    verifier=verifier, mode="batched", cells=cells,
+                )
+            if not np.array_equal(batched.outliers, reference):
+                failures.append(f"{tag} rows={rows}: batched outliers differ from brute force")
             if batched.counts["candidates"] != scalar.counts["candidates"]:
-                failures.append(f"{tag} bs={batch_size}: candidate set size differs")
-    for batch_size in (1, 7, dataset.n):
-        tag = f"{label} bs={batch_size}"
-        ids_b, cnt_b, code_b, ex_b = classify_chunk_arrays(
-            dataset.view(), graph, np.arange(dataset.n), r, k,
-            mode="batched", batch_size=batch_size,
-        )
+                failures.append(f"{tag} rows={rows}: candidate set size differs")
+    for rows in (1, 7, dataset.n):
+        tag = f"{label} rows={rows}"
+        with block_rows(rows):
+            ids_b, cnt_b, code_b, ex_b = classify_chunk_arrays(
+                dataset.view(), graph, np.arange(dataset.n), r, k,
+                mode="batched", cells=cells,
+            )
         if not np.array_equal(code_s, code_b):
             failures.append(f"{tag}: filter verdicts differ")
         sub_k = (cnt_s < k) | (cnt_b < k)
@@ -111,6 +139,7 @@ def main(argv=None) -> int:
     for metric in ("l2", "l1", "angular"):
         dataset = Dataset(points, metric)
         verifiers = {s: Verifier(dataset, strategy=s, rng=0) for s in STRATEGIES}
+        cells = CenterCells(dataset)
         gen = np.random.default_rng(0)
         a = gen.integers(0, dataset.n, size=1500)
         b = gen.integers(0, dataset.n, size=1500)
@@ -118,20 +147,25 @@ def main(argv=None) -> int:
         r = float(np.quantile(dataset.pair_dist(a[keep], b[keep]), 0.10))
         for graph_name in GRAPHS:
             graph = build_graph(graph_name, dataset, K=8, rng=0)
-            failures += check_config(
-                dataset, graph, r, 8, verifiers, f"{metric}/{graph_name}"
-            )
-            checks += 1
+            for with_cells in (None, cells):
+                failures += check_config(
+                    dataset, graph, r, 8, verifiers, f"{metric}/{graph_name}",
+                    cells=with_cells,
+                )
+                checks += 1
 
     words = words_with_outliers(160, n_stems=12, planted_frac=0.02, rng=7)
     dataset = Dataset(words, "edit")
     verifiers = {s: Verifier(dataset, strategy=s, rng=0) for s in STRATEGIES}
+    cells = CenterCells(dataset)
     for graph_name in GRAPHS:
         graph = build_graph(graph_name, dataset, K=6, rng=0)
-        failures += check_config(
-            dataset, graph, 2.0, 4, verifiers, f"edit/{graph_name}"
-        )
-        checks += 1
+        for with_cells in (None, cells):
+            failures += check_config(
+                dataset, graph, 2.0, 4, verifiers, f"edit/{graph_name}",
+                cells=with_cells,
+            )
+            checks += 1
 
     elapsed = time.perf_counter() - t0
     if failures:

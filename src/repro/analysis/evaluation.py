@@ -25,6 +25,7 @@ from ..core.result import DODResult
 from ..data import Dataset
 from ..datasets.calibrate import neighbor_counts
 from ..exceptions import ParameterError
+from ..params import check_k
 
 
 @dataclass
@@ -91,8 +92,7 @@ def quality_over_r(
     One pass of exact neighbor counting per radius; intended for the
     parameter-selection study in ``examples/detection_quality.py``.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    k = check_k(k)
     truth = np.asarray(truth, dtype=bool)
     if truth.shape[0] != dataset.n:
         raise ParameterError("truth mask length mismatch")

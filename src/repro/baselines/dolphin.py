@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from ..data import Dataset
-from ..exceptions import ParameterError
+from ..params import check_query
 from ..core.parallel import map_over_objects
 from ..core.result import DODResult
 from ..index.linear import linear_count
@@ -76,10 +76,7 @@ def dolphin_dod(
     n_jobs: int = 1,
 ) -> DODResult:
     """Exact DOD with DOLPHIN's shrinking candidate index."""
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    r, k = check_query(r, k)
     gen = ensure_rng(rng)
     n = dataset.n
     pairs_at_entry = dataset.counter.pairs

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..data import Dataset
 from ..exceptions import ParameterError
+from ..params import check_query
 from ..core.parallel import map_over_objects
 from ..core.result import DODResult
 from ..rng import ensure_rng
@@ -33,10 +34,7 @@ def nested_loop_dod(
     n_jobs: int = 1,
 ) -> DODResult:
     """Exact DOD by randomised block nested loop."""
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    r, k = check_query(r, k)
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
     gen = ensure_rng(rng)

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from ..data import Dataset
-from ..exceptions import ParameterError
+from ..params import check_query
 from ..core.parallel import map_over_objects
 from ..core.result import DODResult
 from ..rng import ensure_rng
@@ -37,10 +37,7 @@ def snif_dod(
     n_jobs: int = 1,
 ) -> DODResult:
     """Exact DOD with SNIF's r/2-cluster pruning."""
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    r, k = check_query(r, k)
     gen = ensure_rng(rng)
     n = dataset.n
     pairs_at_entry = dataset.counter.pairs

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from ..data import Dataset
-from ..exceptions import ParameterError
+from ..params import check_query
 from ..core.parallel import map_over_objects
 from ..core.result import DODResult
 from ..index.vptree import VPTree
@@ -33,10 +33,7 @@ def vptree_dod(
     Pass a prebuilt ``tree`` to exclude index construction from the
     online time (the paper's offline/online split).
     """
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    r, k = check_query(r, k)
     gen = ensure_rng(rng)
     build_seconds = 0.0
     if tree is None:

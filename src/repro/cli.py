@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core.traversal import DEFAULT_BLOCK
 from .datasets import SUITES, calibrate_r, get_spec, load_suite, make_objects
 
 
@@ -56,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=["auto", "scalar", "batched"],
                           help="filter/verify execution: batched multi-source "
                                "kernels or the scalar oracle path (same answer)")
-    p_detect.add_argument("--batch-size", type=int, default=DEFAULT_BLOCK,
-                          help="query objects per batched traversal block")
     p_detect.add_argument("--shards", type=int, default=1,
                           help="partition the dataset into this many shards, "
                                "each owning a shard-local graph (exact merge)")
@@ -107,8 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["auto", "scalar", "batched"],
                          help="filter/verify execution: batched multi-source "
                               "kernels or the scalar oracle path (same answer)")
-    p_sweep.add_argument("--batch-size", type=int, default=DEFAULT_BLOCK,
-                         help="query objects per batched traversal block")
     p_sweep.add_argument("--shards", type=int, default=1,
                          help="partition the dataset into this many shards, "
                               "each owning a shard-local graph (exact merge)")
@@ -235,8 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--n-jobs", type=int, default=1)
     p_serve.add_argument("--mode", default="auto",
                          choices=["auto", "scalar", "batched"])
-    p_serve.add_argument("--batch-size", type=int, default=DEFAULT_BLOCK,
-                         help="query objects per batched traversal block")
     p_serve.add_argument("--shards", type=int, default=1,
                          help="serve from a sharded engine with this many shards")
     p_serve.add_argument("--workers", type=int, default=None,
@@ -368,7 +361,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     with create_engine(
         objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
         shards=args.shards, workers=args.workers, n_jobs=args.n_jobs,
-        mode=args.mode, batch_size=args.batch_size, backend=args.backend,
+        mode=args.mode, backend=args.backend,
         build_workers=args.build_workers,
     ) as engine:
         result = engine.query(r, k)
@@ -461,7 +454,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             engine = load_any_engine(
                 args.snapshot, dataset=dataset, workers=args.workers,
                 n_jobs=args.n_jobs, rng=args.seed, mode=args.mode,
-                batch_size=args.batch_size, backend=args.backend,
+                backend=args.backend,
             )
             print(f"loaded warm engine snapshot from {args.snapshot} "
                   f"({engine.stats['queries']} queries served before restart)")
@@ -479,7 +472,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine = create_engine(
             dataset, graph=args.graph, K=args.K, seed=args.seed,
             shards=args.shards, workers=args.workers, n_jobs=args.n_jobs,
-            mode=args.mode, batch_size=args.batch_size, backend=args.backend,
+            mode=args.mode, backend=args.backend,
             build_workers=args.build_workers,
         )
 
@@ -736,7 +729,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = create_engine(
         objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
         shards=args.shards, workers=args.workers, mutable=args.mutable,
-        n_jobs=args.n_jobs, mode=args.mode, batch_size=args.batch_size,
+        n_jobs=args.n_jobs, mode=args.mode,
         backend=args.backend,
         store="shm" if args.store == "shm" else "ram",
         build_workers=args.build_workers,

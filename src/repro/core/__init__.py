@@ -8,7 +8,6 @@ from .counting import (
     FilterOutcome,
     VisitTracker,
     classify,
-    classify_block,
     classify_chunk,
     classify_chunk_arrays,
     classify_evidence,
@@ -29,8 +28,9 @@ from .parallel import (
 from .result import DODResult, ObjectEvidence
 from .store import STORE_NAME_PREFIX, SharedObjectStore
 from .traversal import (
-    DEFAULT_BLOCK,
+    BLOCK_ELEM_BUDGET,
     BlockTracker,
+    block_rows,
     greedy_count_block,
 )
 from .verify import Verifier
@@ -39,9 +39,9 @@ __all__ = [
     "greedy_count",
     "greedy_count_block",
     "BlockTracker",
-    "DEFAULT_BLOCK",
+    "BLOCK_ELEM_BUDGET",
+    "block_rows",
     "classify",
-    "classify_block",
     "classify_chunk",
     "classify_chunk_arrays",
     "resolve_filter_mode",

@@ -21,7 +21,10 @@ vertex, over all its unvisited neighbors.  This scalar walk is the
 exactness oracle; the production path is the multi-source
 level-synchronous kernel in :mod:`repro.core.traversal`, reached through
 ``classify_chunk(_arrays)``'s ``mode`` knob and bit-identical on every
-verdict and sub-``k`` count.
+verdict and sub-``k`` count.  Ahead of either walk,
+``classify_chunk(_arrays)`` can prove inliers from stored center
+distances (:mod:`repro.index.cells`) — beyond the paper, and only when
+the caller passes the cells.
 """
 
 from __future__ import annotations
@@ -29,12 +32,19 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..data import Dataset
 from ..exceptions import ParameterError
 from ..graphs.adjacency import Graph
+from ..params import check_query
+from .traversal import block_rows
+
+if TYPE_CHECKING:
+    from ..index.cells import CenterCells
+    from .traversal import BlockTracker
 
 
 class VisitTracker:
@@ -102,10 +112,7 @@ def greedy_count(
     ``max_visits`` optionally caps the number of traversed vertices; a
     cap can only inflate false positives, never break exactness.
     """
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    r, k = check_query(r, k)
     if tracker is None:
         tracker = VisitTracker(graph.n)
     if follow_pivots is None:
@@ -260,8 +267,8 @@ def classify_chunk_arrays(
     follow_pivots: bool | None = None,
     max_visits: int | None = None,
     mode: str = "auto",
-    batch_size: int = 64,
     block_tracker: "BlockTracker | None" = None,
+    cells: "CenterCells | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Array-form filtering verdicts: ``(ids, counts, codes, exact)``.
 
@@ -271,36 +278,24 @@ def classify_chunk_arrays(
     the hot paths (``graph_dod``, the engine) consume — no per-object
     Python objects.
 
-    ``mode`` selects the execution strategy — ``"scalar"`` walks one
-    object at a time (the exactness oracle), ``"batched"`` runs the
-    level-synchronous multi-source kernel over ``batch_size`` objects
-    per block with the §5.5 exact-K'NN shortcut applied vectorised,
-    ``"auto"`` picks batched unless ``max_visits`` forces the scalar
-    walk.  Verdicts and sub-``k`` counts are identical in every mode.
+    Objects are decided in three steps, the first two shared by every
+    mode: the §5.5 exact-K'NN shortcut (vectorised over every holder
+    with ``k <= K'``); then, when ``cells`` is given, the center-cell
+    certificate (:mod:`repro.index.cells`), which proves inliers from
+    stored center distances; then Greedy-Counting over the rest.
+    ``mode`` selects how that walk runs — ``"scalar"`` walks one object
+    at a time (the exactness oracle), ``"batched"`` runs the
+    level-synchronous multi-source kernel in blocks of
+    :func:`~repro.core.traversal.block_rows` sources, ``"auto"`` picks
+    batched unless ``max_visits`` forces the scalar walk.  Verdicts and
+    sub-``k`` counts are identical in every mode.
     """
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
+    r, k = check_query(r, k)
     concrete = resolve_filter_mode(mode, max_visits)
     chunk = np.asarray(chunk, dtype=np.int64)
     counts = np.zeros(chunk.size, dtype=np.int64)
     codes = np.empty(chunk.size, dtype=np.int8)
     exact = np.zeros(chunk.size, dtype=bool)
-
-    if concrete == "scalar":
-        if tracker is None:
-            tracker = VisitTracker(graph.n)
-        for t, p in enumerate(chunk):
-            ev = classify_evidence(
-                dataset, graph, int(p), r, k,
-                tracker=tracker, follow_pivots=follow_pivots,
-                max_visits=max_visits,
-            )
-            counts[t] = ev.count
-            codes[t] = _CODE_TO_OUTCOME.index(ev.outcome)
-            exact[t] = ev.exact
-        return chunk, counts, codes, exact
-
-    from .traversal import BlockTracker, greedy_count_block
 
     # -- §5.5 exact-K'NN shortcut, vectorised over every holder ------------
     # A holder with k <= K' is decided straight from its stored sorted
@@ -327,49 +322,41 @@ def classify_chunk_arrays(
             exact[eligible] = within < seg_sizes
             walk_mask = ~eligible
 
-    # -- everyone else: multi-source level-synchronous traversal -----------
+    # -- center-cell certificate: inliers proven without traversal ---------
+    if cells is not None and walk_mask.any():
+        pos = np.flatnonzero(walk_mask)
+        cert = cells.certify(chunk[pos], r, k)
+        proven = cert >= k
+        won = pos[proven]
+        counts[won] = cert[proven]
+        codes[won] = INLIER_CODE
+        walk_mask[won] = False
+
+    # -- everyone else: Greedy-Counting ------------------------------------
     walk_pos = np.flatnonzero(walk_mask)
-    if walk_pos.size:
-        if block_tracker is None:
-            block_tracker = BlockTracker(graph.n, min(batch_size, walk_pos.size))
-        for lo in range(0, walk_pos.size, batch_size):
-            pos_blk = walk_pos[lo:lo + batch_size]
+    if concrete == "scalar":
+        if tracker is None:
+            tracker = VisitTracker(graph.n)
+        for t in walk_pos:
+            counts[t] = greedy_count(
+                dataset, graph, int(chunk[t]), r, k,
+                tracker=tracker, follow_pivots=follow_pivots,
+                max_visits=max_visits,
+            )
+    elif walk_pos.size:
+        from .traversal import BlockTracker, greedy_count_block
+
+        rows = min(block_rows(graph.n), walk_pos.size)
+        if block_tracker is None or block_tracker.block_size < rows:
+            block_tracker = BlockTracker(graph.n, rows)
+        for lo in range(0, walk_pos.size, rows):
+            pos_blk = walk_pos[lo:lo + rows]
             counts[pos_blk] = greedy_count_block(
                 dataset, graph, chunk[pos_blk], r, k,
                 tracker=block_tracker, follow_pivots=follow_pivots,
             )
-        codes[walk_pos] = np.where(
-            counts[walk_pos] >= k, INLIER_CODE, CANDIDATE_CODE
-        )
+    codes[walk_pos] = np.where(counts[walk_pos] >= k, INLIER_CODE, CANDIDATE_CODE)
     return chunk, counts, codes, exact
-
-
-def classify_block(
-    dataset: Dataset,
-    graph: Graph,
-    block: np.ndarray,
-    r: float,
-    k: int,
-    tracker: "BlockTracker | None" = None,
-    follow_pivots: bool | None = None,
-) -> list[tuple[int, FilterEvidence]]:
-    """Batched filtering verdicts for one block of objects.
-
-    Exact-K'NN holders are decided by the shared §5.5 shortcut (O(k),
-    no distances); the rest traverse together through one
-    :func:`~repro.core.traversal.greedy_count_block` call.  Verdicts and
-    sub-``k`` counts are identical to :func:`classify_evidence`'s.
-    """
-    block = np.asarray(block, dtype=np.int64)
-    ids, counts, codes, exact = classify_chunk_arrays(
-        dataset, graph, block, r, k,
-        follow_pivots=follow_pivots, mode="batched",
-        batch_size=max(1, block.size), block_tracker=tracker,
-    )
-    return [
-        (int(p), FilterEvidence(_CODE_TO_OUTCOME[c], int(cnt), bool(e)))
-        for p, cnt, c, e in zip(ids, counts, codes, exact)
-    ]
 
 
 def classify_chunk(
@@ -382,8 +369,8 @@ def classify_chunk(
     follow_pivots: bool | None = None,
     max_visits: int | None = None,
     mode: str = "auto",
-    batch_size: int = 64,
     block_tracker: "BlockTracker | None" = None,
+    cells: "CenterCells | None" = None,
 ) -> list[tuple[int, FilterEvidence]]:
     """The shared per-chunk body of Algorithm 1's filtering loop.
 
@@ -391,14 +378,14 @@ def classify_chunk(
     run exactly this (via the array form,
     :func:`classify_chunk_arrays`) over their worker chunks, so the
     filter semantics cannot drift between the one-shot and the serving
-    path.  See :func:`classify_chunk_arrays` for the ``mode`` /
-    ``batch_size`` knobs; verdicts and sub-``k`` counts are identical
+    path.  See :func:`classify_chunk_arrays` for the ``mode`` and
+    ``cells`` arguments; verdicts and sub-``k`` counts are identical
     in every mode.
     """
     ids, counts, codes, exact = classify_chunk_arrays(
         dataset, graph, chunk, r, k,
         tracker=tracker, follow_pivots=follow_pivots, max_visits=max_visits,
-        mode=mode, batch_size=batch_size, block_tracker=block_tracker,
+        mode=mode, block_tracker=block_tracker, cells=cells,
     )
     return [
         (int(p), FilterEvidence(_CODE_TO_OUTCOME[c], int(cnt), bool(e)))

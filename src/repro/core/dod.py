@@ -22,11 +22,12 @@ from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
+from ..index.cells import CenterCells
 from ..metrics import Metric
+from ..params import check_query
 from ..rng import ensure_rng
 from .counting import CANDIDATE_CODE, OUTLIER_CODE, classify_chunk_arrays
 from .parallel import map_over_objects
-from .traversal import DEFAULT_BLOCK
 from .result import DODResult, ObjectEvidence
 from .verify import Verifier
 
@@ -43,7 +44,7 @@ def graph_dod(
     follow_pivots: bool | None = None,
     collect_evidence: bool = False,
     mode: str = "auto",
-    batch_size: int = DEFAULT_BLOCK,
+    cells: CenterCells | None = None,
 ) -> DODResult:
     """Run Algorithm 1 and return the exact outlier set.
 
@@ -56,10 +57,18 @@ def graph_dod(
 
     ``mode`` selects the execution strategy for both phases:
     ``"batched"`` runs the multi-source level-synchronous filter kernel
-    (``batch_size`` query objects per block) and the store-sweep
-    verifier; ``"scalar"`` runs the one-object-at-a-time oracle path;
-    ``"auto"`` (default) picks batched unless ``max_visits`` requires
-    the scalar walk.  The outlier set is identical in every mode.
+    (one memory-budgeted block of query objects per call on graphs up
+    to ~1.4k vertices) and the store-sweep verifier; ``"scalar"`` runs
+    the one-object-at-a-time oracle path; ``"auto"`` (default) picks
+    batched unless ``max_visits`` requires the scalar walk.  The
+    outlier set is identical in every mode.
+
+    ``cells`` is an index argument like ``verifier``: with the
+    :class:`~repro.index.cells.CenterCells` built over ``dataset``, the
+    filter first proves easy inliers from stored center distances.
+    Without it (the default) the filter is Algorithm 1 as published, so
+    the candidate set measures the graph alone (Table 7).  The outlier
+    set is the same either way.
 
     Example
     -------
@@ -71,10 +80,7 @@ def graph_dod(
     >>> res.same_outliers(graph_dod(ds.view(), graph, 1.4, 6, mode="scalar"))
     True
     """
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    r, k = check_query(r, k)
     if graph.n != dataset.n:
         raise GraphError(
             f"graph has {graph.n} vertices but dataset has {dataset.n} objects"
@@ -93,7 +99,7 @@ def graph_dod(
         return classify_chunk_arrays(
             view, graph, chunk, r, k,
             follow_pivots=follow_pivots, max_visits=max_visits,
-            mode=mode, batch_size=batch_size,
+            mode=mode, cells=cells,
         )
 
     chunk_results, filter_pairs = map_over_objects(
@@ -178,7 +184,6 @@ class DODetector:
         verify: str = "auto",
         max_visits: int | None = None,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         **graph_params,
     ):
         self.metric = metric
@@ -188,20 +193,22 @@ class DODetector:
         self.verify = verify
         self.max_visits = max_visits
         self.mode = mode
-        self.batch_size = batch_size
         self.graph_params = graph_params
         self.dataset_: Dataset | None = None
         self.graph_: Graph | None = None
         self.verifier_: Verifier | None = None
+        self.cells_: CenterCells | None = None
 
     def fit(self, objects) -> "DODetector":
-        """Prepare the dataset and build the proximity graph and verifier."""
+        """Prepare the dataset and build the proximity graph, the
+        verifier and the center cells."""
         gen = ensure_rng(self.seed)
         self.dataset_ = Dataset(objects, self.metric)
         self.graph_ = build_graph(
             self.graph_name, self.dataset_, K=self.K, rng=gen, **self.graph_params
         )
         self.verifier_ = Verifier(self.dataset_, strategy=self.verify, rng=gen)
+        self.cells_ = CenterCells(self.dataset_)
         return self
 
     @property
@@ -223,7 +230,7 @@ class DODetector:
             rng=ensure_rng(self.seed),
             max_visits=self.max_visits,
             mode=self.mode,
-            batch_size=self.batch_size,
+            cells=self.cells_,
         )
 
     def fit_detect(self, objects, r: float, k: int, n_jobs: int = 1) -> DODResult:
@@ -249,17 +256,18 @@ class DODetector:
             rng=ensure_rng(self.seed),
             max_visits=self.max_visits,
             mode=self.mode,
-            batch_size=self.batch_size,
+            cells=self.cells_,
         )
 
     @property
     def index_nbytes(self) -> int:
-        """Memory of the offline index (graph + verification structures)."""
+        """Memory of the offline index (graph, verifier and center cells)."""
         if self.graph_ is None:
             return 0
         total = self.graph_.nbytes
-        if self.verifier_ is not None:
-            total += self.verifier_.nbytes
+        for part in (self.verifier_, self.cells_):
+            if part is not None:
+                total += part.nbytes
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -56,9 +56,22 @@ import numpy as np
 from ..data import Dataset
 from ..exceptions import ParameterError
 from ..graphs.adjacency import Graph
+from ..params import check_query
 
-#: default number of simultaneous sources per block.
-DEFAULT_BLOCK = 64
+#: element budget of one block's stamp matrix (``rows x n`` int32, so
+#: 8 MiB): one block holds a whole filter call on every graph up to
+#: ~1.4k vertices and 64 rows from ~32k vertices up.
+BLOCK_ELEM_BUDGET = 2**21
+
+
+def block_rows(n: int) -> int:
+    """Sources per block on an ``n``-vertex graph: ``BLOCK_ELEM_BUDGET``
+    stamps, never fewer than 64 rows.
+
+    >>> block_rows(1_200), block_rows(10_000), block_rows(100_000)
+    (1747, 209, 64)
+    """
+    return max(64, BLOCK_ELEM_BUDGET // max(1, int(n)))
 
 
 class BlockTracker:
@@ -69,10 +82,14 @@ class BlockTracker:
     current epoch iff source-slot ``s`` has visited vertex ``v``.  One
     epoch bump resets all slots in O(1); the stamp matrix (int32,
     ``4 * block_size * n`` bytes) is allocated once and reused across
-    blocks — pin one per worker, like the scalar trackers.
+    blocks — pin one per worker, like the scalar trackers.  The default
+    ``block_size`` is one budget-sized block (:func:`block_rows`, at
+    most ``n`` rows).
     """
 
-    def __init__(self, n: int, block_size: int = DEFAULT_BLOCK):
+    def __init__(self, n: int, block_size: "int | None" = None):
+        if block_size is None:
+            block_size = min(int(n), block_rows(n))
         if block_size < 1:
             raise ParameterError(f"block_size must be >= 1, got {block_size}")
         self.n = int(n)
@@ -127,10 +144,7 @@ def greedy_count_block(
     an inlier, and *equal* to the scalar count whenever it stays below
     ``k``.
     """
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    r, k = check_query(r, k)
     sources = np.asarray(sources, dtype=np.int64)
     nsrc = sources.size
     if nsrc == 0:

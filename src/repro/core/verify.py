@@ -33,6 +33,7 @@ import numpy as np
 
 from ..data import Dataset
 from ..exceptions import ParameterError
+from ..params import check_k, check_query
 from ..index.linear import linear_count, linear_count_block
 from ..index.vptree import VPTree
 from .counting import FILTER_MODES
@@ -105,8 +106,7 @@ class Verifier:
         neighbors, so a returned count *below* ``k`` means the scan ran
         to completion and is the true neighbor count.
         """
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
+        k = check_k(k)
         count = self.count(p, r, stop_at=k, dataset=dataset)
         return count, count < k
 
@@ -158,8 +158,7 @@ class Verifier:
             raise ParameterError(
                 f"unknown verify mode {mode!r}; known: {FILTER_MODES}"
             )
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
+        r, k = check_query(r, k)
         if mode in ("auto", "batched"):
             return self.verify_block(chunk, r, k, dataset=dataset)
         return [

@@ -15,12 +15,12 @@ import numpy as np
 
 from ..data import Dataset
 from ..exceptions import ParameterError
+from ..params import check_k, check_radius
 
 
 def neighbor_counts(dataset: Dataset, r: float) -> np.ndarray:
     """Exact neighbor count of every object (no early termination)."""
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
+    r = check_radius(r)
     n = dataset.n
     counts = np.empty(n, dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
@@ -32,8 +32,7 @@ def neighbor_counts(dataset: Dataset, r: float) -> np.ndarray:
 
 def outlier_ratio(dataset: Dataset, r: float, k: int) -> float:
     """Fraction of objects with fewer than ``k`` neighbors at radius ``r``."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    k = check_k(k)
     counts = neighbor_counts(dataset, r)
     return float(np.count_nonzero(counts < k)) / dataset.n
 

@@ -35,14 +35,16 @@ from ..core.counting import (
     resolve_filter_mode,
 )
 from ..core.parallel import WorkerPool
-from ..core.traversal import DEFAULT_BLOCK, BlockTracker
+from ..core.traversal import BlockTracker
 from ..core.result import DODResult, ObjectEvidence
 from ..core.verify import Verifier
 from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
+from ..index.cells import CenterCells
 from ..metrics import Metric
+from ..params import check_query
 from ..rng import ensure_rng
 from .evidence import NO_BOUND, EvidenceCache
 from .protocol import EngineCapabilities
@@ -126,11 +128,11 @@ class DetectionEngine:
         max_visits: int | None = None,
         follow_pivots: bool | None = None,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         cache_radii: int | None = None,
         memo_outliers: bool = True,
         memo_budget: int | None = None,
         backend: "str | None" = None,
+        cells: CenterCells | None = None,
     ):
         if graph.n != dataset.n:
             raise GraphError(
@@ -147,7 +149,9 @@ class DetectionEngine:
         self.follow_pivots = follow_pivots
         resolve_filter_mode(mode, max_visits)  # fail fast on bad combinations
         self.mode = mode
-        self.batch_size = int(batch_size)
+        #: the center-cell certificate ahead of Greedy-Counting (an index
+        #: argument like ``verifier``; ``None`` runs Algorithm 1 as published).
+        self.cells = cells
         self.cache = EvidenceCache(dataset.n, max_radii=cache_radii)
         # Distance-memoised outlier re-verification: a confirmed outlier
         # that comes up as a candidate *again* (an ascending-r sweep
@@ -179,7 +183,7 @@ class DetectionEngine:
         self._pool = WorkerPool(dataset, n_jobs=n_jobs, rng=ensure_rng(rng))
         self._trackers = [VisitTracker(graph.n) for _ in range(self._pool.n_jobs)]
         # Batched-mode scratch, one per worker slot, allocated on first use
-        # (a slot's stamp matrix is batch_size x n).
+        # (a slot's stamp matrix is one budget-sized block, see block_rows).
         self._block_trackers: list[BlockTracker | None] = [
             None for _ in range(self._pool.n_jobs)
         ]
@@ -208,7 +212,6 @@ class DetectionEngine:
         n_jobs: int = 1,
         max_visits: int | None = None,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         cache_radii: int | None = None,
         memo_outliers: bool = True,
         memo_budget: int | None = None,
@@ -216,7 +219,8 @@ class DetectionEngine:
         build_workers: int = 1,
         **graph_params,
     ) -> "DetectionEngine":
-        """Offline phase in one call: dataset + graph + verifier + engine.
+        """Offline phase in one call: dataset + graph + verifier + center
+        cells + engine.
 
         ``build_workers`` sizes the worker-count-invariant build pool
         (see :mod:`repro.graphs.parallel_build`): same graph at any count.
@@ -236,11 +240,11 @@ class DetectionEngine:
             rng=gen,
             max_visits=max_visits,
             mode=mode,
-            batch_size=batch_size,
             cache_radii=cache_radii,
             memo_outliers=memo_outliers,
             memo_budget=memo_budget,
             backend=backend,
+            cells=CenterCells(dataset),
         )
 
     @property
@@ -321,12 +325,7 @@ class DetectionEngine:
         self, r: float, k: int, collect_evidence: bool = False
     ) -> DODResult:
         """Exact ``(r, k)`` outliers, reusing everything prior queries proved."""
-        if r < 0:
-            raise ParameterError(f"radius must be non-negative, got {r}")
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        r = float(r)
-        k = int(k)
+        r, k = check_query(r, k)
         graph, verifier = self.graph, self.verifier
 
         # -- cache phase: decide objects from proven bounds ------------------
@@ -351,17 +350,15 @@ class DetectionEngine:
         def filter_worker(view: Dataset, chunk: np.ndarray, slot: int):
             if chunk.size and self.mode != "scalar" and self.max_visits is None:
                 if self._block_trackers[slot] is None:
-                    self._block_trackers[slot] = BlockTracker(
-                        graph.n, self.batch_size
-                    )
+                    self._block_trackers[slot] = BlockTracker(graph.n)
             return classify_chunk_arrays(
                 view, graph, chunk, r, k,
                 tracker=self._trackers[slot],
                 follow_pivots=self.follow_pivots,
                 max_visits=self.max_visits,
                 mode=self.mode,
-                batch_size=self.batch_size,
                 block_tracker=self._block_trackers[slot],
+                cells=self.cells,
             )
 
         filter_results, filter_pairs = self._pool.map(undecided, filter_worker)
@@ -474,7 +471,7 @@ class DetectionEngine:
 
         Each query still reuses everything every earlier query proved.
         """
-        return [self.query(float(r), int(k)) for r, k in queries]
+        return [self.query(r, k) for r, k in queries]
 
     def sweep(
         self,
@@ -492,7 +489,7 @@ class DetectionEngine:
                 raise ParameterError("sweep needs k_grid or k")
             k_grid = [k]
         queries = [
-            (float(rv), int(kv)) for rv in np.asarray(r_grid, dtype=np.float64)
+            check_query(rv, kv) for rv in np.asarray(r_grid, dtype=np.float64)
             for kv in k_grid
         ]
         if len(set(queries)) != len(queries):
@@ -569,11 +566,13 @@ class DetectionEngine:
 
     @property
     def index_nbytes(self) -> int:
-        """Memory of the serving state (graph + verifier + cache + memo)."""
+        """Memory of the serving state (graph, verifier, center cells,
+        cache and memo)."""
         memo_nbytes = sum(vec.nbytes for vec in self._memo.values())
+        cells_nbytes = 0 if self.cells is None else self.cells.nbytes
         return (
-            self.graph.nbytes + self.verifier.nbytes + self.cache.nbytes
-            + memo_nbytes
+            self.graph.nbytes + self.verifier.nbytes + cells_nbytes
+            + self.cache.nbytes + memo_nbytes
         )
 
     def reset_cache(self) -> None:

@@ -39,7 +39,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..core.result import DODResult
-from ..core.traversal import DEFAULT_BLOCK
 from ..core.verify import Verifier
 from ..backends import resolve_backend
 from ..data import Dataset, prepare_insert_batch
@@ -47,6 +46,7 @@ from ..exceptions import ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
 from ..metrics import Metric, resolve_metric
+from ..params import check_query
 from ..rng import ensure_rng
 from .engine import DetectionEngine, SweepResult
 from .evidence import EvidenceCache, build_delete_evidence
@@ -62,7 +62,7 @@ class MutableDetectionEngine:
         The metric, the incremental graph degree, the rng seed, and the
         number of NSW-style greedy searches used to collect link
         candidates when no repair scan is available.
-    n_jobs, mode, batch_size, verify:
+    n_jobs, mode, verify:
         Execution knobs handed to the compacted serving engine.
     rebuild_graph:
         Builder used by :meth:`rebuild` (default MRPG).
@@ -86,7 +86,6 @@ class MutableDetectionEngine:
         search_attempts: int = 2,
         n_jobs: int = 1,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         verify: str = "linear",
         rebuild_graph: str = "mrpg",
         rebuild_every: "int | None" = None,
@@ -110,7 +109,6 @@ class MutableDetectionEngine:
         self.search_attempts = int(search_attempts)
         self.n_jobs = int(n_jobs)
         self.mode = mode
-        self.batch_size = int(batch_size)
         self.verify = verify
         self.rebuild_graph = rebuild_graph
         self.rebuild_every = rebuild_every
@@ -299,7 +297,6 @@ class MutableDetectionEngine:
             n_jobs=self.n_jobs if n_jobs is None else int(n_jobs),
             rng=self._rng,
             mode=self.mode,
-            batch_size=self.batch_size,
             cache_radii=self.cache_radii,
         )
         if self.cache is not None:
@@ -675,6 +672,7 @@ class MutableDetectionEngine:
         The result's ``outliers`` are *stable external ids*; everything
         else (counts, phases, pairs) describes the compacted run.
         """
+        r, k = check_query(r, k)
         engine, keep = self._ensure_compact(n_jobs)
         result = engine.query(r, k)
         self.pairs += result.pairs
@@ -688,7 +686,7 @@ class MutableDetectionEngine:
 
     def batch(self, queries) -> list[DODResult]:
         """Answer ``(r, k)`` queries in the given order (serving semantics)."""
-        return [self.detect(float(r), int(k)) for r, k in queries]
+        return [self.detect(r, k) for r, k in queries]
 
     def sweep(self, r_grid, k_grid=None, k: "int | None" = None) -> SweepResult:
         """Engine sweep over the live objects (stable external ids)."""

@@ -49,7 +49,6 @@ import numpy as np
 from ..core.counting import resolve_filter_mode
 from ..core.result import DODResult
 from ..core.store import SharedObjectStore
-from ..core.traversal import DEFAULT_BLOCK
 from ..backends import resolve_backend
 from ..data import Dataset, prepare_insert_batch
 from ..exceptions import GraphError, ParameterError
@@ -57,6 +56,7 @@ from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
 from ..index.linear import linear_count_block
 from ..metrics import Metric, resolve_metric
+from ..params import check_query
 from ..rng import ensure_rng
 from .evidence import EvidenceCache, build_delete_evidence
 from .protocol import EngineCapabilities
@@ -84,7 +84,6 @@ class MutableShardWorker(ShardWorker):
         K: int = 16,
         seed: int = 0,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         graph: str = "mrpg",
         cache_radii: "int | None" = None,
         pinned: Sequence[float] = (),
@@ -107,7 +106,7 @@ class MutableShardWorker(ShardWorker):
         # choices need nothing shared beyond the name.
         self._init_serving(
             None, None if backend is None else resolve_backend(backend),
-            mode, batch_size, None, knn_radii,
+            mode, None, knn_radii,
         )
         self.K = int(K)
         self.graph_name = graph
@@ -558,7 +557,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         K: int = 16,
         seed: "int | None" = 0,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         pinned: Sequence[float] = (),
         cache_radii: "int | None" = None,
         rebuild_every: "int | None" = None,
@@ -598,7 +596,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self.K = int(K)
         resolve_filter_mode(mode, None)
         self.mode = mode
-        self.batch_size = int(batch_size)
         self.cache_radii = cache_radii
         self.rebuild_every = rebuild_every
         self.build_workers = int(build_workers)
@@ -674,7 +671,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "K": self.K,
             "seed": int(self._rng.integers(0, 2**63 - 1)),
             "mode": self.mode,
-            "batch_size": self.batch_size,
             "graph": self.graph_name,
             "cache_radii": self.cache_radii,
             "pinned": sorted(self._pinned | set(state.get("pinned", ()))),
@@ -1287,6 +1283,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     # -- queries -----------------------------------------------------------
 
     def query(self, r: float, k: int) -> DODResult:
+        r, k = check_query(r, k)
         if self.n_active == 0:
             raise ParameterError("detect before any insert")
         if (

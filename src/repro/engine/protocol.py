@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from ..core.result import DODResult
-from ..core.traversal import DEFAULT_BLOCK
 from ..exceptions import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -219,7 +218,6 @@ def create_engine(
     mutable: bool = False,
     n_jobs: int = 1,
     mode: str = "auto",
-    batch_size: int = DEFAULT_BLOCK,
     strategy: str = "permuted",
     pinned: Sequence[float] = (),
     cache_radii: "int | None" = None,
@@ -303,7 +301,7 @@ def create_engine(
 
             engine = MutableShardedDetectionEngine(
                 metric=metric, n_shards=shards, workers=workers, graph=graph,
-                K=K, seed=seed, mode=mode, batch_size=batch_size,
+                K=K, seed=seed, mode=mode,
                 pinned=pinned, cache_radii=cache_radii,
                 rebuild_every=rebuild_every, start_method=start_method,
                 backend=backend,
@@ -318,13 +316,13 @@ def create_engine(
         if objects is not None:
             return MutableDetectionEngine.fit(
                 objects, metric=metric, K=K, seed=seed, n_jobs=n_jobs,
-                mode=mode, batch_size=batch_size, rebuild_graph=graph,
+                mode=mode, rebuild_graph=graph,
                 cache_radii=cache_radii, rebuild_every=rebuild_every,
                 pinned=pinned, backend=backend, build_workers=build_workers,
             )
         return MutableDetectionEngine(
             metric=metric, K=K, seed=seed, n_jobs=n_jobs, mode=mode,
-            batch_size=batch_size, rebuild_graph=graph,
+            rebuild_graph=graph,
             cache_radii=cache_radii, rebuild_every=rebuild_every,
             pinned=pinned, backend=backend, build_workers=build_workers,
         )
@@ -337,7 +335,7 @@ def create_engine(
         dataset = data if is_dataset else Dataset(data, metric)
         return ShardedDetectionEngine(
             dataset, n_shards=shards, workers=workers, strategy=strategy,
-            graph=graph, K=K, rng=seed, mode=mode, batch_size=batch_size,
+            graph=graph, K=K, rng=seed, mode=mode,
             start_method=start_method, backend=backend,
             build_workers=build_workers, **graph_params,
         )
@@ -345,6 +343,7 @@ def create_engine(
 
     if is_dataset:
         from ..graphs.base import build_graph
+        from ..index.cells import CenterCells
         from ..rng import ensure_rng
 
         gen = ensure_rng(seed)
@@ -354,10 +353,10 @@ def create_engine(
         )
         return DetectionEngine(
             data, built, n_jobs=n_jobs, rng=gen, mode=mode,
-            batch_size=batch_size, cache_radii=cache_radii, backend=backend,
+            cache_radii=cache_radii, backend=backend, cells=CenterCells(data),
         )
     return DetectionEngine.fit(
         data, metric=metric, graph=graph, K=K, seed=seed, n_jobs=n_jobs,
-        mode=mode, batch_size=batch_size, cache_radii=cache_radii,
+        mode=mode, cache_radii=cache_radii,
         backend=backend, build_workers=build_workers, **graph_params,
     )

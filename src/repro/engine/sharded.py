@@ -72,14 +72,16 @@ from ..core.counting import (
 )
 from ..core.parallel import DatasetTransport, ShardPool, default_start_method
 from ..core.result import DODResult
-from ..core.traversal import DEFAULT_BLOCK, BlockTracker
+from ..core.traversal import BlockTracker
 from ..backends import resolve_backend
 from ..data import Dataset, pairs_per_kernel
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
+from ..index.cells import CenterCells
 from ..index.linear import linear_count_block
 from ..metrics import Metric
+from ..params import check_query
 from ..rng import ensure_rng
 from .engine import SweepResult, _sweep_order
 from .evidence import NO_BOUND, EvidenceCache
@@ -134,20 +136,25 @@ class _ServeView:
     ``ids`` are the members' global ids (ascending), ``sub`` the
     sub-dataset over them (local ids ``0..m-1``) and ``graph`` the
     shard-local proximity graph that filtering walks.  A static shard
-    builds one view at construction; a mutable shard rebuilds it per
-    mutation epoch over its live members (an empty shard's view has
-    no ``sub``/``graph``).
+    builds one view at construction, with the center cells of its
+    members (``cells``); a mutable shard rebuilds the view per mutation
+    epoch over its live members, without cells (an empty shard's view
+    has no ``sub``/``graph``).
     """
 
-    __slots__ = ("sub", "graph", "ids", "knn", "tracker", "block_tracker")
+    __slots__ = (
+        "sub", "graph", "ids", "knn", "cells", "tracker", "block_tracker",
+    )
 
     def __init__(
-        self, sub: "Dataset | None", graph: "Graph | None", ids: np.ndarray
+        self, sub: "Dataset | None", graph: "Graph | None", ids: np.ndarray,
+        cells: "CenterCells | None" = None,
     ):
         self.sub = sub
         self.graph = graph
         self.ids = ids
         self.knn = None if graph is None else graph.exact_knn_arrays()
+        self.cells = cells
         self.tracker: "VisitTracker | None" = None
         self.block_tracker: "BlockTracker | None" = None
 
@@ -166,7 +173,11 @@ class ShardWorker:
     The query protocol (``prepare``/``filter``/``count_range``/
     ``count_tail``/``record``) is written once here;
     :class:`~repro.engine.mutable_sharded.MutableShardWorker` adds only
-    its data plane, its live-member view and its mutations.
+    its data plane, its live-member view and its mutations.  A static
+    worker also builds the center cells of its members
+    (:mod:`repro.index.cells`), so its filter proves easy inliers
+    without traversal; the mutable worker's filter runs Algorithm 1 as
+    published.
     """
 
     def __init__(
@@ -177,7 +188,6 @@ class ShardWorker:
         K: int = 16,
         seed: int = 0,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         graph_params: "dict | None" = None,
         cache: "EvidenceCache | None" = None,
         knn_radii: "tuple[float, ...]" = (),
@@ -218,21 +228,18 @@ class ShardWorker:
                 **(graph_params or {}),
             )
         self._init_serving(
-            full, full.backend, mode, batch_size,
+            full, full.backend, mode,
             cache if cache is not None else EvidenceCache(dataset.n),
             knn_radii,
         )
         self._graph = graph
-        self._serve = _ServeView(sub, graph, ids)
+        self._serve = _ServeView(sub, graph, ids, cells=CenterCells(sub))
         self._take_pairs()  # offline build cost is not query cost
 
-    def _init_serving(
-        self, full, backend, mode, batch_size, cache, knn_radii
-    ) -> None:
+    def _init_serving(self, full, backend, mode, cache, knn_radii) -> None:
         """The state the query protocol reads, shared by every worker."""
         resolve_filter_mode(mode, None)
         self.mode = mode
-        self.batch_size = int(batch_size)
         self._full: "Dataset | None" = full
         self._backend = backend
         self._graph: "Graph | None" = None
@@ -306,7 +313,7 @@ class ShardWorker:
         §5.5 shortcut saw every within-shard neighbor) — never a global
         verdict, which only the merge can issue.
         """
-        r, k = float(r), int(k)
+        r, k = check_query(r, k)
         home_ids = np.asarray(home_ids, dtype=np.int64)
         view = self._ensure_serve()
         if home_ids.size == 0 or self.cache is None or view.ids.size == 0:
@@ -323,13 +330,14 @@ class ShardWorker:
             if view.tracker is None:
                 view.tracker = VisitTracker(m)
             if self.mode != "scalar" and view.block_tracker is None:
-                view.block_tracker = BlockTracker(m, self.batch_size)
+                view.block_tracker = BlockTracker(m)
             _, w_counts, _, w_exact = classify_chunk_arrays(
                 view.sub, view.graph, np.searchsorted(view.ids, home_ids[walk]),
                 r, k,
                 tracker=view.tracker,
-                mode=self.mode, batch_size=self.batch_size,
+                mode=self.mode,
                 block_tracker=view.block_tracker,
+                cells=view.cells,
             )
             np.maximum(w_counts, counts[walk], out=w_counts)
             counts[walk] = w_counts
@@ -404,8 +412,9 @@ class ShardWorker:
         }
 
     def nbytes(self) -> int:
+        cells = None if self._serve is None else self._serve.cells
         return int(sum(
-            part.nbytes for part in (self._graph, self.cache)
+            part.nbytes for part in (self._graph, cells, self.cache)
             if part is not None
         ))
 
@@ -493,11 +502,7 @@ class _ShardMergeBase:
 
     def query(self, r: float, k: int) -> DODResult:
         """Exact global ``(r, k)`` outliers from the shard merge."""
-        if r < 0:
-            raise ParameterError(f"radius must be non-negative, got {r}")
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        r, k = float(r), int(k)
+        r, k = check_query(r, k)
         S = self.n_shards
         live = self._live_ids()
         n = int(live.size)
@@ -726,7 +731,7 @@ class _ShardMergeBase:
 
     def batch(self, queries) -> list[DODResult]:
         """Answer ``(r, k)`` queries in the given order (serving semantics)."""
-        return [self.query(float(r), int(k)) for r, k in queries]
+        return [self.query(r, k) for r, k in queries]
 
     def sweep(self, r_grid, k_grid=None, k: "int | None" = None) -> SweepResult:
         """Answer the full ``r_grid x k_grid`` in a reuse-maximising order."""
@@ -735,7 +740,7 @@ class _ShardMergeBase:
                 raise ParameterError("sweep needs k_grid or k")
             k_grid = [k]
         queries = [
-            (float(rv), int(kv))
+            check_query(rv, kv)
             for rv in np.asarray(r_grid, dtype=np.float64)
             for kv in k_grid
         ]
@@ -824,7 +829,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         K: int = 16,
         rng: "int | np.random.Generator | None" = 0,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         start_method: "str | None" = None,
         shard_ids: "list[np.ndarray] | None" = None,
         shard_state: "list[dict] | None" = None,
@@ -852,7 +856,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         self.K = int(K)
         resolve_filter_mode(mode, None)
         self.mode = mode
-        self.batch_size = int(batch_size)
         if workers is None:
             workers = min(self.n_shards, os.cpu_count() or 1)
         self.workers = max(1, min(int(workers), self.n_shards))
@@ -889,7 +892,7 @@ class ShardedDetectionEngine(_ShardMergeBase):
             factories.append(partial(
                 ShardWorker, payload, shard_ids[s],
                 graph=state.get("graph", graph), K=self.K, seed=seeds[s],
-                mode=mode, batch_size=self.batch_size,
+                mode=mode,
                 graph_params=dict(graph_params), cache=state.get("cache"),
                 knn_radii=tuple(state.get("knn_radii", ())),
                 backend=backend_names[s],
@@ -924,7 +927,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         strategy: str = "permuted",
         seed: "int | None" = 0,
         mode: str = "auto",
-        batch_size: int = DEFAULT_BLOCK,
         start_method: "str | None" = None,
         backend: "str | Sequence[str] | None" = None,
         **graph_params,
@@ -937,7 +939,7 @@ class ShardedDetectionEngine(_ShardMergeBase):
         dataset = Dataset(objects, metric)
         return cls(
             dataset, n_shards=n_shards, workers=workers, strategy=strategy,
-            graph=graph, K=K, rng=seed, mode=mode, batch_size=batch_size,
+            graph=graph, K=K, rng=seed, mode=mode,
             start_method=start_method, backend=backend, **graph_params,
         )
 
@@ -1025,7 +1027,8 @@ class ShardedDetectionEngine(_ShardMergeBase):
 
     @property
     def index_nbytes(self) -> int:
-        """Memory of the serving state summed over shards (graphs + caches)."""
+        """Memory of the serving state summed over shards (graphs, center
+        cells and caches)."""
         return int(sum(self._pool.call("nbytes")))
 
     def reset_cache(self) -> None:

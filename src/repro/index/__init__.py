@@ -1,5 +1,7 @@
-"""Exact metric-search substrates: VP-tree, ball partitioning, linear scan."""
+"""Exact metric-search substrates: VP-tree, ball partitioning, linear scan,
+center cells."""
 
+from .cells import CenterCells
 from .linear import (
     brute_force_knn,
     brute_force_outliers,
@@ -10,6 +12,7 @@ from .partition import PartitionResult, vp_partition
 from .vptree import VPTree
 
 __all__ = [
+    "CenterCells",
     "VPTree",
     "vp_partition",
     "PartitionResult",

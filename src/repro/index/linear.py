@@ -19,6 +19,7 @@ import numpy as np
 
 from ..data import Dataset, pairs_per_kernel
 from ..exceptions import ParameterError
+from ..params import check_k, check_radius
 
 #: default number of objects per distance kernel call.
 DEFAULT_CHUNK = 2048
@@ -37,8 +38,7 @@ def linear_count(
     Stops as soon as ``stop_at`` neighbors are confirmed (the count
     returned may then understate the true total).
     """
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
+    r = check_radius(r)
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
     if stop_at is not None and stop_at < 1:
@@ -97,8 +97,7 @@ def linear_count_block(
     number of pending queries so each kernel stays near a fixed element
     budget regardless of how many candidates remain.
     """
-    if r < 0:
-        raise ParameterError(f"radius must be non-negative, got {r}")
+    r = check_radius(r)
     qs = np.asarray(qs, dtype=np.int64)
     counts = np.zeros(qs.size, dtype=np.int64)
     if qs.size == 0:
@@ -202,8 +201,7 @@ def brute_force_outliers(dataset: Dataset, r: float, k: int) -> np.ndarray:
 
     Quadratic; only suitable for tests and small calibration runs.
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    k = check_k(k)
     out = []
     for q in range(dataset.n):
         if linear_count(dataset, q, r, stop_at=k) < k:

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..data import Dataset, pairs_per_kernel
 from ..exceptions import ParameterError
+from ..params import check_radius
 from ..rng import ensure_rng
 
 #: child-slot value meaning "no child".
@@ -188,8 +189,7 @@ class VPTree:
         the returned count may understate the true total — this is the
         early termination that makes ``Exact-Counting`` cheap for inliers.
         """
-        if r < 0:
-            raise ParameterError(f"radius must be non-negative, got {r}")
+        r = check_radius(r)
         if stop_at is not None and stop_at < 1:
             raise ParameterError("stop_at thresholds must be >= 1")
         ds = dataset if dataset is not None else self.dataset
@@ -261,8 +261,7 @@ class VPTree:
         differently).  A query never counts itself.  The tree is only
         read, so threads may share it.
         """
-        if r < 0:
-            raise ParameterError(f"radius must be non-negative, got {r}")
+        r = check_radius(r)
         if stop_at < 1:
             raise ParameterError("stop_at thresholds must be >= 1")
         qs = np.asarray(qs, dtype=np.int64)
@@ -337,8 +336,7 @@ class VPTree:
 
     def range_search(self, q: int, r: float, exclude_self: bool = True) -> np.ndarray:
         """Ids of all indexed objects within distance ``r`` of object ``q``."""
-        if r < 0:
-            raise ParameterError(f"radius must be non-negative, got {r}")
+        r = check_radius(r)
         ds = self.dataset
         hits: list[np.ndarray] = []
         stack = [self.root]

@@ -452,7 +452,6 @@ def load_engine(
     rng: "int | np.random.Generator | None" = 0,
     max_visits: int | None = None,
     mode: str = "auto",
-    batch_size: int | None = None,
     cache_radii: int | None = None,
     memo_outliers: bool = True,
     memo_budget: int | None = None,
@@ -462,13 +461,13 @@ def load_engine(
 
     Raises :class:`GraphError` when the snapshot is unreadable, was not
     written by :func:`save_engine`, or does not match ``dataset``.
+    The center cells are not stored: they are a deterministic function
+    of the dataset and are rebuilt here.
     """
-    from .core.traversal import DEFAULT_BLOCK
     from .engine import DetectionEngine
     from .engine.evidence import EvidenceCache
+    from .index.cells import CenterCells
 
-    if batch_size is None:
-        batch_size = DEFAULT_BLOCK
     path = Path(path)
     with _NpzReader(path, "engine snapshot") as data:
         if "engine_format_version" not in data:
@@ -502,11 +501,11 @@ def load_engine(
         rng=rng,
         max_visits=max_visits,
         mode=mode,
-        batch_size=batch_size,
         cache_radii=cache_radii,
         memo_outliers=memo_outliers,
         memo_budget=memo_budget,
         backend=backend,
+        cells=CenterCells(dataset),
     )
     engine.cache = EvidenceCache.from_state_arrays(graph.n, cache_arrays)
     engine.cache.max_radii = cache_radii
@@ -739,7 +738,6 @@ def load_sharded_engine(
     workers: "int | None" = None,
     rng: "int | np.random.Generator | None" = 0,
     mode: str = "auto",
-    batch_size: int | None = None,
     start_method: "str | None" = None,
     backend=None,
     build_workers: "int | None" = None,
@@ -752,12 +750,9 @@ def load_sharded_engine(
     dataset, or when ``dataset`` is not the data the snapshot was built
     from.
     """
-    from .core.traversal import DEFAULT_BLOCK
     from .engine.evidence import EvidenceCache
     from .engine.sharded import ShardedDetectionEngine
 
-    if batch_size is None:
-        batch_size = DEFAULT_BLOCK
     path = Path(path)
     manifest_path = path / _MANIFEST_NAME
     if not path.is_dir() or not manifest_path.exists():
@@ -837,7 +832,6 @@ def load_sharded_engine(
         K=int(meta.get("K", 16)),
         rng=rng,
         mode=mode,
-        batch_size=batch_size,
         start_method=start_method,
         shard_ids=shard_ids,
         shard_state=shard_state,
@@ -942,7 +936,7 @@ def load_mutable_sharded_engine(path: "str | Path", objects, **kwargs):
     positions included), verified against the stored fingerprint.
     Remaining keyword arguments are execution knobs forwarded to the
     :class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`
-    constructor (``workers``, ``mode``, ``batch_size``, ...).
+    constructor (``workers``, ``mode``, ...).
 
     Raises :class:`GraphError` on every malformed input: missing or
     unreadable manifest, version mismatch, inconsistent membership or
@@ -1079,7 +1073,6 @@ def load_any_engine(
     n_jobs: int = 1,
     rng: "int | np.random.Generator | None" = 0,
     mode: str = "auto",
-    batch_size: "int | None" = None,
     start_method: "str | None" = None,
     **extra,
 ):
@@ -1099,7 +1092,6 @@ def load_any_engine(
     or when the required ``dataset``/``objects`` was not supplied.
     """
     path = Path(path)
-    batch_kw = {} if batch_size is None else {"batch_size": batch_size}
     if path.is_dir():
         manifest_path = path / _MANIFEST_NAME
         if not manifest_path.exists():
@@ -1117,7 +1109,7 @@ def load_any_engine(
                 )
             return load_mutable_sharded_engine(
                 path, objects, workers=workers, mode=mode,
-                start_method=start_method, **batch_kw, **extra,
+                start_method=start_method, **extra,
             )
         if dataset is None:
             raise GraphError(
@@ -1126,7 +1118,7 @@ def load_any_engine(
             )
         return load_sharded_engine(
             path, dataset, workers=workers, rng=rng, mode=mode,
-            batch_size=batch_size, start_method=start_method, **extra,
+            start_method=start_method, **extra,
         )
     with _NpzReader(path, "engine snapshot") as data:
         mutable = "mutable_format_version" in data
@@ -1138,7 +1130,7 @@ def load_any_engine(
                 f"re-supplied (objects=...)"
             )
         return load_mutable_engine(
-            path, objects, n_jobs=n_jobs, mode=mode, **batch_kw, **extra,
+            path, objects, n_jobs=n_jobs, mode=mode, **extra,
         )
     if static:
         if dataset is None:
@@ -1147,8 +1139,7 @@ def load_any_engine(
                 f"(dataset=...)"
             )
         return load_engine(
-            path, dataset, n_jobs=n_jobs, rng=rng, mode=mode,
-            batch_size=batch_size, **extra,
+            path, dataset, n_jobs=n_jobs, rng=rng, mode=mode, **extra,
         )
     raise GraphError(
         f"{path}: not an engine snapshot of any known format (a bare graph "

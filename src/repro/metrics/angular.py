@@ -11,10 +11,12 @@ evaluation is a single matrix-vector product.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..exceptions import MetricError
-from .base import VectorMetric, screen_store32
+from .base import UNIT_ROUNDOFF, VectorMetric, screen_store32, triangle_slack_terms
 from .minkowski import SCREEN_EPS32, SCREEN_SAFETY
 
 
@@ -63,6 +65,23 @@ class Angular(VectorMetric):
         cos = np.einsum("ij,ij->i", store[a_arr], store[b_arr])
         np.clip(cos, -1.0, 1.0, out=cos)
         return np.arccos(cos)
+
+    def triangle_slack(self, store: np.ndarray) -> tuple[float, float]:
+        """Angle-space margin from a cosine-space error bound.
+
+        Normalising at :meth:`prepare` leaves stored norms within
+        ``(m/2 + 3) u`` of 1, so a stored pair's float64 dot product is
+        within ``delta = 2 (2m + 8) u`` of the cosine of the true angle
+        between the stored vectors (norm drift plus ``m u`` of
+        accumulation, doubled).  ``arccos`` moves most near +-1, where
+        ``arccos(1 - delta) <= 1.01 sqrt(2 delta)``: that is the
+        absolute term.  ``arccos`` itself rounds within one ulp
+        (relative ``2u``; ``4u`` here).
+        """
+        delta = 2.0 * (2.0 * store.shape[1] + 8.0) * UNIT_ROUNDOFF
+        return triangle_slack_terms(
+            4.0 * UNIT_ROUNDOFF, 1.01 * math.sqrt(2.0 * delta)
+        )
 
     # -- float32 screening -------------------------------------------------
     #

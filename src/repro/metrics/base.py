@@ -19,6 +19,28 @@ from typing import Any, Sequence
 
 import numpy as np
 
+#: float64 unit roundoff, the unit of every triangle slack.
+UNIT_ROUNDOFF = 2.0**-53
+#: multiplier on a derived slack; the analysis is already conservative,
+#: this absorbs what it idealises (fma, reassociation), as
+#: ``SCREEN_SAFETY`` does for the float32 bands.
+SLACK_SAFETY = 4.0
+
+
+def triangle_slack_terms(alpha: float, beta: float) -> tuple[float, float]:
+    """``(rel, abs)`` slack for a kernel with ``|d_hat - d| <= alpha*d + beta``.
+
+    If the computed distances satisfy that bound, then
+    ``d_hat(p, c) + d_hat(q, c) <= r - s`` implies ``d_hat(p, q) <= r``
+    whenever ``s >= 2*alpha*r + 3*beta`` (error of the two summands and
+    of the result), plus ``2u*r`` for rounding the threshold
+    ``(r - s) - d_hat(p, c)`` itself.
+    """
+    return (
+        SLACK_SAFETY * (2.0 * alpha + 2.0 * UNIT_ROUNDOFF),
+        SLACK_SAFETY * 3.0 * beta,
+    )
+
 
 class LazyFloat32Rows:
     """Per-gather float32 mirror of an out-of-core store.
@@ -183,6 +205,22 @@ class Metric(ABC):
                 store, int(a_arr[seg[0]]), b_arr[seg], bound=bound
             )
         return out
+
+    # -- rounding margin of the center-cell certificate ---------------------
+
+    def triangle_slack(self, store: Any) -> "tuple[float, float] | None":
+        """Margin that makes the triangle inequality hold on computed values.
+
+        Returns ``(rel, abs)`` such that, for any objects ``p``, ``q``,
+        ``c`` of ``store`` and their distances as this metric's kernels
+        compute them, ``d(q, c) <= (r - (rel * r + abs)) - d(p, c)``
+        (evaluated in float64) implies ``d(p, q) <= r``.  The
+        center-cell certificate (:mod:`repro.index.cells`) relies on
+        it; the derivations are in ``docs/backends.md``.  The default
+        ``None`` means no margin is known, and the certificate stays
+        off for this metric.
+        """
+        return None
 
     # -- reduced-precision screening (numeric backends) --------------------
 

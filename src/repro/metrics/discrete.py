@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..exceptions import MetricError
-from .base import Metric
+from .base import UNIT_ROUNDOFF, Metric, triangle_slack_terms
 
 
 class Hamming(Metric):
@@ -55,6 +55,11 @@ class Hamming(Metric):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         return (store[a] != store[b]).sum(axis=1).astype(np.float64)
+
+    def triangle_slack(self, store: np.ndarray) -> tuple[float, float]:
+        """No margin: distances are exact whole numbers, so the sum is
+        exact and ``r - d`` is exact whenever it is non-negative."""
+        return (0.0, 0.0)
 
 
 class JaccardStore:
@@ -110,13 +115,21 @@ class Jaccard(Metric):
         self, store: JaccardStore, i: int, idx: np.ndarray, bound: float | None = None
     ) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
-        inter = (store.matrix[idx] @ store.matrix[i]).astype(np.float64)
+        # accumulate in int64: a uint8 product wraps past 255 shared elements
+        inter = np.matmul(
+            store.matrix[idx], store.matrix[i], dtype=np.int64
+        ).astype(np.float64)
         union = store.popcount[idx] + store.popcount[i] - inter
         out = np.ones(idx.size, dtype=np.float64)
         nonzero = union > 0
         out[nonzero] = 1.0 - inter[nonzero] / union[nonzero]
         out[~nonzero] = 0.0  # both sets empty: identical
         return out
+
+    def triangle_slack(self, store: JaccardStore) -> tuple[float, float]:
+        """Intersection and union sizes are exact; the quotient and
+        ``1 - x`` round once each, so every distance is within ``2u``."""
+        return triangle_slack_terms(0.0, 2.0 * UNIT_ROUNDOFF)
 
     # -- helpers used by Dataset ------------------------------------------
 

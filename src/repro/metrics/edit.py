@@ -118,6 +118,11 @@ class Edit(Metric):
                     return np.full(idx.size, float(bound) + 1.0)
         return prev[np.arange(idx.size), cand_lens]
 
+    def triangle_slack(self, store: EditStore) -> tuple[float, float]:
+        """No margin: the DP runs on small whole numbers in float64, so
+        distances, their sums and ``r - d`` (when non-negative) are exact."""
+        return (0.0, 0.0)
+
     # -- helpers used by Dataset ------------------------------------------
 
     def take(self, store: EditStore, idx: np.ndarray) -> EditStore:

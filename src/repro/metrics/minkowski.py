@@ -19,10 +19,18 @@ safety margin so a row the single-pass kernel would place within
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..exceptions import ParameterError
-from .base import VectorMetric, screen_abs_max, screen_store32
+from .base import (
+    UNIT_ROUNDOFF,
+    VectorMetric,
+    screen_abs_max,
+    screen_store32,
+    triangle_slack_terms,
+)
 
 #: early abandonment pays only when the per-row work being skipped
 #: (remaining coordinate chunks) outweighs the bookkeeping; below these
@@ -44,6 +52,9 @@ SCREEN_SAFETY = 4.0
 _TINY32 = float(np.finfo(np.float32).tiny)
 #: refuse to screen stores whose power sums could approach float32 range.
 _F32_HUGE = float(np.finfo(np.float32).max) / 8.0
+#: float64 subnormal threshold and range cap, for the triangle slack.
+_TINY64 = float(np.finfo(np.float64).tiny)
+_F64_HUGE = float(np.finfo(np.float64).max) / 8.0
 
 
 def _beyond(bound: float) -> float:
@@ -166,6 +177,29 @@ class Minkowski(VectorMetric):
                 out[alive] = self._reduce(store[a_arr[alive]] - store[b_arr[alive]])
             return out
         return self._reduce(store[a_arr] - store[b_arr])
+
+    def triangle_slack(self, store: np.ndarray) -> "tuple[float, float] | None":
+        """The float64 analogue of the screen band (``docs/backends.md``).
+
+        Coordinate differences are exact up to one rounding (relative
+        ``u``), the power and the sum of ``m`` non-negative terms add
+        relative ``(p + 2) u`` and ``(m - 1) u``, and the root divides
+        that by ``p`` and adds its own rounding: relative error
+        ``((m + 8)/p + 4) u`` on the distance.  Underflowing power terms
+        add at most the floor ``(m * tiny64)**(1/p)``.  Stores whose
+        power sums could overflow get no certificate.
+        """
+        dim = int(store.shape[1])
+        scale = screen_abs_max(store)
+        if dim == 0 or (
+            scale > 0.0
+            and self.p * math.log(2.0 * scale) + math.log(dim)
+            > math.log(_F64_HUGE)
+        ):
+            return None
+        alpha = ((dim + 8.0) / self.p + 4.0) * UNIT_ROUNDOFF
+        beta = (dim * _TINY64) ** (1.0 / self.p)
+        return triangle_slack_terms(alpha, beta)
 
     # -- float32 screening -------------------------------------------------
 

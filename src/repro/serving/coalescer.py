@@ -37,7 +37,6 @@ identical; every response is the engine's own answer for that request's
 from __future__ import annotations
 
 import asyncio
-import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ from typing import Any, Sequence
 
 from ..engine.protocol import supports
 from ..exceptions import ParameterError, ReproError
+from ..params import check_query
 
 
 class DeadlineExceeded(ReproError):
@@ -222,11 +222,7 @@ class QueryCoalescer:
         validated *before* queueing so one malformed request cannot
         poison the batch it would have joined.
         """
-        r, k = float(r), int(k)
-        if not math.isfinite(r) or r < 0:
-            raise ParameterError(f"radius must be finite and >= 0, got {r}")
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
+        r, k = check_query(r, k)
         return await self._submit("query", (r, k), deadline)
 
     async def insert(self, objects: Sequence, deadline: "float | None" = None):

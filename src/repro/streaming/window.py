@@ -36,6 +36,7 @@ import numpy as np
 
 from ..data import Dataset
 from ..exceptions import ParameterError
+from ..params import check_query
 
 #: incremental-graph degree of the window's engine.  Quality only —
 #: pinned-radius queries never touch the graph, so a small degree keeps
@@ -94,10 +95,7 @@ class SlidingWindowDOD:
         shards: int = 1,
         workers: "int | None" = None,
     ):
-        if r < 0:
-            raise ParameterError(f"radius must be non-negative, got {r}")
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
+        r, k = check_query(r, k)
         if window < 2:
             raise ParameterError(f"window must be >= 2, got {window}")
         self.dataset = dataset

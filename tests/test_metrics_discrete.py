@@ -83,6 +83,16 @@ def test_jaccard_known_values():
     assert JACCARD.dist(store, 0, 3) == 1.0  # nonempty vs empty
 
 
+def test_jaccard_large_intersections_do_not_wrap():
+    """More than 255 shared elements: the uint8 membership product must
+    not wrap (it made d(A, A) = 0.92 for a 300-element set)."""
+    big = set(range(300))
+    store = JACCARD.prepare([big, set(big), set(range(150))])
+    np.testing.assert_array_equal(
+        JACCARD.dist_many(store, 0, np.arange(3)), [0.0, 0.0, 0.5]
+    )
+
+
 def test_jaccard_range(rng):
     sets = [set(rng.choice(20, size=rng.integers(1, 8), replace=False).tolist())
             for _ in range(25)]

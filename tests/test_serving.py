@@ -245,6 +245,8 @@ def test_bad_parameters_fail_fast_without_poisoning_batch(blob_points, l2_params
                 await serving.query(r, 0)
             with pytest.raises(ParameterError):
                 await serving.query(float("nan"), k)
+            with pytest.raises(ParameterError):
+                await serving.query(r, 2.5)  # not truncated to k = 2
             return await good
 
     res = run(body())
@@ -462,6 +464,11 @@ def test_http_error_surface(blob_points):
         with ServingClient(*address) as client:
             with pytest.raises(ServingClientError) as bad_param:
                 client.query(-1.0, 5)
+            for body in ({"r": float("nan"), "k": 5}, {"r": 1.0, "k": 2.5}):
+                with pytest.raises(ServingClientError) as bad_value:
+                    client._request("POST", "/query", body)
+                assert bad_value.value.status == 400
+                assert bad_value.value.kind == "parameter"
             with pytest.raises(ServingClientError) as not_mutable:
                 client.insert(blob_points[:1])
             with pytest.raises(ServingClientError) as not_found:

@@ -9,18 +9,26 @@ The contract under test (see ``core/traversal.py``):
 * identical final outlier sets through ``graph_dod``/the engine,
 * across L1/L2/edit, every graph type, and adversarial block sizes
   (1, a prime that splits outlier runs mid-block, and one whole-chunk
-  block).
+  block), with and without the center-cell certificate.
+
+Blocks are sized by a memory budget, not by an argument; the tests
+force the splits by replacing ``block_rows`` where the filter module
+imports it.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
 
+import repro.core.counting as counting
 from repro.core import BlockTracker, VisitTracker, greedy_count, greedy_count_block
 from repro.core.counting import classify_chunk, classify_chunk_arrays
 from repro.core.dod import graph_dod
 from repro.core.verify import Verifier
 from repro.engine import DetectionEngine
 from repro.exceptions import ParameterError
+from repro.index.cells import CenterCells
 
 BLOCK_SIZES = (1, 7, None)  # None -> the whole chunk as one block
 
@@ -29,13 +37,22 @@ def _block_sizes(n):
     return [bs if bs is not None else n for bs in BLOCK_SIZES]
 
 
-def _assert_filter_equivalent(dataset, graph, chunk, r, k, batch_size):
+@contextlib.contextmanager
+def block_rows(rows):
+    """Filter in blocks of ``rows`` sources instead of the budget's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "block_rows", lambda n: rows)
+        yield
+
+
+def _assert_filter_equivalent(dataset, graph, chunk, r, k, rows, cells=None):
     ids_s, cnt_s, code_s, ex_s = classify_chunk_arrays(
-        dataset.view(), graph, chunk, r, k, mode="scalar"
+        dataset.view(), graph, chunk, r, k, mode="scalar", cells=cells
     )
-    ids_b, cnt_b, code_b, ex_b = classify_chunk_arrays(
-        dataset.view(), graph, chunk, r, k, mode="batched", batch_size=batch_size
-    )
+    with block_rows(rows):
+        ids_b, cnt_b, code_b, ex_b = classify_chunk_arrays(
+            dataset.view(), graph, chunk, r, k, mode="batched", cells=cells
+        )
     np.testing.assert_array_equal(ids_s, ids_b)
     np.testing.assert_array_equal(code_s, code_b)
     np.testing.assert_array_equal(ex_s, ex_b)
@@ -48,8 +65,10 @@ def test_batched_filter_matches_scalar_l2(request, l2_dataset, l2_params, graph_
     graph = request.getfixturevalue(graph_name)
     r, k = l2_params
     chunk = np.arange(l2_dataset.n, dtype=np.int64)
+    cells = CenterCells(l2_dataset)
     for bs in _block_sizes(l2_dataset.n):
         _assert_filter_equivalent(l2_dataset, graph, chunk, r, k, bs)
+        _assert_filter_equivalent(l2_dataset, graph, chunk, r, k, bs, cells)
 
 
 def test_batched_filter_matches_scalar_l1(l1_dataset, l2_params):
@@ -62,15 +81,21 @@ def test_batched_filter_matches_scalar_l1(l1_dataset, l2_params):
     keep = a != b
     r = float(np.quantile(l1_dataset.pair_dist(a[keep], b[keep]), 0.10))
     chunk = np.arange(l1_dataset.n, dtype=np.int64)
+    cells = CenterCells(l1_dataset)
     for bs in _block_sizes(l1_dataset.n):
         _assert_filter_equivalent(l1_dataset, graph, chunk, r, 8, bs)
+        _assert_filter_equivalent(l1_dataset, graph, chunk, r, 8, bs, cells)
 
 
 def test_batched_filter_matches_scalar_edit(edit_dataset, mrpg_edit):
     chunk = np.arange(edit_dataset.n, dtype=np.int64)
+    cells = CenterCells(edit_dataset)
     for r, k in ((2.0, 4), (3.0, 6)):
         for bs in _block_sizes(edit_dataset.n):
             _assert_filter_equivalent(edit_dataset, mrpg_edit, chunk, r, k, bs)
+            _assert_filter_equivalent(
+                edit_dataset, mrpg_edit, chunk, r, k, bs, cells
+            )
 
 
 def test_batched_filter_adversarial_blocks(l2_dataset, mrpg_l2, l2_params, l2_reference):
@@ -161,19 +186,24 @@ def test_verify_block_edit_metric(edit_dataset):
             assert c1 == c2
 
 
-@pytest.mark.parametrize("mode,batch_size", [("batched", 1), ("batched", 7), ("batched", 999)])
-def test_graph_dod_outliers_identical(l2_dataset, mrpg_l2, l2_params, l2_reference, mode, batch_size):
+@pytest.mark.parametrize("mode,rows", [("batched", 1), ("batched", 7), ("batched", 999)])
+def test_graph_dod_outliers_identical(l2_dataset, mrpg_l2, l2_params, l2_reference, mode, rows):
     r, k = l2_params
-    res = graph_dod(
-        l2_dataset.view(), mrpg_l2, r, k, mode=mode, batch_size=batch_size
-    )
+    with block_rows(rows):
+        res = graph_dod(l2_dataset.view(), mrpg_l2, r, k, mode=mode)
+        certified = graph_dod(
+            l2_dataset.view(), mrpg_l2, r, k, mode=mode,
+            cells=CenterCells(l2_dataset),
+        )
     np.testing.assert_array_equal(res.outliers, l2_reference)
+    np.testing.assert_array_equal(certified.outliers, l2_reference)
 
 
 def test_graph_dod_candidate_sets_identical(l2_dataset, nsw_l2, l2_params):
     r, k = l2_params
     scalar = graph_dod(l2_dataset.view(), nsw_l2, r, k, mode="scalar")
-    batched = graph_dod(l2_dataset.view(), nsw_l2, r, k, mode="batched", batch_size=7)
+    with block_rows(7):
+        batched = graph_dod(l2_dataset.view(), nsw_l2, r, k, mode="batched")
     np.testing.assert_array_equal(scalar.outliers, batched.outliers)
     assert scalar.counts["candidates"] == batched.counts["candidates"]
     assert scalar.counts["direct_outliers"] == batched.counts["direct_outliers"]
@@ -193,8 +223,10 @@ def test_graph_dod_evidence_identical_sub_k(l2_dataset, mrpg_l2, l2_params):
 def test_engine_modes_agree_across_sweep(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
     r_grid = [r * f for f in (0.9, 1.0, 1.1)]
+    cells = CenterCells(l2_dataset)
     with DetectionEngine(l2_dataset.view(), mrpg_l2, mode="scalar", rng=0) as scalar_eng, \
-         DetectionEngine(l2_dataset.view(), mrpg_l2, mode="batched", batch_size=7, rng=0) as batched_eng:
+         DetectionEngine(l2_dataset.view(), mrpg_l2, mode="batched", rng=0,
+                         cells=cells) as batched_eng, block_rows(7):
         sweep_s = scalar_eng.sweep(r_grid, k_grid=[k, max(1, k - 3)])
         sweep_b = batched_eng.sweep(r_grid, k_grid=[k, max(1, k - 3)])
         for key in sweep_s.results:
