@@ -33,7 +33,7 @@ from repro.core.counting import CANDIDATE_CODE, classify_chunk_arrays
 from repro.core.dod import graph_dod
 from repro.core.verify import Verifier
 from repro.datasets import blobs_with_outliers, words_with_outliers
-from repro.index import CenterCells, brute_force_outliers
+from repro.index import brute_force_outliers, build_cells
 
 GRAPHS = ("mrpg", "mrpg-basic", "kgraph", "nsw")
 STRATEGIES = ("vptree", "linear")
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     for metric in ("l2", "l1", "angular"):
         dataset = Dataset(points, metric)
         verifiers = {s: Verifier(dataset, strategy=s, rng=0) for s in STRATEGIES}
-        cells = CenterCells(dataset)
+        cells = build_cells(dataset)
         gen = np.random.default_rng(0)
         a = gen.integers(0, dataset.n, size=1500)
         b = gen.integers(0, dataset.n, size=1500)
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     words = words_with_outliers(160, n_stems=12, planted_frac=0.02, rng=7)
     dataset = Dataset(words, "edit")
     verifiers = {s: Verifier(dataset, strategy=s, rng=0) for s in STRATEGIES}
-    cells = CenterCells(dataset)
+    cells = build_cells(dataset)
     for graph_name in GRAPHS:
         graph = build_graph(graph_name, dataset, K=6, rng=0)
         for with_cells in (None, cells):

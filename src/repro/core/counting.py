@@ -22,7 +22,7 @@ exactness oracle; the production path is the multi-source
 level-synchronous kernel in :mod:`repro.core.traversal`, reached through
 ``classify_chunk(_arrays)``'s ``mode`` knob and bit-identical on every
 verdict and sub-``k`` count.  Ahead of either walk,
-``classify_chunk(_arrays)`` can prove inliers from stored center
+``classify_chunk_arrays`` can prove inliers from stored center
 distances (:mod:`repro.index.cells`) — beyond the paper, and only when
 the caller passes the cells.
 """
@@ -40,11 +40,10 @@ from ..data import Dataset
 from ..exceptions import ParameterError
 from ..graphs.adjacency import Graph
 from ..params import check_query
-from .traversal import block_rows
+from .traversal import BlockTracker, block_rows, greedy_count_block
 
 if TYPE_CHECKING:
     from ..index.cells import CenterCells
-    from .traversal import BlockTracker
 
 
 class VisitTracker:
@@ -278,14 +277,15 @@ def classify_chunk_arrays(
     the hot paths (``graph_dod``, the engine) consume — no per-object
     Python objects.
 
-    Objects are decided in three steps, the first two shared by every
-    mode: the §5.5 exact-K'NN shortcut (vectorised over every holder
-    with ``k <= K'``); then, when ``cells`` is given, the center-cell
-    certificate (:mod:`repro.index.cells`), which proves inliers from
-    stored center distances; then Greedy-Counting over the rest.
-    ``mode`` selects how that walk runs — ``"scalar"`` walks one object
-    at a time (the exactness oracle), ``"batched"`` runs the
-    level-synchronous multi-source kernel in blocks of
+    Every object is decided by the first of three steps that settles
+    it: the §5.5 exact-K'NN shortcut (holders with ``k <= K'``); then,
+    when ``cells`` is given, the center-cell certificate
+    (:mod:`repro.index.cells`), which proves inliers from stored center
+    distances; then Greedy-Counting.  ``mode`` selects how the steps
+    run — ``"scalar"`` takes one object at a time through
+    :func:`exact_knn_shortcut` and :func:`greedy_count` (the exactness
+    oracle), ``"batched"`` vectorises the shortcut and walks the rest
+    with the level-synchronous multi-source kernel in blocks of
     :func:`~repro.core.traversal.block_rows` sources, ``"auto"`` picks
     batched unless ``max_visits`` forces the scalar walk.  Verdicts and
     sub-``k`` counts are identical in every mode.
@@ -296,6 +296,27 @@ def classify_chunk_arrays(
     counts = np.zeros(chunk.size, dtype=np.int64)
     codes = np.empty(chunk.size, dtype=np.int8)
     exact = np.zeros(chunk.size, dtype=bool)
+
+    if concrete == "scalar":
+        cert = None if cells is None else cells.certify(chunk, r, k)
+        if tracker is None:
+            tracker = VisitTracker(graph.n)
+        for t, p in enumerate(chunk):
+            ev = exact_knn_shortcut(graph, int(p), r, k)
+            if ev is None and cert is not None and cert[t] >= k:
+                ev = FilterEvidence(FilterOutcome.INLIER, int(cert[t]), exact=False)
+            if ev is None:
+                count = greedy_count(
+                    dataset, graph, int(p), r, k,
+                    tracker=tracker, follow_pivots=follow_pivots,
+                    max_visits=max_visits,
+                )
+                outcome = FilterOutcome.INLIER if count >= k else FilterOutcome.CANDIDATE
+                ev = FilterEvidence(outcome, count, exact=False)
+            counts[t] = ev.count
+            codes[t] = _CODE_TO_OUTCOME.index(ev.outcome)
+            exact[t] = ev.exact
+        return chunk, counts, codes, exact
 
     # -- §5.5 exact-K'NN shortcut, vectorised over every holder ------------
     # A holder with k <= K' is decided straight from its stored sorted
@@ -332,22 +353,11 @@ def classify_chunk_arrays(
         codes[won] = INLIER_CODE
         walk_mask[won] = False
 
-    # -- everyone else: Greedy-Counting ------------------------------------
+    # -- everyone else: multi-source level-synchronous traversal -----------
     walk_pos = np.flatnonzero(walk_mask)
-    if concrete == "scalar":
-        if tracker is None:
-            tracker = VisitTracker(graph.n)
-        for t in walk_pos:
-            counts[t] = greedy_count(
-                dataset, graph, int(chunk[t]), r, k,
-                tracker=tracker, follow_pivots=follow_pivots,
-                max_visits=max_visits,
-            )
-    elif walk_pos.size:
-        from .traversal import BlockTracker, greedy_count_block
-
+    if walk_pos.size:
         rows = min(block_rows(graph.n), walk_pos.size)
-        if block_tracker is None or block_tracker.block_size < rows:
+        if block_tracker is None:
             block_tracker = BlockTracker(graph.n, rows)
         for lo in range(0, walk_pos.size, rows):
             pos_blk = walk_pos[lo:lo + rows]
@@ -355,7 +365,9 @@ def classify_chunk_arrays(
                 dataset, graph, chunk[pos_blk], r, k,
                 tracker=block_tracker, follow_pivots=follow_pivots,
             )
-    codes[walk_pos] = np.where(counts[walk_pos] >= k, INLIER_CODE, CANDIDATE_CODE)
+        codes[walk_pos] = np.where(
+            counts[walk_pos] >= k, INLIER_CODE, CANDIDATE_CODE
+        )
     return chunk, counts, codes, exact
 
 
@@ -370,7 +382,6 @@ def classify_chunk(
     max_visits: int | None = None,
     mode: str = "auto",
     block_tracker: "BlockTracker | None" = None,
-    cells: "CenterCells | None" = None,
 ) -> list[tuple[int, FilterEvidence]]:
     """The shared per-chunk body of Algorithm 1's filtering loop.
 
@@ -378,14 +389,13 @@ def classify_chunk(
     run exactly this (via the array form,
     :func:`classify_chunk_arrays`) over their worker chunks, so the
     filter semantics cannot drift between the one-shot and the serving
-    path.  See :func:`classify_chunk_arrays` for the ``mode`` and
-    ``cells`` arguments; verdicts and sub-``k`` counts are identical
-    in every mode.
+    path.  See :func:`classify_chunk_arrays` for the ``mode`` knob;
+    verdicts and sub-``k`` counts are identical in every mode.
     """
     ids, counts, codes, exact = classify_chunk_arrays(
         dataset, graph, chunk, r, k,
         tracker=tracker, follow_pivots=follow_pivots, max_visits=max_visits,
-        mode=mode, block_tracker=block_tracker, cells=cells,
+        mode=mode, block_tracker=block_tracker,
     )
     return [
         (int(p), FilterEvidence(_CODE_TO_OUTCOME[c], int(cnt), bool(e)))

@@ -22,7 +22,7 @@ from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
-from ..index.cells import CenterCells
+from ..index.cells import CenterCells, build_cells
 from ..metrics import Metric
 from ..params import check_query
 from ..rng import ensure_rng
@@ -84,6 +84,10 @@ def graph_dod(
     if graph.n != dataset.n:
         raise GraphError(
             f"graph has {graph.n} vertices but dataset has {dataset.n} objects"
+        )
+    if cells is not None and cells.n != dataset.n:
+        raise GraphError(
+            f"center cells cover {cells.n} objects but dataset has {dataset.n}"
         )
     if not graph.finalized:
         graph.finalize()
@@ -208,7 +212,7 @@ class DODetector:
             self.graph_name, self.dataset_, K=self.K, rng=gen, **self.graph_params
         )
         self.verifier_ = Verifier(self.dataset_, strategy=self.verify, rng=gen)
-        self.cells_ = CenterCells(self.dataset_)
+        self.cells_ = build_cells(self.dataset_)
         return self
 
     @property

@@ -42,7 +42,7 @@ from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
-from ..index.cells import CenterCells
+from ..index.cells import CenterCells, build_cells
 from ..metrics import Metric
 from ..params import check_query
 from ..rng import ensure_rng
@@ -137,6 +137,10 @@ class DetectionEngine:
         if graph.n != dataset.n:
             raise GraphError(
                 f"graph has {graph.n} vertices but dataset has {dataset.n} objects"
+            )
+        if cells is not None and cells.n != dataset.n:
+            raise GraphError(
+                f"center cells cover {cells.n} objects but dataset has {dataset.n}"
             )
         if not graph.finalized:
             graph.finalize()
@@ -244,7 +248,7 @@ class DetectionEngine:
             memo_outliers=memo_outliers,
             memo_budget=memo_budget,
             backend=backend,
-            cells=CenterCells(dataset),
+            cells=build_cells(dataset),
         )
 
     @property

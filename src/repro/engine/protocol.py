@@ -343,7 +343,7 @@ def create_engine(
 
     if is_dataset:
         from ..graphs.base import build_graph
-        from ..index.cells import CenterCells
+        from ..index.cells import build_cells
         from ..rng import ensure_rng
 
         gen = ensure_rng(seed)
@@ -353,7 +353,7 @@ def create_engine(
         )
         return DetectionEngine(
             data, built, n_jobs=n_jobs, rng=gen, mode=mode,
-            cache_radii=cache_radii, backend=backend, cells=CenterCells(data),
+            cache_radii=cache_radii, backend=backend, cells=build_cells(data),
         )
     return DetectionEngine.fit(
         data, metric=metric, graph=graph, K=K, seed=seed, n_jobs=n_jobs,

@@ -78,7 +78,7 @@ from ..data import Dataset, pairs_per_kernel
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
-from ..index.cells import CenterCells
+from ..index.cells import CenterCells, build_cells
 from ..index.linear import linear_count_block
 from ..metrics import Metric
 from ..params import check_query
@@ -233,7 +233,7 @@ class ShardWorker:
             knn_radii,
         )
         self._graph = graph
-        self._serve = _ServeView(sub, graph, ids, cells=CenterCells(sub))
+        self._serve = _ServeView(sub, graph, ids, cells=build_cells(sub))
         self._take_pairs()  # offline build cost is not query cost
 
     def _init_serving(self, full, backend, mode, cache, knn_radii) -> None:

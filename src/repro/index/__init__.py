@@ -1,7 +1,7 @@
 """Exact metric-search substrates: VP-tree, ball partitioning, linear scan,
 center cells."""
 
-from .cells import CenterCells
+from .cells import CenterCells, build_cells
 from .linear import (
     brute_force_knn,
     brute_force_outliers,
@@ -13,6 +13,7 @@ from .vptree import VPTree
 
 __all__ = [
     "CenterCells",
+    "build_cells",
     "VPTree",
     "vp_partition",
     "PartitionResult",

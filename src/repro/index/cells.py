@@ -18,7 +18,8 @@ Greedy-Counting need not walk it.  ``slack(r)`` is the metric's rounding
 margin (:meth:`~repro.metrics.base.Metric.triangle_slack`, derived in
 ``docs/backends.md``): it makes the bound hold for the *computed*
 distances the brute-force oracle compares against ``r``, not only for
-the exact reals.  A metric without a margin gets no certificate.
+the exact reals.  A metric without a margin gets no certificate, and
+:func:`build_cells` builds nothing for it.
 
 This is the bound behind SNIF's ``r/2`` clusters (Tao, Xiao & Zhou;
 :mod:`repro.baselines.snif`) with the centers fixed at fit instead of
@@ -36,7 +37,7 @@ from ..data import Dataset
 
 #: objects per cell on average: ``m = n // CELL_OBJECTS`` centers.
 CELL_OBJECTS = 20
-#: farthest-first costs ``m * n`` distances at fit; cap ``m``.
+#: farthest-first costs up to ``m * n`` distances at fit; cap ``m``.
 MAX_CENTERS = 1024
 
 
@@ -49,6 +50,14 @@ def center_count(n: int) -> int:
     return max(1, min(MAX_CENTERS, int(n) // CELL_OBJECTS))
 
 
+def build_cells(dataset: Dataset) -> "CenterCells | None":
+    """The center cells of ``dataset``, or ``None`` when its metric has
+    no rounding margin (the certificate could never fire, so neither
+    the fit distances nor the stored arrays are spent)."""
+    slack = dataset.metric.triangle_slack(dataset.store)
+    return None if slack is None else CenterCells(dataset, slack)
+
+
 class CenterCells:
     """Nearest-center cells over a dataset, stored in cell order.
 
@@ -56,19 +65,28 @@ class CenterCells:
     cell (cell ``j`` is ``dist[ptr[j]:ptr[j + 1]]``) and ascending
     within each cell; ``slot[p]`` is object ``p``'s position in that
     order.  That is one float64 and one int32 per object, plus the
-    ``m + 1`` cell offsets and the ``m`` center ids.
+    ``m + 1`` cell offsets and the ``m`` center ids.  ``slack`` is the
+    metric's ``(rel, abs)`` margin: the certificate subtracts
+    ``rel * r + abs`` from every radius.
+
+    Each new center ``f`` is compared only with the objects that could
+    move to it.  If ``q``'s center ``c`` is so far from ``f`` that the
+    certificate, one ulp below radius ``d(f, c)``, would still count
+    two objects at distance ``d(q, c)`` from a common center, then the
+    computed ``d(f, q)`` is at least ``d(q, c)``: otherwise the margin's
+    guarantee, read with ``q`` as the center, would put ``d(f, c)``
+    below itself.  So a skipped distance could not have moved its
+    object, and on clustered data most of the ``m * n`` are skipped.
     """
 
     __slots__ = ("centers", "ptr", "dist", "slot", "slack")
 
-    def __init__(self, dataset: Dataset):
+    def __init__(self, dataset: Dataset, slack: "tuple[float, float]"):
         n = dataset.n
-        #: ``(rel, abs)``: the certificate subtracts ``rel * r + abs``
-        #: from every radius; ``None`` disables it.
-        self.slack = dataset.metric.triangle_slack(dataset.store)
-        everything = np.arange(n, dtype=np.int64)
+        self.slack = slack
+        rel, absolute = slack
         nearest = np.zeros(n, dtype=np.int64)
-        dmin = dataset.dist_many(0, everything)
+        dmin = dataset.dist_many(0, np.arange(n, dtype=np.int64))
         # d(c, c) = 0 exactly: store that rather than a rounded self-distance
         dmin[0] = 0.0
         centers = [0]
@@ -76,10 +94,16 @@ class CenterCells:
             far = int(np.argmax(dmin))
             if not dmin[far] > 0.0:
                 break  # every object coincides with a center
-            d = dataset.dist_many(far, everything)
-            closer = d < dmin
-            nearest[closer] = j
-            dmin[closer] = d[closer]
+            # one ulp below d(far, c) for each object's center c
+            below = np.nextafter(
+                dataset.dist_many(far, np.asarray(centers, dtype=np.int64)), 0.0
+            )[nearest]
+            settled = dmin <= (below - (rel * below + absolute)) - dmin
+            maybe = np.flatnonzero(~settled)
+            d = dataset.dist_many(far, maybe)
+            won = d < dmin[maybe]
+            nearest[maybe[won]] = j
+            dmin[maybe[won]] = d[won]
             nearest[far], dmin[far] = j, 0.0
             centers.append(far)
         order = np.lexsort((dmin, nearest))
@@ -100,7 +124,7 @@ class CenterCells:
         """
         ids = np.asarray(ids, dtype=np.int64)
         out = np.zeros(ids.size, dtype=np.int64)
-        if self.slack is None or ids.size == 0:
+        if ids.size == 0:
             return out
         s = self.slot[ids]
         cell = np.searchsorted(self.ptr, s, side="right") - 1
@@ -128,6 +152,11 @@ class CenterCells:
             end = np.where(open_ & ~within, mid, end)
         out[live] = first - lo[live] - (own[live] <= t)
         return out
+
+    @property
+    def n(self) -> int:
+        """Number of objects the cells cover."""
+        return int(self.slot.size)
 
     @property
     def nbytes(self) -> int:

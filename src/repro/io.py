@@ -466,7 +466,7 @@ def load_engine(
     """
     from .engine import DetectionEngine
     from .engine.evidence import EvidenceCache
-    from .index.cells import CenterCells
+    from .index.cells import build_cells
 
     path = Path(path)
     with _NpzReader(path, "engine snapshot") as data:
@@ -505,7 +505,7 @@ def load_engine(
         memo_outliers=memo_outliers,
         memo_budget=memo_budget,
         backend=backend,
-        cells=CenterCells(dataset),
+        cells=build_cells(dataset),
     )
     engine.cache = EvidenceCache.from_state_arrays(graph.n, cache_arrays)
     engine.cache.max_radii = cache_radii

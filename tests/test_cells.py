@@ -15,7 +15,8 @@ import pytest
 from repro import Dataset, DetectionEngine, DODetector, build_graph
 from repro.core.dod import graph_dod
 from repro.index import brute_force_outliers
-from repro.index.cells import CenterCells, center_count
+from repro.exceptions import GraphError
+from repro.index.cells import CenterCells, build_cells, center_count
 from repro.metrics import Minkowski
 
 
@@ -54,7 +55,7 @@ def _sum_radii(cells: CenterCells, limit: int = 40) -> list[float]:
 def _assert_sound(dataset: Dataset, radii, k: int = 1) -> int:
     """Certificate <= brute force at every radius; returns how many
     (object, radius) pairs the certificate counted anything for."""
-    cells = CenterCells(dataset)
+    cells = build_cells(dataset)
     matrices = _kernel_counts(dataset)
     ids = np.arange(dataset.n, dtype=np.int64)
     fired = 0
@@ -108,7 +109,7 @@ def metric_datasets(l2_dataset, l1_dataset, angular_dataset, edit_dataset):
 )
 def test_certificate_never_exceeds_brute_force(metric_datasets, name):
     dataset = metric_datasets[name]
-    cells = CenterCells(dataset)
+    cells = build_cells(dataset)
     assert cells.slack is not None
     radii = _sum_radii(cells)
     fired = _assert_sound(dataset, radii)
@@ -119,7 +120,7 @@ def test_certificate_never_exceeds_brute_force(metric_datasets, name):
 def test_whole_number_metrics_count_exact_ties(metric_datasets, name):
     """Zero slack: at r = d(p, c) + d(q, c) exactly, q counts for p."""
     dataset = metric_datasets[name]
-    cells = CenterCells(dataset)
+    cells = build_cells(dataset)
     assert cells.slack == (0.0, 0.0)
     order = np.argsort(cells.slot)  # object id at each cell-order slot
     for j in range(cells.centers.size):
@@ -151,14 +152,14 @@ def test_zero_radius_with_duplicates(metric):
 
 def test_small_n_has_one_center(l2_dataset):
     sub = l2_dataset.subset(np.arange(12))
-    cells = CenterCells(sub)
+    cells = build_cells(sub)
     assert center_count(12) == 1 and cells.centers.tolist() == [0]
     radii = _sum_radii(cells) + [float(np.inf)]
     _assert_sound(sub, radii)
 
 
 def test_infinite_radius_counts_the_whole_cell(l2_dataset):
-    cells = CenterCells(l2_dataset)
+    cells = build_cells(l2_dataset)
     ids = np.arange(l2_dataset.n, dtype=np.int64)
     cert = cells.certify(ids, float("inf"), 1)
     sizes = np.diff(cells.ptr)
@@ -169,7 +170,7 @@ def test_infinite_radius_counts_the_whole_cell(l2_dataset):
 
 
 def test_farthest_first_is_deterministic(l2_dataset):
-    a, b = CenterCells(l2_dataset), CenterCells(l2_dataset)
+    a, b = build_cells(l2_dataset), build_cells(l2_dataset)
     assert a.centers[0] == 0
     assert a.centers.size == center_count(l2_dataset.n)
     assert np.unique(a.centers).size == a.centers.size
@@ -182,24 +183,84 @@ def test_farthest_first_is_deterministic(l2_dataset):
     np.testing.assert_array_equal(np.sort(a.dist), np.sort(d.min(axis=0)))
 
 
-def test_metric_without_margin_gets_no_certificate(blob_points):
+def _plain_farthest_first(dataset: Dataset):
+    """Farthest-first without pruning: every center against every object."""
+    n = dataset.n
+    everything = np.arange(n, dtype=np.int64)
+    nearest = np.zeros(n, dtype=np.int64)
+    dmin = dataset.dist_many(0, everything)
+    dmin[0] = 0.0
+    centers = [0]
+    for j in range(1, center_count(n)):
+        far = int(np.argmax(dmin))
+        if not dmin[far] > 0.0:
+            break
+        d = dataset.dist_many(far, everything)
+        closer = d < dmin
+        nearest[closer], dmin[closer] = j, d[closer]
+        nearest[far], dmin[far] = j, 0.0
+        centers.append(far)
+    return np.asarray(centers), nearest, dmin
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["l1", "l2", "angular", "edit", "hamming", "jaccard",
+     "geodesic-l2", "geodesic-angular"],
+)
+def test_pruned_farthest_first_matches_plain(metric_datasets, name):
+    """Skipping the objects the margin proves cannot move changes no
+    center, no assignment and no stored distance — also on geodesic
+    triples, where the triangle inequality is tight."""
+    if name.startswith("geodesic-"):
+        dataset = _geodesic_triples(name.split("-")[1])
+    else:
+        dataset = metric_datasets[name]
+    centers, nearest, dmin = _plain_farthest_first(dataset)
+    before = dataset.counter.pairs
+    cells = build_cells(dataset)
+    spent = dataset.counter.pairs - before
+    np.testing.assert_array_equal(cells.centers, centers)
+    np.testing.assert_array_equal(cells.dist[cells.slot], dmin)
+    cell_of = np.searchsorted(cells.ptr, cells.slot, side="right") - 1
+    np.testing.assert_array_equal(cell_of, nearest)
+    assert spent < centers.size * dataset.n
+
+
+def test_metric_without_margin_gets_no_cells(blob_points):
     class Unmargined(Minkowski):
         def triangle_slack(self, store):
             return None
 
     dataset = Dataset(blob_points, Unmargined(2.0))
-    cells = CenterCells(dataset)
-    assert cells.slack is None
-    assert not cells.certify(np.arange(dataset.n), 1e9, 1).any()
+    # nothing is built: no fit distances, no stored arrays
+    assert build_cells(dataset) is None
+    assert dataset.counter.pairs == 0
+    det = DODetector(metric=Unmargined(2.0), graph="kgraph", K=6).fit(blob_points)
+    assert det.cells_ is None
+    assert det.index_nbytes == det.graph_.nbytes + det.verifier_.nbytes
     # coordinates whose squares could overflow float64: no margin either
     huge = Dataset(blob_points * 1e160, "l2")
     with np.errstate(over="ignore"):
-        assert CenterCells(huge).slack is None
+        assert build_cells(huge) is None
+
+
+def test_cells_of_another_dataset_rejected(l2_dataset, mrpg_l2, l2_params):
+    r, k = l2_params
+    for n in (l2_dataset.n - 1, l2_dataset.n + 1):
+        other = Dataset(
+            np.random.default_rng(9).normal(size=(n, l2_dataset.store.shape[1])),
+            "l2",
+        )
+        with pytest.raises(GraphError, match="center cells cover"):
+            graph_dod(l2_dataset.view(), mrpg_l2, r, k, cells=build_cells(other))
+        with pytest.raises(GraphError, match="center cells cover"):
+            DetectionEngine(l2_dataset.view(), mrpg_l2, cells=build_cells(other))
 
 
 def test_graph_dod_with_cells_is_exact(l2_dataset, mrpg_l2, l2_params, l2_reference):
     r, k = l2_params
-    cells = CenterCells(l2_dataset)
+    cells = build_cells(l2_dataset)
     for mode in ("scalar", "batched"):
         plain = graph_dod(l2_dataset.view(), mrpg_l2, r, k, mode=mode)
         certified = graph_dod(
@@ -232,7 +293,7 @@ def test_fitted_indexes_carry_cells(blob_points, l2_params):
 def test_certified_filter_matches_oracle(metric_datasets, name):
     dataset = metric_datasets[name]
     graph = build_graph("kgraph", dataset, K=6, rng=0)
-    cells = CenterCells(dataset)
+    cells = build_cells(dataset)
     matrices = _kernel_counts(dataset)
     for q in (0.05, 0.2):
         r = float(np.quantile(matrices[0][np.isfinite(matrices[0])], q))

@@ -23,12 +23,12 @@ import pytest
 
 import repro.core.counting as counting
 from repro.core import BlockTracker, VisitTracker, greedy_count, greedy_count_block
-from repro.core.counting import classify_chunk, classify_chunk_arrays
+from repro.core.counting import classify_chunk, classify_chunk_arrays, classify_evidence
 from repro.core.dod import graph_dod
 from repro.core.verify import Verifier
 from repro.engine import DetectionEngine
 from repro.exceptions import ParameterError
-from repro.index.cells import CenterCells
+from repro.index.cells import build_cells
 
 BLOCK_SIZES = (1, 7, None)  # None -> the whole chunk as one block
 
@@ -65,7 +65,7 @@ def test_batched_filter_matches_scalar_l2(request, l2_dataset, l2_params, graph_
     graph = request.getfixturevalue(graph_name)
     r, k = l2_params
     chunk = np.arange(l2_dataset.n, dtype=np.int64)
-    cells = CenterCells(l2_dataset)
+    cells = build_cells(l2_dataset)
     for bs in _block_sizes(l2_dataset.n):
         _assert_filter_equivalent(l2_dataset, graph, chunk, r, k, bs)
         _assert_filter_equivalent(l2_dataset, graph, chunk, r, k, bs, cells)
@@ -81,7 +81,7 @@ def test_batched_filter_matches_scalar_l1(l1_dataset, l2_params):
     keep = a != b
     r = float(np.quantile(l1_dataset.pair_dist(a[keep], b[keep]), 0.10))
     chunk = np.arange(l1_dataset.n, dtype=np.int64)
-    cells = CenterCells(l1_dataset)
+    cells = build_cells(l1_dataset)
     for bs in _block_sizes(l1_dataset.n):
         _assert_filter_equivalent(l1_dataset, graph, chunk, r, 8, bs)
         _assert_filter_equivalent(l1_dataset, graph, chunk, r, 8, bs, cells)
@@ -89,7 +89,7 @@ def test_batched_filter_matches_scalar_l1(l1_dataset, l2_params):
 
 def test_batched_filter_matches_scalar_edit(edit_dataset, mrpg_edit):
     chunk = np.arange(edit_dataset.n, dtype=np.int64)
-    cells = CenterCells(edit_dataset)
+    cells = build_cells(edit_dataset)
     for r, k in ((2.0, 4), (3.0, 6)):
         for bs in _block_sizes(edit_dataset.n):
             _assert_filter_equivalent(edit_dataset, mrpg_edit, chunk, r, k, bs)
@@ -109,6 +109,25 @@ def test_batched_filter_adversarial_blocks(l2_dataset, mrpg_l2, l2_params, l2_re
     chunk = np.concatenate((inliers[:mid], outliers, inliers[mid:]))
     for bs in (1, 7, l2_dataset.n):
         _assert_filter_equivalent(l2_dataset, mrpg_l2, chunk, r, k, bs)
+
+
+def test_vectorised_shortcut_matches_per_holder_oracle(l2_dataset, mrpg_l2, l2_params):
+    """The batched path decides exact-K'NN holders with one vectorised
+    pass; each verdict, count and exact flag must equal the per-object
+    :func:`classify_evidence`'s, for every ``k <= K'``."""
+    r0, _ = l2_params
+    owners, sizes, _, _ = mrpg_l2.exact_knn_arrays()
+    assert owners.size, "no exact-K'NN holders: vacuous test"
+    for r in (0.5 * r0, r0, 4.0 * r0):
+        for k in range(1, int(sizes.max()) + 1):
+            holders = owners[sizes >= k]
+            _, counts, codes, exact = classify_chunk_arrays(
+                l2_dataset.view(), mrpg_l2, holders, r, k, mode="batched"
+            )
+            for t, p in enumerate(holders):
+                ev = classify_evidence(l2_dataset.view(), mrpg_l2, int(p), r, k)
+                assert counting._CODE_TO_OUTCOME[codes[t]] is ev.outcome, (p, r, k)
+                assert (counts[t], exact[t]) == (ev.count, ev.exact), (p, r, k)
 
 
 @pytest.mark.parametrize("k", [1, 3, 8, 40])
@@ -193,7 +212,7 @@ def test_graph_dod_outliers_identical(l2_dataset, mrpg_l2, l2_params, l2_referen
         res = graph_dod(l2_dataset.view(), mrpg_l2, r, k, mode=mode)
         certified = graph_dod(
             l2_dataset.view(), mrpg_l2, r, k, mode=mode,
-            cells=CenterCells(l2_dataset),
+            cells=build_cells(l2_dataset),
         )
     np.testing.assert_array_equal(res.outliers, l2_reference)
     np.testing.assert_array_equal(certified.outliers, l2_reference)
@@ -223,7 +242,7 @@ def test_graph_dod_evidence_identical_sub_k(l2_dataset, mrpg_l2, l2_params):
 def test_engine_modes_agree_across_sweep(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
     r_grid = [r * f for f in (0.9, 1.0, 1.1)]
-    cells = CenterCells(l2_dataset)
+    cells = build_cells(l2_dataset)
     with DetectionEngine(l2_dataset.view(), mrpg_l2, mode="scalar", rng=0) as scalar_eng, \
          DetectionEngine(l2_dataset.view(), mrpg_l2, mode="batched", rng=0,
                          cells=cells) as batched_eng, block_rows(7):
