@@ -252,9 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8734,
                          help="listening port (0 picks a free port)")
-    p_serve.add_argument("--window-ms", type=float, default=2.0,
-                         help="coalescing window: concurrent requests arriving "
-                              "within it share one engine batch")
     p_serve.add_argument("--max-batch", type=int, default=64,
                          help="most requests drained into one engine call")
     p_serve.add_argument("--max-queue", type=int, default=1024,
@@ -720,7 +717,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serve: --store shm needs --mutable", file=sys.stderr)
         return 2
     config = ServingConfig(
-        window=args.window_ms / 1e3,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         max_cold=args.max_cold,

@@ -46,7 +46,7 @@ from ..exceptions import ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
 from ..metrics import Metric, resolve_metric
-from ..params import check_query
+from ..params import check_ids, check_query
 from ..rng import ensure_rng
 from .engine import DetectionEngine, SweepResult
 from .evidence import EvidenceCache, build_delete_evidence
@@ -533,7 +533,7 @@ class MutableDetectionEngine:
         """
         if self._graph is None:
             raise ParameterError("remove before any insert")
-        id_list = [int(raw) for raw in ids]
+        id_list = check_ids(ids)
         for v in id_list:
             if not 0 <= v < self.n_total or not self._alive[v]:
                 raise ParameterError(f"id {v} is not an active object")

@@ -56,7 +56,7 @@ from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
 from ..index.linear import linear_count_block
 from ..metrics import Metric, resolve_metric
-from ..params import check_query
+from ..params import check_ids, check_query
 from ..rng import ensure_rng
 from .evidence import EvidenceCache, build_delete_evidence
 from .protocol import EngineCapabilities
@@ -996,7 +996,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         known_neighbors: "dict[int, dict[float, np.ndarray]] | None" = None,
     ) -> None:
         """Tombstone objects everywhere; owning shards repair their caches."""
-        id_list = [int(raw) for raw in ids]
+        id_list = check_ids(ids)
         for v in id_list:
             if not 0 <= v < self.n_total or not self._alive[v]:
                 raise ParameterError(f"id {v} is not an active object")

@@ -10,11 +10,14 @@ Adjacency is kept as Python lists plus membership sets while building
 (``indptr``/``indices``) for traversal: ``neighbors(v)`` is a constant
 -time slice, and the multi-source level-synchronous kernel in
 :mod:`repro.core.traversal` gathers whole frontier levels straight from
-the two flat arrays without touching per-vertex Python objects.
+the two flat arrays without touching per-vertex Python objects.  A
+graph made by :meth:`Graph.compact` starts from its CSR arrays alone
+and builds the lists only when something first edits it.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -31,8 +34,10 @@ class Graph:
         if n < 1:
             raise GraphError(f"graph needs at least one vertex, got n={n}")
         self.n = int(n)
-        self._adj: list[list[int]] = [[] for _ in range(n)]
-        self._members: list[set[int]] = [set() for _ in range(n)]
+        #: per-vertex out-links and their membership sets; both ``None``
+        #: while the graph is backed by its CSR arrays alone.
+        self._adj: list[list[int]] | None = [[] for _ in range(n)]
+        self._members: list[set[int]] | None = [set() for _ in range(n)]
         self._csr: tuple[np.ndarray, np.ndarray] | None = None
         #: pivot flags (Algorithm 3 vantage points whose left child is a leaf).
         self.pivots = np.zeros(n, dtype=bool)
@@ -42,12 +47,39 @@ class Graph:
         #: free-form build metadata (phase timings, parameters, ...).
         self.meta: dict = {}
 
+    @classmethod
+    def _from_csr(cls, indptr: np.ndarray, indices: np.ndarray) -> "Graph":
+        """A finalised graph over trusted CSR arrays, without per-vertex lists."""
+        graph = cls.__new__(cls)
+        graph.n = int(indptr.size - 1)
+        graph._adj = graph._members = None
+        graph._csr = (indptr, indices)
+        graph.pivots = np.zeros(graph.n, dtype=bool)
+        graph.exact_knn = {}
+        graph._knn_arrays = None
+        graph.meta = {}
+        return graph
+
+    def _rows(self) -> list[list[int]]:
+        """The CSR adjacency as one Python list per vertex."""
+        indptr, indices = self._csr
+        flat = indices.tolist()
+        bounds = indptr.tolist()
+        return [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    def _thaw(self) -> None:
+        """Build the per-vertex lists of a CSR-backed graph (its first edit)."""
+        self._adj = self._rows()
+        self._members = [set(lst) for lst in self._adj]
+
     # -- mutation ----------------------------------------------------------
 
     def add_link(self, u: int, v: int) -> bool:
         """Add the directed link ``u -> v``; returns False if redundant."""
         if u == v:
             return False
+        if self._adj is None:
+            self._thaw()
         if v in self._members[u]:
             return False
         self._members[u].add(v)
@@ -62,6 +94,8 @@ class Graph:
 
     def remove_link(self, u: int, v: int) -> bool:
         """Remove the directed link ``u -> v`` if present."""
+        if self._adj is None:
+            self._thaw()
         if v not in self._members[u]:
             return False
         self._members[u].discard(v)
@@ -83,6 +117,8 @@ class Graph:
             if v != u and v not in seen:
                 seen.add(v)
                 fresh.append(v)
+        if self._adj is None:
+            self._thaw()
         self._adj[u] = fresh
         self._members[u] = seen
         self._csr = None
@@ -90,6 +126,8 @@ class Graph:
     # -- queries -----------------------------------------------------------
 
     def has_link(self, u: int, v: int) -> bool:
+        if self._adj is None:
+            return bool(np.any(self.neighbors(u) == v))
         return v in self._members[u]
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -108,14 +146,21 @@ class Graph:
 
     def neighbors_list(self, v: int) -> list[int]:
         """Mutable-view-free copy of ``v``'s out-neighbor list."""
+        if self._adj is None:
+            return self.neighbors(v).tolist()
         return list(self._adj[v])
 
     def degree(self, v: int) -> int:
+        if self._adj is None:
+            indptr = self._csr[0]
+            return int(indptr[v + 1] - indptr[v])
         return len(self._adj[v])
 
     @property
     def n_links(self) -> int:
         """Total number of directed links."""
+        if self._adj is None:
+            return int(self._csr[0][-1])
         return sum(len(lst) for lst in self._adj)
 
     def is_pivot(self, v: int) -> bool:
@@ -137,6 +182,8 @@ class Graph:
             raise GraphError(f"cannot shrink graph from {self.n} to {n_new}")
         if n_new == self.n:
             return
+        if self._adj is None:
+            self._thaw()
         pad = n_new - self.n
         self._adj.extend([] for _ in range(pad))
         self._members.extend(set() for _ in range(pad))
@@ -218,43 +265,52 @@ class Graph:
         (``-1`` for dropped vertices).  Links to dropped vertices are
         removed; exact-K'NN lists survive only when *every* member is
         kept — otherwise the "exact K'-NN" property no longer holds for
-        the remaining population.  The returned graph is finalised.
+        the remaining population.  The returned graph is finalised and
+        CSR-backed: it is built with array operations on this graph's
+        CSR arrays, and builds per-vertex lists only if it is edited.
         """
         keep = np.asarray(keep, dtype=np.int64)
         if keep.size == 0:
             raise GraphError("compact: empty keep set")
         remap = np.full(self.n, -1, dtype=np.int64)
         remap[keep] = np.arange(keep.size)
-        graph = Graph(keep.size)
+        indptr, indices = self.csr()
+        # Gather the kept rows in ``keep`` order, renumber both endpoints
+        # and drop links into dropped vertices; each row keeps its order.
+        starts = indptr[keep]
+        sizes = indptr[keep + 1] - starts
+        rows = np.repeat(np.arange(keep.size), sizes)
+        pos = np.arange(rows.size) + np.repeat(
+            starts - (np.cumsum(sizes) - sizes), sizes
+        )
+        targets = remap[indices[pos]]
+        live = targets >= 0
+        new_indptr = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(rows[live], minlength=keep.size), out=new_indptr[1:]
+        )
+        graph = Graph._from_csr(new_indptr, targets[live])
         graph.meta = dict(self.meta)
-        graph.pivots = self.pivots[keep].copy()
-        for new_u, old_u in enumerate(keep):
-            graph.set_links(
-                new_u,
-                (
-                    int(remap[w])
-                    for w in self._adj[int(old_u)]
-                    if remap[w] >= 0
-                ),
-            )
+        graph.pivots = self.pivots[keep]
         for old_v, (ids, dists) in self.exact_knn.items():
             if remap[old_v] >= 0 and np.all(remap[ids] >= 0):
                 graph.exact_knn[int(remap[old_v])] = (remap[ids], dists.copy())
-        graph.finalize()
         return graph, remap
 
     # -- lifecycle -----------------------------------------------------------
 
     def finalize(self) -> "Graph":
         """Freeze adjacency into CSR arrays for fast traversal."""
+        if self._adj is None:
+            return self  # CSR-backed: the arrays are the adjacency
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([len(lst) for lst in self._adj])
-        if indptr[-1]:
-            indices = np.concatenate(
-                [np.asarray(lst, dtype=np.int64) for lst in self._adj if lst]
-            )
-        else:
-            indices = _EMPTY
+        np.cumsum(
+            np.fromiter(map(len, self._adj), dtype=np.int64, count=self.n),
+            out=indptr[1:],
+        )
+        indices = np.fromiter(
+            chain.from_iterable(self._adj), dtype=np.int64, count=int(indptr[-1])
+        )
         self._csr = (indptr, indices)
         return self
 
@@ -358,23 +414,31 @@ class Graph:
 
     def copy(self) -> "Graph":
         """Deep copy (used by the MRPG ablation variants)."""
-        g = Graph(self.n)
-        g._adj = [list(lst) for lst in self._adj]
-        g._members = [set(s) for s in self._members]
+        if self._adj is None:
+            indptr, indices = self._csr
+            g = Graph._from_csr(indptr.copy(), indices.copy())
+        else:
+            g = Graph(self.n)
+            g._adj = [list(lst) for lst in self._adj]
+            g._members = [set(s) for s in self._members]
+            if self._csr is not None:
+                g.finalize()
         g.pivots = self.pivots.copy()
         g.exact_knn = {
             v: (ids.copy(), dd.copy()) for v, (ids, dd) in self.exact_knn.items()
         }
         g.meta = dict(self.meta)
-        if self._csr is not None:
-            g.finalize()
         return g
 
     def validate(self) -> None:
         """Internal consistency check (tests and io round-trips)."""
+        adj = self._rows() if self._adj is None else self._adj
+        members = (
+            [set(lst) for lst in adj] if self._members is None else self._members
+        )
         for u in range(self.n):
-            lst = self._adj[u]
-            if len(lst) != len(self._members[u]):
+            lst = adj[u]
+            if len(lst) != len(members[u]):
                 raise GraphError(f"vertex {u}: duplicate links")
             for v in lst:
                 if not 0 <= v < self.n:

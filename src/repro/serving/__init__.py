@@ -4,9 +4,10 @@ Every engine in :mod:`repro.engine` answers blocking library calls.
 This package multiplexes concurrent clients onto a single
 :class:`~repro.engine.protocol.EngineCore`:
 
-* :class:`QueryCoalescer` — batches concurrent ``(r, k)`` requests
-  arriving within a short window into one ``batch`` call (one shard
-  broadcast per unique query on sharded engines), with per-request
+* :class:`QueryCoalescer` — hands a request to an idle engine at
+  once and batches the ``(r, k)`` requests that queue while it is busy
+  into its next ``batch`` call (one shard broadcast per unique query
+  on sharded engines), with per-request
   deadlines, admission control for cold queries, and FIFO-safe
   interleaving of reads with mutations through the shard epoch
   barrier;

@@ -7,11 +7,12 @@ time.  :class:`QueryCoalescer` owns one engine and one dedicated engine
 thread, and turns the concurrent request stream into a sequence of
 engine calls:
 
-* requests arriving within a short **coalescing window** (plus anything
-  that queued up while the engine thread was busy) are drained into one
-  ``engine.batch`` call; identical ``(r, k)`` requests collapse onto a
-  *single* engine query — on sharded engines, one shard broadcast
-  answers every waiter;
+* an idle engine gets a request as soon as it arrives, with no linger;
+  everything that queues up while the engine thread is busy (and every
+  request submitted in the same event-loop tick) is drained into the
+  next ``engine.batch`` call; identical ``(r, k)`` requests collapse
+  onto a *single* engine query — on sharded engines, one shard
+  broadcast answers every waiter;
 * each request carries a **deadline**; expiry surfaces as a clean
   :class:`DeadlineExceeded` to that client only — the batch in flight
   is unaffected;
@@ -44,7 +45,7 @@ from typing import Any, Sequence
 
 from ..engine.protocol import supports
 from ..exceptions import ParameterError, ReproError
-from ..params import check_query
+from ..params import check_deadline, check_query
 
 
 class DeadlineExceeded(ReproError):
@@ -59,11 +60,6 @@ class AdmissionError(ReproError):
 class ServingConfig:
     """Tuning knobs for one :class:`QueryCoalescer`.
 
-    ``window``
-        Seconds to linger after the first pending request before
-        draining a batch, letting concurrent arrivals coalesce.  While
-        the engine thread is busy the queue accumulates anyway, so the
-        window mostly matters at low load; ``0`` disables the linger.
     ``max_batch``
         Most requests drained into one ``engine.batch`` call.
     ``max_queue``
@@ -79,25 +75,19 @@ class ServingConfig:
         deadline of its own.
     """
 
-    window: float = 0.002
     max_batch: int = 64
     max_queue: int = 1024
     max_cold: int = 4
     default_deadline: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.window < 0:
-            raise ParameterError(f"window must be >= 0, got {self.window}")
         if self.max_batch < 1:
             raise ParameterError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_queue < 1:
             raise ParameterError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.max_cold < 1:
             raise ParameterError(f"max_cold must be >= 1, got {self.max_cold}")
-        if self.default_deadline <= 0:
-            raise ParameterError(
-                f"default_deadline must be > 0, got {self.default_deadline}"
-            )
+        check_deadline(self.default_deadline)
 
 
 class _Request:
@@ -245,10 +235,9 @@ class QueryCoalescer:
     async def _submit(self, kind: str, args, deadline: "float | None"):
         if self._task is None or self._closing:
             raise ParameterError("QueryCoalescer is not running")
-        if deadline is None:
-            deadline = self.config.default_deadline
-        if deadline <= 0:
-            raise ParameterError(f"deadline must be > 0, got {deadline}")
+        deadline = check_deadline(
+            self.config.default_deadline if deadline is None else deadline
+        )
         self.stats["requests"] += 1
         if self.pending >= self.config.max_queue:
             self.stats["rejected"] += 1
@@ -275,6 +264,9 @@ class QueryCoalescer:
     # -- the drain loop ----------------------------------------------------
 
     async def _drain_loop(self) -> None:
+        # No linger: an idle engine takes whatever is queued at once.
+        # Requests that arrive while an engine call is in flight queue
+        # up behind it and share the next batch.
         while True:
             if not any(not req.dead for req in self._queue):
                 self._queue.clear()
@@ -287,8 +279,6 @@ class QueryCoalescer:
                 if not self._queue:
                     await self._wake.wait()
                 continue
-            if self.config.window > 0 and not self._closing:
-                await asyncio.sleep(self.config.window)
             reads, mutation = self._select()
             if mutation is not None:
                 await self._run_mutation(mutation)
@@ -407,7 +397,6 @@ class QueryCoalescer:
         """One-line human description of the serving front-end."""
         cfg = self.config
         return (
-            f"coalescer(window={cfg.window * 1e3:g}ms, "
-            f"max_batch={cfg.max_batch}, max_cold={cfg.max_cold}, "
+            f"coalescer(max_batch={cfg.max_batch}, max_cold={cfg.max_cold}, "
             f"max_queue={cfg.max_queue}) over {self.engine.describe()}"
         )

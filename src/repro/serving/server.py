@@ -31,6 +31,7 @@ import numpy as np
 
 from ..engine.protocol import supports
 from ..exceptions import GraphError, MetricError, ParameterError, ReproError
+from ..params import check_ids
 from .coalescer import AdmissionError, DeadlineExceeded, QueryCoalescer, ServingConfig
 
 #: request-line + header block size bound (we never need more).
@@ -286,10 +287,9 @@ class EngineServer:
         if path == "/remove":
             self._require(method, "POST", path)
             req = json.loads(body)
-            await self.coalescer.remove(
-                [int(i) for i in req["ids"]], deadline=req.get("deadline")
-            )
-            return 200, {"removed": len(req["ids"])}
+            ids = check_ids(req["ids"])
+            await self.coalescer.remove(ids, deadline=req.get("deadline"))
+            return 200, {"removed": len(ids)}
         raise _HttpError(404, f"no such endpoint: {path}", "route")
 
     @staticmethod

@@ -24,8 +24,10 @@ from repro.core.verify import Verifier
 from repro.engine import ShardedDetectionEngine, create_engine
 from repro.exceptions import ParameterError
 from repro.index import VPTree, linear_count
-from repro.params import check_k, check_query, check_radius
-from repro.serving import QueryCoalescer
+from repro.params import (
+    check_deadline, check_ids, check_k, check_query, check_radius,
+)
+from repro.serving import QueryCoalescer, ServingConfig
 
 NAN = float("nan")
 BAD = [(NAN, 5), (-1.0, 5), (1.0, 2.5), (1.0, 0), (1.0, NAN), (1.0, float("inf"))]
@@ -135,3 +137,44 @@ def test_whole_number_floats_and_numpy_scalars_still_work():
     np.testing.assert_array_equal(a.outliers, b.outliers)
     with DetectionEngine(ds, graph) as engine:
         np.testing.assert_array_equal(engine.query(1.2, 4.0).outliers, a.outliers)
+
+
+def test_id_and_deadline_validators():
+    assert check_ids([4, 2.0, np.int64(7)]) == [4, 2, 7]
+    assert check_ids(np.arange(3)) == [0, 1, 2]
+    assert check_ids([]) == []
+    for bad in ([2.7], [True], [np.True_], ["2"], [None], [NAN], 5):
+        with pytest.raises(ParameterError):
+            check_ids(bad)
+    assert check_deadline(2) == 2.0
+    assert check_deadline(float("inf")) == float("inf")
+    for bad in (NAN, 0, -1.0, True, "1", None):
+        with pytest.raises(ParameterError):
+            check_deadline(bad)
+
+
+@pytest.mark.parametrize("shards", [None, 2])
+def test_mutable_engines_reject_fractional_and_boolean_ids(points, shards):
+    """``remove([2.7, True])`` used to remove objects 2 and 1."""
+    kwargs = {} if shards is None else {"shards": shards, "workers": 1}
+    with create_engine(points, mutable=True, K=6, **kwargs) as engine:
+        for bad in ([2.7, True], [True], [2.7], ["3"]):
+            with pytest.raises(ParameterError):
+                engine.remove(bad)
+        assert engine.n_active == points.shape[0]
+        engine.remove([2.0, np.int64(1)])  # whole numbers still work
+        assert engine.n_active == points.shape[0] - 2
+
+
+def test_coalescer_rejects_nan_and_boolean_deadlines(detector):
+    async def body():
+        async with QueryCoalescer(detector.engine(), close_engine=True) as serving:
+            for bad in (NAN, True, 0.0):
+                with pytest.raises(ParameterError):
+                    await serving.query(1.0, 5, deadline=bad)
+            return await serving.query(1.0, 5, deadline=float("inf"))
+
+    assert asyncio.run(body()).k == 5
+    for bad in (NAN, True, 0.0):
+        with pytest.raises(ParameterError):
+            ServingConfig(default_deadline=bad)

@@ -95,9 +95,7 @@ def test_identical_queries_share_one_engine_call(blob_points, l2_params):
     engine = _make_engine("static", blob_points)
 
     async def body():
-        async with QueryCoalescer(
-            engine, ServingConfig(window=0.05), close_engine=True
-        ) as serving:
+        async with QueryCoalescer(engine, close_engine=True) as serving:
             results = await asyncio.gather(
                 *[serving.query(r, k) for _ in range(12)]
             )
@@ -192,9 +190,60 @@ def test_queued_expired_request_never_reaches_engine():
     assert (7.0, 9) not in served
 
 
+def test_requests_queued_behind_a_busy_engine_share_one_batch():
+    """With no linger, coalescing comes from a busy engine thread: every
+    request that arrives while a batch is in flight rides the next one."""
+    engine = _SlowEngine(0.3)
+
+    async def body():
+        async with QueryCoalescer(engine) as serving:
+            blocker = asyncio.create_task(serving.query(1.0, 5))
+            await asyncio.sleep(0.05)  # the blocker's batch is in flight
+            later = []
+            for i in range(6):  # separate arrivals, one tick apart or more
+                later.append(asyncio.create_task(serving.query(2.0 + i % 3, 5)))
+                await asyncio.sleep(0.01)
+            answers = await asyncio.gather(blocker, *later)
+            return answers, dict(serving.stats)
+
+    answers, stats = run(body())
+    assert [a[1] for a in answers] == [1.0, 2.0, 3.0, 4.0, 2.0, 3.0, 4.0]
+    assert engine.calls == [[(1.0, 5)], [(2.0, 5), (3.0, 5), (4.0, 5)]]
+    assert stats["batches"] == 2
+    assert stats["max_batch"] == 6 and stats["coalesced"] == 3
+
+
+def test_lone_request_reaches_idle_engine_without_lingering(monkeypatch):
+    """An idle coalescer hands a request straight to the engine: it never
+    sleeps, so a failing ``asyncio.sleep`` in its module changes nothing."""
+    import repro.serving.coalescer as coalescer_module
+
+    class _NoSleep:
+        def __getattr__(self, name):
+            return getattr(asyncio, name)
+
+        @staticmethod
+        async def sleep(*args, **kwargs):
+            raise AssertionError("the coalescer lingered before draining")
+
+    monkeypatch.setattr(coalescer_module, "asyncio", _NoSleep())
+    engine = _SlowEngine(0.0)
+
+    async def body():
+        async with QueryCoalescer(engine) as serving:
+            first = await serving.query(1.0, 5, deadline=2.0)
+            second = await serving.query(2.0, 5, deadline=2.0)
+            return first, second, dict(serving.stats)
+
+    first, second, stats = run(body())
+    assert first == ("answer", 1.0, 5) and second == ("answer", 2.0, 5)
+    assert engine.calls == [[(1.0, 5)], [(2.0, 5)]]
+    assert stats["batches"] == 2
+
+
 def test_admission_control_rejects_when_queue_full():
     async def body():
-        config = ServingConfig(max_queue=2, window=0.0)
+        config = ServingConfig(max_queue=2)
         async with QueryCoalescer(_SlowEngine(0.2), config) as serving:
             tasks = [asyncio.create_task(serving.query(1.0, 5))]
             await asyncio.sleep(0.05)  # first batch in flight
@@ -217,7 +266,7 @@ def test_cold_queries_deferred_not_dropped():
     engine = _SlowEngine(0.05)
 
     async def body():
-        config = ServingConfig(window=0.05, max_cold=1)
+        config = ServingConfig(max_cold=1)
         async with QueryCoalescer(engine, config) as serving:
             radii = [float(1 + i) for i in range(5)]  # all cold, all distinct
             results = await asyncio.gather(
@@ -344,8 +393,7 @@ def test_mutation_fence_blocks_reordering():
             pass
 
     async def body():
-        config = ServingConfig(window=0.02)
-        async with QueryCoalescer(LoggingEngine(), config) as serving:
+        async with QueryCoalescer(LoggingEngine()) as serving:
             await asyncio.gather(
                 serving.query(1.0, 5),
                 serving.insert([[0.0], [1.0]]),
@@ -464,7 +512,12 @@ def test_http_error_surface(blob_points):
         with ServingClient(*address) as client:
             with pytest.raises(ServingClientError) as bad_param:
                 client.query(-1.0, 5)
-            for body in ({"r": float("nan"), "k": 5}, {"r": 1.0, "k": 2.5}):
+            for body in (
+                {"r": float("nan"), "k": 5},
+                {"r": 1.0, "k": 2.5},
+                {"r": 1.0, "k": 5, "deadline": float("nan")},
+                {"r": 1.0, "k": 5, "deadline": True},
+            ):
                 with pytest.raises(ServingClientError) as bad_value:
                     client._request("POST", "/query", body)
                 assert bad_value.value.status == 400
@@ -498,6 +551,23 @@ def test_http_churn_equivalence(blob_points, l2_params):
             stats = client.stats()
     assert stats["serving"]["mutations"] == 2
     assert stats["n_live"] == len(blob_points) - len(ids[::3])
+
+
+def test_http_remove_rejects_fractional_and_boolean_ids(blob_points):
+    """``/remove`` used to truncate ``2.7`` to 2 and read ``true`` as 1."""
+    engine = _make_engine("mutable-sharded", blob_points[:200])
+    with _ServerThread(engine) as address:
+        with ServingClient(*address) as client:
+            for ids in ([2.7], [True], [3, "4"], 5):
+                with pytest.raises(ServingClientError) as rejected:
+                    client._request("POST", "/remove", {"ids": ids})
+                assert rejected.value.status == 400
+                assert rejected.value.kind == "parameter"
+            assert client.stats()["n_live"] == 200
+            assert client._request(
+                "POST", "/remove", {"ids": [2.0, 1]}
+            ) == {"removed": 2}
+            assert client.stats()["n_live"] == 198
 
 
 def test_http_malformed_insert_leaves_engine_healthy(blob_points, l2_params):
@@ -583,9 +653,7 @@ def test_close_drains_queue(blob_points, l2_params):
     engine = _make_engine("static", blob_points)
 
     async def body():
-        serving = QueryCoalescer(
-            engine, ServingConfig(window=0.2), close_engine=True
-        )
+        serving = QueryCoalescer(engine, close_engine=True)
         serving.start()
         tasks = [asyncio.create_task(serving.query(r, k)) for _ in range(5)]
         await asyncio.sleep(0)  # let the requests enqueue

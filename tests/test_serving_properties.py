@@ -148,8 +148,7 @@ def test_random_interleavings_drain_cleanly(seed):
     plan = _random_plan(seed, n=40)
     engine = EchoEngine(delay=0.003)
     config = ServingConfig(
-        window=0.002, max_batch=8, max_queue=12, max_cold=2,
-        default_deadline=5.0,
+        max_batch=8, max_queue=12, max_cold=2, default_deadline=5.0,
     )
     outcomes, stats = asyncio.run(_drive(plan, engine, config))
 
@@ -178,10 +177,11 @@ def test_random_interleavings_drain_cleanly(seed):
 
 
 def test_interleaving_with_zero_window_and_instant_engine():
-    """Degenerate knobs (no window, no delay) still drain correctly."""
+    """Degenerate knobs (an instant engine, tiny batches) still drain
+    correctly."""
     plan = _random_plan(99, n=30)
     engine = EchoEngine(delay=0.0)
-    config = ServingConfig(window=0.0, max_batch=4, max_queue=64, max_cold=1)
+    config = ServingConfig(max_batch=4, max_queue=64, max_cold=1)
     outcomes, stats = asyncio.run(_drive(plan, engine, config))
     assert all(out != "" for out in outcomes)
     assert stats["answered"] >= outcomes.count("answered")
@@ -192,7 +192,7 @@ def test_burst_of_identical_queries_is_one_engine_call_per_batch():
 
     async def body():
         engine = EchoEngine(delay=0.002)
-        config = ServingConfig(window=0.02, max_batch=128)
+        config = ServingConfig(max_batch=128)
         async with QueryCoalescer(engine, config) as serving:
             await asyncio.gather(
                 *[serving.query(1.0, 5) for _ in range(50)]
