@@ -16,7 +16,9 @@ Neither is allowed to change a single answer.  This gate drives
 * **memmap vs ram**: static engines (single and sharded) sweeping an
   ``r`` grid over a memmapped store vs the in-RAM dataset, across
   {l2, l1, angular} x backends {numpy64, float32} — chunk-at-a-time
-  kernels and per-chunk float32 screening must stay bit-identical;
+  kernels and per-chunk float32 screening must stay bit-identical (the
+  gather budget is shrunk to :data:`MEMMAP_GATE_BUDGET` elements, so
+  every kernel over the small store chunks);
 * **hygiene**: ``/dev/shm`` must hold no ``repro_*`` segment after
   every engine is closed.
 
@@ -37,12 +39,17 @@ import time
 
 import numpy as np
 
+import repro.data
 from repro import Dataset
 from repro.datasets import blobs_with_outliers
 from repro.engine import create_engine
 from repro.engine.mutable_sharded import MutableShardedDetectionEngine
 from repro.index import brute_force_outliers
 from repro.io import create_memmap_store, open_memmap_dataset
+
+#: memmap gather budget (rows x dims) during the memmap configs; the
+#: default budget splits no gather of the default 260 x 6 store.
+MEMMAP_GATE_BUDGET = 64
 
 
 def _repro_segments() -> "set[str]":
@@ -137,6 +144,8 @@ def check_memmap_store(points, metric, k) -> "tuple[list[str], int]":
                 mapped = open_memmap_dataset(path, metric, backend=backend)
                 if mapped.store_kind != "memmap":
                     failures.append(f"{tag}: dataset not tagged memmap")
+                if mapped._gather_chunk(mapped.n) is None:
+                    failures.append(f"{tag}: gathers do not chunk")
                 with create_engine(ram, seed=3, K=8, shards=shards,
                                    workers=workers, backend=backend) as e_ram, \
                      create_engine(mapped, seed=3, K=8, shards=shards,
@@ -183,6 +192,8 @@ def main(argv=None) -> int:
         got, n = check_shm_store(points, metric, r, 8)
         failures += got
         checks += n
+    # Only memmap stores read the budget; forked shard workers inherit it.
+    repro.data.MEMMAP_ELEM_BUDGET = MEMMAP_GATE_BUDGET
     for metric in ("l2", "l1", "angular"):
         got, n = check_memmap_store(points, metric, 8)
         failures += got

@@ -124,7 +124,6 @@ class NumericBackend(ABC):
         a: np.ndarray,
         b: np.ndarray,
         radii: Sequence[float],
-        consistent: bool,
     ) -> "np.ndarray | None":
         """Bounded element-wise distances via the screen, or ``None``.
 

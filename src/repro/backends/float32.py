@@ -7,9 +7,8 @@ error band ``eps(r)`` on ``|d32 - d64|`` (see
 ``Metric.screen_prepare``/``screen_pair_dist`` and
 ``docs/backends.md``); pairs outside every band keep their float32
 value, pairs inside any band are re-evaluated with the exact float64
-kernel — through the grouped fallback when the caller demanded
-row-consistency — so every verdict, sub-``k`` count and outlier set
-stays bit-identical to the all-float64 run.
+kernel, so every verdict, sub-``k`` count and outlier set stays
+bit-identical to the all-float64 run.
 
 The win is bandwidth and SIMD width: the float32 pass touches half the
 bytes per pair, and on well-separated data the rescreen set is a tiny
@@ -46,20 +45,14 @@ class Float32ScreenBackend(NumericBackend):
         a: np.ndarray,
         b: np.ndarray,
         radii: Sequence[float],
-        consistent: bool,
     ) -> "np.ndarray | None":
         values, decided = metric.screen_pair_dist(state, a, b, radii)
         redo = np.flatnonzero(~decided)
         self.stats.add(values.size - redo.size, redo.size)
         if redo.size:
-            bound = radii[-1]
-            if consistent and not metric.pair_rowwise_consistent:
-                exact = metric.pair_dist_grouped(
-                    store, a[redo], b[redo], bound=bound
-                )
-            else:
-                exact = metric.pair_dist(store, a[redo], b[redo], bound=bound)
-            values[redo] = exact
+            values[redo] = metric.pair_dist(
+                store, a[redo], b[redo], bound=radii[-1]
+            )
         return values
 
 

@@ -40,9 +40,10 @@ reaches ``k`` does so in both orders (the two may disagree on how far
 one knob that is inherently order-dependent, so batched callers fall
 back to the scalar walk when it is set.
 
-Distances are evaluated through ``Dataset.pair_dist(..., consistent=True)``
-so every comparison against ``r`` uses the exact float the scalar path's
-``dist_many`` would produce.  That call is also the numeric-backend seam
+Distances are evaluated through ``Dataset.pair_dist``, whose values are
+the floats the scalar path's ``dist_many`` produces (the kernel contract
+on ``Metric.pair_dist``), so every comparison against ``r`` matches.
+That call is also the numeric-backend seam
 (:mod:`repro.backends`): under a screening backend the bulk of each
 kernel runs in float32 and only pairs inside the metric's error band of
 ``r`` are recomputed in float64, so the ``<= r`` verdicts — the only
@@ -253,9 +254,7 @@ def greedy_count_block(
             width *= 2
             if s_vtx.size == 0:
                 continue
-            d = dataset.pair_dist(
-                sources[s_slot], s_vtx, bound=r, consistent=True
-            )
+            d = dataset.pair_dist(sources[s_slot], s_vtx, bound=r)
             within = d <= r
             counts += np.bincount(s_slot[within], minlength=nsrc)
             alive &= counts < k

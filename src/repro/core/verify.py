@@ -116,9 +116,8 @@ class Verifier:
         """Batched Exact-Counting: one kernel pass for *all* candidates.
 
         A VP-tree verifier descends its tree once for the whole chunk
-        (:meth:`~repro.index.vptree.VPTree.count_within_block`; angular
-        data, whose pair kernel rounds by batch size, walks it per
-        candidate); a linear one sweeps the store once
+        (:meth:`~repro.index.vptree.VPTree.count_within_block`); a
+        linear one sweeps the store once
         (:func:`~repro.index.linear.linear_count_block`).  Either way
         each step is one ``pair_dist`` kernel over every pending
         candidate, and candidates retire the moment they reach ``k``.

@@ -289,35 +289,26 @@ class Dataset:
         a: np.ndarray,
         b: np.ndarray,
         bound: "float | tuple | None" = None,
-        consistent: bool = False,
     ) -> np.ndarray:
         """Element-wise distances ``dist(a[t], b[t])``.
 
-        The keyword knobs form the kernel contract every batched
-        detection path relies on:
-
-        * ``bound`` enables early abandoning — and, when a screening
-          backend is attached, the float32 screen.  It is a single
-          threshold or a sequence of thresholds; every returned value
-          is **verdict-faithful at each threshold**: ``value <= r``
-          exactly when the exact float64 kernel's value is ``<= r``.
-          Entries whose true distance exceeds every threshold may come
-          back as any value above the largest one.  Under the default
-          backend, entries truly within the largest threshold are
-          additionally bit-exact; a screening backend guarantees
-          bit-exactness only inside the metric's error band of a
-          threshold (band pairs are re-evaluated in float64), which is
-          precisely what keeps count-by-comparison callers
-          bit-identical.  Callers that consume the returned *values*
-          beyond comparing them against the listed thresholds must pass
-          ``bound=None``.
-        * ``consistent=True`` demands values bitwise row-consistent with
-          :meth:`dist_many` (the batched detection paths need this to
-          stay bit-identical to the scalar ones); metrics whose pair
-          kernel cannot guarantee it (different reduction order) then
-          evaluate via one ``dist_many`` call per distinct source
-          instead — see :attr:`Metric.pair_rowwise_consistent`.
-          Screening backends honor it on the rescreened band.
+        Without ``bound``, each value is the float :meth:`dist_many`
+        returns for that pair (the contract on
+        :meth:`Metric.pair_dist <repro.metrics.base.Metric.pair_dist>`).
+        ``bound`` enables early abandoning — and, when a screening
+        backend is attached, the float32 screen.  It is a single
+        threshold or a sequence of thresholds; every returned value is
+        **verdict-faithful at each threshold**: ``value <= r`` exactly
+        when the exact float64 kernel's value is ``<= r``.  Entries
+        whose true distance exceeds every threshold may come back as
+        any value above the largest one.  Under the default backend,
+        entries truly within the largest threshold are additionally
+        bit-exact; a screening backend guarantees bit-exactness only
+        inside the metric's error band of a threshold (band pairs are
+        re-evaluated in float64), which is precisely what keeps
+        count-by-comparison callers bit-identical.  Callers that
+        consume the returned *values* beyond comparing them against the
+        listed thresholds must pass ``bound=None``.
 
         Example
         -------
@@ -326,8 +317,7 @@ class Dataset:
         >>> ds = Dataset(pts, "l2")
         >>> ds.pair_dist(np.array([0, 1]), np.array([1, 2])).tolist()
         [5.0, 10.0]
-        >>> d = ds.pair_dist(np.array([0]), np.array([2]), bound=6.0,
-        ...                  consistent=True)
+        >>> d = ds.pair_dist(np.array([0]), np.array([2]), bound=6.0)
         >>> bool(d[0] > 6.0)   # true distance 15: only the verdict is promised
         True
         >>> ds32 = Dataset(pts, "l2", backend="float32")
@@ -345,28 +335,25 @@ class Dataset:
             radii = tuple(sorted(float(r) for r in bound)) or None
         chunk = self._gather_chunk(a.size)
         if chunk is None:
-            return self._pair_dist_block(a, b, radii, consistent)
+            return self._pair_dist_block(a, b, radii)
         # Out-of-core store: element-wise evaluation is chunked so each
         # gathered block fits the memmap budget.  Per-element values
         # (and screening verdicts) do not depend on the batch split.
         b = np.asarray(b, dtype=np.int64)
         return np.concatenate([
-            self._pair_dist_block(a[lo:lo + chunk], b[lo:lo + chunk],
-                                  radii, consistent)
+            self._pair_dist_block(a[lo:lo + chunk], b[lo:lo + chunk], radii)
             for lo in range(0, a.size, chunk)
         ])
 
-    def _pair_dist_block(self, a, b, radii, consistent) -> np.ndarray:
+    def _pair_dist_block(self, a, b, radii) -> np.ndarray:
         """One kernel-sized :meth:`pair_dist` block (already counted)."""
         bound_max = radii[-1] if radii is not None else None
         if radii is not None and self._screen is not None:
             out = self.backend.screened_pair_dist(
-                self.metric, self.store, self._screen, a, b, radii, consistent
+                self.metric, self.store, self._screen, a, b, radii
             )
             if out is not None:
                 return out
-        if consistent and not self.metric.pair_rowwise_consistent:
-            return self.metric.pair_dist_grouped(self.store, a, b, bound=bound_max)
         return self.metric.pair_dist(self.store, a, b, bound=bound_max)
 
     def _gather_chunk(self, n_rows: int) -> "int | None":
@@ -374,14 +361,9 @@ class Dataset:
 
         Only memmap-backed stores chunk — in-RAM and shared-segment
         stores index views without materialising copies, so splitting
-        their kernels would cost calls without saving memory.  And only
-        metrics with partition-stable kernels
-        (:attr:`~repro.metrics.base.Metric.chunkable_gather`) chunk:
-        angular's BLAS matvec picks batch-size-dependent reduction
-        orders, so splitting it would break bit-identity with in-RAM
-        runs.
+        their kernels would cost calls without saving memory.
         """
-        if self.store_kind != "memmap" or not self.metric.chunkable_gather:
+        if self.store_kind != "memmap":
             return None
         shape = getattr(self.store, "shape", None)
         if shape is None or len(shape) != 2:

@@ -87,7 +87,7 @@ def build_delete_evidence(
         D = dataset.pair_dist(
             np.repeat(scan, survivors.size),
             np.tile(survivors, scan.size),
-            bound=tuple(radii), consistent=True,
+            bound=tuple(radii),
         ).reshape(scan.size, survivors.size)
         for r in radii:
             dec[r][survivors] += (D <= r).sum(axis=0)

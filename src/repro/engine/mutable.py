@@ -429,17 +429,14 @@ class MutableDetectionEngine:
         B, P = new_ids.size, prior_live.size
         if P:
             D_prior = self._dataset.pair_dist(
-                np.repeat(new_ids, P), np.tile(prior_live, B),
-                bound=bound, consistent=True,
+                np.repeat(new_ids, P), np.tile(prior_live, B), bound=bound
             ).reshape(B, P)
         else:
             D_prior = np.empty((B, 0), dtype=np.float64)
         D_intra = np.full((B, B), np.inf, dtype=np.float64)
         if B > 1:
             iu, ju = np.triu_indices(B, k=1)
-            d = self._dataset.pair_dist(
-                new_ids[iu], new_ids[ju], bound=bound, consistent=True
-            )
+            d = self._dataset.pair_dist(new_ids[iu], new_ids[ju], bound=bound)
             D_intra[iu, ju] = d
             D_intra[ju, iu] = d
         return D_prior, D_intra

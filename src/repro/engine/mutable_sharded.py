@@ -346,7 +346,7 @@ class MutableShardWorker(ShardWorker):
             D = self._full.pair_dist(
                 np.repeat(owned_gids, targets.size),
                 np.tile(targets, B),
-                bound=bound, consistent=True,
+                bound=bound,
             ).reshape(B, targets.size)
             D[targets[None, :] == owned_gids[:, None]] = np.inf
             is_member = np.isin(targets, live_members)

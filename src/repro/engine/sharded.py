@@ -366,8 +366,7 @@ class ShardWorker:
             return np.zeros(ids.size, dtype=np.int64), self._take_pairs()
         span = hi - lo
         d = self._full.pair_dist(
-            np.repeat(ids, span), np.tile(members[lo:hi], ids.size), bound=r,
-            consistent=True,
+            np.repeat(ids, span), np.tile(members[lo:hi], ids.size), bound=r
         )
         add = (d <= r).reshape(ids.size, span).sum(axis=1).astype(np.int64)
         pos = np.minimum(np.searchsorted(members, ids), m - 1)

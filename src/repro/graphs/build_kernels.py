@@ -198,7 +198,7 @@ def _join_rows(
         )
     r = np.repeat(rows, counts)
     d = (
-        dataset.pair_dist(ids[r], cands, consistent=True)
+        dataset.pair_dist(ids[r], cands)
         if cands.size
         else np.empty(0, dtype=np.float64)
     )
@@ -237,28 +237,6 @@ def merge_patches(
 
 
 # -- Remove-Detours ----------------------------------------------------------
-
-
-def scan_dists(
-    dataset: Dataset, refs: np.ndarray, nodes: np.ndarray, groups: np.ndarray
-) -> np.ndarray:
-    """``dist(refs[t], nodes[t])``, bit-identical to one ``dist_many``
-    call per run of equal ``groups``.
-
-    Row-consistent metrics take one batched kernel.  Metrics whose
-    one-to-many kernel is a BLAS matvec (angular) round differently with
-    the batch, so their runs are replayed as the batches a
-    scan-at-a-time walk would issue.
-    """
-    if nodes.size == 0:
-        return np.empty(0, dtype=np.float64)
-    if dataset.metric.pair_rowwise_consistent:
-        return dataset.pair_dist(refs, nodes, consistent=True)
-    cuts = np.flatnonzero(np.diff(groups)) + 1
-    return np.concatenate([
-        dataset.dist_many(int(refs[seg[0]]), nodes[seg])
-        for seg in np.split(np.arange(nodes.size), cuts)
-    ])
 
 
 def multi_scan(
@@ -302,7 +280,7 @@ def multi_scan(
         if keys.size == 0:
             break
         scan, node = np.divmod(keys, n)
-        d = scan_dists(dataset, refs[scan], node, scan)
+        d = dataset.pair_dist(refs[scan], node)
         mono = f_mono[parent] & (f_dist[parent] <= d)
         levels.append((scan, node, d, np.full(node.size, hop), mono))
         seen[keys] = True
@@ -327,7 +305,7 @@ def _detour_batch(
     keep = segment_ranks(owner) < pivots_per_target
     owner, piv = owner[keep], piv[keep]
     refs = targets[owner]
-    start_d = scan_dists(dataset, refs, piv, np.arange(piv.size))
+    start_d = dataset.pair_dist(refs, piv)
     sub_scan, sub_node, sub_d, _, sub_mono = multi_scan(
         dataset, indptr, indices, refs, piv, start_d, pivot_hops
     )

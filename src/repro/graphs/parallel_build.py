@@ -131,7 +131,7 @@ class BuildWorker:
                 hi = min(lo + span, ids.size)
                 left = np.repeat(ids[lo:hi], K)
                 dists[lo:hi] = self.dataset.pair_dist(
-                    left, rows[lo:hi].ravel(), consistent=True
+                    left, rows[lo:hi].ravel()
                 ).reshape(hi - lo, K)
             out.append((rows, dists))
         return out

@@ -133,9 +133,7 @@ def linear_count_block(
         pos_range = np.arange(lo, lo + span, dtype=np.int64)
         idx = pos_range if subset is None else subset[pos_range]
         left = np.repeat(qs[pending], span)
-        d = dataset.pair_dist(
-            left, np.tile(idx, pending.size), bound=r, consistent=True
-        )
+        d = dataset.pair_dist(left, np.tile(idx, pending.size), bound=r)
         within = (d <= r).reshape(pending.size, span)
         add = within.sum(axis=1).astype(np.int64)
         if exclude_self:

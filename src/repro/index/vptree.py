@@ -241,17 +241,14 @@ class VPTree:
         * one bounded distance kernel over the items of every reached
           leaf.
 
-        Both kernels are ``pair_dist(consistent=True)``, so they return
-        the floats :meth:`count_within` computes, and they split at
+        Both kernels are ``pair_dist``, so they return the floats
+        :meth:`count_within` computes, and they split at
         :func:`~repro.data.pairs_per_kernel` pairs.  The queries descend
         in blocks of ``budget // (nodes + leaves)``, so a block's
         frontier, summed over all levels, also stays within that budget
         (a tree larger than the budget descends one query at a time),
         and memory is bounded even when nothing prunes (``k`` near
-        ``n``).  A metric whose pair kernel is not row-consistent with
-        ``dist_many`` (angular: its BLAS matvec rounds by batch size)
-        has no batched form with those floats, so each of its queries
-        walks with :meth:`count_within` instead.
+        ``n``).
 
         After each level, queries whose count reached ``stop_at`` leave
         the frontier.  Pruning never depends on the count, so a query
@@ -266,13 +263,6 @@ class VPTree:
             raise ParameterError("stop_at thresholds must be >= 1")
         qs = np.asarray(qs, dtype=np.int64)
         ds = dataset if dataset is not None else self.dataset
-        if not ds.metric.pair_rowwise_consistent:
-            # Replaying the walk's batches (one per vantage, one per
-            # leaf) level by level measured slower than the walk itself.
-            return np.asarray(
-                [self.count_within(int(q), r, stop_at, dataset=ds) for q in qs],
-                dtype=np.int64,
-            )
         budget = pairs_per_kernel(ds)
         block = max(1, budget // (self.node_count + self.leaf_count))
         counts = np.zeros(qs.size, dtype=np.int64)
@@ -296,8 +286,7 @@ class VPTree:
                 break
             q, v = qs[slots], self._vantage[nodes]
             d = np.concatenate([
-                ds.pair_dist(q[lo:lo + budget], v[lo:lo + budget],
-                             consistent=True)
+                ds.pair_dist(q[lo:lo + budget], v[lo:lo + budget])
                 for lo in range(0, q.size, budget)
             ])
             hit = (d <= r) & (v != q)
@@ -330,7 +319,7 @@ class VPTree:
             items = self._leaf_items[first[pair] + np.arange(pair.size)]
             owner = slots[lo:lo + step][pair]
             q = qs[owner]
-            within = ds.pair_dist(q, items, bound=r, consistent=True) <= r
+            within = ds.pair_dist(q, items, bound=r) <= r
             counts += np.bincount(owner[within & (items != q)],
                                   minlength=qs.size)
 

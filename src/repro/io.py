@@ -30,7 +30,10 @@ import numpy as np
 from .exceptions import GraphError
 from .graphs.adjacency import Graph
 
-_FORMAT_VERSION = 1
+#: Version 2: angular distances became row-wise einsums, so a version-1
+#: archive may hold angular exact-K'NN distances (and evidence counts
+#: derived from them) an ulp away from what this build computes.
+_FORMAT_VERSION = 2
 _ENGINE_FORMAT_VERSION = 1
 
 #: arrays every graph .npz must carry.

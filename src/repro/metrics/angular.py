@@ -5,8 +5,8 @@ distance ``arccos(cos_sim(a, b))`` — the angle between two vectors, in
 radians — is a proper metric on the unit sphere (it is the geodesic
 distance), unlike raw cosine *similarity* or ``1 - cos``.
 
-Vectors are normalised once at :meth:`prepare` time, so each one-to-many
-evaluation is a single matrix-vector product.
+Vectors are normalised once at :meth:`prepare` time, so each distance
+is the arccos of one row-wise dot product.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ class Angular(VectorMetric):
     """Geodesic (angle) distance between non-zero vectors, in ``[0, pi]``."""
 
     name = "angular"
-    # dist_many reduces via a BLAS matvec, pair_dist via einsum: the two
-    # can disagree in the last ulp, so batched exact paths must use the
-    # grouped fallback (see Metric.pair_rowwise_consistent).
-    pair_rowwise_consistent = False
 
     def prepare(self, objects) -> np.ndarray:
         arr = super().prepare(objects)
@@ -53,7 +49,7 @@ class Angular(VectorMetric):
         idx: np.ndarray,
         bound: float | None = None,
     ) -> np.ndarray:
-        cos = store[idx] @ store[i]
+        cos = np.einsum("ij,j->i", store[idx], store[i])
         np.clip(cos, -1.0, 1.0, out=cos)
         return np.arccos(cos)
 

@@ -108,26 +108,6 @@ class Metric(ABC):
     name: str = ""
     #: True when objects are rows of a 2-D float array.
     is_vector: bool = True
-    #: True when :meth:`pair_dist` is bitwise row-consistent with
-    #: :meth:`dist_many`: for every pair ``(a[t], b[t])`` it returns the
-    #: exact float ``dist_many(store, a[t], [b[t]])`` would (clipped
-    #: entries above ``bound`` may differ in value but not in whether
-    #: they exceed ``bound``).  The batched traversal/verification paths
-    #: rely on this to stay bit-identical to the scalar paths; metrics
-    #: whose pair kernel uses a different reduction order (e.g. BLAS
-    #: matvec vs einsum) must leave it False, and batched callers then
-    #: fall back to :meth:`pair_dist_grouped`.
-    pair_rowwise_consistent: bool = True
-
-    #: True when the batched kernels are invariant to partitioning the
-    #: index batch into chunks — i.e. every returned value is a pure
-    #: row-wise reduction that never depends on the batch size.  Only
-    #: such metrics may have their out-of-core gathers chunked at the
-    #: :class:`~repro.data.Dataset` level; metrics whose kernels pick
-    #: size-dependent reduction orders (BLAS matvec) must leave this
-    #: False so chunked memmap runs stay bit-identical to in-RAM ones
-    #: (their sweeps are still memory-bounded by caller-side chunking).
-    chunkable_gather: bool = False
 
     @abstractmethod
     def prepare(self, objects: Any) -> Any:
@@ -170,27 +150,19 @@ class Metric(ABC):
     ) -> np.ndarray:
         """Element-wise distances ``dist(a[t], b[t])``.
 
-        ``bound`` follows the :meth:`dist_many` contract: entries whose
-        true distance exceeds ``bound`` may be reported as any value
-        strictly greater than ``bound``.  Generic fallback delegates to
-        :meth:`pair_dist_grouped`; vector metrics override with a single
-        batched kernel.
-        """
-        return self.pair_dist_grouped(store, a, b, bound=bound)
+        The kernel contract that keeps every batched path bit-identical
+        to the scalar oracle: each value is the float :meth:`dist` and
+        :meth:`dist_many` return for that pair, whatever batch either
+        computes it in.  Kernels therefore reduce row by row (no
+        floating-point BLAS matvec or gemm, whose rounding depends on
+        the batch), and a batch may be split anywhere, so out-of-core
+        gathers chunk freely.  ``bound`` follows the :meth:`dist_many`
+        contract: entries whose true distance exceeds ``bound`` may be
+        reported as any value strictly greater than ``bound``.
 
-    def pair_dist_grouped(
-        self,
-        store: Any,
-        a: Sequence[int],
-        b: Sequence[int],
-        bound: float | None = None,
-    ) -> np.ndarray:
-        """:meth:`pair_dist` via one :meth:`dist_many` call per distinct
-        left-hand object.
-
-        Row-consistent with :meth:`dist_many` by construction, so batched
-        callers that must match the scalar path bit-for-bit can always
-        use this, at the cost of one kernel per distinct source in ``a``.
+        This generic form makes one :meth:`dist_many` call per distinct
+        left-hand object; vector metrics override it with one batched
+        kernel.
         """
         a_arr = np.asarray(a, dtype=np.int64)
         b_arr = np.asarray(b, dtype=np.int64)

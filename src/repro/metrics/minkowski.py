@@ -80,11 +80,6 @@ class Minkowski(VectorMetric):
     ``p >= 1`` is required for the triangle inequality to hold.
     """
 
-    # Every kernel reduces each row independently (einsum "ij->i"), so
-    # values never depend on how a batch is chunked — out-of-core
-    # gathers may split freely.
-    chunkable_gather = True
-
     def __init__(self, p: float):
         if p < 1:
             raise ParameterError(f"Minkowski p must be >= 1 (got {p})")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.data
 from repro import Dataset
 from repro.backends import (
     BackendStats,
@@ -27,6 +28,7 @@ from repro.backends import (
 from repro.engine import create_engine
 from repro.exceptions import BackendError, GraphError, ParameterError
 from repro.index import brute_force_outliers
+from repro.io import create_memmap_store, open_memmap_dataset
 
 
 def _cloud(n=220, dim=8, seed=0):
@@ -113,18 +115,25 @@ def test_store_accepts_integer_and_float32_inputs():
 
 
 @pytest.mark.parametrize("metric", ["l1", "l2", "l4", "angular"])
-@pytest.mark.parametrize("consistent", [False, True])
-def test_screened_verdicts_match_exact(metric, consistent):
+@pytest.mark.parametrize("memmap", [False, True])
+def test_screened_verdicts_match_exact(metric, memmap, tmp_path, monkeypatch):
     pts = _cloud()
     ds64 = Dataset(pts, metric)
-    ds32 = Dataset(pts, metric, backend="float32")
+    if memmap:
+        # A 64-element gather budget screens the memmap store in chunks.
+        monkeypatch.setattr(repro.data, "MEMMAP_ELEM_BUDGET", 64)
+        path = create_memmap_store(tmp_path / "s.npy", pts, metric)
+        ds32 = open_memmap_dataset(path, metric, backend="float32")
+        assert ds32._gather_chunk(ds32.n) is not None
+    else:
+        ds32 = Dataset(pts, metric, backend="float32")
     r = _radius(ds64)
     gen = np.random.default_rng(2)
     a = gen.integers(0, ds64.n, 4000)
     b = gen.integers(0, ds64.n, 4000)
-    exact = ds64.pair_dist(a, b, consistent=consistent)
+    exact = ds64.pair_dist(a, b)
     for radii in (r, (0.5 * r, r, 1.5 * r)):
-        got = ds32.pair_dist(a, b, bound=radii, consistent=consistent)
+        got = ds32.pair_dist(a, b, bound=radii)
         thresholds = (radii,) if isinstance(radii, float) else radii
         for t in thresholds:
             np.testing.assert_array_equal(got <= t, exact <= t)
@@ -390,14 +399,13 @@ def test_bounded_pair_dist_never_misclassifies(
     oracle = Dataset(objects, metric)
     a = gen.integers(0, ds.n, 150)
     b = gen.integers(0, ds.n, 150)
-    for consistent in (False, True):
-        exact = oracle.pair_dist(a, b, consistent=consistent)
-        r = float(np.quantile(exact, quantile))
-        for radii in (r, (0.5 * r, r)):
-            got = ds.pair_dist(a, b, bound=radii, consistent=consistent)
-            thresholds = (radii,) if isinstance(radii, float) else radii
-            for t in thresholds:
-                np.testing.assert_array_equal(
-                    got <= t, exact <= t,
-                    err_msg=f"{metric} dtype={dtype} backend={backend} t={t}",
-                )
+    exact = oracle.pair_dist(a, b)
+    r = float(np.quantile(exact, quantile))
+    for radii in (r, (0.5 * r, r)):
+        got = ds.pair_dist(a, b, bound=radii)
+        thresholds = (radii,) if isinstance(radii, float) else radii
+        for t in thresholds:
+            np.testing.assert_array_equal(
+                got <= t, exact <= t,
+                err_msg=f"{metric} dtype={dtype} backend={backend} t={t}",
+            )

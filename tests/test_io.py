@@ -1,10 +1,14 @@
-"""Unit tests for graph (de)serialisation."""
+"""Unit tests for graph (de)serialisation and memmap stores."""
 
 import numpy as np
 import pytest
 
-from repro import graph_dod, load_graph, save_graph
+import repro.data
+from repro import Dataset, graph_dod, load_graph, save_graph
+from repro.engine import create_engine
 from repro.exceptions import GraphError
+from repro.index import brute_force_outliers
+from repro.io import create_memmap_store, open_memmap_dataset
 
 
 def test_roundtrip_adjacency(mrpg_l2, tmp_path):
@@ -65,3 +69,39 @@ def test_version_check(tmp_path, kgraph_l2):
     np.savez(path, **payload)
     with pytest.raises(GraphError):
         load_graph(path)
+
+
+@pytest.mark.parametrize("metric", ["l2", "l1", "angular"])
+def test_chunked_memmap_store_matches_ram(blob_points, metric, tmp_path, monkeypatch):
+    """Memmap gathers chunk, and no chunk split changes a float or an answer."""
+    monkeypatch.setattr(repro.data, "MEMMAP_ELEM_BUDGET", 64)
+    chunked = []
+    gather_chunk = Dataset._gather_chunk
+
+    def counted(self, n_rows):
+        chunk = gather_chunk(self, n_rows)
+        chunked.append(chunk is not None)
+        return chunk
+
+    monkeypatch.setattr(Dataset, "_gather_chunk", counted)
+    ram = Dataset(blob_points, metric)
+    path = create_memmap_store(tmp_path / "s.npy", blob_points, metric)
+    mapped = open_memmap_dataset(path, metric)
+    gen = np.random.default_rng(0)
+    idx = gen.integers(0, ram.n, size=500)
+    for i in (0, 17, ram.n - 1):
+        np.testing.assert_array_equal(
+            mapped.dist_many(i, idx).view(np.uint64),
+            ram.dist_many(i, idx).view(np.uint64),
+        )
+    a = gen.integers(0, ram.n, size=500)
+    np.testing.assert_array_equal(
+        mapped.pair_dist(a, idx).view(np.uint64),
+        ram.pair_dist(a, idx).view(np.uint64),
+    )
+    r = float(np.quantile(ram.pair_dist(a, idx), 0.05))
+    with create_engine(mapped, seed=1, K=8) as engine:
+        np.testing.assert_array_equal(
+            engine.query(r, 8).outliers, brute_force_outliers(ram, r, 8)
+        )
+    assert any(chunked)

@@ -147,11 +147,14 @@ def _rewrite(path, **overrides):
 
 
 def test_load_graph_rejects_wrong_version(kgraph_l2, tmp_path):
+    # Version 1 archives hold angular distances from a kernel that
+    # rounded differently, so they are refused too.
     path = tmp_path / "g.npz"
-    save_graph(kgraph_l2, path)
-    _rewrite(path, format_version=np.asarray(99))
-    with pytest.raises(GraphError, match="version 99"):
-        load_graph(path)
+    for version in (99, 1):
+        save_graph(kgraph_l2, path)
+        _rewrite(path, format_version=np.asarray(version))
+        with pytest.raises(GraphError, match=f"version {version}"):
+            load_graph(path)
 
 
 def test_load_engine_rejects_wrong_engine_version(engine, l2_dataset, tmp_path):

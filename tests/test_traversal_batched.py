@@ -26,6 +26,7 @@ from repro.core import BlockTracker, VisitTracker, greedy_count, greedy_count_bl
 from repro.core.counting import classify_chunk, classify_chunk_arrays, classify_evidence
 from repro.core.dod import graph_dod
 from repro.core.verify import Verifier
+from repro.data import Dataset
 from repro.engine import DetectionEngine
 from repro.exceptions import ParameterError
 from repro.index.cells import build_cells
@@ -279,17 +280,55 @@ def test_minkowski_bound_abandonment_consistent():
         assert np.all(bounded_p[~keep_p] > bound)
 
 
-def test_pair_dist_grouped_matches_dist_many(edit_dataset):
-    """The grouped fallback must be row-consistent with dist_many."""
+def _contract_dataset(request, metric):
+    if metric in ("l1", "l2", "angular", "edit"):
+        return request.getfixturevalue(f"{metric}_dataset")
+    if metric == "l4":
+        return Dataset(request.getfixturevalue("blob_points"), "l4")
+    gen = np.random.default_rng(5)
+    if metric == "hamming":
+        return Dataset(gen.integers(0, 2, size=(200, 24)), "hamming")
+    return Dataset(
+        [frozenset(gen.choice(30, size=gen.integers(0, 10), replace=False).tolist())
+         for _ in range(200)],
+        "jaccard",
+    )
+
+
+def _assert_same_bits(got, expected):
+    np.testing.assert_array_equal(
+        np.asarray(got, dtype=np.float64).view(np.uint64),
+        np.asarray(expected, dtype=np.float64).view(np.uint64),
+    )
+
+
+@pytest.mark.parametrize(
+    "metric", ["l1", "l2", "l4", "angular", "hamming", "jaccard", "edit"]
+)
+def test_pair_dist_matches_dist_many(request, metric):
+    """The kernel contract (``Metric.pair_dist``): ``pair_dist``,
+    ``dist_many`` and ``dist`` give a pair the same float at any batch
+    size, and no batch split changes a ``pair_dist`` value."""
+    ds = _contract_dataset(request, metric)
     gen = np.random.default_rng(3)
-    a = gen.integers(0, edit_dataset.n, size=120)
-    b = gen.integers(0, edit_dataset.n, size=120)
-    grouped = edit_dataset.pair_dist(a, b, consistent=True)
-    reference = np.array([
-        edit_dataset.metric.dist(edit_dataset.store, int(x), int(y))
-        for x, y in zip(a, b)
-    ])
-    np.testing.assert_array_equal(grouped, reference)
+    for i in gen.choice(ds.n, size=4, replace=False).tolist():
+        others = gen.permutation(np.delete(np.arange(ds.n), i))
+        for size in (1, 2, 5, 16, 100, ds.n - 1):
+            idx = others[:size]
+            many = ds.dist_many(i, idx)
+            _assert_same_bits(ds.pair_dist(np.full(size, i), idx), many)
+            _assert_same_bits([ds.dist(i, int(j)) for j in idx], many)
+    a = gen.integers(0, ds.n, size=600)
+    b = gen.integers(0, ds.n, size=600)
+    whole = ds.pair_dist(a, b)
+    for step in (1, 7, 256):
+        _assert_same_bits(
+            np.concatenate([
+                ds.pair_dist(a[lo:lo + step], b[lo:lo + step])
+                for lo in range(0, a.size, step)
+            ]),
+            whole,
+        )
 
 
 def test_csr_matches_neighbors(mrpg_l2):

@@ -196,12 +196,13 @@ def test_count_within_block_matches_count_within(request, metric, capacity):
 
 
 @pytest.mark.parametrize("capacity", [1, 4])
-def test_count_within_block_angular_ties(angular_dataset, capacity):
+def test_count_within_block_angular_ties(angular_dataset, capacity, monkeypatch):
     """Radii equal to the walk's own distances still give its counts.
 
-    Angular's one-to-many kernel rounds by batch size, so only replaying
-    the walk's batches (one per vantage, one per leaf) keeps a distance
-    that ties the radius on the same side of it.
+    The batched descent's pair kernels return the floats the walk's
+    one-to-many kernels return, so a distance that ties the radius stays
+    on the same side of it, and the descent never falls back to walking
+    a query with ``count_within``.
     """
     ds = angular_dataset
     tree = VPTree(ds, capacity=capacity, rng=3)
@@ -214,8 +215,17 @@ def test_count_within_block_angular_ties(angular_dataset, capacity):
     for q, leaf in zip(qs[m:], leaves):
         d = ds.dist_many(int(q), tree._leaf(-int(leaf) - 1))
         ties.append(float(d[gen.integers(d.size)]))
-    for q, r in zip(qs, ties):
-        _assert_block_matches_scalar(tree, np.asarray([q]), r, ds.n)
+    walked = [tree.count_within(int(q), r, stop_at=ds.n) for q, r in zip(qs, ties)]
+
+    def per_query_walk(*args, **kwargs):
+        raise AssertionError("count_within_block called count_within")
+
+    monkeypatch.setattr(VPTree, "count_within", per_query_walk)
+    descended = [
+        int(tree.count_within_block(np.asarray([q]), r, ds.n)[0])
+        for q, r in zip(qs, ties)
+    ]
+    assert descended == walked
 
 
 def test_count_within_block_subset_tree_foreign_queries(l2_dataset):
