@@ -189,9 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="verify every detection against brute force "
                                "over the live objects")
     p_update.add_argument("--snapshot", default=None,
-                          help="mutable-engine snapshot path: loaded warm when "
-                               "it exists (skipping the churn trace), written "
-                               "after a cold run")
+                          help="mutable-engine snapshot directory: loaded warm "
+                               "when it exists (skipping the churn trace), "
+                               "written after a cold run")
     p_update.set_defaults(func=_cmd_update)
 
     p_stream = sub.add_parser("stream", help="sliding-window outlier monitoring")
@@ -572,18 +572,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     if args.rebalance and args.shards < 2:
         print("update: --rebalance needs --shards > 1", file=sys.stderr)
         return 2
-    if (
-        args.snapshot is not None
-        and not os.path.exists(args.snapshot)
-        and not args.snapshot.endswith(".npz")
-    ):
-        # Single-process snapshots are .npz files (np.savez appends the
-        # suffix on write); sharded ones are directories.  Probe the
-        # suffixed name first so a warm load finds whichever format a
-        # previous run actually wrote, regardless of today's --shards.
-        if os.path.exists(args.snapshot + ".npz") or args.shards == 1:
-            args.snapshot += ".npz"
-
     def checked_detect(engine, tag: str) -> "int | None":
         result = engine.detect(r, k)
         cache_hits = result.counts.get("cache_decided", 0)
@@ -609,7 +597,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             engine = load_any_engine(
                 args.snapshot, objects=objects, workers=args.workers,
                 rebuild_every=args.rebuild_every, backend=args.backend,
-                build_workers=args.build_workers,
+                store=args.store, build_workers=args.build_workers,
             )
         except GraphError as exc:
             print(f"update: cannot load snapshot: {exc}", file=sys.stderr)

@@ -4,9 +4,12 @@ The ROADMAP north-star workload — heavy multi-user traffic over a
 *changing* dataset — needs both halves the engine family grew
 separately: :class:`~repro.engine.sharded.ShardedDetectionEngine`
 scales queries across worker processes but is frozen at fit time, and
-:class:`~repro.engine.mutable.MutableDetectionEngine` repairs evidence
-under churn but is single-process.  This module composes them behind
-the same :class:`~repro.engine.protocol.EngineCore` surface:
+evidence repair keeps the cache alive under churn.  This module holds
+the one mutation core, :class:`MutableShardWorker` (the single-process
+:class:`~repro.engine.mutable.MutableDetectionEngine` runs one
+in-process worker that owns every id), and composes it with the shard
+merge behind the same :class:`~repro.engine.protocol.EngineCore`
+surface:
 
 * **Routing.**  ``insert`` assigns each new object to the least-loaded
   shard and broadcasts the batch; every worker appends the objects to
@@ -64,7 +67,8 @@ from .sharded import _EMPTY, ShardWorker, _ServeView, _ShardMergeBase
 
 
 class MutableShardWorker(ShardWorker):
-    """One shard of a mutable collection; lives inside a ``ShardPool`` actor.
+    """One shard of a mutable collection: a ``ShardPool`` actor, or the
+    in-process state of a :class:`~repro.engine.mutable.MutableDetectionEngine`.
 
     A :class:`~repro.engine.sharded.ShardWorker` whose members change.
     It holds the full object log (a private replica, or a mapping of

@@ -11,7 +11,10 @@ arrays and serving statistics, so a restarted serving process answers
 its first queries warm instead of re-proving everything.  Sharded
 engines (:func:`save_sharded_engine` / :func:`load_sharded_engine`)
 persist as a *directory*: one manifest describing the shard plan plus
-one per-shard archive in the same graph+cache format.
+one per-shard archive in the same graph+cache format.  Both mutable
+engines share one such directory format, the single-process engine
+being its one-shard case (:func:`save_mutable_engine` /
+:func:`save_mutable_sharded_engine` and their loaders).
 
 Every malformed input — truncated or corrupted archives, missing
 arrays, unsupported format versions, payloads inconsistent with
@@ -519,131 +522,6 @@ def load_engine(
     return engine
 
 
-# -- mutable-engine snapshots -------------------------------------------------
-
-_MUTABLE_FORMAT_VERSION = 1
-
-
-def save_mutable_engine(engine, path: "str | Path") -> None:
-    """Snapshot a :class:`~repro.engine.MutableDetectionEngine` (.npz).
-
-    Persists the full-id-space state a mutable engine accumulates: the
-    incrementally maintained graph (tombstones included), the alive
-    mask, the *repaired* evidence-cache bound arrays, the pinned radii
-    and serving statistics.  The objects themselves are not stored; the
-    caller re-supplies the full insertion log (dead positions included)
-    to :func:`load_mutable_engine`, which verifies it against a stored
-    fingerprint.
-    """
-    from .engine.evidence import EvidenceCache
-    from .exceptions import ParameterError
-
-    if engine._graph is None or engine._dataset is None:
-        raise ParameterError("cannot snapshot a mutable engine before any insert")
-    engine._fold_back()  # the snapshot must carry everything proven so far
-    cache = (
-        engine.cache
-        if engine.cache is not None
-        else EvidenceCache(engine.n_total)
-    )
-    payload = _graph_arrays(engine._graph)
-    payload.update(cache.state_arrays())
-    payload["mutable_format_version"] = np.asarray(_MUTABLE_FORMAT_VERSION)
-    payload["alive"] = np.asarray(engine._alive, dtype=bool)
-    payload["mutable_meta"] = np.asarray(
-        json.dumps(
-            {
-                "stats": engine.stats,
-                "n_total": engine.n_total,
-                "pairs": engine.pairs,
-                "metric": engine.metric.name,
-                "K": engine.K,
-                "search_attempts": engine.search_attempts,
-                "rebuild_graph": engine.rebuild_graph,
-                "build_workers": engine.build_workers,
-                "mutations_since_rebuild": engine._mutations_since_rebuild,
-                "pinned": sorted(engine._pinned),
-                "fingerprint": _dataset_fingerprint(engine._dataset),
-            }
-        )
-    )
-    np.savez_compressed(Path(path), **payload)
-
-
-def load_mutable_engine(path: "str | Path", objects, **kwargs):
-    """Rebuild a saved mutable engine against its full object log.
-
-    ``objects`` must be the complete insertion-ordered log the engine
-    had accumulated (tombstoned positions included) — verified against
-    the stored fingerprint.  Remaining keyword arguments are forwarded
-    to the :class:`~repro.engine.MutableDetectionEngine` constructor
-    (execution knobs such as ``n_jobs``, ``mode``, ``rebuild_every``).
-
-    Raises :class:`GraphError` when the snapshot is unreadable, was not
-    written by :func:`save_mutable_engine`, is version-mismatched, or
-    does not match ``objects``.
-    """
-    from .engine.evidence import EvidenceCache
-    from .engine.mutable import MutableDetectionEngine
-
-    path = Path(path)
-    with _NpzReader(path, "mutable engine snapshot") as data:
-        if "mutable_format_version" not in data:
-            raise GraphError(
-                f"{path}: not a mutable-engine snapshot (a graph or "
-                f"static-engine .npz? use load_graph/load_engine instead)"
-            )
-        version = int(data["mutable_format_version"])
-        if version != _MUTABLE_FORMAT_VERSION:
-            raise GraphError(
-                f"{path}: unsupported mutable snapshot version {version} "
-                f"(this build reads version {_MUTABLE_FORMAT_VERSION})"
-            )
-        try:
-            graph = _graph_from_arrays(data, path)
-            meta = json.loads(str(data["mutable_meta"]))
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: mutable metadata is not valid JSON") from exc
-        alive = data["alive"]
-        if alive.shape != (graph.n,):
-            raise GraphError(
-                f"{path}: alive mask covers {alive.size} objects but the "
-                f"graph spans {graph.n}"
-            )
-        cache_arrays = _cache_arrays_from(data, graph.n, path)
-    object_log = list(objects)
-    if len(object_log) != graph.n:
-        raise GraphError(
-            f"{path}: snapshot spans {graph.n} objects but the supplied log "
-            f"has {len(object_log)} — wrong object log for this snapshot"
-        )
-    # Loaded engines keep rebuilding with the snapshot's parallelism
-    # unless the caller overrides it explicitly.  Snapshots written
-    # before every build was pooled store null: one worker.
-    kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
-    engine = MutableDetectionEngine(
-        metric=str(meta.get("metric", "l2")),
-        K=int(meta.get("K", 16)),
-        search_attempts=int(meta.get("search_attempts", 2)),
-        rebuild_graph=str(meta.get("rebuild_graph", "mrpg")),
-        pinned=[float(r) for r in meta.get("pinned", ())],
-        **kwargs,
-    )
-    engine._objects = object_log
-    engine._alive = [bool(a) for a in alive]
-    engine._refresh_dataset()
-    _check_fingerprint(meta.get("fingerprint"), engine._dataset, path)
-    engine._graph = graph
-    engine.cache = EvidenceCache.from_state_arrays(graph.n, cache_arrays)
-    engine.cache.max_radii = engine.cache_radii
-    if engine.cache_radii is not None:
-        engine.cache.evict(engine.cache_radii)
-    engine.pairs = int(meta.get("pairs", 0))
-    engine._mutations_since_rebuild = int(meta.get("mutations_since_rebuild", 0))
-    _restore_stats(engine, meta.get("stats", {}))
-    return engine
-
-
 # -- sharded-engine manifests -------------------------------------------------
 
 _SHARDED_FORMAT_VERSION = 1
@@ -848,44 +726,36 @@ def load_sharded_engine(
     return engine
 
 
-# -- mutable-sharded engine snapshots -----------------------------------------
+# -- mutable-engine snapshots -------------------------------------------------
+#
+# Both mutable engines write one format, and the single-process engine
+# is its one-shard case: a directory holding one ``manifest.npz`` (the
+# full-id-space bookkeeping: alive mask, id -> shard routing, per-shard
+# member lists, serving statistics, pinned radii, the rebuild countdown
+# and a fingerprint of the full object log) and one ``shard_NNNN.npz``
+# per shard (the shard-local incremental graph, tombstones included,
+# plus the repaired within-shard evidence cache).  The objects
+# themselves are not stored; the caller re-supplies the full insertion
+# log, dead positions included.
 
 _MUTABLE_SHARDED_FORMAT_VERSION = 1
 
 
-def save_mutable_sharded_engine(engine, path: "str | Path") -> None:
-    """Snapshot a mutable sharded engine as a versioned directory.
-
-    ``path`` holds one ``manifest.npz`` (the full-id-space bookkeeping:
-    alive mask, id -> shard routing, per-shard membership logs, serving
-    statistics, pinned radii, a fingerprint of the full object log) and
-    one ``shard_NNNN.npz`` per shard (the shard-local incremental graph
-    — tombstones included — plus the repaired within-shard evidence
-    cache).  The objects themselves are not stored; the caller
-    re-supplies the full insertion log to
-    :func:`load_mutable_sharded_engine`.
-    """
+def _save_mutable_snapshot(engine, path, shard_of, epoch: int) -> None:
+    """The one writer behind both mutable engines' ``save``."""
     from .engine.evidence import EvidenceCache
     from .exceptions import ParameterError
-    from .graphs.adjacency import Graph
 
-    if engine.n_total == 0:
-        raise ParameterError(
-            "cannot snapshot a mutable sharded engine before any insert"
-        )
+    n_total = engine.n_total
+    if n_total == 0:
+        raise ParameterError("cannot snapshot a mutable engine before any insert")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     states = engine.shard_states()
-    n_total = engine.n_total
-    shard_files = [f"shard_{s:04d}.npz" for s in range(engine.n_shards)]
-    member_sizes = []
-    member_gids = []
+    shard_files = [f"shard_{s:04d}.npz" for s in range(len(states))]
+    members = [np.asarray(st["member_gids"], dtype=np.int64) for st in states]
     for s, (state, fname) in enumerate(zip(states, shard_files)):
-        members = [int(g) for g in state["member_gids"]]
-        member_sizes.append(len(members))
-        member_gids.extend(members)
-        graph = state["graph"]
-        cache = state["cache"]
+        graph, cache = state["graph"], state["cache"]
         _save_shard_archive(
             path / fname,
             graph if graph is not None else Graph(1).finalize(),
@@ -897,76 +767,70 @@ def save_mutable_sharded_engine(engine, path: "str | Path") -> None:
                 "knn_radii": [float(r) for r in state["knn_radii"]],
             },
         )
-    # The fingerprint covers the *full log* (dead entries included):
-    # that is what the caller must re-supply at load time.  The engine
-    # builds it store-aware — a shared-store log is already prepared
-    # and must not be prepared twice (angular rows would re-normalise).
-    full_ds = engine.log_dataset()
-    manifest = {
-        "mutable_sharded_format_version": np.asarray(
+    alive = np.zeros(n_total, dtype=bool)
+    alive[engine.active_ids()] = True
+    meta = {
+        "stats": engine.stats,
+        "metric": engine.metric.name,
+        "graph": engine.graph_name,
+        "K": engine.K,
+        "build_workers": engine.build_workers,
+        "pairs": engine.pairs,
+        "epoch": epoch,
+        "mutations_since_rebuild": engine._mutations_since_rebuild,
+        "pinned": sorted(set().union(*(st["pinned"] for st in states))),
+        "shard_files": shard_files,
+        # Over the full log, prepared once: a shared-store log is
+        # already prepared, and angular rows would re-normalise.
+        "fingerprint": _dataset_fingerprint(engine.log_dataset()),
+    }
+    np.savez_compressed(
+        path / _MANIFEST_NAME,
+        mutable_sharded_format_version=np.asarray(
             _MUTABLE_SHARDED_FORMAT_VERSION
         ),
-        "n_total": np.asarray(n_total),
-        "n_shards": np.asarray(engine.n_shards),
-        "alive": np.asarray(engine._alive, dtype=bool),
-        "shard_of": np.asarray(engine._shard_of_list, dtype=np.int64),
-        "member_sizes": np.asarray(member_sizes, dtype=np.int64),
-        "member_gids": np.asarray(member_gids, dtype=np.int64),
-        "manifest_meta": np.asarray(
-            json.dumps(
-                {
-                    "stats": engine.stats,
-                    "metric": engine.metric.name,
-                    "graph": engine.graph_name,
-                    "K": engine.K,
-                    "build_workers": engine.build_workers,
-                    "pairs": engine.pairs,
-                    "epoch": engine.epoch,
-                    "pinned": sorted(engine._pinned),
-                    "shard_files": shard_files,
-                    "fingerprint": _dataset_fingerprint(full_ds),
-                }
-            )
-        ),
-    }
-    np.savez_compressed(path / _MANIFEST_NAME, **manifest)
+        n_total=np.asarray(n_total),
+        n_shards=np.asarray(len(states)),
+        alive=alive,
+        shard_of=np.asarray(shard_of, dtype=np.int64),
+        member_sizes=np.asarray([m.size for m in members], dtype=np.int64),
+        member_gids=np.concatenate(members),
+        manifest_meta=np.asarray(json.dumps(meta)),
+    )
 
 
-def load_mutable_sharded_engine(path: "str | Path", objects, **kwargs):
-    """Rebuild a saved mutable sharded engine against its full object log.
+def _read_mutable_snapshot(path: "str | Path", objects):
+    """The one validating reader: ``(meta, log, alive, shard_of, states)``.
 
-    ``objects`` must be the complete insertion-ordered log (tombstoned
-    positions included), verified against the stored fingerprint.
-    Remaining keyword arguments are execution knobs forwarded to the
-    :class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`
-    constructor (``workers``, ``mode``, ...).
-
-    Raises :class:`GraphError` on every malformed input: missing or
-    unreadable manifest, version mismatch, inconsistent membership or
-    alive arrays, missing shard files, or an object log that is not the
-    data the snapshot was built from.
+    ``states`` are per-shard ``{member_gids, graph, cache, knn_radii}``
+    dicts.  Raises :class:`GraphError` on every malformed input: missing
+    or unreadable manifest, version mismatch, alive or routing arrays
+    that do not span the log, torn member lists (not ascending, naming
+    an id routed to another shard, or missing a live id), missing or
+    inconsistent shard files, or an object log that is not the data the
+    snapshot was built from.
     """
     from .data import Dataset
-    from .engine.mutable_sharded import MutableShardedDetectionEngine
+    from .metrics import resolve_metric
 
     path = Path(path)
     manifest_path = path / _MANIFEST_NAME
     if not path.is_dir() or not manifest_path.exists():
         raise GraphError(
-            f"{path}: no mutable-sharded snapshot here (expected a directory "
+            f"{path}: no mutable-engine snapshot here (expected a directory "
             f"containing {_MANIFEST_NAME})"
         )
-    with _NpzReader(manifest_path, "mutable-sharded manifest") as data:
+    with _NpzReader(manifest_path, "mutable-engine manifest") as data:
         if "mutable_sharded_format_version" not in data:
             raise GraphError(
-                f"{manifest_path}: not a mutable-sharded manifest (a static "
+                f"{manifest_path}: not a mutable-engine manifest (a static "
                 f"sharded snapshot? use load_sharded_engine instead)"
             )
         version = int(data["mutable_sharded_format_version"])
         if version != _MUTABLE_SHARDED_FORMAT_VERSION:
             raise GraphError(
-                f"{manifest_path}: unsupported mutable-sharded snapshot "
-                f"version {version} (this build reads version "
+                f"{manifest_path}: unsupported mutable snapshot version "
+                f"{version} (this build reads version "
                 f"{_MUTABLE_SHARDED_FORMAT_VERSION})"
             )
         n_total = int(data["n_total"])
@@ -989,15 +853,16 @@ def load_mutable_sharded_engine(path: "str | Path", objects, **kwargs):
         )
     if alive.shape != (n_total,) or shard_of.shape != (n_total,):
         raise GraphError(
-            f"{manifest_path}: alive/shard_of arrays do not match "
-            f"n_total={n_total}"
+            f"{manifest_path}: alive mask ({alive.size}) or shard routing "
+            f"({shard_of.size}) does not span n_total={n_total}"
         )
+    alive = alive.astype(bool)
     if n_shards < 1 or member_sizes.shape != (n_shards,):
         raise GraphError(
             f"{manifest_path}: manifest lists {member_sizes.size} member "
             f"counts for {n_shards} shards"
         )
-    if int(member_sizes.sum()) != member_gids.size:
+    if int(member_sizes.sum()) != member_gids.size or np.any(member_sizes < 0):
         raise GraphError(
             f"{manifest_path}: membership logs are inconsistent"
         )
@@ -1012,33 +877,39 @@ def load_mutable_sharded_engine(path: "str | Path", objects, **kwargs):
             f"{manifest_path}: shard routing targets out of range for "
             f"{n_shards} shards"
         )
+    # Torn member lists would double-count (or never count) an object
+    # in the merge: a silently wrong answer, so a load-time error.
+    offsets = np.concatenate(([0], np.cumsum(member_sizes)))
+    lists = [member_gids[offsets[s]:offsets[s + 1]] for s in range(n_shards)]
+    for s, members in enumerate(lists):
+        if np.any(np.diff(members) <= 0) or np.any(shard_of[members] != s):
+            raise GraphError(
+                f"{manifest_path}: shard {s}'s member list is not strictly "
+                f"ascending or names ids routed to another shard"
+            )
+    listed = np.zeros(n_total, dtype=bool)
+    listed[member_gids] = True
+    if not listed[alive].all():
+        raise GraphError(
+            f"{manifest_path}: {int(np.count_nonzero(alive & ~listed))} live "
+            f"ids are missing from their shard's member list"
+        )
     shard_files = meta.get("shard_files", [])
     if len(shard_files) != n_shards:
         raise GraphError(
             f"{manifest_path}: manifest names {len(shard_files)} shard files "
             f"for {n_shards} shards"
         )
-    metric = str(meta.get("metric", "l2"))
-    kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
-    engine = MutableShardedDetectionEngine(
-        metric=metric,
-        n_shards=n_shards,
-        graph=str(meta.get("graph", "mrpg")),
-        K=int(meta.get("K", 16)),
-        pinned=[float(r) for r in meta.get("pinned", ())],
-        **kwargs,
-    )
+    metric = resolve_metric(str(meta.get("metric", "l2")))
     full_ds = Dataset(
         np.asarray(object_log, dtype=np.float64)
-        if engine.metric.is_vector
+        if metric.is_vector
         else object_log,
-        engine.metric,
+        metric,
     )
     _check_fingerprint(meta.get("fingerprint"), full_ds, manifest_path)
-    offsets = np.concatenate(([0], np.cumsum(member_sizes)))
     states = []
-    for s, fname in enumerate(shard_files):
-        members = member_gids[offsets[s]:offsets[s + 1]]
+    for members, fname in zip(lists, shard_files):
         graph, cache, shard_meta = _load_shard_archive(path / str(fname), n_total)
         has_graph = bool(shard_meta.get("has_graph", True))
         if has_graph and graph.n != max(1, members.size):
@@ -1054,13 +925,100 @@ def load_mutable_sharded_engine(path: "str | Path", objects, **kwargs):
                 "knn_radii": [float(r) for r in shard_meta.get("knn_radii", ())],
             }
         )
-    engine._adopt_log(object_log)
-    engine._alive = [bool(a) for a in alive]
-    engine._shard_of_list = [int(s) for s in shard_of]
-    engine._spawn_pool(states)
+    return meta, object_log, alive, shard_of, states
+
+
+def _restore_counters(engine, meta: dict) -> None:
+    """Restore pairs, the rebuild countdown and stats from a manifest."""
     engine.pairs = int(meta.get("pairs", 0))
-    engine.epoch = int(meta.get("epoch", engine.epoch))
+    engine._mutations_since_rebuild = int(meta.get("mutations_since_rebuild", 0))
     _restore_stats(engine, meta.get("stats", {}))
+
+
+def save_mutable_engine(engine, path: "str | Path") -> None:
+    """Snapshot a :class:`~repro.engine.MutableDetectionEngine` directory.
+
+    The mutable snapshot format (see above) with one shard; every bound
+    the engine proved so far is folded in first.
+    """
+    _save_mutable_snapshot(engine, path, np.zeros(engine.n_total), epoch=0)
+
+
+def load_mutable_engine(path: "str | Path", objects, **kwargs):
+    """Rebuild a saved single-process mutable engine against its log.
+
+    ``objects`` must be the complete insertion-ordered log (tombstoned
+    positions included), verified against the stored fingerprint.
+    Remaining keyword arguments are forwarded to the
+    :class:`~repro.engine.MutableDetectionEngine` constructor (execution
+    knobs such as ``n_jobs``, ``mode``, ``rebuild_every``).  A one-shard
+    snapshot of a mutable sharded engine loads too; a snapshot with
+    more shards raises :class:`GraphError`, like every malformed input.
+    """
+    from .engine.mutable import MutableDetectionEngine
+
+    meta, log, alive, _, states = _read_mutable_snapshot(path, objects)
+    if len(states) != 1:
+        raise GraphError(
+            f"{path}: snapshot holds {len(states)} shards; load it with "
+            f"load_mutable_sharded_engine"
+        )
+    # Loaded engines keep rebuilding with the snapshot's parallelism
+    # unless the caller overrides it explicitly.  Snapshots written
+    # before every build was pooled store null: one worker.
+    kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
+    engine = MutableDetectionEngine(
+        metric=str(meta.get("metric", "l2")),
+        K=int(meta.get("K", 16)),
+        rebuild_graph=str(meta.get("graph", "mrpg")),
+        pinned=[float(r) for r in meta.get("pinned", ())],
+        **kwargs,
+    )
+    state = states[0]
+    engine._worker = engine._new_worker(
+        engine._worker._pinned, objects=log, alive=alive.tolist(),
+        member_gids=state["member_gids"], graph_state=state["graph"],
+        cache_state=state["cache"], knn_radii=state["knn_radii"],
+    )
+    if engine.cache_radii is not None:
+        engine.cache.evict(engine.cache_radii)
+    _restore_counters(engine, meta)
+    return engine
+
+
+def save_mutable_sharded_engine(engine, path: "str | Path") -> None:
+    """Snapshot a mutable sharded engine: the mutable snapshot format."""
+    _save_mutable_snapshot(engine, path, engine._shard_of_list, engine.epoch)
+
+
+def load_mutable_sharded_engine(path: "str | Path", objects, **kwargs):
+    """Rebuild a saved mutable sharded engine against its full object log.
+
+    ``objects`` must be the complete insertion-ordered log (tombstoned
+    positions included), verified against the stored fingerprint.
+    Remaining keyword arguments are execution knobs forwarded to the
+    :class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`
+    constructor (``workers``, ``mode``, ...).  Every malformed input
+    raises :class:`GraphError`.
+    """
+    from .engine.mutable_sharded import MutableShardedDetectionEngine
+
+    meta, log, alive, shard_of, states = _read_mutable_snapshot(path, objects)
+    kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
+    engine = MutableShardedDetectionEngine(
+        metric=str(meta.get("metric", "l2")),
+        n_shards=len(states),
+        graph=str(meta.get("graph", "mrpg")),
+        K=int(meta.get("K", 16)),
+        pinned=[float(r) for r in meta.get("pinned", ())],
+        **kwargs,
+    )
+    engine._adopt_log(log)
+    engine._alive = alive.tolist()
+    engine._shard_of_list = shard_of.tolist()
+    engine._spawn_pool(states)
+    engine.epoch = int(meta.get("epoch", engine.epoch))
+    _restore_counters(engine, meta)
     return engine
 
 
@@ -1082,14 +1040,18 @@ def load_any_engine(
     """Load *any* engine snapshot, dispatching on the stored format.
 
     The :class:`~repro.engine.protocol.EngineCore` counterpart of the
-    per-class loaders: directory snapshots resolve to the sharded
-    engines (static needs ``dataset``, mutable needs the ``objects``
-    log), single ``.npz`` snapshots to the single-process engines.
-    Callers — the CLI in particular — no longer pick a loader by engine
-    class.  The common execution knobs are routed to whichever subset
-    the resolved engine takes (``workers`` for sharded engines,
-    ``n_jobs`` for single-process ones); ``extra`` keywords — e.g.
-    ``backend`` — are forwarded to the resolved loader.
+    per-class loaders: a ``.npz`` file is a static engine (needs
+    ``dataset``); a directory is a static sharded engine (needs
+    ``dataset``) or a mutable one (needs the ``objects`` log).  A
+    mutable snapshot picks its class the way
+    :func:`~repro.engine.protocol.create_engine` does: one shard without
+    ``store="shm"`` gives a
+    :class:`~repro.engine.MutableDetectionEngine`, anything else the
+    mutable sharded engine.  Callers — the CLI in particular — never
+    pick a loader by engine class.  The common execution knobs are
+    routed to whichever subset the resolved engine takes (``workers``
+    for sharded engines, ``n_jobs`` for single-process ones); ``extra``
+    keywords — e.g. ``backend`` — are forwarded to the resolved loader.
 
     Raises :class:`GraphError` for unreadable paths, unknown formats,
     or when the required ``dataset``/``objects`` was not supplied.
@@ -1104,11 +1066,17 @@ def load_any_engine(
             )
         with _NpzReader(manifest_path, "engine manifest") as data:
             mutable = "mutable_sharded_format_version" in data
+            n_shards = int(data["n_shards"])
         if mutable:
             if objects is None:
                 raise GraphError(
-                    f"{path}: a mutable-sharded snapshot needs the full "
-                    f"object log re-supplied (objects=...)"
+                    f"{path}: a mutable snapshot needs the full object log "
+                    f"re-supplied (objects=...)"
+                )
+            if n_shards == 1 and extra.get("store", "ram") in ("ram", "list"):
+                extra.pop("store", None)
+                return load_mutable_engine(
+                    path, objects, n_jobs=n_jobs, mode=mode, **extra,
                 )
             return load_mutable_sharded_engine(
                 path, objects, workers=workers, mode=mode,
@@ -1124,27 +1092,18 @@ def load_any_engine(
             start_method=start_method, **extra,
         )
     with _NpzReader(path, "engine snapshot") as data:
-        mutable = "mutable_format_version" in data
         static = "engine_format_version" in data
-    if mutable:
-        if objects is None:
-            raise GraphError(
-                f"{path}: a mutable snapshot needs the full object log "
-                f"re-supplied (objects=...)"
-            )
-        return load_mutable_engine(
-            path, objects, n_jobs=n_jobs, mode=mode, **extra,
+    if not static:
+        raise GraphError(
+            f"{path}: not an engine snapshot of any known format (a bare "
+            f"graph .npz? use load_graph instead; a mutable-engine .npz "
+            f"predates directory snapshots and must be re-saved)"
         )
-    if static:
-        if dataset is None:
-            raise GraphError(
-                f"{path}: an engine snapshot needs the dataset re-supplied "
-                f"(dataset=...)"
-            )
-        return load_engine(
-            path, dataset, n_jobs=n_jobs, rng=rng, mode=mode, **extra,
+    if dataset is None:
+        raise GraphError(
+            f"{path}: an engine snapshot needs the dataset re-supplied "
+            f"(dataset=...)"
         )
-    raise GraphError(
-        f"{path}: not an engine snapshot of any known format (a bare graph "
-        f".npz? use load_graph instead)"
+    return load_engine(
+        path, dataset, n_jobs=n_jobs, rng=rng, mode=mode, **extra,
     )

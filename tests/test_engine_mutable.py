@@ -169,10 +169,10 @@ def test_insert_patches_stale_exact_lists(pool):
     eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:150])
     eng.rebuild(renumber=False)  # MRPG: stores exact lists
-    holders_before = len(eng._graph.exact_knn)
+    holders_before = len(eng._worker._graph.exact_knn)
     assert holders_before > 0
     coverage_before = {
-        h: float(d[-1]) for h, (_, d) in eng._graph.exact_knn.items()
+        h: float(d[-1]) for h, (_, d) in eng._worker._graph.exact_knn.items()
     }
     # Insert copies of existing points: they land strictly inside many
     # stored lists.  Decremental maintenance patches every affected
@@ -180,10 +180,10 @@ def test_insert_patches_stale_exact_lists(pool):
     # so no holder loses its list and every list stays exact.
     eng.detect(1.8, 5)  # pin a radius so inserts scan
     eng.insert(pool[:20] + 1e-9)
-    assert len(eng._graph.exact_knn) == holders_before
+    assert len(eng._worker._graph.exact_knn) == holders_before
     ds = Dataset(np.asarray(eng.live_objects()), "l2")
     patched = 0
-    for h, (ids, dists) in eng._graph.exact_knn.items():
+    for h, (ids, dists) in eng._worker._graph.exact_knn.items():
         others = np.delete(np.arange(ds.n, dtype=np.int64), int(h))
         ref = np.sort(ds.dist_many(int(h), others))
         np.testing.assert_allclose(dists, ref[: dists.size])
@@ -219,8 +219,6 @@ def test_top_n_over_live_objects(pool, rng):
 def test_validation(pool):
     with pytest.raises(ParameterError):
         MutableDetectionEngine(K=0)
-    with pytest.raises(ParameterError):
-        MutableDetectionEngine(search_attempts=0)
     with pytest.raises(ParameterError):
         MutableDetectionEngine(rebuild_every=0)
     eng = MutableDetectionEngine(metric="l2", K=4, seed=0)
@@ -291,9 +289,9 @@ def test_removing_an_exact_list_member_stays_exact(pool):
     eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:150])
     eng.rebuild(renumber=False)  # MRPG: stores exact lists
-    holders = list(eng._graph.exact_knn)
+    holders = list(eng._worker._graph.exact_knn)
     assert holders
-    victim = int(eng._graph.exact_knn[holders[0]][0][0])
+    victim = int(eng._worker._graph.exact_knn[holders[0]][0][0])
     eng.remove([victim])
     _oracle_check(eng, 1.8, 5)
     eng.close()

@@ -146,6 +146,13 @@ def test_load_any_engine_resolves_every_format(points, tmp_path):
     assert isinstance(warm, MutableDetectionEngine)
     np.testing.assert_array_equal(warm.query(1.8, 5).outliers, expected)
     warm.close()
+    # One mutable format: the same one-shard snapshot on the shared
+    # store resolves to the sharded engine, as create_engine would.
+    warm = load_any_engine(snaps[2], objects=list(points), store="shm",
+                           workers=1)
+    assert isinstance(warm, MutableShardedDetectionEngine)
+    np.testing.assert_array_equal(warm.query(1.8, 5).outliers, expected)
+    warm.close()
 
     warm = load_any_engine(snaps[3], objects=list(points), workers=1)
     assert isinstance(warm, MutableShardedDetectionEngine)

@@ -19,6 +19,8 @@ from repro import (
     MutableDetectionEngine,
     MutableShardedDetectionEngine,
     ShardedDetectionEngine,
+    create_engine,
+    load_any_engine,
     load_engine,
     load_graph,
     load_mutable_engine,
@@ -301,6 +303,9 @@ def test_engine_meta_is_plain_json(engine, tmp_path):
 
 
 # -- mutable-engine snapshots ------------------------------------------------------
+#
+# Both mutable engines write one directory format (manifest.npz plus one
+# shard_NNNN.npz per shard); the single-process engine writes one shard.
 
 
 @pytest.fixture()
@@ -314,10 +319,20 @@ def mutable_engine(blob_points):
     eng.close()
 
 
+@pytest.fixture()
+def mutable_snapshot(mutable_engine, tmp_path):
+    path = tmp_path / "mutable"
+    save_mutable_engine(mutable_engine, path)
+    return path
+
+
 def test_mutable_snapshot_roundtrip_serves_warm(mutable_engine, tmp_path):
-    path = tmp_path / "mutable.npz"
+    path = tmp_path / "mutable"
     reference = mutable_engine.detect(1.8, 5)
     save_mutable_engine(mutable_engine, path)
+    assert sorted(p.name for p in path.iterdir()) == [
+        "manifest.npz", "shard_0000.npz"
+    ]
     loaded = load_mutable_engine(path, mutable_engine.object_log())
     assert loaded.stats == mutable_engine.stats
     assert loaded.n_total == mutable_engine.n_total
@@ -333,7 +348,7 @@ def test_mutable_snapshot_roundtrip_serves_warm(mutable_engine, tmp_path):
 
 
 def test_mutable_save_method_matches_module_function(mutable_engine, tmp_path):
-    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    a, b = tmp_path / "a", tmp_path / "b"
     mutable_engine.save(a)
     save_mutable_engine(mutable_engine, b)
     log = mutable_engine.object_log()
@@ -347,62 +362,172 @@ def test_mutable_save_method_matches_module_function(mutable_engine, tmp_path):
 def test_save_mutable_before_insert_is_an_error(tmp_path):
     eng = MutableDetectionEngine(metric="l2")
     with pytest.raises(ParameterError, match="before any insert"):
-        save_mutable_engine(eng, tmp_path / "never.npz")
+        save_mutable_engine(eng, tmp_path / "never")
 
 
-def test_load_mutable_rejects_truncated_archive(mutable_engine, tmp_path):
-    path = tmp_path / "m.npz"
-    save_mutable_engine(mutable_engine, path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[: int(len(blob) * 0.6)])
-    with pytest.raises(GraphError):
-        load_mutable_engine(path, mutable_engine.object_log())
+def test_load_mutable_rejects_truncated_archive(mutable_engine, mutable_snapshot):
+    for name in ("manifest.npz", "shard_0000.npz"):
+        archive = mutable_snapshot / name
+        blob = archive.read_bytes()
+        archive.write_bytes(blob[: int(len(blob) * 0.6)])
+        with pytest.raises(GraphError):
+            load_mutable_engine(mutable_snapshot, mutable_engine.object_log())
+        archive.write_bytes(blob)
 
 
-def test_load_mutable_rejects_static_engine_snapshot(engine, l2_dataset, tmp_path):
+def test_load_mutable_rejects_static_engine_snapshot(
+    engine, sharded_engine, l2_dataset, tmp_path
+):
     path = tmp_path / "static.npz"
     save_engine(engine, path)
-    with pytest.raises(GraphError, match="not a mutable-engine snapshot"):
+    with pytest.raises(GraphError, match="no mutable-engine snapshot"):
         load_mutable_engine(path, list(range(l2_dataset.n)))
+    save_sharded_engine(sharded_engine, tmp_path / "sharded")
+    with pytest.raises(GraphError, match="not a mutable-engine manifest"):
+        load_mutable_engine(tmp_path / "sharded", list(range(l2_dataset.n)))
 
 
-def test_load_mutable_rejects_wrong_version(mutable_engine, tmp_path):
-    path = tmp_path / "m.npz"
-    save_mutable_engine(mutable_engine, path)
-    _rewrite(path, mutable_format_version=np.asarray(77))
+def test_load_mutable_rejects_wrong_version(mutable_engine, mutable_snapshot):
+    _rewrite_manifest(
+        mutable_snapshot, mutable_sharded_format_version=np.asarray(77)
+    )
     with pytest.raises(GraphError, match="version 77"):
-        load_mutable_engine(path, mutable_engine.object_log())
+        load_mutable_engine(mutable_snapshot, mutable_engine.object_log())
 
 
-def test_load_mutable_rejects_wrong_log_length(mutable_engine, tmp_path):
-    path = tmp_path / "m.npz"
-    save_mutable_engine(mutable_engine, path)
+def test_load_mutable_rejects_wrong_log_length(mutable_engine, mutable_snapshot):
     with pytest.raises(GraphError, match="wrong object log"):
-        load_mutable_engine(path, mutable_engine.object_log()[:-3])
+        load_mutable_engine(mutable_snapshot, mutable_engine.object_log()[:-3])
 
 
-def test_load_mutable_rejects_different_objects(mutable_engine, tmp_path, rng):
-    path = tmp_path / "m.npz"
-    save_mutable_engine(mutable_engine, path)
+def test_load_mutable_rejects_different_objects(
+    mutable_engine, mutable_snapshot, rng
+):
     fake = list(rng.normal(size=(mutable_engine.n_total, 6)))
     with pytest.raises(GraphError, match="fingerprint"):
-        load_mutable_engine(path, fake)
+        load_mutable_engine(mutable_snapshot, fake)
 
 
-def test_load_mutable_rejects_bad_alive_mask(mutable_engine, tmp_path):
-    path = tmp_path / "m.npz"
-    save_mutable_engine(mutable_engine, path)
-    _rewrite(path, alive=np.ones(3, dtype=bool))
+def test_load_mutable_rejects_bad_alive_mask(mutable_engine, mutable_snapshot):
+    _rewrite_manifest(mutable_snapshot, alive=np.ones(3, dtype=bool))
     with pytest.raises(GraphError, match="alive mask"):
-        load_mutable_engine(path, mutable_engine.object_log())
+        load_mutable_engine(mutable_snapshot, mutable_engine.object_log())
 
 
-def test_load_mutable_rejects_bad_metadata_json(mutable_engine, tmp_path):
-    path = tmp_path / "m.npz"
-    save_mutable_engine(mutable_engine, path)
-    _rewrite(path, mutable_meta=np.asarray("{nope"))
+def test_load_mutable_rejects_bad_metadata_json(mutable_engine, mutable_snapshot):
+    _rewrite_manifest(mutable_snapshot, manifest_meta=np.asarray("{nope"))
     with pytest.raises(GraphError, match="JSON"):
-        load_mutable_engine(path, mutable_engine.object_log())
+        load_mutable_engine(mutable_snapshot, mutable_engine.object_log())
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_mutable_snapshot_restores_rebuild_countdown(blob_points, tmp_path, sharded):
+    """70 mutations under ``rebuild_every=50``: the first query after a
+    restart rebuilds, exactly as it would have without the restart."""
+    eng = create_engine(None, mutable=True, shards=2 if sharded else 1,
+                        workers=1, K=6, seed=0, rebuild_every=50)
+    eng.insert(blob_points[:70])
+    path = tmp_path / "countdown"
+    eng.save(path)
+    warm = load_any_engine(
+        path, objects=eng.object_log(), workers=1, rebuild_every=50
+    )
+    assert type(warm) is type(eng)
+    assert warm.stats["rebuilds"] == 0
+    warm.detect(1.8, 5)
+    assert warm.stats["rebuilds"] == 1
+    eng.detect(1.8, 5)
+    assert eng.stats["rebuilds"] == 1
+    warm.close()
+    eng.close()
+
+
+def _torn(member_lists, alive, kind):
+    """Tamper with a two-shard snapshot's membership bookkeeping."""
+    first, second = member_lists
+    if kind == "duplicate":
+        # One id listed in both shards, another in none; sizes (and so
+        # the shard graphs' vertex counts) unchanged.
+        second = np.sort(np.concatenate(([first[0]], second[1:])))
+    elif kind == "unsorted":
+        first = first.copy()
+        first[[0, 1]] = first[[1, 0]]
+    else:  # "unlisted": revive an id no shard lists
+        dead = np.setdiff1d(
+            np.flatnonzero(~alive), np.concatenate(member_lists)
+        )
+        alive = alive.copy()
+        alive[dead[0]] = True
+    return [first, second], alive
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "unsorted", "unlisted"])
+def test_load_mutable_rejects_torn_member_lists(blob_points, tmp_path, kind):
+    eng = MutableShardedDetectionEngine.fit(
+        blob_points[:160], metric="l2", n_shards=2, workers=1, K=6, seed=0
+    )
+    eng.remove(list(range(0, 40, 3)))
+    eng.rebuild()  # dead ids leave the member lists
+    path = tmp_path / "torn"
+    eng.save(path)
+    with np.load(path / "manifest.npz") as data:
+        sizes = data["member_sizes"]
+        gids = data["member_gids"]
+        lists = np.split(gids, np.cumsum(sizes)[:-1])
+        lists, alive = _torn(lists, data["alive"], kind)
+    _rewrite_manifest(path, member_gids=np.concatenate(lists), alive=alive)
+    with pytest.raises(GraphError, match="member list"):
+        load_mutable_sharded_engine(path, eng.object_log(), workers=1)
+    eng.close()
+
+
+def test_mutable_snapshots_cross_load(mutable_engine, blob_points, tmp_path):
+    """One format: a single-engine snapshot is a one-shard sharded one,
+    and back — same answers, warm on the first detect."""
+    reference = mutable_engine.detect(1.8, 5)
+    mutable_engine.save(tmp_path / "single")
+    log = mutable_engine.object_log()
+    sharded = MutableShardedDetectionEngine.load(
+        tmp_path / "single", log, workers=1
+    )
+    res = sharded.detect(1.8, 5)
+    np.testing.assert_array_equal(res.outliers, reference.outliers)
+    assert res.pairs == 0
+    sharded.close()
+
+    one = MutableShardedDetectionEngine.fit(
+        blob_points, metric="l2", n_shards=1, workers=1, K=6, seed=0
+    )
+    one.remove(list(range(0, 60, 4)))
+    reference = one.detect(1.8, 5)
+    one.save(tmp_path / "one_shard")
+    single = MutableDetectionEngine.load(tmp_path / "one_shard", one.object_log())
+    res = single.detect(1.8, 5)
+    np.testing.assert_array_equal(res.outliers, reference.outliers)
+    assert res.pairs == 0
+    single.close()
+    one.close()
+
+
+def test_load_mutable_engine_refuses_multi_shard_snapshot(blob_points, tmp_path):
+    eng = MutableShardedDetectionEngine.fit(
+        blob_points[:120], metric="l2", n_shards=2, workers=1, K=6, seed=0
+    )
+    eng.save(tmp_path / "two")
+    with pytest.raises(GraphError, match="2 shards"):
+        load_mutable_engine(tmp_path / "two", eng.object_log())
+    eng.close()
+
+
+def test_load_any_engine_refuses_retired_mutable_npz(kgraph_l2, blob_points, tmp_path):
+    # Mutable engines wrote single .npz archives before both shared the
+    # directory format; such an archive must be re-saved, never guessed at.
+    path = tmp_path / "retired.npz"
+    save_graph(kgraph_l2, path)
+    _rewrite(path, mutable_format_version=np.asarray(1),
+             alive=np.ones(kgraph_l2.n, dtype=bool))
+    with pytest.raises(GraphError, match="re-saved"):
+        load_any_engine(path, objects=list(blob_points))
 
 
 # -- sharded-engine manifests -----------------------------------------------------
@@ -572,9 +697,9 @@ def test_mutable_snapshot_with_null_build_workers(blob_points, tmp_path):
     eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(blob_points[:150])
     reference = eng.detect(1.8, 5)
-    path = tmp_path / "mutable.npz"
+    path = tmp_path / "mutable"
     save_mutable_engine(eng, path)
-    _null_build_workers(path, "mutable_meta")
+    _null_build_workers(path / "manifest.npz", "manifest_meta")
     loaded = load_mutable_engine(path, eng.object_log(), rebuild_every=20)
     assert loaded.build_workers == 1
     np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
