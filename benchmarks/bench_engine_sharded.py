@@ -12,8 +12,9 @@ workers, seconds, cache_seconds, filter_seconds, verify_seconds,
 pairs, verify_pairs, outliers``; the payload also carries ``cpu_count``
 and the headline ``speedup`` (single / sharded-at-4-workers).
 
-Phase C (cross-shard verification) is one path: cooperative linear
-sweep rounds with a stall handoff.  Its gate is in seconds, not pairs,
+Phase C (cross-shard verification) is one path: one bounded count per
+shard, read through the shard's center cells.  Its gate is in seconds,
+not pairs,
 and runs at full scale on any core count (the in-process engine uses
 one core): the best-of-3 4-shard verify seconds must stay within 1.5x
 of the best-of-3 single-engine cold query seconds.

@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """Exactness gate: sharded engine vs single-process engine vs brute force.
 
-Runs :class:`ShardedDetectionEngine` over small L2/L1/edit datasets x
-graph builders x shard counts x partition strategies x execution modes
-and fails (exit 1) on any outlier set that differs from the scalar
-``graph_dod`` oracle (itself cross-checked against brute force), or on
-warm re-queries that stop being pure cache hits.  One configuration
-additionally runs the multi-process backend and demands bit-identical
-answers *and* identical distance-computation counts to the in-process
-backend.  This is a correctness gate, not a timing gate — deliberately
-small and deterministic so CI can run it on every push.
+Runs :class:`ShardedDetectionEngine` over small L2/L1/angular/Jaccard/
+edit datasets x graph builders x shard counts x partition strategies x
+execution modes and fails (exit 1) on any outlier set that differs from
+the scalar ``graph_dod`` oracle (itself cross-checked against brute
+force), or on warm re-queries that stop being pure cache hits.  One
+configuration additionally runs the multi-process backend and demands
+bit-identical answers *and* identical distance-computation counts to
+the in-process backend.  This is a correctness gate, not a timing gate
+— deliberately small and deterministic so CI can run it on every push.
 
 Usage: python scripts/check_sharded_equivalence.py [--n N]
 """
@@ -24,7 +24,11 @@ import numpy as np
 
 from repro import Dataset, build_graph, graph_dod
 from repro.core.verify import Verifier
-from repro.datasets import blobs_with_outliers, words_with_outliers
+from repro.datasets import (
+    blobs_with_outliers,
+    sphere_blobs_with_outliers,
+    words_with_outliers,
+)
 from repro.engine.sharded import ShardedDetectionEngine
 from repro.index import brute_force_outliers
 
@@ -93,6 +97,28 @@ def check_process_backend(dataset, r, k, label: str) -> list[str]:
     return failures
 
 
+def quantile_radius(dataset, q: float = 0.10) -> float:
+    """The ``q`` quantile of 1,500 random pair distances."""
+    gen = np.random.default_rng(0)
+    a = gen.integers(0, dataset.n, size=1500)
+    b = gen.integers(0, dataset.n, size=1500)
+    keep = a != b
+    return float(np.quantile(dataset.pair_dist(a[keep], b[keep]), q))
+
+
+def random_sets(n: int = 150) -> list[frozenset]:
+    """Six 8-element core sets over 40 elements, two elements flipped
+    per member."""
+    gen = np.random.default_rng(4)
+    cores = [set(gen.choice(40, size=8, replace=False).tolist()) for _ in range(6)]
+    sets = []
+    for t in range(n):
+        s = set(cores[t % 6])
+        s ^= set(gen.choice(40, size=2, replace=False).tolist())
+        sets.append(frozenset(s))
+    return sets
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=380, help="vector dataset size")
@@ -106,16 +132,17 @@ def main(argv=None) -> int:
         args.n, dim=6, n_clusters=4, core_std=0.8, tail_std=2.5, tail_frac=0.06,
         center_spread=12.0, planted_frac=0.015, planted_spread=60.0, rng=42,
     )
-    for metric in ("l2", "l1"):
-        dataset = Dataset(points, metric)
-        gen = np.random.default_rng(0)
-        a = gen.integers(0, dataset.n, size=1500)
-        b = gen.integers(0, dataset.n, size=1500)
-        keep = a != b
-        r = float(np.quantile(dataset.pair_dist(a[keep], b[keep]), 0.10))
+    # Phase C's cell bounds carry each metric's own rounding margin.
+    sphere = sphere_blobs_with_outliers(args.n, dim=8, n_clusters=4, rng=11)
+    for metric, objects, k in (
+        ("l2", points, 8), ("l1", points, 8), ("angular", sphere, 8),
+        ("jaccard", random_sets(), 4),
+    ):
+        dataset = Dataset(objects, metric)
+        r = quantile_radius(dataset)
         for graph_name in GRAPHS:
             failures += check_config(
-                dataset, graph_name, (r * 0.9, r), 8, f"{metric}/{graph_name}"
+                dataset, graph_name, (r * 0.9, r), k, f"{metric}/{graph_name}"
             )
             checks += 1
 
@@ -126,11 +153,7 @@ def main(argv=None) -> int:
         checks += 1
 
     dataset = Dataset(points, "l2")
-    gen = np.random.default_rng(0)
-    a = gen.integers(0, dataset.n, size=1500)
-    b = gen.integers(0, dataset.n, size=1500)
-    keep = a != b
-    r = float(np.quantile(dataset.pair_dist(a[keep], b[keep]), 0.10))
+    r = quantile_radius(dataset)
     failures += check_process_backend(dataset, r, 8, "l2/process-backend")
     checks += 1
 

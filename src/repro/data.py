@@ -19,17 +19,18 @@ from .exceptions import GraphError, ParameterError
 from .metrics import Metric, resolve_metric
 
 #: element budget (rows x dimensionality) per gathered block on
-#: **out-of-core** (memmap) stores.  Every batched distance query
-#: gathers its rows into private RAM before the kernel runs; chunking
-#: the gather at this budget — here and in the linear sweeps — is what
-#: bounds the resident working set to the budget instead of the store
-#: size.  Row-wise kernels make the chunked evaluation bit-identical
-#: to the unchunked one.
+#: **out-of-core** (memmap) stores, tighter than :data:`BLOCK_ELEM_BUDGET`:
+#: there the chunk size is the memory ceiling the out-of-core path
+#: promises.
 MEMMAP_ELEM_BUDGET = 1 << 19
 
-#: target number of array elements (pairs x dimensionality) per batched
-#: verification kernel on in-RAM stores — bounds the materialised
-#: difference block.
+#: element budget (pairs x dimensionality) per batched kernel on in-RAM
+#: and shared-segment stores.  Every batched distance query gathers its
+#: rows into private RAM before the kernel runs (fancy indexing copies
+#: from any store); chunking the gather at this budget bounds the
+#: working set of one call, however many pairs it asks for.  Row-wise
+#: kernels make the chunked evaluation bit-identical to the unchunked
+#: one.
 BLOCK_ELEM_BUDGET = 1 << 21
 
 
@@ -275,9 +276,9 @@ class Dataset:
         chunk = self._gather_chunk(idx.size)
         if chunk is None:
             return self.metric.dist_many(self.store, i, idx, bound=bound)
-        # Out-of-core store: evaluate in row chunks so the gathered
-        # block, not the store, bounds resident memory.  The kernels
-        # reduce row-wise, so the concatenation is bit-identical.
+        # Evaluate in row chunks so the gathered block bounds memory.
+        # The kernels reduce row-wise, so the concatenation is
+        # bit-identical.
         return np.concatenate([
             self.metric.dist_many(self.store, i, idx[lo:lo + chunk],
                                   bound=bound)
@@ -336,9 +337,9 @@ class Dataset:
         chunk = self._gather_chunk(a.size)
         if chunk is None:
             return self._pair_dist_block(a, b, radii)
-        # Out-of-core store: element-wise evaluation is chunked so each
-        # gathered block fits the memmap budget.  Per-element values
-        # (and screening verdicts) do not depend on the batch split.
+        # Element-wise evaluation is chunked so each gathered block fits
+        # the budget.  Per-element values (and screening verdicts) do
+        # not depend on the batch split.
         b = np.asarray(b, dtype=np.int64)
         return np.concatenate([
             self._pair_dist_block(a[lo:lo + chunk], b[lo:lo + chunk], radii)
@@ -359,16 +360,19 @@ class Dataset:
     def _gather_chunk(self, n_rows: int) -> "int | None":
         """Rows per gathered block, or ``None`` when no chunking applies.
 
-        Only memmap-backed stores chunk — in-RAM and shared-segment
-        stores index views without materialising copies, so splitting
-        their kernels would cost calls without saving memory.
+        Every 2-d store chunks: :data:`BLOCK_ELEM_BUDGET` elements per
+        block in RAM and on shared segments, :data:`MEMMAP_ELEM_BUDGET`
+        on memmaps.  Stores that are not 2-d arrays (strings, sets) do
+        not.
         """
-        if self.store_kind != "memmap":
-            return None
         shape = getattr(self.store, "shape", None)
         if shape is None or len(shape) != 2:
             return None
-        chunk = max(1, MEMMAP_ELEM_BUDGET // max(1, int(shape[1])))
+        budget = (
+            MEMMAP_ELEM_BUDGET if self.store_kind == "memmap"
+            else BLOCK_ELEM_BUDGET
+        )
+        chunk = max(1, budget // max(1, int(shape[1])))
         return chunk if n_rows > chunk else None
 
     # -- object access --------------------------------------------------------

@@ -883,24 +883,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     def _home_shards(self, ids: np.ndarray) -> np.ndarray:
         return np.asarray(self._shard_of_list, dtype=np.int64)[ids]
 
-    def _scan_sizes(self) -> np.ndarray:
-        return self.shard_sizes()
-
-    def _budget_dataset(self):
-        live = self.active_ids()
-        if self.store_kind == "shm":
-            return Dataset.from_prepared(
-                np.ascontiguousarray(self._store_rows()[live[:1]]),
-                self.metric,
-            )
-        probe = [self._objects[int(live[0])]]
-        return Dataset(
-            np.asarray(probe, dtype=np.float64)
-            if self.metric.is_vector
-            else probe,
-            self.metric,
-        )
-
     def _method_label(self) -> str:
         return (
             f"mutable-sharded[{self.n_shards}x{self.workers}]:"

@@ -22,12 +22,13 @@ counts.  Three consequences drive the design:
   (the other shards may hold the missing neighbors), so the §5.5
   exact-K'NN shortcut's "definitive outlier" verdict is demoted to an
   exact *within-shard* count and only the all-shards sum decides;
-* verification falls back to exact per-shard
-  :func:`~repro.index.linear.linear_count_block` sweeps with per-shard
-  early termination at ``k``: if the summed counts reach ``k`` the
-  object is an inlier, and if they stay below ``k`` every per-shard
-  scan ran to completion, so the sum is the true count and the object
-  is an outlier.  Either way the verdict is certain.
+* verification asks each shard once for a count that is exact or
+  stops at ``k`` less the other shards' bounds (through the shard's
+  center cells, or a :func:`~repro.index.linear.linear_count_block`
+  subset sweep without them): a count that stopped proves the sum
+  reaches ``k``, so the object is an inlier; otherwise every count is
+  exact, the sum is the true count, and below ``k`` the object is an
+  outlier.  Either way the verdict is certain.
 
 Every shard cache stores *within-shard* bounds indexed by global object
 id, so the engine's monotone-bound reuse works across the merge exactly
@@ -74,7 +75,7 @@ from ..core.parallel import DatasetTransport, ShardPool, default_start_method
 from ..core.result import DODResult
 from ..core.traversal import BlockTracker
 from ..backends import resolve_backend
-from ..data import Dataset, pairs_per_kernel
+from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
@@ -171,13 +172,15 @@ class ShardWorker:
     processes.
 
     The query protocol (``prepare``/``filter``/``count_range``/
-    ``count_tail``/``record``) is written once here;
+    ``record``) is written once here;
     :class:`~repro.engine.mutable_sharded.MutableShardWorker` adds only
     its data plane, its live-member view and its mutations.  A static
     worker also builds the center cells of its members
-    (:mod:`repro.index.cells`), so its filter proves easy inliers
-    without traversal; the mutable worker's filter runs Algorithm 1 as
-    published.
+    (:mod:`repro.index.cells`): its filter proves easy inliers without
+    traversal, and its ``count_range`` sweeps only the members the
+    cells leave open.  The mutable worker has no cells: its filter runs
+    Algorithm 1 as published and its ``count_range`` sweeps every
+    member.
     """
 
     def __init__(
@@ -345,49 +348,31 @@ class ShardWorker:
             self.cache.record(r, home_ids[walk], w_counts, exact_mask=w_exact)
         return home_ids, counts, exact, self._take_pairs()
 
-    def count_range(self, r: float, ids: np.ndarray, lo: int, hi: int):
-        """Phase C: hits among member positions ``[lo, hi)`` per candidate.
+    def count_range(self, r: float, ids: np.ndarray, stop_at):
+        """Phase C: within-shard neighbor counts of the candidates ``ids``.
 
-        One slice of the cooperative cross-shard sweep: the parent
-        re-merges after every round and retires a candidate the moment
-        the summed per-shard bounds reach ``k``, so the prefix a
-        candidate pays for grows only until *some* combination of
-        shards proves it an inlier — the cross-process analogue of
-        :func:`~repro.index.linear.linear_count_block`'s early
-        retirement.  A candidate that is itself a member of the scanned
-        slice does not count itself.
+        Returns ``(counts, exact, pairs)``.  A count is exact, or at
+        least the candidate's ``stop_at`` (one threshold per candidate,
+        or one for all).  A static shard bounds each count through its
+        center cells and sweeps only the members they leave open
+        (:meth:`~repro.index.cells.CenterCells.count`); a shard without
+        cells sweeps every member with an early exit at ``stop_at``.
+        A candidate that is itself a member does not count itself.
         """
         r = float(r)
         ids = np.asarray(ids, dtype=np.int64)
-        members = self._ensure_serve().ids
-        m = int(members.size)
-        lo, hi = int(lo), min(int(hi), m)
-        if ids.size == 0 or lo >= hi:
-            return np.zeros(ids.size, dtype=np.int64), self._take_pairs()
-        span = hi - lo
-        d = self._full.pair_dist(
-            np.repeat(ids, span), np.tile(members[lo:hi], ids.size), bound=r
-        )
-        add = (d <= r).reshape(ids.size, span).sum(axis=1).astype(np.int64)
-        pos = np.minimum(np.searchsorted(members, ids), m - 1)
-        add[(members[pos] == ids) & (pos >= lo) & (pos < hi)] -= 1
-        return add, self._take_pairs()
-
-    def count_tail(self, r: float, ids: np.ndarray, lo: int):
-        """Phase C stall fallback: exhaust member positions ``[lo, m)``.
-
-        An exact :func:`~repro.index.linear.linear_count_block` sweep
-        over the remaining slice — the survivors at this point are
-        mostly true outliers, which must see every object anyway.
-        """
-        r = float(r)
-        ids = np.asarray(ids, dtype=np.int64)
-        members = self._ensure_serve().ids
-        lo = int(lo)
-        if ids.size == 0 or lo >= members.size:
-            return np.zeros(ids.size, dtype=np.int64), self._take_pairs()
-        counts = linear_count_block(self._full, ids, r, subset=members[lo:])
-        return counts, self._take_pairs()
+        stops = np.broadcast_to(np.asarray(stop_at, dtype=np.int64), ids.shape)
+        view = self._ensure_serve()
+        if ids.size == 0 or view.ids.size == 0:
+            zero = np.zeros(ids.size, dtype=np.int64)
+            return zero, np.ones(ids.size, dtype=bool), self._take_pairs()
+        if view.cells is None:
+            counts = linear_count_block(
+                self._full, ids, r, stop_at=stops, subset=view.ids
+            )
+            return counts, counts < stops, self._take_pairs()
+        counts, exact = view.cells.count(self._full, view.ids, ids, r, stops)
+        return counts, exact, self._take_pairs()
 
     def record(self, r: float, ids: np.ndarray, counts: np.ndarray,
                exact_mask: np.ndarray):
@@ -443,13 +428,11 @@ class _ShardMergeBase:
 
     Subclasses supply the population hooks — :meth:`_live_ids` (which
     global ids a query decides over), :meth:`_home_shards` (id ->
-    owning shard), :meth:`_scan_sizes` (per-shard scan lengths for the
-    cooperative verification), :meth:`_budget_dataset` (kernel budget
-    sizing) and :meth:`_method_label` — plus ``self._pool`` hosting
-    workers that answer ``prepare``/``filter``/``count_range``/
-    ``count_tail``/``record``.  The three-phase query protocol, the
-    round-based cross-shard verification with stall handoff, and the
-    evidence deposit are written once here: the static
+    owning shard) and :meth:`_method_label` — plus ``self._pool``
+    hosting workers that answer ``prepare``/``filter``/
+    ``count_range``/``record``.  The three-phase query protocol, the
+    cross-shard verification (one bounded ``count_range`` per shard)
+    and the evidence deposit are written once here: the static
     :class:`ShardedDetectionEngine` and the mutable
     :class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`
     compose the same merge over different populations instead of
@@ -484,14 +467,6 @@ class _ShardMergeBase:
 
     def _home_shards(self, ids: np.ndarray) -> np.ndarray:
         """Owning shard per global id (for the filter phase)."""
-        raise NotImplementedError
-
-    def _scan_sizes(self) -> np.ndarray:
-        """Per-shard scan length for cooperative verification."""
-        raise NotImplementedError
-
-    def _budget_dataset(self):
-        """A dataset sized like the collection (kernel budget heuristic)."""
         raise NotImplementedError
 
     def _method_label(self) -> str:
@@ -563,17 +538,7 @@ class _ShardMergeBase:
         candidates = undecided[~f_inlier & ~f_outlier]
         filter_seconds = time.perf_counter() - t0
 
-        # -- phase C: cooperative cross-shard verification of the candidates --
-        # All shards sweep one slice of their data per round and the
-        # merge re-decides in between: a candidate retires the moment
-        # the summed per-shard bounds reach k, so the prefix it pays
-        # for is the cross-shard analogue of a single early-terminated
-        # scan.  A candidate that survives every round has, by
-        # construction, been scanned against every shard completely —
-        # its sum is the true global count and below k: an outlier.
-        # When retirement stalls (the survivors are mostly true
-        # outliers, which must see everything), the rounds hand off to
-        # exhaustive per-shard linear_count_block subset sweeps.
+        # -- phase C: one bounded count per shard decides every candidate --
         t0 = time.perf_counter()
         if candidates.size:
             verified, pairs["verify"] = self._verify_candidates(
@@ -622,111 +587,38 @@ class _ShardMergeBase:
         )
 
     def _verify_candidates(self, r, k, candidates, lbs, ubs):
-        """Cooperative cross-shard verification: ``(outlier ids, pairs)``.
+        """Cross-shard verification: ``(outlier ids, pairs)``.
 
-        Maintains per-shard prefix hit counts for every candidate and
-        re-merges after each scan round; evidence (partial-prefix lower
-        bounds, exact counts for fully-swept shards) is deposited back
-        into the shard caches at the end so warm re-queries decide from
-        phase A alone.
+        One ``count_range`` broadcast: each shard counts the candidates
+        it has no exact count for, stopping at ``k`` less the other
+        shards' current bounds.  A shard that stops early proves the
+        sum reaches ``k``; every other count is exact.  So each
+        candidate is decided, and one ``record`` deposits the counts,
+        so the next query at ``r`` decides them from phase A alone.
         """
-        S, C = self.n_shards, candidates.size
-        sizes = self._scan_sizes()
-        cached_lb = np.stack([lb[candidates] for lb in lbs])
-        cached_ub = np.stack([ub[candidates] for ub in ubs])
-        exact_known = (cached_ub != NO_BOUND) & (cached_lb >= cached_ub)
-        # Per-shard running bound: the true count where exact, else the
-        # best lower bound (cached, later max'ed with scanned prefixes).
-        bound = np.where(exact_known, cached_ub, cached_lb)
-        prefix = np.zeros((S, C), dtype=np.int64)
-        covered = np.zeros((S, C), dtype=np.int64)  # scanned prefix length
-        offset = np.zeros(S, dtype=np.int64)
-        budget = pairs_per_kernel(self._budget_dataset())
+        lb = np.stack([lb[candidates] for lb in lbs])
+        ub = np.stack([ub[candidates] for ub in ubs])
+        exact = (ub != NO_BOUND) & (lb >= ub)
+        bound = np.where(exact, ub, lb)
+        stops = k - (bound.sum(axis=0) - bound)
+        send = [np.flatnonzero(~row) for row in exact]
+        results = self._pool.call("count_range", shard_args=[
+            (r, candidates[sel], stops[s, sel]) for s, sel in enumerate(send)
+        ])
         pairs = 0
-        active = np.arange(C, dtype=np.int64)
-        outliers: list[int] = []
-        empty = np.empty(0, dtype=np.int64)
-
-        while active.size:
-            # One round costs ~budget pairs across ALL shards together,
-            # mirroring the single engine's sweep economics: a candidate
-            # sees S * span objects per round, so its retirement prefix
-            # tracks what one early-terminated global scan would pay.
-            span = max(64, budget // (S * int(active.size)))
-            scan_sets: list[np.ndarray] = []
-            shard_args: list[tuple] = []
-            for s in range(S):
-                if offset[s] >= sizes[s]:
-                    scan_sets.append(empty)
-                    shard_args.append((r, empty, 0, 0))
-                    continue
-                sel = active[~exact_known[s, active]]
-                scan_sets.append(sel)
-                shard_args.append(
-                    (r, candidates[sel], int(offset[s]), int(offset[s] + span))
-                )
-            results = self._pool.call("count_range", shard_args=shard_args)
-            for s in range(S):
-                add, shard_pairs = results[s]
-                pairs += shard_pairs
-                self._shard_load[s] += shard_pairs
-                sel = scan_sets[s]
-                if sel.size == 0:
-                    continue
-                hi = min(int(offset[s] + span), int(sizes[s]))
-                prefix[s, sel] += add
-                bound[s, sel] = np.maximum(bound[s, sel], prefix[s, sel])
-                covered[s, sel] = hi
-            offset = np.where(offset < sizes, np.minimum(offset + span, sizes), offset)
-
-            tot = bound[:, active].sum(axis=0)
-            full = (offset >= sizes)[:, None]
-            complete = np.all(exact_known[:, active] | full, axis=0)
-            is_inlier = tot >= k
-            is_outlier = ~is_inlier & complete
-            outliers.extend(int(p) for p in candidates[active[is_outlier]])
-            survivors = active[~is_inlier & ~is_outlier]
-            # Stall handoff: when a round barely retires anyone, the
-            # survivors are (mostly) true outliers — finish them with
-            # one exhaustive subset sweep per shard instead of rounds.
-            if survivors.size and survivors.size > 0.75 * active.size:
-                shard_args = []
-                tail_sets = []
-                for s in range(S):
-                    sel = survivors[~exact_known[s, survivors]]
-                    tail_sets.append(sel)
-                    shard_args.append((r, candidates[sel], int(offset[s])))
-                results = self._pool.call("count_tail", shard_args=shard_args)
-                for s in range(S):
-                    add, shard_pairs = results[s]
-                    pairs += shard_pairs
-                    self._shard_load[s] += shard_pairs
-                    sel = tail_sets[s]
-                    if sel.size:
-                        prefix[s, sel] += add
-                        bound[s, sel] = np.maximum(bound[s, sel], prefix[s, sel])
-                        covered[s, sel] = sizes[s]
-                tot = bound[:, survivors].sum(axis=0)
-                outliers.extend(int(p) for p in candidates[survivors[tot < k]])
-                active = empty
-            else:
-                active = survivors
-
-        # Deposit what the phase proved back into the shard caches: a
-        # scanned prefix is a valid lower bound at r, and a fully-swept
-        # shard's count is exact (doubles as an upper bound) — so the
-        # next query at r re-decides every candidate from phase A alone.
-        shard_args = []
-        for s in range(S):
-            touched = np.flatnonzero(covered[s] > 0)
-            shard_args.append((
-                r,
-                candidates[touched],
-                bound[s, touched],
-                covered[s, touched] >= sizes[s],
-            ))
-        self._pool.call("record", shard_args=shard_args)
-        return np.asarray(sorted(outliers), dtype=np.int64), int(pairs)
+        for s, (counts, exact_s, shard_pairs) in enumerate(results):
+            pairs += shard_pairs
+            self._shard_load[s] += shard_pairs
+            bound[s, send[s]] = np.maximum(bound[s, send[s]], counts)
+            exact[s, send[s]] = exact_s
+        outlier = bound.sum(axis=0) < k
+        if not exact[:, outlier].all():
+            raise GraphError("phase C left a candidate undecided")
+        self._pool.call("record", shard_args=[
+            (r, candidates[sel], bound[s, sel], exact[s, sel])
+            for s, sel in enumerate(send)
+        ])
+        return candidates[outlier], int(pairs)
 
     def batch(self, queries) -> list[DODResult]:
         """Answer ``(r, k)`` queries in the given order (serving semantics)."""
@@ -993,12 +885,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
 
     def _home_shards(self, ids: np.ndarray) -> np.ndarray:
         return self._shard_of[ids]
-
-    def _scan_sizes(self) -> np.ndarray:
-        return np.asarray([ids.size for ids in self.shard_ids], dtype=np.int64)
-
-    def _budget_dataset(self):
-        return self.dataset
 
     def _method_label(self) -> str:
         return f"sharded[{self.n_shards}x{self.workers}]:{self.graph_name}"

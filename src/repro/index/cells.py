@@ -25,6 +25,16 @@ This is the bound behind SNIF's ``r/2`` clusters (Tao, Xiao & Zhou;
 :mod:`repro.baselines.snif`) with the centers fixed at fit instead of
 re-clustered per radius.  The certificate only ever proves inliers, so
 the candidate set, and every count below ``k``, is still the graph's.
+
+Exact-Counting reads the same cells from the other side
+(:meth:`CenterCells.count`, the sharded engine's cross-shard
+verification).  Given a query's computed distance ``d(p, c)`` to every
+center, :func:`cell_window` adds to the certificate two exclusions from
+the reverse triangle inequality: a member ``q`` of ``c``'s cell with
+``d(q, c)`` outside ``[d(p, c) - r - m, d(p, c) + r + m]`` is beyond
+``r``.  Only the members neither bound decides are swept.  This is
+the cell counting of Ding & Yang's metric DBSCAN (arXiv 2002.11933),
+whose core-point test is DOD's inlier test.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import math
 
 import numpy as np
 
-from ..data import Dataset
+from ..data import Dataset, pairs_per_kernel
 
 #: objects per cell on average: ``m = n // CELL_OBJECTS`` centers.
 CELL_OBJECTS = 20
@@ -48,6 +58,28 @@ def center_count(n: int) -> int:
     (60, 1, 1024)
     """
     return max(1, min(MAX_CENTERS, int(n) // CELL_OBJECTS))
+
+
+def cell_window(
+    dpc: np.ndarray, r: float, slack: "tuple[float, float]"
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Thresholds ``(near, low, high)`` on ``d(q, c)`` that decide
+    ``q`` against ``p`` at radius ``r``, from the computed ``d(p, c)``
+    in ``dpc`` (elementwise).
+
+    ``d(q, c) <= near`` proves ``d(p, q) <= r`` (the certificate);
+    ``d(q, c) < low`` or ``d(q, c) > high`` proves ``d(p, q) > r``.
+    The exclusions carry the margin ``rel * (r + d(p, c)) + abs``,
+    which grows with ``d(p, c)`` (derived in ``docs/backends.md``);
+    all three hold for the computed distances the oracle compares.
+    """
+    if math.isinf(r):  # every member is a neighbor
+        inf = np.full(np.shape(dpc), np.inf)
+        return inf, -inf, inf
+    rel, absolute = slack
+    margin = rel * (r + dpc) + absolute
+    near = (r - (rel * r + absolute)) - dpc
+    return near, (dpc - r) - margin, (dpc + r) + margin
 
 
 def build_cells(dataset: Dataset) -> "CenterCells | None":
@@ -130,11 +162,7 @@ class CenterCells:
         cell = np.searchsorted(self.ptr, s, side="right") - 1
         lo, hi = self.ptr[cell], self.ptr[cell + 1]
         own = self.dist[s]
-        if math.isinf(r):
-            thresh = np.full(ids.size, np.inf)
-        else:
-            rel, absolute = self.slack
-            thresh = (r - (rel * r + absolute)) - own
+        thresh = cell_window(own, r, self.slack)[0]
         live = np.flatnonzero((hi - lo > k) & (thresh >= 0.0))
         if live.size == 0:
             return out
@@ -152,6 +180,88 @@ class CenterCells:
             end = np.where(open_ & ~within, mid, end)
         out[live] = first - lo[live] - (own[live] <= t)
         return out
+
+    def ranges(self, dpc: np.ndarray, r: float):
+        """Cell-order positions :func:`cell_window` decides.
+
+        ``dpc`` is ``(Q, m)``: each query's computed distance to every
+        center, in :attr:`centers` order.  Returns ``(near, lo, hi)``,
+        each ``(Q, m)``: of cell ``j``'s members, those at positions
+        ``[ptr[j], near)`` are proven neighbors, those at ``[lo, hi)``
+        are open, and the rest are proven beyond ``r``.
+        """
+        near_t, low_t, high_t = cell_window(dpc, r, self.slack)
+        # One search over every cell at once: keying each stored
+        # distance by (cell, rank among all stored distances) sorts the
+        # cell-ordered array, and a threshold is ranked the same way.
+        n, m = self.dist.size, self.centers.size
+        ranked = np.sort(self.dist)
+        cell = np.repeat(np.arange(m, dtype=np.int64), np.diff(self.ptr))
+        key = cell * (n + 1) + np.searchsorted(ranked, self.dist)
+        base = np.arange(m, dtype=np.int64) * (n + 1)
+
+        def end(t, side):  # past members with d <= t ("right") or < t
+            return np.searchsorted(key, base + np.searchsorted(ranked, t, side))
+
+        near = end(near_t, "right")
+        lo = np.maximum(near, end(low_t, "left"))
+        return near, lo, np.maximum(lo, end(high_t, "right"))
+
+    def count(self, dataset: Dataset, members: np.ndarray, ids: np.ndarray,
+              r: float, stop_at) -> "tuple[np.ndarray, np.ndarray]":
+        """Neighbor counts of ``ids`` among the objects the cells cover.
+
+        ``members[i]`` is the ``dataset`` id of the object the cells
+        call ``i`` (ascending); ``ids`` are ``dataset`` ids too.  Each
+        query's count is its proven neighbors (:meth:`ranges`) plus,
+        unless those already reach its ``stop_at``, the hits of a
+        ``pair_dist(bound=r)`` sweep over its open members in
+        kernel-budgeted chunks.  Returns ``(counts, exact)``: a count
+        is exact when the sweep ran or nothing was open, and at least
+        its ``stop_at`` otherwise.  A query that is itself a member
+        never counts itself.
+        """
+        ids = np.asarray(ids, dtype=np.int64)
+        stops = np.broadcast_to(np.asarray(stop_at, dtype=np.int64), ids.shape)
+        counts = np.zeros(ids.size, dtype=np.int64)
+        exact = np.ones(ids.size, dtype=bool)
+        m = self.centers.size
+        at = np.empty_like(members)  # object at each cell-order position
+        at[self.slot] = members
+        centers = members[self.centers]
+        local = np.minimum(np.searchsorted(members, ids), members.size - 1)
+        own = np.where(members[local] == ids, self.slot[local], -1)
+        budget = pairs_per_kernel(dataset)
+        step = max(1, budget // m)
+        for b0 in range(0, ids.size, step):
+            q = ids[b0:b0 + step]
+            dpc = dataset.pair_dist(np.repeat(q, m), np.tile(centers, q.size))
+            near, lo, hi = self.ranges(dpc.reshape(q.size, m), r)
+            proven = (near - self.ptr[:-1]).sum(axis=1)
+            rows = np.flatnonzero(own[b0:b0 + step] >= 0)
+            pos = own[b0 + rows]
+            home = np.searchsorted(self.ptr, pos, side="right") - 1
+            proven[rows] -= pos < near[rows, home]
+            width = hi - lo
+            sweep = proven < stops[b0:b0 + step]
+            exact[b0:b0 + step] = sweep | (width.sum(axis=1) == 0)
+            width[~sweep] = 0
+            # Open (query, member) pairs, numbered run by run: pair t
+            # lies in run g = the first whose cumulative end exceeds t.
+            row, cell = np.nonzero(width)
+            start, size = lo[row, cell], width[row, cell]
+            ends = np.cumsum(size)
+            total = int(ends[-1]) if ends.size else 0
+            hits = np.zeros(q.size, dtype=np.int64)
+            for t0 in range(0, total, budget):
+                t = np.arange(t0, min(t0 + budget, total))
+                g = np.searchsorted(ends, t, side="right")
+                src, dst = row[g], at[start[g] + t - (ends[g] - size[g])]
+                keep = dst != q[src]
+                d = dataset.pair_dist(q[src[keep]], dst[keep], bound=r)
+                hits += np.bincount(src[keep][d <= r], minlength=q.size)
+            counts[b0:b0 + step] = proven + hits
+        return counts, exact
 
     @property
     def n(self) -> int:

@@ -75,18 +75,19 @@ def linear_count_block(
     ``stop_at`` saw the entire store and is the true neighbor count —
     identical to :func:`linear_count`'s (counts at or above ``stop_at``
     may overshoot differently).  ``stop_at`` may be an array giving each
-    query its own termination threshold — the sharded engine uses this
-    to stop a shard's sweep as soon as the *residual* count the global
-    merge still needs is confirmed, rather than the full ``k``.
+    query its own termination threshold — a sharded engine's shard
+    without center cells uses this to stop its sweep as soon as the
+    *residual* count the global merge still needs (``k`` less the other
+    shards' bounds) is confirmed, rather than the full ``k``.
 
     ``subset`` restricts the swept store to a **sorted** array of object
     ids: counts then cover only neighbors inside that id set (queries
-    themselves may lie outside it).  This is the per-shard verification
-    sweep of the sharded engine — each shard counts every candidate
-    against its own slice of the data, and the exact global count is the
-    sum of the per-shard counts because the shards partition the
-    dataset.  ``exclude_self`` keeps its meaning: a query that is itself
-    a member of ``subset`` does not count itself.
+    themselves may lie outside it).  This is that shard's verification
+    sweep — each shard counts every candidate against its own slice of
+    the data, and the exact global count is the sum of the per-shard
+    counts because the shards partition the dataset.  ``exclude_self``
+    keeps its meaning: a query that is itself a member of ``subset``
+    does not count itself.
 
     The pair-sweep wins while each step retires a healthy share of the
     pending set (quick-deciding false positives, the common case); once

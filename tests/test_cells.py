@@ -1,10 +1,12 @@
-"""The center-cell certificate never overstates a neighbor count.
+"""The center-cell bounds never misjudge a pair.
 
 For every metric with a rounding margin, each certificate count must be
 at most the brute-force count the metric's own kernels compute — the
 floats the walk and the oracle compare against ``r``.  The radii sit
 exactly on computed sums ``d(p, c) + d(q, c)`` and one ulp either side,
-where a missing or too small margin would first show.
+where a missing or too small margin would first show.  The exclusions
+that verification adds are checked the same way, at radii on computed
+differences ``d(p, c) - d(q, c)`` and ``d(q, c) - d(p, c)``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from repro import Dataset, DetectionEngine, DODetector, build_graph
 from repro.core.dod import graph_dod
 from repro.index import brute_force_outliers
 from repro.exceptions import GraphError
-from repro.index.cells import CenterCells, build_cells, center_count
+from repro.index.cells import CenterCells, build_cells, cell_window, center_count
+from repro.index.linear import linear_count_block
 from repro.metrics import Minkowski
 
 
@@ -114,6 +117,136 @@ def test_certificate_never_exceeds_brute_force(metric_datasets, name):
     radii = _sum_radii(cells)
     fired = _assert_sound(dataset, radii)
     assert fired > 0, "the certificate never counted anything: vacuous test"
+
+
+def _center_dists(dataset: Dataset, cells: CenterCells) -> np.ndarray:
+    """``(n, m)`` computed distances from every object to every center."""
+    n, m = dataset.n, cells.centers.size
+    everything = np.arange(n, dtype=np.int64)
+    return dataset.pair_dist(
+        np.repeat(everything, m), np.tile(cells.centers, n)
+    ).reshape(n, m)
+
+
+def _difference_radii(cells: CenterCells, dpc: np.ndarray, limit: int = 40):
+    """Computed d(p, c) - d(q, c) and d(q, c) - d(p, c) for sampled
+    objects p and members q of c's cell, +- one ulp."""
+    gen = np.random.default_rng(6)
+    diffs = set()
+    for j in range(cells.centers.size):
+        seg = cells.dist[cells.ptr[j]:cells.ptr[j + 1]]
+        picks = np.linspace(0, seg.size - 1, num=min(seg.size, 4)).astype(int)
+        for p in gen.choice(dpc.shape[0], size=6, replace=False):
+            for v in seg[picks]:
+                diffs.update((float(dpc[p, j] - v), float(v - dpc[p, j])))
+    diffs = sorted(d for d in diffs if d > 0.0)
+    radii = []
+    for d in diffs[::max(1, len(diffs) // limit)]:
+        radii += [d, float(np.nextafter(d, -np.inf)), float(np.nextafter(d, np.inf))]
+    return radii
+
+
+@pytest.mark.parametrize(
+    "name", ["l1", "l2", "angular", "edit", "hamming", "jaccard"]
+)
+def test_cell_window_never_misjudges_a_pair(metric_datasets, name):
+    """Every member the window proves a neighbor is within r, and every
+    member it excludes is beyond r, by each of the metric's kernels."""
+    dataset = metric_datasets[name]
+    cells = build_cells(dataset)
+    dpc = _center_dists(dataset, cells)
+    at = np.empty(dataset.n, dtype=np.int64)  # object at each cell position
+    at[cells.slot] = np.arange(dataset.n)
+    cell_at = np.repeat(np.arange(cells.centers.size), np.diff(cells.ptr))
+    pos = np.arange(dataset.n)
+    is_self = at[None, :] == np.arange(dataset.n)[:, None]
+    matrices = [mat[:, at] for mat in _kernel_counts(dataset)]
+    proven_n = excluded_n = 0
+    for r in _difference_radii(cells, dpc):
+        near, lo, hi = cells.ranges(dpc, r)
+        proven = (pos < near[:, cell_at]) & ~is_self
+        excluded = (pos < lo[:, cell_at]) & (pos >= near[:, cell_at])
+        excluded |= pos >= hi[:, cell_at]
+        assert not (excluded & is_self).any(), (name, r)
+        for mat in matrices:
+            assert not (proven & (mat > r)).any(), (name, r)
+            assert not (excluded & (mat <= r)).any(), (name, r)
+        proven_n += int(proven.sum())
+        excluded_n += int(excluded.sum())
+    assert proven_n > 0 and excluded_n > 0, "vacuous test"
+
+
+@pytest.mark.parametrize(
+    "name", ["l1", "l2", "angular", "edit", "hamming", "jaccard"]
+)
+def test_cell_count_matches_linear_sweep(metric_datasets, name):
+    """Counts through the cells equal an exhaustive subset sweep, or stop
+    at ``stop_at``; member queries never count themselves."""
+    dataset = metric_datasets[name]
+    members = np.arange(1, dataset.n, 2, dtype=np.int64)
+    cells = build_cells(dataset.subset(members))
+    queries = np.arange(0, 40, dtype=np.int64)  # odd ones are members
+    full = build_cells(dataset)
+    radii = _difference_radii(full, _center_dists(dataset, full), limit=4)
+    for r in radii + [float("inf")]:
+        truth = linear_count_block(dataset, queries, r, subset=members)
+        counts, exact = cells.count(dataset, members, queries, r, dataset.n)
+        assert exact.all()
+        np.testing.assert_array_equal(counts, truth)
+        stops = np.maximum(1, truth // 2)
+        counts, exact = cells.count(dataset, members, queries, r, stops)
+        np.testing.assert_array_equal(counts[exact], truth[exact])
+        assert np.all(counts[~exact] >= stops[~exact])
+        assert np.all(counts <= truth)
+
+
+def _largest_firing_radius(fires, top: float) -> "float | None":
+    """The largest float ``r`` in ``[0, top)`` with ``fires(r)``, by
+    bisection (``fires`` holds below some radius and not above it)."""
+    lo, hi = 0.0, top
+    if not fires(lo) or fires(hi):
+        return None
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return lo
+        lo, hi = (mid, hi) if fires(mid) else (lo, mid)
+
+
+@pytest.mark.parametrize(
+    "metric, reach",
+    [("l1", 3.0), ("l2", 3.0), ("lp:4", 3.0), ("angular", 3.0),
+     ("l1", 3e3), ("l2", 3e3)],
+)
+def test_exclusion_margin_covers_rounding_where_the_triangle_is_tight(
+    metric, reach
+):
+    """At the largest radius an exclusion accepts for a tight reverse
+    triangle (q between p and c, or p between q and c), the computed
+    ``d(p, q)`` must still be beyond it — also with centers far beyond
+    ``r``, where the margin's ``d(p, c)`` term carries it."""
+    dataset = _geodesic_triples(metric, reach=reach)
+    slack = dataset.metric.triangle_slack(dataset.store)
+    checked = 0
+    for t in range(dataset.n // 3):
+        a, mid, b = 3 * t, 3 * t + 1, 3 * t + 2
+        for p, q, c, side in ((a, mid, b, 1), (mid, a, b, 2)):
+            dpc, dqc = dataset.dist_many(c, np.asarray([p, q]))
+
+            def fires(r):
+                _, low, high = cell_window(dpc, r, slack)
+                return dqc < low if side == 1 else dqc > high
+
+            r = _largest_firing_radius(fires, float(dpc + dqc + 1.0))
+            if r is None:
+                continue
+            for dpq in (
+                dataset.dist_many(p, np.asarray([q]))[0],
+                dataset.pair_dist(np.asarray([p]), np.asarray([q]))[0],
+            ):
+                assert dpq > r, (metric, t, side, dpq, r)
+            checked += 1
+    assert checked > dataset.n // 3
 
 
 @pytest.mark.parametrize("name", ["edit", "hamming"])
@@ -306,11 +439,12 @@ def test_certified_filter_matches_oracle(metric_datasets, name):
                 np.testing.assert_array_equal(res.outliers, expected)
 
 
-def _geodesic_triples(metric: str, count: int = 300, dim: int = 8):
+def _geodesic_triples(metric: str, count: int = 300, dim: int = 8,
+                      reach: float = 3.0):
     """Objects ``p, c, q`` with ``c`` on a shortest path from ``p`` to
     ``q``, so ``d(p, q) = d(p, c) + d(q, c)`` in exact arithmetic and
     rounding alone decides which side of the sum the computed value
-    falls."""
+    falls.  For the Lp metrics ``d(q, c)`` is drawn up to ``reach``."""
     gen = np.random.default_rng(5)
     rows = []
     for _ in range(count):
@@ -323,7 +457,7 @@ def _geodesic_triples(metric: str, count: int = 300, dim: int = 8):
             ]
         else:
             x, u = gen.normal(size=dim), gen.normal(size=dim)
-            t1, t2 = gen.uniform(0.1, 3.0, size=2)
+            t1, t2 = gen.uniform(0.1, 3.0), gen.uniform(0.1, reach)
             rows += [x + t1 * u, x, x - t2 * u]
     return Dataset(np.asarray(rows), metric)
 

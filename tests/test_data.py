@@ -1,5 +1,7 @@
 """Unit tests for the Dataset container and distance accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,37 @@ def test_dist_many_bound_passthrough():
     d = ds.dist_many(0, np.asarray([1, 2]), bound=1.0)
     assert d[1] == 1.0  # within bound: exact
     assert d[0] > 1.0  # beyond bound: conservative
+
+
+@pytest.mark.parametrize("kind", ["ram", "shm"])
+def test_pair_dist_gathers_in_bounded_blocks(kind):
+    """A 16-d kernel over 1M pairs gathers its rows in budget-sized
+    blocks on in-RAM and shared-segment stores, so its traced peak
+    stays under 64 MiB (244 MiB gathered at once), with the floats of
+    the unsplit kernel."""
+    gen = np.random.default_rng(0)
+    points = gen.normal(size=(10_000, 16))
+    ds = Dataset.from_prepared(points, "l2", kind=None if kind == "ram" else kind)
+    assert ds.store_kind == kind
+    a = gen.integers(0, ds.n, size=1_000_000)
+    b = gen.integers(0, ds.n, size=1_000_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        d = ds.pair_dist(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    chunk = ds._gather_chunk(a.size)
+    assert chunk is not None
+    span = slice(chunk - 50, chunk + 50)  # across the first block boundary
+    np.testing.assert_array_equal(
+        d[span].view(np.uint64),
+        ds.metric.pair_dist(ds.store, a[span], b[span]).view(np.uint64),
+    )
+    np.testing.assert_array_equal(
+        ds.dist_many(7, b[:chunk + 50])[chunk - 50:].view(np.uint64),
+        ds.metric.dist_many(ds.store, 7, b[span]).view(np.uint64),
+    )

@@ -469,7 +469,7 @@ def test_rebalance_load_trigger_and_validation(pool):
 
 def test_one_worker_protocol_for_both_sharded_engines(pool):
     """The mutable shard worker inherits the static worker's query
-    protocol: both engines agree, and phase C is the sweep rounds."""
+    protocol: both engines agree, and phase C reports one sweep."""
     from repro.engine import (
         MutableShardWorker,
         ShardedDetectionEngine,

@@ -26,6 +26,8 @@ from repro.core import Verifier
 from repro.datasets import blobs_with_outliers, words_with_outliers
 from repro.exceptions import GraphError, ParameterError
 from repro.index import brute_force_outliers
+from repro.index.linear import linear_count_block
+from repro.metrics import Minkowski
 
 GRAPHS = ("mrpg", "kgraph")
 METRICS = ("l1", "l2", "edit")
@@ -290,14 +292,14 @@ def test_shard_worker_rejects_mismatched_prebuilt_graph(l2_dataset):
         ShardWorker(l2_dataset, np.arange(20), graph=tiny)
 
 
-# -- phase C: cooperative sweep rounds ----------------------------------------
+# -- phase C: one bounded count per shard -------------------------------------
 
 
 def test_phase_c_evidence_makes_requery_a_cache_hit(
     l2_dataset, l2_params, l2_reference
 ):
-    """Phase C is the sweep rounds alone, and its counts land in the
-    shard caches: the re-query is a pure phase-A decision."""
+    """Phase C's counts land in the shard caches: the re-query is a
+    pure phase-A decision."""
     r, k = l2_params
     engine = ShardedDetectionEngine(
         l2_dataset, n_shards=4, workers=1, graph="mrpg", K=8, rng=0
@@ -311,26 +313,100 @@ def test_phase_c_evidence_makes_requery_a_cache_hit(
     engine.close()
 
 
+def _check_count_range(worker, dataset, members, qs, r):
+    """``count_range`` against the linear oracle: exact above the shard
+    size; with finite stops, exact counts equal it and the rest reach
+    their stop.  Returns the exact counts."""
+    truth = linear_count_block(dataset, qs, r, subset=members)
+    counts, exact, pairs = worker.count_range(r, qs, members.size + 1)
+    assert exact.all() and pairs > 0
+    np.testing.assert_array_equal(counts, truth)
+    stops = np.maximum(1, truth // 2 + np.arange(qs.size) % 3)
+    stopped, exact, _ = worker.count_range(r, qs, stops)
+    np.testing.assert_array_equal(stopped[exact], truth[exact])
+    assert np.all(stopped[~exact] >= stops[~exact])
+    assert not exact.all(), "no count stopped early: vacuous test"
+    return counts
+
+
 def test_shard_worker_sweep_counts_match_linear_oracle(l2_dataset, l2_params):
-    """``count_range`` slices plus ``count_tail`` give exact within-shard
-    counts, for member and foreign candidates alike (a member never
-    counts itself)."""
+    """``count_range`` gives each candidate's within-shard count, or a
+    count that reaches its ``stop_at``, for member and foreign
+    candidates alike (a member never counts itself).  Workers without
+    cells (a mutable worker, a metric with no rounding margin) answer
+    the same through a linear sweep."""
     from repro.engine import ShardWorker
-    from repro.index.linear import linear_count_block
+    from repro.engine.mutable_sharded import MutableShardWorker
+
+    class Unmargined(Minkowski):
+        def triangle_slack(self, store):
+            return None
 
     r, _ = l2_params
-    n = l2_dataset.n
-    ids = np.arange(0, n, 2, dtype=np.int64)
+    members = np.arange(0, l2_dataset.n, 2, dtype=np.int64)
     qs = np.arange(0, 40, dtype=np.int64)  # even ids are shard members
-    worker = ShardWorker(l2_dataset, ids, graph="kgraph", K=6, seed=3)
-    head, pairs = worker.count_range(r, qs, 0, 25)
-    assert pairs == qs.size * 25
-    tail, _ = worker.count_tail(r, qs, 25)
-    truth = linear_count_block(l2_dataset, qs, r, subset=ids)
-    np.testing.assert_array_equal(head + tail, truth)
-    np.testing.assert_array_equal(
-        head, linear_count_block(l2_dataset, qs, r, subset=ids[:25])
+    worker = ShardWorker(l2_dataset, members, graph="kgraph", K=6, seed=3)
+    assert worker._serve.cells is not None
+    counts = _check_count_range(worker, l2_dataset, members, qs, r)
+    plain = Dataset(l2_dataset.store, Unmargined(2.0))
+    mutable = MutableShardWorker(
+        "l2", 0, K=6, graph="kgraph", objects=list(l2_dataset.store),
+        member_gids=members.tolist(), build=True,
     )
+    for other, dataset in (
+        (ShardWorker(plain, members, graph="kgraph", K=6, seed=3), plain),
+        (mutable, l2_dataset),
+    ):
+        assert other._ensure_serve().cells is None
+        np.testing.assert_array_equal(
+            _check_count_range(other, dataset, members, qs, r), counts
+        )
+
+
+def test_count_range_is_exact_when_every_member_is_open(l2_dataset):
+    """At ``r = d(p, c)`` for a one-cell shard, no member is proven
+    either way for ``p`` far from ``c``: the sweep covers them all."""
+    from repro.engine import ShardWorker
+
+    members = np.arange(0, 60, 2, dtype=np.int64)  # one cell, centered on 0
+    worker = ShardWorker(l2_dataset, members, graph="kgraph", K=6, seed=3)
+    cells = worker._serve.cells
+    assert cells.centers.tolist() == [0]
+    to_center = l2_dataset.pair_dist(
+        np.arange(l2_dataset.n), np.zeros(l2_dataset.n, dtype=np.int64)
+    )
+    far = np.flatnonzero(2.0 * to_center >= cells.dist.max())[:12]
+    assert np.isin(far, members).any() and not np.isin(far, members).all()
+    for p in far:
+        r = float(to_center[p])
+        counts, exact, pairs = worker.count_range(r, [p], members.size + 1)
+        assert exact.all()
+        assert counts[0] == linear_count_block(
+            l2_dataset, np.asarray([p]), r, subset=members
+        )[0]
+        # one center distance, then every member but p itself
+        assert pairs == 1 + members.size - int(p in members)
+
+
+def test_phase_c_refuses_an_inexact_count_below_its_stop(
+    l2_dataset, l2_params, monkeypatch
+):
+    """The merge decides a candidate only through the invariant (a
+    stopped count reaches its stop, any other count is exact): a worker
+    that breaks it gets a crisp error, not a guessed verdict."""
+    from repro.engine import ShardWorker
+
+    def broken(self, r, ids, stop_at):
+        return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), bool), 0
+
+    r, k = l2_params
+    engine = ShardedDetectionEngine(
+        l2_dataset, n_shards=3, workers=1, graph="kgraph", K=8, rng=0
+    )
+    monkeypatch.setattr(ShardWorker, "count_range", broken)
+    with pytest.raises(GraphError, match="undecided"):
+        engine.query(r, k)
+    engine.close()
 
 
 def test_sharded_stats_phase_breakdown(l2_dataset, l2_params):
