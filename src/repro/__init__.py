@@ -62,19 +62,7 @@ from .graphs import (
     build_nsw,
 )
 from .index import VPTree, brute_force_outliers
-from .io import (
-    load_any_engine,
-    load_engine,
-    load_graph,
-    load_mutable_engine,
-    load_mutable_sharded_engine,
-    load_sharded_engine,
-    save_engine,
-    save_graph,
-    save_mutable_engine,
-    save_mutable_sharded_engine,
-    save_sharded_engine,
-)
+from .io import load_any_engine, load_graph, save_graph
 from .metrics import available_metrics, resolve_metric
 from .streaming import SlidingWindowDOD
 
@@ -121,15 +109,7 @@ __all__ = [
     "SlidingWindowDOD",
     "save_graph",
     "load_graph",
-    "save_engine",
-    "load_engine",
     "load_any_engine",
-    "save_mutable_engine",
-    "load_mutable_engine",
-    "save_mutable_sharded_engine",
-    "load_mutable_sharded_engine",
-    "save_sharded_engine",
-    "load_sharded_engine",
     "resolve_metric",
     "available_metrics",
     "ReproError",

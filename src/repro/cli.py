@@ -125,8 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="verify every grid point against a fresh graph_dod "
                               "run and report the reuse speedup")
     p_sweep.add_argument("--snapshot", default=None,
-                         help="engine snapshot path (a directory with --shards): "
-                              "loaded warm when it exists, written after the sweep")
+                         help="engine snapshot directory: loaded warm when it "
+                              "exists, written after the sweep")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper table/figure")

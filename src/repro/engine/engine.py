@@ -49,6 +49,12 @@ from ..rng import ensure_rng
 from .evidence import NO_BOUND, EvidenceCache
 from .protocol import EngineCapabilities
 
+#: Byte budget of the outlier distance memo (each memoised object keeps
+#: its sorted distance vector, about ``8 n`` bytes): roughly 64 MiB,
+#: never more than ``n`` vectors, at least a handful so small datasets
+#: still benefit.
+MEMO_BUDGET_BYTES = 64 * 1024 * 1024
+
 
 @dataclass
 class SweepResult:
@@ -129,8 +135,6 @@ class DetectionEngine:
         follow_pivots: bool | None = None,
         mode: str = "auto",
         cache_radii: int | None = None,
-        memo_outliers: bool = True,
-        memo_budget: int | None = None,
         backend: "str | None" = None,
         cells: CenterCells | None = None,
     ):
@@ -162,16 +166,8 @@ class DetectionEngine:
         # re-verifies every outlier at every radius) gets its full
         # sorted distance vector stored once; every later radius then
         # decides it with one binary search instead of a linear scan.
-        # The default budget is byte-denominated (each vector is ~8n
-        # bytes): roughly 64 MiB, never more than n vectors, at least a
-        # handful so small datasets still benefit.
-        self.memo_outliers = bool(memo_outliers)
-        self._memo_budget = (
-            int(memo_budget) if memo_budget is not None
-            else min(
-                dataset.n,
-                max(16, (64 * 1024 * 1024) // max(1, 8 * dataset.n)),
-            )
+        self._memo_budget = min(
+            dataset.n, max(16, MEMO_BUDGET_BYTES // max(1, 8 * dataset.n))
         )
         self._memo: dict[int, np.ndarray] = {}
         self._memo_radii: set[float] = set()
@@ -217,8 +213,6 @@ class DetectionEngine:
         max_visits: int | None = None,
         mode: str = "auto",
         cache_radii: int | None = None,
-        memo_outliers: bool = True,
-        memo_budget: int | None = None,
         backend: "str | None" = None,
         build_workers: int = 1,
         **graph_params,
@@ -245,8 +239,6 @@ class DetectionEngine:
             max_visits=max_visits,
             mode=mode,
             cache_radii=cache_radii,
-            memo_outliers=memo_outliers,
-            memo_budget=memo_budget,
             backend=backend,
             cells=build_cells(dataset),
         )
@@ -392,7 +384,7 @@ class DetectionEngine:
         memo_verified: list[int] = []
         memo_pairs = 0
         memo_filled = 0
-        if self.memo_outliers and candidates.size and self._prior_outliers:
+        if candidates.size and self._prior_outliers:
             fill = [
                 int(p) for p in candidates.tolist()
                 if p in self._prior_outliers and p not in self._memo
@@ -517,17 +509,64 @@ class DetectionEngine:
     # -- persistence -----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Snapshot graph + evidence cache so a restart serves warm."""
-        from ..io import save_engine
+        """Snapshot graph + evidence cache so a restart serves warm.
 
-        save_engine(self, path)
+        ``path`` becomes a one-shard snapshot directory (see
+        :mod:`repro.io`); the dataset is not stored.
+        """
+        from ..io import EngineSnapshot, write_snapshot
+
+        n = self.n
+        write_snapshot(path, EngineSnapshot(
+            kind="static",
+            meta={
+                "stats": self.stats,
+                "graph": self.graph_name,
+                "K": self.graph_degree,
+            },
+            alive=np.ones(n, dtype=bool),
+            shard_of=np.zeros(n, dtype=np.int64),
+            shards=[{
+                "member_gids": np.arange(n, dtype=np.int64),
+                "graph": self.graph,
+                "cache": self.cache,
+                "knn_radii": sorted(self._knn_radii),
+            }],
+            dataset=self.dataset,
+        ))
 
     @classmethod
     def load(cls, path, dataset: Dataset, **kwargs) -> "DetectionEngine":
-        """Rebuild a saved engine against its (re-supplied) dataset."""
-        from ..io import load_engine
+        """Rebuild a saved one-shard static engine against its
+        (re-supplied) dataset; ``kwargs`` are constructor knobs."""
+        from ..io import read_snapshot
 
-        return load_engine(path, dataset, **kwargs)
+        return cls._from_snapshot(
+            read_snapshot(path, kind="static", dataset=dataset, one_shard=True),
+            **kwargs,
+        )
+
+    @classmethod
+    def _from_snapshot(
+        cls, snap, cache_radii: int | None = None, **kwargs
+    ) -> "DetectionEngine":
+        """An engine over a read one-shard static snapshot.  The center
+        cells are not stored: they are a deterministic function of the
+        dataset and are rebuilt here."""
+        from ..io import _restore_stats
+
+        shard = snap.shards[0]
+        engine = cls(
+            snap.dataset, shard["graph"], cache_radii=cache_radii,
+            cells=build_cells(snap.dataset), **kwargs,
+        )
+        engine.cache = shard["cache"]
+        engine.cache.max_radii = cache_radii
+        if cache_radii is not None:
+            engine.cache.evict(cache_radii)
+        engine._knn_radii = set(shard["knn_radii"])
+        _restore_stats(engine, snap.meta.get("stats", {}))
+        return engine
 
     # -- protocol surface ------------------------------------------------------
 

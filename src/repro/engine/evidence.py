@@ -789,7 +789,7 @@ class EvidenceCache:
     # -- (de)serialisation --------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Dense snapshot of the cache (for :func:`repro.io.save_engine`)."""
+        """Dense snapshot of the cache (for :func:`repro.io.write_snapshot`)."""
         lb_radii = sorted(self._lb)
         ub_radii = sorted(self._ub)
         return {

@@ -45,7 +45,11 @@ from ..params import check_ids, check_query
 from ..rng import ensure_rng
 from .engine import DetectionEngine, SweepResult
 from .evidence import EvidenceCache
-from .mutable_sharded import MutableShardWorker
+from .mutable_sharded import (
+    MutableShardWorker,
+    mutable_snapshot,
+    restore_mutable_counters,
+)
 from .protocol import EngineCapabilities
 
 
@@ -202,8 +206,8 @@ class MutableDetectionEngine:
     def object_log(self) -> list:
         """The full insertion log, tombstoned positions included.
 
-        This is what :func:`repro.io.load_mutable_engine` needs back to
-        restore a snapshot of this engine.
+        This is what :meth:`load` needs back to restore a snapshot of
+        this engine.
         """
         return list(self._worker._objects)
 
@@ -420,16 +424,50 @@ class MutableDetectionEngine:
 
     def save(self, path) -> None:
         """Snapshot as a manifest directory holding one shard."""
-        from ..io import save_mutable_engine
+        from ..io import write_snapshot
 
-        save_mutable_engine(self, path)
+        write_snapshot(path, mutable_snapshot(
+            self, np.zeros(self.n_total, dtype=np.int64), 0
+        ))
 
     @classmethod
     def load(cls, path, objects, **kwargs) -> "MutableDetectionEngine":
-        """Rebuild a saved mutable engine against its full object log."""
-        from ..io import load_mutable_engine
+        """Rebuild a saved one-shard mutable engine against its full
+        object log, tombstoned positions included.  ``kwargs`` are
+        constructor knobs (``n_jobs``, ``mode``, ``rebuild_every``, ...);
+        a one-shard snapshot of the sharded engine loads too.
+        """
+        from ..io import read_snapshot
 
-        return load_mutable_engine(path, objects, **kwargs)
+        return cls._from_snapshot(
+            read_snapshot(path, kind="mutable", objects=objects, one_shard=True),
+            **kwargs,
+        )
+
+    @classmethod
+    def _from_snapshot(cls, snap, **kwargs) -> "MutableDetectionEngine":
+        """An engine over a read one-shard mutable snapshot."""
+        meta = snap.meta
+        # Loaded engines keep rebuilding with the snapshot's parallelism
+        # unless the caller overrides it explicitly (null: one worker).
+        kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
+        engine = cls(
+            metric=str(meta.get("metric", "l2")),
+            K=int(meta.get("K", 16)),
+            rebuild_graph=str(meta.get("graph", "mrpg")),
+            pinned=[float(r) for r in meta.get("pinned", ())],
+            **kwargs,
+        )
+        state = snap.shards[0]
+        engine._worker = engine._new_worker(
+            engine._worker._pinned, objects=snap.log, alive=snap.alive,
+            member_gids=state["member_gids"], graph_state=state["graph"],
+            cache_state=state["cache"], knn_radii=state["knn_radii"],
+        )
+        if engine.cache_radii is not None:
+            engine.cache.evict(engine.cache_radii)
+        restore_mutable_counters(engine, meta)
+        return engine
 
     # -- protocol surface --------------------------------------------------------
 

@@ -539,6 +539,51 @@ class MutableShardWorker(ShardWorker):
         return out
 
 
+def mutable_snapshot(engine, shard_of, epoch: int):
+    """What either mutable engine's ``save`` writes (see :mod:`repro.io`).
+
+    The manifest meta carries the full-id-space bookkeeping (serving
+    statistics, pinned radii, the rebuild countdown); the shards are
+    the workers' states, every proven bound folded in.
+    """
+    from ..io import EngineSnapshot
+
+    if engine.n_total == 0:
+        raise ParameterError("cannot snapshot a mutable engine before any insert")
+    states = engine.shard_states()
+    alive = np.zeros(engine.n_total, dtype=bool)
+    alive[engine.active_ids()] = True
+    return EngineSnapshot(
+        kind="mutable",
+        meta={
+            "stats": engine.stats,
+            "metric": engine.metric.name,
+            "graph": engine.graph_name,
+            "K": engine.K,
+            "build_workers": engine.build_workers,
+            "pairs": engine.pairs,
+            "epoch": epoch,
+            "mutations_since_rebuild": engine._mutations_since_rebuild,
+            "pinned": sorted(set().union(*(st["pinned"] for st in states))),
+        },
+        alive=alive,
+        shard_of=np.asarray(shard_of, dtype=np.int64),
+        shards=states,
+        # Over the full log, prepared once: a shared-store log is
+        # already prepared, and angular rows would re-normalise.
+        dataset=engine.log_dataset(),
+    )
+
+
+def restore_mutable_counters(engine, meta: dict) -> None:
+    """Restore pairs, the rebuild countdown and stats from a manifest."""
+    from ..io import _restore_stats
+
+    engine.pairs = int(meta.get("pairs", 0))
+    engine._mutations_since_rebuild = int(meta.get("mutations_since_rebuild", 0))
+    _restore_stats(engine, meta.get("stats", {}))
+
+
 class MutableShardedDetectionEngine(_ShardMergeBase):
     """Exact DOD serving over a mutable, sharded collection.
 
@@ -1292,17 +1337,45 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         return self._collect_states()
 
     def save(self, path) -> None:
-        """Snapshot the engine as a versioned directory."""
-        from ..io import save_mutable_sharded_engine
+        """Snapshot the engine as a manifest directory (see :mod:`repro.io`)."""
+        from ..io import write_snapshot
 
-        save_mutable_sharded_engine(self, path)
+        write_snapshot(path, mutable_snapshot(self, self._shard_of_list, self.epoch))
 
     @classmethod
     def load(cls, path, objects, **kwargs) -> "MutableShardedDetectionEngine":
-        """Rebuild a saved engine against its full object log."""
-        from ..io import load_mutable_sharded_engine
+        """Rebuild a saved mutable engine (any shard count) against its
+        full object log, tombstoned positions included.  ``kwargs`` are
+        execution knobs for the constructor (``workers``, ``mode``, ...).
+        """
+        from ..io import read_snapshot
 
-        return load_mutable_sharded_engine(path, objects, **kwargs)
+        return cls._from_snapshot(
+            read_snapshot(path, kind="mutable", objects=objects), **kwargs
+        )
+
+    @classmethod
+    def _from_snapshot(cls, snap, **kwargs) -> "MutableShardedDetectionEngine":
+        """An engine over a read mutable snapshot, one shard per archive."""
+        meta = snap.meta
+        # Loaded engines keep rebuilding with the snapshot's parallelism
+        # unless the caller overrides it explicitly (null: one worker).
+        kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
+        engine = cls(
+            metric=str(meta.get("metric", "l2")),
+            n_shards=len(snap.shards),
+            graph=str(meta.get("graph", "mrpg")),
+            K=int(meta.get("K", 16)),
+            pinned=[float(r) for r in meta.get("pinned", ())],
+            **kwargs,
+        )
+        engine._adopt_log(snap.log)
+        engine._alive = snap.alive.tolist()
+        engine._shard_of_list = snap.shard_of.tolist()
+        engine._spawn_pool(snap.shards)
+        engine.epoch = int(meta.get("epoch", engine.epoch))
+        restore_mutable_counters(engine, meta)
+        return engine
 
     # -- protocol surface --------------------------------------------------
 

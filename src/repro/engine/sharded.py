@@ -896,17 +896,77 @@ class ShardedDetectionEngine(_ShardMergeBase):
         return self._pool.call("state")
 
     def save(self, path) -> None:
-        """Snapshot every shard (graphs + caches) under directory ``path``."""
-        from ..io import save_sharded_engine
+        """Snapshot every shard (graphs + caches) under directory ``path``
+        (see :mod:`repro.io`); the dataset is not stored."""
+        from ..io import EngineSnapshot, write_snapshot
 
-        save_sharded_engine(self, path)
+        write_snapshot(path, EngineSnapshot(
+            kind="static",
+            meta={
+                "stats": self.stats,
+                "strategy": self.strategy,
+                "graph": self.graph_name,
+                "K": self.K,
+                "build_workers": self.build_workers,
+            },
+            alive=np.ones(self.n, dtype=bool),
+            shard_of=self._shard_of,
+            shards=[
+                dict(state, member_gids=ids)
+                for state, ids in zip(self.shard_states(), self.shard_ids)
+            ],
+            dataset=self.dataset,
+        ))
 
     @classmethod
     def load(cls, path, dataset: Dataset, **kwargs) -> "ShardedDetectionEngine":
-        """Rebuild a saved sharded engine against its (re-supplied) dataset."""
-        from ..io import load_sharded_engine
+        """Rebuild a saved static engine (any shard count) against its
+        (re-supplied) dataset; ``kwargs`` are constructor knobs."""
+        from ..io import read_snapshot
 
-        return load_sharded_engine(path, dataset, **kwargs)
+        return cls._from_snapshot(
+            read_snapshot(path, kind="static", dataset=dataset), **kwargs
+        )
+
+    @classmethod
+    def _from_snapshot(
+        cls,
+        snap,
+        workers: "int | None" = None,
+        rng: "int | np.random.Generator | None" = 0,
+        mode: str = "auto",
+        start_method: "str | None" = None,
+        backend: "str | Sequence[str] | None" = None,
+        build_workers: "int | None" = None,
+    ) -> "ShardedDetectionEngine":
+        """An engine over a read static snapshot, one shard per archive.
+
+        Only execution knobs are taken: the constructor's graph
+        parameters would be silently ignored, the graphs being loaded.
+        """
+        from ..io import _restore_stats
+
+        meta = snap.meta
+        engine = cls(
+            snap.dataset,
+            n_shards=len(snap.shards),
+            workers=workers,
+            strategy=str(meta.get("strategy", "permuted")),
+            graph=str(meta.get("graph", "mrpg")),
+            K=int(meta.get("K", 16)),
+            rng=rng,
+            mode=mode,
+            start_method=start_method,
+            shard_ids=[state["member_gids"] for state in snap.shards],
+            shard_state=snap.shards,
+            backend=backend,
+            build_workers=(
+                build_workers if build_workers is not None
+                else meta.get("build_workers") or 1
+            ),
+        )
+        _restore_stats(engine, meta.get("stats", {}))
+        return engine
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -1,32 +1,35 @@
 """Proximity-graph and engine-snapshot (de)serialisation.
 
 Graphs are the paper's offline pre-processing product; persisting them
-is what makes the offline/online split real for a user.  The format is
-a single ``.npz``: CSR-shaped adjacency, pivot flags, exact-K'NN
+is what makes the offline/online split real for a user.  A graph is a
+single ``.npz``: CSR-shaped adjacency, pivot flags, exact-K'NN
 payloads, and the build metadata as JSON.
 
-Engine snapshots (:func:`save_engine` / :func:`load_engine`) extend the
-same container with the :class:`~repro.engine.EvidenceCache` bound
-arrays and serving statistics, so a restarted serving process answers
-its first queries warm instead of re-proving everything.  Sharded
-engines (:func:`save_sharded_engine` / :func:`load_sharded_engine`)
-persist as a *directory*: one manifest describing the shard plan plus
-one per-shard archive in the same graph+cache format.  Both mutable
-engines share one such directory format, the single-process engine
-being its one-shard case (:func:`save_mutable_engine` /
-:func:`save_mutable_sharded_engine` and their loaders).
+Every engine snapshots to one directory format, a single-process
+engine being its one-shard case: a ``manifest.npz`` (id space, member
+lists, routing, JSON meta with the engine kind, a data fingerprint and
+a snapshot id) plus one graph-and-cache archive per shard.  One writer
+(:func:`write_snapshot`) and one validating reader
+(:func:`read_snapshot`) serve every engine's ``save`` and ``load``;
+docs/architecture.md ("Engine snapshots") describes the format, how
+the writer stays crash-consistent, and the earlier layouts that are
+refused with a notice to re-save.
 
-Every malformed input — truncated or corrupted archives, missing
+Every malformed input -- truncated or corrupted archives, missing
 arrays, unsupported format versions, payloads inconsistent with
-themselves or with the dataset they are loaded against — raises
+themselves or with the data they are loaded against -- raises
 :class:`~repro.exceptions.GraphError` with a message naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import zipfile
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -37,21 +40,6 @@ from .graphs.adjacency import Graph
 #: archive may hold angular exact-K'NN distances (and evidence counts
 #: derived from them) an ulp away from what this build computes.
 _FORMAT_VERSION = 2
-_ENGINE_FORMAT_VERSION = 1
-
-#: arrays every graph .npz must carry.
-_GRAPH_KEYS = (
-    "format_version",
-    "n",
-    "indptr",
-    "indices",
-    "pivots",
-    "exact_owners",
-    "exact_ptr",
-    "exact_ids",
-    "exact_dists",
-    "meta",
-)
 
 
 # -- out-of-core datasets -----------------------------------------------------
@@ -328,9 +316,21 @@ class _NpzReader:
         self._data.close()
 
 
+def _write_npz(path: Path, arrays: dict) -> None:
+    """Write ``arrays`` to exactly ``path`` and fsync the file.
+
+    Handed a path, ``np.savez_compressed`` appends ``.npz`` to a name
+    without that suffix; handed an open file, it writes where told.
+    """
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **arrays)
+        fh.flush()
+        os.fsync(fh.fileno())
+
+
 def save_graph(graph: Graph, path: "str | Path") -> None:
-    """Write ``graph`` to ``path`` (.npz)."""
-    np.savez_compressed(Path(path), **_graph_arrays(graph))
+    """Write ``graph`` to exactly ``path`` (an ``.npz`` archive)."""
+    _write_npz(Path(path), _graph_arrays(graph))
 
 
 def load_graph(path: "str | Path") -> Graph:
@@ -341,6 +341,37 @@ def load_graph(path: "str | Path") -> Graph:
             return _graph_from_arrays(data, path)
         except json.JSONDecodeError as exc:
             raise GraphError(f"{path}: graph metadata is not valid JSON") from exc
+
+
+# -- engine snapshots ---------------------------------------------------------
+
+#: Version of the one engine-snapshot directory format.  Earlier
+#: layouts carry no ``snapshot_format_version`` key at all.
+_SNAPSHOT_FORMAT_VERSION = 1
+_MANIFEST_NAME = "manifest.npz"
+_KINDS = ("static", "mutable")
+
+
+@dataclass
+class EngineSnapshot:
+    """What one engine snapshot holds, as written and as read back.
+
+    ``kind`` is ``"static"`` or ``"mutable"``; ``meta`` the engine's
+    settings and counters (plain JSON).  ``alive`` and ``shard_of``
+    span the id space; ``shards`` are per-shard ``{member_gids, graph,
+    cache, knn_radii}`` dicts (``graph`` is ``None`` for a mutable
+    shard without one).  ``dataset`` is the data the snapshot is about:
+    :func:`write_snapshot` fingerprints it, :func:`read_snapshot` checks
+    it.  ``log`` is a mutable snapshot's re-supplied insertion log.
+    """
+
+    kind: str
+    meta: dict
+    alive: np.ndarray
+    shard_of: np.ndarray
+    shards: list
+    dataset: Any
+    log: "list | None" = None
 
 
 def _dataset_fingerprint(dataset) -> dict:
@@ -365,8 +396,8 @@ def _dataset_fingerprint(dataset) -> dict:
 
 def _check_fingerprint(stored: "dict | None", dataset, path: Path) -> None:
     """Raise GraphError unless ``dataset`` matches the stored fingerprint."""
-    if stored is None:
-        return
+    if not isinstance(stored, dict):
+        raise GraphError(f"{path}: snapshot carries no dataset fingerprint")
     if stored.get("metric") != dataset.metric.name:
         raise GraphError(
             f"{path}: snapshot was built on metric "
@@ -385,7 +416,7 @@ def _check_fingerprint(stored: "dict | None", dataset, path: Path) -> None:
 
 
 def _cache_arrays_from(data, n: int, path: Path) -> dict:
-    """Extract and sanity-check evidence-cache arrays from a snapshot."""
+    """Extract and sanity-check evidence-cache arrays from a shard archive."""
     cache_arrays = {
         key: data[key]
         for key in ("cache_lb_radii", "cache_lb", "cache_ub_radii", "cache_ub")
@@ -412,8 +443,9 @@ def _restore_stats(engine, stats: dict) -> None:
 
     Scalar counters round-trip as ints; nested per-phase mappings
     (``phase_seconds`` / ``phase_pairs``) restore key-wise against the
-    engine's own schema, so snapshots written before a counter existed
-    load with that counter at its fresh default.
+    engine's own schema, so a snapshot written by another engine class
+    (a static snapshot cross-loads between the single-process and the
+    sharded engine) loads with the counters it lacks at their defaults.
     """
     for key, default in engine.stats.items():
         saved = stats.get(key)
@@ -425,416 +457,130 @@ def _restore_stats(engine, stats: dict) -> None:
         engine.stats[key] = int(0 if saved is None else saved)
 
 
-def save_engine(engine, path: "str | Path") -> None:
-    """Snapshot a :class:`~repro.engine.DetectionEngine` to one ``.npz``.
-
-    Persists the graph plus the evidence-cache bound arrays and serving
-    statistics — everything needed for a restarted process to keep
-    serving warm.  The dataset itself is *not* stored; the caller
-    re-supplies it to :func:`load_engine`, which verifies it against a
-    stored fingerprint.
-    """
-    payload = _graph_arrays(engine.graph)
-    payload.update(engine.cache.state_arrays())
-    payload["engine_format_version"] = np.asarray(_ENGINE_FORMAT_VERSION)
-    payload["engine_meta"] = np.asarray(
-        json.dumps(
-            {
-                "stats": engine.stats,
-                "n": engine.n,
-                "knn_radii": sorted(engine._knn_radii),
-                "fingerprint": _dataset_fingerprint(engine.dataset),
-            }
-        )
-    )
-    np.savez_compressed(Path(path), **payload)
+def _fsync_dir(path: Path) -> None:
+    """Make the entries of directory ``path`` durable (POSIX only)."""
+    if os.name != "posix":
+        return
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
-def load_engine(
-    path: "str | Path",
-    dataset,
-    verifier=None,
-    n_jobs: int = 1,
-    rng: "int | np.random.Generator | None" = 0,
-    max_visits: int | None = None,
-    mode: str = "auto",
-    cache_radii: int | None = None,
-    memo_outliers: bool = True,
-    memo_budget: int | None = None,
-    backend: "str | None" = None,
-):
-    """Rebuild a saved engine against its (re-supplied) dataset.
+def write_snapshot(path: "str | Path", snap: EngineSnapshot) -> None:
+    """The one snapshot writer behind every engine's ``save``.
 
-    Raises :class:`GraphError` when the snapshot is unreadable, was not
-    written by :func:`save_engine`, or does not match ``dataset``.
-    The center cells are not stored: they are a deterministic function
-    of the dataset and are rebuilt here.
-    """
-    from .engine import DetectionEngine
-    from .engine.evidence import EvidenceCache
-    from .index.cells import build_cells
-
-    path = Path(path)
-    with _NpzReader(path, "engine snapshot") as data:
-        if "engine_format_version" not in data:
-            raise GraphError(
-                f"{path}: not an engine snapshot (a bare graph .npz? "
-                f"use load_graph instead)"
-            )
-        engine_version = int(data["engine_format_version"])
-        if engine_version != _ENGINE_FORMAT_VERSION:
-            raise GraphError(
-                f"{path}: unsupported engine snapshot version {engine_version} "
-                f"(this build reads version {_ENGINE_FORMAT_VERSION})"
-            )
-        try:
-            graph = _graph_from_arrays(data, path)
-            meta = json.loads(str(data["engine_meta"]))
-        except json.JSONDecodeError as exc:
-            raise GraphError(f"{path}: engine metadata is not valid JSON") from exc
-        if graph.n != dataset.n:
-            raise GraphError(
-                f"{path}: snapshot indexes {graph.n} objects but the supplied "
-                f"dataset has {dataset.n} — wrong dataset for this snapshot"
-            )
-        _check_fingerprint(meta.get("fingerprint"), dataset, path)
-        cache_arrays = _cache_arrays_from(data, graph.n, path)
-    engine = DetectionEngine(
-        dataset,
-        graph,
-        verifier=verifier,
-        n_jobs=n_jobs,
-        rng=rng,
-        max_visits=max_visits,
-        mode=mode,
-        cache_radii=cache_radii,
-        memo_outliers=memo_outliers,
-        memo_budget=memo_budget,
-        backend=backend,
-        cells=build_cells(dataset),
-    )
-    engine.cache = EvidenceCache.from_state_arrays(graph.n, cache_arrays)
-    engine.cache.max_radii = cache_radii
-    if cache_radii is not None:
-        engine.cache.evict(cache_radii)
-    engine._knn_radii = set(float(r) for r in meta.get("knn_radii", ()))
-    _restore_stats(engine, meta.get("stats", {}))
-    return engine
-
-
-# -- sharded-engine manifests -------------------------------------------------
-
-_SHARDED_FORMAT_VERSION = 1
-_MANIFEST_NAME = "manifest.npz"
-
-
-def _save_shard_archive(shard_path: Path, graph, cache, meta: dict) -> None:
-    """One shard archive: graph arrays + cache bound arrays + JSON meta.
-
-    The per-shard format shared by the static and the mutable sharded
-    snapshots — a standard graph archive extended with that shard's
-    evidence-cache bound arrays, exactly like a single-engine snapshot.
-    """
-    payload = _graph_arrays(graph)
-    payload.update(cache.state_arrays())
-    payload["shard_meta"] = np.asarray(json.dumps(meta))
-    np.savez_compressed(shard_path, **payload)
-
-
-def _load_shard_archive(shard_path: Path, cache_span: int):
-    """Read one shard archive back: ``(graph, cache, meta)``.
-
-    ``cache_span`` is the id-space width the shard cache must cover
-    (global ``n`` for both sharded formats).  Every malformed payload
-    raises :class:`GraphError` naming the file.
+    ``path`` becomes (or stays) a directory.  The shard archives go
+    under names no earlier save used; the manifest that names them is
+    written to a temp file, fsynced and swapped in with ``os.replace``;
+    only after the directory is fsynced are the shard files the new
+    manifest does not name deleted.  A save that fails before the swap
+    removes what it wrote and leaves the previous snapshot loadable.
     """
     from .engine.evidence import EvidenceCache
 
-    if not shard_path.exists():
-        raise GraphError(
-            f"{shard_path}: shard file named by the manifest is missing"
-        )
-    with _NpzReader(shard_path, "shard snapshot") as data:
-        try:
-            graph = _graph_from_arrays(data, shard_path)
-            shard_meta = json.loads(str(data["shard_meta"]))
-        except json.JSONDecodeError as exc:
-            raise GraphError(
-                f"{shard_path}: shard metadata is not valid JSON"
-            ) from exc
-        cache_arrays = _cache_arrays_from(data, cache_span, shard_path)
-    return graph, EvidenceCache.from_state_arrays(cache_span, cache_arrays), shard_meta
-
-
-def save_sharded_engine(engine, path: "str | Path") -> None:
-    """Snapshot a :class:`~repro.engine.ShardedDetectionEngine` directory.
-
-    ``path`` becomes a directory holding one ``manifest.npz`` (the shard
-    plan: partition ids, dataset fingerprint, serving statistics, and
-    the shard file names) plus one ``shard_NNNN.npz`` per shard.  The
-    dataset itself is *not* stored; :func:`load_sharded_engine` verifies
-    the re-supplied one against the fingerprint.
-    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    states = engine.shard_states()
-    shard_files = [f"shard_{s:04d}.npz" for s in range(engine.n_shards)]
-    for s, (state, fname) in enumerate(zip(states, shard_files)):
-        _save_shard_archive(
-            path / fname, state["graph"], state["cache"],
-            {
-                "shard_index": s,
-                "n": engine.n,
-                "knn_radii": [float(r) for r in state["knn_radii"]],
-            },
-        )
-    manifest = {
-        "sharded_format_version": np.asarray(_SHARDED_FORMAT_VERSION),
-        "n": np.asarray(engine.n),
-        "n_shards": np.asarray(engine.n_shards),
-        "shard_sizes": np.asarray(
-            [ids.size for ids in engine.shard_ids], dtype=np.int64
-        ),
-        "shard_ids": np.concatenate(engine.shard_ids).astype(np.int64),
-        "manifest_meta": np.asarray(
-            json.dumps(
-                {
-                    "stats": engine.stats,
-                    "strategy": engine.strategy,
-                    "graph": engine.graph_name,
-                    "K": engine.K,
-                    "build_workers": engine.build_workers,
-                    "shard_files": shard_files,
-                    "fingerprint": _dataset_fingerprint(engine.dataset),
-                }
-            )
-        ),
-    }
-    np.savez_compressed(path / _MANIFEST_NAME, **manifest)
-
-
-def load_sharded_engine(
-    path: "str | Path",
-    dataset,
-    workers: "int | None" = None,
-    rng: "int | np.random.Generator | None" = 0,
-    mode: str = "auto",
-    start_method: "str | None" = None,
-    backend=None,
-    build_workers: "int | None" = None,
-):
-    """Rebuild a saved sharded engine against its (re-supplied) dataset.
-
-    Raises :class:`GraphError` when the manifest is missing, unreadable
-    or version-mismatched, when any shard file is missing, truncated or
-    inconsistent, when the recorded shard ids do not partition the
-    dataset, or when ``dataset`` is not the data the snapshot was built
-    from.
-    """
-    from .engine.evidence import EvidenceCache
-    from .engine.sharded import ShardedDetectionEngine
-
-    path = Path(path)
-    manifest_path = path / _MANIFEST_NAME
-    if not path.is_dir() or not manifest_path.exists():
-        raise GraphError(
-            f"{path}: no sharded-engine snapshot here (expected a directory "
-            f"containing {_MANIFEST_NAME})"
-        )
-    with _NpzReader(manifest_path, "sharded-engine manifest") as data:
-        version = int(data["sharded_format_version"])
-        if version != _SHARDED_FORMAT_VERSION:
-            raise GraphError(
-                f"{manifest_path}: unsupported sharded snapshot version "
-                f"{version} (this build reads version {_SHARDED_FORMAT_VERSION})"
-            )
-        n = int(data["n"])
-        n_shards = int(data["n_shards"])
-        sizes = data["shard_sizes"]
-        flat_ids = data["shard_ids"]
-        try:
-            meta = json.loads(str(data["manifest_meta"]))
-        except json.JSONDecodeError as exc:
-            raise GraphError(
-                f"{manifest_path}: manifest metadata is not valid JSON"
-            ) from exc
-    if n != dataset.n:
-        raise GraphError(
-            f"{manifest_path}: snapshot indexes {n} objects but the supplied "
-            f"dataset has {dataset.n} — wrong dataset for this snapshot"
-        )
-    if sizes.size != n_shards or n_shards < 1:
-        raise GraphError(
-            f"{manifest_path}: manifest lists {sizes.size} shard sizes for "
-            f"{n_shards} shards"
-        )
-    if int(sizes.sum()) != n or flat_ids.size != n or np.any(sizes < 1):
-        raise GraphError(
-            f"{manifest_path}: shard sizes are inconsistent with n={n}"
-        )
-    if not np.array_equal(np.sort(flat_ids), np.arange(n)):
-        raise GraphError(
-            f"{manifest_path}: shard ids do not partition 0..{n - 1}"
-        )
-    _check_fingerprint(meta.get("fingerprint"), dataset, manifest_path)
-    shard_files = meta.get("shard_files", [])
-    if len(shard_files) != n_shards:
-        raise GraphError(
-            f"{manifest_path}: manifest names {len(shard_files)} shard files "
-            f"for {n_shards} shards"
-        )
-    offsets = np.concatenate(([0], np.cumsum(sizes)))
-    shard_ids = [
-        np.sort(flat_ids[offsets[s]:offsets[s + 1]]).astype(np.int64)
-        for s in range(n_shards)
+    snapshot_id = secrets.token_hex(8)
+    n_total = int(snap.alive.size)
+    shard_files = [
+        f"shard_{s:04d}_{snapshot_id}.npz" for s in range(len(snap.shards))
     ]
-    shard_state = []
-    for s, fname in enumerate(shard_files):
-        shard_path = path / str(fname)
-        graph, cache, shard_meta = _load_shard_archive(shard_path, n)
-        if graph.n != shard_ids[s].size:
-            raise GraphError(
-                f"{shard_path}: shard graph spans {graph.n} vertices but "
-                f"the manifest assigns this shard {shard_ids[s].size} objects"
-            )
-        shard_state.append(
-            {
-                "graph": graph,
-                "cache": cache,
-                "knn_radii": [float(r) for r in shard_meta.get("knn_radii", ())],
-            }
-        )
-    engine = ShardedDetectionEngine(
-        dataset,
-        n_shards=n_shards,
-        workers=workers,
-        strategy=str(meta.get("strategy", "permuted")),
-        graph=str(meta.get("graph", "mrpg")),
-        K=int(meta.get("K", 16)),
-        rng=rng,
-        mode=mode,
-        start_method=start_method,
-        shard_ids=shard_ids,
-        shard_state=shard_state,
-        backend=backend,
-        build_workers=(
-            build_workers if build_workers is not None
-            else meta.get("build_workers") or 1
-        ),
+    members = [np.asarray(st["member_gids"], dtype=np.int64) for st in snap.shards]
+    meta = dict(
+        snap.meta,
+        kind=snap.kind,
+        snapshot_id=snapshot_id,
+        shard_files=shard_files,
+        fingerprint=_dataset_fingerprint(snap.dataset),
     )
-    _restore_stats(engine, meta.get("stats", {}))
-    return engine
-
-
-# -- mutable-engine snapshots -------------------------------------------------
-#
-# Both mutable engines write one format, and the single-process engine
-# is its one-shard case: a directory holding one ``manifest.npz`` (the
-# full-id-space bookkeeping: alive mask, id -> shard routing, per-shard
-# member lists, serving statistics, pinned radii, the rebuild countdown
-# and a fingerprint of the full object log) and one ``shard_NNNN.npz``
-# per shard (the shard-local incremental graph, tombstones included,
-# plus the repaired within-shard evidence cache).  The objects
-# themselves are not stored; the caller re-supplies the full insertion
-# log, dead positions included.
-
-_MUTABLE_SHARDED_FORMAT_VERSION = 1
-
-
-def _save_mutable_snapshot(engine, path, shard_of, epoch: int) -> None:
-    """The one writer behind both mutable engines' ``save``."""
-    from .engine.evidence import EvidenceCache
-    from .exceptions import ParameterError
-
-    n_total = engine.n_total
-    if n_total == 0:
-        raise ParameterError("cannot snapshot a mutable engine before any insert")
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    states = engine.shard_states()
-    shard_files = [f"shard_{s:04d}.npz" for s in range(len(states))]
-    members = [np.asarray(st["member_gids"], dtype=np.int64) for st in states]
-    for s, (state, fname) in enumerate(zip(states, shard_files)):
-        graph, cache = state["graph"], state["cache"]
-        _save_shard_archive(
-            path / fname,
-            graph if graph is not None else Graph(1).finalize(),
-            cache if cache is not None else EvidenceCache(n_total),
-            {
-                "shard_index": s,
-                "n_total": n_total,
+    tmp = path / f"{_MANIFEST_NAME}.tmp"
+    written = [tmp]
+    try:
+        for state, fname in zip(snap.shards, shard_files):
+            graph, cache = state["graph"], state["cache"]
+            payload = _graph_arrays(
+                graph if graph is not None else Graph(1).finalize()
+            )
+            payload.update(
+                (cache if cache is not None else EvidenceCache(n_total))
+                .state_arrays()
+            )
+            payload["shard_meta"] = np.asarray(json.dumps({
+                "snapshot_id": snapshot_id,
                 "has_graph": graph is not None,
                 "knn_radii": [float(r) for r in state["knn_radii"]],
-            },
-        )
-    alive = np.zeros(n_total, dtype=bool)
-    alive[engine.active_ids()] = True
-    meta = {
-        "stats": engine.stats,
-        "metric": engine.metric.name,
-        "graph": engine.graph_name,
-        "K": engine.K,
-        "build_workers": engine.build_workers,
-        "pairs": engine.pairs,
-        "epoch": epoch,
-        "mutations_since_rebuild": engine._mutations_since_rebuild,
-        "pinned": sorted(set().union(*(st["pinned"] for st in states))),
-        "shard_files": shard_files,
-        # Over the full log, prepared once: a shared-store log is
-        # already prepared, and angular rows would re-normalise.
-        "fingerprint": _dataset_fingerprint(engine.log_dataset()),
-    }
-    np.savez_compressed(
-        path / _MANIFEST_NAME,
-        mutable_sharded_format_version=np.asarray(
-            _MUTABLE_SHARDED_FORMAT_VERSION
-        ),
-        n_total=np.asarray(n_total),
-        n_shards=np.asarray(len(states)),
-        alive=alive,
-        shard_of=np.asarray(shard_of, dtype=np.int64),
-        member_sizes=np.asarray([m.size for m in members], dtype=np.int64),
-        member_gids=np.concatenate(members),
-        manifest_meta=np.asarray(json.dumps(meta)),
-    )
+            }))
+            written.append(path / fname)
+            _write_npz(path / fname, payload)
+        _write_npz(tmp, {
+            "snapshot_format_version": np.asarray(_SNAPSHOT_FORMAT_VERSION),
+            "n_total": np.asarray(n_total),
+            "alive": np.asarray(snap.alive, dtype=bool),
+            "shard_of": np.asarray(snap.shard_of, dtype=np.int64),
+            "member_sizes": np.asarray([m.size for m in members], dtype=np.int64),
+            "member_gids": np.concatenate(members),
+            "manifest_meta": np.asarray(json.dumps(meta)),
+        })
+        os.replace(tmp, path / _MANIFEST_NAME)
+    except BaseException:
+        for leftover in written:
+            leftover.unlink(missing_ok=True)
+        raise
+    _fsync_dir(path)
+    for stale in path.glob("shard_*.npz"):
+        if stale.name not in shard_files:
+            stale.unlink()
 
 
-def _read_mutable_snapshot(path: "str | Path", objects):
-    """The one validating reader: ``(meta, log, alive, shard_of, states)``.
+def read_snapshot(
+    path: "str | Path",
+    *,
+    kind: "str | None" = None,
+    dataset=None,
+    objects=None,
+    one_shard: bool = False,
+) -> EngineSnapshot:
+    """The one validating snapshot reader behind every engine's ``load``.
 
-    ``states`` are per-shard ``{member_gids, graph, cache, knn_radii}``
-    dicts.  Raises :class:`GraphError` on every malformed input: missing
-    or unreadable manifest, version mismatch, alive or routing arrays
-    that do not span the log, torn member lists (not ascending, naming
-    an id routed to another shard, or missing a live id), missing or
-    inconsistent shard files, or an object log that is not the data the
-    snapshot was built from.
+    A static snapshot needs its ``dataset`` re-supplied, a mutable one
+    the full insertion-ordered ``objects`` log.  ``kind`` (when given)
+    and ``one_shard`` state what the calling engine class can load.
+    Raises :class:`GraphError` on every malformed input: no manifest, an
+    earlier layout or version, a snapshot of the other kind or with
+    more shards than wanted, alive or routing arrays that do not span
+    the id space, torn member lists (not ascending, naming an id routed
+    to another shard, or missing a live id), missing or inconsistent
+    shard archives, a shard archive from another save, or data that is
+    not what the snapshot was built from.
     """
     from .data import Dataset
+    from .engine.evidence import EvidenceCache
     from .metrics import resolve_metric
 
     path = Path(path)
     manifest_path = path / _MANIFEST_NAME
-    if not path.is_dir() or not manifest_path.exists():
+    if not manifest_path.is_file():
         raise GraphError(
-            f"{path}: no mutable-engine snapshot here (expected a directory "
-            f"containing {_MANIFEST_NAME})"
+            f"{path}: not an engine snapshot (expected a directory holding "
+            f"{_MANIFEST_NAME}; a bare graph .npz loads with load_graph, and "
+            f"a single-file engine snapshot from an earlier release must be "
+            f"re-saved)"
         )
-    with _NpzReader(manifest_path, "mutable-engine manifest") as data:
-        if "mutable_sharded_format_version" not in data:
+    with _NpzReader(manifest_path, "snapshot manifest") as data:
+        if "snapshot_format_version" not in data:
             raise GraphError(
-                f"{manifest_path}: not a mutable-engine manifest (a static "
-                f"sharded snapshot? use load_sharded_engine instead)"
+                f"{manifest_path}: engine snapshot in an earlier layout; it "
+                f"must be re-saved (rebuild the engine and save it again)"
             )
-        version = int(data["mutable_sharded_format_version"])
-        if version != _MUTABLE_SHARDED_FORMAT_VERSION:
+        version = int(data["snapshot_format_version"])
+        if version != _SNAPSHOT_FORMAT_VERSION:
             raise GraphError(
-                f"{manifest_path}: unsupported mutable snapshot version "
-                f"{version} (this build reads version "
-                f"{_MUTABLE_SHARDED_FORMAT_VERSION})"
+                f"{manifest_path}: unsupported snapshot version {version} "
+                f"(this build reads version {_SNAPSHOT_FORMAT_VERSION})"
             )
         n_total = int(data["n_total"])
-        n_shards = int(data["n_shards"])
         alive = data["alive"]
         shard_of = data["shard_of"]
         member_sizes = data["member_sizes"]
@@ -845,11 +591,39 @@ def _read_mutable_snapshot(path: "str | Path", objects):
             raise GraphError(
                 f"{manifest_path}: manifest metadata is not valid JSON"
             ) from exc
-    object_log = list(objects)
-    if len(object_log) != n_total:
+    found = meta.get("kind")
+    if found not in _KINDS:
+        raise GraphError(f"{manifest_path}: unknown engine kind {found!r}")
+    if kind is not None and found != kind:
+        raise GraphError(
+            f"{path}: holds a {found} engine snapshot, which a {kind} "
+            f"engine cannot load (load_any_engine picks the class)"
+        )
+    n_shards = int(member_sizes.size)
+    if one_shard and n_shards != 1:
+        raise GraphError(
+            f"{path}: snapshot holds {n_shards} shards; a single-process "
+            f"engine loads one (use the sharded engine or load_any_engine)"
+        )
+    if found == "static":
+        if dataset is None:
+            raise GraphError(
+                f"{path}: a static engine snapshot needs its dataset "
+                f"re-supplied (dataset=...)"
+            )
+        what, given = "dataset", dataset.n
+    else:
+        if objects is None:
+            raise GraphError(
+                f"{path}: a mutable engine snapshot needs the full object "
+                f"log re-supplied (objects=...)"
+            )
+        objects = list(objects)
+        what, given = "object log", len(objects)
+    if given != n_total:
         raise GraphError(
             f"{manifest_path}: snapshot spans {n_total} objects but the "
-            f"supplied log has {len(object_log)} — wrong object log"
+            f"supplied {what} has {given} — wrong {what} for this snapshot"
         )
     if alive.shape != (n_total,) or shard_of.shape != (n_total,):
         raise GraphError(
@@ -857,14 +631,16 @@ def _read_mutable_snapshot(path: "str | Path", objects):
             f"({shard_of.size}) does not span n_total={n_total}"
         )
     alive = alive.astype(bool)
-    if n_shards < 1 or member_sizes.shape != (n_shards,):
+    if (
+        n_shards < 1
+        or int(member_sizes.sum()) != member_gids.size
+        or np.any(member_sizes < 0)
+    ):
+        raise GraphError(f"{manifest_path}: membership logs are inconsistent")
+    if found == "static" and (not alive.all() or np.any(member_sizes < 1)):
         raise GraphError(
-            f"{manifest_path}: manifest lists {member_sizes.size} member "
-            f"counts for {n_shards} shards"
-        )
-    if int(member_sizes.sum()) != member_gids.size or np.any(member_sizes < 0):
-        raise GraphError(
-            f"{manifest_path}: membership logs are inconsistent"
+            f"{manifest_path}: a static snapshot keeps every object alive "
+            f"in a non-empty shard"
         )
     if member_gids.size and (
         member_gids.min() < 0 or member_gids.max() >= n_total
@@ -880,12 +656,16 @@ def _read_mutable_snapshot(path: "str | Path", objects):
     # Torn member lists would double-count (or never count) an object
     # in the merge: a silently wrong answer, so a load-time error.
     offsets = np.concatenate(([0], np.cumsum(member_sizes)))
-    lists = [member_gids[offsets[s]:offsets[s + 1]] for s in range(n_shards)]
+    lists = [
+        member_gids[offsets[s]:offsets[s + 1]].astype(np.int64)
+        for s in range(n_shards)
+    ]
     for s, members in enumerate(lists):
         if np.any(np.diff(members) <= 0) or np.any(shard_of[members] != s):
             raise GraphError(
                 f"{manifest_path}: shard {s}'s member list is not strictly "
-                f"ascending or names ids routed to another shard"
+                f"ascending or names ids routed to another shard, so the "
+                f"member lists do not partition the ids"
             )
     listed = np.zeros(n_total, dtype=bool)
     listed[member_gids] = True
@@ -900,129 +680,53 @@ def _read_mutable_snapshot(path: "str | Path", objects):
             f"{manifest_path}: manifest names {len(shard_files)} shard files "
             f"for {n_shards} shards"
         )
-    metric = resolve_metric(str(meta.get("metric", "l2")))
-    full_ds = Dataset(
-        np.asarray(object_log, dtype=np.float64)
-        if metric.is_vector
-        else object_log,
-        metric,
-    )
-    _check_fingerprint(meta.get("fingerprint"), full_ds, manifest_path)
-    states = []
+    if found == "mutable":
+        metric = resolve_metric(str(meta.get("metric", "l2")))
+        dataset = Dataset(
+            np.asarray(objects, dtype=np.float64) if metric.is_vector
+            else objects,
+            metric,
+        )
+    _check_fingerprint(meta.get("fingerprint"), dataset, manifest_path)
+    snapshot_id = meta.get("snapshot_id")
+    shards = []
     for members, fname in zip(lists, shard_files):
-        graph, cache, shard_meta = _load_shard_archive(path / str(fname), n_total)
+        shard_path = path / str(fname)
+        if not shard_path.is_file():
+            raise GraphError(
+                f"{shard_path}: shard file named by the manifest is missing"
+            )
+        with _NpzReader(shard_path, "shard snapshot") as data:
+            try:
+                graph = _graph_from_arrays(data, shard_path)
+                shard_meta = json.loads(str(data["shard_meta"]))
+            except json.JSONDecodeError as exc:
+                raise GraphError(
+                    f"{shard_path}: shard metadata is not valid JSON"
+                ) from exc
+            cache_arrays = _cache_arrays_from(data, n_total, shard_path)
+        if snapshot_id is None or shard_meta.get("snapshot_id") != snapshot_id:
+            raise GraphError(
+                f"{shard_path}: shard archive is from snapshot "
+                f"{shard_meta.get('snapshot_id')!r} but the manifest is "
+                f"snapshot {snapshot_id!r} — a torn or mixed snapshot"
+            )
         has_graph = bool(shard_meta.get("has_graph", True))
         if has_graph and graph.n != max(1, members.size):
             raise GraphError(
-                f"{path / str(fname)}: shard graph spans {graph.n} local "
-                f"vertices but the manifest logs {members.size} members"
+                f"{shard_path}: shard graph spans {graph.n} local vertices "
+                f"but the manifest lists {members.size} members"
             )
-        states.append(
-            {
-                "member_gids": members.tolist(),
-                "graph": graph if has_graph else None,
-                "cache": cache,
-                "knn_radii": [float(r) for r in shard_meta.get("knn_radii", ())],
-            }
-        )
-    return meta, object_log, alive, shard_of, states
-
-
-def _restore_counters(engine, meta: dict) -> None:
-    """Restore pairs, the rebuild countdown and stats from a manifest."""
-    engine.pairs = int(meta.get("pairs", 0))
-    engine._mutations_since_rebuild = int(meta.get("mutations_since_rebuild", 0))
-    _restore_stats(engine, meta.get("stats", {}))
-
-
-def save_mutable_engine(engine, path: "str | Path") -> None:
-    """Snapshot a :class:`~repro.engine.MutableDetectionEngine` directory.
-
-    The mutable snapshot format (see above) with one shard; every bound
-    the engine proved so far is folded in first.
-    """
-    _save_mutable_snapshot(engine, path, np.zeros(engine.n_total), epoch=0)
-
-
-def load_mutable_engine(path: "str | Path", objects, **kwargs):
-    """Rebuild a saved single-process mutable engine against its log.
-
-    ``objects`` must be the complete insertion-ordered log (tombstoned
-    positions included), verified against the stored fingerprint.
-    Remaining keyword arguments are forwarded to the
-    :class:`~repro.engine.MutableDetectionEngine` constructor (execution
-    knobs such as ``n_jobs``, ``mode``, ``rebuild_every``).  A one-shard
-    snapshot of a mutable sharded engine loads too; a snapshot with
-    more shards raises :class:`GraphError`, like every malformed input.
-    """
-    from .engine.mutable import MutableDetectionEngine
-
-    meta, log, alive, _, states = _read_mutable_snapshot(path, objects)
-    if len(states) != 1:
-        raise GraphError(
-            f"{path}: snapshot holds {len(states)} shards; load it with "
-            f"load_mutable_sharded_engine"
-        )
-    # Loaded engines keep rebuilding with the snapshot's parallelism
-    # unless the caller overrides it explicitly.  Snapshots written
-    # before every build was pooled store null: one worker.
-    kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
-    engine = MutableDetectionEngine(
-        metric=str(meta.get("metric", "l2")),
-        K=int(meta.get("K", 16)),
-        rebuild_graph=str(meta.get("graph", "mrpg")),
-        pinned=[float(r) for r in meta.get("pinned", ())],
-        **kwargs,
+        shards.append({
+            "member_gids": members,
+            "graph": graph if has_graph else None,
+            "cache": EvidenceCache.from_state_arrays(n_total, cache_arrays),
+            "knn_radii": [float(r) for r in shard_meta.get("knn_radii", ())],
+        })
+    return EngineSnapshot(
+        kind=found, meta=meta, alive=alive, shard_of=shard_of, shards=shards,
+        dataset=dataset, log=objects if found == "mutable" else None,
     )
-    state = states[0]
-    engine._worker = engine._new_worker(
-        engine._worker._pinned, objects=log, alive=alive.tolist(),
-        member_gids=state["member_gids"], graph_state=state["graph"],
-        cache_state=state["cache"], knn_radii=state["knn_radii"],
-    )
-    if engine.cache_radii is not None:
-        engine.cache.evict(engine.cache_radii)
-    _restore_counters(engine, meta)
-    return engine
-
-
-def save_mutable_sharded_engine(engine, path: "str | Path") -> None:
-    """Snapshot a mutable sharded engine: the mutable snapshot format."""
-    _save_mutable_snapshot(engine, path, engine._shard_of_list, engine.epoch)
-
-
-def load_mutable_sharded_engine(path: "str | Path", objects, **kwargs):
-    """Rebuild a saved mutable sharded engine against its full object log.
-
-    ``objects`` must be the complete insertion-ordered log (tombstoned
-    positions included), verified against the stored fingerprint.
-    Remaining keyword arguments are execution knobs forwarded to the
-    :class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`
-    constructor (``workers``, ``mode``, ...).  Every malformed input
-    raises :class:`GraphError`.
-    """
-    from .engine.mutable_sharded import MutableShardedDetectionEngine
-
-    meta, log, alive, shard_of, states = _read_mutable_snapshot(path, objects)
-    kwargs.setdefault("build_workers", meta.get("build_workers") or 1)
-    engine = MutableShardedDetectionEngine(
-        metric=str(meta.get("metric", "l2")),
-        n_shards=len(states),
-        graph=str(meta.get("graph", "mrpg")),
-        K=int(meta.get("K", 16)),
-        pinned=[float(r) for r in meta.get("pinned", ())],
-        **kwargs,
-    )
-    engine._adopt_log(log)
-    engine._alive = alive.tolist()
-    engine._shard_of_list = shard_of.tolist()
-    engine._spawn_pool(states)
-    engine.epoch = int(meta.get("epoch", engine.epoch))
-    _restore_counters(engine, meta)
-    return engine
-
-
-# -- format-sniffing loader ---------------------------------------------------
 
 
 def load_any_engine(
@@ -1037,73 +741,48 @@ def load_any_engine(
     start_method: "str | None" = None,
     **extra,
 ):
-    """Load *any* engine snapshot, dispatching on the stored format.
+    """Load *any* engine snapshot, picking the class from its manifest.
 
     The :class:`~repro.engine.protocol.EngineCore` counterpart of the
-    per-class loaders: a ``.npz`` file is a static engine (needs
-    ``dataset``); a directory is a static sharded engine (needs
-    ``dataset``) or a mutable one (needs the ``objects`` log).  A
-    mutable snapshot picks its class the way
-    :func:`~repro.engine.protocol.create_engine` does: one shard without
-    ``store="shm"`` gives a
-    :class:`~repro.engine.MutableDetectionEngine`, anything else the
-    mutable sharded engine.  Callers — the CLI in particular — never
-    pick a loader by engine class.  The common execution knobs are
-    routed to whichever subset the resolved engine takes (``workers``
-    for sharded engines, ``n_jobs`` for single-process ones); ``extra``
-    keywords — e.g. ``backend`` — are forwarded to the resolved loader.
+    per-class ``load`` methods.  The manifest's kind and shard count
+    pick the class the way :func:`~repro.engine.protocol.create_engine`
+    does: a static snapshot (needs ``dataset``) with one shard gives a
+    :class:`~repro.engine.DetectionEngine`, with more a
+    :class:`~repro.engine.ShardedDetectionEngine`; a mutable one (needs
+    the ``objects`` log) with one shard and without ``store="shm"``
+    gives a :class:`~repro.engine.MutableDetectionEngine`, otherwise
+    the mutable sharded engine.  Callers -- the CLI in particular --
+    never pick a loader by engine class.  The common execution knobs
+    go to whichever subset the resolved engine takes (``workers`` for
+    sharded engines, ``n_jobs`` for single-process ones); ``extra``
+    keywords -- e.g. ``backend`` -- go to the resolved engine.
 
-    Raises :class:`GraphError` for unreadable paths, unknown formats,
-    or when the required ``dataset``/``objects`` was not supplied.
+    Raises :class:`GraphError` for anything :func:`read_snapshot`
+    refuses, including a missing ``dataset``/``objects``.
     """
-    path = Path(path)
-    if path.is_dir():
-        manifest_path = path / _MANIFEST_NAME
-        if not manifest_path.exists():
-            raise GraphError(
-                f"{path}: directory holds no {_MANIFEST_NAME} — not an "
-                f"engine snapshot"
+    from .engine import (
+        DetectionEngine,
+        MutableDetectionEngine,
+        MutableShardedDetectionEngine,
+        ShardedDetectionEngine,
+    )
+
+    snap = read_snapshot(path, dataset=dataset, objects=objects)
+    single = len(snap.shards) == 1
+    if snap.kind == "static":
+        if single:
+            return DetectionEngine._from_snapshot(
+                snap, n_jobs=n_jobs, rng=rng, mode=mode, **extra,
             )
-        with _NpzReader(manifest_path, "engine manifest") as data:
-            mutable = "mutable_sharded_format_version" in data
-            n_shards = int(data["n_shards"])
-        if mutable:
-            if objects is None:
-                raise GraphError(
-                    f"{path}: a mutable snapshot needs the full object log "
-                    f"re-supplied (objects=...)"
-                )
-            if n_shards == 1 and extra.get("store", "ram") in ("ram", "list"):
-                extra.pop("store", None)
-                return load_mutable_engine(
-                    path, objects, n_jobs=n_jobs, mode=mode, **extra,
-                )
-            return load_mutable_sharded_engine(
-                path, objects, workers=workers, mode=mode,
-                start_method=start_method, **extra,
-            )
-        if dataset is None:
-            raise GraphError(
-                f"{path}: a sharded snapshot needs the dataset re-supplied "
-                f"(dataset=...)"
-            )
-        return load_sharded_engine(
-            path, dataset, workers=workers, rng=rng, mode=mode,
+        return ShardedDetectionEngine._from_snapshot(
+            snap, workers=workers, rng=rng, mode=mode,
             start_method=start_method, **extra,
         )
-    with _NpzReader(path, "engine snapshot") as data:
-        static = "engine_format_version" in data
-    if not static:
-        raise GraphError(
-            f"{path}: not an engine snapshot of any known format (a bare "
-            f"graph .npz? use load_graph instead; a mutable-engine .npz "
-            f"predates directory snapshots and must be re-saved)"
+    if single and extra.get("store", "ram") in ("ram", "list"):
+        extra.pop("store", None)
+        return MutableDetectionEngine._from_snapshot(
+            snap, n_jobs=n_jobs, mode=mode, **extra,
         )
-    if dataset is None:
-        raise GraphError(
-            f"{path}: an engine snapshot needs the dataset re-supplied "
-            f"(dataset=...)"
-        )
-    return load_engine(
-        path, dataset, n_jobs=n_jobs, rng=rng, mode=mode, **extra,
+    return MutableShardedDetectionEngine._from_snapshot(
+        snap, workers=workers, mode=mode, start_method=start_method, **extra,
     )

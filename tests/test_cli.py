@@ -72,8 +72,11 @@ def test_sweep_on_suite_with_check(capsys):
     assert "speedup from reuse" in out
 
 
-def test_sweep_snapshot_restart_serves_warm(tmp_path, capsys):
-    snap = tmp_path / "engine.npz"
+@pytest.mark.parametrize("name", ["engine.npz", "engine"])
+def test_sweep_snapshot_restart_serves_warm(tmp_path, capsys, name):
+    # The snapshot is written at exactly the given path, with or
+    # without a suffix.
+    snap = tmp_path / name
     args = ["sweep", "--suite", "glove", "--n", "250", "--K", "8",
             "--k", "6", "--snapshot", str(snap)]
     assert main(args) == 0

@@ -16,11 +16,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.engine.engine as engine_module
 from repro import (
     Dataset,
     DetectionEngine,
     DODetector,
     EvidenceCache,
+    brute_force_outliers,
     build_graph,
     graph_dod,
 )
@@ -252,25 +254,27 @@ def test_ascending_sweep_memoises_repeat_outliers(l2_dataset, mrpg_l2, l2_params
     assert fresh.same_outliers(probe)
 
 
-def test_memo_budget_respected(l2_dataset, mrpg_l2, l2_params):
+def test_memo_budget_respected(l2_dataset, mrpg_l2, l2_params, monkeypatch):
+    # A byte budget of 40 distance vectors; this sweep would memoise more.
+    monkeypatch.setattr(
+        engine_module, "MEMO_BUDGET_BYTES", 40 * 8 * l2_dataset.n
+    )
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0, memo_budget=2)
+    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
     engine.sweep([r * 0.9, r, r * 1.1], k=k)
-    assert len(engine._memo) <= 2
-    assert engine.stats["memoised"] <= 2
+    assert len(engine._memo) <= 40
+    assert engine.stats["memoised"] <= 40
 
 
 def test_memo_disabled_still_exact(l2_dataset, mrpg_l2, l2_params):
+    # Memoisation is always on; the memoised sweep must still be exact.
     r, k = l2_params
-    on = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
-    off = DetectionEngine(l2_dataset, mrpg_l2, rng=0, memo_outliers=False)
-    grid = [r * 0.9, r, r * 1.1]
-    sweep_on = on.sweep(grid, k=k)
-    sweep_off = off.sweep(grid, k=k)
-    assert off.stats["memoised"] == 0
-    for key in sweep_on.results:
+    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    sweep = engine.sweep([r * 0.9, r, r * 1.1], k=k)
+    assert engine.stats["memoised"] > 0
+    for (rv, kv), res in sweep.results.items():
         np.testing.assert_array_equal(
-            sweep_on.results[key].outliers, sweep_off.results[key].outliers
+            res.outliers, brute_force_outliers(l2_dataset.view(), rv, kv)
         )
 
 

@@ -3,12 +3,17 @@
 Every way a persisted index can be wrong — truncated or corrupted
 archives, unsupported format versions, missing arrays, payloads
 inconsistent with themselves or with the dataset they are loaded
-against — must surface as a :class:`GraphError` with a message naming
-the offending file, never as a silent half-loaded index or a raw
-``zipfile``/``KeyError`` traceback.
+against, shard archives from another save — must surface as a
+:class:`GraphError` with a message naming the offending file, never as
+a silent half-loaded index or a raw ``zipfile``/``KeyError`` traceback.
+
+Every engine writes one snapshot directory: ``manifest.npz`` plus one
+shard archive per shard, the single-process engines writing one.
 """
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -19,18 +24,11 @@ from repro import (
     MutableDetectionEngine,
     MutableShardedDetectionEngine,
     ShardedDetectionEngine,
+    brute_force_outliers,
     create_engine,
     load_any_engine,
-    load_engine,
     load_graph,
-    load_mutable_engine,
-    load_mutable_sharded_engine,
-    load_sharded_engine,
-    save_engine,
     save_graph,
-    save_mutable_engine,
-    save_mutable_sharded_engine,
-    save_sharded_engine,
 )
 from repro.exceptions import GraphError, ParameterError
 
@@ -54,14 +52,24 @@ def sharded_engine(l2_dataset, l2_params):
     eng.close()
 
 
+def _shard_files(path):
+    """The shard archive names the snapshot's manifest lists."""
+    with np.load(path / "manifest.npz") as data:
+        return json.loads(str(data["manifest_meta"]))["shard_files"]
+
+
+def _shard(path, s=0):
+    return path / _shard_files(path)[s]
+
+
 # -- engine snapshot round-trip --------------------------------------------------
 
 
 def test_engine_snapshot_roundtrip_serves_warm(engine, l2_dataset, l2_params, tmp_path):
     r, k = l2_params
-    path = tmp_path / "engine.npz"
-    save_engine(engine, path)
-    loaded = load_engine(path, l2_dataset)
+    path = tmp_path / "engine"
+    engine.save(path)
+    loaded = DetectionEngine.load(path, l2_dataset)
     assert loaded.stats == engine.stats
     assert loaded.cache.radii == engine.cache.radii
     for radius in engine.cache.radii:
@@ -78,20 +86,21 @@ def test_engine_snapshot_roundtrip_serves_warm(engine, l2_dataset, l2_params, tm
 
 
 def test_engine_snapshot_is_a_loadable_graph(engine, mrpg_l2, tmp_path):
-    path = tmp_path / "engine.npz"
-    save_engine(engine, path)
-    graph = load_graph(path)  # snapshot is a superset of the graph format
+    path = tmp_path / "engine"
+    engine.save(path)
+    # Every shard archive is a superset of the graph format.
+    graph = load_graph(_shard(path))
     assert graph.n == mrpg_l2.n
     for v in range(0, graph.n, 17):
         assert graph.neighbors_list(v) == mrpg_l2.neighbors_list(v)
 
 
 def test_engine_save_method_matches_module_function(engine, l2_dataset, tmp_path):
-    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
-    engine.save(a)
-    save_engine(engine, b)
-    ea = DetectionEngine.load(a, l2_dataset)
-    eb = load_engine(b, l2_dataset)
+    path = tmp_path / "a"
+    engine.save(path)
+    ea = DetectionEngine.load(path, l2_dataset)
+    eb = load_any_engine(path, dataset=l2_dataset)
+    assert type(eb) is DetectionEngine
     assert ea.stats == eb.stats == engine.stats
 
 
@@ -105,6 +114,16 @@ def test_load_graph_rejects_garbage_bytes(tmp_path):
         load_graph(path)
 
 
+def test_save_graph_writes_exactly_the_given_path(kgraph_l2, tmp_path):
+    # np.savez_compressed would append ".npz" to a suffix-less path.
+    path = tmp_path / "g"
+    save_graph(kgraph_l2, path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g"]
+    graph = load_graph(path)
+    for v in range(0, graph.n, 13):
+        assert graph.neighbors_list(v) == kgraph_l2.neighbors_list(v)
+
+
 def test_load_graph_rejects_truncated_archive(kgraph_l2, tmp_path):
     path = tmp_path / "g.npz"
     save_graph(kgraph_l2, path)
@@ -115,12 +134,14 @@ def test_load_graph_rejects_truncated_archive(kgraph_l2, tmp_path):
 
 
 def test_load_engine_rejects_truncated_archive(engine, l2_dataset, tmp_path):
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
-    blob = path.read_bytes()
-    path.write_bytes(blob[: int(len(blob) * 0.6)])
-    with pytest.raises(GraphError):
-        load_engine(path, l2_dataset)
+    path = tmp_path / "e"
+    engine.save(path)
+    for archive in (path / "manifest.npz", _shard(path)):
+        blob = archive.read_bytes()
+        archive.write_bytes(blob[: int(len(blob) * 0.6)])
+        with pytest.raises(GraphError):
+            DetectionEngine.load(path, l2_dataset)
+        archive.write_bytes(blob)
 
 
 def test_load_graph_missing_file_is_graph_error(tmp_path):
@@ -160,18 +181,18 @@ def test_load_graph_rejects_wrong_version(kgraph_l2, tmp_path):
 
 
 def test_load_engine_rejects_wrong_engine_version(engine, l2_dataset, tmp_path):
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
-    _rewrite(path, engine_format_version=np.asarray(42))
+    path = tmp_path / "e"
+    engine.save(path)
+    _rewrite(path / "manifest.npz", snapshot_format_version=np.asarray(42))
     with pytest.raises(GraphError, match="snapshot version 42"):
-        load_engine(path, l2_dataset)
+        DetectionEngine.load(path, l2_dataset)
 
 
 def test_load_engine_rejects_bare_graph_file(kgraph_l2, l2_dataset, tmp_path):
     path = tmp_path / "g.npz"
     save_graph(kgraph_l2, path)
     with pytest.raises(GraphError, match="not an engine snapshot"):
-        load_engine(path, l2_dataset)
+        DetectionEngine.load(path, l2_dataset)
 
 
 # -- payload consistency ----------------------------------------------------------
@@ -213,15 +234,15 @@ def test_load_graph_rejects_decreasing_exact_ptr(mrpg_l2, tmp_path):
 
 
 def test_load_engine_rejects_zero_width_cache_rows(engine, l2_dataset, tmp_path):
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
+    path = tmp_path / "e"
+    engine.save(path)
     _rewrite(
-        path,
+        _shard(path),
         cache_lb=np.empty((1, 0), dtype=np.int64),
         cache_lb_radii=np.asarray([1.0]),
     )
     with pytest.raises(GraphError, match="cache"):
-        load_engine(path, l2_dataset)
+        DetectionEngine.load(path, l2_dataset)
 
 
 def test_load_graph_rejects_bad_metadata_json(kgraph_l2, tmp_path):
@@ -233,79 +254,88 @@ def test_load_graph_rejects_bad_metadata_json(kgraph_l2, tmp_path):
 
 
 def test_load_engine_rejects_dataset_size_mismatch(engine, tmp_path, rng):
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
+    path = tmp_path / "e"
+    engine.save(path)
     other = Dataset(rng.normal(size=(engine.n + 7, 6)), "l2")
     with pytest.raises(GraphError, match="wrong dataset"):
-        load_engine(path, other)
+        DetectionEngine.load(path, other)
 
 
 def test_load_engine_rejects_different_data_of_same_size(engine, tmp_path, rng):
     # Same cardinality, different objects: the cached bounds would be
     # about the wrong points, so the fingerprint must catch it.
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
+    path = tmp_path / "e"
+    engine.save(path)
     other = Dataset(rng.normal(size=(engine.n, 6)), "l2")
     with pytest.raises(GraphError, match="fingerprint"):
-        load_engine(path, other)
+        DetectionEngine.load(path, other)
+
+
+def test_load_engine_rejects_missing_fingerprint(engine, l2_dataset, tmp_path):
+    path = tmp_path / "e"
+    engine.save(path)
+    with np.load(path / "manifest.npz") as data:
+        meta = json.loads(str(data["manifest_meta"]))
+    del meta["fingerprint"]
+    _rewrite(path / "manifest.npz", manifest_meta=np.asarray(json.dumps(meta)))
+    with pytest.raises(GraphError, match="no dataset fingerprint"):
+        DetectionEngine.load(path, l2_dataset)
 
 
 def test_load_engine_rejects_different_metric_on_same_data(
     engine, blob_points, tmp_path
 ):
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
+    path = tmp_path / "e"
+    engine.save(path)
     other = Dataset(blob_points, "l1")  # identical objects, different metric
     with pytest.raises(GraphError, match="metric"):
-        load_engine(path, other)
+        DetectionEngine.load(path, other)
 
 
 def test_load_engine_rejects_mismatched_cache_arrays(engine, l2_dataset, tmp_path):
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
+    path = tmp_path / "e"
+    engine.save(path)
     _rewrite(
-        path,
+        _shard(path),
         cache_lb=np.zeros((1, engine.n + 2), dtype=np.int64),
         cache_lb_radii=np.asarray([1.0]),
     )
     with pytest.raises(GraphError, match="cache"):
-        load_engine(path, l2_dataset)
+        DetectionEngine.load(path, l2_dataset)
 
 
 def test_load_engine_rejects_radii_row_count_mismatch(engine, l2_dataset, tmp_path):
     # A zip would silently attribute bounds to the wrong radius — this
     # must be a load-time error, never a mis-paired cache.
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
-    with np.load(path) as data:
+    path = tmp_path / "e"
+    engine.save(path)
+    with np.load(_shard(path)) as data:
         radii = data["cache_lb_radii"]
     assert radii.size >= 2, "fixture engine must have served several radii"
-    _rewrite(path, cache_lb_radii=radii[1:])
+    _rewrite(_shard(path), cache_lb_radii=radii[1:])
     with pytest.raises(GraphError, match="radii"):
-        load_engine(path, l2_dataset)
+        DetectionEngine.load(path, l2_dataset)
 
 
 def test_load_engine_rejects_bad_engine_metadata(engine, l2_dataset, tmp_path):
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
-    _rewrite(path, engine_meta=np.asarray("[broken"))
+    path = tmp_path / "e"
+    engine.save(path)
+    _rewrite(path / "manifest.npz", manifest_meta=np.asarray("[broken"))
     with pytest.raises(GraphError, match="JSON"):
-        load_engine(path, l2_dataset)
+        DetectionEngine.load(path, l2_dataset)
 
 
 def test_engine_meta_is_plain_json(engine, tmp_path):
-    path = tmp_path / "e.npz"
-    save_engine(engine, path)
-    with np.load(path) as data:
-        meta = json.loads(str(data["engine_meta"]))
-    assert meta["n"] == engine.n
+    path = tmp_path / "e"
+    engine.save(path)
+    with np.load(path / "manifest.npz") as data:
+        meta = json.loads(str(data["manifest_meta"]))
+        assert int(data["n_total"]) == engine.n
+    assert meta["kind"] == "static"
     assert meta["stats"]["queries"] == engine.stats["queries"]
 
 
 # -- mutable-engine snapshots ------------------------------------------------------
-#
-# Both mutable engines write one directory format (manifest.npz plus one
-# shard_NNNN.npz per shard); the single-process engine writes one shard.
 
 
 @pytest.fixture()
@@ -322,18 +352,18 @@ def mutable_engine(blob_points):
 @pytest.fixture()
 def mutable_snapshot(mutable_engine, tmp_path):
     path = tmp_path / "mutable"
-    save_mutable_engine(mutable_engine, path)
+    mutable_engine.save(path)
     return path
 
 
 def test_mutable_snapshot_roundtrip_serves_warm(mutable_engine, tmp_path):
     path = tmp_path / "mutable"
     reference = mutable_engine.detect(1.8, 5)
-    save_mutable_engine(mutable_engine, path)
-    assert sorted(p.name for p in path.iterdir()) == [
-        "manifest.npz", "shard_0000.npz"
-    ]
-    loaded = load_mutable_engine(path, mutable_engine.object_log())
+    mutable_engine.save(path)
+    (shard_file,) = _shard_files(path)
+    assert shard_file.startswith("shard_0000_")
+    assert sorted(p.name for p in path.iterdir()) == ["manifest.npz", shard_file]
+    loaded = MutableDetectionEngine.load(path, mutable_engine.object_log())
     assert loaded.stats == mutable_engine.stats
     assert loaded.n_total == mutable_engine.n_total
     assert loaded.n_active == mutable_engine.n_active
@@ -348,12 +378,12 @@ def test_mutable_snapshot_roundtrip_serves_warm(mutable_engine, tmp_path):
 
 
 def test_mutable_save_method_matches_module_function(mutable_engine, tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    mutable_engine.save(a)
-    save_mutable_engine(mutable_engine, b)
+    path = tmp_path / "a"
+    mutable_engine.save(path)
     log = mutable_engine.object_log()
-    ea = MutableDetectionEngine.load(a, log)
-    eb = load_mutable_engine(b, log)
+    ea = MutableDetectionEngine.load(path, log)
+    eb = load_any_engine(path, objects=log)
+    assert type(eb) is MutableDetectionEngine
     assert ea.stats == eb.stats == mutable_engine.stats
     ea.close()
     eb.close()
@@ -362,42 +392,52 @@ def test_mutable_save_method_matches_module_function(mutable_engine, tmp_path):
 def test_save_mutable_before_insert_is_an_error(tmp_path):
     eng = MutableDetectionEngine(metric="l2")
     with pytest.raises(ParameterError, match="before any insert"):
-        save_mutable_engine(eng, tmp_path / "never")
+        eng.save(tmp_path / "never")
 
 
 def test_load_mutable_rejects_truncated_archive(mutable_engine, mutable_snapshot):
-    for name in ("manifest.npz", "shard_0000.npz"):
-        archive = mutable_snapshot / name
+    for archive in (mutable_snapshot / "manifest.npz", _shard(mutable_snapshot)):
         blob = archive.read_bytes()
         archive.write_bytes(blob[: int(len(blob) * 0.6)])
         with pytest.raises(GraphError):
-            load_mutable_engine(mutable_snapshot, mutable_engine.object_log())
+            MutableDetectionEngine.load(
+                mutable_snapshot, mutable_engine.object_log()
+            )
         archive.write_bytes(blob)
 
 
 def test_load_mutable_rejects_static_engine_snapshot(
     engine, sharded_engine, l2_dataset, tmp_path
 ):
-    path = tmp_path / "static.npz"
-    save_engine(engine, path)
-    with pytest.raises(GraphError, match="no mutable-engine snapshot"):
-        load_mutable_engine(path, list(range(l2_dataset.n)))
-    save_sharded_engine(sharded_engine, tmp_path / "sharded")
-    with pytest.raises(GraphError, match="not a mutable-engine manifest"):
-        load_mutable_engine(tmp_path / "sharded", list(range(l2_dataset.n)))
+    log = list(range(l2_dataset.n))
+    engine.save(tmp_path / "static")
+    sharded_engine.save(tmp_path / "sharded")
+    for path in (tmp_path / "static", tmp_path / "sharded"):
+        for cls in (MutableDetectionEngine, MutableShardedDetectionEngine):
+            with pytest.raises(GraphError, match="holds a static engine snapshot"):
+                cls.load(path, log)
+
+
+def test_static_load_rejects_mutable_engine_snapshot(
+    mutable_engine, mutable_snapshot
+):
+    dataset = Dataset(mutable_engine.object_log(), "l2")
+    for cls in (DetectionEngine, ShardedDetectionEngine):
+        with pytest.raises(GraphError, match="holds a mutable engine snapshot"):
+            cls.load(mutable_snapshot, dataset)
 
 
 def test_load_mutable_rejects_wrong_version(mutable_engine, mutable_snapshot):
-    _rewrite_manifest(
-        mutable_snapshot, mutable_sharded_format_version=np.asarray(77)
-    )
+    _rewrite_manifest(mutable_snapshot, snapshot_format_version=np.asarray(77))
     with pytest.raises(GraphError, match="version 77"):
-        load_mutable_engine(mutable_snapshot, mutable_engine.object_log())
+        MutableDetectionEngine.load(mutable_snapshot, mutable_engine.object_log())
 
 
 def test_load_mutable_rejects_wrong_log_length(mutable_engine, mutable_snapshot):
     with pytest.raises(GraphError, match="wrong object log"):
-        load_mutable_engine(mutable_snapshot, mutable_engine.object_log()[:-3])
+        MutableDetectionEngine.load(
+            mutable_snapshot, mutable_engine.object_log()[:-3]
+        )
 
 
 def test_load_mutable_rejects_different_objects(
@@ -405,19 +445,19 @@ def test_load_mutable_rejects_different_objects(
 ):
     fake = list(rng.normal(size=(mutable_engine.n_total, 6)))
     with pytest.raises(GraphError, match="fingerprint"):
-        load_mutable_engine(mutable_snapshot, fake)
+        MutableDetectionEngine.load(mutable_snapshot, fake)
 
 
 def test_load_mutable_rejects_bad_alive_mask(mutable_engine, mutable_snapshot):
     _rewrite_manifest(mutable_snapshot, alive=np.ones(3, dtype=bool))
     with pytest.raises(GraphError, match="alive mask"):
-        load_mutable_engine(mutable_snapshot, mutable_engine.object_log())
+        MutableDetectionEngine.load(mutable_snapshot, mutable_engine.object_log())
 
 
 def test_load_mutable_rejects_bad_metadata_json(mutable_engine, mutable_snapshot):
     _rewrite_manifest(mutable_snapshot, manifest_meta=np.asarray("{nope"))
     with pytest.raises(GraphError, match="JSON"):
-        load_mutable_engine(mutable_snapshot, mutable_engine.object_log())
+        MutableDetectionEngine.load(mutable_snapshot, mutable_engine.object_log())
 
 
 @pytest.mark.parametrize("sharded", [False, True])
@@ -477,7 +517,7 @@ def test_load_mutable_rejects_torn_member_lists(blob_points, tmp_path, kind):
         lists, alive = _torn(lists, data["alive"], kind)
     _rewrite_manifest(path, member_gids=np.concatenate(lists), alive=alive)
     with pytest.raises(GraphError, match="member list"):
-        load_mutable_sharded_engine(path, eng.object_log(), workers=1)
+        MutableShardedDetectionEngine.load(path, eng.object_log(), workers=1)
     eng.close()
 
 
@@ -509,13 +549,51 @@ def test_mutable_snapshots_cross_load(mutable_engine, blob_points, tmp_path):
     one.close()
 
 
+def test_static_snapshots_cross_load(engine, l2_dataset, l2_params, tmp_path):
+    """One format: a single-engine snapshot is a one-shard sharded one,
+    and back — same answers, a 0-pair warm re-query."""
+    r, k = l2_params
+    reference = engine.query(r, k).outliers
+    engine.save(tmp_path / "single")
+    sharded = ShardedDetectionEngine.load(tmp_path / "single", l2_dataset, workers=1)
+    assert sharded.n_shards == 1
+    res = sharded.query(r, k)
+    np.testing.assert_array_equal(res.outliers, reference)
+    assert res.pairs == 0
+    sharded.close()
+
+    one = ShardedDetectionEngine(
+        l2_dataset, n_shards=1, workers=1, graph="mrpg", K=8, rng=0
+    )
+    reference = one.query(r, k).outliers
+    one.save(tmp_path / "one_shard")
+    single = DetectionEngine.load(tmp_path / "one_shard", l2_dataset)
+    res = single.query(r, k)
+    np.testing.assert_array_equal(res.outliers, reference)
+    assert res.pairs == 0
+    # create_engine's rule: one static shard resolves to DetectionEngine.
+    assert type(load_any_engine(tmp_path / "one_shard", dataset=l2_dataset)) is (
+        DetectionEngine
+    )
+    single.close()
+    one.close()
+
+
+def test_load_engine_refuses_multi_shard_snapshot(
+    sharded_engine, l2_dataset, tmp_path
+):
+    sharded_engine.save(tmp_path / "three")
+    with pytest.raises(GraphError, match="3 shards"):
+        DetectionEngine.load(tmp_path / "three", l2_dataset)
+
+
 def test_load_mutable_engine_refuses_multi_shard_snapshot(blob_points, tmp_path):
     eng = MutableShardedDetectionEngine.fit(
         blob_points[:120], metric="l2", n_shards=2, workers=1, K=6, seed=0
     )
     eng.save(tmp_path / "two")
     with pytest.raises(GraphError, match="2 shards"):
-        load_mutable_engine(tmp_path / "two", eng.object_log())
+        MutableDetectionEngine.load(tmp_path / "two", eng.object_log())
     eng.close()
 
 
@@ -530,6 +608,100 @@ def test_load_any_engine_refuses_retired_mutable_npz(kgraph_l2, blob_points, tmp
         load_any_engine(path, objects=list(blob_points))
 
 
+def test_load_any_engine_refuses_retired_static_layouts(
+    kgraph_l2, l2_dataset, tmp_path
+):
+    # The static engine once wrote one .npz (graph arrays plus an
+    # engine_format_version key), the static sharded engine a manifest
+    # keyed by sharded_format_version; neither is read any more.
+    static = tmp_path / "static.npz"
+    save_graph(kgraph_l2, static)
+    _rewrite(static, engine_format_version=np.asarray(1))
+    sharded = tmp_path / "sharded"
+    sharded.mkdir()
+    np.savez(
+        sharded / "manifest.npz",
+        sharded_format_version=np.asarray(1),
+        n=np.asarray(l2_dataset.n),
+        n_shards=np.asarray(1),
+    )
+    for path in (static, sharded):
+        with pytest.raises(GraphError, match="re-saved"):
+            load_any_engine(path, dataset=l2_dataset)
+
+
+# -- crash consistency ------------------------------------------------------------
+
+
+def test_transplanted_shard_archive_is_refused(tmp_path):
+    """A shard archive from another save of the same data must not load.
+
+    Two saves of one dataset with different seeds have different shard
+    plans; the first directory with the second save's shard 0 copied in
+    (what overwriting a snapshot in place and dying between the shard
+    files and the manifest leaves) once loaded and answered wrong."""
+    points = np.random.default_rng(5).normal(size=(400, 6))
+    dataset = Dataset(points, "l2")
+    paths = []
+    for seed in (0, 1):
+        eng = ShardedDetectionEngine(
+            dataset, n_shards=2, workers=1, graph="kgraph", K=8, rng=seed
+        )
+        paths.append(tmp_path / f"rng{seed}")
+        eng.save(paths[-1])
+        eng.close()
+    first, second = paths
+    intact = ShardedDetectionEngine.load(first, dataset, workers=1)
+    for r, k in [(2.2, 10), (2.6, 20)]:
+        np.testing.assert_array_equal(
+            intact.query(r, k).outliers,
+            brute_force_outliers(dataset.view(), r, k),
+        )
+    intact.close()
+    shutil.copyfile(second / _shard_files(second)[0], first / _shard_files(first)[0])
+    with pytest.raises(GraphError, match="snapshot"):
+        ShardedDetectionEngine.load(first, dataset, workers=1)
+
+
+def test_failed_save_leaves_previous_snapshot_loadable(
+    sharded_engine, l2_dataset, l2_params, tmp_path, monkeypatch
+):
+    r, k = l2_params
+    path = tmp_path / "sharded"
+    sharded_engine.save(path)
+    before = sorted(p.name for p in path.iterdir())
+    grid = [(r * 0.95, k), (r, k), (r * 1.2, k - 2)]
+    expected = [sharded_engine.query(rv, kv).outliers for rv, kv in grid]
+
+    def dying_replace(src, dst):
+        raise OSError("injected failure before the manifest swap")
+
+    monkeypatch.setattr(os, "replace", dying_replace)
+    with pytest.raises(OSError, match="injected"):
+        sharded_engine.save(path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in path.iterdir()) == before
+    warm = ShardedDetectionEngine.load(path, l2_dataset, workers=1)
+    for (rv, kv), outliers in zip(grid, expected):
+        np.testing.assert_array_equal(warm.query(rv, kv).outliers, outliers)
+    warm.close()
+
+
+def test_resave_in_place_keeps_only_the_new_shards(
+    sharded_engine, l2_dataset, tmp_path
+):
+    path = tmp_path / "sharded"
+    sharded_engine.save(path)
+    old = set(_shard_files(path))
+    sharded_engine.save(path)
+    new = set(_shard_files(path))
+    assert not old & new
+    assert sorted(p.name for p in path.iterdir()) == sorted(
+        new | {"manifest.npz"}
+    )
+    ShardedDetectionEngine.load(path, l2_dataset, workers=1).close()
+
+
 # -- sharded-engine manifests -----------------------------------------------------
 
 
@@ -538,8 +710,8 @@ def test_sharded_snapshot_roundtrip_serves_warm(
 ):
     r, k = l2_params
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
-    loaded = load_sharded_engine(path, l2_dataset, workers=1)
+    sharded_engine.save(path)
+    loaded = ShardedDetectionEngine.load(path, l2_dataset, workers=1)
     assert loaded.stats == sharded_engine.stats
     assert loaded.n_shards == sharded_engine.n_shards
     for mine, theirs in zip(loaded.shard_ids, sharded_engine.shard_ids):
@@ -555,51 +727,51 @@ def test_sharded_snapshot_roundtrip_serves_warm(
 def test_sharded_save_method_matches_module_function(
     sharded_engine, l2_dataset, tmp_path
 ):
-    a, b = tmp_path / "a", tmp_path / "b"
-    sharded_engine.save(a)
-    save_sharded_engine(sharded_engine, b)
-    ea = ShardedDetectionEngine.load(a, l2_dataset, workers=1)
-    eb = load_sharded_engine(b, l2_dataset, workers=1)
+    path = tmp_path / "a"
+    sharded_engine.save(path)
+    ea = ShardedDetectionEngine.load(path, l2_dataset, workers=1)
+    eb = load_any_engine(path, dataset=l2_dataset, workers=1)
+    assert type(eb) is ShardedDetectionEngine
     assert ea.stats == eb.stats == sharded_engine.stats
     ea.close()
     eb.close()
 
 
 def test_load_sharded_missing_directory_is_graph_error(l2_dataset, tmp_path):
-    with pytest.raises(GraphError, match="no sharded-engine snapshot"):
-        load_sharded_engine(tmp_path / "never_saved", l2_dataset)
+    with pytest.raises(GraphError, match="not an engine snapshot"):
+        ShardedDetectionEngine.load(tmp_path / "never_saved", l2_dataset)
 
 
 def test_load_sharded_rejects_missing_shard_file(
     sharded_engine, l2_dataset, tmp_path
 ):
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
-    (path / "shard_0001.npz").unlink()
+    sharded_engine.save(path)
+    _shard(path, 1).unlink()
     with pytest.raises(GraphError, match="missing"):
-        load_sharded_engine(path, l2_dataset)
+        ShardedDetectionEngine.load(path, l2_dataset)
 
 
 def test_load_sharded_rejects_truncated_shard_file(
     sharded_engine, l2_dataset, tmp_path
 ):
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
-    shard = path / "shard_0000.npz"
+    sharded_engine.save(path)
+    shard = _shard(path)
     blob = shard.read_bytes()
     shard.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(GraphError, match="corrupted or truncated"):
-        load_sharded_engine(path, l2_dataset)
+        ShardedDetectionEngine.load(path, l2_dataset)
 
 
 def test_load_sharded_rejects_corrupt_manifest(
     sharded_engine, l2_dataset, tmp_path
 ):
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
+    sharded_engine.save(path)
     (path / "manifest.npz").write_bytes(b"not a zip archive at all" * 8)
     with pytest.raises(GraphError, match="corrupted or truncated"):
-        load_sharded_engine(path, l2_dataset)
+        ShardedDetectionEngine.load(path, l2_dataset)
 
 
 def _rewrite_manifest(path, **overrides):
@@ -612,10 +784,10 @@ def _rewrite_manifest(path, **overrides):
 
 def test_load_sharded_rejects_wrong_version(sharded_engine, l2_dataset, tmp_path):
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
-    _rewrite_manifest(path, sharded_format_version=np.asarray(99))
+    sharded_engine.save(path)
+    _rewrite_manifest(path, snapshot_format_version=np.asarray(99))
     with pytest.raises(GraphError, match="version 99"):
-        load_sharded_engine(path, l2_dataset)
+        ShardedDetectionEngine.load(path, l2_dataset)
 
 
 def test_load_sharded_rejects_broken_partition(
@@ -624,54 +796,54 @@ def test_load_sharded_rejects_broken_partition(
     # Duplicated ids would double-count neighbors in the merge — this
     # must be a load-time error, never a silently wrong engine.
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
+    sharded_engine.save(path)
     with np.load(path / "manifest.npz") as data:
-        flat = data["shard_ids"].copy()
+        flat = data["member_gids"].copy()
     flat[0] = flat[1]
-    _rewrite_manifest(path, shard_ids=flat)
+    _rewrite_manifest(path, member_gids=flat)
     with pytest.raises(GraphError, match="partition"):
-        load_sharded_engine(path, l2_dataset)
+        ShardedDetectionEngine.load(path, l2_dataset)
 
 
 def test_load_sharded_rejects_inconsistent_sizes(
     sharded_engine, l2_dataset, tmp_path
 ):
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
+    sharded_engine.save(path)
     with np.load(path / "manifest.npz") as data:
-        sizes = data["shard_sizes"].copy()
+        sizes = data["member_sizes"].copy()
     sizes[0] += 1
-    _rewrite_manifest(path, shard_sizes=sizes)
+    _rewrite_manifest(path, member_sizes=sizes)
     with pytest.raises(GraphError, match="inconsistent"):
-        load_sharded_engine(path, l2_dataset)
+        ShardedDetectionEngine.load(path, l2_dataset)
 
 
 def test_load_sharded_rejects_wrong_dataset(sharded_engine, tmp_path, rng):
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
+    sharded_engine.save(path)
     other = Dataset(rng.normal(size=(sharded_engine.n, 6)), "l2")
     with pytest.raises(GraphError, match="fingerprint"):
-        load_sharded_engine(path, other)
+        ShardedDetectionEngine.load(path, other)
 
 
 def test_load_sharded_rejects_dataset_size_mismatch(
     sharded_engine, tmp_path, rng
 ):
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
+    sharded_engine.save(path)
     other = Dataset(rng.normal(size=(sharded_engine.n + 5, 6)), "l2")
     with pytest.raises(GraphError, match="wrong dataset"):
-        load_sharded_engine(path, other)
+        ShardedDetectionEngine.load(path, other)
 
 
 def test_load_sharded_rejects_bad_manifest_metadata(
     sharded_engine, l2_dataset, tmp_path
 ):
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
+    sharded_engine.save(path)
     _rewrite_manifest(path, manifest_meta=np.asarray("{broken"))
     with pytest.raises(GraphError, match="JSON"):
-        load_sharded_engine(path, l2_dataset)
+        ShardedDetectionEngine.load(path, l2_dataset)
 
 
 # -- snapshots from before every build was pooled --------------------------------
@@ -698,9 +870,9 @@ def test_mutable_snapshot_with_null_build_workers(blob_points, tmp_path):
     eng.insert(blob_points[:150])
     reference = eng.detect(1.8, 5)
     path = tmp_path / "mutable"
-    save_mutable_engine(eng, path)
+    eng.save(path)
     _null_build_workers(path / "manifest.npz", "manifest_meta")
-    loaded = load_mutable_engine(path, eng.object_log(), rebuild_every=20)
+    loaded = MutableDetectionEngine.load(path, eng.object_log(), rebuild_every=20)
     assert loaded.build_workers == 1
     np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
     rebuilds = loaded.stats["rebuilds"]
@@ -717,9 +889,9 @@ def test_sharded_snapshot_with_null_build_workers(
 ):
     r, k = l2_params
     path = tmp_path / "sharded"
-    save_sharded_engine(sharded_engine, path)
+    sharded_engine.save(path)
     _null_build_workers(path / "manifest.npz", "manifest_meta")
-    loaded = load_sharded_engine(path, l2_dataset, workers=1)
+    loaded = ShardedDetectionEngine.load(path, l2_dataset, workers=1)
     assert loaded.build_workers == 1
     assert np.array_equal(
         loaded.query(r, k).outliers, sharded_engine.query(r, k).outliers
@@ -733,9 +905,9 @@ def test_mutable_sharded_snapshot_with_null_build_workers(blob_points, tmp_path)
     )
     reference = eng.detect(1.8, 5)
     path = tmp_path / "msharded"
-    save_mutable_sharded_engine(eng, path)
+    eng.save(path)
     _null_build_workers(path / "manifest.npz", "manifest_meta")
-    loaded = load_mutable_sharded_engine(path, eng.object_log(), workers=1)
+    loaded = MutableShardedDetectionEngine.load(path, eng.object_log(), workers=1)
     assert loaded.build_workers == 1
     np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
     new_index = loaded.split_shard()  # rebuilds both halves' graphs
