@@ -2,8 +2,9 @@
 """Exactness gate: sharded engine vs single-process engine vs brute force.
 
 Runs :class:`ShardedDetectionEngine` over small L2/L1/angular/Jaccard/
-edit datasets x graph builders x shard counts x partition strategies x
-execution modes and fails (exit 1) on any outlier set that differs from
+edit datasets x graph builders x shard plans (a contiguous split of the
+id range, or the engine's seeded permutation) and fails (exit 1) on any
+outlier set that differs from
 the scalar ``graph_dod`` oracle (itself cross-checked against brute
 force), or on warm re-queries that stop being pure cache hits.  One
 configuration additionally runs the multi-process backend and demands
@@ -34,11 +35,10 @@ from repro.index import brute_force_outliers
 
 GRAPHS = ("mrpg", "kgraph")
 SHARD_PLANS = ((2, "contiguous"), (3, "permuted"), (4, "permuted"))
-MODES = ("scalar", "batched")
 
 
 def check_config(dataset, graph_name, r_grid, k, label: str) -> list[str]:
-    """All shard-plan/mode equivalence checks for one configuration."""
+    """All shard-plan equivalence checks for one configuration."""
     failures: list[str] = []
     graph = build_graph(graph_name, dataset, K=8, rng=0)
     verifier = Verifier(dataset, strategy="linear")
@@ -51,25 +51,28 @@ def check_config(dataset, graph_name, r_grid, k, label: str) -> list[str]:
         if not np.array_equal(oracle.outliers, brute):
             failures.append(f"{label}: scalar oracle differs from brute force")
         references[r] = oracle.outliers
-    for n_shards, strategy in SHARD_PLANS:
-        for mode in MODES:
-            tag = f"{label} S={n_shards}/{strategy}/{mode}"
-            engine = ShardedDetectionEngine(
-                dataset, n_shards=n_shards, workers=1, strategy=strategy,
-                graph=graph_name, K=8, rng=0, mode=mode,
-            )
-            for r in r_grid:
-                served = engine.query(r, k)
-                if not np.array_equal(served.outliers, references[r]):
-                    failures.append(f"{tag}: outlier set differs at r={r:g}")
-                warm = engine.query(r, k)
-                if warm.pairs != 0:
-                    failures.append(
-                        f"{tag}: warm re-query cost {warm.pairs} pairs at r={r:g}"
-                    )
-                if not np.array_equal(warm.outliers, references[r]):
-                    failures.append(f"{tag}: warm outlier set differs at r={r:g}")
-            engine.close()
+    for n_shards, plan in SHARD_PLANS:
+        tag = f"{label} S={n_shards}/{plan}"
+        shard_ids = (
+            np.array_split(np.arange(dataset.n), n_shards)
+            if plan == "contiguous" else None
+        )
+        engine = ShardedDetectionEngine(
+            dataset, n_shards=n_shards, workers=1, graph=graph_name, K=8,
+            rng=0, shard_ids=shard_ids,
+        )
+        for r in r_grid:
+            served = engine.query(r, k)
+            if not np.array_equal(served.outliers, references[r]):
+                failures.append(f"{tag}: outlier set differs at r={r:g}")
+            warm = engine.query(r, k)
+            if warm.pairs != 0:
+                failures.append(
+                    f"{tag}: warm re-query cost {warm.pairs} pairs at r={r:g}"
+                )
+            if not np.array_equal(warm.outliers, references[r]):
+                failures.append(f"{tag}: warm outlier set differs at r={r:g}")
+        engine.close()
     return failures
 
 

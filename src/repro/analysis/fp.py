@@ -45,7 +45,6 @@ def filtering_stats(
     r: float,
     k: int,
     verifier: Verifier | None = None,
-    max_visits: int | None = None,
 ) -> FilterStats:
     """Run the filtering phase and score it against exact verification."""
     if not graph.finalized:
@@ -57,7 +56,7 @@ def filtering_stats(
     candidates: list[int] = []
     direct: list[int] = []
     for p in range(dataset.n):
-        outcome = classify(view, graph, p, r, k, tracker=tracker, max_visits=max_visits)
+        outcome = classify(view, graph, p, r, k, tracker=tracker)
         if outcome is FilterOutcome.CANDIDATE:
             candidates.append(p)
         elif outcome is FilterOutcome.OUTLIER:

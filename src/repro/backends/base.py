@@ -170,17 +170,18 @@ def resolve_backend(backend: "str | NumericBackend | None") -> NumericBackend:
 
     Accepts an instance (returned unchanged, so callers can share one
     across datasets and aggregate its stats), a registered name, or
-    ``None`` for the default ``numpy64``.  Unknown names and optional
-    backends whose dependency is absent raise :class:`BackendError`.
+    ``None`` for the default ``numpy64``.  Anything else (an unknown
+    name, a sequence of names) and optional backends whose dependency
+    is absent raise :class:`BackendError`.
     """
     if backend is None:
         return Numpy64Backend()
     if isinstance(backend, NumericBackend):
         return backend
-    if not isinstance(backend, str):
-        raise BackendError(f"cannot interpret {backend!r} as a numeric backend")
-    key = backend.strip().lower()
-    factory = _REGISTRY.get(key)
+    factory = (
+        _REGISTRY.get(backend.strip().lower())
+        if isinstance(backend, str) else None
+    )
     if factory is None:
         raise BackendError(
             f"unknown backend {backend!r}; known: {available_backends()}"

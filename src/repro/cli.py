@@ -51,10 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--K", type=int, default=16, help="graph degree")
     p_detect.add_argument("--seed", type=int, default=0)
     p_detect.add_argument("--n-jobs", type=int, default=1)
-    p_detect.add_argument("--mode", default="auto",
-                          choices=["auto", "scalar", "batched"],
-                          help="filter/verify execution: batched multi-source "
-                               "kernels or the scalar oracle path (same answer)")
     p_detect.add_argument("--shards", type=int, default=1,
                           help="partition the dataset into this many shards, "
                                "each owning a shard-local graph (exact merge)")
@@ -100,10 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--K", type=int, default=16, help="graph degree")
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--n-jobs", type=int, default=1)
-    p_sweep.add_argument("--mode", default="auto",
-                         choices=["auto", "scalar", "batched"],
-                         help="filter/verify execution: batched multi-source "
-                              "kernels or the scalar oracle path (same answer)")
     p_sweep.add_argument("--shards", type=int, default=1,
                          help="partition the dataset into this many shards, "
                               "each owning a shard-local graph (exact merge)")
@@ -228,8 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--K", type=int, default=16, help="graph degree")
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--n-jobs", type=int, default=1)
-    p_serve.add_argument("--mode", default="auto",
-                         choices=["auto", "scalar", "batched"])
     p_serve.add_argument("--shards", type=int, default=1,
                          help="serve from a sharded engine with this many shards")
     p_serve.add_argument("--workers", type=int, default=None,
@@ -358,8 +348,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     with create_engine(
         objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
         shards=args.shards, workers=args.workers, n_jobs=args.n_jobs,
-        mode=args.mode, backend=args.backend,
-        build_workers=args.build_workers,
+        backend=args.backend, build_workers=args.build_workers,
     ) as engine:
         result = engine.query(r, k)
         print(result.summary())
@@ -450,8 +439,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             engine = load_any_engine(
                 args.snapshot, dataset=dataset, workers=args.workers,
-                n_jobs=args.n_jobs, rng=args.seed, mode=args.mode,
-                backend=args.backend,
+                n_jobs=args.n_jobs, rng=args.seed, backend=args.backend,
             )
             print(f"loaded warm engine snapshot from {args.snapshot} "
                   f"({engine.stats['queries']} queries served before restart)")
@@ -469,8 +457,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine = create_engine(
             dataset, graph=args.graph, K=args.K, seed=args.seed,
             shards=args.shards, workers=args.workers, n_jobs=args.n_jobs,
-            mode=args.mode, backend=args.backend,
-            build_workers=args.build_workers,
+            backend=args.backend, build_workers=args.build_workers,
         )
 
     try:
@@ -713,8 +700,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = create_engine(
         objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
         shards=args.shards, workers=args.workers, mutable=args.mutable,
-        n_jobs=args.n_jobs, mode=args.mode,
-        backend=args.backend,
+        n_jobs=args.n_jobs, backend=args.backend,
         store="shm" if args.store == "shm" else "ram",
         build_workers=args.build_workers,
     )

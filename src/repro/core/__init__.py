@@ -8,12 +8,9 @@ from .counting import (
     FilterOutcome,
     VisitTracker,
     classify,
-    classify_chunk,
     classify_chunk_arrays,
     classify_evidence,
     greedy_count,
-    resolve_filter_mode,
-    split_outcomes,
 )
 from .dod import DODetector, detect_outliers, graph_dod
 from .parallel import (
@@ -42,14 +39,11 @@ __all__ = [
     "BLOCK_ELEM_BUDGET",
     "block_rows",
     "classify",
-    "classify_chunk",
     "classify_chunk_arrays",
-    "resolve_filter_mode",
     "INLIER_CODE",
     "CANDIDATE_CODE",
     "OUTLIER_CODE",
     "classify_evidence",
-    "split_outcomes",
     "FilterEvidence",
     "FilterOutcome",
     "VisitTracker",

@@ -20,7 +20,7 @@ Frontier expansion is batched: one vectorised distance kernel per popped
 vertex, over all its unvisited neighbors.  This scalar walk is the
 exactness oracle; the production path is the multi-source
 level-synchronous kernel in :mod:`repro.core.traversal`, reached through
-``classify_chunk(_arrays)``'s ``mode`` knob and bit-identical on every
+``classify_chunk_arrays``'s ``mode`` knob and bit-identical on every
 verdict and sub-``k`` count.  Ahead of either walk,
 ``classify_chunk_arrays`` can prove inliers from stored center
 distances (:mod:`repro.index.cells`) — beyond the paper, and only when
@@ -100,27 +100,19 @@ def greedy_count(
     r: float,
     k: int,
     tracker: VisitTracker | None = None,
-    follow_pivots: bool | None = None,
-    max_visits: int | None = None,
 ) -> int:
     """Count neighbors of ``p`` by greedy graph traversal, stopping at ``k``.
 
     Returns a value ``>= k`` iff at least ``k`` neighbors were confirmed;
     otherwise the (possibly understated) number of confirmed neighbors.
-
-    ``max_visits`` optionally caps the number of traversed vertices; a
-    cap can only inflate false positives, never break exactness.
     """
     r, k = check_query(r, k)
     if tracker is None:
         tracker = VisitTracker(graph.n)
-    if follow_pivots is None:
-        follow_pivots = bool(graph.pivots.any())
     tracker.new_epoch()
     tracker.visit_one(p)
 
     count = 0
-    visits = 0
     queue: deque[int] = deque([p])
     pivots = graph.pivots
     while queue:
@@ -132,17 +124,13 @@ def greedy_count(
         if fresh.size == 0:
             continue
         tracker.visit(fresh)
-        visits += fresh.size
         d = dataset.dist_many(p, fresh, bound=r)
         within = d <= r
         count += int(np.count_nonzero(within))
         if count >= k:
             return count
         queue.extend(fresh[within].tolist())
-        if follow_pivots:
-            queue.extend(fresh[~within & pivots[fresh]].tolist())
-        if max_visits is not None and visits >= max_visits:
-            break
+        queue.extend(fresh[~within & pivots[fresh]].tolist())
     return count
 
 
@@ -180,8 +168,6 @@ def classify_evidence(
     r: float,
     k: int,
     tracker: VisitTracker | None = None,
-    follow_pivots: bool | None = None,
-    max_visits: int | None = None,
 ) -> FilterEvidence:
     """Filtering-phase verdict for object ``p`` plus the count evidence
     backing it (Algorithm 1, lines 3-5, with the §5.5 replacement for
@@ -189,16 +175,7 @@ def classify_evidence(
     shortcut = exact_knn_shortcut(graph, p, r, k)
     if shortcut is not None:
         return shortcut
-    count = greedy_count(
-        dataset,
-        graph,
-        p,
-        r,
-        k,
-        tracker=tracker,
-        follow_pivots=follow_pivots,
-        max_visits=max_visits,
-    )
+    count = greedy_count(dataset, graph, p, r, k, tracker=tracker)
     outcome = FilterOutcome.INLIER if count >= k else FilterOutcome.CANDIDATE
     return FilterEvidence(outcome, count, exact=False)
 
@@ -210,45 +187,13 @@ def classify(
     r: float,
     k: int,
     tracker: VisitTracker | None = None,
-    follow_pivots: bool | None = None,
-    max_visits: int | None = None,
 ) -> FilterOutcome:
     """Filtering-phase verdict for object ``p`` (evidence discarded)."""
-    return classify_evidence(
-        dataset,
-        graph,
-        p,
-        r,
-        k,
-        tracker=tracker,
-        follow_pivots=follow_pivots,
-        max_visits=max_visits,
-    ).outcome
+    return classify_evidence(dataset, graph, p, r, k, tracker=tracker).outcome
 
 
-#: recognised filtering execution modes.
-FILTER_MODES = ("auto", "scalar", "batched")
-
-
-def resolve_filter_mode(mode: str, max_visits: int | None) -> str:
-    """Pick the concrete filtering mode for a request.
-
-    ``auto`` prefers the batched level-synchronous kernel and falls back
-    to the scalar walk when ``max_visits`` is set (the visit cap is
-    visit-order-dependent, which a level-synchronous walk cannot
-    reproduce).  Asking for ``batched`` *with* a cap is a contradiction
-    and raises.
-    """
-    if mode not in FILTER_MODES:
-        raise ParameterError(f"unknown filter mode {mode!r}; known: {FILTER_MODES}")
-    if mode == "auto":
-        return "scalar" if max_visits is not None else "batched"
-    if mode == "batched" and max_visits is not None:
-        raise ParameterError(
-            "batched filtering cannot honor max_visits (order-dependent); "
-            "use mode='scalar' or mode='auto'"
-        )
-    return mode
+#: filtering execution modes: the batched kernels, or the scalar oracle.
+FILTER_MODES = ("batched", "scalar")
 
 
 #: integer outcome codes used by the array-returning filter API.
@@ -262,55 +207,49 @@ def classify_chunk_arrays(
     chunk: np.ndarray,
     r: float,
     k: int,
-    tracker: VisitTracker | None = None,
-    follow_pivots: bool | None = None,
-    max_visits: int | None = None,
-    mode: str = "auto",
+    mode: str = "batched",
     block_tracker: "BlockTracker | None" = None,
     cells: "CenterCells | None" = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array-form filtering verdicts: ``(ids, counts, codes, exact)``.
+    """Filtering verdicts for ``chunk`` as flat arrays:
+    ``(ids, counts, codes, exact)``.
 
-    The flat-array counterpart of :func:`classify_chunk` (same order as
-    ``chunk``; ``codes`` holds :data:`INLIER_CODE` /
-    :data:`CANDIDATE_CODE` / :data:`OUTLIER_CODE`).  This is the form
-    the hot paths (``graph_dod``, the engine) consume — no per-object
-    Python objects.
+    The shared per-chunk body of Algorithm 1's filtering loop:
+    :func:`~repro.core.dod.graph_dod` and every engine run exactly this
+    over their chunks, so the filter semantics cannot drift between
+    the one-shot and the serving path.  Arrays follow ``chunk``'s
+    order; ``codes`` holds :data:`INLIER_CODE` / :data:`CANDIDATE_CODE`
+    / :data:`OUTLIER_CODE`.
 
     Every object is decided by the first of three steps that settles
     it: the §5.5 exact-K'NN shortcut (holders with ``k <= K'``); then,
     when ``cells`` is given, the center-cell certificate
     (:mod:`repro.index.cells`), which proves inliers from stored center
     distances; then Greedy-Counting.  ``mode`` selects how the steps
-    run — ``"scalar"`` takes one object at a time through
-    :func:`exact_knn_shortcut` and :func:`greedy_count` (the exactness
-    oracle), ``"batched"`` vectorises the shortcut and walks the rest
-    with the level-synchronous multi-source kernel in blocks of
-    :func:`~repro.core.traversal.block_rows` sources, ``"auto"`` picks
-    batched unless ``max_visits`` forces the scalar walk.  Verdicts and
-    sub-``k`` counts are identical in every mode.
+    run — ``"batched"`` (the default) vectorises the shortcut and walks
+    the rest with the level-synchronous multi-source kernel in blocks
+    of :func:`~repro.core.traversal.block_rows` sources, ``"scalar"``
+    takes one object at a time through :func:`exact_knn_shortcut` and
+    :func:`greedy_count` (the exactness oracle).  Verdicts and
+    sub-``k`` counts are identical in both modes.
     """
     r, k = check_query(r, k)
-    concrete = resolve_filter_mode(mode, max_visits)
+    if mode not in FILTER_MODES:
+        raise ParameterError(f"unknown filter mode {mode!r}; known: {FILTER_MODES}")
     chunk = np.asarray(chunk, dtype=np.int64)
     counts = np.zeros(chunk.size, dtype=np.int64)
     codes = np.empty(chunk.size, dtype=np.int8)
     exact = np.zeros(chunk.size, dtype=bool)
 
-    if concrete == "scalar":
+    if mode == "scalar":
         cert = None if cells is None else cells.certify(chunk, r, k)
-        if tracker is None:
-            tracker = VisitTracker(graph.n)
+        tracker = VisitTracker(graph.n)
         for t, p in enumerate(chunk):
             ev = exact_knn_shortcut(graph, int(p), r, k)
             if ev is None and cert is not None and cert[t] >= k:
                 ev = FilterEvidence(FilterOutcome.INLIER, int(cert[t]), exact=False)
             if ev is None:
-                count = greedy_count(
-                    dataset, graph, int(p), r, k,
-                    tracker=tracker, follow_pivots=follow_pivots,
-                    max_visits=max_visits,
-                )
+                count = greedy_count(dataset, graph, int(p), r, k, tracker=tracker)
                 outcome = FilterOutcome.INLIER if count >= k else FilterOutcome.CANDIDATE
                 ev = FilterEvidence(outcome, count, exact=False)
             counts[t] = ev.count
@@ -362,57 +301,10 @@ def classify_chunk_arrays(
         for lo in range(0, walk_pos.size, rows):
             pos_blk = walk_pos[lo:lo + rows]
             counts[pos_blk] = greedy_count_block(
-                dataset, graph, chunk[pos_blk], r, k,
-                tracker=block_tracker, follow_pivots=follow_pivots,
+                dataset, graph, chunk[pos_blk], r, k, tracker=block_tracker,
             )
         codes[walk_pos] = np.where(
             counts[walk_pos] >= k, INLIER_CODE, CANDIDATE_CODE
         )
     return chunk, counts, codes, exact
 
-
-def classify_chunk(
-    dataset: Dataset,
-    graph: Graph,
-    chunk: np.ndarray,
-    r: float,
-    k: int,
-    tracker: VisitTracker | None = None,
-    follow_pivots: bool | None = None,
-    max_visits: int | None = None,
-    mode: str = "auto",
-    block_tracker: "BlockTracker | None" = None,
-) -> list[tuple[int, FilterEvidence]]:
-    """The shared per-chunk body of Algorithm 1's filtering loop.
-
-    Both :func:`~repro.core.dod.graph_dod` and the multi-query engine
-    run exactly this (via the array form,
-    :func:`classify_chunk_arrays`) over their worker chunks, so the
-    filter semantics cannot drift between the one-shot and the serving
-    path.  See :func:`classify_chunk_arrays` for the ``mode`` knob;
-    verdicts and sub-``k`` counts are identical in every mode.
-    """
-    ids, counts, codes, exact = classify_chunk_arrays(
-        dataset, graph, chunk, r, k,
-        tracker=tracker, follow_pivots=follow_pivots, max_visits=max_visits,
-        mode=mode, block_tracker=block_tracker,
-    )
-    return [
-        (int(p), FilterEvidence(_CODE_TO_OUTCOME[c], int(cnt), bool(e)))
-        for p, cnt, c, e in zip(ids, counts, codes, exact)
-    ]
-
-
-def split_outcomes(
-    results: "list[tuple[int, FilterEvidence]]",
-) -> tuple[list[int], list[int]]:
-    """Partition :func:`classify_chunk` output into Algorithm 1's two
-    follow-up sets: verification candidates and direct outliers.
-
-    Part of the list-based compatibility API around
-    :func:`classify_chunk`; the production paths (``graph_dod``, the
-    engine) split the code arrays of :func:`classify_chunk_arrays`
-    directly instead."""
-    candidates = [p for p, ev in results if ev.outcome is FilterOutcome.CANDIDATE]
-    direct = [p for p, ev in results if ev.outcome is FilterOutcome.OUTLIER]
-    return candidates, direct

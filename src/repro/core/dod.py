@@ -40,10 +40,8 @@ def graph_dod(
     verifier: Verifier | None = None,
     n_jobs: int = 1,
     rng: "int | np.random.Generator | None" = 0,
-    max_visits: int | None = None,
-    follow_pivots: bool | None = None,
     collect_evidence: bool = False,
-    mode: str = "auto",
+    mode: str = "batched",
     cells: CenterCells | None = None,
 ) -> DODResult:
     """Run Algorithm 1 and return the exact outlier set.
@@ -56,12 +54,11 @@ def graph_dod(
     :class:`~repro.engine.DetectionEngine` can ingest to warm its cache.
 
     ``mode`` selects the execution strategy for both phases:
-    ``"batched"`` runs the multi-source level-synchronous filter kernel
-    (one memory-budgeted block of query objects per call on graphs up
-    to ~1.4k vertices) and the store-sweep verifier; ``"scalar"`` runs
-    the one-object-at-a-time oracle path; ``"auto"`` (default) picks
-    batched unless ``max_visits`` requires the scalar walk.  The
-    outlier set is identical in every mode.
+    ``"batched"`` (the default) runs the multi-source level-synchronous
+    filter kernel (one memory-budgeted block of query objects per call
+    on graphs up to ~1.4k vertices) and the batched verifier;
+    ``"scalar"`` runs the one-object-at-a-time oracle path.  The outlier
+    set is identical in both modes.
 
     ``cells`` is an index argument like ``verifier``: with the
     :class:`~repro.index.cells.CenterCells` built over ``dataset``, the
@@ -101,9 +98,7 @@ def graph_dod(
 
     def filter_worker(view: Dataset, chunk: np.ndarray):
         return classify_chunk_arrays(
-            view, graph, chunk, r, k,
-            follow_pivots=follow_pivots, max_visits=max_visits,
-            mode=mode, cells=cells,
+            view, graph, chunk, r, k, mode=mode, cells=cells
         )
 
     chunk_results, filter_pairs = map_over_objects(
@@ -185,18 +180,12 @@ class DODetector:
         graph: str = "mrpg",
         K: int = 16,
         seed: "int | None" = 0,
-        verify: str = "auto",
-        max_visits: int | None = None,
-        mode: str = "auto",
         **graph_params,
     ):
         self.metric = metric
         self.graph_name = graph
         self.K = K
         self.seed = seed
-        self.verify = verify
-        self.max_visits = max_visits
-        self.mode = mode
         self.graph_params = graph_params
         self.dataset_: Dataset | None = None
         self.graph_: Graph | None = None
@@ -211,7 +200,7 @@ class DODetector:
         self.graph_ = build_graph(
             self.graph_name, self.dataset_, K=self.K, rng=gen, **self.graph_params
         )
-        self.verifier_ = Verifier(self.dataset_, strategy=self.verify, rng=gen)
+        self.verifier_ = Verifier(self.dataset_, rng=gen)
         self.cells_ = build_cells(self.dataset_)
         return self
 
@@ -232,8 +221,6 @@ class DODetector:
             verifier=self.verifier_,
             n_jobs=n_jobs,
             rng=ensure_rng(self.seed),
-            max_visits=self.max_visits,
-            mode=self.mode,
             cells=self.cells_,
         )
 
@@ -258,8 +245,6 @@ class DODetector:
             verifier=self.verifier_,
             n_jobs=n_jobs,
             rng=ensure_rng(self.seed),
-            max_visits=self.max_visits,
-            mode=self.mode,
             cells=self.cells_,
         )
 

@@ -60,8 +60,8 @@ class WorkerPool:
     process answering a stream of ``(r, k)`` queries.  A ``WorkerPool``
     allocates both once; workers additionally receive their *slot* index
     so callers can pin per-slot scratch state (e.g. one
-    :class:`~repro.core.counting.VisitTracker` per worker) for the pool's
-    lifetime.
+    :class:`~repro.core.traversal.BlockTracker` per worker) for the
+    pool's lifetime.
     """
 
     def __init__(

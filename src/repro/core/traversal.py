@@ -36,9 +36,7 @@ that does not depend on visit order.  A source is only ever skipped
 (mid-level or across levels) after its count reached ``k``, so
 sub-``k`` counts are *identical* to the scalar walk's, and a count that
 reaches ``k`` does so in both orders (the two may disagree on how far
-``>= k`` overshoots, which no caller relies on).  ``max_visits`` is the
-one knob that is inherently order-dependent, so batched callers fall
-back to the scalar walk when it is set.
+``>= k`` overshoots, which no caller relies on).
 
 Distances are evaluated through ``Dataset.pair_dist``, whose values are
 the floats the scalar path's ``dist_many`` produces (the kernel contract
@@ -136,7 +134,6 @@ def greedy_count_block(
     r: float,
     k: int,
     tracker: BlockTracker | None = None,
-    follow_pivots: bool | None = None,
 ) -> np.ndarray:
     """Greedy-Counting for every object in ``sources`` at once.
 
@@ -157,8 +154,6 @@ def greedy_count_block(
             f"BlockTracker(n={tracker.n}, block_size={tracker.block_size}) "
             f"cannot serve {nsrc} sources over a {graph.n}-vertex graph"
         )
-    if follow_pivots is None:
-        follow_pivots = bool(graph.pivots.any())
     indptr, indices = graph.csr()
     pivots = graph.pivots
     n = graph.n
@@ -259,10 +254,7 @@ def greedy_count_block(
             counts += np.bincount(s_slot[within], minlength=nsrc)
             alive &= counts < k
             # enqueue confirmed neighbors plus out-of-range pivots
-            expand = within
-            if follow_pivots:
-                expand = expand | (pivots[s_vtx] & ~within)
-            keep = expand & alive[s_slot]
+            keep = (within | pivots[s_vtx]) & alive[s_slot]
             if keep.any():
                 grown.append(s_slot[keep] * n + s_vtx[keep])
         work_key = np.concatenate(grown) if len(grown) > 1 else grown[0]

@@ -141,24 +141,24 @@ class Verifier:
         r: float,
         k: int,
         dataset: Dataset | None = None,
-        mode: str = "scalar",
+        mode: str = "batched",
     ) -> list[tuple[int, int, bool]]:
         """The shared per-chunk body of Algorithm 1's verification loop:
         ``(object, count, exact)`` triples for every candidate in
         ``chunk``.  Used identically by ``graph_dod`` and the engine.
 
-        ``mode="batched"``/``"auto"`` routes through :meth:`verify_block`
-        (identical verdicts, one kernel per tree level or store chunk
-        instead of one count per candidate); ``"scalar"`` keeps the
-        per-object loop, the oracle the batched paths are checked
-        against.
+        ``mode="batched"`` (the default) routes through
+        :meth:`verify_block` (identical verdicts, one kernel per tree
+        level or store chunk instead of one count per candidate);
+        ``"scalar"`` keeps the per-object loop, the oracle the batched
+        paths are checked against.
         """
         if mode not in FILTER_MODES:
             raise ParameterError(
                 f"unknown verify mode {mode!r}; known: {FILTER_MODES}"
             )
         r, k = check_query(r, k)
-        if mode in ("auto", "batched"):
+        if mode == "batched":
             return self.verify_block(chunk, r, k, dataset=dataset)
         return [
             (int(p), *self.count_evidence(int(p), r, k, dataset=dataset))

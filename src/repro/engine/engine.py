@@ -12,8 +12,8 @@ long-lived serving asset:
   in ``(r, k)`` — only the undecided residue touches the graph;
 * filter/verify work for the residue runs on one persistent
   :class:`~repro.core.parallel.WorkerPool` with per-worker
-  :class:`~repro.core.counting.VisitTracker` scratch, shared across the
-  whole query stream.
+  :class:`~repro.core.traversal.BlockTracker` scratch, shared across
+  the whole query stream.
 
 Answers are **exactly** the :func:`graph_dod` outlier sets: the cache
 only ever stores proven bounds, and the residue path is Algorithm 1
@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.counting import (
-    CANDIDATE_CODE,
-    OUTLIER_CODE,
-    VisitTracker,
-    classify_chunk_arrays,
-    resolve_filter_mode,
-)
+from ..core.counting import CANDIDATE_CODE, OUTLIER_CODE, classify_chunk_arrays
 from ..core.parallel import WorkerPool
 from ..core.traversal import BlockTracker
 from ..core.result import DODResult, ObjectEvidence
@@ -131,9 +125,6 @@ class DetectionEngine:
         verifier: Verifier | None = None,
         n_jobs: int = 1,
         rng: "int | np.random.Generator | None" = 0,
-        max_visits: int | None = None,
-        follow_pivots: bool | None = None,
-        mode: str = "auto",
         cache_radii: int | None = None,
         backend: "str | None" = None,
         cells: CenterCells | None = None,
@@ -153,10 +144,6 @@ class DetectionEngine:
         self.dataset = dataset
         self.graph = graph
         self.verifier = verifier if verifier is not None else Verifier(dataset)
-        self.max_visits = max_visits
-        self.follow_pivots = follow_pivots
-        resolve_filter_mode(mode, max_visits)  # fail fast on bad combinations
-        self.mode = mode
         #: the center-cell certificate ahead of Greedy-Counting (an index
         #: argument like ``verifier``; ``None`` runs Algorithm 1 as published).
         self.cells = cells
@@ -181,9 +168,8 @@ class DetectionEngine:
             "memoised": 0,
         }
         self._pool = WorkerPool(dataset, n_jobs=n_jobs, rng=ensure_rng(rng))
-        self._trackers = [VisitTracker(graph.n) for _ in range(self._pool.n_jobs)]
-        # Batched-mode scratch, one per worker slot, allocated on first use
-        # (a slot's stamp matrix is one budget-sized block, see block_rows).
+        # Walk scratch, one per worker slot, allocated on first use (a
+        # slot's stamp matrix is one budget-sized block, see block_rows).
         self._block_trackers: list[BlockTracker | None] = [
             None for _ in range(self._pool.n_jobs)
         ]
@@ -208,10 +194,7 @@ class DetectionEngine:
         graph: str = "mrpg",
         K: int = 16,
         seed: "int | None" = 0,
-        verify: str = "auto",
         n_jobs: int = 1,
-        max_visits: int | None = None,
-        mode: str = "auto",
         cache_radii: int | None = None,
         backend: "str | None" = None,
         build_workers: int = 1,
@@ -229,15 +212,12 @@ class DetectionEngine:
             graph, dataset, K=K, rng=gen, build_workers=build_workers,
             **graph_params,
         )
-        verifier = Verifier(dataset, strategy=verify, rng=gen)
         return cls(
             dataset,
             built,
-            verifier=verifier,
+            verifier=Verifier(dataset, rng=gen),
             n_jobs=n_jobs,
             rng=gen,
-            max_visits=max_visits,
-            mode=mode,
             cache_radii=cache_radii,
             backend=backend,
             cells=build_cells(dataset),
@@ -338,23 +318,18 @@ class DetectionEngine:
         cache_seconds = time.perf_counter() - t0
 
         # -- filter phase: Greedy-Counting over the residue -------------------
-        # Runs the same shared chunk bodies as graph_dod (classify_chunk /
-        # Verifier.verify_chunk), so the serving path cannot drift from
-        # the reference path it must stay bit-identical to.
+        # Runs the same shared chunk bodies as graph_dod
+        # (classify_chunk_arrays / Verifier.verify_chunk), so the serving
+        # path cannot drift from the reference path it must stay
+        # bit-identical to.
         t0 = time.perf_counter()
 
         def filter_worker(view: Dataset, chunk: np.ndarray, slot: int):
-            if chunk.size and self.mode != "scalar" and self.max_visits is None:
-                if self._block_trackers[slot] is None:
-                    self._block_trackers[slot] = BlockTracker(graph.n)
+            if chunk.size and self._block_trackers[slot] is None:
+                self._block_trackers[slot] = BlockTracker(graph.n)
             return classify_chunk_arrays(
                 view, graph, chunk, r, k,
-                tracker=self._trackers[slot],
-                follow_pivots=self.follow_pivots,
-                max_visits=self.max_visits,
-                mode=self.mode,
-                block_tracker=self._block_trackers[slot],
-                cells=self.cells,
+                block_tracker=self._block_trackers[slot], cells=self.cells,
             )
 
         filter_results, filter_pairs = self._pool.map(undecided, filter_worker)
@@ -402,7 +377,7 @@ class DetectionEngine:
                 )
 
         def verify_worker(view: Dataset, chunk: np.ndarray, slot: int):
-            return verifier.verify_chunk(chunk, r, k, dataset=view, mode=self.mode)
+            return verifier.verify_chunk(chunk, r, k, dataset=view)
 
         verify_results, verify_pairs = self._pool.map(candidates, verify_worker)
         verify_pairs += memo_pairs

@@ -60,8 +60,8 @@ class MutableDetectionEngine:
     ----------
     metric, K, seed:
         The metric, the incremental graph degree and the rng seed.
-    n_jobs, mode:
-        Execution knobs handed to the compacted serving engine.
+    n_jobs:
+        Worker threads of the compacted serving engine.
     rebuild_graph:
         Builder used by :meth:`rebuild` (default MRPG).
     rebuild_every:
@@ -82,7 +82,6 @@ class MutableDetectionEngine:
         K: int = 16,
         seed: "int | None" = 0,
         n_jobs: int = 1,
-        mode: str = "auto",
         rebuild_graph: str = "mrpg",
         rebuild_every: "int | None" = None,
         cache_radii: "int | None" = None,
@@ -99,7 +98,6 @@ class MutableDetectionEngine:
         self.metric = resolve_metric(metric)
         self.K = int(K)
         self.n_jobs = int(n_jobs)
-        self.mode = mode
         self.rebuild_graph = rebuild_graph
         self.rebuild_every = rebuild_every
         self.build_workers = int(build_workers)
@@ -128,7 +126,7 @@ class MutableDetectionEngine:
         """A worker owning every id, over ``state`` (see its constructor)."""
         return MutableShardWorker(
             self.metric, 0, K=self.K,
-            seed=int(self._rng.integers(0, 2**63 - 1)), mode=self.mode,
+            seed=int(self._rng.integers(0, 2**63 - 1)),
             graph=self.rebuild_graph, cache_radii=self.cache_radii,
             pinned=pinned, backend=self._backend,
             build_workers=self.build_workers, **state,
@@ -258,7 +256,6 @@ class MutableDetectionEngine:
             verifier=Verifier(view, strategy="linear"),
             n_jobs=self.n_jobs,
             rng=self._rng,
-            mode=self.mode,
             cache_radii=self.cache_radii,
         )
         engine.cache = self._worker.cache.take(serve.ids)
@@ -434,7 +431,7 @@ class MutableDetectionEngine:
     def load(cls, path, objects, **kwargs) -> "MutableDetectionEngine":
         """Rebuild a saved one-shard mutable engine against its full
         object log, tombstoned positions included.  ``kwargs`` are
-        constructor knobs (``n_jobs``, ``mode``, ``rebuild_every``, ...);
+        constructor knobs (``n_jobs``, ``rebuild_every``, ...);
         a one-shard snapshot of the sharded engine loads too.
         """
         from ..io import read_snapshot

@@ -35,8 +35,9 @@ surface:
 * **Online rebalancing.**  :meth:`split_shard` / :meth:`merge_shards`
   (and the :meth:`rebalance` policy) repartition membership between
   epochs: queries drain on a :meth:`~repro.core.parallel.ShardPool.barrier`,
-  only the *affected* shards rebuild their sub-graphs (and restart
-  their caches), unaffected shards transplant their state untouched.
+  only the *affected* shards rebuild their sub-graphs (and split or
+  add their evidence), unaffected shards transplant their state
+  untouched.
   Exactness is indifferent to the partition, so a query issued after a
   split/merge returns the same outlier set as a fresh fit.
 """
@@ -49,7 +50,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ..core.counting import resolve_filter_mode
 from ..core.result import DODResult
 from ..core.store import SharedObjectStore
 from ..backends import resolve_backend
@@ -87,7 +87,6 @@ class MutableShardWorker(ShardWorker):
         shard_index: int,
         K: int = 16,
         seed: int = 0,
-        mode: str = "auto",
         graph: str = "mrpg",
         cache_radii: "int | None" = None,
         pinned: Sequence[float] = (),
@@ -106,11 +105,11 @@ class MutableShardWorker(ShardWorker):
         self.metric = resolve_metric(metric)
         self.shard_index = int(shard_index)
         # Resolved in the worker process: each shard owns its backend
-        # instance (screen state + counters), so per-shard backend
-        # choices need nothing shared beyond the name.
+        # instance (screen state + counters), so nothing beyond the
+        # name is shared.
         self._init_serving(
             None, None if backend is None else resolve_backend(backend),
-            mode, None, knn_radii,
+            None, knn_radii,
         )
         self.K = int(K)
         self.graph_name = graph
@@ -605,14 +604,12 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         graph: str = "mrpg",
         K: int = 16,
         seed: "int | None" = 0,
-        mode: str = "auto",
         pinned: Sequence[float] = (),
         cache_radii: "int | None" = None,
         rebuild_every: "int | None" = None,
         start_method: "str | None" = None,
-        backend: "str | Sequence[str] | None" = None,
+        backend: "str | None" = None,
         store: str = "list",
-        evidence_transfer: bool = True,
         build_workers: int = 1,
     ):
         if n_shards < 1:
@@ -643,8 +640,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self._store: "SharedObjectStore | None" = None
         self.graph_name = graph
         self.K = int(K)
-        resolve_filter_mode(mode, None)
-        self.mode = mode
         self.cache_radii = cache_radii
         self.rebuild_every = rebuild_every
         self.build_workers = int(build_workers)
@@ -660,23 +655,10 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self._workers_requested = max(1, int(workers))
         self.workers = min(self._workers_requested, self.n_shards)
         self._start_method = start_method
-        # Backend spec: a scalar name applies to every shard; a sequence
-        # assigns per shard and cycles if rebalancing later changes the
-        # shard count (split/merge keeps whatever pattern was given).
-        # Resolve each distinct name now so unknown backends fail here,
-        # not inside a worker process.
-        if backend is None or isinstance(backend, str):
-            self._backend_spec: "tuple[str | None, ...]" = (backend,)
-        else:
-            names = tuple(None if b is None else str(b) for b in backend)
-            if len(names) != self.n_shards:
-                raise ParameterError(
-                    f"backend list has {len(names)} entries for "
-                    f"{self.n_shards} shards"
-                )
-            self._backend_spec = names if names else (None,)
-        for name in {b for b in self._backend_spec if b is not None}:
-            resolve_backend(name)
+        # One backend name for every shard, resolved now so an unknown
+        # backend fails here, not inside a worker process.
+        self._backend = backend
+        self.backend_name = resolve_backend(backend).name
         self._objects: list[Any] = []
         self._alive: list[bool] = []
         self._shard_of_list: list[int] = []
@@ -684,7 +666,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self.epoch = 0
         self.pairs = 0
         self.last_insert_neighbors: list[dict[float, np.ndarray]] = []
-        self.evidence_transfer = bool(evidence_transfer)
         self.stats = self._fresh_merge_stats()
         self.stats.update({
             "inserts": 0,
@@ -719,7 +700,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "shard_index": shard_index,
             "K": self.K,
             "seed": int(self._rng.integers(0, 2**63 - 1)),
-            "mode": self.mode,
             "graph": self.graph_name,
             "cache_radii": self.cache_radii,
             "pinned": sorted(self._pinned | set(state.get("pinned", ()))),
@@ -736,9 +716,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "cache_state": state.get("cache"),
             "knn_radii": tuple(state.get("knn_radii", ())),
             "build": bool(state.get("build", False)),
-            "backend": self._backend_spec[
-                shard_index % len(self._backend_spec)
-            ],
+            "backend": self._backend,
             "build_workers": self.build_workers,
         }
         return kwargs
@@ -787,9 +765,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         else:
             n = len(objects)
             self._objects = objects
-        shards = plan_shards(
-            n, min(self.n_shards, n), strategy="permuted", rng=self._rng
-        )
+        shards = plan_shards(n, min(self.n_shards, n), rng=self._rng)
         self._alive = [True] * n
         self._shard_of_list = [0] * n
         for s, ids in enumerate(shards):
@@ -880,6 +856,10 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         )
 
     def object_log(self) -> list:
+        """The full log, tombstoned positions included.  On the shared
+        store these are the stored prepared rows; :meth:`load` wants
+        the objects as inserted (angular rows prepared twice change
+        bits, and the snapshot fingerprint refuses them)."""
         if self.store_kind == "shm":
             if self._store is None:
                 return []
@@ -887,13 +867,10 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         return list(self._objects)
 
     def log_dataset(self) -> Dataset:
-        """The full log (dead rows included), prepared exactly once.
-
-        Snapshot fingerprints are computed over this: the shared store
-        already holds once-prepared rows (re-preparing an angular store
-        would re-normalise and change bits), the list store prepares its
-        raw log here.
-        """
+        """The full log (dead rows included), prepared exactly once: the
+        shared store already holds prepared rows (re-preparing an
+        angular store would re-normalise and change bits), the list
+        store prepares its raw log here."""
         if self.store_kind == "shm":
             return Dataset.from_prepared(self._store_rows(), self.metric)
         return Dataset(
@@ -1109,9 +1086,9 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         The split is an **epoch boundary**: in-flight queries drain on
         the pool barrier, every worker's state is collected, and a new
         pool starts with ``S + 1`` actors — the source shard and the
-        new shard rebuild their sub-graphs over their halves (fresh
-        caches), every other shard transplants its graph and evidence
-        untouched.
+        new shard rebuild their sub-graphs over their halves and split
+        the source's evidence between them (:meth:`_split_evidence`),
+        every other shard transplants its graph and evidence untouched.
         """
         sizes = self.shard_sizes()
         s = int(np.argmax(sizes)) if shard is None else int(shard)
@@ -1129,11 +1106,9 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         stay, move = np.sort(halves[0]), np.sort(halves[1])
         new_index = self.n_shards
         states = self._collect_states()
-        stay_cache = move_cache = None
-        if self.evidence_transfer:
-            stay_cache, move_cache = self._split_evidence(
-                states[s].get("cache"), move
-            )
+        stay_cache, move_cache = self._split_evidence(
+            states[s].get("cache"), move
+        )
         states[s] = {
             "member_gids": stay.tolist(), "build": True,
             "cache": stay_cache,
@@ -1153,9 +1128,10 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     ) -> int:
         """Fold the (given or smallest) shard into another; returns target.
 
-        The source's members move to the target shard (which rebuilds
-        its sub-graph over the union, fresh cache); every other shard
-        transplants.  Shard indices above the source shift down by one.
+        The source's members move to the target shard, which rebuilds
+        its sub-graph over the union and adds the two shards' evidence
+        (:meth:`_merge_evidence`); every other shard transplants.  Shard
+        indices above the source shift down by one.
         """
         if self.n_shards < 2:
             raise ParameterError("merge_shards needs at least two shards")
@@ -1178,11 +1154,9 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         union = np.flatnonzero(
             alive & ((shard_of == source) | (shard_of == target))
         )
-        merged_cache = None
-        if self.evidence_transfer:
-            merged_cache = self._merge_evidence(
-                states[source].get("cache"), states[target].get("cache")
-            )
+        merged_cache = self._merge_evidence(
+            states[source].get("cache"), states[target].get("cache")
+        )
         states[target] = {
             "member_gids": union.tolist(), "build": True,
             "cache": merged_cache,
@@ -1346,7 +1320,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     def load(cls, path, objects, **kwargs) -> "MutableShardedDetectionEngine":
         """Rebuild a saved mutable engine (any shard count) against its
         full object log, tombstoned positions included.  ``kwargs`` are
-        execution knobs for the constructor (``workers``, ``mode``, ...).
+        execution knobs for the constructor (``workers``, ``backend``, ...).
         """
         from ..io import read_snapshot
 
@@ -1397,13 +1371,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             f"mutable sharded engine, {self.n_active} live / "
             f"{self.n_total} total ids, {self.n_shards} shards on "
             f"{self.workers} worker process(es), epoch {self.epoch}"
-        )
-
-    @property
-    def backend_name(self) -> str:
-        """The numeric backend(s) in use, ``+``-joined when mixed."""
-        return "+".join(
-            sorted({b or "numpy64" for b in self._backend_spec})
         )
 
     def backend_stats(self) -> dict:

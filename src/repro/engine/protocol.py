@@ -217,13 +217,11 @@ def create_engine(
     workers: "int | None" = None,
     mutable: bool = False,
     n_jobs: int = 1,
-    mode: str = "auto",
-    strategy: str = "permuted",
     pinned: Sequence[float] = (),
     cache_radii: "int | None" = None,
     rebuild_every: "int | None" = None,
     start_method: "str | None" = None,
-    backend: "str | Sequence[str] | None" = None,
+    backend: "str | None" = None,
     store: str = "ram",
     build_workers: int = 1,
     **graph_params,
@@ -241,9 +239,8 @@ def create_engine(
     (static engines require it; mutable engines may start empty and be
     populated through ``insert``).  ``shards > 1`` selects a sharded
     engine, ``mutable=True`` a mutable one; both together compose into
-    the mutable sharded engine.  ``backend`` picks the numeric backend
-    (:mod:`repro.backends`) — a name for every shard, or a per-shard
-    sequence on sharded engines.  ``store`` picks where object data
+    the mutable sharded engine.  ``backend`` names the numeric backend
+    (:mod:`repro.backends`) every shard uses.  ``store`` picks where object data
     lives: ``"ram"`` (private copies, the default) or ``"shm"`` (one
     growable shared segment, mutable engines only — always served by
     the mutable *sharded* engine, even at ``shards=1``).  Out-of-core
@@ -267,15 +264,6 @@ def create_engine(
             "store='shm' needs mutable=True: the growable shared store "
             "backs the mutable sharded engine"
         )
-    if (
-        shards == 1
-        and backend is not None
-        and not isinstance(backend, str)
-    ):
-        raise ParameterError(
-            "a per-shard backend sequence needs shards > 1; pass a single "
-            "backend name"
-        )
     is_dataset = isinstance(data, Dataset)
     if mutable:
         # Mutable engines build their graphs incrementally (and rebuild
@@ -284,11 +272,6 @@ def create_engine(
             raise ParameterError(
                 f"mutable engines do not take graph parameters: "
                 f"{sorted(graph_params)}"
-            )
-        if strategy != "permuted":
-            raise ParameterError(
-                "mutable engines place objects by load, not by a static "
-                f"partition strategy (got strategy={strategy!r})"
             )
         objects = None
         if data is not None:
@@ -301,8 +284,7 @@ def create_engine(
 
             engine = MutableShardedDetectionEngine(
                 metric=metric, n_shards=shards, workers=workers, graph=graph,
-                K=K, seed=seed, mode=mode,
-                pinned=pinned, cache_radii=cache_radii,
+                K=K, seed=seed, pinned=pinned, cache_radii=cache_radii,
                 rebuild_every=rebuild_every, start_method=start_method,
                 backend=backend,
                 store="shm" if store_kind == "shm" else "list",
@@ -316,13 +298,12 @@ def create_engine(
         if objects is not None:
             return MutableDetectionEngine.fit(
                 objects, metric=metric, K=K, seed=seed, n_jobs=n_jobs,
-                mode=mode, rebuild_graph=graph,
-                cache_radii=cache_radii, rebuild_every=rebuild_every,
-                pinned=pinned, backend=backend, build_workers=build_workers,
+                rebuild_graph=graph, cache_radii=cache_radii,
+                rebuild_every=rebuild_every, pinned=pinned, backend=backend,
+                build_workers=build_workers,
             )
         return MutableDetectionEngine(
-            metric=metric, K=K, seed=seed, n_jobs=n_jobs, mode=mode,
-            rebuild_graph=graph,
+            metric=metric, K=K, seed=seed, n_jobs=n_jobs, rebuild_graph=graph,
             cache_radii=cache_radii, rebuild_every=rebuild_every,
             pinned=pinned, backend=backend, build_workers=build_workers,
         )
@@ -334,9 +315,8 @@ def create_engine(
 
         dataset = data if is_dataset else Dataset(data, metric)
         return ShardedDetectionEngine(
-            dataset, n_shards=shards, workers=workers, strategy=strategy,
-            graph=graph, K=K, rng=seed, mode=mode,
-            start_method=start_method, backend=backend,
+            dataset, n_shards=shards, workers=workers, graph=graph, K=K,
+            rng=seed, start_method=start_method, backend=backend,
             build_workers=build_workers, **graph_params,
         )
     from .engine import DetectionEngine
@@ -352,11 +332,11 @@ def create_engine(
             **graph_params,
         )
         return DetectionEngine(
-            data, built, n_jobs=n_jobs, rng=gen, mode=mode,
-            cache_radii=cache_radii, backend=backend, cells=build_cells(data),
+            data, built, n_jobs=n_jobs, rng=gen, cache_radii=cache_radii,
+            backend=backend, cells=build_cells(data),
         )
     return DetectionEngine.fit(
         data, metric=metric, graph=graph, K=K, seed=seed, n_jobs=n_jobs,
-        mode=mode, cache_radii=cache_radii,
-        backend=backend, build_workers=build_workers, **graph_params,
+        cache_radii=cache_radii, backend=backend,
+        build_workers=build_workers, **graph_params,
     )

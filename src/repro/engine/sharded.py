@@ -66,11 +66,7 @@ from functools import partial
 
 import numpy as np
 
-from ..core.counting import (
-    VisitTracker,
-    classify_chunk_arrays,
-    resolve_filter_mode,
-)
+from ..core.counting import classify_chunk_arrays
 from ..core.parallel import DatasetTransport, ShardPool, default_start_method
 from ..core.result import DODResult
 from ..core.traversal import BlockTracker
@@ -88,29 +84,24 @@ from .engine import SweepResult, _sweep_order
 from .evidence import NO_BOUND, EvidenceCache
 from .protocol import EngineCapabilities
 
-#: recognised dataset-partitioning strategies.
-SHARD_STRATEGIES = ("contiguous", "permuted")
-
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def plan_shards(
     n: int,
     n_shards: int,
-    strategy: str = "permuted",
     rng: "int | np.random.Generator | None" = 0,
 ) -> list[np.ndarray]:
     """Partition ``0..n-1`` into ``n_shards`` disjoint, sorted id arrays.
 
-    ``"contiguous"`` slices the id range in order (cheap, but clustered
-    data then concentrates whole clusters — and their outlier-heavy
-    tails — in single shards); ``"permuted"`` assigns ids by a seeded
-    random permutation, the same load-balancing argument as the paper's
-    random thread partitioning (§4).  Shard ids are returned sorted so
-    membership tests and subset sweeps can use binary search.
+    Ids are assigned by a seeded random permutation, the same
+    load-balancing argument as the paper's random thread partitioning
+    (§4): slicing the id range in order would concentrate whole
+    clusters of clustered data, and their outlier-heavy tails, in single
+    shards.  Shard ids are returned sorted so membership tests and
+    subset sweeps can use binary search.  A caller that wants another
+    partition passes ``shard_ids`` to the engine instead.
 
-    >>> [s.tolist() for s in plan_shards(7, 3, strategy="contiguous")]
-    [[0, 1, 2], [3, 4], [5, 6]]
     >>> sorted(np.concatenate(plan_shards(7, 3, rng=1)).tolist())
     [0, 1, 2, 3, 4, 5, 6]
     """
@@ -120,19 +111,12 @@ def plan_shards(
         raise ParameterError(
             f"cannot split {n} objects into {n_shards} non-empty shards"
         )
-    if strategy not in SHARD_STRATEGIES:
-        raise ParameterError(
-            f"unknown shard strategy {strategy!r}; known: {SHARD_STRATEGIES}"
-        )
-    if strategy == "contiguous":
-        order = np.arange(n, dtype=np.int64)
-    else:
-        order = ensure_rng(rng).permutation(n).astype(np.int64)
+    order = ensure_rng(rng).permutation(n).astype(np.int64)
     return [np.sort(chunk) for chunk in np.array_split(order, n_shards)]
 
 
 class _ServeView:
-    """The members a shard's queries run over, plus their trackers.
+    """The members a shard's queries run over, plus their walk scratch.
 
     ``ids`` are the members' global ids (ascending), ``sub`` the
     sub-dataset over them (local ids ``0..m-1``) and ``graph`` the
@@ -143,9 +127,7 @@ class _ServeView:
     has no ``sub``/``graph``).
     """
 
-    __slots__ = (
-        "sub", "graph", "ids", "knn", "cells", "tracker", "block_tracker",
-    )
+    __slots__ = ("sub", "graph", "ids", "knn", "cells", "block_tracker")
 
     def __init__(
         self, sub: "Dataset | None", graph: "Graph | None", ids: np.ndarray,
@@ -156,7 +138,6 @@ class _ServeView:
         self.ids = ids
         self.knn = None if graph is None else graph.exact_knn_arrays()
         self.cells = cells
-        self.tracker: "VisitTracker | None" = None
         self.block_tracker: "BlockTracker | None" = None
 
 
@@ -190,7 +171,6 @@ class ShardWorker:
         graph: "str | Graph" = "mrpg",
         K: int = 16,
         seed: int = 0,
-        mode: str = "auto",
         graph_params: "dict | None" = None,
         cache: "EvidenceCache | None" = None,
         knn_radii: "tuple[float, ...]" = (),
@@ -205,8 +185,7 @@ class ShardWorker:
         full = dataset.view()
         if backend is not None:
             # Each worker instantiates its own backend (transport strips
-            # it), so per-shard choices need no cross-process state
-            # beyond the name.
+            # it), so the name is the only cross-process state.
             full.set_backend(backend)
         #: shard sub-dataset (local ids 0..m-1): traversal + own counter.
         #: Shares the full view's backend instance so the worker's
@@ -231,7 +210,7 @@ class ShardWorker:
                 **(graph_params or {}),
             )
         self._init_serving(
-            full, full.backend, mode,
+            full, full.backend,
             cache if cache is not None else EvidenceCache(dataset.n),
             knn_radii,
         )
@@ -239,10 +218,8 @@ class ShardWorker:
         self._serve = _ServeView(sub, graph, ids, cells=build_cells(sub))
         self._take_pairs()  # offline build cost is not query cost
 
-    def _init_serving(self, full, backend, mode, cache, knn_radii) -> None:
+    def _init_serving(self, full, backend, cache, knn_radii) -> None:
         """The state the query protocol reads, shared by every worker."""
-        resolve_filter_mode(mode, None)
-        self.mode = mode
         self._full: "Dataset | None" = full
         self._backend = backend
         self._graph: "Graph | None" = None
@@ -329,18 +306,11 @@ class ShardWorker:
         counts = lb.copy()
         walk = np.flatnonzero(~(exact | (lb >= k)))
         if walk.size:
-            m = int(view.ids.size)
-            if view.tracker is None:
-                view.tracker = VisitTracker(m)
-            if self.mode != "scalar" and view.block_tracker is None:
-                view.block_tracker = BlockTracker(m)
+            if view.block_tracker is None:
+                view.block_tracker = BlockTracker(int(view.ids.size))
             _, w_counts, _, w_exact = classify_chunk_arrays(
                 view.sub, view.graph, np.searchsorted(view.ids, home_ids[walk]),
-                r, k,
-                tracker=view.tracker,
-                mode=self.mode,
-                block_tracker=view.block_tracker,
-                cells=view.cells,
+                r, k, block_tracker=view.block_tracker, cells=view.cells,
             )
             np.maximum(w_counts, counts[walk], out=w_counts)
             counts[walk] = w_counts
@@ -715,15 +685,13 @@ class ShardedDetectionEngine(_ShardMergeBase):
         dataset: Dataset,
         n_shards: int = 4,
         workers: "int | None" = None,
-        strategy: str = "permuted",
         graph: str = "mrpg",
         K: int = 16,
         rng: "int | np.random.Generator | None" = 0,
-        mode: str = "auto",
         start_method: "str | None" = None,
         shard_ids: "list[np.ndarray] | None" = None,
         shard_state: "list[dict] | None" = None,
-        backend: "str | Sequence[str] | None" = None,
+        backend: "str | None" = None,
         build_workers: int = 1,
         **graph_params,
     ):
@@ -735,37 +703,22 @@ class ShardedDetectionEngine(_ShardMergeBase):
         self.build_workers = int(build_workers)
         graph_params.setdefault("build_workers", self.build_workers)
         if shard_ids is None:
-            shard_ids = plan_shards(dataset.n, n_shards, strategy=strategy, rng=gen)
+            shard_ids = plan_shards(dataset.n, n_shards, rng=gen)
         else:
             shard_ids = [np.asarray(s, dtype=np.int64) for s in shard_ids]
             _validate_partition(shard_ids, dataset.n)
         self.dataset = dataset
         self.shard_ids = shard_ids
         self.n_shards = len(shard_ids)
-        self.strategy = strategy
         self.graph_name = graph
         self.K = int(K)
-        resolve_filter_mode(mode, None)
-        self.mode = mode
         if workers is None:
             workers = min(self.n_shards, os.cpu_count() or 1)
         self.workers = max(1, min(int(workers), self.n_shards))
         self._start_method = start_method or default_start_method()
-        # One backend name per shard: a scalar applies everywhere, a
-        # sequence picks per shard.  Resolve each distinct name here so
-        # unknown backends fail in the parent process.
-        if backend is None or isinstance(backend, str):
-            backend_names: "list[str | None]" = [backend] * self.n_shards
-        else:
-            backend_names = [None if b is None else str(b) for b in backend]
-            if len(backend_names) != self.n_shards:
-                raise ParameterError(
-                    f"backend list has {len(backend_names)} entries for "
-                    f"{self.n_shards} shards"
-                )
-        for name in {b for b in backend_names if b is not None}:
-            resolve_backend(name)
-        self.backend_names = backend_names
+        # One backend name for every shard, resolved here so an unknown
+        # backend fails in the parent process.
+        self.backend_name = resolve_backend(backend).name
 
         #: global id -> owning shard, for routing the filter phase.
         self._shard_of = np.empty(dataset.n, dtype=np.int64)
@@ -783,10 +736,9 @@ class ShardedDetectionEngine(_ShardMergeBase):
             factories.append(partial(
                 ShardWorker, payload, shard_ids[s],
                 graph=state.get("graph", graph), K=self.K, seed=seeds[s],
-                mode=mode,
                 graph_params=dict(graph_params), cache=state.get("cache"),
                 knn_radii=tuple(state.get("knn_radii", ())),
-                backend=backend_names[s],
+                backend=backend,
             ))
         try:
             self._pool = ShardPool(
@@ -815,11 +767,9 @@ class ShardedDetectionEngine(_ShardMergeBase):
         K: int = 16,
         n_shards: int = 4,
         workers: "int | None" = None,
-        strategy: str = "permuted",
         seed: "int | None" = 0,
-        mode: str = "auto",
         start_method: "str | None" = None,
-        backend: "str | Sequence[str] | None" = None,
+        backend: "str | None" = None,
         **graph_params,
     ) -> "ShardedDetectionEngine":
         """Offline phase in one call: dataset + per-shard graphs + engine.
@@ -829,19 +779,14 @@ class ShardedDetectionEngine(_ShardMergeBase):
         """
         dataset = Dataset(objects, metric)
         return cls(
-            dataset, n_shards=n_shards, workers=workers, strategy=strategy,
-            graph=graph, K=K, rng=seed, mode=mode,
-            start_method=start_method, backend=backend, **graph_params,
+            dataset, n_shards=n_shards, workers=workers, graph=graph, K=K,
+            rng=seed, start_method=start_method, backend=backend,
+            **graph_params,
         )
 
     @property
     def n(self) -> int:
         return self.dataset.n
-
-    @property
-    def backend_name(self) -> str:
-        """The numeric backend(s) in use, ``+``-joined when mixed."""
-        return "+".join(sorted({b or "numpy64" for b in self.backend_names}))
 
     def backend_stats(self) -> dict:
         """Screen/rescreen counters summed across shard workers."""
@@ -904,7 +849,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
             kind="static",
             meta={
                 "stats": self.stats,
-                "strategy": self.strategy,
                 "graph": self.graph_name,
                 "K": self.K,
                 "build_workers": self.build_workers,
@@ -934,9 +878,8 @@ class ShardedDetectionEngine(_ShardMergeBase):
         snap,
         workers: "int | None" = None,
         rng: "int | np.random.Generator | None" = 0,
-        mode: str = "auto",
         start_method: "str | None" = None,
-        backend: "str | Sequence[str] | None" = None,
+        backend: "str | None" = None,
         build_workers: "int | None" = None,
     ) -> "ShardedDetectionEngine":
         """An engine over a read static snapshot, one shard per archive.
@@ -951,11 +894,9 @@ class ShardedDetectionEngine(_ShardMergeBase):
             snap.dataset,
             n_shards=len(snap.shards),
             workers=workers,
-            strategy=str(meta.get("strategy", "permuted")),
             graph=str(meta.get("graph", "mrpg")),
             K=int(meta.get("K", 16)),
             rng=rng,
-            mode=mode,
             start_method=start_method,
             shard_ids=[state["member_gids"] for state in snap.shards],
             shard_state=snap.shards,

@@ -23,6 +23,7 @@ themselves or with the data they are loaded against -- raises
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import secrets
@@ -346,8 +347,10 @@ def load_graph(path: "str | Path") -> Graph:
 # -- engine snapshots ---------------------------------------------------------
 
 #: Version of the one engine-snapshot directory format.  Earlier
-#: layouts carry no ``snapshot_format_version`` key at all.
-_SNAPSHOT_FORMAT_VERSION = 1
+#: layouts carry no ``snapshot_format_version`` key at all.  Version 2:
+#: the dataset fingerprint is a SHA-256 digest of all the data, where
+#: version 1 probed 32 pair distances.
+_SNAPSHOT_FORMAT_VERSION = 2
 _MANIFEST_NAME = "manifest.npz"
 _KINDS = ("static", "mutable")
 
@@ -360,9 +363,11 @@ class EngineSnapshot:
     settings and counters (plain JSON).  ``alive`` and ``shard_of``
     span the id space; ``shards`` are per-shard ``{member_gids, graph,
     cache, knn_radii}`` dicts (``graph`` is ``None`` for a mutable
-    shard without one).  ``dataset`` is the data the snapshot is about:
-    :func:`write_snapshot` fingerprints it, :func:`read_snapshot` checks
-    it.  ``log`` is a mutable snapshot's re-supplied insertion log.
+    shard without one).  ``dataset`` is the prepared data the snapshot
+    is about (a mutable engine's full log, dead rows included):
+    :func:`write_snapshot` fingerprints it, :func:`read_snapshot`
+    checks it.  ``log`` is a mutable snapshot's re-supplied insertion
+    log.
     """
 
     kind: str
@@ -374,24 +379,32 @@ class EngineSnapshot:
     log: "list | None" = None
 
 
-def _dataset_fingerprint(dataset) -> dict:
-    """Cheap, metric-agnostic dataset identity probe.
+def _fingerprint(dataset) -> dict:
+    """Size, metric and SHA-256 digest of a dataset's prepared rows.
 
     The snapshot stores cached bounds *about specific objects*; loading
-    it against different data of the same cardinality would silently
-    serve wrong answers.  Distances between a fixed seeded sample of
-    index pairs pin the identity without persisting the data itself.
+    it against other data would silently serve wrong answers, so the
+    digest covers every row the engine serves over.  A mutable log is
+    prepared before it is hashed, at save and at load, so the raw
+    insertion log loads; rows that were prepared twice (an angular
+    ``store="shm"`` engine's ``object_log()``) differ in their bits and
+    are refused.  Vector rows are hashed in chunks, so a memmap store
+    is never read whole.
     """
-    gen = np.random.default_rng(0xD15C0)
-    n = dataset.n
-    a = gen.integers(0, n, size=32)
-    b = gen.integers(0, n, size=32)
-    probes = dataset.view().pair_dist(a, b)
-    return {
-        "n": n,
-        "metric": dataset.metric.name,
-        "probes": [float(d) for d in probes],
-    }
+    metric = dataset.metric
+    digest = hashlib.sha256()
+    if metric.is_vector:
+        rows = dataset.store
+        digest.update(f"{rows.dtype.str}{rows.shape}".encode())
+        for lo in range(0, len(rows), _MEMMAP_CHUNK):
+            digest.update(np.ascontiguousarray(rows[lo:lo + _MEMMAP_CHUNK]).data)
+    else:
+        for i in range(dataset.n):
+            obj = dataset.get(i)
+            # A set's iteration order varies between processes.
+            key = obj if isinstance(obj, str) else sorted(map(repr, obj))
+            digest.update(repr(key).encode() + b"\0")
+    return {"n": dataset.n, "metric": metric.name, "sha256": digest.hexdigest()}
 
 
 def _check_fingerprint(stored: "dict | None", dataset, path: Path) -> None:
@@ -404,11 +417,7 @@ def _check_fingerprint(stored: "dict | None", dataset, path: Path) -> None:
             f"{stored.get('metric')!r} but the supplied dataset uses "
             f"{dataset.metric.name!r}"
         )
-    fresh = _dataset_fingerprint(dataset)
-    probes = stored.get("probes", [])
-    if len(probes) != len(fresh["probes"]) or not np.allclose(
-        probes, fresh["probes"], rtol=1e-9, atol=1e-12
-    ):
+    if stored.get("sha256") != _fingerprint(dataset)["sha256"]:
         raise GraphError(
             f"{path}: dataset fingerprint mismatch — the supplied "
             f"objects are not the data this snapshot was built from"
@@ -493,7 +502,7 @@ def write_snapshot(path: "str | Path", snap: EngineSnapshot) -> None:
         kind=snap.kind,
         snapshot_id=snapshot_id,
         shard_files=shard_files,
-        fingerprint=_dataset_fingerprint(snap.dataset),
+        fingerprint=_fingerprint(snap.dataset),
     )
     tmp = path / f"{_MANIFEST_NAME}.tmp"
     written = [tmp]
@@ -578,7 +587,8 @@ def read_snapshot(
         if version != _SNAPSHOT_FORMAT_VERSION:
             raise GraphError(
                 f"{manifest_path}: unsupported snapshot version {version} "
-                f"(this build reads version {_SNAPSHOT_FORMAT_VERSION})"
+                f"(this build reads version {_SNAPSHOT_FORMAT_VERSION}); it "
+                f"must be re-saved (rebuild the engine and save it again)"
             )
         n_total = int(data["n_total"])
         alive = data["alive"]
@@ -688,8 +698,11 @@ def read_snapshot(
             metric,
         )
     _check_fingerprint(meta.get("fingerprint"), dataset, manifest_path)
+    snap = EngineSnapshot(
+        kind=found, meta=meta, alive=alive, shard_of=shard_of, shards=[],
+        dataset=dataset, log=objects if found == "mutable" else None,
+    )
     snapshot_id = meta.get("snapshot_id")
-    shards = []
     for members, fname in zip(lists, shard_files):
         shard_path = path / str(fname)
         if not shard_path.is_file():
@@ -717,16 +730,13 @@ def read_snapshot(
                 f"{shard_path}: shard graph spans {graph.n} local vertices "
                 f"but the manifest lists {members.size} members"
             )
-        shards.append({
+        snap.shards.append({
             "member_gids": members,
             "graph": graph if has_graph else None,
             "cache": EvidenceCache.from_state_arrays(n_total, cache_arrays),
             "knn_radii": [float(r) for r in shard_meta.get("knn_radii", ())],
         })
-    return EngineSnapshot(
-        kind=found, meta=meta, alive=alive, shard_of=shard_of, shards=shards,
-        dataset=dataset, log=objects if found == "mutable" else None,
-    )
+    return snap
 
 
 def load_any_engine(
@@ -737,7 +747,6 @@ def load_any_engine(
     workers: "int | None" = None,
     n_jobs: int = 1,
     rng: "int | np.random.Generator | None" = 0,
-    mode: str = "auto",
     start_method: "str | None" = None,
     **extra,
 ):
@@ -772,17 +781,16 @@ def load_any_engine(
     if snap.kind == "static":
         if single:
             return DetectionEngine._from_snapshot(
-                snap, n_jobs=n_jobs, rng=rng, mode=mode, **extra,
+                snap, n_jobs=n_jobs, rng=rng, **extra,
             )
         return ShardedDetectionEngine._from_snapshot(
-            snap, workers=workers, rng=rng, mode=mode,
-            start_method=start_method, **extra,
+            snap, workers=workers, rng=rng, start_method=start_method, **extra,
         )
     if single and extra.get("store", "ram") in ("ram", "list"):
         extra.pop("store", None)
         return MutableDetectionEngine._from_snapshot(
-            snap, n_jobs=n_jobs, mode=mode, **extra,
+            snap, n_jobs=n_jobs, **extra,
         )
     return MutableShardedDetectionEngine._from_snapshot(
-        snap, workers=workers, mode=mode, start_method=start_method, **extra,
+        snap, workers=workers, start_method=start_method, **extra,
     )

@@ -26,7 +26,7 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.engine import create_engine
-from repro.exceptions import BackendError, GraphError, ParameterError
+from repro.exceptions import BackendError, GraphError
 from repro.index import brute_force_outliers
 from repro.io import create_memmap_store, open_memmap_dataset
 
@@ -272,29 +272,30 @@ def test_mutable_engines_stay_identical_under_churn():
 
 
 def test_per_shard_backend_choice_and_validation():
+    # One backend name reaches every shard worker; a per-shard list of
+    # names is refused at construction by both sharded engines.
     pts = _cloud(n=120, dim=6, seed=10)
     r = _radius(Dataset(pts, "l2"))
     with create_engine(pts, seed=3, shards=2, workers=1) as ref:
         expected = ref.query(r, 8).outliers
-    with create_engine(
-        pts, seed=3, shards=2, workers=1, backend=["float32", "numpy64"]
-    ) as mixed:
-        assert np.array_equal(mixed.query(r, 8).outliers, expected)
-        assert mixed.backend_name == "float32+numpy64"
-        per_shard = mixed.backend_stats()["per_shard"]
-        assert per_shard[0]["screened_pairs"] > 0
-        assert per_shard[1]["screened_pairs"] == 0
-    with pytest.raises(ParameterError, match="backend list"):
-        create_engine(pts, shards=3, workers=1, backend=["float32"])
-    with pytest.raises(ParameterError, match="per-shard"):
-        create_engine(pts, backend=["float32"])
+    for config in ENGINE_CONFIGS[1::2]:
+        with create_engine(pts, seed=3, backend="float32", **config) as eng:
+            assert np.array_equal(eng.query(r, 8).outliers, expected)
+            assert eng.backend_name == "float32"
+            per_shard = eng.backend_stats()["per_shard"]
+            assert len(per_shard) == 2
+            assert all(s["screened_pairs"] > 0 for s in per_shard)
+        with pytest.raises(BackendError, match="unknown"):
+            create_engine(pts, backend=["float32", "numpy64"], **config)
 
 
 def test_unknown_backend_fails_at_construction_on_every_engine():
     pts = _cloud(n=60, dim=4)
-    for config in ENGINE_CONFIGS:
-        with pytest.raises(BackendError, match="unknown"):
-            create_engine(pts, backend="float33", **config)
+    # A sequence of names is not a backend: every shard uses one.
+    for backend in ("float33", ["float32"]):
+        for config in ENGINE_CONFIGS:
+            with pytest.raises(BackendError, match="unknown"):
+                create_engine(pts, backend=backend, **config)
 
 
 # -- snapshots and serving ---------------------------------------------------

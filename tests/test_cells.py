@@ -394,7 +394,7 @@ def test_cells_of_another_dataset_rejected(l2_dataset, mrpg_l2, l2_params):
 def test_graph_dod_with_cells_is_exact(l2_dataset, mrpg_l2, l2_params, l2_reference):
     r, k = l2_params
     cells = build_cells(l2_dataset)
-    for mode in ("scalar", "batched"):
+    for mode in ("batched", "scalar"):
         plain = graph_dod(l2_dataset.view(), mrpg_l2, r, k, mode=mode)
         certified = graph_dod(
             l2_dataset.view(), mrpg_l2, r, k, mode=mode, cells=cells
@@ -432,7 +432,7 @@ def test_certified_filter_matches_oracle(metric_datasets, name):
         r = float(np.quantile(matrices[0][np.isfinite(matrices[0])], q))
         for k in (3, 10):
             expected = brute_force_outliers(dataset.view(), r, k)
-            for mode in ("scalar", "batched"):
+            for mode in ("batched", "scalar"):
                 res = graph_dod(
                     dataset.view(), graph, r, k, mode=mode, cells=cells
                 )

@@ -227,6 +227,23 @@ def test_update_command_sharded_with_snapshot(tmp_path, capsys):
     assert "check passed" in out
 
 
+def test_update_command_shm_store_with_snapshot(tmp_path, capsys):
+    # glove is angular: the shared store holds normalised rows, and the
+    # second run hands the raw suite objects back to the loader.
+    snap = str(tmp_path / "shm_snap")
+    args = ["update", "--suite", "glove", "--n", "300", "--batches", "3",
+            "--churn", "0.1", "--K", "8", "--store", "shm", "--check",
+            "--snapshot", snap]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "check passed" in out
+    assert "snapshot written" in out
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "loaded warm mutable snapshot" in out
+    assert "check passed" in out
+
+
 def test_stream_command_sharded_with_check(capsys):
     code = main(
         ["stream", "--suite", "glove", "--n", "120", "--window", "30",

@@ -86,12 +86,6 @@ def test_explicit_verifier_strategy(l2_dataset, mrpg_l2, l2_params, l2_reference
         assert res.same_outliers(l2_reference)
 
 
-def test_max_visits_preserves_exactness(l2_dataset, mrpg_l2, l2_params, l2_reference):
-    r, k = l2_params
-    res = graph_dod(l2_dataset, mrpg_l2, r, k, max_visits=5)
-    assert res.same_outliers(l2_reference)
-
-
 def test_mismatched_graph_rejected(l2_dataset, mrpg_edit):
     with pytest.raises(GraphError):
         graph_dod(l2_dataset, mrpg_edit, 1.0, 2)

@@ -203,15 +203,15 @@ def test_rebalance_keeps_unaffected_evidence(pool):
     after = eng.detect(1.8, 5)
     assert after.pairs == 0
     _oracle_check(eng, 1.8, 5)
-    # With the transfer off, the two rebuilt shards' bounds are gone
-    # and the same split forces re-proving work.
+    # With the caches dropped after the same split, the re-query has
+    # to re-prove its bounds.
     plain = MutableShardedDetectionEngine(
-        metric="l2", n_shards=3, workers=1, K=6, seed=0,
-        evidence_transfer=False,
+        metric="l2", n_shards=3, workers=1, K=6, seed=0
     )
     plain.insert(pool[:150])
     plain.detect(1.8, 5)
     plain.split_shard(0)
+    plain.reset_cache()
     refit = plain.detect(1.8, 5)
     cold_estimate = 150 * 149  # a full fresh brute force
     assert 0 < refit.pairs < cold_estimate
@@ -395,20 +395,21 @@ def test_malformed_insert_leaves_engine_unchanged(pool, store, kind, error):
 
 
 def test_evidence_transfer_matches_cache_drop_rebuild(pool):
-    """Transferred caches prove the same answers as re-proving from scratch."""
+    """Transferred caches prove the same answers as re-proving from scratch
+    (the same engine with its caches dropped after each rebalance)."""
     kwargs = dict(metric="l2", n_shards=2, workers=1, K=6, seed=0)
     eng = MutableShardedDetectionEngine(**kwargs)
-    plain = MutableShardedDetectionEngine(**kwargs, evidence_transfer=False)
+    plain = MutableShardedDetectionEngine(**kwargs)
     grid = dict(k_grid=[5])
     for e in (eng, plain):
         e.insert(pool[:160])
         e.sweep([1.6, 1.8], **grid)
         e.split_shard()
+    plain.reset_cache()
     # The split preserved at least half of the affected shard's entries.
     assert eng.last_transfer["before"] > 0
     assert eng.last_transfer["after"] >= 0.5 * eng.last_transfer["before"]
     assert eng.stats["evidence_rows_transferred"] == eng.last_transfer["after"]
-    assert plain.last_transfer == {"before": 0, "after": 0}
     # Bit-identical sweep answers, strictly fewer re-proven pairs.
     a = eng.sweep([1.6, 1.8], **grid)
     b = plain.sweep([1.6, 1.8], **grid)
@@ -422,6 +423,7 @@ def test_evidence_transfer_matches_cache_drop_rebuild(pool):
     # Merging back stays bit-identical too (bounds add across shards).
     for e in (eng, plain):
         e.merge_shards()
+    plain.reset_cache()
     am = _oracle_check(eng, 1.8, 5)
     bm = _oracle_check(plain, 1.8, 5)
     np.testing.assert_array_equal(am.outliers, bm.outliers)

@@ -31,7 +31,9 @@ from repro.metrics import Minkowski
 
 GRAPHS = ("mrpg", "kgraph")
 METRICS = ("l1", "l2", "edit")
-STRATEGIES = ("contiguous", "permuted")
+#: how the exactness matrix partitions the ids: slices of the id range
+#: in order, or plan_shards' seeded permutation.
+PARTITIONS = ("contiguous", "permuted")
 
 
 def _make_dataset(metric: str, seed: int) -> Dataset:
@@ -62,9 +64,8 @@ def _assert_bit_identical(fresh, served, where):
 # -- shard planning ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_plan_shards_partitions_exactly(strategy):
-    shards = plan_shards(97, 5, strategy=strategy, rng=3)
+def test_plan_shards_partitions_exactly():
+    shards = plan_shards(97, 5, rng=3)
     assert len(shards) == 5
     merged = np.concatenate(shards)
     np.testing.assert_array_equal(np.sort(merged), np.arange(97))
@@ -74,8 +75,8 @@ def test_plan_shards_partitions_exactly(strategy):
 
 
 def test_plan_shards_permuted_is_seeded_and_scattered():
-    a = plan_shards(60, 4, strategy="permuted", rng=7)
-    b = plan_shards(60, 4, strategy="permuted", rng=7)
+    a = plan_shards(60, 4, rng=7)
+    b = plan_shards(60, 4, rng=7)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
     # A permuted shard should not be one contiguous run.
@@ -87,22 +88,23 @@ def test_plan_shards_validation():
         plan_shards(10, 0)
     with pytest.raises(ParameterError):
         plan_shards(3, 4)
-    with pytest.raises(ParameterError):
-        plan_shards(10, 2, strategy="zigzag")
 
 
-# -- the exactness matrix: metrics x graphs x strategies ---------------------------
+# -- the exactness matrix: metrics x graphs x partitions ---------------------------
 
 
 @pytest.mark.parametrize("metric", METRICS)
 @pytest.mark.parametrize("builder", GRAPHS)
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_sharded_bit_identical_to_graph_dod(metric, builder, strategy):
+@pytest.mark.parametrize("partition", PARTITIONS)
+def test_sharded_bit_identical_to_graph_dod(metric, builder, partition):
     ds = _make_dataset(metric, seed=0)
     graph = build_graph(builder, ds, K=6, rng=0)
     verifier = Verifier(ds, rng=0)
+    shard_ids = (
+        np.array_split(np.arange(ds.n), 3) if partition == "contiguous" else None
+    )
     engine = ShardedDetectionEngine(
-        ds, n_shards=3, workers=1, strategy=strategy, graph=builder, K=6, rng=0
+        ds, n_shards=3, workers=1, graph=builder, K=6, rng=0, shard_ids=shard_ids
     )
     r0 = _base_radius(ds)
     grid = [(r0 * f, k) for f in (0.85, 1.0, 1.2) for k in (2, 5, 9)]
@@ -111,7 +113,7 @@ def test_sharded_bit_identical_to_graph_dod(metric, builder, strategy):
         r, k = grid[t]
         fresh = graph_dod(ds.view(), graph, r, k, verifier=verifier, rng=0)
         served = engine.query(r, k)
-        _assert_bit_identical(fresh, served, (metric, builder, strategy, r, k))
+        _assert_bit_identical(fresh, served, (metric, builder, partition, r, k))
     assert engine.stats["queries"] == len(grid)
     assert engine.stats["cache_decided"] > 0  # reuse kicks in across the merge
     engine.close()
@@ -119,15 +121,16 @@ def test_sharded_bit_identical_to_graph_dod(metric, builder, strategy):
 
 @pytest.mark.parametrize("mode", ["scalar", "batched"])
 def test_sharded_modes_match_single_engine(l2_dataset, mrpg_l2, l2_params, mode):
+    """Both engines against graph_dod in either filter mode."""
     r, k = l2_params
     single = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
     sharded = ShardedDetectionEngine(
-        l2_dataset, n_shards=4, workers=1, graph="mrpg", K=8, rng=0, mode=mode
+        l2_dataset, n_shards=4, workers=1, graph="mrpg", K=8, rng=0
     )
     for f in (0.9, 1.0, 1.1):
-        _assert_bit_identical(
-            single.query(r * f, k), sharded.query(r * f, k), (mode, f)
-        )
+        oracle = graph_dod(l2_dataset.view(), mrpg_l2, r * f, k, mode=mode)
+        _assert_bit_identical(oracle, single.query(r * f, k), (mode, f))
+        _assert_bit_identical(oracle, sharded.query(r * f, k), (mode, f))
     single.close()
     sharded.close()
 
@@ -254,8 +257,6 @@ def test_sharded_rejects_bad_parameters(l2_dataset):
         ShardedDetectionEngine(l2_dataset, n_shards=0, workers=1)
     with pytest.raises(ParameterError):
         ShardedDetectionEngine(l2_dataset, n_shards=l2_dataset.n + 1, workers=1)
-    with pytest.raises(ParameterError):
-        ShardedDetectionEngine(l2_dataset, n_shards=2, workers=1, strategy="nope")
     engine = ShardedDetectionEngine(
         l2_dataset, n_shards=2, workers=1, graph="kgraph", K=6, rng=0
     )

@@ -186,6 +186,11 @@ def test_load_engine_rejects_wrong_engine_version(engine, l2_dataset, tmp_path):
     _rewrite(path / "manifest.npz", snapshot_format_version=np.asarray(42))
     with pytest.raises(GraphError, match="snapshot version 42"):
         DetectionEngine.load(path, l2_dataset)
+    # Version 1 fingerprinted 32 probed pair distances: such a
+    # snapshot cannot be checked against all the data, so re-save it.
+    _rewrite(path / "manifest.npz", snapshot_format_version=np.asarray(1))
+    with pytest.raises(GraphError, match="version 1 .*re-saved"):
+        DetectionEngine.load(path, l2_dataset)
 
 
 def test_load_engine_rejects_bare_graph_file(kgraph_l2, l2_dataset, tmp_path):
@@ -261,14 +266,20 @@ def test_load_engine_rejects_dataset_size_mismatch(engine, tmp_path, rng):
         DetectionEngine.load(path, other)
 
 
-def test_load_engine_rejects_different_data_of_same_size(engine, tmp_path, rng):
+def test_load_engine_rejects_different_data_of_same_size(
+    engine, blob_points, tmp_path, rng
+):
     # Same cardinality, different objects: the cached bounds would be
-    # about the wrong points, so the fingerprint must catch it.
+    # about the wrong points, so the fingerprint must catch it, also
+    # when one object moved and every other one is intact (a sample of
+    # pair distances can miss that, a digest of all the data cannot).
     path = tmp_path / "e"
     engine.save(path)
-    other = Dataset(rng.normal(size=(engine.n, 6)), "l2")
-    with pytest.raises(GraphError, match="fingerprint"):
-        DetectionEngine.load(path, other)
+    shifted = blob_points.copy()
+    shifted[0] += 50.0
+    for other in (rng.normal(size=(engine.n, 6)), shifted):
+        with pytest.raises(GraphError, match="fingerprint"):
+            DetectionEngine.load(path, Dataset(other, "l2"))
 
 
 def test_load_engine_rejects_missing_fingerprint(engine, l2_dataset, tmp_path):
@@ -444,8 +455,39 @@ def test_load_mutable_rejects_different_objects(
     mutable_engine, mutable_snapshot, rng
 ):
     fake = list(rng.normal(size=(mutable_engine.n_total, 6)))
+    shifted = mutable_engine.object_log()
+    shifted[0] = np.asarray(shifted[0], dtype=np.float64) + 50.0
+    for log in (fake, shifted):
+        with pytest.raises(GraphError, match="fingerprint"):
+            MutableDetectionEngine.load(mutable_snapshot, log)
+
+
+def test_angular_shm_snapshot_roundtrip(tmp_path):
+    # The shared store holds prepared unit rows.  The fingerprint is of
+    # prepared rows, so the raw insertion log loads, and the stored
+    # rows object_log() returns, which preparing again re-normalises
+    # to other bits, are refused.
+    points = np.random.default_rng(5).normal(size=(300, 8))
+    d = Dataset(points, "angular").pair_dist(np.arange(299), np.arange(1, 300))
+    r, k = float(np.quantile(d, 0.05)), 3
+    path = tmp_path / "angular"
+    with MutableShardedDetectionEngine(
+        metric="angular", n_shards=2, workers=1, K=6, seed=0, store="shm"
+    ) as eng:
+        eng.insert(points)
+        expected = eng.query(r, k).outliers
+        eng.save(path)
+        stored = eng.object_log()
+    twice = Dataset(np.asarray(stored), "angular").store
+    assert not np.array_equal(twice, np.asarray(stored))
     with pytest.raises(GraphError, match="fingerprint"):
-        MutableDetectionEngine.load(mutable_snapshot, fake)
+        load_any_engine(path, objects=stored, workers=1, store="shm")
+    with load_any_engine(path, objects=points, workers=1, store="shm") as loaded:
+        assert loaded.store_kind == "shm"
+        np.testing.assert_array_equal(loaded.query(r, k).outliers, expected)
+        np.testing.assert_array_equal(
+            expected, brute_force_outliers(loaded.live_dataset().view(), r, k)
+        )
 
 
 def test_load_mutable_rejects_bad_alive_mask(mutable_engine, mutable_snapshot):

@@ -23,7 +23,7 @@ import pytest
 
 import repro.core.counting as counting
 from repro.core import BlockTracker, VisitTracker, greedy_count, greedy_count_block
-from repro.core.counting import classify_chunk, classify_chunk_arrays, classify_evidence
+from repro.core.counting import classify_chunk_arrays, classify_evidence
 from repro.core.dod import graph_dod
 from repro.core.verify import Verifier
 from repro.data import Dataset
@@ -168,20 +168,6 @@ def test_block_tracker_too_small_rejected(l2_dataset, mrpg_l2, l2_params):
         )
 
 
-def test_batched_mode_rejects_max_visits(l2_dataset, mrpg_l2, l2_params):
-    r, k = l2_params
-    with pytest.raises(ParameterError):
-        classify_chunk(
-            l2_dataset.view(), mrpg_l2, np.arange(8), r, k,
-            mode="batched", max_visits=50,
-        )
-    # auto falls back to the scalar walk instead
-    out = classify_chunk(
-        l2_dataset.view(), mrpg_l2, np.arange(8), r, k, mode="auto", max_visits=50,
-    )
-    assert len(out) == 8
-
-
 def test_verify_block_matches_scalar(l2_dataset, l2_params):
     r, k = l2_params
     verifier = Verifier(l2_dataset, strategy="linear")
@@ -244,15 +230,12 @@ def test_engine_modes_agree_across_sweep(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
     r_grid = [r * f for f in (0.9, 1.0, 1.1)]
     cells = build_cells(l2_dataset)
-    with DetectionEngine(l2_dataset.view(), mrpg_l2, mode="scalar", rng=0) as scalar_eng, \
-         DetectionEngine(l2_dataset.view(), mrpg_l2, mode="batched", rng=0,
-                         cells=cells) as batched_eng, block_rows(7):
-        sweep_s = scalar_eng.sweep(r_grid, k_grid=[k, max(1, k - 3)])
-        sweep_b = batched_eng.sweep(r_grid, k_grid=[k, max(1, k - 3)])
-        for key in sweep_s.results:
-            np.testing.assert_array_equal(
-                sweep_s.results[key].outliers, sweep_b.results[key].outliers
-            )
+    with DetectionEngine(l2_dataset.view(), mrpg_l2, rng=0, cells=cells) as engine, \
+         block_rows(7):
+        sweep = engine.sweep(r_grid, k_grid=[k, max(1, k - 3)])
+    for (rv, kv), res in sweep.results.items():
+        oracle = graph_dod(l2_dataset.view(), mrpg_l2, rv, kv, mode="scalar")
+        np.testing.assert_array_equal(res.outliers, oracle.outliers)
 
 
 def test_minkowski_bound_abandonment_consistent():

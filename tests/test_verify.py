@@ -72,7 +72,7 @@ def test_k_below_one_rejected_on_every_path(l2_dataset, strategy):
     v = Verifier(l2_dataset, strategy=strategy, rng=0)
     with pytest.raises(ParameterError, match="k must be"):
         v.count_evidence(0, 1.0, 0)
-    for mode in ("scalar", "batched", "auto"):
+    for mode in ("batched", "scalar"):
         for chunk in (np.arange(7), np.arange(1), np.empty(0, dtype=np.int64)):
             with pytest.raises(ParameterError, match="k must be"):
                 v.verify_chunk(chunk, 1.0, 0, mode=mode)
@@ -90,9 +90,12 @@ def test_vptree_batched_verify_never_walks_per_object(
         raise AssertionError("batched verification called count_within")
 
     monkeypatch.setattr(VPTree, "count_within", per_object_walk)
-    for mode in ("batched", "auto"):
+    for call in (
+        lambda chunk: v.verify_chunk(chunk, r, k, mode="batched"),
+        lambda chunk: v.verify_chunk(chunk, r, k),  # the default is batched
+    ):
         for chunk in (cands, cands[:1]):
-            batched = v.verify_chunk(chunk, r, k, mode=mode)
+            batched = call(chunk)
             for (p1, c1, e1), (p2, c2, e2) in zip(scalar, batched):
                 assert p1 == p2 and e1 == e2
                 if e1:
