@@ -1,7 +1,8 @@
 """Mutable-engine perf trajectory: cache repair vs drop-and-recompute.
 
-The acceptance workload for the evidence-repairing engine core: a 10k
-L2 collection is bulk-loaded, warmed with an ``r`` sweep, then serves
+The acceptance workload for the evidence-repairing engine core (the
+mutable engine at one shard, its worker in-process): a 10k L2
+collection is bulk-loaded, warmed with an ``r`` sweep, then serves
 alternating churn rounds (removals + insertions, a percent per round)
 and sweep queries — the read-heavy-serving-with-background-churn shape
 the mutable engine targets.  Two strategies answer the same rounds:
@@ -36,7 +37,7 @@ import pytest
 
 from repro import Dataset
 from repro.datasets import blobs_with_outliers, calibrate_r
-from repro.engine import MutableDetectionEngine
+from repro.engine import MutableShardedDetectionEngine
 from repro.harness import bench_scale
 
 N_FULL = 10_000
@@ -65,7 +66,7 @@ def workload():
 def _run_strategy(base, extra, r, strategy: str):
     """Warm an engine, then alternate churn rounds with sweeps."""
     grid = [r * 0.95, r, r * 1.05]
-    engine = MutableDetectionEngine.fit(base, metric="l2", K=16, seed=0)
+    engine = MutableShardedDetectionEngine.fit(base, metric="l2", K=16, seed=0)
     engine.sweep(grid, k=K_NEIGHBORS)  # warm evidence (not measured)
     gen = np.random.default_rng(7)
     churn_seconds = churn_pairs = 0.0

@@ -105,7 +105,7 @@ def test_sharded_speedup_and_baseline(workload_10k):
     records = []
 
     graph = build_graph(GRAPH, dataset, K=DEGREE, rng=0)
-    single = DetectionEngine(dataset, graph, rng=0)
+    single = DetectionEngine(dataset, graph)
     single_res = _fastest(_cold_queries(single, r))
     single.close()
     records.append(_record(dataset, r, "single", 1, 1, single_res))

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Exactness gate: mutable engine vs scalar oracle after scripted churn.
 
-Drives a :class:`MutableDetectionEngine` through a deterministic churn
+Drives the one-shard :class:`MutableShardedDetectionEngine` (its one
+worker in-process, owning every id) through a deterministic churn
 trace (batched inserts, random removals, interleaved detects/sweeps,
 a mid-trace rebuild) over L2/L1/edit datasets, and fails (exit 1)
 whenever an answer differs from a *fresh* scalar ``graph_dod`` run on
@@ -29,12 +30,12 @@ import numpy as np
 from repro import Dataset, build_graph, graph_dod
 from repro.core.verify import Verifier
 from repro.datasets import blobs_with_outliers, words_with_outliers
-from repro.engine import MutableDetectionEngine
+from repro.engine import MutableShardedDetectionEngine
 from repro.index import brute_force_outliers
 from repro.streaming import SlidingWindowDOD, window_outliers_bruteforce
 
 
-def oracle_mismatches(engine: MutableDetectionEngine, r, k, label: str) -> list[str]:
+def oracle_mismatches(engine, r, k, label: str) -> list[str]:
     """Engine detect vs fresh scalar graph_dod on compacted data vs brute."""
     failures: list[str] = []
     keep = engine.active_ids()
@@ -62,7 +63,7 @@ def churn_trace(dataset_objects, metric, r, k, label: str) -> list[str]:
     failures: list[str] = []
     n = len(dataset_objects)
     gen = np.random.default_rng(13)
-    engine = MutableDetectionEngine(metric=metric, K=6, seed=0)
+    engine = MutableShardedDetectionEngine(metric=metric, K=6, seed=0)
     step = max(8, n // 4)
     cursor = 0
     phase = 0
@@ -77,7 +78,7 @@ def churn_trace(dataset_objects, metric, r, k, label: str) -> list[str]:
             engine.remove(victims.tolist())
         failures += oracle_mismatches(engine, r, k, f"{label}/phase{phase}")
         if phase == 2:
-            engine.rebuild(renumber=False)
+            engine.rebuild()
             failures += oracle_mismatches(
                 engine, r, k, f"{label}/phase{phase}-rebuilt"
             )
@@ -97,7 +98,7 @@ def churn_trace(dataset_objects, metric, r, k, label: str) -> list[str]:
         path = Path(tmp) / "mutable.npz"
         reference = engine.detect(r, k)
         engine.save(path)
-        warm = MutableDetectionEngine.load(path, engine.object_log())
+        warm = MutableShardedDetectionEngine.load(path, engine.object_log())
         restored = warm.detect(r, k)
         if not np.array_equal(restored.outliers, reference.outliers):
             failures.append(f"{label}: snapshot round-trip changed the answer")

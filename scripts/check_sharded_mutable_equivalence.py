@@ -9,8 +9,8 @@ from
 
 * the brute-force oracle over the compacted live objects,
 * a *fresh* scalar ``graph_dod`` run on the same live data, or
-* a single-process :class:`MutableDetectionEngine` driven through the
-  **same** trace (the composition must not change a single bit).
+* the same engine at one shard (its one worker in-process) driven
+  through the **same** trace (sharding must not change a single bit).
 
 One configuration additionally runs the multi-process worker backend
 and demands bit-identical answers *and* identical distance-computation
@@ -36,13 +36,13 @@ import numpy as np
 from repro import Dataset, build_graph, graph_dod
 from repro.core.verify import Verifier
 from repro.datasets import blobs_with_outliers, words_with_outliers
-from repro.engine import MutableDetectionEngine, MutableShardedDetectionEngine
+from repro.engine import MutableShardedDetectionEngine
 from repro.index import brute_force_outliers
 from repro.streaming import SlidingWindowDOD, window_outliers_bruteforce
 
 
 def oracle_mismatches(engine, single, r, k, label: str) -> list[str]:
-    """Sharded detect vs single-process engine vs scalar oracle vs brute."""
+    """Sharded detect vs one-shard engine vs scalar oracle vs brute."""
     failures: list[str] = []
     keep = engine.active_ids()
     objects = engine.live_objects()
@@ -65,7 +65,7 @@ def oracle_mismatches(engine, single, r, k, label: str) -> list[str]:
         mirror = single.detect(r, k)
         if not np.array_equal(served.outliers, mirror.outliers):
             failures.append(
-                f"{label}: sharded and single-process mutable engines differ"
+                f"{label}: sharded and one-shard mutable engines differ"
             )
     return failures
 
@@ -80,7 +80,7 @@ def churn_trace(
     engine = MutableShardedDetectionEngine(
         metric=metric, n_shards=n_shards, workers=1, K=6, seed=0
     )
-    single = MutableDetectionEngine(metric=metric, K=6, seed=0)
+    single = MutableShardedDetectionEngine(metric=metric, K=6, seed=0)
     step = max(8, n // 4)
     cursor = 0
     phase = 0
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         print(f"{len(failures)} equivalence failure(s) in {checks} traces "
               f"({elapsed:.1f}s)", file=sys.stderr)
         return 1
-    print(f"mutable sharded == single-process mutable == scalar oracle == "
+    print(f"mutable sharded == one-shard mutable == scalar oracle == "
           f"brute force on all {checks} churn traces ({elapsed:.1f}s)")
     return 0
 

@@ -21,7 +21,6 @@ from .core import (
     FilterEvidence,
     ObjectEvidence,
     Verifier,
-    WorkerPool,
     classify,
     classify_evidence,
     detect_outliers,
@@ -41,7 +40,6 @@ from .engine import (
     EngineCapabilities,
     EngineCore,
     EvidenceCache,
-    MutableDetectionEngine,
     MutableEngineCore,
     MutableShardedDetectionEngine,
     ShardedDetectionEngine,
@@ -82,11 +80,9 @@ __all__ = [
     "classify_evidence",
     "FilterEvidence",
     "Verifier",
-    "WorkerPool",
     "DetectionEngine",
     "EngineCapabilities",
     "EngineCore",
-    "MutableDetectionEngine",
     "MutableEngineCore",
     "MutableShardedDetectionEngine",
     "ShardedDetectionEngine",

@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=["mrpg", "mrpg-basic", "kgraph", "nsw"])
     p_detect.add_argument("--K", type=int, default=16, help="graph degree")
     p_detect.add_argument("--seed", type=int, default=0)
-    p_detect.add_argument("--n-jobs", type=int, default=1)
     p_detect.add_argument("--shards", type=int, default=1,
                           help="partition the dataset into this many shards, "
                                "each owning a shard-local graph (exact merge)")
@@ -95,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["mrpg", "mrpg-basic", "kgraph", "nsw"])
     p_sweep.add_argument("--K", type=int, default=16, help="graph degree")
     p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--n-jobs", type=int, default=1)
     p_sweep.add_argument("--shards", type=int, default=1,
                          help="partition the dataset into this many shards, "
                               "each owning a shard-local graph (exact merge)")
@@ -219,7 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["mrpg", "mrpg-basic", "kgraph", "nsw"])
     p_serve.add_argument("--K", type=int, default=16, help="graph degree")
     p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--n-jobs", type=int, default=1)
     p_serve.add_argument("--shards", type=int, default=1,
                          help="serve from a sharded engine with this many shards")
     p_serve.add_argument("--workers", type=int, default=None,
@@ -347,7 +344,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     with create_engine(
         objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
-        shards=args.shards, workers=args.workers, n_jobs=args.n_jobs,
+        shards=args.shards, workers=args.workers,
         backend=args.backend, build_workers=args.build_workers,
     ) as engine:
         result = engine.query(r, k)
@@ -439,7 +436,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             engine = load_any_engine(
                 args.snapshot, dataset=dataset, workers=args.workers,
-                n_jobs=args.n_jobs, rng=args.seed, backend=args.backend,
+                backend=args.backend,
             )
             print(f"loaded warm engine snapshot from {args.snapshot} "
                   f"({engine.stats['queries']} queries served before restart)")
@@ -456,7 +453,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if engine is None:
         engine = create_engine(
             dataset, graph=args.graph, K=args.K, seed=args.seed,
-            shards=args.shards, workers=args.workers, n_jobs=args.n_jobs,
+            shards=args.shards, workers=args.workers,
             backend=args.backend, build_workers=args.build_workers,
         )
 
@@ -488,8 +485,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             t0 = time.perf_counter()
             for r, k in sweep.queries:
                 fresh = graph_dod(
-                    dataset.view(), check_graph, r, k,
-                    rng=args.seed, n_jobs=args.n_jobs,
+                    dataset.view(), check_graph, r, k, rng=args.seed,
                     mode="scalar",
                 )
                 if not fresh.same_outliers(sweep.result(r, k)):
@@ -700,7 +696,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = create_engine(
         objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
         shards=args.shards, workers=args.workers, mutable=args.mutable,
-        n_jobs=args.n_jobs, backend=args.backend,
+        backend=args.backend,
         store="shm" if args.store == "shm" else "ram",
         build_workers=args.build_workers,
     )

@@ -17,7 +17,6 @@ from .parallel import (
     DatasetTransport,
     ShardPool,
     SharedMemoryStore,
-    WorkerPool,
     default_start_method,
     map_over_objects,
     partition_indices,
@@ -53,7 +52,6 @@ __all__ = [
     "DODResult",
     "ObjectEvidence",
     "Verifier",
-    "WorkerPool",
     "ShardPool",
     "SharedMemoryStore",
     "SharedObjectStore",

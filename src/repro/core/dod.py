@@ -228,7 +228,7 @@ class DODetector:
         """Convenience: :meth:`fit` then :meth:`detect`."""
         return self.fit(objects).detect(r, k, n_jobs=n_jobs)
 
-    def engine(self, n_jobs: int = 1):
+    def engine(self):
         """A :class:`~repro.engine.DetectionEngine` over the fitted index.
 
         The serving-path upgrade of :meth:`detect`: answers streams of
@@ -240,11 +240,7 @@ class DODetector:
         from ..engine import DetectionEngine
 
         return DetectionEngine(
-            self.dataset_,
-            self.graph_,
-            verifier=self.verifier_,
-            n_jobs=n_jobs,
-            rng=ensure_rng(self.seed),
+            self.dataset_, self.graph_, verifier=self.verifier_,
             cells=self.cells_,
         )
 

@@ -52,78 +52,6 @@ def partition_indices(
     return [chunk for chunk in np.array_split(perm, n_parts) if chunk.size]
 
 
-class WorkerPool:
-    """Persistent thread pool + per-worker dataset views, shared across queries.
-
-    :func:`map_over_objects` allocates a fresh executor and fresh views
-    on every call — fine for one-shot detection, wasteful for a serving
-    process answering a stream of ``(r, k)`` queries.  A ``WorkerPool``
-    allocates both once; workers additionally receive their *slot* index
-    so callers can pin per-slot scratch state (e.g. one
-    :class:`~repro.core.traversal.BlockTracker` per worker) for the
-    pool's lifetime.
-    """
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        n_jobs: int = 1,
-        rng: "int | np.random.Generator | None" = None,
-    ):
-        if n_jobs < 1:
-            raise ParameterError(f"n_jobs must be >= 1, got {n_jobs}")
-        self.dataset = dataset
-        self.n_jobs = int(n_jobs)
-        self._rng = ensure_rng(rng)
-        self._views = [dataset.view() for _ in range(self.n_jobs)]
-        self._executor = (
-            ThreadPoolExecutor(max_workers=self.n_jobs) if self.n_jobs > 1 else None
-        )
-        self._closed = False
-
-    def map(
-        self,
-        items: "Sequence[int] | np.ndarray",
-        worker: Callable[[Dataset, np.ndarray, int], T],
-    ) -> tuple[list[T], int]:
-        """Apply ``worker(view, chunk, slot)`` over random chunks of ``items``.
-
-        Returns the per-chunk results plus the number of distance
-        computations the call performed (a delta — the views persist).
-        """
-        if self._closed:
-            raise ParameterError("WorkerPool.map called after close")
-        items = np.asarray(items, dtype=np.int64)
-        if items.size == 0:
-            return [], 0
-        before = sum(v.counter.pairs for v in self._views)
-        if self._executor is None:
-            results = [worker(self._views[0], items, 0)]
-        else:
-            perm = self._rng.permutation(items.size)
-            chunks = [c for c in np.array_split(items[perm], self.n_jobs) if c.size]
-            futures = [
-                self._executor.submit(worker, self._views[slot], chunk, slot)
-                for slot, chunk in enumerate(chunks)
-            ]
-            results = [f.result() for f in futures]
-        pairs = sum(v.counter.pairs for v in self._views) - before
-        return results, pairs
-
-    def close(self) -> None:
-        """Shut the pool down; any further :meth:`map` raises."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        self._closed = True
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def map_over_objects(
     dataset: Dataset,
     items: Sequence[int] | np.ndarray,

@@ -12,16 +12,16 @@ process owns a shard-local sub-engine (graph + cache slice), and an
 exact merge layer sums per-shard counts — answers stay bit-identical
 to the single-process engine (see ``docs/sharding.md``).
 
-:class:`MutableDetectionEngine` extends the contract to a *mutable*
-collection: inserts and deletes repair the cached bounds from their own
-distance evaluations instead of dropping them, making one engine the
-substrate for dynamic updates, top-n ranking and sliding-window
-streaming (see ``docs/incremental.md``).
+:class:`MutableShardedDetectionEngine` extends the contract to a
+*mutable* collection at any shard count: inserts and deletes repair the
+cached bounds from their own distance evaluations instead of dropping
+them, making one engine the substrate for dynamic updates, top-n
+ranking (at one shard) and sliding-window streaming (see
+``docs/incremental.md``).
 """
 
-from .engine import DetectionEngine, SweepResult
+from .engine import DetectionEngine, OutlierMemo, SweepResult
 from .evidence import NO_BOUND, EvidenceCache
-from .mutable import MutableDetectionEngine
 from .mutable_sharded import MutableShardedDetectionEngine, MutableShardWorker
 from .protocol import (
     EngineCapabilities,
@@ -34,13 +34,13 @@ from .sharded import ShardedDetectionEngine, ShardWorker, plan_shards
 
 __all__ = [
     "DetectionEngine",
-    "MutableDetectionEngine",
     "MutableShardedDetectionEngine",
     "MutableShardWorker",
     "ShardedDetectionEngine",
     "ShardWorker",
     "SweepResult",
     "EvidenceCache",
+    "OutlierMemo",
     "EngineCapabilities",
     "EngineCore",
     "MutableEngineCore",

@@ -10,10 +10,9 @@ long-lived serving asset:
 * later queries decide most objects straight from those bounds via the
   monotonicity of neighbor counts in ``r`` and of the outlier predicate
   in ``(r, k)`` — only the undecided residue touches the graph;
-* filter/verify work for the residue runs on one persistent
-  :class:`~repro.core.parallel.WorkerPool` with per-worker
-  :class:`~repro.core.traversal.BlockTracker` scratch, shared across
-  the whole query stream.
+* a confirmed outlier that comes up as a candidate again is decided
+  from its memoised distance vector (:class:`OutlierMemo`), which the
+  shard workers of :mod:`repro.engine.sharded` keep too.
 
 Answers are **exactly** the :func:`graph_dod` outlier sets: the cache
 only ever stores proven bounds, and the residue path is Algorithm 1
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.counting import CANDIDATE_CODE, OUTLIER_CODE, classify_chunk_arrays
-from ..core.parallel import WorkerPool
 from ..core.traversal import BlockTracker
 from ..core.result import DODResult, ObjectEvidence
 from ..core.verify import Verifier
@@ -40,14 +38,83 @@ from ..index.cells import CenterCells, build_cells
 from ..metrics import Metric
 from ..params import check_query
 from ..rng import ensure_rng
-from .evidence import NO_BOUND, EvidenceCache
+from .evidence import EvidenceCache
 from .protocol import EngineCapabilities
 
-#: Byte budget of the outlier distance memo (each memoised object keeps
-#: its sorted distance vector, about ``8 n`` bytes): roughly 64 MiB,
-#: never more than ``n`` vectors, at least a handful so small datasets
-#: still benefit.
+#: Byte budget of an outlier distance memo (each memoised object keeps
+#: its sorted distances to ``m`` members, about ``8 m`` bytes): roughly
+#: 64 MiB, at least a handful of vectors so small datasets still benefit.
 MEMO_BUDGET_BYTES = 64 * 1024 * 1024
+
+
+class OutlierMemo:
+    """Sorted distance vectors of confirmed outliers: exact counts at any r.
+
+    Exact-Counting (Algorithm 1) cannot stop early for a true outlier,
+    so an ascending-``r`` sweep would re-scan every outlier at every
+    radius.  A confirmed outlier that comes up as a candidate again
+    spends that scan once on its sorted distances to ``members``
+    (ascending ids, itself excluded); every later radius then decides
+    it with one binary search.  ``dataset`` should be a view whose
+    counter bills the fills.  The vectors stay true while the members
+    do, so a cache reset keeps them and re-records them per radius.
+    """
+
+    def __init__(self, dataset: Dataset, members: np.ndarray):
+        self._dataset = dataset
+        self._members = members
+        self.budget = max(16, MEMO_BUDGET_BYTES // max(1, 8 * members.size))
+        self.vectors: dict[int, np.ndarray] = {}
+        #: radii whose exact counts the cache already holds.
+        self.radii: set[float] = set()
+
+    @property
+    def nbytes(self) -> int:
+        return sum(vec.nbytes for vec in self.vectors.values())
+
+    def counts(self, ids: np.ndarray, r: float) -> np.ndarray:
+        """Exact member counts within ``r`` of memoised ``ids``."""
+        return np.asarray(
+            [np.searchsorted(self.vectors[int(p)], r, side="right") for p in ids],
+            dtype=np.int64,
+        )
+
+    def _record(self, cache: EvidenceCache, ids: np.ndarray, radii) -> None:
+        exact = np.ones(ids.size, dtype=bool)
+        for r in radii:
+            cache.record(r, ids, self.counts(ids, r), exact_mask=exact)
+
+    def ensure(self, cache: EvidenceCache, r: float) -> None:
+        """Record every memoised object's exact count at ``r`` (once)."""
+        if r in self.radii:
+            return
+        self.radii.add(r)
+        if self.vectors:
+            self._record(cache, np.fromiter(self.vectors, dtype=np.int64), [r])
+
+    def fill(self, ids: np.ndarray, cache: EvidenceCache) -> np.ndarray:
+        """Memoise ``ids`` within the budget; returns the ids it holds.
+
+        Each new vector costs one scan of the members, the work
+        verifying a true outlier costs, and is recorded at every radius
+        in :attr:`radii`.
+        """
+        held, new = [], []
+        for p in np.asarray(ids, dtype=np.int64).tolist():
+            if p not in self.vectors:
+                if len(self.vectors) >= self.budget:
+                    continue
+                d = self._dataset.dist_many(p, self._members)
+                at = int(np.searchsorted(self._members, p))
+                if at < self._members.size and self._members[at] == p:
+                    d = np.delete(d, at)
+                d.sort()
+                self.vectors[p] = d
+                new.append(p)
+            held.append(p)
+        if new:
+            self._record(cache, np.asarray(new, dtype=np.int64), self.radii)
+        return np.asarray(held, dtype=np.int64)
 
 
 @dataclass
@@ -123,8 +190,6 @@ class DetectionEngine:
         dataset: Dataset,
         graph: Graph,
         verifier: Verifier | None = None,
-        n_jobs: int = 1,
-        rng: "int | np.random.Generator | None" = 0,
         cache_radii: int | None = None,
         backend: "str | None" = None,
         cells: CenterCells | None = None,
@@ -148,18 +213,12 @@ class DetectionEngine:
         #: argument like ``verifier``; ``None`` runs Algorithm 1 as published).
         self.cells = cells
         self.cache = EvidenceCache(dataset.n, max_radii=cache_radii)
-        # Distance-memoised outlier re-verification: a confirmed outlier
-        # that comes up as a candidate *again* (an ascending-r sweep
-        # re-verifies every outlier at every radius) gets its full
-        # sorted distance vector stored once; every later radius then
-        # decides it with one binary search instead of a linear scan.
-        self._memo_budget = min(
-            dataset.n, max(16, MEMO_BUDGET_BYTES // max(1, 8 * dataset.n))
-        )
-        self._memo: dict[int, np.ndarray] = {}
-        self._memo_radii: set[float] = set()
-        self._prior_outliers: set[int] = set()
-        self._memo_view = dataset.view()
+        # Queries bill their distances through one view, so each result
+        # reports its own pairs.
+        self._view = dataset.view()
+        self._block_tracker: BlockTracker | None = None
+        self.memo = OutlierMemo(self._view, np.arange(dataset.n, dtype=np.int64))
+        self._prior_outliers = np.zeros(dataset.n, dtype=bool)
         self.stats: dict[str, int] = {
             "queries": 0,
             "cache_decided": 0,
@@ -167,12 +226,6 @@ class DetectionEngine:
             "verified": 0,
             "memoised": 0,
         }
-        self._pool = WorkerPool(dataset, n_jobs=n_jobs, rng=ensure_rng(rng))
-        # Walk scratch, one per worker slot, allocated on first use (a
-        # slot's stamp matrix is one budget-sized block, see block_rows).
-        self._block_trackers: list[BlockTracker | None] = [
-            None for _ in range(self._pool.n_jobs)
-        ]
         # Exact-K'NN payloads as flat arrays (shared with the batched
         # filter) so one vectorised pass per new radius turns them into
         # count evidence for every holder at once.
@@ -194,7 +247,6 @@ class DetectionEngine:
         graph: str = "mrpg",
         K: int = 16,
         seed: "int | None" = 0,
-        n_jobs: int = 1,
         cache_radii: int | None = None,
         backend: "str | None" = None,
         build_workers: int = 1,
@@ -216,8 +268,6 @@ class DetectionEngine:
             dataset,
             built,
             verifier=Verifier(dataset, rng=gen),
-            n_jobs=n_jobs,
-            rng=gen,
             cache_radii=cache_radii,
             backend=backend,
             cells=build_cells(dataset),
@@ -226,10 +276,6 @@ class DetectionEngine:
     @property
     def n(self) -> int:
         return self.dataset.n
-
-    @property
-    def n_jobs(self) -> int:
-        return self._pool.n_jobs
 
     # -- evidence ----------------------------------------------------------
 
@@ -260,41 +306,6 @@ class DetectionEngine:
             )
         self.cache.ingest(evidence)
 
-    def _ensure_memo_evidence(self, r: float) -> None:
-        """Decide every memoised outlier at ``r`` by binary search."""
-        r = float(r)
-        if r in self._memo_radii:
-            return
-        self._memo_radii.add(r)
-        if not self._memo:
-            return
-        ids = np.fromiter(self._memo, dtype=np.int64, count=len(self._memo))
-        counts = np.asarray(
-            [np.searchsorted(self._memo[int(p)], r, side="right") for p in ids],
-            dtype=np.int64,
-        )
-        self.cache.record(r, ids, counts, exact_mask=np.ones(ids.size, dtype=bool))
-
-    def _memoise(self, p: int, r: float) -> int:
-        """Store ``p``'s sorted distance vector; record exact counts.
-
-        Returns ``p``'s exact neighbor count at ``r``.  Costs one full
-        linear scan — the same work verifying a true outlier costs —
-        after which *every* radius decides ``p`` for free.
-        """
-        d = self._memo_view.dist_many(p, np.arange(self.n, dtype=np.int64))
-        d = np.delete(d, p)
-        d.sort()
-        self._memo[p] = d
-        self.stats["memoised"] += 1
-        for radius in self._memo_radii | {float(r)}:
-            count = int(np.searchsorted(d, radius, side="right"))
-            self.cache.record(
-                radius, np.asarray([p]), np.asarray([count]),
-                exact_mask=np.asarray([True]),
-            )
-        return int(np.searchsorted(d, float(r), side="right"))
-
     # -- the online path ------------------------------------------------------
 
     def query(
@@ -307,7 +318,7 @@ class DetectionEngine:
         # -- cache phase: decide objects from proven bounds ------------------
         t0 = time.perf_counter()
         self._ensure_knn_evidence(r)
-        self._ensure_memo_evidence(r)
+        self.memo.ensure(self.cache, r)
         lb = self.cache.lower_bounds(r)
         ub = self.cache.upper_bounds(r)
         inlier_mask = lb >= k
@@ -323,84 +334,59 @@ class DetectionEngine:
         # path cannot drift from the reference path it must stay
         # bit-identical to.
         t0 = time.perf_counter()
-
-        def filter_worker(view: Dataset, chunk: np.ndarray, slot: int):
-            if chunk.size and self._block_trackers[slot] is None:
-                self._block_trackers[slot] = BlockTracker(graph.n)
-            return classify_chunk_arrays(
-                view, graph, chunk, r, k,
-                block_tracker=self._block_trackers[slot], cells=self.cells,
+        view = self._view
+        pairs_before = view.counter.pairs
+        candidates = direct = np.empty(0, dtype=np.int64)
+        if undecided.size:
+            if self._block_tracker is None:
+                self._block_tracker = BlockTracker(graph.n)
+            f_ids, f_counts, f_codes, f_exact = classify_chunk_arrays(
+                view, graph, undecided, r, k,
+                block_tracker=self._block_tracker, cells=self.cells,
             )
-
-        filter_results, filter_pairs = self._pool.map(undecided, filter_worker)
-        if filter_results:
-            f_ids = np.concatenate([res[0] for res in filter_results])
-            f_counts = np.concatenate([res[1] for res in filter_results])
-            f_codes = np.concatenate([res[2] for res in filter_results])
-            f_exact = np.concatenate([res[3] for res in filter_results])
-        else:
-            f_ids = f_counts = np.empty(0, dtype=np.int64)
-            f_codes = np.empty(0, dtype=np.int8)
-            f_exact = np.empty(0, dtype=bool)
-        if f_ids.size:
             self.cache.record(r, f_ids, f_counts, exact_mask=f_exact)
-        candidates = np.sort(f_ids[f_codes == CANDIDATE_CODE])
-        direct = np.sort(f_ids[f_codes == OUTLIER_CODE])
+            candidates = np.sort(f_ids[f_codes == CANDIDATE_CODE])
+            direct = np.sort(f_ids[f_codes == OUTLIER_CODE])
+        filter_pairs = view.counter.pairs - pairs_before
         filter_seconds = time.perf_counter() - t0
 
         # -- verify phase: Exact-Counting over the candidates ------------------
         t0 = time.perf_counter()
-
+        pairs_before = view.counter.pairs
+        n_candidates = int(candidates.size)
         # Candidates that were already confirmed outliers at an earlier
-        # radius are about to pay a full linear scan *again* (a true
-        # outlier never terminates early).  Spend that scan on the
-        # sorted distance vector instead: same cost now, O(log n) at
-        # every later radius.
-        memo_verified: list[int] = []
-        memo_pairs = 0
-        memo_filled = 0
-        if candidates.size and self._prior_outliers:
-            fill = [
-                int(p) for p in candidates.tolist()
-                if p in self._prior_outliers and p not in self._memo
-            ]
-            fill = fill[: max(0, self._memo_budget - len(self._memo))]
-            if fill:
-                memo_filled = len(fill)
-                pairs_before = self._memo_view.counter.pairs
-                for p in fill:
-                    if self._memoise(p, r) < k:
-                        memo_verified.append(p)
-                memo_pairs = self._memo_view.counter.pairs - pairs_before
-                candidates = np.setdiff1d(
-                    candidates, np.asarray(fill, dtype=np.int64)
-                )
-
-        def verify_worker(view: Dataset, chunk: np.ndarray, slot: int):
-            return verifier.verify_chunk(chunk, r, k, dataset=view)
-
-        verify_results, verify_pairs = self._pool.map(candidates, verify_worker)
-        verify_pairs += memo_pairs
-        verify_counts = [pce for chunk in verify_results for pce in chunk]
+        # radius are about to pay a full scan again; the memo spends it
+        # on their sorted distance vectors instead.
+        memoised = len(self.memo.vectors)
+        held = self.memo.fill(candidates[self._prior_outliers[candidates]], self.cache)
+        self.stats["memoised"] += len(self.memo.vectors) - memoised
+        memo_verified = held[self.memo.counts(held, r) < k]
+        candidates = np.setdiff1d(candidates, held)
+        verify_counts = (
+            verifier.verify_chunk(candidates, r, k, dataset=view)
+            if candidates.size else []
+        )
         if verify_counts:
             v_ids = np.asarray([p for p, _, _ in verify_counts], dtype=np.int64)
             v_cnt = np.asarray([c for _, c, _ in verify_counts], dtype=np.int64)
             v_exact = np.asarray([e for _, _, e in verify_counts], dtype=bool)
             self.cache.record(r, v_ids, v_cnt, exact_mask=v_exact)
         verified = [p for p, _, exact in verify_counts if exact]
-        verified.extend(memo_verified)
+        verify_pairs = view.counter.pairs - pairs_before
         verify_seconds = time.perf_counter() - t0
 
         outliers = np.sort(
-            np.concatenate(
-                (cache_outliers, direct, np.asarray(verified, dtype=np.int64))
-            )
+            np.concatenate((
+                cache_outliers, direct, memo_verified,
+                np.asarray(verified, dtype=np.int64),
+            ))
         )
-        self._prior_outliers.update(int(p) for p in outliers)
+        self._prior_outliers[outliers] = True
         self.stats["queries"] += 1
         self.stats["cache_decided"] += cache_decided
         self.stats["filtered"] += int(undecided.size)
-        self.stats["verified"] += int(candidates.size) + memo_filled
+        self.stats["verified"] += n_candidates
+        n_verified = len(verified) + int(memo_verified.size)
 
         evidence = None
         if collect_evidence:
@@ -426,10 +412,9 @@ class DetectionEngine:
             },
             phase_pairs={"cache": 0, "filter": filter_pairs, "verify": verify_pairs},
             counts={
-                "candidates": int(candidates.size) + memo_filled,
+                "candidates": n_candidates,
                 "direct_outliers": int(direct.size),
-                "false_positives": int(candidates.size) + memo_filled
-                - len(verified),
+                "false_positives": n_candidates - n_verified,
                 "cache_decided": cache_decided,
                 "cache_outliers": int(cache_outliers.size),
                 "filtered": int(undecided.size),
@@ -559,8 +544,7 @@ class DetectionEngine:
 
     def describe(self) -> str:
         return (
-            f"single-process engine, n={self.n}, "
-            f"graph={self.graph_name}, n_jobs={self.n_jobs}"
+            f"single-process engine, n={self.n}, graph={self.graph_name}"
         )
 
     @property
@@ -586,11 +570,10 @@ class DetectionEngine:
     def index_nbytes(self) -> int:
         """Memory of the serving state (graph, verifier, center cells,
         cache and memo)."""
-        memo_nbytes = sum(vec.nbytes for vec in self._memo.values())
         cells_nbytes = 0 if self.cells is None else self.cells.nbytes
         return (
             self.graph.nbytes + self.verifier.nbytes + cells_nbytes
-            + self.cache.nbytes + memo_nbytes
+            + self.cache.nbytes + self.memo.nbytes
         )
 
     def reset_cache(self) -> None:
@@ -602,11 +585,10 @@ class DetectionEngine:
         """
         self.cache.clear()
         self._knn_radii.clear()
-        self._memo_radii.clear()
+        self.memo.radii.clear()
 
     def close(self) -> None:
-        """Shut down the shared worker pool."""
-        self._pool.close()
+        """Nothing to release: the engine holds no threads or processes."""
 
     def __enter__(self) -> "DetectionEngine":
         return self
@@ -618,5 +600,5 @@ class DetectionEngine:
         return (
             f"DetectionEngine(n={self.n}, graph="
             f"{self.graph.meta.get('builder', 'graph')!r}, "
-            f"queries={self.stats['queries']}, n_jobs={self.n_jobs})"
+            f"queries={self.stats['queries']})"
         )

@@ -271,34 +271,6 @@ class EvidenceCache:
                 np.minimum.at(self._ub_row(r), ids[exact_mask], counts[exact_mask])
         self._enforce_budget()
 
-    def record_bounds(
-        self,
-        r: float,
-        ids: np.ndarray,
-        lb_counts: np.ndarray | None = None,
-        ub_counts: np.ndarray | None = None,
-    ) -> None:
-        """Record independent lower/upper bounds for ``ids`` at ``r``.
-
-        The general form of :meth:`record`, used to transplant bounds
-        between caches (e.g. folding a compacted engine's evidence back
-        into the full-id-space cache of a mutable engine).  Upper
-        bounds equal to :data:`NO_BOUND` are ignored.
-        """
-        r = float(r)
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return
-        if lb_counts is not None:
-            lb_counts = np.asarray(lb_counts, dtype=np.int64)
-            np.maximum.at(self._lb_row(r), ids, lb_counts)
-        if ub_counts is not None:
-            ub_counts = np.asarray(ub_counts, dtype=np.int64)
-            known = ub_counts != NO_BOUND
-            if known.any():
-                np.minimum.at(self._ub_row(r), ids[known], ub_counts[known])
-        self._enforce_budget()
-
     def ingest(self, evidence: ObjectEvidence) -> None:
         """Absorb the per-object evidence of a finished detection run."""
         if evidence.n != self.n:
@@ -601,16 +573,6 @@ class EvidenceCache:
         for row in self._ub.values():
             row[ids] = NO_BOUND
         self._invalidate_folds()
-
-    def raw_rows(self):
-        """Yield ``(radius, lb_row, ub_row)`` for every stored radius.
-
-        Rows are the stored per-radius arrays (no folding); a side with
-        no evidence at that radius yields ``None``.  Used to transplant
-        bounds between caches over different id spaces.
-        """
-        for r in self.radii:
-            yield r, self._lb.get(r), self._ub.get(r)
 
     def nonvacuous_rows(self) -> np.ndarray:
         """Ids holding *any* evidence (some lb > 0, or some ub known)."""

@@ -5,11 +5,11 @@ The ROADMAP north-star workload — heavy multi-user traffic over a
 separately: :class:`~repro.engine.sharded.ShardedDetectionEngine`
 scales queries across worker processes but is frozen at fit time, and
 evidence repair keeps the cache alive under churn.  This module holds
-the one mutation core, :class:`MutableShardWorker` (the single-process
-:class:`~repro.engine.mutable.MutableDetectionEngine` runs one
-in-process worker that owns every id), and composes it with the shard
-merge behind the same :class:`~repro.engine.protocol.EngineCore`
-surface:
+the one mutable engine: the mutation core, :class:`MutableShardWorker`,
+composed with the shard merge behind the same
+:class:`~repro.engine.protocol.EngineCore` surface.  At one shard the
+worker runs in-process and owns every id (the single-process mutable
+engine):
 
 * **Routing.**  ``insert`` assigns each new object to the least-loaded
   shard and broadcasts the batch; every worker appends the objects to
@@ -25,7 +25,7 @@ surface:
   (:meth:`EvidenceCache.apply_insert_batch`): per radius, one
   increment vector patches every touched bound at once.  Within-shard
   counts decompose over any partition, so the repaired bounds stay
-  exactly as sound as the single-process engine's.
+  exactly as sound as one shard's.
 * **Exact merge.**  Queries run the same three-phase conservative
   merge as the static engine (the shared
   :class:`~repro.engine.sharded._ShardMergeBase`), restricted to the
@@ -67,8 +67,7 @@ from .sharded import _EMPTY, ShardWorker, _ServeView, _ShardMergeBase
 
 
 class MutableShardWorker(ShardWorker):
-    """One shard of a mutable collection: a ``ShardPool`` actor, or the
-    in-process state of a :class:`~repro.engine.mutable.MutableDetectionEngine`.
+    """One shard of a mutable collection, hosted as a ``ShardPool`` actor.
 
     A :class:`~repro.engine.sharded.ShardWorker` whose members change.
     It holds the full object log (a private replica, or a mapping of
@@ -132,10 +131,9 @@ class MutableShardWorker(ShardWorker):
             int(store_meta["length"]) if store_meta is not None else 0
         )
         self._objects: list[Any] = list(objects) if objects is not None else []
-        self._alive: list[bool] = (
-            [bool(a) for a in alive]
-            if alive is not None
-            else [True] * self.n_total
+        self._alive = (
+            np.array(alive, dtype=bool) if alive is not None
+            else np.ones(self.n_total, dtype=bool)
         )
         self._member_gids: list[int] = (
             [int(g) for g in member_gids] if member_gids is not None else []
@@ -212,11 +210,7 @@ class MutableShardWorker(ShardWorker):
         return sorted(stored | self._pinned)
 
     def _live_member_mask(self) -> np.ndarray:
-        members = np.asarray(self._member_gids, dtype=np.int64)
-        if members.size == 0:
-            return np.empty(0, dtype=bool)
-        alive = np.asarray(self._alive, dtype=bool)
-        return alive[members]
+        return self._alive[np.asarray(self._member_gids, dtype=np.int64)]
 
     def _build_member_graph(self) -> None:
         """Fresh proximity graph over the (live) members."""
@@ -309,7 +303,7 @@ class MutableShardWorker(ShardWorker):
             objects = list(objects)
             self._objects.extend(objects)
             n_new = len(objects)
-        self._alive.extend([True] * n_new)
+        self._alive = np.concatenate((self._alive, np.ones(n_new, dtype=bool)))
         self._refresh_dataset()
         n_total = self.n_total
         if self.cache is None:
@@ -331,15 +325,14 @@ class MutableShardWorker(ShardWorker):
             self._graph.grow(len(self._member_gids))
 
         assert self._full is not None
-        alive = np.asarray(self._alive, dtype=bool)
         members = np.asarray(self._member_gids, dtype=np.int64)
-        live_members = members[alive[members]]
+        live_members = members[self._alive[members]]
         radii = self._scan_radii()
         # Scan targets: with maintained radii the owned newcomers must
         # range the whole live collection (foreign rows hold within-
         # shard bounds about them too); otherwise live members suffice
         # for linking and list patching.
-        targets = np.flatnonzero(alive) if radii else live_members
+        targets = np.flatnonzero(self._alive) if radii else live_members
         B = owned_gids.size
         neighbors_out: list[dict] = [dict() for _ in range(B)]
         if targets.size:
@@ -416,8 +409,7 @@ class MutableShardWorker(ShardWorker):
         """
         self._drop_serve()
         gids = np.asarray(gids, dtype=np.int64)
-        alive = np.asarray(self._alive, dtype=bool)
-        alive[gids] = False
+        self._alive[gids] = False
         owned = np.asarray(
             [int(g) for g in gids if int(g) in self._local_of], dtype=np.int64
         )
@@ -427,7 +419,7 @@ class MutableShardWorker(ShardWorker):
             self.cache.apply_delete_batch(
                 owned,
                 build_delete_evidence(
-                    self._full, owned.tolist(), np.flatnonzero(alive),
+                    self._full, owned.tolist(), np.flatnonzero(self._alive),
                     radii, known, self.n_total,
                 ),
             )
@@ -435,13 +427,10 @@ class MutableShardWorker(ShardWorker):
             self.cache.reset_rows(gids)
         if owned.size:
             assert self._graph is not None
-            members = np.asarray(self._member_gids, dtype=np.int64)
-            local_alive = alive[members]
             self._graph.tombstone_many(
-                [self._local_of[int(g)] for g in owned], alive=local_alive
+                [self._local_of[int(g)] for g in owned],
+                alive=self._live_member_mask(),
             )
-        for g in gids:
-            self._alive[int(g)] = False
         return self._take_pairs()
 
     def pin(self, radii) -> int:
@@ -487,7 +476,7 @@ class MutableShardWorker(ShardWorker):
             self._n_log = int(keep.size)
         else:
             self._objects = [self._objects[int(g)] for g in keep]
-        self._alive = [True] * keep.size
+        self._alive = np.ones(keep.size, dtype=bool)
         members = np.asarray(self._member_gids, dtype=np.int64)
         if members.size:
             live_local = np.flatnonzero(remap[members] >= 0)
@@ -524,7 +513,7 @@ class MutableShardWorker(ShardWorker):
                 serve_gids = members[live_local]  # ascending: adopted by gid
                 graph, _ = self._graph.compact(live_local)
                 self._serve = _ServeView(
-                    self._full.subset(serve_gids), graph, serve_gids
+                    self._full.subset(serve_gids), graph, serve_gids, self._full
                 )
         return self._serve
 
@@ -538,51 +527,6 @@ class MutableShardWorker(ShardWorker):
         return out
 
 
-def mutable_snapshot(engine, shard_of, epoch: int):
-    """What either mutable engine's ``save`` writes (see :mod:`repro.io`).
-
-    The manifest meta carries the full-id-space bookkeeping (serving
-    statistics, pinned radii, the rebuild countdown); the shards are
-    the workers' states, every proven bound folded in.
-    """
-    from ..io import EngineSnapshot
-
-    if engine.n_total == 0:
-        raise ParameterError("cannot snapshot a mutable engine before any insert")
-    states = engine.shard_states()
-    alive = np.zeros(engine.n_total, dtype=bool)
-    alive[engine.active_ids()] = True
-    return EngineSnapshot(
-        kind="mutable",
-        meta={
-            "stats": engine.stats,
-            "metric": engine.metric.name,
-            "graph": engine.graph_name,
-            "K": engine.K,
-            "build_workers": engine.build_workers,
-            "pairs": engine.pairs,
-            "epoch": epoch,
-            "mutations_since_rebuild": engine._mutations_since_rebuild,
-            "pinned": sorted(set().union(*(st["pinned"] for st in states))),
-        },
-        alive=alive,
-        shard_of=np.asarray(shard_of, dtype=np.int64),
-        shards=states,
-        # Over the full log, prepared once: a shared-store log is
-        # already prepared, and angular rows would re-normalise.
-        dataset=engine.log_dataset(),
-    )
-
-
-def restore_mutable_counters(engine, meta: dict) -> None:
-    """Restore pairs, the rebuild countdown and stats from a manifest."""
-    from ..io import _restore_stats
-
-    engine.pairs = int(meta.get("pairs", 0))
-    engine._mutations_since_rebuild = int(meta.get("mutations_since_rebuild", 0))
-    _restore_stats(engine, meta.get("stats", {}))
-
-
 class MutableShardedDetectionEngine(_ShardMergeBase):
     """Exact DOD serving over a mutable, sharded collection.
 
@@ -591,15 +535,16 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     ids over an append-only log, least-loaded insert routing, batched
     evidence repair inside every owning shard, the exact conservative
     merge for queries, and online split/merge rebalancing between
-    query epochs.  Answers are bit-identical to the single-process
-    :class:`~repro.engine.mutable.MutableDetectionEngine` and to a
-    fresh scalar oracle over the live objects.
+    query epochs.  Answers are bit-identical at every shard count, and
+    to a fresh scalar oracle over the live objects.  With one shard (the
+    default) the worker runs in-process, since ``workers`` is clamped to
+    the shard count, and :meth:`top_n` is available.
     """
 
     def __init__(
         self,
         metric: "str | Metric" = "l2",
-        n_shards: int = 2,
+        n_shards: int = 1,
         workers: "int | None" = None,
         graph: str = "mrpg",
         K: int = 16,
@@ -660,8 +605,12 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self._backend = backend
         self.backend_name = resolve_backend(backend).name
         self._objects: list[Any] = []
-        self._alive: list[bool] = []
-        self._shard_of_list: list[int] = []
+        #: per global id: live?, owning shard, confirmed outlier of some
+        #: earlier query (the shards memoise those).  ``_spawn_pool``
+        #: derives ``_sizes``, the live count per shard, from them.
+        self._alive = np.zeros(0, dtype=bool)
+        self._shard_of = np.zeros(0, dtype=np.int64)
+        self._prior_outliers = np.zeros(0, dtype=bool)
         self._mutations_since_rebuild = 0
         self.epoch = 0
         self.pairs = 0
@@ -680,13 +629,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         #: entries the affected shard held before, and how many survived
         #: into the stay + moved halves combined.
         self.last_transfer = {"before": 0, "after": 0}
-        if store_kind == "shm":
-            # Instance override of the class-level capability flags.
-            self.capabilities = EngineCapabilities(
-                mutable=True, sharded=True, snapshot=True,
-                pinned_radii=True, epoch_barrier=True,
-                zero_copy_store=True,
-            )
         self._pool = None
         self._spawn_pool([
             {"member_gids": []} for _ in range(self.n_shards)
@@ -710,7 +652,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "store_meta": (
                 self._store.meta() if self._store is not None else None
             ),
-            "alive": list(self._alive),
+            "alive": self._alive,
             "member_gids": state.get("member_gids", []),
             "graph_state": state.get("graph"),
             "cache_state": state.get("cache"),
@@ -730,6 +672,9 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self.n_shards = len(shard_states)
         self.workers = min(self._workers_requested, self.n_shards)
         self._shard_load = np.zeros(self.n_shards, dtype=np.int64)
+        self._sizes = np.bincount(
+            self._shard_of[self._alive], minlength=self.n_shards
+        )
         factories = [
             partial(MutableShardWorker, **self._worker_kwargs(s, state))
             for s, state in enumerate(shard_states)
@@ -766,11 +711,11 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             n = len(objects)
             self._objects = objects
         shards = plan_shards(n, min(self.n_shards, n), rng=self._rng)
-        self._alive = [True] * n
-        self._shard_of_list = [0] * n
+        self._alive = np.ones(n, dtype=bool)
+        self._prior_outliers = np.zeros(n, dtype=bool)
+        self._shard_of = np.zeros(n, dtype=np.int64)
         for s, ids in enumerate(shards):
-            for g in ids:
-                self._shard_of_list[int(g)] = s
+            self._shard_of[ids] = s
         states = [
             {"member_gids": ids.tolist(), "build": True} for ids in shards
         ]
@@ -822,10 +767,10 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
 
     @property
     def n_active(self) -> int:
-        return sum(self._alive)
+        return int(self._sizes.sum())
 
     def active_ids(self) -> np.ndarray:
-        return np.flatnonzero(np.asarray(self._alive, dtype=bool))
+        return np.flatnonzero(self._alive)
 
     def live_objects(self) -> list:
         if self.store_kind == "shm":
@@ -891,19 +836,12 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
 
     def shard_sizes(self) -> np.ndarray:
         """Live member count per shard."""
-        alive = np.asarray(self._alive, dtype=bool)
-        shard_of = np.asarray(self._shard_of_list, dtype=np.int64)
-        if shard_of.size == 0:
-            return np.zeros(self.n_shards, dtype=np.int64)
-        return np.bincount(shard_of[alive], minlength=self.n_shards)
+        return self._sizes.copy()
 
     # -- merge hooks (the live population) ---------------------------------
 
     def _live_ids(self) -> np.ndarray:
         return self.active_ids()
-
-    def _home_shards(self, ids: np.ndarray) -> np.ndarray:
-        return np.asarray(self._shard_of_list, dtype=np.int64)[ids]
 
     def _method_label(self) -> str:
         return (
@@ -929,7 +867,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         first_gid = self.n_total
         prepared = self._prepare_rows(objects)
         B = len(objects)
-        sizes = self.shard_sizes().astype(np.int64)
+        sizes = self._sizes.copy()
         owner = np.empty(B, dtype=np.int64)
         for i in range(B):
             s = int(np.argmin(sizes))
@@ -941,8 +879,12 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         else:
             self._objects.extend(objects)
             payload = objects
-        self._alive.extend([True] * B)
-        self._shard_of_list.extend(int(s) for s in owner)
+        self._alive = np.concatenate((self._alive, np.ones(B, dtype=bool)))
+        self._shard_of = np.concatenate((self._shard_of, owner))
+        self._prior_outliers = np.concatenate(
+            (self._prior_outliers, np.zeros(B, dtype=bool))
+        )
+        self._sizes = sizes
         shard_args = [
             (payload, first_gid, np.flatnonzero(owner == s))
             for s in range(self.n_shards)
@@ -953,12 +895,12 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             self.pairs += shard_pairs
             for pos, nbrs in zip(np.flatnonzero(owner == s), neighbor_dicts):
                 self.last_insert_neighbors[int(pos)] = nbrs
-        self._spread_pinned_counts(first_gid, B)
-        # Public contract (shared with MutableDetectionEngine): a
-        # newcomer's recorded scan lists what was live when it arrived —
-        # the prior population plus the *earlier* members of its own
-        # batch.  The owner's scan returned final-state sets (which the
-        # pinned-count spreading above needs); trim to the contract.
+        self._spread_pinned_counts(first_gid, owner)
+        # Public contract: a newcomer's recorded scan lists what was live
+        # when it arrived — the prior population plus the *earlier*
+        # members of its own batch.  The owner's scan returned
+        # final-state sets (which the pinned-count spreading above
+        # needs); trim to the contract.
         for i, nbrs in enumerate(self.last_insert_neighbors):
             gid = first_gid + i
             for r_key in list(nbrs):
@@ -968,35 +910,37 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self._mutations_since_rebuild += B
         return np.arange(first_gid, first_gid + B, dtype=np.int64)
 
-    def _spread_pinned_counts(self, first_gid: int, B: int) -> None:
-        """Give every shard the newcomers' exact counts at pinned radii.
+    def _spread_pinned_counts(self, first_gid: int, owner: np.ndarray) -> None:
+        """Give the other shards the newcomers' exact counts at pinned radii.
 
         The owning shard's insert scan ranged each newcomer against the
         *whole* live collection, so its within-``r`` sets decompose by
         membership into exact within-shard counts for **every** shard —
-        routed here as pure bookkeeping (no further distances).  This
-        is what keeps a pinned-radius detect a phase-A cache decision
-        on the sharded engine too (the exact-STORM streaming substrate).
+        routed here as pure bookkeeping (no further distances) to each
+        shard that does not own the newcomer (the owner recorded its
+        own count during the scan).  This is what keeps a pinned-radius
+        detect a phase-A cache decision on several shards too (the
+        exact-STORM streaming substrate).
         """
-        if not self._pinned or B == 0:
+        if not self._pinned or self.n_shards == 1:
             return
-        shard_of = np.asarray(self._shard_of_list, dtype=np.int64)
+        S, B = self.n_shards, owner.size
+        foreign = [np.flatnonzero(owner != s) for s in range(S)]
         new_ids = np.arange(first_gid, first_gid + B, dtype=np.int64)
-        exact = np.ones(B, dtype=bool)
         for r in sorted(self._pinned):
-            counts = np.zeros((self.n_shards, B), dtype=np.int64)
+            counts = np.zeros((S, B), dtype=np.int64)
             for i, nbrs in enumerate(self.last_insert_neighbors):
                 within = nbrs.get(r)
                 if within is None:
                     return  # scan did not cover the pinned radius
                 if len(within):
                     counts[:, i] = np.bincount(
-                        shard_of[np.asarray(within, dtype=np.int64)],
-                        minlength=self.n_shards,
+                        self._shard_of[within], minlength=S
                     )
-            self._pool.call("record", shard_args=[
-                (r, new_ids, counts[s], exact) for s in range(self.n_shards)
-            ])
+            self._pool.call_where("record", shard_args=[
+                (r, new_ids[sel], counts[s, sel], np.ones(sel.size, dtype=bool))
+                for s, sel in enumerate(foreign)
+            ], mask=[sel.size > 0 for sel in foreign])
 
     def remove(
         self,
@@ -1005,14 +949,17 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     ) -> None:
         """Tombstone objects everywhere; owning shards repair their caches."""
         id_list = check_ids(ids)
-        for v in id_list:
-            if not 0 <= v < self.n_total or not self._alive[v]:
-                raise ParameterError(f"id {v} is not an active object")
-        if len(set(id_list)) != len(id_list):
+        victims = np.asarray(id_list, dtype=np.int64)
+        bad = (victims < 0) | (victims >= self.n_total)
+        bad[~bad] = ~self._alive[victims[~bad]]
+        if bad.any():
+            raise ParameterError(
+                f"id {int(victims[bad][0])} is not an active object"
+            )
+        if np.unique(victims).size != victims.size:
             raise ParameterError("remove: duplicate ids")
         if not id_list:
             return
-        victims = np.asarray(id_list, dtype=np.int64)
         if self._store is not None:
             # Deletes never touch the data plane: tombstoned offsets are
             # bookkeeping until a vacuum epoch compacts the segment.
@@ -1024,13 +971,15 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
                 known_s = {
                     v: known_neighbors[v]
                     for v in id_list
-                    if self._shard_of_list[v] == s and v in known_neighbors
+                    if self._shard_of[v] == s and v in known_neighbors
                 } or None
             shard_args.append((victims, known_s))
         for shard_pairs in self._pool.call("retire", shard_args=shard_args):
             self.pairs += shard_pairs
-        for v in id_list:
-            self._alive[v] = False
+        self._alive[victims] = False
+        self._sizes -= np.bincount(
+            self._shard_of[victims], minlength=self.n_shards
+        )
         self.stats["removes"] += len(id_list)
         self._mutations_since_rebuild += len(id_list)
 
@@ -1064,10 +1013,9 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             self.pairs += shard_pairs
         if self.store_kind != "shm":
             self._objects = [self._objects[int(g)] for g in keep]
-        self._alive = [True] * keep.size
-        self._shard_of_list = [
-            self._shard_of_list[int(g)] for g in keep
-        ]
+        self._alive = np.ones(keep.size, dtype=bool)
+        self._shard_of = self._shard_of[keep]
+        self._prior_outliers = self._prior_outliers[keep]
         self.epoch += 1
         return remap
 
@@ -1094,10 +1042,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         s = int(np.argmax(sizes)) if shard is None else int(shard)
         if not 0 <= s < self.n_shards:
             raise ParameterError(f"split_shard: no shard {s}")
-        members = np.flatnonzero(
-            np.asarray(self._alive, dtype=bool)
-            & (np.asarray(self._shard_of_list, dtype=np.int64) == s)
-        )
+        members = np.flatnonzero(self._alive & (self._shard_of == s))
         if members.size < 2:
             raise ParameterError(
                 f"split_shard: shard {s} holds {members.size} live members"
@@ -1117,8 +1062,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "member_gids": move.tolist(), "build": True,
             "cache": move_cache,
         })
-        for g in move:
-            self._shard_of_list[int(g)] = new_index
+        self._shard_of[move] = new_index
         self._spawn_pool(states)
         self.stats["rebalances"] += 1
         return new_index
@@ -1149,10 +1093,8 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
                 f"merge_shards: bad pair ({source}, {target})"
             )
         states = self._collect_states()
-        alive = np.asarray(self._alive, dtype=bool)
-        shard_of = np.asarray(self._shard_of_list, dtype=np.int64)
         union = np.flatnonzero(
-            alive & ((shard_of == source) | (shard_of == target))
+            self._alive & ((self._shard_of == source) | (self._shard_of == target))
         )
         merged_cache = self._merge_evidence(
             states[source].get("cache"), states[target].get("cache")
@@ -1162,17 +1104,13 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "cache": merged_cache,
         }
         del states[source]
-        remap = {
-            old: (old if old < source else old - 1)
-            for old in range(self.n_shards)
-        }
+        shards = np.arange(self.n_shards)
+        remap = shards - (shards > source)
         remap[source] = remap[target]
-        self._shard_of_list = [
-            remap[s] for s in self._shard_of_list
-        ]
+        self._shard_of = remap[self._shard_of]
         self._spawn_pool(states)
         self.stats["rebalances"] += 1
-        return remap[target]
+        return int(remap[target])
 
     def _split_evidence(
         self, cache: "EvidenceCache | None", move: np.ndarray
@@ -1287,15 +1225,19 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
 
     # -- queries -----------------------------------------------------------
 
-    def query(self, r: float, k: int) -> DODResult:
-        r, k = check_query(r, k)
+    def _ready(self, what: str) -> None:
+        """Refuse an empty engine; run a due ``rebuild_every`` rebuild."""
         if self.n_active == 0:
-            raise ParameterError("detect before any insert")
+            raise ParameterError(f"{what} before any insert")
         if (
             self.rebuild_every is not None
             and self._mutations_since_rebuild >= self.rebuild_every
         ):
             self.rebuild()
+
+    def query(self, r: float, k: int) -> DODResult:
+        r, k = check_query(r, k)
+        self._ready("detect")
         result = super().query(r, k)
         self.pairs += result.pairs
         return result
@@ -1304,6 +1246,25 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         """Alias for :meth:`query` (the mutable engines' historical verb)."""
         return self.query(r, k)
 
+    def top_n(self, n_top: int, k: int, rng: "int | None" = 0):
+        """Exact top-``n_top`` ranking by k-th-NN distance, one shard only.
+
+        The shard ranks its live members, seeded from its graph's
+        exact-K'NN lists, its memo and its cached bounds (cached kNN
+        upper bounds become ORCA cutoffs); ids are stable external ids.
+        A k-th neighbor may live in another shard, so with more shards
+        this raises :class:`ParameterError`.
+        """
+        if self.n_shards != 1:
+            raise ParameterError(
+                f"top_n needs a one-shard engine; this one has "
+                f"{self.n_shards} shards"
+            )
+        self._ready("top_n")
+        (result,) = self._pool.call("top_n", common=(n_top, k, rng))
+        self.pairs += result.pairs
+        return result
+
     # -- persistence -------------------------------------------------------
 
     def shard_states(self) -> list[dict]:
@@ -1311,10 +1272,39 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         return self._collect_states()
 
     def save(self, path) -> None:
-        """Snapshot the engine as a manifest directory (see :mod:`repro.io`)."""
-        from ..io import write_snapshot
+        """Snapshot the engine as a manifest directory (see :mod:`repro.io`).
 
-        write_snapshot(path, mutable_snapshot(self, self._shard_of_list, self.epoch))
+        The manifest meta carries the full-id-space bookkeeping (serving
+        statistics, pinned radii, the rebuild countdown); the shards are
+        the workers' states.
+        """
+        from ..io import EngineSnapshot, write_snapshot
+
+        if self.n_total == 0:
+            raise ParameterError(
+                "cannot snapshot a mutable engine before any insert"
+            )
+        states = self.shard_states()
+        write_snapshot(path, EngineSnapshot(
+            kind="mutable",
+            meta={
+                "stats": self.stats,
+                "metric": self.metric.name,
+                "graph": self.graph_name,
+                "K": self.K,
+                "build_workers": self.build_workers,
+                "pairs": self.pairs,
+                "epoch": self.epoch,
+                "mutations_since_rebuild": self._mutations_since_rebuild,
+                "pinned": sorted(set().union(*(st["pinned"] for st in states))),
+            },
+            alive=self._alive.copy(),
+            shard_of=self._shard_of,
+            shards=states,
+            # Over the full log, prepared once: a shared-store log is
+            # already prepared, and angular rows would re-normalise.
+            dataset=self.log_dataset(),
+        ))
 
     @classmethod
     def load(cls, path, objects, **kwargs) -> "MutableShardedDetectionEngine":
@@ -1331,6 +1321,8 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     @classmethod
     def _from_snapshot(cls, snap, **kwargs) -> "MutableShardedDetectionEngine":
         """An engine over a read mutable snapshot, one shard per archive."""
+        from ..io import _restore_stats
+
         meta = snap.meta
         # Loaded engines keep rebuilding with the snapshot's parallelism
         # unless the caller overrides it explicitly (null: one worker).
@@ -1344,19 +1336,27 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             **kwargs,
         )
         engine._adopt_log(snap.log)
-        engine._alive = snap.alive.tolist()
-        engine._shard_of_list = snap.shard_of.tolist()
+        engine._alive = snap.alive.astype(bool)
+        engine._shard_of = snap.shard_of.astype(np.int64)
+        engine._prior_outliers = np.zeros(engine.n_total, dtype=bool)
         engine._spawn_pool(snap.shards)
         engine.epoch = int(meta.get("epoch", engine.epoch))
-        restore_mutable_counters(engine, meta)
+        engine.pairs = int(meta.get("pairs", 0))
+        engine._mutations_since_rebuild = int(
+            meta.get("mutations_since_rebuild", 0)
+        )
+        _restore_stats(engine, meta.get("stats", {}))
         return engine
 
     # -- protocol surface --------------------------------------------------
 
-    capabilities = EngineCapabilities(
-        mutable=True, sharded=True, snapshot=True, pinned_radii=True,
-        epoch_barrier=True,
-    )
+    @property
+    def capabilities(self) -> EngineCapabilities:
+        return EngineCapabilities(
+            mutable=True, sharded=True, snapshot=True, pinned_radii=True,
+            epoch_barrier=True, top_n=self.n_shards == 1,
+            zero_copy_store=self.store_kind == "shm",
+        )
 
     @property
     def graph_degree(self) -> int:
@@ -1381,9 +1381,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "screened_pairs": 0,
             "rescreened_pairs": 0,
         }
-        per_shard = [] if self._pool is None else self._pool.call(
-            "backend_stats"
-        )
+        per_shard = self._pool.call("backend_stats")
         for entry in per_shard:
             for key in ("screen_calls", "screened_pairs", "rescreened_pairs"):
                 out[key] += int(entry.get(key, 0))
@@ -1392,9 +1390,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
 
     def build_stats(self) -> dict:
         """Per-shard graph-build phase timings (most recent builds)."""
-        per_shard = [] if self._pool is None else self._pool.call(
-            "build_stats"
-        )
+        per_shard = self._pool.call("build_stats")
         total = 0.0
         for entry in per_shard:
             total += float(entry.get("build_seconds", 0.0) or 0.0)
@@ -1443,7 +1439,12 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         return [int(b) for b in self._pool.call("store_resident_nbytes")]
 
     def reset_cache(self) -> None:
-        """Drop accumulated evidence in every shard."""
+        """Drop accumulated evidence in every shard (memoised outlier
+        distances stay until the next mutation epoch).
+
+        The cache-drop-and-recompute baseline the repair path is
+        benchmarked against (``benchmarks/bench_engine_mutable.py``).
+        """
         self._pool.call("reset_cache")
 
     def close(self) -> None:
@@ -1453,10 +1454,8 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         worker mid-mutation must not leak ``/dev/shm`` entries).
         """
         try:
-            if self._pool is not None:
-                self._pool.close()
+            self._pool.close()
         finally:
-            self._pool = None
             if self._store is not None:
                 self._store.unlink()
 

@@ -1,13 +1,13 @@
 """One engine protocol: the serving surface every engine variant shares.
 
 The engine family grew one axis at a time — cross-query reuse
-(:class:`~repro.engine.engine.DetectionEngine`), mutation repair
-(:class:`~repro.engine.mutable.MutableDetectionEngine`), multi-process
-sharding (:class:`~repro.engine.sharded.ShardedDetectionEngine`), and
-their composition
-(:class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`).
-All four answer the same exact ``(r, k)`` queries; what differs is
-*which capabilities* each carries.  This module names that shared
+(:class:`~repro.engine.engine.DetectionEngine`), multi-process sharding
+(:class:`~repro.engine.sharded.ShardedDetectionEngine`), and mutation
+repair on shards
+(:class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`,
+the one mutable engine at every shard count).  All three answer the
+same exact ``(r, k)`` queries; what differs is *which capabilities*
+each carries.  This module names that shared
 surface once:
 
 * :class:`EngineCore` — the query/serving contract every engine
@@ -53,7 +53,8 @@ class EngineCapabilities:
     ``snapshot``
         ``save``/``load`` round-trips the serving state.
     ``top_n``
-        ``top_n(n_top, k)`` exact ranking is available.
+        ``top_n(n_top, k)`` exact ranking is available (a mutable
+        engine ranks only while it holds one shard).
     ``pinned_radii``
         Evidence at pinned radii is maintained exactly through
         mutations (the streaming substrate).
@@ -216,7 +217,6 @@ def create_engine(
     shards: int = 1,
     workers: "int | None" = None,
     mutable: bool = False,
-    n_jobs: int = 1,
     pinned: Sequence[float] = (),
     cache_radii: "int | None" = None,
     rebuild_every: "int | None" = None,
@@ -238,12 +238,12 @@ def create_engine(
     ``data`` is raw objects or a prepared :class:`~repro.data.Dataset`
     (static engines require it; mutable engines may start empty and be
     populated through ``insert``).  ``shards > 1`` selects a sharded
-    engine, ``mutable=True`` a mutable one; both together compose into
-    the mutable sharded engine.  ``backend`` names the numeric backend
-    (:mod:`repro.backends`) every shard uses.  ``store`` picks where object data
-    lives: ``"ram"`` (private copies, the default) or ``"shm"`` (one
-    growable shared segment, mutable engines only — always served by
-    the mutable *sharded* engine, even at ``shards=1``).  Out-of-core
+    static engine; ``mutable=True`` selects the mutable sharded engine
+    at every shard count (one shard runs in-process).  ``backend`` names
+    the numeric backend (:mod:`repro.backends`) every shard uses.
+    ``store`` picks where object data lives: ``"ram"`` (private copies,
+    the default) or ``"shm"`` (one growable shared segment, mutable
+    engines only).  Out-of-core
     ``"memmap"`` storage is a dataset-loading choice
     (:func:`repro.io.open_memmap_dataset`), not an engine knob.  This
     is the **only** place the engine class is chosen — callers above
@@ -279,34 +279,18 @@ def create_engine(
                 [data.get(i) for i in range(data.n)] if is_dataset else data
             )
             metric = data.metric if is_dataset else metric
-        if shards > 1 or store_kind == "shm":
-            from .mutable_sharded import MutableShardedDetectionEngine
+        from .mutable_sharded import MutableShardedDetectionEngine
 
-            engine = MutableShardedDetectionEngine(
-                metric=metric, n_shards=shards, workers=workers, graph=graph,
-                K=K, seed=seed, pinned=pinned, cache_radii=cache_radii,
-                rebuild_every=rebuild_every, start_method=start_method,
-                backend=backend,
-                store="shm" if store_kind == "shm" else "list",
-                build_workers=build_workers,
-            )
-            if objects is not None:
-                engine.bulk_load(objects)
-            return engine
-        from .mutable import MutableDetectionEngine
-
-        if objects is not None:
-            return MutableDetectionEngine.fit(
-                objects, metric=metric, K=K, seed=seed, n_jobs=n_jobs,
-                rebuild_graph=graph, cache_radii=cache_radii,
-                rebuild_every=rebuild_every, pinned=pinned, backend=backend,
-                build_workers=build_workers,
-            )
-        return MutableDetectionEngine(
-            metric=metric, K=K, seed=seed, n_jobs=n_jobs, rebuild_graph=graph,
-            cache_radii=cache_radii, rebuild_every=rebuild_every,
-            pinned=pinned, backend=backend, build_workers=build_workers,
+        engine = MutableShardedDetectionEngine(
+            metric=metric, n_shards=shards, workers=workers, graph=graph,
+            K=K, seed=seed, pinned=pinned, cache_radii=cache_radii,
+            rebuild_every=rebuild_every, start_method=start_method,
+            backend=backend, store="shm" if store_kind == "shm" else "list",
+            build_workers=build_workers,
         )
+        if objects is not None:
+            engine.bulk_load(objects)
+        return engine
     if data is None:
         raise ParameterError("static engines need data; pass mutable=True "
                              "to start empty")
@@ -332,11 +316,11 @@ def create_engine(
             **graph_params,
         )
         return DetectionEngine(
-            data, built, n_jobs=n_jobs, rng=gen, cache_radii=cache_radii,
-            backend=backend, cells=build_cells(data),
+            data, built, cache_radii=cache_radii, backend=backend,
+            cells=build_cells(data),
         )
     return DetectionEngine.fit(
-        data, metric=metric, graph=graph, K=K, seed=seed, n_jobs=n_jobs,
+        data, metric=metric, graph=graph, K=K, seed=seed,
         cache_radii=cache_radii, backend=backend,
         build_workers=build_workers, **graph_params,
     )

@@ -80,7 +80,7 @@ from ..index.linear import linear_count_block
 from ..metrics import Metric
 from ..params import check_query
 from ..rng import ensure_rng
-from .engine import SweepResult, _sweep_order
+from .engine import OutlierMemo, SweepResult, _sweep_order
 from .evidence import NO_BOUND, EvidenceCache
 from .protocol import EngineCapabilities
 
@@ -120,24 +120,27 @@ class _ServeView:
 
     ``ids`` are the members' global ids (ascending), ``sub`` the
     sub-dataset over them (local ids ``0..m-1``) and ``graph`` the
-    shard-local proximity graph that filtering walks.  A static shard
-    builds one view at construction, with the center cells of its
-    members (``cells``); a mutable shard rebuilds the view per mutation
-    epoch over its live members, without cells (an empty shard's view
-    has no ``sub``/``graph``).
+    shard-local proximity graph that filtering walks.  ``memo`` holds
+    confirmed outliers' sorted distances to the members, keyed by global
+    id and computed on ``full``.  A static shard builds one view at
+    construction, with the center cells of its members (``cells``); a
+    mutable shard rebuilds the view per mutation epoch over its live
+    members, without cells, so an epoch drops its memo (an empty
+    shard's view has no ``sub``/``graph``/``memo``).
     """
 
-    __slots__ = ("sub", "graph", "ids", "knn", "cells", "block_tracker")
+    __slots__ = ("sub", "graph", "ids", "knn", "cells", "memo", "block_tracker")
 
     def __init__(
         self, sub: "Dataset | None", graph: "Graph | None", ids: np.ndarray,
-        cells: "CenterCells | None" = None,
+        full: "Dataset | None" = None, cells: "CenterCells | None" = None,
     ):
         self.sub = sub
         self.graph = graph
         self.ids = ids
         self.knn = None if graph is None else graph.exact_knn_arrays()
         self.cells = cells
+        self.memo = None if full is None else OutlierMemo(full, ids)
         self.block_tracker: "BlockTracker | None" = None
 
 
@@ -153,7 +156,8 @@ class ShardWorker:
     processes.
 
     The query protocol (``prepare``/``filter``/``count_range``/
-    ``record``) is written once here;
+    ``record``, and ``top_n`` for a shard that holds every object) is
+    written once here;
     :class:`~repro.engine.mutable_sharded.MutableShardWorker` adds only
     its data plane, its live-member view and its mutations.  A static
     worker also builds the center cells of its members
@@ -215,7 +219,7 @@ class ShardWorker:
             knn_radii,
         )
         self._graph = graph
-        self._serve = _ServeView(sub, graph, ids, cells=build_cells(sub))
+        self._serve = _ServeView(sub, graph, ids, full, cells=build_cells(sub))
         self._take_pairs()  # offline build cost is not query cost
 
     def _init_serving(self, full, backend, cache, knn_radii) -> None:
@@ -270,15 +274,18 @@ class ShardWorker:
     def prepare(self, r: float):
         """Phase A: fold the cache; return full within-shard bound arrays.
 
-        A shard with no live members knows every within-shard count is
-        exactly zero — it reports that instead of "unknown", so empty
-        shards never block the merge's exact upper bounds.
+        Memoised candidates get their exact within-shard counts at ``r``
+        first.  A shard with no live members knows every within-shard
+        count is exactly zero — it reports that instead of "unknown", so
+        empty shards never block the merge's exact upper bounds.
         """
         r = float(r)
-        if self.cache is None or self._ensure_serve().ids.size == 0:
+        view = self._ensure_serve()
+        if self.cache is None or view.ids.size == 0:
             zero = np.zeros(self.n_total, dtype=np.int64)
             return zero, zero.copy(), self._take_pairs()
         self._ensure_knn_evidence(r)
+        view.memo.ensure(self.cache, r)
         return (
             self.cache.lower_bounds(r),
             self.cache.upper_bounds(r),
@@ -318,30 +325,44 @@ class ShardWorker:
             self.cache.record(r, home_ids[walk], w_counts, exact_mask=w_exact)
         return home_ids, counts, exact, self._take_pairs()
 
-    def count_range(self, r: float, ids: np.ndarray, stop_at):
+    def count_range(self, r: float, ids: np.ndarray, stop_at, memoise=None):
         """Phase C: within-shard neighbor counts of the candidates ``ids``.
 
         Returns ``(counts, exact, pairs)``.  A count is exact, or at
         least the candidate's ``stop_at`` (one threshold per candidate,
-        or one for all).  A static shard bounds each count through its
-        center cells and sweeps only the members they leave open
-        (:meth:`~repro.index.cells.CenterCells.count`); a shard without
-        cells sweeps every member with an early exit at ``stop_at``.
-        A candidate that is itself a member does not count itself.
+        or one for all).  Candidates flagged in the ``memoise`` mask
+        (confirmed outliers of earlier queries) are counted exactly
+        from the shard's :class:`~repro.engine.engine.OutlierMemo`,
+        filled on first use.  A static shard bounds every other count
+        through its center cells and sweeps only the members they leave
+        open (:meth:`~repro.index.cells.CenterCells.count`); a shard
+        without cells sweeps every member with an early exit at
+        ``stop_at``.  A candidate that is itself a member does not
+        count itself.
         """
         r = float(r)
         ids = np.asarray(ids, dtype=np.int64)
         stops = np.broadcast_to(np.asarray(stop_at, dtype=np.int64), ids.shape)
         view = self._ensure_serve()
+        counts = np.zeros(ids.size, dtype=np.int64)
+        exact = np.ones(ids.size, dtype=bool)
         if ids.size == 0 or view.ids.size == 0:
-            zero = np.zeros(ids.size, dtype=np.int64)
-            return zero, np.ones(ids.size, dtype=bool), self._take_pairs()
-        if view.cells is None:
-            counts = linear_count_block(
-                self._full, ids, r, stop_at=stops, subset=view.ids
+            return counts, exact, self._take_pairs()
+        held = _EMPTY if memoise is None else view.memo.fill(
+            ids[np.asarray(memoise, dtype=bool)], self.cache
+        )
+        in_memo = np.isin(ids, held)
+        counts[in_memo] = view.memo.counts(ids[in_memo], r)
+        rest = np.flatnonzero(~in_memo)
+        if rest.size and view.cells is None:
+            counts[rest] = linear_count_block(
+                self._full, ids[rest], r, stop_at=stops[rest], subset=view.ids
             )
-            return counts, counts < stops, self._take_pairs()
-        counts, exact = view.cells.count(self._full, view.ids, ids, r, stops)
+            exact[rest] = counts[rest] < stops[rest]
+        elif rest.size:
+            counts[rest], exact[rest] = view.cells.count(
+                self._full, view.ids, ids[rest], r, stops[rest]
+            )
         return counts, exact, self._take_pairs()
 
     def record(self, r: float, ids: np.ndarray, counts: np.ndarray,
@@ -365,17 +386,46 @@ class ShardWorker:
             "knn_radii": sorted(self._knn_radii),
         }
 
+    def top_n(self, n_top: int, k: int, rng):
+        """Exact top-``n_top`` ranking by k-th-NN distance over the members.
+
+        Runs :func:`~repro.extensions.topn.top_n_outliers` over the
+        serve view, seeded as :meth:`DetectionEngine.top_n` is: from the
+        shard graph's exact-K'NN lists, the memo and the cached bounds.
+        Exact only when this shard holds every live object (the engine
+        checks).  Ids are global.
+        """
+        from types import SimpleNamespace
+
+        from ..extensions.topn import top_n_outliers
+
+        view = self._ensure_serve()
+        seeded = SimpleNamespace(
+            dataset=view.sub, graph=view.graph, cache=self.cache.take(view.ids),
+            memo=SimpleNamespace(vectors={
+                int(np.searchsorted(view.ids, p)): vec
+                for p, vec in view.memo.vectors.items()
+            }),
+        )
+        result = top_n_outliers(None, n_top, k, engine=seeded, rng=rng)
+        result.ids = view.ids[result.ids]
+        result.pairs = self._take_pairs()
+        return result
+
     def nbytes(self) -> int:
-        cells = None if self._serve is None else self._serve.cells
-        return int(sum(
-            part.nbytes for part in (self._graph, cells, self.cache)
-            if part is not None
-        ))
+        serve = self._serve
+        parts = (self._graph, self.cache) if serve is None else (
+            self._graph, self.cache, serve.cells, serve.memo
+        )
+        return int(sum(part.nbytes for part in parts if part is not None))
 
     def reset_cache(self) -> None:
+        """Drop the cache; memoised vectors stay and re-record per radius."""
         if self.cache is not None:
             self.cache.clear()
         self._knn_radii.clear()
+        if self._serve is not None and self._serve.memo is not None:
+            self._serve.memo.radii.clear()
 
     def backend_stats(self) -> dict:
         """This worker's backend name + screen/rescreen counters."""
@@ -397,12 +447,14 @@ class _ShardMergeBase:
     """The exact conservative merge, shared by every sharded engine.
 
     Subclasses supply the population hooks — :meth:`_live_ids` (which
-    global ids a query decides over), :meth:`_home_shards` (id ->
-    owning shard) and :meth:`_method_label` — plus ``self._pool``
-    hosting workers that answer ``prepare``/``filter``/
-    ``count_range``/``record``.  The three-phase query protocol, the
-    cross-shard verification (one bounded ``count_range`` per shard)
-    and the evidence deposit are written once here: the static
+    global ids a query decides over) and :meth:`_method_label` — plus
+    ``self._pool`` hosting workers that answer ``prepare``/``filter``/
+    ``count_range``/``record``, ``self._shard_of`` (id -> owning shard)
+    and ``self._prior_outliers`` (ids some earlier query confirmed as
+    outliers, whose counts the shards memoise).  The three-phase query
+    protocol, the cross-shard verification (one bounded
+    ``count_range`` per shard) and the evidence deposit are written
+    once here: the static
     :class:`ShardedDetectionEngine` and the mutable
     :class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`
     compose the same merge over different populations instead of
@@ -411,6 +463,8 @@ class _ShardMergeBase:
 
     n_shards: int
     stats: dict
+    _shard_of: np.ndarray
+    _prior_outliers: np.ndarray
 
     @staticmethod
     def _fresh_merge_stats() -> dict:
@@ -433,10 +487,6 @@ class _ShardMergeBase:
 
     def _live_ids(self) -> np.ndarray:
         """Global ids the query decides over (ascending)."""
-        raise NotImplementedError
-
-    def _home_shards(self, ids: np.ndarray) -> np.ndarray:
-        """Owning shard per global id (for the filter phase)."""
         raise NotImplementedError
 
     def _method_label(self) -> str:
@@ -482,7 +532,7 @@ class _ShardMergeBase:
 
         # -- phase B: shard-local filtering of each shard's own residue -------
         t0 = time.perf_counter()
-        home = self._home_shards(undecided)
+        home = self._shard_of[undecided]
         shard_args = [(r, k, undecided[home == s]) for s in range(S)]
         filtered = self._pool.call("filter", shard_args=shard_args)
         for s, (ids_s, counts_s, exact_s, pairs_s) in enumerate(filtered):
@@ -521,6 +571,7 @@ class _ShardMergeBase:
         outliers = np.sort(
             np.concatenate((cache_outliers, filter_outliers, verified))
         )
+        self._prior_outliers[outliers] = True
         self.stats["queries"] += 1
         self.stats["cache_decided"] += cache_decided
         self.stats["filtered"] += int(undecided.size)
@@ -561,8 +612,9 @@ class _ShardMergeBase:
 
         One ``count_range`` broadcast: each shard counts the candidates
         it has no exact count for, stopping at ``k`` less the other
-        shards' current bounds.  A shard that stops early proves the
-        sum reaches ``k``; every other count is exact.  So each
+        shards' current bounds, and memoising the ones that earlier
+        queries confirmed as outliers.  A shard that stops early proves
+        the sum reaches ``k``; every other count is exact.  So each
         candidate is decided, and one ``record`` deposits the counts,
         so the next query at ``r`` decides them from phase A alone.
         """
@@ -571,9 +623,11 @@ class _ShardMergeBase:
         exact = (ub != NO_BOUND) & (lb >= ub)
         bound = np.where(exact, ub, lb)
         stops = k - (bound.sum(axis=0) - bound)
+        prior = self._prior_outliers[candidates]
         send = [np.flatnonzero(~row) for row in exact]
         results = self._pool.call("count_range", shard_args=[
-            (r, candidates[sel], stops[s, sel]) for s, sel in enumerate(send)
+            (r, candidates[sel], stops[s, sel], prior[sel])
+            for s, sel in enumerate(send)
         ])
         pairs = 0
         for s, (counts, exact_s, shard_pairs) in enumerate(results):
@@ -627,16 +681,10 @@ class _ShardMergeBase:
         """
         n = self.n_shards
         signals = []
-        pairs = np.asarray(
-            getattr(self, "_shard_load", np.zeros(n)), dtype=np.float64
-        )
-        if pairs.size == n and pairs.sum() > 0:
-            signals.append(pairs * (n / pairs.sum()))
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            busy = np.asarray(pool.busy_seconds(), dtype=np.float64)
-            if busy.size == n and busy.sum() > 0:
-                signals.append(busy * (n / busy.sum()))
+        for signal in (self._shard_load, self._pool.busy_seconds()):
+            signal = np.asarray(signal, dtype=np.float64)
+            if signal.sum() > 0:
+                signals.append(signal * (n / signal.sum()))
         if not signals:
             return np.ones(n, dtype=np.float64)
         return np.mean(signals, axis=0)
@@ -649,10 +697,7 @@ class _ShardMergeBase:
         shard worker has fully applied its local repairs before the
         next coalesced read broadcast is released.
         """
-        pool = getattr(self, "_pool", None)
-        # The mutable sharded engine starts pool-less until its first
-        # insert spawns the shards; an empty engine is trivially drained.
-        return 0 if pool is None else pool.barrier()
+        return self._pool.barrier()
 
     def __enter__(self):
         return self
@@ -724,6 +769,7 @@ class ShardedDetectionEngine(_ShardMergeBase):
         self._shard_of = np.empty(dataset.n, dtype=np.int64)
         for s, ids in enumerate(shard_ids):
             self._shard_of[ids] = s
+        self._prior_outliers = np.zeros(dataset.n, dtype=bool)
 
         seeds = [int(v) for v in gen.integers(0, 2**63 - 1, size=self.n_shards)]
         self._transport: "DatasetTransport | None" = None
@@ -828,9 +874,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
     def _live_ids(self) -> np.ndarray:
         return np.arange(self.n, dtype=np.int64)
 
-    def _home_shards(self, ids: np.ndarray) -> np.ndarray:
-        return self._shard_of[ids]
-
     def _method_label(self) -> str:
         return f"sharded[{self.n_shards}x{self.workers}]:{self.graph_name}"
 
@@ -918,7 +961,8 @@ class ShardedDetectionEngine(_ShardMergeBase):
         return int(sum(self._pool.call("nbytes")))
 
     def reset_cache(self) -> None:
-        """Drop all accumulated evidence in every shard."""
+        """Drop all accumulated evidence in every shard (memoised
+        outlier distances stay, as in :meth:`DetectionEngine.reset_cache`)."""
         self._pool.call("reset_cache")
 
     # -- protocol surface ------------------------------------------------------

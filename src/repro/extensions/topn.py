@@ -90,7 +90,7 @@ def _engine_score_evidence(
     owners, sizes, ptr, dists = engine.graph.exact_knn_arrays()
     for t in np.flatnonzero(sizes >= k):
         exact_scores[int(owners[t])] = float(dists[ptr[t] + k - 1])
-    for p, vec in engine._memo.items():
+    for p, vec in engine.memo.vectors.items():
         if vec.size >= k:
             exact_scores[int(p)] = float(vec[k - 1])
     score_ub = np.full(n, np.inf)
@@ -119,7 +119,8 @@ def top_n_outliers(
     :mod:`repro.graphs`) makes the initial upper bound tight at the
     cost of one batch distance evaluation over the object's links.
 
-    Passing a fitted :class:`~repro.engine.DetectionEngine` as
+    Passing a fitted :class:`~repro.engine.DetectionEngine` (or a
+    one-shard mutable engine's serve view, as its ``top_n`` does) as
     ``engine`` additionally seeds the ranking from its evidence: stored
     exact-K'NN lists and memoised distance vectors contribute *exact*
     scores with no scan at all, and cached count lower bounds become

@@ -171,8 +171,8 @@ class Graph:
 
     # -- incremental maintenance ----------------------------------------------
     #
-    # The mutable engine (:mod:`repro.engine.mutable`) maintains one
-    # graph over a changing collection: vertices are appended with
+    # Each mutable shard (:mod:`repro.engine.mutable_sharded`) maintains
+    # one graph over a changing collection: vertices are appended with
     # :meth:`grow`, retired with :meth:`tombstone`, and detection runs
     # over the :meth:`compact` live-only remap.
 

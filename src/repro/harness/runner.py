@@ -352,14 +352,10 @@ def run_fig7(
     return [t]
 
 
-def engine_for(w: Workload, builder: str, n_jobs: int = 1) -> DetectionEngine:
+def engine_for(w: Workload, builder: str) -> DetectionEngine:
     """A fresh :class:`DetectionEngine` over the cached offline artifacts."""
     return DetectionEngine(
-        get_dataset(w),
-        get_graph(w, builder),
-        verifier=get_verifier(w),
-        n_jobs=n_jobs,
-        rng=w.seed,
+        get_dataset(w), get_graph(w, builder), verifier=get_verifier(w)
     )
 
 
@@ -753,7 +749,7 @@ def run_ext_dynamic(
     the trade is maintenance time vs filter quality.
     """
     from ..datasets import make_objects
-    from ..engine.mutable import MutableDetectionEngine
+    from ..engine import create_engine
 
     w = default_workload(suite)
     spec = get_spec(suite)
@@ -769,12 +765,13 @@ def run_ext_dynamic(
         ["strategy", "maintain_seconds", "detect_seconds", "outliers"],
     )
     for strategy in ("incremental", "rebuild"):
-        det = MutableDetectionEngine(
-            metric=spec.metric, K=suite_K(suite), seed=w.seed
+        det = create_engine(
+            None, metric=spec.metric, K=suite_K(suite), seed=w.seed,
+            mutable=True,
         )
         # A fresh generator per strategy: both remove the same victims
         # (by position), so the live populations stay identical even
-        # though rebuild() renumbers ids.
+        # though the rebuild strategy renumbers ids.
         gen = np.random.default_rng(w.seed + 1)
         maintain = 0.0
         last = None
@@ -791,6 +788,8 @@ def run_ext_dynamic(
                 )
                 det.remove(victims.tolist())
             if strategy == "rebuild":
+                # Compact ids first, then a fresh graph over them.
+                det.vacuum()
                 det.rebuild()
             maintain += time.perf_counter() - t0
         t0 = time.perf_counter()

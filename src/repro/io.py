@@ -745,8 +745,6 @@ def load_any_engine(
     objects=None,
     *,
     workers: "int | None" = None,
-    n_jobs: int = 1,
-    rng: "int | np.random.Generator | None" = 0,
     start_method: "str | None" = None,
     **extra,
 ):
@@ -758,38 +756,28 @@ def load_any_engine(
     does: a static snapshot (needs ``dataset``) with one shard gives a
     :class:`~repro.engine.DetectionEngine`, with more a
     :class:`~repro.engine.ShardedDetectionEngine`; a mutable one (needs
-    the ``objects`` log) with one shard and without ``store="shm"``
-    gives a :class:`~repro.engine.MutableDetectionEngine`, otherwise
-    the mutable sharded engine.  Callers -- the CLI in particular --
-    never pick a loader by engine class.  The common execution knobs
-    go to whichever subset the resolved engine takes (``workers`` for
-    sharded engines, ``n_jobs`` for single-process ones); ``extra``
-    keywords -- e.g. ``backend`` -- go to the resolved engine.
+    the ``objects`` log) gives the
+    :class:`~repro.engine.MutableShardedDetectionEngine` at any shard
+    count.  Callers -- the CLI in particular -- never pick a loader by
+    engine class.  ``workers`` and ``start_method`` go to the sharded
+    engines; ``extra`` keywords -- e.g. ``backend`` -- go to the
+    resolved engine.
 
     Raises :class:`GraphError` for anything :func:`read_snapshot`
     refuses, including a missing ``dataset``/``objects``.
     """
     from .engine import (
         DetectionEngine,
-        MutableDetectionEngine,
         MutableShardedDetectionEngine,
         ShardedDetectionEngine,
     )
 
     snap = read_snapshot(path, dataset=dataset, objects=objects)
-    single = len(snap.shards) == 1
     if snap.kind == "static":
-        if single:
-            return DetectionEngine._from_snapshot(
-                snap, n_jobs=n_jobs, rng=rng, **extra,
-            )
+        if len(snap.shards) == 1:
+            return DetectionEngine._from_snapshot(snap, **extra)
         return ShardedDetectionEngine._from_snapshot(
-            snap, workers=workers, rng=rng, start_method=start_method, **extra,
-        )
-    if single and extra.get("store", "ram") in ("ram", "list"):
-        extra.pop("store", None)
-        return MutableDetectionEngine._from_snapshot(
-            snap, n_jobs=n_jobs, **extra,
+            snap, workers=workers, start_method=start_method, **extra,
         )
     return MutableShardedDetectionEngine._from_snapshot(
         snap, workers=workers, start_method=start_method, **extra,

@@ -7,8 +7,8 @@ module implements that substrate, following the (r, k) accounting of
 exact-STORM [Angiulli & Fassetti, CIKM'07] that those works build on —
 but instead of private succeeding/preceding counters, the window drives
 ``insert``/``remove`` through a
-:class:`~repro.engine.mutable.MutableDetectionEngine` whose evidence
-cache is *pinned* at the window's radius:
+:class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`
+whose evidence cache is *pinned* at the window's radius:
 
 * each arrival's single range scan (the same scan exact-STORM performs)
   repairs the cache — the newcomer gets its exact neighbor count, every
@@ -77,13 +77,11 @@ class SlidingWindowDOD:
     window:
         Number of most recent arrivals forming the window.
     shards, workers:
-        With ``shards > 1`` the window drives a
-        :class:`~repro.engine.mutable_sharded.MutableShardedDetectionEngine`
-        instead of the single-process engine: arrivals route to the
-        least-loaded shard, each shard repairs its own pinned-radius
-        evidence, and reports come from the exact merge.  Same
-        answers, bigger windows per wall-clock second once workers are
-        real cores.
+        Shards of the window's engine (one, in-process, by default).
+        With ``shards > 1`` arrivals route to the least-loaded shard,
+        each shard repairs its own pinned-radius evidence, and reports
+        come from the exact merge.  Same answers, bigger windows per
+        wall-clock second once workers are real cores.
     """
 
     def __init__(

@@ -112,7 +112,7 @@ def test_engine_stream_is_exact_on_random_clouds(pts, k, seed):
     keep = a != b
     d = ds.pair_dist(a[keep], b[keep])
     r = float(np.quantile(d, 0.3)) if d.size else 1.0
-    engine = DetectionEngine(ds, graph, rng=seed)
+    engine = DetectionEngine(ds, graph)
     stream = [
         (r, k),
         (r * 1.2, k),

@@ -1,8 +1,9 @@
-"""Metamorphic update oracle for the mutable engine core.
+"""Metamorphic update oracle for the mutable engine at one shard.
 
-The acceptance contract of ``engine/mutable.py``: after *arbitrary*
-interleavings of insert/remove/detect/sweep, a
-:class:`MutableDetectionEngine`'s answers are bit-identical to a fresh
+The acceptance contract of the mutation core: after *arbitrary*
+interleavings of insert/remove/detect/sweep, a one-shard
+:class:`MutableShardedDetectionEngine`'s answers (its one worker runs
+in-process and owns every id) are bit-identical to a fresh
 :class:`DetectionEngine` built on the compacted dataset (and to brute
 force), across metrics and graph types.  Repairs may only ever keep
 *sound* bounds — any unsound repair shows up here as a wrong outlier
@@ -15,14 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Dataset
-from repro.engine import DetectionEngine, MutableDetectionEngine
+from repro.engine import DetectionEngine, MutableShardedDetectionEngine
 from repro.engine.evidence import NO_BOUND, EvidenceCache
 from repro.exceptions import GraphError, MetricError, ParameterError
 from repro.graphs.base import build_graph
 from repro.index import brute_force_outliers
 
 
-def _oracle_check(engine: MutableDetectionEngine, r, k, graph_name="kgraph"):
+def _worker(engine):
+    """The one in-process shard worker (graph in local ids = positions in
+    its member list, equal to global ids until a rebuild drops dead
+    members)."""
+    (worker,) = engine._pool._actors
+    return worker
+
+
+def _oracle_check(engine, r, k, graph_name="kgraph"):
     """Assert engine.detect == fresh engine on compacted data == brute."""
     keep = engine.active_ids()
     objects = engine.live_objects()
@@ -49,7 +58,7 @@ def pool(rng):
 
 
 def test_interleaved_churn_matches_fresh_engine(pool, rng):
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:100])
     _oracle_check(eng, 1.8, 5)
     eng.remove(rng.choice(100, size=25, replace=False).tolist())
@@ -63,7 +72,7 @@ def test_interleaved_churn_matches_fresh_engine(pool, rng):
 
 
 def test_repaired_sweep_matches_brute_force(pool, rng):
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:150])
     eng.sweep([1.5, 1.8], k_grid=[4, 6])
     eng.remove(rng.choice(150, size=40, replace=False).tolist())
@@ -81,7 +90,7 @@ def test_repair_beats_cache_drop(pool, rng):
     """Repaired bounds decide most of the post-churn population; the
     residue is far cheaper than the cold query (the ``BENCH_mutable``
     headline, asserted here at unit scale)."""
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:120])
     cold = eng.detect(1.8, 5)
     eng.remove(rng.choice(120, size=20, replace=False).tolist())
@@ -99,15 +108,16 @@ def test_repair_beats_cache_drop(pool, rng):
 
 
 def test_rebuild_and_vacuum_preserve_answers(pool, rng):
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool)
     eng.remove(rng.choice(260, size=60, replace=False).tolist())
     before = _oracle_check(eng, 1.8, 5)
-    eng.rebuild(renumber=False)
+    eng.rebuild()
     after = _oracle_check(eng, 1.8, 5)
     np.testing.assert_array_equal(before.outliers, after.outliers)
-    remap = eng.rebuild(renumber=True)
-    assert remap is not None and np.count_nonzero(remap >= 0) == eng.n_active
+    remap = eng.vacuum()
+    eng.rebuild()
+    assert np.count_nonzero(remap >= 0) == eng.n_active
     _oracle_check(eng, 1.8, 5)
     eng.insert(pool[:30])
     remap = eng.vacuum()
@@ -117,18 +127,18 @@ def test_rebuild_and_vacuum_preserve_answers(pool, rng):
 
 
 def test_auto_rebuild_counter(pool):
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0, rebuild_every=10)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0, rebuild_every=10)
     eng.insert(pool[:80])
     eng.detect(1.8, 5)
     assert eng.stats["rebuilds"] == 1  # 80 inserts tripped the counter
     ids = eng.active_ids()
-    assert ids.size == 80  # renumber=False: stable ids survive
+    assert ids.size == 80  # a rebuild keeps stable ids
     _oracle_check(eng, 1.8, 5)
     eng.close()
 
 
 def test_pinned_radius_keeps_counts_exact(pool, rng):
-    eng = MutableDetectionEngine(metric="l2", K=4, seed=0, pinned=(1.8,))
+    eng = MutableShardedDetectionEngine(metric="l2", K=4, seed=0, pinned=(1.8,))
     eng.insert(pool[:60])
     first = eng.detect(1.8, 5)
     assert first.pairs == 0  # every count maintained exactly from insert scans
@@ -141,7 +151,7 @@ def test_pinned_radius_keeps_counts_exact(pool, rng):
 
 
 def test_edit_metric_churn(word_list):
-    eng = MutableDetectionEngine(metric="edit", K=5, seed=0)
+    eng = MutableShardedDetectionEngine(metric="edit", K=5, seed=0)
     eng.insert(word_list[:90])
     _oracle_check(eng, 4.0, 3)
     eng.remove([0, 5, 9, 44])
@@ -152,12 +162,12 @@ def test_edit_metric_churn(word_list):
 
 def test_graph_types_for_rebuild(pool, rng):
     for graph_name in ("mrpg", "kgraph", "nsw"):
-        eng = MutableDetectionEngine(
-            metric="l2", K=6, seed=0, rebuild_graph=graph_name
+        eng = MutableShardedDetectionEngine(
+            metric="l2", K=6, seed=0, graph=graph_name
         )
         eng.insert(pool[:120])
         eng.remove(rng.choice(120, size=20, replace=False).tolist())
-        eng.rebuild(renumber=False)
+        eng.rebuild()
         _oracle_check(eng, 1.8, 5, graph_name=graph_name)
         # post-rebuild inserts must invalidate stale exact-K'NN lists
         eng.insert(pool[120:150])
@@ -166,13 +176,13 @@ def test_graph_types_for_rebuild(pool, rng):
 
 
 def test_insert_patches_stale_exact_lists(pool):
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:150])
-    eng.rebuild(renumber=False)  # MRPG: stores exact lists
-    holders_before = len(eng._worker._graph.exact_knn)
+    eng.rebuild()  # MRPG: stores exact lists
+    holders_before = len(_worker(eng)._graph.exact_knn)
     assert holders_before > 0
     coverage_before = {
-        h: float(d[-1]) for h, (_, d) in eng._worker._graph.exact_knn.items()
+        h: float(d[-1]) for h, (_, d) in _worker(eng)._graph.exact_knn.items()
     }
     # Insert copies of existing points: they land strictly inside many
     # stored lists.  Decremental maintenance patches every affected
@@ -180,10 +190,10 @@ def test_insert_patches_stale_exact_lists(pool):
     # so no holder loses its list and every list stays exact.
     eng.detect(1.8, 5)  # pin a radius so inserts scan
     eng.insert(pool[:20] + 1e-9)
-    assert len(eng._worker._graph.exact_knn) == holders_before
+    assert len(_worker(eng)._graph.exact_knn) == holders_before
     ds = Dataset(np.asarray(eng.live_objects()), "l2")
     patched = 0
-    for h, (ids, dists) in eng._worker._graph.exact_knn.items():
+    for h, (ids, dists) in _worker(eng)._graph.exact_knn.items():
         others = np.delete(np.arange(ds.n, dtype=np.int64), int(h))
         ref = np.sort(ds.dist_many(int(h), others))
         np.testing.assert_allclose(dists, ref[: dists.size])
@@ -204,7 +214,7 @@ def test_insert_patches_stale_exact_lists(pool):
 def test_top_n_over_live_objects(pool, rng):
     from repro.extensions.topn import knn_distance_scores
 
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool)
     eng.remove(rng.choice(260, size=50, replace=False).tolist())
     eng.sweep([1.5, 1.8, 2.1], k_grid=[4])
@@ -216,12 +226,53 @@ def test_top_n_over_live_objects(pool, rng):
     eng.close()
 
 
+def test_one_shard_sweep_never_rescans_a_prior_outlier(pool, monkeypatch):
+    """Ascending 12 r x 4 k sweep at one shard: a confirmed outlier that
+    comes up for verification again is counted through the shard's
+    memo, never by the bounded sweep, and once memoised it reaches
+    phase C no more (its exact count comes from phase A)."""
+    import repro.engine.sharded as sharded_module
+    from repro.engine import ShardWorker
+
+    eng = MutableShardedDetectionEngine.fit(pool, metric="l2", K=6, seed=0)
+    swept, sent = [], []
+    bounded_sweep = sharded_module.linear_count_block
+    count_range = ShardWorker.count_range
+
+    def spy_sweep(dataset, ids, *args, **kwargs):
+        swept.extend(np.asarray(ids).tolist())
+        return bounded_sweep(dataset, ids, *args, **kwargs)
+
+    def spy_count_range(self, r, ids, stop_at, memoise=None):
+        sent.extend(np.asarray(ids).tolist())
+        return count_range(self, r, ids, stop_at, memoise)
+
+    monkeypatch.setattr(sharded_module, "linear_count_block", spy_sweep)
+    monkeypatch.setattr(ShardWorker, "count_range", spy_count_range)
+    dataset = Dataset(np.asarray(eng.live_objects()), "l2")
+    prior: set[int] = set()
+    for r in np.linspace(1.0, 2.1, 12):
+        for k in (10, 7, 5, 3):
+            memoised = set(_worker(eng)._ensure_serve().memo.vectors)
+            swept.clear()
+            sent.clear()
+            result = eng.query(r, k)
+            assert not prior & set(swept), (r, k)
+            assert not memoised & set(sent), (r, k)
+            np.testing.assert_array_equal(
+                result.outliers, brute_force_outliers(dataset, r, k)
+            )
+            prior.update(result.outliers.tolist())
+    assert _worker(eng)._serve.memo.vectors
+    eng.close()
+
+
 def test_validation(pool):
     with pytest.raises(ParameterError):
-        MutableDetectionEngine(K=0)
+        MutableShardedDetectionEngine(K=0)
     with pytest.raises(ParameterError):
-        MutableDetectionEngine(rebuild_every=0)
-    eng = MutableDetectionEngine(metric="l2", K=4, seed=0)
+        MutableShardedDetectionEngine(rebuild_every=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=4, seed=0)
     with pytest.raises(ParameterError):
         eng.detect(1.0, 2)
     with pytest.raises(ParameterError):
@@ -242,7 +293,7 @@ def test_validation(pool):
     "kind, error", [("width", GraphError), ("nan", MetricError)]
 )
 def test_malformed_insert_leaves_engine_unchanged(pool, kind, error):
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:100])
     eng.detect(1.8, 5)  # evidence at one radius: inserts repair it
     n_total, active = eng.n_total, eng.active_ids()
@@ -264,14 +315,16 @@ def test_malformed_insert_leaves_engine_unchanged(pool, kind, error):
 
 
 def test_rebuild_renumbers_in_insertion_order(pool, rng):
-    """``rebuild(renumber=True)`` maps live ids to ``0..n_active-1`` in
-    their previous order, and the answers follow the remap."""
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    """A rebuild after ``vacuum()`` (the compact-ids rebuild) maps live
+    ids to ``0..n_active-1`` in their previous order, and the answers
+    follow the remap."""
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:150])
     eng.remove(rng.choice(120, size=40, replace=False).tolist())
     live = eng.active_ids()
     before = eng.detect(1.8, 5)
-    remap = eng.rebuild(renumber=True)
+    remap = eng.vacuum()
+    eng.rebuild()
     np.testing.assert_array_equal(remap[live], np.arange(live.size))
     assert np.all(np.delete(remap, live) == -1)
     assert eng.n_total == eng.n_active == live.size
@@ -286,12 +339,12 @@ def test_rebuild_renumbers_in_insertion_order(pool, rng):
 def test_removing_an_exact_list_member_stays_exact(pool):
     """Deleting an object that sits in a stored exact-K'NN list keeps
     every answer exact."""
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:150])
-    eng.rebuild(renumber=False)  # MRPG: stores exact lists
-    holders = list(eng._worker._graph.exact_knn)
+    eng.rebuild()  # MRPG: stores exact lists
+    holders = list(_worker(eng)._graph.exact_knn)
     assert holders
-    victim = int(eng._worker._graph.exact_knn[holders[0]][0][0])
+    victim = int(_worker(eng)._graph.exact_knn[holders[0]][0][0])
     eng.remove([victim])
     _oracle_check(eng, 1.8, 5)
     eng.close()
@@ -431,15 +484,15 @@ def test_cache_eviction_interleaved_with_repair_churn():
 
 def test_engine_cache_radii_budget_under_churn(pool, rng):
     """A capped mutable engine stays exact through eviction + churn."""
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0, cache_radii=2)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0, cache_radii=2)
     eng.insert(pool[:130])
     eng.sweep([1.4, 1.6, 1.8, 2.0, 2.2], k_grid=[5])
-    assert len(eng.cache._lb) <= 2 and len(eng.cache._ub) <= 2
+    assert len(_worker(eng).cache._lb) <= 2 and len(_worker(eng).cache._ub) <= 2
     eng.remove(rng.choice(130, size=30, replace=False).tolist())
     _oracle_check(eng, 1.8, 5)
     eng.insert(pool[130:180])
     eng.sweep([1.5, 1.7, 1.9, 2.1], k_grid=[4, 6])
-    assert len(eng.cache._lb) <= 2 and len(eng.cache._ub) <= 2
+    assert len(_worker(eng).cache._lb) <= 2 and len(_worker(eng).cache._ub) <= 2
     eng.remove(rng.choice(eng.active_ids(), size=20, replace=False).tolist())
     _oracle_check(eng, 1.8, 5)
     eng.close()
@@ -547,8 +600,8 @@ def test_apply_delete_batch_matches_sequential():
 def test_block_insert_matches_per_object_inserts(pool):
     """One insert([...block...]) == N insert([x]) calls: same answers,
     same repaired bounds, fewer broadcasts."""
-    block = MutableDetectionEngine(metric="l2", K=6, seed=0)
-    per = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    block = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
+    per = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     for eng in (block, per):
         eng.insert(pool[:100])
         eng.detect(1.8, 5)  # seed evidence at one radius
@@ -560,10 +613,12 @@ def test_block_insert_matches_per_object_inserts(pool):
     np.testing.assert_array_equal(a.outliers, b.outliers)
     for q in (1.8,):
         np.testing.assert_array_equal(
-            block.cache.lower_bounds(q), per.cache.lower_bounds(q)
+            _worker(block).cache.lower_bounds(q),
+            _worker(per).cache.lower_bounds(q),
         )
         np.testing.assert_array_equal(
-            block.cache.upper_bounds(q), per.cache.upper_bounds(q)
+            _worker(block).cache.upper_bounds(q),
+            _worker(per).cache.upper_bounds(q),
         )
     block.close()
     per.close()
@@ -599,7 +654,7 @@ def test_random_interleavings_property(ops):
     pool = np.concatenate(
         [gen.normal(size=(160, 3)), gen.normal(size=(6, 3)) * 0.2 + 15.0]
     )
-    eng = MutableDetectionEngine(metric="l2", K=5, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=5, seed=0)
     eng.insert(pool[:40])
     cursor = 40
     opgen = np.random.default_rng(17)

@@ -3,7 +3,7 @@
 The acceptance contract of ``engine/mutable_sharded.py``: after
 arbitrary interleavings of insert/remove/detect/sweep/rebalance, a
 :class:`MutableShardedDetectionEngine`'s answers are bit-identical to
-the single-process :class:`MutableDetectionEngine` driven through the
+the same engine at one shard (in-process) driven through the
 same trace, to a fresh engine on the compacted live dataset, and to
 brute force — across metrics, shard counts and worker backends.
 Rebalancing (split/merge) must preserve exactness while only the
@@ -18,8 +18,8 @@ import pytest
 from repro import (
     Dataset,
     DetectionEngine,
-    MutableDetectionEngine,
     MutableShardedDetectionEngine,
+    supports,
 )
 from repro.exceptions import GraphError, MetricError, ParameterError
 from repro.graphs.base import build_graph
@@ -57,7 +57,7 @@ def test_interleaved_churn_matches_oracles(pool, rng, n_shards):
     eng = MutableShardedDetectionEngine(
         metric="l2", n_shards=n_shards, workers=1, K=6, seed=0
     )
-    single = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    single = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(pool[:100])
     single.insert(pool[:100])
     res = _oracle_check(eng, 1.8, 5)
@@ -123,8 +123,8 @@ def test_least_loaded_placement(pool):
     # starved shards first.
     starved = int(np.argmax(sizes))
     victims = np.flatnonzero(
-        (np.asarray(eng._shard_of_list) == starved)
-        & np.asarray(eng._alive)
+        (eng._shard_of == starved)
+        & eng._alive
     )[:15]
     eng.remove(victims.tolist())
     eng.insert(pool[90:105])
@@ -162,7 +162,7 @@ def test_rebalance_policy(pool):
     eng.insert(pool[:120])
     # Starve shard 1 far below the mean: the policy merges it away.
     victims = np.flatnonzero(
-        (np.asarray(eng._shard_of_list) == 1) & np.asarray(eng._alive)
+        (eng._shard_of == 1) & eng._alive
     )[:55]
     eng.remove(victims.tolist())
     assert eng.rebalance(split_above=10.0, merge_below=0.25)
@@ -174,7 +174,7 @@ def test_rebalance_policy(pool):
     eng.insert(pool[120:160])
     eng.insert(pool[160:200])
     moved = np.flatnonzero(
-        (np.asarray(eng._shard_of_list) == 1) & np.asarray(eng._alive)
+        (eng._shard_of == 1) & eng._alive
     )
     eng.remove(moved[: max(0, moved.size - 10)].tolist())
     assert eng.shard_sizes()[0] > 1.5 * eng.n_active / 2
@@ -287,7 +287,7 @@ def test_last_insert_neighbors_match_single_engine(pool):
     sharded = MutableShardedDetectionEngine(
         metric="l2", n_shards=2, workers=1, K=6, seed=0, pinned=(1.8,)
     )
-    single = MutableDetectionEngine(metric="l2", K=6, seed=0, pinned=(1.8,))
+    single = MutableShardedDetectionEngine(metric="l2", K=6, seed=0, pinned=(1.8,))
     for eng in (sharded, single):
         eng.insert(pool[:60])
         eng.insert(pool[60:90])  # a real batch: intra-batch pairs exist
@@ -298,6 +298,27 @@ def test_last_insert_neighbors_match_single_engine(pool):
             np.testing.assert_array_equal(np.sort(a[r]), np.sort(b[r]))
     sharded.close()
     single.close()
+
+
+def test_top_n_needs_one_shard(pool):
+    """Ranking needs every object in one shard: at two shards ``top_n``
+    raises and the capability says so; merged to one, it ranks."""
+    from repro.extensions.topn import knn_distance_scores
+
+    eng = MutableShardedDetectionEngine.fit(
+        pool[:140], metric="l2", n_shards=2, workers=1, K=6, seed=0
+    )
+    assert not supports(eng, "top_n")
+    with pytest.raises(ParameterError, match="one-shard"):
+        eng.top_n(5, 4)
+    eng.merge_shards()
+    assert eng.n_shards == 1 and supports(eng, "top_n")
+    result = eng.top_n(5, 4)
+    scores = knn_distance_scores(eng.live_dataset(), 4)
+    np.testing.assert_allclose(
+        np.sort(result.scores)[::-1], np.sort(scores)[::-1][:5]
+    )
+    eng.close()
 
 
 def test_pinned_radius_is_pure_cache_decision(pool):

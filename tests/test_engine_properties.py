@@ -72,7 +72,7 @@ def test_engine_bit_identical_to_graph_dod(metric, builder, seed):
     ds = _make_dataset(metric, seed)
     graph = build_graph(builder, ds, K=6, rng=seed)
     verifier = Verifier(ds, rng=seed)
-    engine = DetectionEngine(ds, graph, verifier=verifier, rng=seed)
+    engine = DetectionEngine(ds, graph, verifier=verifier)
 
     r0 = _base_radius(ds)
     grid = [
@@ -96,7 +96,7 @@ def test_engine_bit_identical_to_graph_dod(metric, builder, seed):
 def test_engine_monotone_in_r_against_oracle(metric):
     ds = _make_dataset(metric, seed=3)
     graph = build_graph("mrpg", ds, K=6, rng=3)
-    engine = DetectionEngine(ds, graph, rng=3)
+    engine = DetectionEngine(ds, graph)
     r0 = _base_radius(ds)
     k = 5
     r_grid = [r0 * f for f in (0.8, 0.95, 1.1, 1.3)]
@@ -117,7 +117,7 @@ def test_engine_monotone_in_r_against_oracle(metric):
 def test_engine_monotone_in_k_against_oracle(metric):
     ds = _make_dataset(metric, seed=4)
     graph = build_graph("mrpg", ds, K=6, rng=4)
-    engine = DetectionEngine(ds, graph, rng=4)
+    engine = DetectionEngine(ds, graph)
     r = _base_radius(ds)
     k_grid = [2, 4, 7, 10]
     sweep = engine.sweep([r], k_grid=k_grid)
@@ -138,7 +138,7 @@ def test_engine_monotone_in_k_against_oracle(metric):
 
 def test_repeat_query_is_pure_cache_hit(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     first = engine.query(r, k)
     again = engine.query(r, k)
     _assert_bit_identical(first, again, "repeat")
@@ -151,7 +151,7 @@ def test_sweep_matches_independent_queries(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
     r_grid = [r * f for f in (0.9, 1.0, 1.1)]
     k_grid = [max(1, k - 3), k]
-    sweep = DetectionEngine(l2_dataset, mrpg_l2, rng=0).sweep(r_grid, k_grid)
+    sweep = DetectionEngine(l2_dataset, mrpg_l2).sweep(r_grid, k_grid)
     for rv in r_grid:
         for kv in k_grid:
             fresh = graph_dod(l2_dataset.view(), mrpg_l2, rv, kv, rng=0)
@@ -162,7 +162,7 @@ def test_sweep_matches_independent_queries(l2_dataset, mrpg_l2, l2_params):
 
 def test_batch_preserves_given_order(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     queries = [(r, k), (r * 0.9, k), (r * 1.1, max(1, k - 2)), (r, k)]
     results = engine.batch(queries)
     assert [(res.r, res.k) for res in results] == [
@@ -173,22 +173,11 @@ def test_batch_preserves_given_order(l2_dataset, mrpg_l2, l2_params):
         _assert_bit_identical(fresh, res, (rv, kv))
 
 
-def test_parallel_engine_matches_serial(l2_dataset, mrpg_l2, l2_params):
-    r, k = l2_params
-    serial = DetectionEngine(l2_dataset, mrpg_l2, n_jobs=1, rng=0)
-    parallel = DetectionEngine(l2_dataset, mrpg_l2, n_jobs=3, rng=0)
-    with parallel:
-        for f in (0.9, 1.0, 1.1):
-            _assert_bit_identical(
-                serial.query(r * f, k), parallel.query(r * f, k), f
-            )
-
-
 def test_ingested_evidence_warms_the_cache(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
     run = graph_dod(l2_dataset.view(), mrpg_l2, r, k, rng=0, collect_evidence=True)
     assert run.evidence is not None and run.evidence.n == l2_dataset.n
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     engine.ingest(run.evidence)
     served = engine.query(r, k)
     _assert_bit_identical(run, served, "ingest")
@@ -198,7 +187,7 @@ def test_ingested_evidence_warms_the_cache(l2_dataset, mrpg_l2, l2_params):
 
 def test_engine_query_collects_evidence(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     res = engine.query(r, k, collect_evidence=True)
     assert res.evidence is not None
     outliers = set(res.outliers.tolist())
@@ -213,7 +202,7 @@ def test_engine_query_collects_evidence(l2_dataset, mrpg_l2, l2_params):
 
 def test_reset_cache_forgets_everything(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     first = engine.query(r, k)
     engine.reset_cache()
     cold = engine.query(r, k)
@@ -235,7 +224,7 @@ def test_detector_engine_handoff(blob_points):
 
 def test_ascending_sweep_memoises_repeat_outliers(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     sweep = engine.sweep([r * 0.9, r, r * 1.1, r * 1.2], k=k)
     assert engine.stats["memoised"] > 0
     for (rv, kv), res in sweep.results.items():
@@ -260,16 +249,16 @@ def test_memo_budget_respected(l2_dataset, mrpg_l2, l2_params, monkeypatch):
         engine_module, "MEMO_BUDGET_BYTES", 40 * 8 * l2_dataset.n
     )
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     engine.sweep([r * 0.9, r, r * 1.1], k=k)
-    assert len(engine._memo) <= 40
+    assert len(engine.memo.vectors) <= 40
     assert engine.stats["memoised"] <= 40
 
 
 def test_memo_disabled_still_exact(l2_dataset, mrpg_l2, l2_params):
     # Memoisation is always on; the memoised sweep must still be exact.
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     sweep = engine.sweep([r * 0.9, r, r * 1.1], k=k)
     assert engine.stats["memoised"] > 0
     for (rv, kv), res in sweep.results.items():
@@ -280,9 +269,9 @@ def test_memo_disabled_still_exact(l2_dataset, mrpg_l2, l2_params):
 
 def test_memo_survives_reset_cache(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     engine.sweep([r * 0.9, r], k=k)
-    memoised = dict(engine._memo)
+    memoised = dict(engine.memo.vectors)
     engine.reset_cache()
     res = engine.query(r, k)
     fresh = graph_dod(
@@ -290,7 +279,7 @@ def test_memo_survives_reset_cache(l2_dataset, mrpg_l2, l2_params):
     )
     assert fresh.same_outliers(res)
     for p, vec in memoised.items():
-        np.testing.assert_array_equal(engine._memo[p], vec)
+        np.testing.assert_array_equal(engine.memo.vectors[p], vec)
 
 
 # -- bounded-cache serving -------------------------------------------------------
@@ -298,7 +287,7 @@ def test_memo_survives_reset_cache(l2_dataset, mrpg_l2, l2_params):
 
 def test_cache_radii_budget_keeps_answers_exact(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
-    capped = DetectionEngine(l2_dataset, mrpg_l2, rng=0, cache_radii=2)
+    capped = DetectionEngine(l2_dataset, mrpg_l2, cache_radii=2)
     grid = [r * f for f in (0.85, 0.9, 0.95, 1.0, 1.05, 1.1)]
     sweep = capped.sweep(grid, k=k)
     assert len(capped.cache._lb) <= 2 and len(capped.cache._ub) <= 2
@@ -317,7 +306,7 @@ def test_engine_top_n_matches_plain_and_prunes_more(l2_dataset, mrpg_l2, l2_para
     from repro.extensions.topn import knn_distance_scores
 
     r, k = l2_params
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     engine.sweep([r * 0.9, r, r * 1.1], k=k)
     seeded = engine.top_n(10, k)
     plain = top_n_outliers(l2_dataset, 10, k, rng=0)
@@ -333,7 +322,7 @@ def test_engine_top_n_matches_plain_and_prunes_more(l2_dataset, mrpg_l2, l2_para
 def test_top_n_rejects_conflicting_inputs(l2_dataset, mrpg_l2, rng):
     from repro.extensions import top_n_outliers
 
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     other = Dataset(rng.normal(size=(l2_dataset.n, 6)), "l2")
     with pytest.raises(ParameterError):
         top_n_outliers(other, 5, 3, engine=engine)
@@ -386,7 +375,7 @@ def test_engine_tolerates_empty_exact_knn_lists(blob_points):
             np.empty(0, dtype=np.int64),
             np.empty(0, dtype=np.float64),
         )
-    engine = DetectionEngine(ds, graph, rng=0)
+    engine = DetectionEngine(ds, graph)
     r = _base_radius(ds)
     for k in (1, 4):
         fresh = graph_dod(ds.view(), graph, r, k, rng=0)
@@ -404,7 +393,7 @@ def test_engine_rejects_mismatched_graph(l2_dataset):
 
 
 def test_engine_rejects_bad_parameters(l2_dataset, mrpg_l2):
-    engine = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    engine = DetectionEngine(l2_dataset, mrpg_l2)
     with pytest.raises(ParameterError):
         engine.query(-1.0, 5)
     with pytest.raises(ParameterError):

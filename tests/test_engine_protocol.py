@@ -1,11 +1,11 @@
 """The EngineCore protocol: one serving surface across all engine variants.
 
-Every engine — static, mutable, sharded, mutable sharded — must
-structurally satisfy :class:`repro.EngineCore` (the mutable ones also
-:class:`repro.MutableEngineCore`), the :func:`repro.create_engine`
-factory must be the single dispatch point from workload shape to
-engine class, and :func:`repro.load_any_engine` must resolve every
-snapshot format without the caller naming a loader.
+Every engine — static, sharded, and the mutable one at any shard
+count — must structurally satisfy :class:`repro.EngineCore` (the
+mutable one also :class:`repro.MutableEngineCore`), the
+:func:`repro.create_engine` factory must be the single dispatch point
+from workload shape to engine class, and :func:`repro.load_any_engine`
+must resolve every snapshot format without the caller naming a loader.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro import (
     DetectionEngine,
     EngineCapabilities,
     EngineCore,
-    MutableDetectionEngine,
     MutableEngineCore,
     MutableShardedDetectionEngine,
     ShardedDetectionEngine,
@@ -62,7 +61,7 @@ def test_every_engine_satisfies_the_protocol(points):
     assert kinds == [
         DetectionEngine,
         ShardedDetectionEngine,
-        MutableDetectionEngine,
+        MutableShardedDetectionEngine,
         MutableShardedDetectionEngine,
     ]
 
@@ -88,9 +87,12 @@ def test_capability_flags(points):
     try:
         assert not supports(static, "mutable") and not supports(static, "sharded")
         assert supports(sharded, "sharded") and not supports(sharded, "mutable")
-        assert supports(mutable, "mutable") and not supports(mutable, "sharded")
+        # One mutable class at every shard count: ranking needs every
+        # object in one shard.
+        assert supports(mutable, "mutable") and supports(mutable, "sharded")
         assert supports(both, "mutable") and supports(both, "sharded")
         assert supports(static, "top_n") and supports(mutable, "top_n")
+        assert not supports(sharded, "top_n") and not supports(both, "top_n")
         with pytest.raises(ParameterError):
             supports(static, "no-such-capability")
     finally:
@@ -143,11 +145,12 @@ def test_load_any_engine_resolves_every_format(points, tmp_path):
     warm.close()
 
     warm = load_any_engine(snaps[2], objects=list(points))
-    assert isinstance(warm, MutableDetectionEngine)
+    assert isinstance(warm, MutableShardedDetectionEngine)
+    assert warm.n_shards == 1
     np.testing.assert_array_equal(warm.query(1.8, 5).outliers, expected)
     warm.close()
-    # One mutable format: the same one-shard snapshot on the shared
-    # store resolves to the sharded engine, as create_engine would.
+    # One mutable format: the same one-shard snapshot loads on the
+    # shared store too.
     warm = load_any_engine(snaps[2], objects=list(points), store="shm",
                            workers=1)
     assert isinstance(warm, MutableShardedDetectionEngine)

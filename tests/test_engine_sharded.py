@@ -123,7 +123,7 @@ def test_sharded_bit_identical_to_graph_dod(metric, builder, partition):
 def test_sharded_modes_match_single_engine(l2_dataset, mrpg_l2, l2_params, mode):
     """Both engines against graph_dod in either filter mode."""
     r, k = l2_params
-    single = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    single = DetectionEngine(l2_dataset, mrpg_l2)
     sharded = ShardedDetectionEngine(
         l2_dataset, n_shards=4, workers=1, graph="mrpg", K=8, rng=0
     )
@@ -234,6 +234,26 @@ def test_reset_cache_forgets_everything_in_every_shard(l2_dataset, l2_params):
     cold = engine.query(r, k)
     _assert_bit_identical(first, cold, "reset")
     assert cold.pairs > 0  # really recomputed
+    engine.close()
+
+
+def test_memo_survives_reset_cache_in_every_shard(l2_dataset, mrpg_l2, l2_params):
+    """Shards memoise the outliers earlier queries confirmed; a cache
+    reset keeps the vectors, and every answer stays the scalar oracle's."""
+    r, k = l2_params
+    engine = ShardedDetectionEngine(
+        l2_dataset, n_shards=3, workers=1, graph="kgraph", K=8, rng=0
+    )
+    engine.sweep([r * 0.9, r, r * 1.1], k=k)
+    memos = [dict(w._serve.memo.vectors) for w in engine._pool._actors]
+    assert any(memos)
+    engine.reset_cache()
+    for rv in (r * 0.9, r, r * 1.05, r * 1.1):
+        fresh = graph_dod(l2_dataset.view(), mrpg_l2, rv, k, mode="scalar")
+        _assert_bit_identical(fresh, engine.query(rv, k), rv)
+    for worker, memo in zip(engine._pool._actors, memos):
+        for p, vec in memo.items():
+            np.testing.assert_array_equal(worker._serve.memo.vectors[p], vec)
     engine.close()
 
 
@@ -397,7 +417,7 @@ def test_phase_c_refuses_an_inexact_count_below_its_stop(
     that breaks it gets a crisp error, not a guessed verdict."""
     from repro.engine import ShardWorker
 
-    def broken(self, r, ids, stop_at):
+    def broken(self, r, ids, stop_at, memoise=None):
         return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), bool), 0
 
     r, k = l2_params

@@ -21,7 +21,6 @@ import pytest
 from repro import (
     Dataset,
     DetectionEngine,
-    MutableDetectionEngine,
     MutableShardedDetectionEngine,
     ShardedDetectionEngine,
     brute_force_outliers,
@@ -36,7 +35,7 @@ from repro.exceptions import GraphError, ParameterError
 @pytest.fixture()
 def engine(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
-    eng = DetectionEngine(l2_dataset, mrpg_l2, rng=0)
+    eng = DetectionEngine(l2_dataset, mrpg_l2)
     eng.sweep([r * 0.95, r, r * 1.05], k=k)
     return eng
 
@@ -351,7 +350,7 @@ def test_engine_meta_is_plain_json(engine, tmp_path):
 
 @pytest.fixture()
 def mutable_engine(blob_points):
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(blob_points[:180])
     eng.detect(1.8, 5)
     eng.remove(list(range(0, 30)))
@@ -374,7 +373,7 @@ def test_mutable_snapshot_roundtrip_serves_warm(mutable_engine, tmp_path):
     (shard_file,) = _shard_files(path)
     assert shard_file.startswith("shard_0000_")
     assert sorted(p.name for p in path.iterdir()) == ["manifest.npz", shard_file]
-    loaded = MutableDetectionEngine.load(path, mutable_engine.object_log())
+    loaded = MutableShardedDetectionEngine.load(path, mutable_engine.object_log())
     assert loaded.stats == mutable_engine.stats
     assert loaded.n_total == mutable_engine.n_total
     assert loaded.n_active == mutable_engine.n_active
@@ -392,16 +391,16 @@ def test_mutable_save_method_matches_module_function(mutable_engine, tmp_path):
     path = tmp_path / "a"
     mutable_engine.save(path)
     log = mutable_engine.object_log()
-    ea = MutableDetectionEngine.load(path, log)
+    ea = MutableShardedDetectionEngine.load(path, log)
     eb = load_any_engine(path, objects=log)
-    assert type(eb) is MutableDetectionEngine
+    assert type(eb) is MutableShardedDetectionEngine
     assert ea.stats == eb.stats == mutable_engine.stats
     ea.close()
     eb.close()
 
 
 def test_save_mutable_before_insert_is_an_error(tmp_path):
-    eng = MutableDetectionEngine(metric="l2")
+    eng = MutableShardedDetectionEngine(metric="l2")
     with pytest.raises(ParameterError, match="before any insert"):
         eng.save(tmp_path / "never")
 
@@ -411,7 +410,7 @@ def test_load_mutable_rejects_truncated_archive(mutable_engine, mutable_snapshot
         blob = archive.read_bytes()
         archive.write_bytes(blob[: int(len(blob) * 0.6)])
         with pytest.raises(GraphError):
-            MutableDetectionEngine.load(
+            MutableShardedDetectionEngine.load(
                 mutable_snapshot, mutable_engine.object_log()
             )
         archive.write_bytes(blob)
@@ -424,9 +423,8 @@ def test_load_mutable_rejects_static_engine_snapshot(
     engine.save(tmp_path / "static")
     sharded_engine.save(tmp_path / "sharded")
     for path in (tmp_path / "static", tmp_path / "sharded"):
-        for cls in (MutableDetectionEngine, MutableShardedDetectionEngine):
-            with pytest.raises(GraphError, match="holds a static engine snapshot"):
-                cls.load(path, log)
+        with pytest.raises(GraphError, match="holds a static engine snapshot"):
+            MutableShardedDetectionEngine.load(path, log)
 
 
 def test_static_load_rejects_mutable_engine_snapshot(
@@ -441,12 +439,14 @@ def test_static_load_rejects_mutable_engine_snapshot(
 def test_load_mutable_rejects_wrong_version(mutable_engine, mutable_snapshot):
     _rewrite_manifest(mutable_snapshot, snapshot_format_version=np.asarray(77))
     with pytest.raises(GraphError, match="version 77"):
-        MutableDetectionEngine.load(mutable_snapshot, mutable_engine.object_log())
+        MutableShardedDetectionEngine.load(
+            mutable_snapshot, mutable_engine.object_log()
+        )
 
 
 def test_load_mutable_rejects_wrong_log_length(mutable_engine, mutable_snapshot):
     with pytest.raises(GraphError, match="wrong object log"):
-        MutableDetectionEngine.load(
+        MutableShardedDetectionEngine.load(
             mutable_snapshot, mutable_engine.object_log()[:-3]
         )
 
@@ -459,7 +459,7 @@ def test_load_mutable_rejects_different_objects(
     shifted[0] = np.asarray(shifted[0], dtype=np.float64) + 50.0
     for log in (fake, shifted):
         with pytest.raises(GraphError, match="fingerprint"):
-            MutableDetectionEngine.load(mutable_snapshot, log)
+            MutableShardedDetectionEngine.load(mutable_snapshot, log)
 
 
 def test_angular_shm_snapshot_roundtrip(tmp_path):
@@ -493,13 +493,17 @@ def test_angular_shm_snapshot_roundtrip(tmp_path):
 def test_load_mutable_rejects_bad_alive_mask(mutable_engine, mutable_snapshot):
     _rewrite_manifest(mutable_snapshot, alive=np.ones(3, dtype=bool))
     with pytest.raises(GraphError, match="alive mask"):
-        MutableDetectionEngine.load(mutable_snapshot, mutable_engine.object_log())
+        MutableShardedDetectionEngine.load(
+            mutable_snapshot, mutable_engine.object_log()
+        )
 
 
 def test_load_mutable_rejects_bad_metadata_json(mutable_engine, mutable_snapshot):
     _rewrite_manifest(mutable_snapshot, manifest_meta=np.asarray("{nope"))
     with pytest.raises(GraphError, match="JSON"):
-        MutableDetectionEngine.load(mutable_snapshot, mutable_engine.object_log())
+        MutableShardedDetectionEngine.load(
+            mutable_snapshot, mutable_engine.object_log()
+        )
 
 
 @pytest.mark.parametrize("sharded", [False, True])
@@ -563,32 +567,23 @@ def test_load_mutable_rejects_torn_member_lists(blob_points, tmp_path, kind):
     eng.close()
 
 
-def test_mutable_snapshots_cross_load(mutable_engine, blob_points, tmp_path):
-    """One format: a single-engine snapshot is a one-shard sharded one,
-    and back — same answers, warm on the first detect."""
+def test_mutable_snapshots_cross_load(mutable_engine, tmp_path):
+    """One format: a one-shard snapshot of the list store loads through
+    the class and through ``load_any_engine`` on either store — same
+    answers, warm on the first detect."""
     reference = mutable_engine.detect(1.8, 5)
-    mutable_engine.save(tmp_path / "single")
+    mutable_engine.save(tmp_path / "one_shard")
     log = mutable_engine.object_log()
-    sharded = MutableShardedDetectionEngine.load(
-        tmp_path / "single", log, workers=1
-    )
-    res = sharded.detect(1.8, 5)
-    np.testing.assert_array_equal(res.outliers, reference.outliers)
-    assert res.pairs == 0
-    sharded.close()
-
-    one = MutableShardedDetectionEngine.fit(
-        blob_points, metric="l2", n_shards=1, workers=1, K=6, seed=0
-    )
-    one.remove(list(range(0, 60, 4)))
-    reference = one.detect(1.8, 5)
-    one.save(tmp_path / "one_shard")
-    single = MutableDetectionEngine.load(tmp_path / "one_shard", one.object_log())
-    res = single.detect(1.8, 5)
-    np.testing.assert_array_equal(res.outliers, reference.outliers)
-    assert res.pairs == 0
-    single.close()
-    one.close()
+    for loaded in (
+        MutableShardedDetectionEngine.load(tmp_path / "one_shard", log),
+        load_any_engine(tmp_path / "one_shard", objects=log),
+        load_any_engine(tmp_path / "one_shard", objects=log, store="shm"),
+    ):
+        assert loaded.n_shards == 1 and loaded.workers == 1
+        res = loaded.detect(1.8, 5)
+        np.testing.assert_array_equal(res.outliers, reference.outliers)
+        assert res.pairs == 0
+        loaded.close()
 
 
 def test_static_snapshots_cross_load(engine, l2_dataset, l2_params, tmp_path):
@@ -627,16 +622,6 @@ def test_load_engine_refuses_multi_shard_snapshot(
     sharded_engine.save(tmp_path / "three")
     with pytest.raises(GraphError, match="3 shards"):
         DetectionEngine.load(tmp_path / "three", l2_dataset)
-
-
-def test_load_mutable_engine_refuses_multi_shard_snapshot(blob_points, tmp_path):
-    eng = MutableShardedDetectionEngine.fit(
-        blob_points[:120], metric="l2", n_shards=2, workers=1, K=6, seed=0
-    )
-    eng.save(tmp_path / "two")
-    with pytest.raises(GraphError, match="2 shards"):
-        MutableDetectionEngine.load(tmp_path / "two", eng.object_log())
-    eng.close()
 
 
 def test_load_any_engine_refuses_retired_mutable_npz(kgraph_l2, blob_points, tmp_path):
@@ -908,20 +893,22 @@ def _assert_pooled_build(stats):
 
 
 def test_mutable_snapshot_with_null_build_workers(blob_points, tmp_path):
-    eng = MutableDetectionEngine(metric="l2", K=6, seed=0)
+    eng = MutableShardedDetectionEngine(metric="l2", K=6, seed=0)
     eng.insert(blob_points[:150])
     reference = eng.detect(1.8, 5)
     path = tmp_path / "mutable"
     eng.save(path)
     _null_build_workers(path / "manifest.npz", "manifest_meta")
-    loaded = MutableDetectionEngine.load(path, eng.object_log(), rebuild_every=20)
+    loaded = MutableShardedDetectionEngine.load(
+        path, eng.object_log(), rebuild_every=20
+    )
     assert loaded.build_workers == 1
     np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
     rebuilds = loaded.stats["rebuilds"]
     loaded.insert(blob_points[150:175])  # crosses rebuild_every
     loaded.detect(1.8, 5)
     assert loaded.stats["rebuilds"] == rebuilds + 1
-    _assert_pooled_build(loaded.build_stats())
+    _assert_pooled_build(loaded.build_stats()["per_shard"][0])
     loaded.close()
     eng.close()
 

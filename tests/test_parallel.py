@@ -83,58 +83,6 @@ def test_n_jobs_validation(l2_dataset):
         map_over_objects(l2_dataset, np.arange(5), lambda v, c: 1, n_jobs=0)
 
 
-# -- WorkerPool: the engine's persistent executor --------------------------------
-
-
-def test_worker_pool_maps_with_slots(l2_dataset):
-    from repro.core import WorkerPool
-
-    with WorkerPool(l2_dataset, n_jobs=3, rng=0) as pool:
-        seen_slots = set()
-
-        def worker(view, chunk, slot):
-            seen_slots.add(slot)
-            return [int(p) for p in chunk]
-
-        results, pairs = pool.map(np.arange(50), worker)
-        covered = sorted(p for chunk in results for p in chunk)
-        assert covered == list(range(50))
-        assert seen_slots <= {0, 1, 2}
-        assert pairs == 0  # worker did no distance computations
-
-
-def test_worker_pool_counts_pair_deltas(l2_dataset):
-    from repro.core import WorkerPool
-
-    pool = WorkerPool(l2_dataset, n_jobs=2, rng=0)
-    ids = np.arange(20)
-
-    def worker(view, chunk, slot):
-        for p in chunk:
-            view.dist(int(p), int((p + 1) % l2_dataset.n))
-        return chunk.size
-
-    _, pairs_first = pool.map(ids, worker)
-    _, pairs_second = pool.map(ids, worker)
-    # Deltas, not cumulative totals: both calls report their own work.
-    assert pairs_first == 20 and pairs_second == 20
-    pool.close()
-
-
-def test_worker_pool_map_after_close_raises(l2_dataset):
-    from repro.core import WorkerPool
-
-    pool = WorkerPool(l2_dataset, n_jobs=2, rng=0)
-    pool.close()
-    with pytest.raises(ParameterError, match="after close"):
-        pool.map(np.arange(5), lambda view, chunk, slot: 0)
-    # Serial pools must refuse too, not silently keep working.
-    serial = WorkerPool(l2_dataset, n_jobs=1, rng=0)
-    serial.close()
-    with pytest.raises(ParameterError, match="after close"):
-        serial.map(np.arange(5), lambda view, chunk, slot: 0)
-
-
 # -- ShardPool: long-lived actors on worker processes -----------------------------
 
 

@@ -230,7 +230,7 @@ def test_engine_modes_agree_across_sweep(l2_dataset, mrpg_l2, l2_params):
     r, k = l2_params
     r_grid = [r * f for f in (0.9, 1.0, 1.1)]
     cells = build_cells(l2_dataset)
-    with DetectionEngine(l2_dataset.view(), mrpg_l2, rng=0, cells=cells) as engine, \
+    with DetectionEngine(l2_dataset.view(), mrpg_l2, cells=cells) as engine, \
          block_rows(7):
         sweep = engine.sweep(r_grid, k_grid=[k, max(1, k - 3)])
     for (rv, kv), res in sweep.results.items():
