@@ -40,7 +40,8 @@ from ..data import Dataset
 from ..exceptions import ParameterError
 from ..graphs.adjacency import Graph
 from ..params import check_query
-from .traversal import BlockTracker, block_rows, greedy_count_block
+from . import traversal
+from .traversal import BlockTracker, block_rows
 
 if TYPE_CHECKING:
     from ..index.cells import CenterCells
@@ -300,7 +301,9 @@ def classify_chunk_arrays(
             block_tracker = BlockTracker(graph.n, rows)
         for lo in range(0, walk_pos.size, rows):
             pos_blk = walk_pos[lo:lo + rows]
-            counts[pos_blk] = greedy_count_block(
+            # Looked up on the module at each call, so a wrapper installed
+            # on it (a tracer's span) sees every walk.
+            counts[pos_blk] = traversal.greedy_count_block(
                 dataset, graph, chunk[pos_blk], r, k, tracker=block_tracker,
             )
         codes[walk_pos] = np.where(

@@ -9,11 +9,11 @@ NN-Descent itself) amortize traversal:
 
 * per-source state lives in flat arrays: a confirmed-neighbor count, an
   alive mask, and per-source visited stamps (:class:`BlockTracker`);
-* each *wave* pops a small window of frontier vertices per alive source
-  from a shared worklist, gathers all their neighbors straight from the
-  CSR adjacency (``Graph.csr()``) with ``np.repeat``, dedups the
-  ``(source, neighbor)`` pairs with one sort, and evaluates them in a
-  handful of large ``pair_dist`` kernels;
+* each *wave* pops a window of frontier vertices per alive source from
+  a shared worklist, gathers all their neighbors straight from the CSR
+  adjacency (``Graph.csr()``) with ``np.repeat``, drops visited and
+  repeated ``(source, neighbor)`` keys without a sort, and evaluates
+  the rest in a handful of large ``pair_dist`` kernels;
 * a source retires the moment its count reaches ``k`` (it is a proven
   inlier) and contributes nothing to later kernels or waves;
 * MRPG pivots are enqueued even when outside the radius, exactly as the
@@ -21,22 +21,44 @@ NN-Descent itself) amortize traversal:
 
 Two throttles keep the evaluated-pair count near the scalar walk's
 while still batching hundreds of sources per kernel.  The *pop window*
-bounds how many frontier vertices a source expands per wave (widening
-as sources retire), so a dense frontier is not gathered wholesale when
-``k`` needs only a few more confirmations.  Within a wave, pairs are
-evaluated in *rank rounds*: every alive source's first ``~2k``
-candidate pairs go into the first kernel, counts and the alive mask
-are updated, and only still-alive sources' later ranks reach the next
-(exponentially larger) round.
+bounds how many frontier vertices an alive source expands per wave:
+``min(cap, max(floor, w))``.
+
+* The floor, :data:`POP_FLOOR_KEYS` over ``sources x average degree``
+  (at least one vertex), is a few vertices while many sources walk and
+  widens as they retire, so a dense frontier is not gathered wholesale
+  when ``k`` needs only a few more confirmations.
+* ``w`` starts at 1 and doubles with every wave the source stays below
+  ``k``.  A source that keeps walking (an outlier candidate draining
+  its closure) then needs O(log n) waves and kernels, not one wave per
+  frontier vertex.  Every source of a block starts together and pops in
+  every wave until it retires or runs dry, so one ``w`` serves them all.
+* The cap, :data:`WAVE_GATHER_BUDGET` over the same product (never
+  below the floor), bounds one wave's gather, and so the kernel's
+  memory, however long ``w`` has doubled.
+
+Within a wave, pairs are evaluated in *rank rounds*: every alive
+source's first ``~2k`` candidate pairs go into the first kernel, counts
+and the alive mask are updated, and only still-alive sources' later
+ranks reach the next (exponentially larger) round.
+
+The wave's dedup needs no sort.  The stamps are addressed by flat key
+``slot * n + vertex``.  A key whose stamp holds the epoch was visited
+before and drops out.  Every other key writes its position in the wave
+into its stamp, and of a repeated key only the copy whose position
+reads back survives; the survivors are then stamped with the epoch.
+The work is linear in the gather, and the candidates keep
+``np.repeat``'s slot order, which the rank rounds need.
 
 Exactness: with no early termination the walk explores the closure of
 the source under "expand neighbors within ``r``, plus pivots", and the
 count is the number of distinct visited vertices within ``r`` — a set
-that does not depend on visit order.  A source is only ever skipped
-(mid-level or across levels) after its count reached ``k``, so
-sub-``k`` counts are *identical* to the scalar walk's, and a count that
-reaches ``k`` does so in both orders (the two may disagree on how far
-``>= k`` overshoots, which no caller relies on).
+that does not depend on visit order, so neither the pop window nor
+which copy of a repeated key survives can change it.  A source is only
+ever skipped (mid-level or across levels) after its count reached
+``k``, so sub-``k`` counts are *identical* to the scalar walk's, and a
+count that reaches ``k`` does so in both orders (the two may disagree
+on how far ``>= k`` overshoots, which no caller relies on).
 
 Distances are evaluated through ``Dataset.pair_dist``, whose values are
 the floats the scalar path's ``dist_many`` produces (the kernel contract
@@ -62,6 +84,18 @@ from ..params import check_query
 #: ~1.4k vertices and 64 rows from ~32k vertices up.
 BLOCK_ELEM_BUDGET = 2**21
 
+#: candidate keys one wave gathers at the pop floor: while many sources
+#: walk, each pops ``POP_FLOOR_KEYS / (sources * average degree)``
+#: frontier vertices (at least one).
+POP_FLOOR_KEYS = 8192
+
+#: candidate keys one wave may gather at the pop cap, the most a
+#: doubling window may pop (``2**19`` int64 keys are 4 MiB per array).
+WAVE_GATHER_BUDGET = 2**19
+
+#: wave positions the int32 stamps can hold during the dedup.
+_POSITION_LIMIT = int(np.iinfo(np.int32).max) + 1
+
 
 def block_rows(n: int) -> int:
     """Sources per block on an ``n``-vertex graph: ``BLOCK_ELEM_BUDGET``
@@ -77,13 +111,13 @@ class BlockTracker:
     """Per-source visited stamps for a block of simultaneous traversals.
 
     The scalar :class:`~repro.core.counting.VisitTracker` generalised to
-    ``block_size`` independent visited sets: ``stamp[s, v]`` equals the
-    current epoch iff source-slot ``s`` has visited vertex ``v``.  One
-    epoch bump resets all slots in O(1); the stamp matrix (int32,
-    ``4 * block_size * n`` bytes) is allocated once and reused across
-    blocks — pin one per worker, like the scalar trackers.  The default
-    ``block_size`` is one budget-sized block (:func:`block_rows`, at
-    most ``n`` rows).
+    ``block_size`` independent visited sets, addressed by flat key:
+    ``stamp[slot * n + v]`` equals the current epoch iff source-slot
+    ``slot`` has visited vertex ``v``.  One epoch bump resets all slots
+    in O(1); the stamps (int32, ``4 * block_size * n`` bytes) are
+    allocated once and reused across blocks — pin one per worker, like
+    the scalar trackers.  The default ``block_size`` is one budget-sized
+    block (:func:`block_rows`, at most ``n`` rows).
     """
 
     def __init__(self, n: int, block_size: "int | None" = None):
@@ -93,7 +127,7 @@ class BlockTracker:
             raise ParameterError(f"block_size must be >= 1, got {block_size}")
         self.n = int(n)
         self.block_size = int(block_size)
-        self.stamp = np.zeros((self.block_size, self.n), dtype=np.int32)
+        self.stamp = np.zeros(self.block_size * self.n, dtype=np.int32)
         self.epoch = 0
 
     def new_epoch(self) -> None:
@@ -101,13 +135,6 @@ class BlockTracker:
             self.stamp.fill(0)
             self.epoch = 0
         self.epoch += 1
-
-    def fresh_mask(self, slots: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Mask of ``(slot, vertex)`` pairs not yet visited this epoch."""
-        return self.stamp[slots, ids] != self.epoch
-
-    def visit(self, slots: np.ndarray, ids: np.ndarray) -> None:
-        self.stamp[slots, ids] = self.epoch
 
     @property
     def nbytes(self) -> int:
@@ -159,13 +186,17 @@ def greedy_count_block(
     n = graph.n
 
     tracker.new_epoch()
+    stamp, epoch = tracker.stamp, tracker.epoch
     slots = np.arange(nsrc, dtype=np.int64)
-    tracker.visit(slots, sources)
+    stamp[slots * n + sources] = epoch
 
     counts = np.zeros(nsrc, dtype=np.int64)
     alive = np.ones(nsrc, dtype=bool)
     avg_deg = max(1.0, indices.size / n)
     first_round = max(32, 2 * k)
+    # Every source of the block starts together and pops in every wave
+    # until it retires or runs dry, so one doubling window serves all.
+    window = 1
 
     # The worklist holds every discovered-but-not-yet-expanded frontier
     # vertex as (slot, vertex) keys; entries are unique by construction
@@ -182,23 +213,20 @@ def greedy_count_block(
         else:
             if work_key.size == 0:
                 break
+            # -- pop window: each alive source expands its next vertices ---
             work_key = np.sort(work_key)
             work_slot = work_key // n
-            # -- pop window: each alive source expands a few vertices ------
-            # Expanding whole frontiers at once would gather/sort far
-            # more pairs than retirement lets us skip, so the window
-            # approximates the scalar walk's pop granularity while
-            # batching all sources into one wave; it widens as sources
-            # retire so late waves (the few true outliers draining their
-            # small closures) stay batched.
             live = alive[work_slot]
             work_key = work_key[live]
             work_slot = work_slot[live]
             if work_key.size == 0:
                 break
             rank, n_segments = _segment_ranks(work_slot)
-            window = max(1, int(8192 / (n_segments * avg_deg)))
-            take = rank < window
+            keys_per_pop = n_segments * avg_deg
+            floor = max(1, int(POP_FLOOR_KEYS / keys_per_pop))
+            cap = max(floor, int(WAVE_GATHER_BUDGET / keys_per_pop))
+            take = rank < min(cap, max(floor, window))
+            window = min(2 * window, n)
             frontier_slot = work_slot[take]
             frontier_vtx = work_key[take] - frontier_slot * n
             work_key = work_key[~take]
@@ -210,30 +238,44 @@ def greedy_count_block(
         if total == 0:
             if first_wave:
                 break
-            first_wave = False
             continue
+        # CSR positions: each popped vertex's start, plus the running
+        # offset into the gather minus the vertex's offset in it.
         cum = np.cumsum(degs) - degs
-        flat = np.arange(total, dtype=np.int64) - np.repeat(cum, degs)
-        cand_vtx = indices[np.repeat(starts, degs) + flat]
+        cand_vtx = indices[
+            np.repeat(starts - cum, degs) + np.arange(total, dtype=np.int64)
+        ]
         cand_slot = np.repeat(frontier_slot, degs)
+        key = cand_slot * n + cand_vtx
 
         if not first_wave:
-            # -- dedup within the wave (one sort), drop visited ------------
-            key = np.sort(cand_slot * n + cand_vtx)
-            if key.size > 1:
-                key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-            cand_slot, cand_vtx = np.divmod(key, n)
-            fresh = tracker.fresh_mask(cand_slot, cand_vtx)
+            # -- drop visited and repeated keys, without a sort ------------
+            # Each fresh key writes its position into its stamp; of a
+            # repeated key exactly one position reads back.  The
+            # survivors are stamped with the epoch right after, so no
+            # position outlives the wave.
+            fresh = np.flatnonzero(stamp[key] != epoch)
+            if fresh.size > _POSITION_LIMIT:
+                raise ParameterError(
+                    f"one wave gathered {fresh.size} candidates; positions "
+                    f"must fit the int32 stamps"
+                )
+            key = key[fresh]
+            pos = np.arange(fresh.size, dtype=np.int32)
+            stamp[key] = pos
+            won = stamp[key] == pos
+            key = key[won]
+            if key.size == 0:
+                continue
+            fresh = fresh[won]
             cand_slot = cand_slot[fresh]
             cand_vtx = cand_vtx[fresh]
-            if cand_vtx.size == 0:
-                continue
         first_wave = False
-        tracker.visit(cand_slot, cand_vtx)
+        stamp[key] = epoch
 
         # -- rank rounds: evaluate each source's next ranks, retire at k ---
-        # cand_* are slot-sorted, so within-source rank is position minus
-        # the source's segment start.
+        # cand_* keep np.repeat's slot order, so within-source rank is
+        # position minus the source's segment start.
         rank, _ = _segment_ranks(cand_slot)
         max_rank = int(rank.max()) + 1
         grown: list[np.ndarray] = [work_key]
@@ -260,4 +302,3 @@ def greedy_count_block(
         work_key = np.concatenate(grown) if len(grown) > 1 else grown[0]
 
     return counts
-

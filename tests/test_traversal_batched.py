@@ -9,7 +9,9 @@ The contract under test (see ``core/traversal.py``):
 * identical final outlier sets through ``graph_dod``/the engine,
 * across L1/L2/edit, every graph type, and adversarial block sizes
   (1, a prime that splits outlier runs mid-block, and one whole-chunk
-  block), with and without the center-cell certificate.
+  block), with and without the center-cell certificate;
+* on random CSR topologies no builder makes (hypothesis), with radii
+  on computed distances.
 
 Blocks are sized by a memory budget, not by an argument; the tests
 force the splits by replacing ``block_rows`` where the filter module
@@ -20,8 +22,11 @@ import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.core.counting as counting
+import repro.core.traversal as traversal
 from repro.core import BlockTracker, VisitTracker, greedy_count, greedy_count_block
 from repro.core.counting import classify_chunk_arrays, classify_evidence
 from repro.core.dod import graph_dod
@@ -29,6 +34,7 @@ from repro.core.verify import Verifier
 from repro.data import Dataset
 from repro.engine import DetectionEngine
 from repro.exceptions import ParameterError
+from repro.graphs.adjacency import Graph
 from repro.index.cells import build_cells
 
 BLOCK_SIZES = (1, 7, None)  # None -> the whole chunk as one block
@@ -166,6 +172,92 @@ def test_block_tracker_too_small_rejected(l2_dataset, mrpg_l2, l2_params):
         greedy_count_block(
             l2_dataset.view(), mrpg_l2, np.arange(8), r, k, tracker=tracker
         )
+
+
+def _random_csr_graph(gen, degs, weights=None):
+    """A finalised graph in which vertex ``v`` links to ``degs[v]``
+    distinct other vertices, drawn in proportion to ``weights``."""
+    n = degs.size
+    rows = []
+    for v in range(n):
+        others = np.delete(np.arange(n, dtype=np.int64), v)
+        p = None
+        if weights is not None:
+            p = np.delete(weights, v)
+            p = p / p.sum()
+        rows.append(gen.choice(others, size=int(degs[v]), replace=False, p=p))
+    indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+    return Graph._from_csr(indptr, np.concatenate(rows).astype(np.int64))
+
+
+def test_pop_windows_double_while_sources_stay_below_k():
+    """Sources that never reach ``k`` drain their whole closure in
+    O(log n) kernel calls: each wave doubles the pop window (up to the
+    gather cap) instead of popping one vertex per source per wave."""
+    gen = np.random.default_rng(27)
+    n = 300
+    dataset = Dataset(gen.normal(size=(n, 4)), "l2")
+    graph = _random_csr_graph(gen, np.full(n, 30))
+    everyone = np.arange(n, dtype=np.int64)
+    r = 1.0 + float(
+        dataset.pair_dist(np.repeat(everyone, n), np.tile(everyone, n)).max()
+    )
+    view = dataset.view()
+    counts = greedy_count_block(view, graph, everyone, r, n)
+    tracker = VisitTracker(n)
+    expected = [
+        greedy_count(dataset.view(), graph, int(p), r, n, tracker=tracker)
+        for p in everyone
+    ]
+    np.testing.assert_array_equal(counts, expected)
+    assert view.counter.calls <= 3 * int(np.ceil(np.log2(n)))
+
+
+def test_wave_positions_must_fit_the_stamps(l2_dataset, mrpg_l2, l2_params, monkeypatch):
+    """The sort-free dedup writes each candidate's position in the wave
+    into an int32 stamp; a wave with more candidates than int32
+    positions must raise, not wrap around."""
+    r, k = l2_params
+    monkeypatch.setattr(traversal, "_POSITION_LIMIT", 4)
+    with pytest.raises(ParameterError, match="int32"):
+        greedy_count_block(l2_dataset.view(), mrpg_l2, np.arange(16), r, 10**6)
+
+
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    max_deg=st.integers(min_value=0, max_value=12),
+    pivot_frac=st.sampled_from([0.0, 0.25, 1.0]),
+    hubs=st.booleans(),
+    lattice=st.booleans(),
+    k=st.integers(min_value=1, max_value=41),
+    rows=st.integers(min_value=1, max_value=40),
+    r_at=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_batched_filter_matches_scalar_on_random_graphs(
+    n, max_deg, pivot_frac, hubs, lattice, k, rows, r_at, seed
+):
+    """Random topologies the graph builders never make: degrees from 0
+    up, random pivot masks, and (with ``hubs``) a few vertices most
+    others link to, so two vertices popped in one wave reach the same
+    neighbor.  On lattice points many distances tie, and the radius is
+    always one of the computed distances."""
+    gen = np.random.default_rng(seed)
+    if lattice:
+        points = gen.integers(0, 3, size=(n, 2)).astype(np.float64)
+    else:
+        points = gen.normal(size=(n, 3))
+    dataset = Dataset(points, "l2")
+    degs = gen.integers(0, min(max_deg, n - 1) + 1, size=n)
+    weights = gen.pareto(1.0, size=n) + 1e-3 if hubs else None
+    graph = _random_csr_graph(gen, degs, weights)
+    graph.pivots = gen.random(n) < pivot_frac
+    everyone = np.arange(n, dtype=np.int64)
+    dists = np.sort(dataset.pair_dist(np.repeat(everyone, n), np.tile(everyone, n)))
+    r = float(dists[int(r_at * (dists.size - 1))])
+    chunk = gen.permutation(n)[: gen.integers(1, n + 1)]
+    _assert_filter_equivalent(dataset, graph, chunk, r, k, rows)
 
 
 def test_verify_block_matches_scalar(l2_dataset, l2_params):
