@@ -1,11 +1,31 @@
-"""Multi-source, level-synchronous Greedy-Counting (batched Algorithm 2).
+"""Multi-source Greedy-Counting (batched Algorithm 2): a native walk
+for L1 and L2, and a level-synchronous numpy kernel for every metric.
 
 :func:`greedy_count` answers one query object per call and pays one tiny
 distance kernel per popped vertex — on CPython that wall-clock is almost
-all interpreter and numpy-dispatch overhead, not distance math.  This
-module runs Algorithm 2 for a *block* of query objects simultaneously,
-the way level-synchronous BFS systems (GraphBLAS-style frontiers, and
-NN-Descent itself) amortize traversal:
+all interpreter and numpy-dispatch overhead, not distance math.
+:func:`greedy_count_block` answers a *block* of query objects per call,
+on one of two kernels.
+
+**The native walk** (``_walk.c``, compiled at first use by
+:mod:`repro.core.native`) runs Algorithm 2 one source at a time in C:
+an int32 stamp row, a FIFO queue, pivots enqueued even outside ``r``,
+and an exit at ``k``.  It serves the L1 and L2 metrics over any
+C-contiguous float64 store (RAM, shared segment or memmap) under the
+default exact backend.  Its sums run in their own order, so a distance
+may differ in the last bits from numpy's; the kernel flags every source
+that evaluated a distance within the metric's rounding band of ``r``
+(twice :meth:`~repro.metrics.minkowski.Minkowski.forward_error`, times
+``SLACK_SAFETY``), and the numpy kernel re-walks the flagged sources.
+Every other source saw only verdicts the numpy kernel also gives
+(docs/backends.md, "Native walk margin").  Its scratch lives in the
+caller's :class:`BlockTracker`.
+
+**The numpy kernel** serves every other metric, screening backends (the
+screen is why they were chosen) and the flagged sources, and runs
+whenever the native walk could not be built.  It walks the whole block
+at once, the way level-synchronous BFS systems (GraphBLAS-style
+frontiers, and NN-Descent itself) amortize traversal:
 
 * per-source state lives in flat arrays: a confirmed-neighbor count, an
   alive mask, and per-source visited stamps (:class:`BlockTracker`);
@@ -53,21 +73,23 @@ The work is linear in the gather, and the candidates keep
 Exactness: with no early termination the walk explores the closure of
 the source under "expand neighbors within ``r``, plus pivots", and the
 count is the number of distinct visited vertices within ``r`` — a set
-that does not depend on visit order, so neither the pop window nor
-which copy of a repeated key survives can change it.  A source is only
-ever skipped (mid-level or across levels) after its count reached
-``k``, so sub-``k`` counts are *identical* to the scalar walk's, and a
-count that reaches ``k`` does so in both orders (the two may disagree
-on how far ``>= k`` overshoots, which no caller relies on).
+that does not depend on visit order, so neither kernel's order, the pop
+window nor which copy of a repeated key survives can change it.  A
+source is only ever skipped after its count reached ``k``, so sub-``k``
+counts are *identical* to the scalar walk's, and a count that reaches
+``k`` does so in every order (the kernels may disagree on how far
+``>= k`` overshoots, which no caller relies on).
 
-Distances are evaluated through ``Dataset.pair_dist``, whose values are
-the floats the scalar path's ``dist_many`` produces (the kernel contract
-on ``Metric.pair_dist``), so every comparison against ``r`` matches.
-That call is also the numeric-backend seam
+The numpy kernel evaluates distances through ``Dataset.pair_dist``,
+whose values are the floats the scalar path's ``dist_many`` produces
+(the kernel contract on ``Metric.pair_dist``), so every comparison
+against ``r`` matches.  That call is also the numeric-backend seam
 (:mod:`repro.backends`): under a screening backend the bulk of each
 kernel runs in float32 and only pairs inside the metric's error band of
 ``r`` are recomputed in float64, so the ``<= r`` verdicts — the only
 thing the counts consume — still match the scalar oracle bit for bit.
+The native walk bills its pairs to ``dataset.counter`` in one
+``add`` per call.
 """
 
 from __future__ import annotations
@@ -77,7 +99,10 @@ import numpy as np
 from ..data import Dataset
 from ..exceptions import ParameterError
 from ..graphs.adjacency import Graph
+from ..metrics.base import SLACK_SAFETY
+from ..metrics.minkowski import Minkowski
 from ..params import check_query
+from . import native
 
 #: element budget of one block's stamp matrix (``rows x n`` int32, so
 #: 8 MiB): one block holds a whole filter call on every graph up to
@@ -96,6 +121,9 @@ WAVE_GATHER_BUDGET = 2**19
 #: wave positions the int32 stamps can hold during the dedup.
 _POSITION_LIMIT = int(np.iinfo(np.int32).max) + 1
 
+#: Minkowski orders ``p`` the native walk computes.
+NATIVE_ORDERS = (1.0, 2.0)
+
 
 def block_rows(n: int) -> int:
     """Sources per block on an ``n``-vertex graph: ``BLOCK_ELEM_BUDGET``
@@ -108,16 +136,21 @@ def block_rows(n: int) -> int:
 
 
 class BlockTracker:
-    """Per-source visited stamps for a block of simultaneous traversals.
+    """Visited stamps for a block of simultaneous traversals.
 
     The scalar :class:`~repro.core.counting.VisitTracker` generalised to
     ``block_size`` independent visited sets, addressed by flat key:
     ``stamp[slot * n + v]`` equals the current epoch iff source-slot
     ``slot`` has visited vertex ``v``.  One epoch bump resets all slots
-    in O(1); the stamps (int32, ``4 * block_size * n`` bytes) are
-    allocated once and reused across blocks — pin one per worker, like
-    the scalar trackers.  The default ``block_size`` is one budget-sized
-    block (:func:`block_rows`, at most ``n`` rows).
+    in O(1).  The numpy kernel's stamps (int32, ``4 * rows * n`` bytes)
+    are allocated at its first walk, for the rows it walks, and grow
+    up to ``block_size`` rows; the native walk needs only one
+    ``n``-entry stamp row and an ``n``-entry queue
+    (:meth:`walk_scratch`), allocated at its first walk.  Both are
+    reused across blocks — pin one tracker per worker thread, like the
+    scalar trackers: the native walk writes its scratch with the GIL
+    released.  The default ``block_size`` is one budget-sized block
+    (:func:`block_rows`, at most ``n`` rows).
     """
 
     def __init__(self, n: int, block_size: "int | None" = None):
@@ -127,18 +160,46 @@ class BlockTracker:
             raise ParameterError(f"block_size must be >= 1, got {block_size}")
         self.n = int(n)
         self.block_size = int(block_size)
-        self.stamp = np.zeros(self.block_size * self.n, dtype=np.int32)
+        self.stamp: "np.ndarray | None" = None
         self.epoch = 0
+        self._row: "np.ndarray | None" = None
+        self._queue: "np.ndarray | None" = None
+        self._row_epoch = 0
+        #: the CSR arrays the native walk last checked (they are
+        #: immutable, so the check need not repeat while they serve).
+        self._checked_csr: "tuple[np.ndarray, np.ndarray] | None" = None
 
-    def new_epoch(self) -> None:
-        if self.epoch >= np.iinfo(np.int32).max - 1:
+    def new_epoch(self, rows: int) -> None:
+        """Start a numpy walk over ``rows`` sources (``<= block_size``)."""
+        if self.stamp is None or self.stamp.size < rows * self.n:
+            self.stamp = np.zeros(rows * self.n, dtype=np.int32)
+            self.epoch = 0
+        elif self.epoch >= np.iinfo(np.int32).max - 1:
             self.stamp.fill(0)
             self.epoch = 0
         self.epoch += 1
 
+    def walk_scratch(self, nsrc: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The native walk's stamp row and queue, and the epoch its
+        ``nsrc`` sources count up from (they use ``epoch + 1`` to
+        ``epoch + nsrc``, which no earlier walk used since the row was
+        last cleared)."""
+        if self._row is None:
+            self._row = np.zeros(self.n, dtype=np.int32)
+            self._queue = np.empty(self.n, dtype=np.int32)
+        if self._row_epoch + nsrc >= np.iinfo(np.int32).max:
+            self._row.fill(0)
+            self._row_epoch = 0
+        epoch = self._row_epoch
+        self._row_epoch += nsrc
+        return self._row, self._queue, epoch
+
     @property
     def nbytes(self) -> int:
-        return int(self.stamp.nbytes)
+        return sum(
+            int(a.nbytes) for a in (self.stamp, self._row, self._queue)
+            if a is not None
+        )
 
 
 def _segment_ranks(sorted_slots: np.ndarray) -> tuple[np.ndarray, int]:
@@ -167,7 +228,9 @@ def greedy_count_block(
     Returns one count per source, ``>= k`` iff the scalar
     :func:`~repro.core.counting.greedy_count` would certify the source
     an inlier, and *equal* to the scalar count whenever it stays below
-    ``k``.
+    ``k``.  Runs the native walk where it applies, with the numpy
+    kernel re-walking the sources it flags, and the numpy kernel
+    everywhere else (module docstring).
     """
     r, k = check_query(r, k)
     sources = np.asarray(sources, dtype=np.int64)
@@ -181,11 +244,105 @@ def greedy_count_block(
             f"BlockTracker(n={tracker.n}, block_size={tracker.block_size}) "
             f"cannot serve {nsrc} sources over a {graph.n}-vertex graph"
         )
+    walked = _native_counts(dataset, graph, sources, r, k, tracker)
+    if walked is None:
+        return _greedy_count_block_numpy(dataset, graph, sources, r, k, tracker)
+    counts, flagged = walked
+    if flagged.any():
+        redo = np.flatnonzero(flagged)
+        counts[redo] = _greedy_count_block_numpy(
+            dataset, graph, sources[redo], r, k, tracker
+        )
+    return counts
+
+
+def _native_counts(
+    dataset: Dataset,
+    graph: Graph,
+    sources: np.ndarray,
+    r: float,
+    k: int,
+    tracker: BlockTracker,
+) -> "tuple[np.ndarray, np.ndarray] | None":
+    """The native walk's counts and re-walk flags, or ``None`` when it
+    does not apply.
+
+    It applies to L1 and L2 under the default exact backend, over a
+    C-contiguous float64 store holding every vertex, once the kernel is
+    compiled (:func:`repro.core.native.status`).  Every array the
+    kernel reads is checked here: dtype, layout, size and vertex ids in
+    range.
+    """
+    metric, store, n = dataset.metric, dataset.store, graph.n
+    if not (
+        isinstance(metric, Minkowski)
+        and metric.p in NATIVE_ORDERS
+        and dataset.backend_name == "numpy64"
+        and isinstance(store, np.ndarray)
+        and store.dtype == np.float64
+        and store.ndim == 2
+        and store.flags.c_contiguous
+        and store.shape[1] > 0
+        and n <= store.shape[0]
+        and n <= np.iinfo(np.int32).max
+    ):
+        return None
+    kern = native.kernel()
+    if kern is None:
+        return None
+    indptr, indices = graph.csr()
+    checked = tracker._checked_csr
+    if checked is None or checked[0] is not indptr or checked[1] is not indices:
+        if not (
+            indptr.dtype == np.int64 and indptr.shape == (n + 1,)
+            and indices.dtype == np.int64
+            and indptr.flags.c_contiguous and indices.flags.c_contiguous
+            and indptr.min() >= 0 and indptr.max() <= indices.size
+            and (indices.size == 0 or (indices.min() >= 0 and indices.max() < n))
+        ):
+            return None
+        tracker._checked_csr = (indptr, indices)
+    pivots = graph.pivots
+    sources = np.ascontiguousarray(sources)
+    if not (
+        pivots.dtype == np.bool_ and pivots.shape == (n,)
+        and pivots.flags.c_contiguous
+        and sources.min() >= 0 and sources.max() < n
+    ):
+        return None
+    alpha, beta = metric.forward_error(int(store.shape[1]))
+    band = SLACK_SAFETY * 2.0 * (alpha * r + beta)
+    row, queue, epoch = tracker.walk_scratch(sources.size)
+    counts = np.empty(sources.size, dtype=np.int64)
+    flagged = np.empty(sources.size, dtype=np.uint8)
+    pairs = kern.walk_count(
+        store.ctypes.data, int(store.shape[1]), int(metric.p),
+        indptr.ctypes.data, indices.ctypes.data, pivots.ctypes.data,
+        sources.ctypes.data, sources.size,
+        r, min(k, n), band,
+        row.ctypes.data, queue.ctypes.data, epoch,
+        counts.ctypes.data, flagged.ctypes.data,
+    )
+    dataset.counter.add(pairs)
+    return counts, flagged.view(bool)
+
+
+def _greedy_count_block_numpy(
+    dataset: Dataset,
+    graph: Graph,
+    sources: np.ndarray,
+    r: float,
+    k: int,
+    tracker: BlockTracker,
+) -> np.ndarray:
+    """The level-synchronous numpy kernel (module docstring), for a
+    checked query and a ``tracker`` with room for every source."""
+    nsrc = sources.size
     indptr, indices = graph.csr()
     pivots = graph.pivots
     n = graph.n
 
-    tracker.new_epoch()
+    tracker.new_epoch(nsrc)
     stamp, epoch = tracker.stamp, tracker.epoch
     slots = np.arange(nsrc, dtype=np.int64)
     stamp[slots * n + sources] = epoch

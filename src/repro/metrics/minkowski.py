@@ -173,16 +173,29 @@ class Minkowski(VectorMetric):
             return out
         return self._reduce(store[a_arr] - store[b_arr])
 
-    def triangle_slack(self, store: np.ndarray) -> "tuple[float, float] | None":
-        """The float64 analogue of the screen band (``docs/backends.md``).
+    def forward_error(self, dim: int) -> tuple[float, float]:
+        """``(alpha, beta)`` with ``|d_hat - d| <= alpha * d + beta`` for
+        every distance the float64 kernels compute over ``dim``
+        coordinates, in any summation order, while no power sum
+        overflows (``docs/backends.md``).
 
         Coordinate differences are exact up to one rounding (relative
         ``u``), the power and the sum of ``m`` non-negative terms add
         relative ``(p + 2) u`` and ``(m - 1) u``, and the root divides
         that by ``p`` and adds its own rounding: relative error
         ``((m + 8)/p + 4) u`` on the distance.  Underflowing power terms
-        add at most the floor ``(m * tiny64)**(1/p)``.  Stores whose
-        power sums could overflow get no certificate.
+        add at most the floor ``(m * tiny64)**(1/p)``.  The center-cell
+        margin (:meth:`triangle_slack`) and the native walk's rounding
+        band (:mod:`repro.core.traversal`) both start from these terms.
+        """
+        alpha = ((dim + 8.0) / self.p + 4.0) * UNIT_ROUNDOFF
+        beta = (dim * _TINY64) ** (1.0 / self.p)
+        return alpha, beta
+
+    def triangle_slack(self, store: np.ndarray) -> "tuple[float, float] | None":
+        """The float64 analogue of the screen band (``docs/backends.md``),
+        from :meth:`forward_error`.  Stores whose power sums could
+        overflow get no certificate.
         """
         dim = int(store.shape[1])
         scale = screen_abs_max(store)
@@ -192,9 +205,7 @@ class Minkowski(VectorMetric):
             > math.log(_F64_HUGE)
         ):
             return None
-        alpha = ((dim + 8.0) / self.p + 4.0) * UNIT_ROUNDOFF
-        beta = (dim * _TINY64) ** (1.0 / self.p)
-        return triangle_slack_terms(alpha, beta)
+        return triangle_slack_terms(*self.forward_error(dim))
 
     # -- float32 screening -------------------------------------------------
 

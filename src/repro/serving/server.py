@@ -29,6 +29,7 @@ import json
 
 import numpy as np
 
+from ..core import native
 from ..engine.protocol import supports
 from ..exceptions import GraphError, MetricError, ParameterError, ReproError
 from ..params import check_ids
@@ -314,6 +315,8 @@ class EngineServer:
             "capabilities": dict(caps.__dict__),
             "describe": self.coalescer.describe(),
             "n_live": live,
+            # Which Greedy-Counting walk the filter runs in this process.
+            "walk_kernel": native.status(),
         }
         # Sharded merges break their cost into phases A/B/C (cache /
         # filter / verify); surface them as a first-class block so

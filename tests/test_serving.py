@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import Dataset
+from repro.core import native
 from repro.engine import create_engine
 from repro.engine.protocol import EngineCapabilities
 from repro.exceptions import ParameterError
@@ -491,6 +492,7 @@ def test_http_concurrent_queries_bit_identical(blob_points, l2_params):
     assert health["status"] == "ok"
     assert stats["serving"]["answered"] >= 8
     assert stats["capabilities"]["coalescable"] is True
+    assert stats["walk_kernel"] == native.status()
 
 
 def test_http_deadline_returns_504_not_hung_socket():

@@ -11,7 +11,10 @@ The contract under test (see ``core/traversal.py``):
   (1, a prime that splits outlier runs mid-block, and one whole-chunk
   block), with and without the center-cell certificate;
 * on random CSR topologies no builder makes (hypothesis), with radii
-  on computed distances.
+  on computed distances;
+* the native L1/L2 walk against the numpy kernel and the scalar walk,
+  with its rounding-band fallback exercised, and over memmap and
+  shared-segment stores.
 
 Blocks are sized by a memory budget, not by an argument; the tests
 force the splits by replacing ``block_rows`` where the filter module
@@ -27,7 +30,7 @@ from hypothesis import strategies as st
 
 import repro.core.counting as counting
 import repro.core.traversal as traversal
-from repro.core import BlockTracker, VisitTracker, greedy_count, greedy_count_block
+from repro.core import BlockTracker, VisitTracker, greedy_count, greedy_count_block, native
 from repro.core.counting import classify_chunk_arrays, classify_evidence
 from repro.core.dod import graph_dod
 from repro.core.verify import Verifier
@@ -203,7 +206,9 @@ def test_pop_windows_double_while_sources_stay_below_k():
         dataset.pair_dist(np.repeat(everyone, n), np.tile(everyone, n)).max()
     )
     view = dataset.view()
-    counts = greedy_count_block(view, graph, everyone, r, n)
+    counts = traversal._greedy_count_block_numpy(
+        view, graph, everyone, r, n, BlockTracker(n)
+    )
     tracker = VisitTracker(n)
     expected = [
         greedy_count(dataset.view(), graph, int(p), r, n, tracker=tracker)
@@ -220,35 +225,38 @@ def test_wave_positions_must_fit_the_stamps(l2_dataset, mrpg_l2, l2_params, monk
     r, k = l2_params
     monkeypatch.setattr(traversal, "_POSITION_LIMIT", 4)
     with pytest.raises(ParameterError, match="int32"):
-        greedy_count_block(l2_dataset.view(), mrpg_l2, np.arange(16), r, 10**6)
+        traversal._greedy_count_block_numpy(
+            l2_dataset.view(), mrpg_l2, np.arange(16), r, 10**6,
+            BlockTracker(mrpg_l2.n, 16),
+        )
 
 
-@given(
+#: the random-graph strategy: topologies the graph builders never make.
+RANDOM_GRAPHS = dict(
     n=st.integers(min_value=2, max_value=40),
     max_deg=st.integers(min_value=0, max_value=12),
     pivot_frac=st.sampled_from([0.0, 0.25, 1.0]),
     hubs=st.booleans(),
     lattice=st.booleans(),
     k=st.integers(min_value=1, max_value=41),
-    rows=st.integers(min_value=1, max_value=40),
     r_at=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_batched_filter_matches_scalar_on_random_graphs(
-    n, max_deg, pivot_frac, hubs, lattice, k, rows, r_at, seed
-):
-    """Random topologies the graph builders never make: degrees from 0
-    up, random pivot masks, and (with ``hubs``) a few vertices most
-    others link to, so two vertices popped in one wave reach the same
-    neighbor.  On lattice points many distances tie, and the radius is
-    always one of the computed distances."""
+
+
+def _random_case(n, max_deg, pivot_frac, hubs, lattice, r_at, seed,
+                 metric="l2", dim=3):
+    """Degrees from 0 up, a random pivot mask, and (with ``hubs``) a few
+    vertices most others link to, so two vertices popped in one wave
+    reach the same neighbor.  On lattice points many distances tie, and
+    the radius is always one of the computed distances.  Returns
+    ``(dataset, graph, r, chunk)``."""
     gen = np.random.default_rng(seed)
     if lattice:
         points = gen.integers(0, 3, size=(n, 2)).astype(np.float64)
     else:
-        points = gen.normal(size=(n, 3))
-    dataset = Dataset(points, "l2")
+        points = gen.normal(size=(n, dim))
+    dataset = Dataset(points, metric)
     degs = gen.integers(0, min(max_deg, n - 1) + 1, size=n)
     weights = gen.pareto(1.0, size=n) + 1e-3 if hubs else None
     graph = _random_csr_graph(gen, degs, weights)
@@ -257,7 +265,147 @@ def test_batched_filter_matches_scalar_on_random_graphs(
     dists = np.sort(dataset.pair_dist(np.repeat(everyone, n), np.tile(everyone, n)))
     r = float(dists[int(r_at * (dists.size - 1))])
     chunk = gen.permutation(n)[: gen.integers(1, n + 1)]
+    return dataset, graph, r, chunk
+
+
+@given(**RANDOM_GRAPHS, rows=st.integers(min_value=1, max_value=40))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_batched_filter_matches_scalar_on_random_graphs(
+    n, max_deg, pivot_frac, hubs, lattice, k, rows, r_at, seed
+):
+    """Random topologies the graph builders never make (see
+    :func:`_random_case`), in random block splits."""
+    dataset, graph, r, chunk = _random_case(
+        n, max_deg, pivot_frac, hubs, lattice, r_at, seed
+    )
     _assert_filter_equivalent(dataset, graph, chunk, r, k, rows)
+
+
+@pytest.fixture()
+def native_kernel():
+    """The compiled walk; the test skips where it could not be built."""
+    kern = native.kernel()
+    if kern is None:
+        pytest.skip(native.status())
+    return kern
+
+
+@pytest.fixture()
+def walked_stores(monkeypatch, native_kernel):
+    """The store address of every native walk the test makes."""
+    addresses = []
+
+    class Spy:
+        def walk_count(self, store_address, *rest):
+            addresses.append(store_address)
+            return native_kernel.walk_count(store_address, *rest)
+
+    monkeypatch.setattr(native, "kernel", Spy)
+    return addresses
+
+
+def test_native_walk_matches_numpy_and_scalar_on_random_graphs(native_kernel):
+    """The native walk (with its fallback), the numpy kernel and the
+    scalar walk agree on every verdict and sub-``k`` count, for L1 and
+    L2, at radii on computed distances.  16-d sums round differently in
+    C and in numpy, and the fallback must re-walk some source over the
+    run."""
+    numpy_kernel = traversal._greedy_count_block_numpy
+    rewalked = []
+
+    def spy(dataset, graph, sources, r, k, tracker):
+        rewalked.append(sources.size)
+        return numpy_kernel(dataset, graph, sources, r, k, tracker)
+
+    @given(**RANDOM_GRAPHS, metric=st.sampled_from(["l1", "l2"]),
+           dim=st.sampled_from([3, 16]))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def check(n, max_deg, pivot_frac, hubs, lattice, k, r_at, seed, metric, dim):
+        dataset, graph, r, chunk = _random_case(
+            n, max_deg, pivot_frac, hubs, lattice, r_at, seed, metric, dim
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(traversal, "_greedy_count_block_numpy", spy)
+            got = greedy_count_block(dataset.view(), graph, chunk, r, k)
+        ref = numpy_kernel(
+            dataset.view(), graph, chunk, r, k, BlockTracker(n, chunk.size)
+        )
+        tracker = VisitTracker(n)
+        scalar = np.array([
+            greedy_count(dataset.view(), graph, int(p), r, k, tracker=tracker)
+            for p in chunk
+        ])
+        for counts in (got, ref):
+            np.testing.assert_array_equal(counts >= k, scalar >= k)
+            sub_k = scalar < k
+            np.testing.assert_array_equal(counts[sub_k], scalar[sub_k])
+
+    check()
+    assert sum(rewalked) > 0, "the rounding-band fallback never ran"
+
+
+def test_memmap_and_shm_stores_take_the_native_walk(
+    tmp_path, walked_stores, l2_dataset, mrpg_l2, l2_params, l2_reference,
+):
+    """A memmap and a shared-segment store are walked in place by the
+    native kernel and give the RAM dataset's outliers."""
+    from repro.core.store import SharedObjectStore
+    from repro.io import create_memmap_store, open_memmap_dataset
+
+    r, k = l2_params
+    ram = graph_dod(l2_dataset.view(), mrpg_l2, r, k)
+    np.testing.assert_array_equal(ram.outliers, l2_reference)
+    mapped = open_memmap_dataset(
+        create_memmap_store(tmp_path / "rows.npy", l2_dataset.store), "l2"
+    )
+    segment = SharedObjectStore(dim=l2_dataset.store.shape[1],
+                                capacity=l2_dataset.n)
+    try:
+        segment.append(l2_dataset.store)
+        shared = Dataset.from_prepared(segment.rows(), "l2", kind="shm")
+        assert (mapped.store_kind, shared.store_kind) == ("memmap", "shm")
+        for ds in (mapped, shared):
+            walked_stores.clear()
+            res = graph_dod(ds, mrpg_l2, r, k)
+            np.testing.assert_array_equal(res.outliers, ram.outliers)
+            assert walked_stores and set(walked_stores) == {ds.store.ctypes.data}
+        del shared
+    finally:
+        segment.unlink()
+
+
+def test_native_walk_refuses_out_of_range_vertex_ids(walked_stores):
+    """A CSR naming a vertex outside the graph never reaches the C
+    kernel; the numpy kernel's indexing raises instead."""
+    dataset = Dataset(np.arange(6, dtype=np.float64).reshape(3, 2), "l2")
+    graph = Graph._from_csr(np.array([0, 1, 2, 3]), np.array([1, 2, 3]))
+    with pytest.raises(IndexError):
+        greedy_count_block(dataset.view(), graph, np.arange(3), 10.0, 3)
+    assert not walked_stores
+    fine = Graph._from_csr(np.array([0, 1, 2, 3]), np.array([1, 2, 0]))
+    counts = greedy_count_block(dataset.view(), fine, np.arange(3), 10.0, 3)
+    assert counts.tolist() == [2, 2, 2]
+    assert walked_stores == [dataset.store.ctypes.data]
+
+
+def test_block_stamps_wait_for_the_numpy_walk(
+    native_kernel, l2_dataset, angular_dataset, mrpg_l2, l2_params
+):
+    """The numpy kernel's ``rows x n`` stamps are allocated at its first
+    walk, for the rows it walks; a native walk leaves them unallocated."""
+    r, k = l2_params
+    n = mrpg_l2.n
+    tracker = BlockTracker(n)
+    assert tracker.nbytes == 0
+    greedy_count_block(l2_dataset.view(), mrpg_l2, np.arange(64), r, k,
+                       tracker=tracker)
+    assert tracker.stamp is None
+    assert tracker.nbytes == 8 * n
+    for rows, allocated in ((16, 16), (64, 64), (8, 64)):
+        greedy_count_block(angular_dataset.view(), mrpg_l2, np.arange(rows),
+                           0.5, k, tracker=tracker)
+        assert tracker.stamp.size == allocated * n
 
 
 def test_verify_block_matches_scalar(l2_dataset, l2_params):
