@@ -92,15 +92,12 @@ def test_edit_distance_batch(benchmark):
 
 
 @pytest.mark.parametrize("metric", ["l2", "l1", "angular"])
-@pytest.mark.parametrize("backend", ["numpy64", "float32"])
-def test_bounded_pair_dist_kernel(benchmark, dataset, metric, backend):
-    """The numeric-backend seam under load: one bounded ``pair_dist``
-    sweep over 50k random pairs, per metric x backend.  Compare the
-    ``float32`` rows against their ``numpy64`` siblings — the screening
-    backend's win on exactly this call is what the engines inherit."""
+def test_bounded_pair_dist_kernel(benchmark, dataset, metric):
+    """One bounded ``pair_dist`` sweep over 50k random pairs, per
+    metric: the kernel the linear verifier and the numpy walk run."""
     from repro import Dataset
 
-    ds = Dataset(dataset.store, metric, backend=backend)
+    ds = Dataset(dataset.store, metric)
     gen = np.random.default_rng(0)
     a = gen.integers(0, ds.n, 50_000)
     b = gen.integers(0, ds.n, 50_000)

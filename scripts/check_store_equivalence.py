@@ -15,10 +15,9 @@ Neither is allowed to change a single answer.  This gate drives
   or either differs from brute force over the live objects;
 * **memmap vs ram**: static engines (single and sharded) sweeping an
   ``r`` grid over a memmapped store vs the in-RAM dataset, across
-  {l2, l1, angular} x backends {numpy64, float32} — chunk-at-a-time
-  kernels and per-chunk float32 screening must stay bit-identical (the
-  gather budget is shrunk to :data:`MEMMAP_GATE_BUDGET` elements, so
-  every kernel over the small store chunks);
+  {l2, l1, angular} — chunk-at-a-time kernels must stay bit-identical
+  (the gather budget is shrunk to :data:`MEMMAP_GATE_BUDGET` elements,
+  so every kernel over the small store chunks);
 * **hygiene**: ``/dev/shm`` must hold no ``repro_*`` segment after
   every engine is closed.
 
@@ -137,33 +136,31 @@ def check_memmap_store(points, metric, k) -> "tuple[list[str], int]":
         path = os.path.join(tmpdir, "store.npy")
         create_memmap_store(path, points, metric)
         for shards, workers in ((1, None), (2, 2)):
-            for backend in (None, "float32"):
-                tag = (f"{metric}/memmap/shards={shards}/"
-                       f"backend={backend or 'numpy64'}")
-                checks += 1
-                mapped = open_memmap_dataset(path, metric, backend=backend)
-                if mapped.store_kind != "memmap":
-                    failures.append(f"{tag}: dataset not tagged memmap")
-                if mapped._gather_chunk(mapped.n) is None:
-                    failures.append(f"{tag}: gathers do not chunk")
-                with create_engine(ram, seed=3, K=8, shards=shards,
-                                   workers=workers, backend=backend) as e_ram, \
-                     create_engine(mapped, seed=3, K=8, shards=shards,
-                                   workers=workers, backend=backend) as e_map:
-                    sweep_ram = e_ram.sweep(r_grid, k=k)
-                    sweep_map = e_map.sweep(r_grid, k=k)
-                    for rr in r_grid:
-                        a = sweep_ram.result(rr, k).outliers
-                        b = sweep_map.result(rr, k).outliers
-                        if not np.array_equal(a, b):
-                            failures.append(
-                                f"{tag}: outliers differ at r={rr:.4g}"
-                            )
-                    ref = brute_force_outliers(ram.view(), r_grid[0], k)
-                    if not np.array_equal(
-                        sweep_map.result(r_grid[0], k).outliers, ref
-                    ):
-                        failures.append(f"{tag}: differs from brute force")
+            tag = f"{metric}/memmap/shards={shards}"
+            checks += 1
+            mapped = open_memmap_dataset(path, metric)
+            if mapped.store_kind != "memmap":
+                failures.append(f"{tag}: dataset not tagged memmap")
+            if mapped._gather_chunk(mapped.n) is None:
+                failures.append(f"{tag}: gathers do not chunk")
+            with create_engine(ram, seed=3, K=8, shards=shards,
+                               workers=workers) as e_ram, \
+                 create_engine(mapped, seed=3, K=8, shards=shards,
+                               workers=workers) as e_map:
+                sweep_ram = e_ram.sweep(r_grid, k=k)
+                sweep_map = e_map.sweep(r_grid, k=k)
+                for rr in r_grid:
+                    a = sweep_ram.result(rr, k).outliers
+                    b = sweep_map.result(rr, k).outliers
+                    if not np.array_equal(a, b):
+                        failures.append(
+                            f"{tag}: outliers differ at r={rr:.4g}"
+                        )
+                ref = brute_force_outliers(ram.view(), r_grid[0], k)
+                if not np.array_equal(
+                    sweep_map.result(r_grid[0], k).outliers, ref
+                ):
+                    failures.append(f"{tag}: differs from brute force")
     return failures, checks
 
 

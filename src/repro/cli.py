@@ -56,9 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--workers", type=int, default=None,
                           help="worker processes hosting the shards "
                                "(default: min(shards, cpu count); 1 = in-process)")
-    p_detect.add_argument("--backend", default=None,
-                          help="numeric backend: numpy64 (exact default) or "
-                               "float32 (screened prefilter, identical answers)")
     p_detect.add_argument("--store", default="ram", choices=["ram", "memmap"],
                           help="object storage: ram (in-memory copy) or memmap "
                                "(map an --input .npy written by "
@@ -100,9 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="worker processes hosting the shards "
                               "(default: min(shards, cpu count); 1 = in-process)")
-    p_sweep.add_argument("--backend", default=None,
-                         help="numeric backend: numpy64 (exact default) or "
-                              "float32 (screened prefilter, identical answers)")
     p_sweep.add_argument("--store", default="ram", choices=["ram", "memmap"],
                          help="object storage: ram (in-memory copy) or memmap "
                               "(map an --input .npy written by "
@@ -161,9 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_update.add_argument("--workers", type=int, default=None,
                           help="worker processes hosting the shards "
                                "(default: min(shards, cpu count); 1 = in-process)")
-    p_update.add_argument("--backend", default=None,
-                          help="numeric backend: numpy64 (exact default) or "
-                               "float32 (screened prefilter, identical answers)")
     p_update.add_argument("--store", default="ram", choices=["ram", "shm"],
                           help="object storage: ram (per-worker copies) or shm "
                                "(one growable shared segment every shard "
@@ -221,9 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="serve from a sharded engine with this many shards")
     p_serve.add_argument("--workers", type=int, default=None,
                          help="worker processes hosting the shards")
-    p_serve.add_argument("--backend", default=None,
-                         help="numeric backend: numpy64 (exact default) or "
-                              "float32 (screened prefilter, identical answers)")
     p_serve.add_argument("--mutable", action="store_true",
                          help="serve a mutable engine (enables POST "
                               "/insert and /remove)")
@@ -250,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(expiry returns 504)")
     p_serve.add_argument("--serve-seconds", type=float, default=None,
                          help="stop after this many seconds (smoke tests; "
-                              "default: serve until interrupted)")
+                              "default: serve until SIGTERM or SIGINT)")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_cal = sub.add_parser("calibrate", help="calibrate r for a target outlier ratio")
@@ -293,7 +281,7 @@ def _memmap_dataset(args: argparse.Namespace, metric: str):
             "--store memmap maps an --input .npy store (write one with "
             "repro.io.create_memmap_store)"
         )
-    return open_memmap_dataset(args.input, metric, backend=args.backend)
+    return open_memmap_dataset(args.input, metric)
 
 
 def _print_build_stats(engine) -> None:
@@ -345,7 +333,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     with create_engine(
         objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
         shards=args.shards, workers=args.workers,
-        backend=args.backend, build_workers=args.build_workers,
+        build_workers=args.build_workers,
     ) as engine:
         result = engine.query(r, k)
         print(result.summary())
@@ -428,15 +416,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
         dataset = _memmap_dataset(args, metric)
     else:
-        dataset = Dataset(objects, metric, backend=args.backend)
+        dataset = Dataset(objects, metric)
     engine = None
     if args.snapshot is not None and os.path.exists(args.snapshot):
         from .io import load_any_engine
 
         try:
             engine = load_any_engine(
-                args.snapshot, dataset=dataset, workers=args.workers,
-                backend=args.backend,
+                args.snapshot, dataset=dataset, workers=args.workers
             )
             print(f"loaded warm engine snapshot from {args.snapshot} "
                   f"({engine.stats['queries']} queries served before restart)")
@@ -454,7 +441,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine = create_engine(
             dataset, graph=args.graph, K=args.K, seed=args.seed,
             shards=args.shards, workers=args.workers,
-            backend=args.backend, build_workers=args.build_workers,
+            build_workers=args.build_workers,
         )
 
     try:
@@ -579,8 +566,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
         try:
             engine = load_any_engine(
                 args.snapshot, objects=objects, workers=args.workers,
-                rebuild_every=args.rebuild_every, backend=args.backend,
-                store=args.store, build_workers=args.build_workers,
+                rebuild_every=args.rebuild_every, store=args.store,
+                build_workers=args.build_workers,
             )
         except GraphError as exc:
             print(f"update: cannot load snapshot: {exc}", file=sys.stderr)
@@ -599,8 +586,8 @@ def _cmd_update(args: argparse.Namespace) -> int:
     engine = create_engine(
         None, metric=spec.metric, K=args.K, seed=args.seed, mutable=True,
         shards=args.shards, workers=args.workers,
-        rebuild_every=args.rebuild_every, backend=args.backend,
-        store=args.store, build_workers=args.build_workers,
+        rebuild_every=args.rebuild_every, store=args.store,
+        build_workers=args.build_workers,
     )
     gen = np.random.default_rng(args.seed + 1)
     n = len(objects)
@@ -663,6 +650,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .engine import create_engine
     from .serving import EngineServer, ServingConfig
@@ -696,12 +684,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = create_engine(
         objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
         shards=args.shards, workers=args.workers, mutable=args.mutable,
-        backend=args.backend,
         store="shm" if args.store == "shm" else "ram",
         build_workers=args.build_workers,
     )
 
     async def _run() -> None:
+        # SIGTERM and SIGINT end serving through the server's exit, which
+        # closes the engine: its worker processes and shared segments go
+        # with it.  The handler replaces an inherited SIG_IGN too.
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            loop.add_signal_handler(sig, stop.set)
         async with EngineServer(
             engine, host=args.host, port=args.port, config=config,
             close_engine=True,
@@ -711,16 +705,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"listening on http://{host}:{port} "
                   f"(POST /query, GET /healthz, GET /stats"
                   + (", POST /insert, POST /remove" if args.mutable else "")
-                  + ")")
-            if args.serve_seconds is not None:
-                await asyncio.sleep(args.serve_seconds)
-            else:  # pragma: no cover - interactive serving loop
-                await server.serve_forever()
+                  + ")", flush=True)
+            try:
+                await asyncio.wait_for(stop.wait(), args.serve_seconds)
+            except TimeoutError:
+                pass
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - operator interrupt
-        print("interrupted; serving stopped")
+    asyncio.run(_run())
+    print("serving stopped")
     return 0
 
 

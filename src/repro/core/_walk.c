@@ -13,7 +13,7 @@
  * last bits from numpy's.  The walk therefore flags a source that
  * evaluated a distance within `band` of r, or a power sum that could
  * have overflowed, and the caller re-walks flagged sources with the
- * numpy kernel (docs/backends.md, "Native walk margin").
+ * numpy kernel (docs/margins.md, "Native walk margin").
  *
  * Build with -ffp-contract=off and without fast-math: the per-coordinate
  * terms must round exactly as numpy's do.

@@ -8,7 +8,7 @@ Later processes load the cached library.
 
 * The compiler runs without a shell, under a timeout, with
   ``-O2 -ffp-contract=off`` and no fast-math: each coordinate term must
-  round exactly as numpy's does (docs/backends.md, "Native walk
+  round exactly as numpy's does (docs/margins.md, "Native walk
   margin").
 * The file name carries the SHA-256 of the source, the flags and the
   machine type, so an edited source compiles to a new file.

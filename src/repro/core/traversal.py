@@ -11,19 +11,18 @@ on one of two kernels.
 :mod:`repro.core.native`) runs Algorithm 2 one source at a time in C:
 an int32 stamp row, a FIFO queue, pivots enqueued even outside ``r``,
 and an exit at ``k``.  It serves the L1 and L2 metrics over any
-C-contiguous float64 store (RAM, shared segment or memmap) under the
-default exact backend.  Its sums run in their own order, so a distance
+C-contiguous float64 store (RAM, shared segment or memmap).  Its sums
+run in their own order, so a distance
 may differ in the last bits from numpy's; the kernel flags every source
 that evaluated a distance within the metric's rounding band of ``r``
 (twice :meth:`~repro.metrics.minkowski.Minkowski.forward_error`, times
 ``SLACK_SAFETY``), and the numpy kernel re-walks the flagged sources.
 Every other source saw only verdicts the numpy kernel also gives
-(docs/backends.md, "Native walk margin").  Its scratch lives in the
+(docs/margins.md, "Native walk margin").  Its scratch lives in the
 caller's :class:`BlockTracker`.
 
-**The numpy kernel** serves every other metric, screening backends (the
-screen is why they were chosen) and the flagged sources, and runs
-whenever the native walk could not be built.  It walks the whole block
+**The numpy kernel** serves every other metric and the flagged sources,
+and runs whenever the native walk could not be built.  It walks the whole block
 at once, the way level-synchronous BFS systems (GraphBLAS-style
 frontiers, and NN-Descent itself) amortize traversal:
 
@@ -83,12 +82,7 @@ counts are *identical* to the scalar walk's, and a count that reaches
 The numpy kernel evaluates distances through ``Dataset.pair_dist``,
 whose values are the floats the scalar path's ``dist_many`` produces
 (the kernel contract on ``Metric.pair_dist``), so every comparison
-against ``r`` matches.  That call is also the numeric-backend seam
-(:mod:`repro.backends`): under a screening backend the bulk of each
-kernel runs in float32 and only pairs inside the metric's error band of
-``r`` are recomputed in float64, so the ``<= r`` verdicts — the only
-thing the counts consume — still match the scalar oracle bit for bit.
-The native walk bills its pairs to ``dataset.counter`` in one
+against ``r`` matches.  The native walk bills its pairs to ``dataset.counter`` in one
 ``add`` per call.
 """
 
@@ -267,17 +261,15 @@ def _native_counts(
     """The native walk's counts and re-walk flags, or ``None`` when it
     does not apply.
 
-    It applies to L1 and L2 under the default exact backend, over a
-    C-contiguous float64 store holding every vertex, once the kernel is
-    compiled (:func:`repro.core.native.status`).  Every array the
-    kernel reads is checked here: dtype, layout, size and vertex ids in
-    range.
+    It applies to L1 and L2 over a C-contiguous float64 store holding
+    every vertex, once the kernel is compiled
+    (:func:`repro.core.native.status`).  Every array the kernel reads
+    is checked here: dtype, layout, size and vertex ids in range.
     """
     metric, store, n = dataset.metric, dataset.store, graph.n
     if not (
         isinstance(metric, Minkowski)
         and metric.p in NATIVE_ORDERS
-        and dataset.backend_name == "numpy64"
         and isinstance(store, np.ndarray)
         and store.dtype == np.float64
         and store.ndim == 2

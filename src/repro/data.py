@@ -14,7 +14,6 @@ from typing import Any
 
 import numpy as np
 
-from .backends import NumericBackend, resolve_backend
 from .exceptions import GraphError, ParameterError
 from .metrics import Metric, resolve_metric
 
@@ -37,12 +36,9 @@ BLOCK_ELEM_BUDGET = 1 << 21
 def pairs_per_kernel(dataset: "Dataset") -> int:
     """Pair budget per batched verification kernel, scaled by row width.
 
-    A screening backend computes the block in narrower floats, so its
-    :attr:`~Dataset.kernel_budget_scale` widens the pair budget to keep
-    the materialised bytes per kernel roughly constant.  Memmap-backed
-    datasets get the tighter :data:`MEMMAP_ELEM_BUDGET`: sweeping them
-    materialises each chunk's rows in RAM, and the chunk size is the
-    memory ceiling the out-of-core path promises.
+    Memmap-backed datasets get the tighter :data:`MEMMAP_ELEM_BUDGET`:
+    sweeping them materialises each chunk's rows in RAM, and the chunk
+    size is the memory ceiling the out-of-core path promises.
     """
     shape = getattr(dataset.store, "shape", None)
     dim = int(shape[1]) if shape is not None and len(shape) == 2 else 64
@@ -51,8 +47,7 @@ def pairs_per_kernel(dataset: "Dataset") -> int:
         if getattr(dataset, "store_kind", "ram") == "memmap"
         else BLOCK_ELEM_BUDGET
     )
-    pairs = max(256, budget // max(1, dim))
-    return int(pairs * dataset.kernel_budget_scale)
+    return max(256, budget // max(1, dim))
 
 
 def _checked_vector_input(objects: Any, metric_name: str) -> Any:
@@ -60,12 +55,13 @@ def _checked_vector_input(objects: Any, metric_name: str) -> Any:
 
     Array-likes destined for a vector metric must be numeric and at
     least float32-wide: ``object`` arrays (ragged rows, mixed types)
-    and ``float16`` (whose rounding is wider than every screening error
-    band, so the exactness contract cannot be restated in it) fail here
-    with a :class:`GraphError` instead of a downstream kernel crash.
-    Plain sequences are converted once so ragged inputs are caught too;
-    the metric's ``prepare`` then normalizes the dtype (float64 for Lp
-    and angular stores).
+    and ``float16`` (an 11-bit significand: such an array has most
+    likely lost the digits that separate near neighbours, and exact
+    answers over it would be exact answers about rounded data) fail
+    here with a :class:`GraphError` instead of a downstream kernel
+    crash.  Plain sequences are converted once so ragged inputs are
+    caught too; the metric's ``prepare`` then normalizes the dtype
+    (float64 for Lp and angular stores).
     """
     if not isinstance(objects, np.ndarray):
         try:
@@ -159,19 +155,8 @@ class Dataset:
     metric:
         A :class:`~repro.metrics.base.Metric` instance or registry name
         such as ``"l2"``, ``"angular"``, ``"edit"``.
-    backend:
-        A :class:`~repro.backends.NumericBackend` instance or registry
-        name (``"numpy64"``, ``"float32"``); ``None`` is the exact
-        float64 default.  Screening backends accelerate only the
-        bounded :meth:`pair_dist` calls — :meth:`dist` and
-        :meth:`dist_many` always run the exact kernels, so scalar
-        oracle paths are backend-independent.
     """
 
-    #: class-level defaults so clone paths that bypass ``__init__``
-    #: (transport materialisation, pickling) stay on the exact kernels.
-    backend: "NumericBackend | None" = None
-    _screen: Any = None
     #: where the prepared store lives: ``"ram"`` (a private ndarray),
     #: ``"shm"`` (a zero-copy view onto a shared segment), or
     #: ``"memmap"`` (an out-of-core ``.npy`` mapping).  Sweeps consult
@@ -182,7 +167,6 @@ class Dataset:
         self,
         objects: Any,
         metric: "str | Metric" = "l2",
-        backend: "str | NumericBackend | None" = None,
     ):
         self.metric = resolve_metric(metric)
         if self.metric.is_vector:
@@ -190,15 +174,12 @@ class Dataset:
         self.store = self.metric.prepare(objects)
         self.n = self.metric.n_objects(self.store)
         self.counter = DistanceCounter()
-        if backend is not None:
-            self.set_backend(backend)
 
     @classmethod
     def from_prepared(
         cls,
         store: np.ndarray,
         metric: "str | Metric" = "l2",
-        backend: "str | NumericBackend | None" = None,
         kind: "str | None" = None,
     ) -> "Dataset":
         """Wrap an **already-prepared** store without copying it.
@@ -252,8 +233,6 @@ class Dataset:
             ds.store_kind = str(kind)
         elif isinstance(store, np.memmap):
             ds.store_kind = "memmap"
-        if backend is not None:
-            ds.set_backend(backend)
         return ds
 
     # -- distance queries ---------------------------------------------------
@@ -286,30 +265,19 @@ class Dataset:
         ])
 
     def pair_dist(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        bound: "float | tuple | None" = None,
+        self, a: np.ndarray, b: np.ndarray, bound: "float | None" = None
     ) -> np.ndarray:
         """Element-wise distances ``dist(a[t], b[t])``.
 
-        Without ``bound``, each value is the float :meth:`dist_many`
-        returns for that pair (the contract on
-        :meth:`Metric.pair_dist <repro.metrics.base.Metric.pair_dist>`).
-        ``bound`` enables early abandoning — and, when a screening
-        backend is attached, the float32 screen.  It is a single
-        threshold or a sequence of thresholds; every returned value is
-        **verdict-faithful at each threshold**: ``value <= r`` exactly
-        when the exact float64 kernel's value is ``<= r``.  Entries
-        whose true distance exceeds every threshold may come back as
-        any value above the largest one.  Under the default backend,
-        entries truly within the largest threshold are additionally
-        bit-exact; a screening backend guarantees bit-exactness only
-        inside the metric's error band of a threshold (band pairs are
-        re-evaluated in float64), which is precisely what keeps
-        count-by-comparison callers bit-identical.  Callers that
-        consume the returned *values* beyond comparing them against the
-        listed thresholds must pass ``bound=None``.
+        Each value is the float :meth:`dist_many` returns for that pair
+        (the contract on :meth:`Metric.pair_dist
+        <repro.metrics.base.Metric.pair_dist>`).  ``bound`` enables
+        early abandoning: every value at or below ``bound`` is still
+        bit-exact, so the verdict ``value <= r`` is exact at every
+        ``r <= bound``, but entries whose true distance exceeds
+        ``bound`` may come back as any value above it.  Callers that
+        consume the returned *values* beyond such comparisons must
+        pass ``bound=None``.
 
         Example
         -------
@@ -321,41 +289,22 @@ class Dataset:
         >>> d = ds.pair_dist(np.array([0]), np.array([2]), bound=6.0)
         >>> bool(d[0] > 6.0)   # true distance 15: only the verdict is promised
         True
-        >>> ds32 = Dataset(pts, "l2", backend="float32")
-        >>> d32 = ds32.pair_dist(np.array([0, 1]), np.array([1, 2]), bound=6.0)
-        >>> [bool(v <= 6.0) for v in d32]   # same verdicts as float64
-        [True, False]
         """
         a = np.asarray(a, dtype=np.int64)
         self.counter.add(a.size)
-        if bound is None:
-            radii = None
-        elif isinstance(bound, (int, float, np.floating, np.integer)):
-            radii = (float(bound),)
-        else:
-            radii = tuple(sorted(float(r) for r in bound)) or None
+        bound = None if bound is None else float(bound)
         chunk = self._gather_chunk(a.size)
         if chunk is None:
-            return self._pair_dist_block(a, b, radii)
+            return self.metric.pair_dist(self.store, a, b, bound=bound)
         # Element-wise evaluation is chunked so each gathered block fits
-        # the budget.  Per-element values (and screening verdicts) do
-        # not depend on the batch split.
+        # the budget.  Per-element values do not depend on the split.
         b = np.asarray(b, dtype=np.int64)
         return np.concatenate([
-            self._pair_dist_block(a[lo:lo + chunk], b[lo:lo + chunk], radii)
+            self.metric.pair_dist(
+                self.store, a[lo:lo + chunk], b[lo:lo + chunk], bound=bound
+            )
             for lo in range(0, a.size, chunk)
         ])
-
-    def _pair_dist_block(self, a, b, radii) -> np.ndarray:
-        """One kernel-sized :meth:`pair_dist` block (already counted)."""
-        bound_max = radii[-1] if radii is not None else None
-        if radii is not None and self._screen is not None:
-            out = self.backend.screened_pair_dist(
-                self.metric, self.store, self._screen, a, b, radii
-            )
-            if out is not None:
-                return out
-        return self.metric.pair_dist(self.store, a, b, bound=bound_max)
 
     def _gather_chunk(self, n_rows: int) -> "int | None":
         """Rows per gathered block, or ``None`` when no chunking applies.
@@ -402,11 +351,6 @@ class Dataset:
             sub.store = np.ascontiguousarray(self.store[idx])
         sub.n = self.metric.n_objects(sub.store)
         sub.counter = DistanceCounter()
-        sub.backend = self.backend
-        sub._screen = (
-            None if self.backend is None
-            else self.backend.screen_state(self.metric, sub.store)
-        )
         return sub
 
     def view(self) -> "Dataset":
@@ -420,8 +364,6 @@ class Dataset:
         v.store = self.store
         v.n = self.n
         v.counter = DistanceCounter()
-        v.backend = self.backend
-        v._screen = self._screen
         v.store_kind = self.store_kind
         return v
 
@@ -438,50 +380,6 @@ class Dataset:
         idx = gen.choice(self.n, size=m, replace=False)
         idx.sort()
         return self.subset(idx)
-
-    # -- numeric backend -----------------------------------------------------
-
-    def set_backend(
-        self, backend: "str | NumericBackend | None"
-    ) -> "Dataset":
-        """Attach a numeric backend (in place); returns ``self``.
-
-        Accepts a registry name, a shared
-        :class:`~repro.backends.NumericBackend` instance (so one
-        engine's datasets can aggregate screen stats), or ``None`` to
-        restore the exact default.  Screening state is (re)built for
-        the current store.
-        """
-        self.backend = None if backend is None else resolve_backend(backend)
-        self._screen = (
-            None if self.backend is None
-            else self.backend.screen_state(self.metric, self.store)
-        )
-        return self
-
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the active backend (``"numpy64"`` default)."""
-        return "numpy64" if self.backend is None else self.backend.name
-
-    def backend_stats(self) -> dict:
-        """``{"backend": name, **screen/rescreen counters}``."""
-        if self.backend is None:
-            return {
-                "backend": "numpy64", "screen_calls": 0,
-                "screened_pairs": 0, "rescreened_pairs": 0,
-            }
-        return self.backend.stats_dict()
-
-    @property
-    def kernel_budget_scale(self) -> float:
-        """Pair-budget multiplier for block sweeps.
-
-        Screening backends touch half the bytes per pair, so the linear
-        index can afford proportionally wider kernel blocks for the
-        same cache footprint; 1.0 whenever screening is inactive.
-        """
-        return 1.0 if self._screen is None else self.backend.kernel_budget_scale
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -515,5 +413,4 @@ class Dataset:
         return self.n
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        extra = "" if self.backend is None else f", backend={self.backend.name}"
-        return f"Dataset(n={self.n}, metric={self.metric.name}{extra})"
+        return f"Dataset(n={self.n}, metric={self.metric.name})"

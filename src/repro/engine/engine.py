@@ -191,7 +191,6 @@ class DetectionEngine:
         graph: Graph,
         verifier: Verifier | None = None,
         cache_radii: int | None = None,
-        backend: "str | None" = None,
         cells: CenterCells | None = None,
     ):
         if graph.n != dataset.n:
@@ -204,8 +203,6 @@ class DetectionEngine:
             )
         if not graph.finalized:
             graph.finalize()
-        if backend is not None:
-            dataset.set_backend(backend)
         self.dataset = dataset
         self.graph = graph
         self.verifier = verifier if verifier is not None else Verifier(dataset)
@@ -248,7 +245,6 @@ class DetectionEngine:
         K: int = 16,
         seed: "int | None" = 0,
         cache_radii: int | None = None,
-        backend: "str | None" = None,
         build_workers: int = 1,
         **graph_params,
     ) -> "DetectionEngine":
@@ -269,7 +265,6 @@ class DetectionEngine:
             built,
             verifier=Verifier(dataset, rng=gen),
             cache_radii=cache_radii,
-            backend=backend,
             cells=build_cells(dataset),
         )
 
@@ -546,15 +541,6 @@ class DetectionEngine:
         return (
             f"single-process engine, n={self.n}, graph={self.graph_name}"
         )
-
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the dataset's numeric backend."""
-        return self.dataset.backend_name
-
-    def backend_stats(self) -> dict:
-        """Active backend name plus screen/rescreen pair counters."""
-        return self.dataset.backend_stats()
 
     def store_stats(self) -> dict:
         """Where the dataset's object store lives and what it pins."""

@@ -80,14 +80,12 @@ def build_delete_evidence(
     dec = {r: np.zeros(n_total, dtype=np.int64) for r in radii}
     covered = dict.fromkeys(radii, True)
     if scan.size and survivors.size and radii:
-        # Only per-radius verdicts are consumed; passing every
-        # maintained radius keeps the sweep verdict-faithful at each
-        # one under screening backends while still early-abandoning at
-        # the largest.
+        # Only per-radius verdicts are consumed, and values within the
+        # largest radius are exact, so one bound serves every radius.
         D = dataset.pair_dist(
             np.repeat(scan, survivors.size),
             np.tile(survivors, scan.size),
-            bound=tuple(radii),
+            bound=max(radii),
         ).reshape(scan.size, survivors.size)
         for r in radii:
             dec[r][survivors] += (D <= r).sum(axis=0)

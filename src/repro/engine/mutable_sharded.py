@@ -52,7 +52,6 @@ import numpy as np
 
 from ..core.result import DODResult
 from ..core.store import SharedObjectStore
-from ..backends import resolve_backend
 from ..data import Dataset, prepare_insert_batch
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
@@ -96,20 +95,13 @@ class MutableShardWorker(ShardWorker):
         cache_state: "EvidenceCache | None" = None,
         knn_radii: Sequence[float] = (),
         build: bool = False,
-        backend: "str | None" = None,
         shared_store: bool = False,
         store_meta: "dict | None" = None,
         build_workers: int = 1,
     ):
         self.metric = resolve_metric(metric)
         self.shard_index = int(shard_index)
-        # Resolved in the worker process: each shard owns its backend
-        # instance (screen state + counters), so nothing beyond the
-        # name is shared.
-        self._init_serving(
-            None, None if backend is None else resolve_backend(backend),
-            None, knn_radii,
-        )
+        self._init_serving(None, None, knn_radii)
         self.K = int(K)
         self.graph_name = graph
         # Shard workers are daemon processes, so BuildPool falls back to
@@ -175,10 +167,7 @@ class MutableShardWorker(ShardWorker):
         if self._shared:
             assert self._store_handle is not None
             self._full = Dataset.from_prepared(
-                self._store_handle.rows(self._n_log),
-                self.metric,
-                backend=self._backend,
-                kind="shm",
+                self._store_handle.rows(self._n_log), self.metric, kind="shm"
             )
             return
         self._full = Dataset(
@@ -186,15 +175,13 @@ class MutableShardWorker(ShardWorker):
             if self.metric.is_vector
             else self._objects,
             self.metric,
-            backend=self._backend,
         )
 
     def store_resident_nbytes(self) -> int:
         """Bytes of object data this actor pins privately.
 
         Zero on the shared store (the segment is counted once by its
-        owner); the full float64 replica otherwise.  Screening state
-        (a float32 copy, when a backend is attached) is not included.
+        owner); the full float64 replica otherwise.
         """
         if self._full is None:
             return 0
@@ -337,7 +324,7 @@ class MutableShardWorker(ShardWorker):
         neighbors_out: list[dict] = [dict() for _ in range(B)]
         if targets.size:
             bound = (
-                None if self._graph.exact_knn or not radii else tuple(radii)
+                None if self._graph.exact_knn or not radii else max(radii)
             )
             D = self._full.pair_dist(
                 np.repeat(owned_gids, targets.size),
@@ -553,7 +540,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         cache_radii: "int | None" = None,
         rebuild_every: "int | None" = None,
         start_method: "str | None" = None,
-        backend: "str | None" = None,
         store: str = "list",
         build_workers: int = 1,
     ):
@@ -600,10 +586,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self._workers_requested = max(1, int(workers))
         self.workers = min(self._workers_requested, self.n_shards)
         self._start_method = start_method
-        # One backend name for every shard, resolved now so an unknown
-        # backend fails here, not inside a worker process.
-        self._backend = backend
-        self.backend_name = resolve_backend(backend).name
         self._objects: list[Any] = []
         #: per global id: live?, owning shard, confirmed outlier of some
         #: earlier query (the shards memoise those).  ``_spawn_pool``
@@ -658,7 +640,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "cache_state": state.get("cache"),
             "knn_radii": tuple(state.get("knn_radii", ())),
             "build": bool(state.get("build", False)),
-            "backend": self._backend,
             "build_workers": self.build_workers,
         }
         return kwargs
@@ -1310,7 +1291,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     def load(cls, path, objects, **kwargs) -> "MutableShardedDetectionEngine":
         """Rebuild a saved mutable engine (any shard count) against its
         full object log, tombstoned positions included.  ``kwargs`` are
-        execution knobs for the constructor (``workers``, ``backend``, ...).
+        execution knobs for the constructor (``workers``, ...).
         """
         from ..io import read_snapshot
 
@@ -1372,21 +1353,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             f"{self.n_total} total ids, {self.n_shards} shards on "
             f"{self.workers} worker process(es), epoch {self.epoch}"
         )
-
-    def backend_stats(self) -> dict:
-        """Screen/rescreen counters summed across shard workers."""
-        out: dict = {
-            "backend": self.backend_name,
-            "screen_calls": 0,
-            "screened_pairs": 0,
-            "rescreened_pairs": 0,
-        }
-        per_shard = self._pool.call("backend_stats")
-        for entry in per_shard:
-            for key in ("screen_calls", "screened_pairs", "rescreened_pairs"):
-                out[key] += int(entry.get(key, 0))
-        out["per_shard"] = list(per_shard)
-        return out
 
     def build_stats(self) -> dict:
         """Per-shard graph-build phase timings (most recent builds)."""

@@ -143,15 +143,6 @@ class EngineCore(Protocol):
         """Memory held by the serving state (graphs + caches)."""
         ...
 
-    @property
-    def backend_name(self) -> str:
-        """Numeric backend(s) answering queries (``numpy64`` default)."""
-        ...
-
-    def backend_stats(self) -> dict:
-        """Screen/rescreen pair counters of the numeric backend(s)."""
-        ...
-
     def store_stats(self) -> dict:
         """Object-store accounting: ``kind``, ``nbytes``, and the
         resident footprint (``resident_nbytes``) the store pins."""
@@ -221,7 +212,6 @@ def create_engine(
     cache_radii: "int | None" = None,
     rebuild_every: "int | None" = None,
     start_method: "str | None" = None,
-    backend: "str | None" = None,
     store: str = "ram",
     build_workers: int = 1,
     **graph_params,
@@ -239,9 +229,7 @@ def create_engine(
     (static engines require it; mutable engines may start empty and be
     populated through ``insert``).  ``shards > 1`` selects a sharded
     static engine; ``mutable=True`` selects the mutable sharded engine
-    at every shard count (one shard runs in-process).  ``backend`` names
-    the numeric backend (:mod:`repro.backends`) every shard uses.
-    ``store`` picks where object data lives: ``"ram"`` (private copies,
+    at every shard count (one shard runs in-process).  ``store`` picks where object data lives: ``"ram"`` (private copies,
     the default) or ``"shm"`` (one growable shared segment, mutable
     engines only).  Out-of-core
     ``"memmap"`` storage is a dataset-loading choice
@@ -285,7 +273,7 @@ def create_engine(
             metric=metric, n_shards=shards, workers=workers, graph=graph,
             K=K, seed=seed, pinned=pinned, cache_radii=cache_radii,
             rebuild_every=rebuild_every, start_method=start_method,
-            backend=backend, store="shm" if store_kind == "shm" else "list",
+            store="shm" if store_kind == "shm" else "list",
             build_workers=build_workers,
         )
         if objects is not None:
@@ -300,7 +288,7 @@ def create_engine(
         dataset = data if is_dataset else Dataset(data, metric)
         return ShardedDetectionEngine(
             dataset, n_shards=shards, workers=workers, graph=graph, K=K,
-            rng=seed, start_method=start_method, backend=backend,
+            rng=seed, start_method=start_method,
             build_workers=build_workers, **graph_params,
         )
     from .engine import DetectionEngine
@@ -316,11 +304,10 @@ def create_engine(
             **graph_params,
         )
         return DetectionEngine(
-            data, built, cache_radii=cache_radii, backend=backend,
-            cells=build_cells(data),
+            data, built, cache_radii=cache_radii, cells=build_cells(data),
         )
     return DetectionEngine.fit(
         data, metric=metric, graph=graph, K=K, seed=seed,
-        cache_radii=cache_radii, backend=backend,
-        build_workers=build_workers, **graph_params,
+        cache_radii=cache_radii, build_workers=build_workers,
+        **graph_params,
     )

@@ -70,7 +70,6 @@ from ..core.counting import classify_chunk_arrays
 from ..core.parallel import DatasetTransport, ShardPool, default_start_method
 from ..core.result import DODResult
 from ..core.traversal import BlockTracker
-from ..backends import resolve_backend
 from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
@@ -178,7 +177,6 @@ class ShardWorker:
         graph_params: "dict | None" = None,
         cache: "EvidenceCache | None" = None,
         knn_radii: "tuple[float, ...]" = (),
-        backend: "str | None" = None,
     ):
         if isinstance(dataset, DatasetTransport):
             dataset = dataset.materialize()
@@ -187,13 +185,7 @@ class ShardWorker:
             raise ParameterError("shard must hold at least one object")
         #: full-dataset view: cross-shard subset sweeps + own pair counter.
         full = dataset.view()
-        if backend is not None:
-            # Each worker instantiates its own backend (transport strips
-            # it), so the name is the only cross-process state.
-            full.set_backend(backend)
         #: shard sub-dataset (local ids 0..m-1): traversal + own counter.
-        #: Shares the full view's backend instance so the worker's
-        #: screen stats aggregate in one place.
         sub = full.subset(ids)
         if isinstance(graph, Graph):
             if graph.n != ids.size:
@@ -214,18 +206,16 @@ class ShardWorker:
                 **(graph_params or {}),
             )
         self._init_serving(
-            full, full.backend,
-            cache if cache is not None else EvidenceCache(dataset.n),
+            full, cache if cache is not None else EvidenceCache(dataset.n),
             knn_radii,
         )
         self._graph = graph
         self._serve = _ServeView(sub, graph, ids, full, cells=build_cells(sub))
         self._take_pairs()  # offline build cost is not query cost
 
-    def _init_serving(self, full, backend, cache, knn_radii) -> None:
+    def _init_serving(self, full, cache, knn_radii) -> None:
         """The state the query protocol reads, shared by every worker."""
         self._full: "Dataset | None" = full
-        self._backend = backend
         self._graph: "Graph | None" = None
         self.cache: "EvidenceCache | None" = cache
         self._knn_radii: set[float] = {float(r) for r in knn_radii}
@@ -426,17 +416,6 @@ class ShardWorker:
         self._knn_radii.clear()
         if self._serve is not None and self._serve.memo is not None:
             self._serve.memo.radii.clear()
-
-    def backend_stats(self) -> dict:
-        """This worker's backend name + screen/rescreen counters."""
-        if self._backend is None:
-            return {
-                "backend": "numpy64",
-                "screen_calls": 0,
-                "screened_pairs": 0,
-                "rescreened_pairs": 0,
-            }
-        return self._backend.stats_dict()
 
     def build_stats(self) -> dict:
         """Construction observability of this shard's graph."""
@@ -736,7 +715,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         start_method: "str | None" = None,
         shard_ids: "list[np.ndarray] | None" = None,
         shard_state: "list[dict] | None" = None,
-        backend: "str | None" = None,
         build_workers: int = 1,
         **graph_params,
     ):
@@ -761,9 +739,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
             workers = min(self.n_shards, os.cpu_count() or 1)
         self.workers = max(1, min(int(workers), self.n_shards))
         self._start_method = start_method or default_start_method()
-        # One backend name for every shard, resolved here so an unknown
-        # backend fails in the parent process.
-        self.backend_name = resolve_backend(backend).name
 
         #: global id -> owning shard, for routing the filter phase.
         self._shard_of = np.empty(dataset.n, dtype=np.int64)
@@ -784,7 +759,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
                 graph=state.get("graph", graph), K=self.K, seed=seeds[s],
                 graph_params=dict(graph_params), cache=state.get("cache"),
                 knn_radii=tuple(state.get("knn_radii", ())),
-                backend=backend,
             ))
         try:
             self._pool = ShardPool(
@@ -815,7 +789,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         workers: "int | None" = None,
         seed: "int | None" = 0,
         start_method: "str | None" = None,
-        backend: "str | None" = None,
         **graph_params,
     ) -> "ShardedDetectionEngine":
         """Offline phase in one call: dataset + per-shard graphs + engine.
@@ -826,28 +799,12 @@ class ShardedDetectionEngine(_ShardMergeBase):
         dataset = Dataset(objects, metric)
         return cls(
             dataset, n_shards=n_shards, workers=workers, graph=graph, K=K,
-            rng=seed, start_method=start_method, backend=backend,
-            **graph_params,
+            rng=seed, start_method=start_method, **graph_params,
         )
 
     @property
     def n(self) -> int:
         return self.dataset.n
-
-    def backend_stats(self) -> dict:
-        """Screen/rescreen counters summed across shard workers."""
-        per_shard = self._pool.call("backend_stats")
-        out: dict = {
-            "backend": self.backend_name,
-            "screen_calls": 0,
-            "screened_pairs": 0,
-            "rescreened_pairs": 0,
-        }
-        for entry in per_shard:
-            for key in ("screen_calls", "screened_pairs", "rescreened_pairs"):
-                out[key] += int(entry.get(key, 0))
-        out["per_shard"] = list(per_shard)
-        return out
 
     def store_stats(self) -> dict:
         """The fitted dataset's store accounting (see ``Dataset.store_stats``).
@@ -922,7 +879,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
         workers: "int | None" = None,
         rng: "int | np.random.Generator | None" = 0,
         start_method: "str | None" = None,
-        backend: "str | None" = None,
         build_workers: "int | None" = None,
     ) -> "ShardedDetectionEngine":
         """An engine over a read static snapshot, one shard per archive.
@@ -943,7 +899,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
             start_method=start_method,
             shard_ids=[state["member_gids"] for state in snap.shards],
             shard_state=snap.shards,
-            backend=backend,
             build_workers=(
                 build_workers if build_workers is not None
                 else meta.get("build_workers") or 1

@@ -17,10 +17,6 @@ class ParameterError(ReproError):
     """An algorithm parameter is out of its valid range."""
 
 
-class BackendError(ReproError):
-    """A numeric backend is unknown or its dependency is unavailable."""
-
-
 class BudgetExceeded(ReproError):
     """An experiment exceeded its configured time budget.
 

@@ -16,7 +16,7 @@ binary search over the cell's presorted distances and no distance
 computation.  When it reaches ``k``, ``p`` is a proven inlier and
 Greedy-Counting need not walk it.  ``slack(r)`` is the metric's rounding
 margin (:meth:`~repro.metrics.base.Metric.triangle_slack`, derived in
-``docs/backends.md``): it makes the bound hold for the *computed*
+``docs/margins.md``): it makes the bound hold for the *computed*
 distances the brute-force oracle compares against ``r``, not only for
 the exact reals.  A metric without a margin gets no certificate, and
 :func:`build_cells` builds nothing for it.
@@ -70,7 +70,7 @@ def cell_window(
     ``d(q, c) <= near`` proves ``d(p, q) <= r`` (the certificate);
     ``d(q, c) < low`` or ``d(q, c) > high`` proves ``d(p, q) > r``.
     The exclusions carry the margin ``rel * (r + d(p, c)) + abs``,
-    which grows with ``d(p, c)`` (derived in ``docs/backends.md``);
+    which grows with ``d(p, c)`` (derived in ``docs/margins.md``);
     all three hold for the computed distances the oracle compares.
     """
     if math.isinf(r):  # every member is a neighbor

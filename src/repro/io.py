@@ -124,7 +124,6 @@ def create_memmap_store(
 def open_memmap_dataset(
     path: "str | Path",
     metric="l2",
-    backend=None,
     *,
     validate: bool = True,
 ):
@@ -185,7 +184,7 @@ def open_memmap_dataset(
                         f"rewrite the file with create_memmap_store("
                         f"..., metric='angular')"
                     )
-    return Dataset.from_prepared(arr, resolved, backend=backend)
+    return Dataset.from_prepared(arr, resolved)
 
 
 def _graph_arrays(graph: Graph) -> dict[str, np.ndarray]:
@@ -760,7 +759,7 @@ def load_any_engine(
     :class:`~repro.engine.MutableShardedDetectionEngine` at any shard
     count.  Callers -- the CLI in particular -- never pick a loader by
     engine class.  ``workers`` and ``start_method`` go to the sharded
-    engines; ``extra`` keywords -- e.g. ``backend`` -- go to the
+    engines; ``extra`` keywords -- e.g. ``cache_radii`` -- go to the
     resolved engine.
 
     Raises :class:`GraphError` for anything :func:`read_snapshot`

@@ -22,8 +22,7 @@ import numpy as np
 #: float64 unit roundoff, the unit of every triangle slack.
 UNIT_ROUNDOFF = 2.0**-53
 #: multiplier on a derived slack; the analysis is already conservative,
-#: this absorbs what it idealises (fma, reassociation), as
-#: ``SCREEN_SAFETY`` does for the float32 bands.
+#: this absorbs what it idealises (fma, reassociation).
 SLACK_SAFETY = 4.0
 
 
@@ -42,47 +41,7 @@ def triangle_slack_terms(alpha: float, beta: float) -> tuple[float, float]:
     )
 
 
-class LazyFloat32Rows:
-    """Per-gather float32 mirror of an out-of-core store.
-
-    Screening kernels address their float32 store only through fancy row
-    indexing (``store32[idx]``); for memmap-backed stores this adapter
-    gathers the requested float64 rows and casts *those* instead of
-    materialising a full float32 copy in RAM.  Casting after the gather
-    is element-wise, so the screen values are bit-identical to gathering
-    from an eagerly cast copy — the error-band analysis is unchanged.
-    """
-
-    __slots__ = ("_base",)
-
-    def __init__(self, base: np.ndarray):
-        self._base = base
-
-    @property
-    def shape(self):
-        return self._base.shape
-
-    @property
-    def dtype(self):
-        return np.dtype(np.float32)
-
-    def __getitem__(self, idx) -> np.ndarray:
-        return np.asarray(self._base[idx], dtype=np.float32)
-
-
-def screen_store32(store: np.ndarray):
-    """The float32 store behind a screen state: eager copy or lazy rows.
-
-    In-RAM stores are cast once (fastest per gather); memmap stores get
-    a :class:`LazyFloat32Rows` adapter so screening an out-of-core
-    dataset keeps its resident working set at chunk scale.
-    """
-    if isinstance(store, np.memmap):
-        return LazyFloat32Rows(store)
-    return store.astype(np.float32)
-
-
-def screen_abs_max(store: np.ndarray, chunk: int = 4096) -> float:
+def abs_max(store: np.ndarray, chunk: int = 4096) -> float:
     """``|store|.max()`` without materialising an out-of-core store."""
     if not store.size:
         return 0.0
@@ -188,43 +147,11 @@ class Metric(ABC):
         compute them, ``d(q, c) <= (r - (rel * r + abs)) - d(p, c)``
         (evaluated in float64) implies ``d(p, q) <= r``.  The
         center-cell certificate (:mod:`repro.index.cells`) relies on
-        it; the derivations are in ``docs/backends.md``.  The default
+        it; the derivations are in ``docs/margins.md``.  The default
         ``None`` means no margin is known, and the certificate stays
         off for this metric.
         """
         return None
-
-    # -- reduced-precision screening (numeric backends) --------------------
-
-    def screen_prepare(self, store: Any) -> Any:
-        """Reduced-precision screening state for ``store``, or ``None``.
-
-        Screening backends (:mod:`repro.backends`) call this once per
-        prepared store.  Metrics that support the float32 screen return
-        an object holding whatever :meth:`screen_pair_dist` needs — a
-        float32 copy of the store plus the facts behind the error band
-        ``eps(r)`` (see ``docs/backends.md``).  The default ``None``
-        means "no screen kernel": the backend then leaves every call to
-        the exact float64 kernels, which is always correct.
-        """
-        return None
-
-    def screen_pair_dist(
-        self, state: Any, a: Sequence[int], b: Sequence[int], radii: Sequence[float]
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Low-precision element-wise distances plus a decided mask.
-
-        Returns ``(values, decided)``: ``values`` is a float64 array of
-        screen distances and ``decided[t]`` is True when float32
-        rounding provably cannot flip the ``values[t] <= r`` verdict at
-        **any** threshold in ``radii`` — i.e. the screen value lies
-        outside the metric's error band ``[r - eps(r), r + eps(r)]``
-        of every threshold.  Pairs with ``decided[t]`` False must be
-        re-evaluated by the caller with the exact kernels.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no screen kernel"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

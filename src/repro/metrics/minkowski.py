@@ -24,13 +24,7 @@ import math
 import numpy as np
 
 from ..exceptions import ParameterError
-from .base import (
-    UNIT_ROUNDOFF,
-    VectorMetric,
-    screen_abs_max,
-    screen_store32,
-    triangle_slack_terms,
-)
+from .base import UNIT_ROUNDOFF, VectorMetric, abs_max, triangle_slack_terms
 
 #: early abandonment pays only when the per-row work being skipped
 #: (remaining coordinate chunks) outweighs the bookkeeping; below these
@@ -43,15 +37,6 @@ ABANDON_COLS = 32
 #: can never abandon a row whose exact distance is within ``bound``.
 _ABANDON_SLACK = 1e-9
 
-#: float32 machine epsilon, the unit of every screening error band.
-SCREEN_EPS32 = float(np.finfo(np.float32).eps)
-#: multiplier on the derived band width; the analysis below is already
-#: conservative, this absorbs anything it idealises (fma, reassociation).
-SCREEN_SAFETY = 4.0
-#: float32 subnormal threshold (power-sum underflow floor).
-_TINY32 = float(np.finfo(np.float32).tiny)
-#: refuse to screen stores whose power sums could approach float32 range.
-_F32_HUGE = float(np.finfo(np.float32).max) / 8.0
 #: float64 subnormal threshold and range cap, for the triangle slack.
 _TINY64 = float(np.finfo(np.float64).tiny)
 _F64_HUGE = float(np.finfo(np.float64).max) / 8.0
@@ -60,18 +45,6 @@ _F64_HUGE = float(np.finfo(np.float64).max) / 8.0
 def _beyond(bound: float) -> float:
     """A float strictly greater than ``bound`` (the clip filler)."""
     return max(bound + 1.0, float(np.nextafter(bound, np.inf)))
-
-
-class _MinkowskiScreen:
-    """Float32 store plus the scale facts behind the error band."""
-
-    __slots__ = ("store32", "coord_term", "rel_term", "floor_term")
-
-    def __init__(self, store32, coord_term, rel_term, floor_term):
-        self.store32 = store32
-        self.coord_term = coord_term
-        self.rel_term = rel_term
-        self.floor_term = floor_term
 
 
 class Minkowski(VectorMetric):
@@ -177,7 +150,7 @@ class Minkowski(VectorMetric):
         """``(alpha, beta)`` with ``|d_hat - d| <= alpha * d + beta`` for
         every distance the float64 kernels compute over ``dim``
         coordinates, in any summation order, while no power sum
-        overflows (``docs/backends.md``).
+        overflows (``docs/margins.md``).
 
         Coordinate differences are exact up to one rounding (relative
         ``u``), the power and the sum of ``m`` non-negative terms add
@@ -193,12 +166,12 @@ class Minkowski(VectorMetric):
         return alpha, beta
 
     def triangle_slack(self, store: np.ndarray) -> "tuple[float, float] | None":
-        """The float64 analogue of the screen band (``docs/backends.md``),
-        from :meth:`forward_error`.  Stores whose power sums could
-        overflow get no certificate.
+        """The center-cell margin (``docs/margins.md``), from
+        :meth:`forward_error`.  Stores whose power sums could overflow
+        get no certificate.
         """
         dim = int(store.shape[1])
-        scale = screen_abs_max(store)
+        scale = abs_max(store)
         if dim == 0 or (
             scale > 0.0
             and self.p * math.log(2.0 * scale) + math.log(dim)
@@ -206,54 +179,6 @@ class Minkowski(VectorMetric):
         ):
             return None
         return triangle_slack_terms(*self.forward_error(dim))
-
-    # -- float32 screening -------------------------------------------------
-
-    def screen_prepare(self, store: np.ndarray) -> "_MinkowskiScreen | None":
-        """Float32 screening state, or ``None`` when out of float32 range.
-
-        The band derivation (``docs/backends.md``): with ``M`` the
-        largest coordinate magnitude and ``m`` the dimension, each
-        float32 coordinate difference carries absolute error at most
-        ``4*eps32*M`` (two input roundings plus the subtraction, which
-        covers catastrophic cancellation because the error is bounded
-        by the *inputs*, not the difference).  Perturbing every
-        coordinate by ``delta`` moves an Lp distance by at most
-        ``m**(1/p) * delta`` (Minkowski's inequality), the float32
-        power-sum evaluation adds a relative error of order
-        ``m * eps32`` on the sum — ``~m/p * eps32`` on the distance —
-        and power-sum underflow contributes at most the subnormal
-        floor ``(m * tiny32)**(1/p)``.
-        """
-        dim = int(store.shape[1])
-        scale = screen_abs_max(store)
-        # Power sums must stay well inside float32 range, else the
-        # screen values saturate and the band analysis is void.
-        if dim == 0 or (2.0 * scale) ** self.p * dim > _F32_HUGE:
-            return None
-        coord = (dim ** (1.0 / self.p)) * 4.0 * SCREEN_EPS32 * scale
-        rel = ((dim + 8.0) / self.p + 4.0) * SCREEN_EPS32
-        floor = (dim * _TINY32) ** (1.0 / self.p)
-        return _MinkowskiScreen(screen_store32(store), coord, rel, floor)
-
-    def screen_band(self, state: _MinkowskiScreen, r: float) -> float:
-        """Half-width of the rescreen band around threshold ``r``."""
-        return SCREEN_SAFETY * (
-            state.coord_term
-            + (abs(r) + state.coord_term) * state.rel_term
-            + state.floor_term
-        )
-
-    def screen_pair_dist(self, state: _MinkowskiScreen, a, b, radii):
-        a_arr = np.asarray(a, dtype=np.int64)
-        b_arr = np.asarray(b, dtype=np.int64)
-        d = self._reduce(
-            state.store32[a_arr] - state.store32[b_arr]
-        ).astype(np.float64)
-        decided = np.ones(d.size, dtype=bool)
-        for r in radii:
-            decided &= np.abs(d - r) > self.screen_band(state, float(r))
-        return d, decided
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Minkowski(p={self.p:g})"

@@ -135,9 +135,6 @@ class EngineServer:
         )
         return self
 
-    async def serve_forever(self) -> None:
-        await self._server.serve_forever()
-
     async def aclose(self) -> None:
         if self._server is not None:
             self._server.close()
@@ -326,13 +323,9 @@ class EngineServer:
                 "seconds": dict(engine.stats["phase_seconds"]),
                 "pairs": dict(engine.stats.get("phase_pairs", {})),
             }
-        # Numeric-backend counters (screened/rescreened pairs); guarded
-        # so a duck-typed engine without the accessor still serves.
-        stats_fn = getattr(engine, "backend_stats", None)
-        if callable(stats_fn):
-            payload["backend"] = stats_fn()
         # Object-store memory counters (kind, bytes pinned, replicas);
-        # same duck-typed guard.
+        # guarded so a duck-typed engine without the accessor still
+        # serves.
         store_fn = getattr(engine, "store_stats", None)
         if callable(store_fn):
             payload["store"] = store_fn()

@@ -1,9 +1,19 @@
 """Unit tests for the command-line interface."""
 
+import os
+import queue
+import signal
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def test_suites_lists_all(capsys):
@@ -268,3 +278,69 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def _shm_entries():
+    return {
+        name for name in os.listdir("/dev/shm") if name.startswith("repro_")
+    }
+
+
+def _pump(stream, lines):
+    for line in stream:
+        lines.put(line)
+    lines.put(None)
+
+
+# Starts ``repro-dod serve`` the way a shell started with ``&`` would:
+# SIGINT ignored (when asked) before the interpreter starts, so the
+# server inherits SIG_IGN.
+_SERVE_CHILD = (
+    "import os, signal, sys\n"
+    "if sys.argv[1] == 'ignore':\n"
+    "    signal.signal(signal.SIGINT, signal.SIG_IGN)\n"
+    "os.execv(sys.executable, [sys.executable, '-m', 'repro.cli', "
+    "*sys.argv[2:]])\n"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+@pytest.mark.parametrize(
+    "signum, sigint", [(signal.SIGTERM, "default"), (signal.SIGINT, "ignore")],
+    ids=["sigterm", "sigint-inherited-ignored"],
+)
+def test_serve_stops_cleanly_on_signal(signum, sigint):
+    """The server stops through its normal exit: status 0, and the
+    shared object store is gone from /dev/shm."""
+    before = _shm_entries()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("PYTHONUNBUFFERED", None)  # the listening line flushes itself
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SERVE_CHILD, sigint, "serve", "--suite",
+         "glove", "--n", "250", "--K", "8", "--mutable", "--shards", "2",
+         "--workers", "1", "--store", "shm", "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, start_new_session=True,
+    )
+    lines: queue.Queue = queue.Queue()
+    reader = threading.Thread(
+        target=_pump, args=(proc.stdout, lines), daemon=True
+    )
+    reader.start()
+    try:
+        while True:
+            line = lines.get(timeout=120)
+            assert line is not None, "server exited before listening"
+            if line.startswith("listening on"):
+                break
+        proc.send_signal(signum)
+        code = proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        reader.join(timeout=5)
+        proc.stdout.close()
+    assert code == 0
+    assert not _shm_entries() - before

@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Dataset
-from repro.exceptions import MetricError, ParameterError
+from repro.exceptions import GraphError, MetricError, ParameterError
 
 
 @pytest.fixture()
@@ -112,6 +114,85 @@ def test_dist_many_bound_passthrough():
     d = ds.dist_many(0, np.asarray([1, 2]), bound=1.0)
     assert d[1] == 1.0  # within bound: exact
     assert d[0] > 1.0  # beyond bound: conservative
+
+
+# -- store validation --------------------------------------------------------
+
+
+def test_store_rejects_object_dtype_and_ragged_rows():
+    with pytest.raises(GraphError, match="rectangular"):
+        Dataset([[0.0, 1.0], [2.0]], "l2")
+    with pytest.raises(GraphError, match="object-dtype"):
+        Dataset(np.array([[0.0, "x"]], dtype=object), "l2")
+
+
+def test_store_rejects_float16():
+    pts = np.ones((4, 3), dtype=np.float16)
+    with pytest.raises(GraphError, match="float16"):
+        Dataset(pts, "l2")
+
+
+def test_store_rejects_non_numeric_dtype():
+    with pytest.raises(GraphError, match="non-numeric"):
+        Dataset(np.array([["a", "b"]]), "l2")
+
+
+def test_store_accepts_integer_and_float32_inputs():
+    assert Dataset(np.arange(12).reshape(4, 3), "l2").n == 4
+    assert Dataset(np.ones((4, 3), dtype=np.float32), "l1").n == 4
+
+
+# -- bounded pair_dist -------------------------------------------------------
+
+
+PROPERTY_METRICS = ["l1", "l2", "l4", "lp:3", "angular", "hamming", "edit",
+                    "jaccard"]
+
+
+def _objects_for(metric, gen, dtype):
+    if metric == "hamming":
+        return gen.integers(0, 2, size=(40, 24)).astype(np.uint8)
+    if metric == "edit":
+        letters = "abcd"
+        return [
+            "".join(gen.choice(list(letters), size=gen.integers(1, 9)))
+            for _ in range(40)
+        ]
+    if metric == "jaccard":
+        return [
+            frozenset(gen.choice(20, size=gen.integers(1, 8), replace=False))
+            for _ in range(40)
+        ]
+    pts = gen.normal(size=(40, 5)) * gen.uniform(1e-3, 1e3)
+    if metric == "angular":
+        return pts  # normalised in prepare; keep float to avoid zero rows
+    if dtype == "int64":
+        return np.round(pts).astype(np.int64)
+    return pts.astype(dtype)
+
+
+@given(
+    metric=st.sampled_from(PROPERTY_METRICS),
+    seed=st.integers(0, 2**16),
+    dtype=st.sampled_from(["float64", "float32", "int64"]),
+    quantile=st.floats(min_value=0.05, max_value=0.95),
+)
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_bounded_pair_dist_never_misclassifies(metric, seed, dtype, quantile):
+    """Early abandoning never flips a verdict at the bound, and every
+    value at or below it is the unbounded kernel's float."""
+    gen = np.random.default_rng(seed)
+    ds = Dataset(_objects_for(metric, gen, dtype), metric)
+    a = gen.integers(0, ds.n, 150)
+    b = gen.integers(0, ds.n, 150)
+    exact = ds.pair_dist(a, b)
+    r = float(np.quantile(exact, quantile))
+    got = ds.pair_dist(a, b, bound=r)
+    within = exact <= r
+    msg = f"{metric} dtype={dtype} r={r}"
+    np.testing.assert_array_equal(got <= r, within, err_msg=msg)
+    np.testing.assert_array_equal(got[within], exact[within], err_msg=msg)
 
 
 @pytest.mark.parametrize("kind", ["ram", "shm"])

@@ -14,9 +14,14 @@ shard archive per shard, the single-process engines writing one.
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro import (
     Dataset,
@@ -727,6 +732,122 @@ def test_resave_in_place_keeps_only_the_new_shards(
         new | {"manifest.npz"}
     )
     ShardedDetectionEngine.load(path, l2_dataset, workers=1).close()
+
+
+# A child process saves a one-shard mutable engine over the object log,
+# removes the victims and re-saves over the same directory, dying by
+# SIGKILL at hook ``kill_at`` of the second ``write_snapshot`` (-1:
+# never).  It prints each hook's label as it passes it: a ``_write_npz``
+# call gives two (before it, and halfway through the archive), then
+# ``os.replace``, ``_fsync_dir`` and each stale-archive unlink give one.
+_CRASH_CHILD = """
+import io, os, pathlib, signal, sys
+import numpy as np
+import repro.io as rio
+from repro import create_engine
+
+path, kill_at = pathlib.Path(sys.argv[1]), int(sys.argv[2])
+log = np.load(sys.argv[3])
+victims = [int(v) for v in sys.argv[4].split(",")]
+hook = 0
+
+def passing(label):
+    global hook
+    print(label, flush=True)
+    if hook == kill_at:
+        os.kill(os.getpid(), signal.SIGKILL)
+    hook += 1
+
+write_npz, fsync_dir = rio._write_npz, rio._fsync_dir
+replace, unlink = os.replace, pathlib.Path.unlink
+
+def hooked_write(target, arrays):
+    kind = "shard" if target.name.startswith("shard_") else "manifest"
+    passing("before write " + kind)
+    if hook == kill_at:  # the next hook dies: leave a torn archive
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **arrays)
+        blob = buf.getvalue()
+        with open(target, "wb") as fh:
+            fh.write(blob[: len(blob) // 2])
+            fh.flush()
+            os.fsync(fh.fileno())
+    passing("halfway write " + kind)
+    write_npz(target, arrays)
+
+def hooked_replace(src, dst):
+    passing("replace")
+    replace(src, dst)
+
+def hooked_fsync_dir(target):
+    passing("fsync dir")
+    fsync_dir(target)
+
+def hooked_unlink(self, missing_ok=False):
+    if self.name.startswith("shard_"):
+        passing("unlink stale")
+    unlink(self, missing_ok=missing_ok)
+
+engine = create_engine(log, mutable=True, K=6, seed=0, workers=1)
+engine.save(path)
+engine.remove(victims)
+rio._write_npz, rio._fsync_dir = hooked_write, hooked_fsync_dir
+os.replace, pathlib.Path.unlink = hooked_replace, hooked_unlink
+engine.save(path)
+print("saved", flush=True)
+"""
+
+CRASH_GRID = [(1.2, 5), (1.2, 10), (1.5, 5), (1.5, 10)]
+
+
+def _crash_child(path, kill_at, log_path, victims):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-c", _CRASH_CHILD, str(path), str(kill_at),
+         str(log_path), ",".join(map(str, victims))],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_snapshot_survives_a_kill_at_every_step_of_a_resave(tmp_path):
+    log = np.random.default_rng(7).normal(size=(160, 4))
+    log_path = tmp_path / "log.npy"
+    np.save(log_path, log)
+    victims = list(range(0, 160, 9))
+    with create_engine(log, mutable=True, K=6, seed=0, workers=1) as eng:
+        old = [eng.query(r, k).outliers for r, k in CRASH_GRID]
+        eng.remove(victims)
+        new = [eng.query(r, k).outliers for r, k in CRASH_GRID]
+    assert any(not np.array_equal(a, b) for a, b in zip(old, new))
+
+    def answers(path):
+        with load_any_engine(path, objects=list(log), workers=1) as loaded:
+            return [loaded.query(r, k).outliers for r, k in CRASH_GRID]
+
+    def same(got, want):
+        return all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    full = tmp_path / "full"
+    done = _crash_child(full, -1, log_path, victims)
+    assert done.returncode == 0, done.stderr
+    hooks = done.stdout.splitlines()[:-1]
+    assert hooks == [
+        "before write shard", "halfway write shard",
+        "before write manifest", "halfway write manifest",
+        "replace", "fsync dir", "unlink stale",
+    ]
+    assert same(answers(full), new)
+    for kill_at, label in enumerate(hooks):
+        path = tmp_path / f"kill_{kill_at}"
+        died = _crash_child(path, kill_at, log_path, victims)
+        assert died.returncode == -signal.SIGKILL, died.stderr
+        assert died.stdout.splitlines()[-1] == label
+        # Killed before the manifest swap: the old snapshot; after it,
+        # the new one.  Never a mix, never an error.
+        swapped = kill_at > hooks.index("replace")
+        assert same(answers(path), new if swapped else old), label
 
 
 # -- sharded-engine manifests -----------------------------------------------------
