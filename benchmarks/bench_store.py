@@ -1,21 +1,19 @@
-"""Zero-copy data plane: shared-store memory/broadcast wins, out-of-core.
+"""Zero-copy data plane: one shared object log, out-of-core sweeps.
 
 Three acceptance measurements for the storage layer:
 
-* **resident memory** — the mutable sharded engine on the shared
-  object store must pin ~one copy of the vector log regardless of
-  shard count, where the list store pins one private copy per shard
-  actor plus the parent's (``n_shards + 1`` replicas).  Accounting is
-  exact, not sampled: the store reports its segment bytes, every
-  worker reports the private bytes its dataset pins
-  (``worker_store_nbytes`` — zero in shm mode), and the post-vacuum
-  segment is compacted to exact fit.  Headline: shm resident bytes
-  <= 1.2x the single-copy baseline at 4 shards.
-* **broadcast bytes** — an insert broadcast in shm mode carries store
-  metadata (name + offsets + generation, ~1e2 bytes) instead of the
-  pickled object batch to every shard; measured by serialising
-  exactly what crosses the pool, the metadata form must be >= 10x
-  smaller.
+* **resident memory** — the mutable sharded engine keeps its vector
+  log in one shared segment and must pin ~one copy of it regardless of
+  shard count.  Accounting is exact, not sampled: the store reports
+  its segment bytes, every worker reports the private bytes its
+  dataset pins (``worker_store_nbytes`` — zero), and the post-vacuum
+  segment is compacted to exact fit.  Headline: resident bytes
+  <= 1.2x one copy of the live rows at 4 shards.
+* **broadcast bytes** — an insert broadcast carries store metadata
+  (name + offsets + generation, ~1e2 bytes) plus each shard's owned
+  positions instead of the object batch; measured by serialising
+  exactly what crosses the pool, it must be >= 10x smaller than the
+  pickled batch.
 * **out-of-core** — a memmapped dataset at least 2x larger than a
   hard allocation cap (``RLIMIT_DATA`` on a subprocess) must sweep to
   outlier sets bit-identical to the uncapped in-RAM run, while the
@@ -23,8 +21,9 @@ Three acceptance measurements for the storage layer:
   cap binds and the mapping, not the machine, is what fits).
 
 Emits the machine-readable ``BENCH_store.json`` at the repo root with
-:func:`hardware_gate` audit fields; identity assertions (shm == list,
-memmap == ram) always run, scaling assertions only at full scale.
+:func:`hardware_gate` audit fields; identity assertions (the churn pass
+== brute force, memmap == ram) always run, scaling assertions only at
+full scale.
 ``REPRO_BENCH_SCALE`` shrinks the cardinality for a quick pass.
 """
 
@@ -47,6 +46,7 @@ from repro import Dataset
 from repro.datasets import blobs_with_outliers, calibrate_r
 from repro.engine import MutableShardedDetectionEngine
 from repro.harness import bench_scale, hardware_gate
+from repro.index import brute_force_outliers
 from repro.io import create_memmap_store
 
 N_FULL = 4_000
@@ -73,12 +73,6 @@ def workload():
     return base, extra, float(r)
 
 
-def _engine(store: str) -> MutableShardedDetectionEngine:
-    return MutableShardedDetectionEngine(
-        metric="l2", n_shards=N_SHARDS, workers=1, K=8, seed=0, store=store,
-    )
-
-
 class _BroadcastMeter:
     """Serialise exactly what one pool call ships to the shard actors."""
 
@@ -102,9 +96,18 @@ class _BroadcastMeter:
         self._pool.call = self._call
 
 
-def _run_store(store: str, base, extra, r):
-    """One churn pass; returns (record, observable outputs)."""
-    engine = _engine(store)
+def _run_store(base, extra, r):
+    """One churn pass; returns its record and whether every detect
+    matched brute force over the live rows."""
+    engine = MutableShardedDetectionEngine(
+        metric="l2", n_shards=N_SHARDS, workers=1, K=8, seed=0,
+    )
+
+    def exact(outliers) -> bool:
+        live = engine.active_ids()
+        brute = live[brute_force_outliers(engine.live_dataset(), r, K_NEIGHBORS)]
+        return bool(np.array_equal(outliers, brute))
+
     try:
         engine.bulk_load(base)
         meter = _BroadcastMeter(engine._pool)
@@ -115,20 +118,22 @@ def _run_store(store: str, base, extra, r):
         meter.remove()
         victims = engine.active_ids()[:: max(2, len(base) // 64)]
         engine.remove(victims.tolist())
-        outliers_pre = engine.detect(r, K_NEIGHBORS).outliers
+        exact_pre = exact(engine.detect(r, K_NEIGHBORS).outliers)
         stats_pre = engine.store_stats()
         worker_pre = engine.worker_store_nbytes()
-        remap = engine.vacuum()
-        outliers_post = engine.detect(r, K_NEIGHBORS).outliers
+        engine.vacuum()
+        exact_post = exact(engine.detect(r, K_NEIGHBORS).outliers)
         stats_post = engine.store_stats()
         worker_post = engine.worker_store_nbytes()
-        single_copy = int(
-            np.asarray(engine.live_objects(), dtype=np.float64).nbytes
+        single_copy = int(engine.live_dataset().store.nbytes)
+        batch_bytes = len(
+            pickle.dumps(list(extra), protocol=pickle.HIGHEST_PROTOCOL)
         )
         record = {
-            "store": store,
+            "store": stats_post["kind"],
             "insert_seconds": round(insert_s, 6),
             "insert_broadcast_bytes": meter.bytes_by_method.get("ingest", 0),
+            "pickled_batch_bytes": batch_bytes,
             "resident_nbytes_pre_vacuum": int(
                 stats_pre["resident_nbytes"] + sum(worker_pre)
             ),
@@ -137,14 +142,10 @@ def _run_store(store: str, base, extra, r):
             ),
             "single_copy_nbytes": single_copy,
             "replicas": stats_post["replicas"],
+            "worker_store_nbytes": [int(b) for b in worker_pre + worker_post],
         }
-        outputs = {
-            "ids": ids.tolist(),
-            "outliers_pre": outliers_pre.tolist(),
-            "remap": remap.tolist(),
-            "outliers_post": outliers_post.tolist(),
-        }
-        return record, outputs
+        assert ids.tolist() == list(range(len(base), len(base) + len(extra)))
+        return record, exact_pre and exact_post
     finally:
         engine.close()
 
@@ -222,14 +223,20 @@ def _out_of_core_leg(tmpdir: str):
          _CHILD_RAM.format(src=src, cap=CAP_BYTES, path=path)],
         capture_output=True, text=True, env=env, timeout=600,
     )
-    assert capped.returncode == 0, capped.stderr[-2000:]
-    child = json.loads(capped.stdout)
+    # A failed capped child is recorded, and asserted on after the
+    # JSON is written.
+    child = (
+        json.loads(capped.stdout) if capped.returncode == 0
+        else {"outliers": None, "peak_rss": 0}
+    )
     record = {
         "store_file_bytes": int(file_bytes),
         "cap_bytes": CAP_BYTES,
         "file_over_cap": round(file_bytes / CAP_BYTES, 3),
         "n": n,
         "dim": OOC_DIM_FULL,
+        "child_exit": capped.returncode,
+        "child_error": (capped.stderr.strip().splitlines() or [""])[-1],
         "child_peak_rss": int(child["peak_rss"]),
         "identical_to_ram": child["outliers"] == ram_out,
         "ram_path_under_cap": control.stdout.strip(),
@@ -239,25 +246,17 @@ def _out_of_core_leg(tmpdir: str):
 
 def test_store_baseline(workload):
     base, extra, r = workload
-    records = {}
-    outputs = {}
-    for store in ("shm", "list"):
-        records[store], outputs[store] = _run_store(store, base, extra, r)
-    # Identity first: the stores must be indistinguishable in answers.
-    assert outputs["shm"] == outputs["list"]
+    shm, exact = _run_store(base, extra, r)
+    # Identity first: every detect of the churn pass is exact.
+    assert exact
 
     with tempfile.TemporaryDirectory() as tmpdir:
         ooc, ooc_child, ooc_ram = _out_of_core_leg(tmpdir)
-    assert ooc["identical_to_ram"], (ooc_child, ooc_ram)
 
-    shm, lst = records["shm"], records["list"]
     memory_ratio = shm["resident_nbytes_post_vacuum"] / max(
         shm["single_copy_nbytes"], 1
     )
-    list_ratio = lst["resident_nbytes_post_vacuum"] / max(
-        lst["single_copy_nbytes"], 1
-    )
-    broadcast_ratio = lst["insert_broadcast_bytes"] / max(
+    broadcast_ratio = shm["pickled_batch_bytes"] / max(
         shm["insert_broadcast_bytes"], 1
     )
 
@@ -267,9 +266,10 @@ def test_store_baseline(workload):
         required_cores=1,
     )
     payload = {
-        "description": "object stores: shm resident-memory and "
-                       "broadcast-bytes wins over list replicas at "
-                       f"{N_SHARDS} shards, plus an out-of-core memmap "
+        "description": "object stores: the mutable engine's one shared "
+                       f"vector log at {N_SHARDS} shards (resident bytes "
+                       "against one copy, insert broadcast bytes against "
+                       "the pickled batch), plus an out-of-core memmap "
                        "sweep under a hard allocation cap",
         "cpu_count": os.cpu_count() or 1,
         "n": len(base),
@@ -278,22 +278,25 @@ def test_store_baseline(workload):
         "k": K_NEIGHBORS,
         "r": r,
         "shards": N_SHARDS,
-        "records": [shm, lst, ooc],
+        "records": [shm, ooc],
         "shm_memory_ratio_post_vacuum": round(memory_ratio, 3),
-        "list_memory_ratio_post_vacuum": round(list_ratio, 3),
         "insert_broadcast_reduction": round(broadcast_ratio, 1),
         "hardware_gate": gate,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"\nshm resident {memory_ratio:.2f}x single copy (list "
-          f"{list_ratio:.2f}x), insert broadcasts {broadcast_ratio:.0f}x "
-          f"smaller, out-of-core {ooc['file_over_cap']:.1f}x over the cap "
+    print(f"\nshm resident {memory_ratio:.2f}x single copy, insert "
+          f"broadcasts {broadcast_ratio:.0f}x smaller than the batch, "
+          f"out-of-core {ooc['file_over_cap']:.1f}x over the cap "
           f"(baseline written to {OUTPUT.name})")
 
-    if gate["assertion_ran"]:
-        # The tentpole's acceptance numbers, asserted at full scale.
+    assert shm["replicas"] == 1, payload
+    assert not any(shm["worker_store_nbytes"]), payload
+    if full_scale:
         assert memory_ratio <= 1.2, payload
-        assert list_ratio >= 0.9 * (N_SHARDS + 1), payload
         assert broadcast_ratio >= 10.0, payload
+    assert ooc["child_exit"] == 0, ooc["child_error"]
+    assert ooc["identical_to_ram"], (ooc_child, ooc_ram)
+    if gate["assertion_ran"]:
+        # The out-of-core acceptance numbers, asserted at full scale.
         assert ooc["file_over_cap"] >= 2.0, payload
         assert ooc["ram_path_under_cap"] == "capped", payload

@@ -98,7 +98,7 @@ def churn_trace(dataset_objects, metric, r, k, label: str) -> list[str]:
         path = Path(tmp) / "mutable.npz"
         reference = engine.detect(r, k)
         engine.save(path)
-        warm = MutableShardedDetectionEngine.load(path, engine.object_log())
+        warm = MutableShardedDetectionEngine.load(path, engine.log_dataset())
         restored = warm.detect(r, k)
         if not np.array_equal(restored.outliers, reference.outliers):
             failures.append(f"{label}: snapshot round-trip changed the answer")

@@ -129,7 +129,7 @@ def churn_trace(
         reference = engine.detect(r, k)
         engine.save(path)
         warm = MutableShardedDetectionEngine.load(
-            path, engine.object_log(), workers=1
+            path, engine.log_dataset(), workers=1
         )
         restored = warm.detect(r, k)
         if not np.array_equal(restored.outliers, reference.outliers):
@@ -214,9 +214,9 @@ def rebalance_transfer_trace(
             plain.merge_shards()
             plain.reset_cache()
             brute_check(f"{label}/phase{phase}-merged")
-    # A load-directed split (the rebalance(load_above=...) trigger) on
-    # the hottest observed shard must be just as invisible.
-    hot = int(np.argmax(full.shard_load()))
+    # A load-directed split of the most loaded (largest) shard must be
+    # just as invisible.
+    hot = int(np.argmax(full.shard_sizes()))
     if full.shard_sizes()[hot] >= 2:
         full.split_shard(hot)
         plain.split_shard(hot)

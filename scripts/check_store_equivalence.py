@@ -1,18 +1,21 @@
 #!/usr/bin/env python
 """Exactness gate: every object store answers bit-identically.
 
-The data plane added two storage modes: the growable shared-memory
-object store (``store="shm"``, mutable sharded engines) and out-of-core
-memmap datasets (:func:`repro.io.open_memmap_dataset`, static engines).
-Neither is allowed to change a single answer.  This gate drives
+The data plane has two storage modes besides a private in-RAM array:
+the growable shared-memory object log of the mutable engine (one
+:class:`~repro.core.store.SharedObjectStore` segment every shard
+worker maps) and out-of-core memmap datasets
+(:func:`repro.io.open_memmap_dataset`, static engines).  Neither is
+allowed to change a single answer.  This gate drives
 
-* **shm vs list**: the mutable sharded engine twice over one
+* **the shared log**: the mutable sharded engine over one
   deterministic churn trace (bulk load, batched inserts forcing a
   growth relocation, random removals, interleaved detects, a vacuum
   compaction epoch behind the pool barrier, a rebalance) — across
-  {l2, angular} x workers {1, 2} x start methods {fork, spawn} — and
-  fails whenever the two stores' outlier sets, ids or remaps differ,
-  or either differs from brute force over the live objects;
+  {l2, angular, hamming 0/1 codes} x workers {1, 2} x start methods
+  {fork, spawn} — and fails whenever a config differs from brute force
+  over the live objects, or its outlier sets, ids or remaps differ
+  from any other config's of the same metric;
 * **memmap vs ram**: static engines (single and sharded) sweeping an
   ``r`` grid over a memmapped store vs the in-RAM dataset, across
   {l2, l1, angular} — chunk-at-a-time kernels must stay bit-identical
@@ -91,38 +94,45 @@ def _churn_trace(engine, points, batches, r, k) -> list:
     return trace
 
 
-def check_shm_store(points, metric, r, k) -> "tuple[list[str], int]":
+def _hamming_codes(n, dim, gen) -> np.ndarray:
+    """0/1 codes around four prototypes, plus a few scattered ones."""
+    protos = gen.integers(0, 2, size=(4, dim))
+    codes = protos[gen.integers(0, 4, size=n)] ^ (gen.random((n, dim)) < 0.1)
+    scattered = max(1, n // 30)
+    codes[:scattered] = gen.integers(0, 2, size=(scattered, dim))
+    return codes.astype(np.uint8)
+
+
+def check_shared_log(points, batches, metric, r, k) -> "tuple[list[str], int]":
     failures: list[str] = []
     checks = 0
-    gen = np.random.default_rng(23)
-    batches = [gen.normal(size=(20, points.shape[1])) * 3.0 + 0.1
-               for _ in range(3)]
     start_methods = [m for m in ("fork", "spawn")
                      if m in mp.get_all_start_methods()]
+    traces = {}
     for workers in (1, 2):
         for start_method in start_methods:
             if workers == 1 and start_method != start_methods[0]:
                 continue  # in-process actors never spawn
-            tag = f"{metric}/shm/workers={workers}/{start_method}"
+            tag = f"{metric}/workers={workers}/{start_method}"
             checks += 1
-            traces = {}
-            for store in ("shm", "list"):
-                engine = MutableShardedDetectionEngine(
-                    metric=metric, n_shards=2, workers=workers, K=8,
-                    seed=3, store=store, start_method=start_method,
-                )
-                try:
-                    traces[store] = _churn_trace(engine, points, batches, r, k)
-                    if store == "shm" and not engine.capabilities.zero_copy_store:
-                        failures.append(f"{tag}: zero_copy_store flag unset")
-                finally:
-                    engine.close()
-            if traces["shm"] != traces["list"]:
-                failures.append(f"{tag}: shm and list traces differ")
-            for store, trace in traces.items():
-                if not all(ok for step, ok in
-                           (t for t in trace if isinstance(t, tuple))):
-                    failures.append(f"{tag}: {store} differs from brute force")
+            engine = MutableShardedDetectionEngine(
+                metric=metric, n_shards=2, workers=workers, K=8,
+                seed=3, start_method=start_method,
+            )
+            try:
+                traces[tag] = _churn_trace(engine, points, batches, r, k)
+                stats = engine.store_stats()
+                if stats["kind"] != "shm" or stats["replicas"] != 1:
+                    failures.append(f"{tag}: log is not one shared segment")
+            finally:
+                engine.close()
+            if not all(ok for step, ok in
+                       (t for t in traces[tag] if isinstance(t, tuple))):
+                failures.append(f"{tag}: differs from brute force")
+    first, *others = traces
+    for tag in others:
+        if traces[tag] != traces[first]:
+            failures.append(f"{tag}: trace differs from {first}")
     return failures, checks
 
 
@@ -183,10 +193,18 @@ def main(argv=None) -> int:
     # Shift off the origin so angular preparation never sees a zero row.
     points = points + 0.1
 
-    for metric in ("l2", "angular"):
-        dataset = Dataset(points, metric)
-        r = _radius(dataset, 0.10)
-        got, n = check_shm_store(points, metric, r, 8)
+    gen = np.random.default_rng(23)
+    batches = [gen.normal(size=(20, points.shape[1])) * 3.0 + 0.1
+               for _ in range(3)]
+    codes = _hamming_codes(args.n, 24, gen)
+    code_batches = [_hamming_codes(20, 24, gen) for _ in range(3)]
+    for metric, objects, adds in (
+        ("l2", points, batches),
+        ("angular", points, batches),
+        ("hamming", codes, code_batches),
+    ):
+        r = _radius(Dataset(objects, metric), 0.10)
+        got, n = check_shared_log(objects, adds, metric, r, 8)
         failures += got
         checks += n
     # Only memmap stores read the budget; forked shard workers inherit it.
@@ -208,8 +226,8 @@ def main(argv=None) -> int:
         print(f"{len(failures)} store-equivalence failure(s) in {checks} "
               f"configs ({elapsed:.1f}s)", file=sys.stderr)
         return 1
-    print(f"shm == list and memmap == ram on all {checks} configs, "
-          f"/dev/shm clean ({elapsed:.1f}s)")
+    print(f"shared log == brute force and memmap == ram on all {checks} "
+          f"configs, /dev/shm clean ({elapsed:.1f}s)")
     return 0
 
 

@@ -155,10 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_update.add_argument("--workers", type=int, default=None,
                           help="worker processes hosting the shards "
                                "(default: min(shards, cpu count); 1 = in-process)")
-    p_update.add_argument("--store", default="ram", choices=["ram", "shm"],
-                          help="object storage: ram (per-worker copies) or shm "
-                               "(one growable shared segment every shard "
-                               "worker maps zero-copy; identical answers)")
     p_update.add_argument("--build-workers", type=int, default=1,
                           help="processes for graph rebuilds (worker-count-"
                                "invariant; default: 1, in-process)")
@@ -215,12 +211,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--mutable", action="store_true",
                          help="serve a mutable engine (enables POST "
                               "/insert and /remove)")
-    p_serve.add_argument("--store", default="ram",
-                         choices=["ram", "shm", "memmap"],
-                         help="object storage: ram (in-memory), shm (growable "
-                              "shared segment, needs --mutable), or memmap "
-                              "(map an --input .npy written by "
-                              "repro.io.create_memmap_store)")
+    p_serve.add_argument("--store", default="ram", choices=["ram", "memmap"],
+                         help="object storage: ram (in memory; a mutable "
+                              "engine's vectors live in one shared-memory "
+                              "segment) or memmap (map an --input .npy "
+                              "written by repro.io.create_memmap_store; "
+                              "static engines only)")
     p_serve.add_argument("--build-workers", type=int, default=1,
                          help="processes for graph construction (worker-count-"
                               "invariant; default: 1, in-process)")
@@ -566,7 +562,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
         try:
             engine = load_any_engine(
                 args.snapshot, objects=objects, workers=args.workers,
-                rebuild_every=args.rebuild_every, store=args.store,
+                rebuild_every=args.rebuild_every,
                 build_workers=args.build_workers,
             )
         except GraphError as exc:
@@ -586,7 +582,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
     engine = create_engine(
         None, metric=spec.metric, K=args.K, seed=args.seed, mutable=True,
         shards=args.shards, workers=args.workers,
-        rebuild_every=args.rebuild_every, store=args.store,
+        rebuild_every=args.rebuild_every,
         build_workers=args.build_workers,
     )
     gen = np.random.default_rng(args.seed + 1)
@@ -668,27 +664,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   "store)", file=sys.stderr)
             return 2
         if args.mutable:
-            print("serve: --store memmap serves static engines; use "
-                  "--store shm for mutable serving", file=sys.stderr)
+            print("serve: --store memmap serves static engines (a mutable "
+                  "engine keeps its vectors in shared memory)",
+                  file=sys.stderr)
             return 2
         objects = _memmap_dataset(args, metric)
-    elif args.store == "shm" and not args.mutable:
-        print("serve: --store shm needs --mutable", file=sys.stderr)
-        return 2
     config = ServingConfig(
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         max_cold=args.max_cold,
         default_deadline=args.deadline,
     )
-    engine = create_engine(
-        objects, metric=metric, graph=args.graph, K=args.K, seed=args.seed,
-        shards=args.shards, workers=args.workers, mutable=args.mutable,
-        store="shm" if args.store == "shm" else "ram",
-        build_workers=args.build_workers,
-    )
 
-    async def _run() -> None:
+    async def _run(engine) -> None:
         # SIGTERM and SIGINT end serving through the server's exit, which
         # closes the engine: its worker processes and shared segments go
         # with it.  The handler replaces an inherited SIG_IGN too.
@@ -711,9 +699,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except TimeoutError:
                 pass
 
-    asyncio.run(_run())
+    def _stop_building(signum, frame):
+        raise _StopServing
+
+    # The same signals during the build unwind it: the partly built
+    # engine stops its shard workers and frees its shared segment on
+    # the way out.
+    for sig in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(sig, _stop_building)
+    engine = None
+    try:
+        engine = create_engine(
+            objects, metric=metric, graph=args.graph, K=args.K,
+            seed=args.seed, shards=args.shards, workers=args.workers,
+            mutable=args.mutable, build_workers=args.build_workers,
+        )
+        asyncio.run(_run(engine))
+    except _StopServing:
+        if engine is not None:
+            engine.close()
     print("serving stopped")
     return 0
+
+
+class _StopServing(BaseException):
+    """Raised by ``serve``'s signal handler while the engine is built."""
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:

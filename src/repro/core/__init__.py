@@ -16,7 +16,6 @@ from .dod import DODetector, detect_outliers, graph_dod
 from .parallel import (
     DatasetTransport,
     ShardPool,
-    SharedMemoryStore,
     default_start_method,
     map_over_objects,
     partition_indices,
@@ -53,7 +52,6 @@ __all__ = [
     "ObjectEvidence",
     "Verifier",
     "ShardPool",
-    "SharedMemoryStore",
     "SharedObjectStore",
     "STORE_NAME_PREFIX",
     "DatasetTransport",

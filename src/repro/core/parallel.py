@@ -16,16 +16,15 @@ shard-per-worker engine (:mod:`repro.engine.sharded`) moves to
 ``W`` worker processes and runs the same method on every actor per
 query phase.  Dataset transport is zero-copy where the platform allows
 it — the default ``fork`` start method shares the parent's numpy pages
-copy-on-write, and :class:`SharedMemoryStore` /
-:class:`DatasetTransport` carry vector stores through POSIX shared
-memory for ``spawn`` contexts that must pickle their arguments.
+copy-on-write, and :class:`DatasetTransport` carries vector stores
+through a :class:`~repro.core.store.SharedObjectStore` segment for
+``spawn`` contexts that must pickle their arguments.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
@@ -35,6 +34,7 @@ import numpy as np
 from ..data import Dataset, DistanceCounter
 from ..exceptions import ParameterError
 from ..rng import ensure_rng
+from .store import SharedObjectStore
 
 T = TypeVar("T")
 
@@ -102,17 +102,25 @@ def default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
+#: seconds an idle shard worker waits for a message before it checks
+#: that its parent process is still alive.
+PARENT_POLL_SECONDS = 0.5
+
+
 def _shard_actor_main(conn, factories) -> None:  # pragma: no cover - child
     """Child-process main loop: build the actors, then serve method calls.
 
     Runs in the worker process; coverage tooling does not see it.  The
     protocol is tiny: ``("call", method, [(slot, args), ...])`` executes
     ``actors[slot].method(*args)`` per entry and answers
-    ``("ok", [results...])``; ``("busy",)`` answers the per-slot
-    cumulative actor-invocation seconds (the load signal stats-driven
-    rebalancing reads); any exception answers ``("error", trace)``;
+    ``("ok", [results...])``; any exception answers ``("error", trace)``;
     ``("stop",)`` exits the loop.
+
+    A forked worker holds the parent's end of its own pipe too, so it
+    never reads EOF when the parent dies.  It polls instead, and exits
+    once it has been re-parented.
     """
+    parent = os.getppid()
     try:
         actors = [factory() for factory in factories]
         conn.send(("ready", len(actors)))
@@ -122,8 +130,11 @@ def _shard_actor_main(conn, factories) -> None:  # pragma: no cover - child
         finally:
             conn.close()
         return
-    busy = [0.0] * len(actors)
     while True:
+        if not conn.poll(PARENT_POLL_SECONDS):
+            if os.getppid() != parent:
+                break
+            continue
         try:
             message = conn.recv()
         except EOFError:
@@ -133,16 +144,11 @@ def _shard_actor_main(conn, factories) -> None:  # pragma: no cover - child
         if message[0] == "ping":
             conn.send(("ok", None))
             continue
-        if message[0] == "busy":
-            conn.send(("ok", list(busy)))
-            continue
         _, method, calls = message
         try:
-            results = []
-            for slot, args in calls:
-                t0 = time.perf_counter()
-                results.append(getattr(actors[slot], method)(*args))
-                busy[slot] += time.perf_counter() - t0
+            results = [
+                getattr(actors[slot], method)(*args) for slot, args in calls
+            ]
             conn.send(("ok", results))
         except BaseException:
             conn.send(("error", traceback.format_exc()))
@@ -185,9 +191,6 @@ class ShardPool:
         self._procs: list = []
         self._conns: list = []
         self._groups: list[np.ndarray] = []
-        #: in-process per-shard cumulative actor seconds (process pools
-        #: keep this in the children; see :meth:`busy_seconds`).
-        self._busy = np.zeros(self.n_shards, dtype=np.float64)
         if self.workers == 1:
             self._actors = [factory() for factory in factories]
             return
@@ -245,12 +248,10 @@ class ShardPool:
             else (lambda i: common)
         )
         if self._actors is not None:
-            results = []
-            for i, actor in enumerate(self._actors):
-                t0 = time.perf_counter()
-                results.append(getattr(actor, method)(*args_of(i)))
-                self._busy[i] += time.perf_counter() - t0
-            return results
+            return [
+                getattr(actor, method)(*args_of(i))
+                for i, actor in enumerate(self._actors)
+            ]
         for conn, group in zip(self._conns, self._groups):
             calls = [(slot, args_of(int(shard))) for slot, shard in enumerate(group)]
             conn.send(("call", method, calls))
@@ -296,11 +297,8 @@ class ShardPool:
         results: list = [None] * self.n_shards
         if self._actors is not None:
             for i, actor in enumerate(self._actors):
-                if not mask[i]:
-                    continue
-                t0 = time.perf_counter()
-                results[i] = getattr(actor, method)(*tuple(shard_args[i]))
-                self._busy[i] += time.perf_counter() - t0
+                if mask[i]:
+                    results[i] = getattr(actor, method)(*tuple(shard_args[i]))
             return results
         sent: list[tuple] = []
         for conn, group in zip(self._conns, self._groups):
@@ -326,28 +324,6 @@ class ShardPool:
                 "shard worker failed:\n" + "\n".join(errors)
             )
         return results
-
-    def busy_seconds(self) -> np.ndarray:
-        """Cumulative actor-invocation seconds per shard.
-
-        The serve-time load signal for stats-driven rebalancing: unlike
-        pair counts, it also reflects per-shard graph quality and cache
-        hit rates.  Process pools fetch the children's counters (one
-        ``("busy",)`` round-trip per worker); in-process pools read the
-        local accumulator.  Monotone over the pool's lifetime.
-        """
-        if self._closed:
-            raise ParameterError("ShardPool.busy_seconds after close")
-        if self._actors is not None:
-            return self._busy.copy()
-        out = np.zeros(self.n_shards, dtype=np.float64)
-        for conn in self._conns:
-            conn.send(("busy",))
-        for conn, group in zip(self._conns, self._groups):
-            payload = self._expect_ok(conn.recv())
-            for slot, shard in enumerate(group):
-                out[int(shard)] = float(payload[slot])
-        return out
 
     def barrier(self) -> int:
         """Drain every worker: returns once all prior calls completed.
@@ -402,106 +378,13 @@ class ShardPool:
         return f"ShardPool(shards={self.n_shards}, {backend})"
 
 
-class SharedMemoryStore:
-    """Copy-once ndarray transport through POSIX shared memory.
-
-    Pickling carries only ``(name, shape, dtype)``; the receiving
-    process reattaches the same pages by name, so a ``spawn``-started
-    worker maps the parent's store instead of deserialising a copy.
-    The creating side owns the segment and must eventually call
-    :meth:`unlink`.  (Under ``fork`` none of this is needed — children
-    inherit the parent's pages copy-on-write.)
-
-    The ownership story is explicit: only the creating *process* may
-    unlink (a forked child inheriting the owner object is pid-guarded
-    out), and :meth:`close`/:meth:`unlink` are idempotent in any order —
-    ``close()`` then ``unlink()`` still destroys the segment instead of
-    silently leaking it.  Segments are named under the ``repro_``
-    prefix so leak checks can sweep ``/dev/shm``.
-    """
-
-    def __init__(self, array: np.ndarray):
-        import secrets
-        from multiprocessing import shared_memory
-
-        arr = np.ascontiguousarray(array)
-        self.shape = arr.shape
-        self.dtype = arr.dtype.str
-        while True:
-            name = "repro_shm_" + secrets.token_hex(8)
-            try:
-                self._shm = shared_memory.SharedMemory(
-                    name=name, create=True, size=max(1, arr.nbytes)
-                )
-                break
-            except FileExistsError:  # pragma: no cover - 64-bit collision
-                continue
-        self.name = self._shm.name.lstrip("/")
-        self._owner = True
-        self._owner_pid = os.getpid()
-        self._unlinked = False
-        view = np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=self._shm.buf)
-        np.copyto(view, arr)
-
-    def array(self) -> np.ndarray:
-        """A view onto the shared pages (attaching by name if unpickled)."""
-        if self._unlinked:
-            raise ParameterError(
-                f"SharedMemoryStore {self.name}: array() after unlink"
-            )
-        if self._shm is None:
-            from .store import _attach_segment
-
-            self._shm = _attach_segment(self.name)
-        return np.ndarray(self.shape, dtype=np.dtype(self.dtype), buffer=self._shm.buf)
-
-    def __getstate__(self) -> dict:
-        return {"name": self.name, "shape": self.shape, "dtype": self.dtype}
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.shape = tuple(state["shape"])
-        self.dtype = state["dtype"]
-        self._shm = None
-        self._owner = False
-        self._owner_pid = -1
-        self._unlinked = False
-
-    def close(self) -> None:
-        """Detach this process's mapping (idempotent; segment stays alive)."""
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner process only; idempotent; works
-        after :meth:`close` too — a detached owner can still clean up)."""
-        if not self._owner or os.getpid() != self._owner_pid or self._unlinked:
-            return
-        self._unlinked = True
-        self.close()
-        from multiprocessing import shared_memory
-
-        try:
-            shared_memory.SharedMemory(name=self.name).unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    def __del__(self):  # pragma: no cover - GC timing dependent
-        try:
-            if self._owner:
-                self.unlink()
-            else:
-                self.close()
-        except Exception:
-            pass
-
-
 class DatasetTransport:
     """Picklable dataset handle for process pools that cannot fork.
 
-    Vector stores (2-D ndarrays) ride a :class:`SharedMemoryStore`;
-    memmap-backed stores (out-of-core ``.npy`` datasets) carry only
+    Vector stores (2-D ndarrays) ride a fixed-capacity
+    :class:`~repro.core.store.SharedObjectStore`: pickling carries its
+    metadata only, and the receiving side maps the same pages.
+    Memmap-backed stores (out-of-core ``.npy`` datasets) carry only
     their file path and are re-mapped on the receiving side — copying
     an out-of-core store into shared memory would defeat it; non-array
     stores (e.g. the edit metric's string payload) fall back to
@@ -512,36 +395,56 @@ class DatasetTransport:
 
     def __init__(self, dataset: Dataset):
         self.metric_name = dataset.metric.name
+        self._store: "SharedObjectStore | None" = None
+        self._handle: "SharedObjectStore | None" = None
         store = dataset.store
         if isinstance(store, np.memmap) and getattr(store, "filename", None):
             self.kind = "memmap"
             self.payload: Any = str(store.filename)
         elif isinstance(store, np.ndarray):
             self.kind = "shm"
-            self.payload = SharedMemoryStore(store)
+            self._store = SharedObjectStore(
+                dim=store.shape[1], dtype=store.dtype, capacity=store.shape[0]
+            )
+            self._store.append(store)
+            self.payload = self._store.meta()
         else:
             self.kind = "raw"
             self.payload = store
 
-    def materialize(self) -> Dataset:
-        """Rebuild the dataset around the transported store."""
-        from ..metrics import resolve_metric
+    def __getstate__(self) -> dict:
+        # Only the owner unlinks: the receiving side gets the metadata.
+        return dict(self.__dict__, _store=None, _handle=None)
 
+    def materialize(self) -> Dataset:
+        """Rebuild the dataset around the transported store.
+
+        A shared-memory store is a view of a mapping this transport
+        holds: keep the transport referenced while the dataset is in
+        use (a pool's actor factory does).
+        """
         if self.kind == "memmap":
             from ..io import open_memmap_dataset
 
             return open_memmap_dataset(
                 self.payload, self.metric_name, validate=False
             )
-        store = self.payload.array() if self.kind == "shm" else self.payload
+        if self.kind == "shm":
+            if self._handle is None:
+                self._handle = SharedObjectStore.attach(self.payload)
+            return Dataset.from_prepared(
+                self._handle.rows(), self.metric_name, kind="shm"
+            )
+        from ..metrics import resolve_metric
+
         dataset = object.__new__(Dataset)
         dataset.metric = resolve_metric(self.metric_name)
-        dataset.store = store
-        dataset.n = dataset.metric.n_objects(store)
+        dataset.store = self.payload
+        dataset.n = dataset.metric.n_objects(self.payload)
         dataset.counter = DistanceCounter()
         return dataset
 
     def release(self) -> None:
         """Owner-side cleanup of any shared segment."""
-        if self.kind == "shm":
-            self.payload.unlink()
+        if self._store is not None:
+            self._store.unlink()

@@ -1,7 +1,9 @@
 """The growable, generation-versioned shared object store.
 
 The zero-copy data plane of the mutable sharded engine
-(:mod:`repro.engine.mutable_sharded`).  One process — the engine parent
+(:mod:`repro.engine.mutable_sharded`), and the segment
+:class:`~repro.core.parallel.DatasetTransport` ships a static vector
+store through.  One process — the engine parent
 — *owns* a POSIX shared-memory segment holding the prepared vector log;
 every shard worker *attaches* the same pages by name and serves queries
 over a zero-copy :meth:`~repro.data.Dataset.from_prepared` view.
@@ -112,7 +114,9 @@ class SharedObjectStore:
     """A growable shared-memory vector log with generation-versioned maps.
 
     Constructing the class creates an **owner** (empty, with room for
-    ``capacity`` rows); :meth:`attach` creates a worker-side handle onto
+    ``capacity`` rows of ``dim`` values of any numeric ``dtype``: the
+    dtype a metric's ``prepare`` returns, float64 or Hamming's uint8);
+    :meth:`attach` creates a worker-side handle onto
     an owner's segment from a :meth:`meta` broadcast.  The owner appends,
     tombstones, compacts and eventually :meth:`unlink`\\ s; handles
     :meth:`sync` and read :meth:`rows`.
@@ -124,9 +128,9 @@ class SharedObjectStore:
             raise ParameterError(f"store dim must be >= 1, got {dim}")
         self.dim = dim
         self.dtype = np.dtype(dtype)
-        if not np.issubdtype(self.dtype, np.floating):
+        if not np.issubdtype(self.dtype, np.number):
             raise ParameterError(
-                f"store dtype must be a float type, got {self.dtype}"
+                f"store dtype must be a numeric type, got {self.dtype}"
             )
         self._owner = True
         self._owner_pid = os.getpid()

@@ -91,31 +91,6 @@ def _checked_vector_input(objects: Any, metric_name: str) -> Any:
     return objects
 
 
-def prepare_insert_batch(
-    metric: Metric, objects: Any, width: "int | None" = None
-) -> Any:
-    """Validate and prepare a batch before a mutable engine appends it.
-
-    Engines call this before any state changes, so a rejected batch
-    leaves them exactly as they were.  A ragged or non-numeric vector
-    batch, or one whose rows are not ``width`` wide (the object log's
-    row width; ``None`` while the log is empty), raises
-    :class:`GraphError`; content the metric rejects — non-finite
-    coordinates, non-string edit objects — raises
-    :class:`~repro.exceptions.MetricError`.  Returns the prepared
-    batch.
-    """
-    if not metric.is_vector:
-        return metric.prepare(objects)
-    rows = metric.prepare(_checked_vector_input(objects, metric.name))
-    if width is not None and rows.shape[1] != width:
-        raise GraphError(
-            f"{metric.name}: insert of {rows.shape[1]}-wide rows into a "
-            f"log of {width}-wide rows"
-        )
-    return rows
-
-
 class DistanceCounter:
     """Tallies distance evaluations.
 
@@ -188,10 +163,11 @@ class Dataset:
         (:class:`~repro.core.store.SharedObjectStore` row views) and
         memmap datasets (:func:`repro.io.open_memmap_dataset`): the
         caller vouches that ``store`` is bitwise what
-        ``metric.prepare`` would produce — a C-contiguous 2-D float64
-        array, rows unit-normalised for the angular metric — so no
-        copy, cast or re-normalisation happens here.  Structural
-        violations (wrong dtype/layout/metric family) raise
+        ``metric.prepare`` would produce — a C-contiguous 2-D array of
+        the metric's ``store_dtype`` (float64, or uint8 for Hamming),
+        rows unit-normalised for the angular metric — so no copy, cast
+        or re-normalisation happens here.  Structural violations (wrong
+        dtype/layout/metric family) raise
         :class:`GraphError`; content guarantees (finiteness,
         normalisation) remain the caller's, because checking them would
         re-read an out-of-core store.
@@ -214,10 +190,10 @@ class Dataset:
                 f"{resolved.name}: from_prepared needs a non-empty 2-D "
                 f"store, got shape {store.shape}"
             )
-        if store.dtype != np.float64:
+        if store.dtype != resolved.store_dtype:
             raise GraphError(
-                f"{resolved.name}: prepared stores are float64, got "
-                f"{store.dtype} (did you mean Dataset(...)?)"
+                f"{resolved.name}: prepared stores are {resolved.store_dtype}, "
+                f"got {store.dtype} (did you mean Dataset(...)?)"
             )
         if not store.flags["C_CONTIGUOUS"]:
             raise GraphError(

@@ -11,12 +11,16 @@ composed with the shard merge behind the same
 worker runs in-process and owns every id (the single-process mutable
 engine):
 
+* **One object log.**  A vector metric's log is one
+  :class:`~repro.core.store.SharedObjectStore` segment holding every
+  row prepared exactly once; the parent owns it and every worker, in
+  process or not, maps it zero-copy (cross-shard verification scans
+  need the whole log everywhere).  Edit and Jaccard objects, which no
+  segment can hold, keep a list replica per worker.
 * **Routing.**  ``insert`` assigns each new object to the least-loaded
-  shard and broadcasts the batch; every worker appends the objects to
-  its full-log replica (cross-shard verification scans need the raw
-  data everywhere, exactly as the static engine ships the full dataset
-  to every worker), while the *owning* shard links the newcomers into
-  its shard-local proximity graph.
+  shard and broadcasts the batch (the store's metadata for a vector
+  log), while the *owning* shard links the newcomers into its
+  shard-local proximity graph.
 * **Batch-vectorised repair.**  Each owning shard evaluates its
   newcomers against the live collection in **O(1) ``pair_dist``
   sweeps per batch** and repairs its shard-local
@@ -52,7 +56,7 @@ import numpy as np
 
 from ..core.result import DODResult
 from ..core.store import SharedObjectStore
-from ..data import Dataset, prepare_insert_batch
+from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
@@ -64,13 +68,20 @@ from .evidence import EvidenceCache, build_delete_evidence
 from .protocol import EngineCapabilities
 from .sharded import _EMPTY, ShardWorker, _ServeView, _ShardMergeBase
 
+#: :meth:`MutableShardedDetectionEngine.rebalance` splits a shard that
+#: holds more than this many times the mean live load ...
+SPLIT_ABOVE = 2.0
+#: ... and merges one that holds fewer than this many times the mean.
+MERGE_BELOW = 0.25
+
 
 class MutableShardWorker(ShardWorker):
     """One shard of a mutable collection, hosted as a ``ShardPool`` actor.
 
     A :class:`~repro.engine.sharded.ShardWorker` whose members change.
-    It holds the full object log (a private replica, or a mapping of
-    the parent's shared segment), the global alive mask, this shard's
+    It holds the full object log (a mapping of the parent's shared
+    segment, or a list replica for non-vector objects), the global
+    alive mask, this shard's
     *membership* (which live objects it owns) and a shard-local
     proximity graph over the members.  Mutations arrive as broadcasts:
     every worker appends/retires log entries, the owning worker
@@ -95,7 +106,6 @@ class MutableShardWorker(ShardWorker):
         cache_state: "EvidenceCache | None" = None,
         knn_radii: Sequence[float] = (),
         build: bool = False,
-        shared_store: bool = False,
         store_meta: "dict | None" = None,
         build_workers: int = 1,
     ):
@@ -111,9 +121,8 @@ class MutableShardWorker(ShardWorker):
         self.cache_radii = cache_radii
         self._rng = ensure_rng(seed)
         self._pinned: set[float] = {float(r) for r in pinned}
-        # Zero-copy data plane: instead of a log replica, this worker
-        # maps the parent's shared segment and serves over a view.
-        self._shared = bool(shared_store) or store_meta is not None
+        # A vector log is the parent's shared segment, mapped here and
+        # served over a view; non-vector objects come as a list.
         self._store_handle: "SharedObjectStore | None" = (
             SharedObjectStore.attach(store_meta)
             if store_meta is not None
@@ -160,28 +169,35 @@ class MutableShardWorker(ShardWorker):
 
     @property
     def n_total(self) -> int:
-        return self._n_log if self._shared else len(self._objects)
+        return self._n_log if self.metric.is_vector else len(self._objects)
 
     def _refresh_dataset(self) -> None:
         self._bank_pairs()
-        if self._shared:
+        if self.metric.is_vector:
             assert self._store_handle is not None
             self._full = Dataset.from_prepared(
                 self._store_handle.rows(self._n_log), self.metric, kind="shm"
             )
-            return
-        self._full = Dataset(
-            np.asarray(self._objects, dtype=np.float64)
-            if self.metric.is_vector
-            else self._objects,
-            self.metric,
-        )
+        else:
+            self._full = Dataset(self._objects, self.metric)
+
+    def _sync_store(self, meta: dict) -> None:
+        """Map the shared log as a metadata broadcast describes it."""
+        # Drop the mapped view first: a relocation re-maps, which unmaps
+        # pages a stale dataset view would still dereference.
+        self._bank_pairs()
+        self._full = None
+        if self._store_handle is None:
+            self._store_handle = SharedObjectStore.attach(meta)
+        else:
+            self._store_handle.sync(meta)
+        self._n_log = int(meta["length"])
 
     def store_resident_nbytes(self) -> int:
         """Bytes of object data this actor pins privately.
 
-        Zero on the shared store (the segment is counted once by its
-        owner); the full float64 replica otherwise.
+        Zero for a vector log (the segment is counted once by its
+        owner); the prepared list replica otherwise.
         """
         if self._full is None:
             return 0
@@ -253,13 +269,14 @@ class MutableShardWorker(ShardWorker):
 
     # -- mutation broadcasts -----------------------------------------------
 
-    def ingest(self, objects, first_gid: int, owned_pos: np.ndarray):
+    def ingest(self, batch, first_gid: int, owned_pos: np.ndarray):
         """Append a batch; repair graph + cache for the owned newcomers.
 
-        Every worker appends the full batch to its log replica — or, on
-        the shared store, syncs its mapping from the metadata-only
-        broadcast (``objects`` is then a :meth:`SharedObjectStore.meta`
-        dict, not data); the owned positions are linked into the local
+        Every worker syncs its mapping of the shared log from the
+        metadata-only broadcast (``batch`` is a
+        :meth:`SharedObjectStore.meta` dict) — or, for non-vector
+        objects, appends the batch to its list replica; the owned
+        positions are linked into the local
         graph and repaired into the cache from **O(1) ``pair_dist``
         sweeps**: one owned-vs-live matrix covers linking, per-radius
         increments, exact own counts and exact-K'NN list patching at
@@ -273,23 +290,11 @@ class MutableShardWorker(ShardWorker):
                 f"log holds {self.n_total} objects"
             )
         self._drop_serve()
-        if self._shared:
-            meta = objects
-            # Drop the mapped view *before* syncing: a growth broadcast
-            # may carry a relocation, and re-mapping unmaps pages a
-            # stale dataset view would still dereference.
-            self._bank_pairs()
-            self._full = None
-            if self._store_handle is None:
-                self._store_handle = SharedObjectStore.attach(meta)
-            else:
-                self._store_handle.sync(meta)
-            self._n_log = int(meta["length"])
-            n_new = self._n_log - first_gid
+        if self.metric.is_vector:
+            self._sync_store(batch)
         else:
-            objects = list(objects)
-            self._objects.extend(objects)
-            n_new = len(objects)
+            self._objects.extend(batch)
+        n_new = self.n_total - first_gid
         self._alive = np.concatenate((self._alive, np.ones(n_new, dtype=bool)))
         self._refresh_dataset()
         n_total = self.n_total
@@ -444,23 +449,17 @@ class MutableShardWorker(ShardWorker):
         remap: np.ndarray,
         store_meta: "dict | None" = None,
     ) -> int:
-        """Compact the log replica to ``keep`` (parent-computed remap).
+        """Compact the log to ``keep`` (parent-computed remap).
 
-        On the shared store the parent already compacted the segment
-        behind the pool barrier; ``store_meta`` carries the relocated
-        segment's metadata and this worker re-maps instead of copying.
+        The parent already compacted a vector log's segment behind the
+        pool barrier; ``store_meta`` carries the relocated segment's
+        metadata and this worker re-maps instead of copying.
         """
         self._drop_serve()
         keep = np.asarray(keep, dtype=np.int64)
         remap = np.asarray(remap, dtype=np.int64)
-        if self._shared:
-            # Compaction always relocates: drop the mapped view first
-            # (see ingest), then re-attach the fresh segment.
-            self._bank_pairs()
-            self._full = None
-            if store_meta is not None and self._store_handle is not None:
-                self._store_handle.sync(store_meta)
-            self._n_log = int(keep.size)
+        if store_meta is not None:
+            self._sync_store(store_meta)
         else:
             self._objects = [self._objects[int(g)] for g in keep]
         self._alive = np.ones(keep.size, dtype=bool)
@@ -540,7 +539,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         cache_radii: "int | None" = None,
         rebuild_every: "int | None" = None,
         start_method: "str | None" = None,
-        store: str = "list",
         build_workers: int = 1,
     ):
         if n_shards < 1:
@@ -552,23 +550,12 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
                 f"rebuild_every must be >= 1, got {rebuild_every}"
             )
         self.metric = resolve_metric(metric)
-        # Object-store choice: "list" replicates the raw log into every
-        # shard actor (the historical layout); "shm" keeps one growable
-        # shared segment (:class:`~repro.core.store.SharedObjectStore`)
-        # that every actor maps zero-copy, and mutation broadcasts carry
-        # metadata only.
-        store_kind = {"ram": "list"}.get(str(store), str(store))
-        if store_kind not in ("list", "shm"):
-            raise ParameterError(
-                f"store must be 'list' ('ram') or 'shm', got {store!r}"
-            )
-        if store_kind == "shm" and not self.metric.is_vector:
-            raise ParameterError(
-                f"store='shm' holds prepared float64 rows; the "
-                f"{self.metric.name} metric is not a vector metric"
-            )
-        self.store_kind = store_kind
+        #: the object log: a vector metric's prepared rows live in one
+        #: growable shared segment, created at the first batch, that
+        #: every shard actor maps zero-copy; other objects in a list
+        #: that every actor replicates.
         self._store: "SharedObjectStore | None" = None
+        self._objects: list[Any] = []
         self.graph_name = graph
         self.K = int(K)
         self.cache_radii = cache_radii
@@ -586,7 +573,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self._workers_requested = max(1, int(workers))
         self.workers = min(self._workers_requested, self.n_shards)
         self._start_method = start_method
-        self._objects: list[Any] = []
         #: per global id: live?, owning shard, confirmed outlier of some
         #: earlier query (the shards memoise those).  ``_spawn_pool``
         #: derives ``_sizes``, the live count per shard, from them.
@@ -628,9 +614,8 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             "cache_radii": self.cache_radii,
             "pinned": sorted(self._pinned | set(state.get("pinned", ()))),
             "objects": (
-                None if self.store_kind == "shm" else list(self._objects)
+                None if self.metric.is_vector else list(self._objects)
             ),
-            "shared_store": self.store_kind == "shm",
             "store_meta": (
                 self._store.meta() if self._store is not None else None
             ),
@@ -652,7 +637,6 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             self._pool = None
         self.n_shards = len(shard_states)
         self.workers = min(self._workers_requested, self.n_shards)
-        self._shard_load = np.zeros(self.n_shards, dtype=np.int64)
         self._sizes = np.bincount(
             self._shard_of[self._alive], minlength=self.n_shards
         )
@@ -677,20 +661,21 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         return engine
 
     def bulk_load(self, objects) -> "MutableShardedDetectionEngine":
-        """Populate an empty engine in one shot (per-shard ``build_graph``)."""
-        objects = list(objects)
+        """Populate an empty engine in one shot (per-shard ``build_graph``).
+
+        ``objects`` are raw objects, or a :class:`Dataset` of the
+        engine's metric, whose rows are taken as already prepared.
+        """
         if self.n_total:
             raise ParameterError("bulk_load on a non-empty engine")
-        if not objects:
-            return self
+        if not isinstance(objects, Dataset):
+            objects = list(objects)
+            if not objects:
+                return self
         from .sharded import plan_shards
 
-        prepared = self._prepare_rows(objects)
-        if self.store_kind == "shm":
-            n = self._append_prepared(prepared)
-        else:
-            n = len(objects)
-            self._objects = objects
+        self._append(self._prepare_rows(objects))
+        n = self.n_total
         shards = plan_shards(n, min(self.n_shards, n), rng=self._rng)
         self._alive = np.ones(n, dtype=bool)
         self._prior_outliers = np.zeros(n, dtype=bool)
@@ -709,31 +694,57 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     # -- the object store --------------------------------------------------
 
     def _prepare_rows(self, objects):
-        """Validate and prepare a raw batch against the object log.
+        """Validate and prepare a batch against the object log.
 
-        Runs before any state changes, on either store, so a bad batch
-        (ragged, non-finite, wrong width) aborts clean.
+        Runs before any state changes, so a bad batch aborts clean: a
+        ragged or non-numeric one, or rows of the wrong width, raise
+        :class:`GraphError`, content the metric rejects (non-finite
+        coordinates, non-string edit objects) raises
+        :class:`~repro.exceptions.MetricError`.  This is the only place
+        the engine prepares, and a :class:`Dataset` of the engine's
+        metric is already prepared: its rows are taken as they are
+        (angular rows prepared twice change bits).  Returns a vector
+        metric's prepared rows, the list of objects otherwise.
         """
-        width = None
-        if self.metric.is_vector and self.n_total:
-            width = (
-                self._store.dim if self.store_kind == "shm"
-                else np.size(self._objects[0])
+        if not isinstance(objects, Dataset):
+            objects = Dataset(objects, self.metric)
+        elif objects.metric.name != self.metric.name:
+            raise ParameterError(
+                f"a {objects.metric.name} dataset cannot feed a "
+                f"{self.metric.name} engine"
             )
-        return prepare_insert_batch(self.metric, objects, width)
+        if not self.metric.is_vector:
+            return [objects.get(i) for i in range(objects.n)]
+        rows = np.ascontiguousarray(objects.store)
+        if self._store is not None and rows.shape[1] != self._store.dim:
+            raise GraphError(
+                f"{self.metric.name}: insert of {rows.shape[1]}-wide rows "
+                f"into a log of {self._store.dim}-wide rows"
+            )
+        return rows
 
-    def _append_prepared(self, prepared: np.ndarray) -> int:
-        """Append prepared rows, creating the store lazily; returns count."""
+    def _append(self, rows):
+        """Append a prepared batch to the log; returns the broadcast.
+
+        A vector batch goes into the shared store (created at the first
+        batch, in its dtype) and the broadcast is the store's metadata;
+        a non-vector batch is its own broadcast.
+        """
+        if not self.metric.is_vector:
+            self._objects.extend(rows)
+            return rows
         if self._store is None:
             self._store = SharedObjectStore(
-                dim=int(prepared.shape[1]),
-                capacity=max(64, int(prepared.shape[0])),
+                dim=int(rows.shape[1]),
+                dtype=rows.dtype,
+                capacity=max(64, int(rows.shape[0])),
             )
-        self._store.append(prepared)
-        return int(prepared.shape[0])
+        self._store.append(rows)
+        return self._store.meta()
 
     def _store_rows(self) -> np.ndarray:
-        """The shared store's prepared rows (zero-copy view)."""
+        """The shared store's prepared rows (a zero-copy view, valid
+        until the next append or vacuum relocates the segment)."""
         if self._store is None:
             raise ParameterError("no objects inserted yet")
         return self._store.rows()
@@ -742,9 +753,9 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
 
     @property
     def n_total(self) -> int:
-        if self.store_kind == "shm":
-            return 0 if self._store is None else self._store.length
-        return len(self._objects)
+        if not self.metric.is_vector:
+            return len(self._objects)
+        return 0 if self._store is None else self._store.length
 
     @property
     def n_active(self) -> int:
@@ -754,66 +765,36 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         return np.flatnonzero(self._alive)
 
     def live_objects(self) -> list:
-        if self.store_kind == "shm":
-            if self._store is None:
-                return []
-            rows = self._store_rows()
-            return [np.array(rows[int(g)]) for g in self.active_ids()]
-        return [self._objects[int(g)] for g in self.active_ids()]
+        if not self.metric.is_vector:
+            return [self._objects[int(g)] for g in self.active_ids()]
+        if self._store is None:
+            return []
+        rows = self._store_rows()
+        return [np.array(rows[int(g)]) for g in self.active_ids()]
 
     def live_dataset(self) -> Dataset:
         """A fresh :class:`Dataset` over the live objects (compact ids).
 
-        On the shared store the rows are already prepared (preparation
-        is row-wise), so the gather is wrapped without re-preparing —
-        bit-identical to preparing the raw objects once.
+        Vector rows are stored prepared, so the gather is wrapped
+        without preparing again.
         """
-        if self.store_kind == "shm":
-            keep = self.active_ids()
-            return Dataset.from_prepared(
-                np.ascontiguousarray(self._store_rows()[keep]), self.metric
-            )
-        objects = self.live_objects()
-        return Dataset(
-            np.asarray(objects, dtype=np.float64)
-            if self.metric.is_vector
-            else objects,
-            self.metric,
+        if not self.metric.is_vector:
+            return Dataset(self.live_objects(), self.metric)
+        keep = self.active_ids()
+        return Dataset.from_prepared(
+            np.ascontiguousarray(self._store_rows()[keep]), self.metric
         )
-
-    def object_log(self) -> list:
-        """The full log, tombstoned positions included.  On the shared
-        store these are the stored prepared rows; :meth:`load` wants
-        the objects as inserted (angular rows prepared twice change
-        bits, and the snapshot fingerprint refuses them)."""
-        if self.store_kind == "shm":
-            if self._store is None:
-                return []
-            return [np.array(row) for row in self._store_rows()]
-        return list(self._objects)
 
     def log_dataset(self) -> Dataset:
-        """The full log (dead rows included), prepared exactly once: the
-        shared store already holds prepared rows (re-preparing an
-        angular store would re-normalise and change bits), the list
-        store prepares its raw log here."""
-        if self.store_kind == "shm":
-            return Dataset.from_prepared(self._store_rows(), self.metric)
-        return Dataset(
-            np.asarray(self._objects, dtype=np.float64)
-            if self.metric.is_vector
-            else self._objects,
-            self.metric,
-        )
+        """The full log, dead rows included, prepared exactly once.
 
-    def _adopt_log(self, objects) -> None:
-        """Install a full insertion log on an empty engine (io load path)."""
-        if self.n_total:
-            raise ParameterError("_adopt_log on a non-empty engine")
-        if self.store_kind == "shm":
-            self._append_prepared(self._prepare_rows(list(objects)))
-        else:
-            self._objects = list(objects)
+        Vector rows are a private copy of the stored rows: the segment
+        relocates when it grows, and a view held across an insert would
+        read unmapped pages.  This is what :meth:`load` takes back.
+        """
+        if not self.metric.is_vector:
+            return Dataset(self._objects, self.metric)
+        return Dataset.from_prepared(np.array(self._store_rows()), self.metric)
 
     def shard_sizes(self) -> np.ndarray:
         """Live member count per shard."""
@@ -837,29 +818,26 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
 
         Each newcomer routes to the **least-loaded shard** (live member
         count, updated within the batch); one broadcast carries the
-        whole batch — on the shared store, only the segment metadata —
+        whole batch — for vector objects, only the segment metadata —
         and each owning shard repairs its graph and cache from O(1)
-        distance sweeps.
+        distance sweeps.  A :class:`Dataset` of the engine's metric is
+        taken as already prepared.
         """
-        objects = list(objects)
-        if not objects:
-            self.last_insert_neighbors = []
-            return _EMPTY
+        if not isinstance(objects, Dataset):
+            objects = list(objects)
+            if not objects:
+                self.last_insert_neighbors = []
+                return _EMPTY
         first_gid = self.n_total
-        prepared = self._prepare_rows(objects)
-        B = len(objects)
+        rows = self._prepare_rows(objects)
+        B = len(rows)
         sizes = self._sizes.copy()
         owner = np.empty(B, dtype=np.int64)
         for i in range(B):
             s = int(np.argmin(sizes))
             owner[i] = s
             sizes[s] += 1
-        if self.store_kind == "shm":
-            self._append_prepared(prepared)
-            payload = self._store.meta()
-        else:
-            self._objects.extend(objects)
-            payload = objects
+        payload = self._append(rows)
         self._alive = np.concatenate((self._alive, np.ones(B, dtype=bool)))
         self._shard_of = np.concatenate((self._shard_of, owner))
         self._prior_outliers = np.concatenate(
@@ -972,7 +950,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     def vacuum(self) -> np.ndarray:
         """Drop tombstoned storage everywhere, renumbering live ids.
 
-        On the shared store this is the **compaction epoch**: in-flight
+        For a vector log this is the **compaction epoch**: in-flight
         shard work drains on the pool barrier, the owner relocates the
         segment to exactly the surviving rows (generation bump), and the
         vacuum broadcast hands every worker the new segment's metadata
@@ -981,18 +959,16 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         keep = self.active_ids()
         remap = np.full(self.n_total, -1, dtype=np.int64)
         remap[keep] = np.arange(keep.size)
-        if self.store_kind == "shm":
-            store_meta = None
-            if self._store is not None:
-                self._pool.barrier()
-                self._store.compact(keep)
-                store_meta = self._store.meta()
-            common = (keep, remap, store_meta)
-        else:
-            common = (keep, remap)
-        for shard_pairs in self._pool.call("vacuum", common=common):
+        store_meta = None
+        if self._store is not None:
+            self._pool.barrier()
+            self._store.compact(keep)
+            store_meta = self._store.meta()
+        for shard_pairs in self._pool.call(
+            "vacuum", common=(keep, remap, store_meta)
+        ):
             self.pairs += shard_pairs
-        if self.store_kind != "shm":
+        if not self.metric.is_vector:
             self._objects = [self._objects[int(g)] for g in keep]
         self._alive = np.ones(keep.size, dtype=bool)
         self._shard_of = self._shard_of[keep]
@@ -1154,49 +1130,23 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self.last_transfer = {"before": int(before), "after": int(after)}
         return merged
 
-    def rebalance(
-        self,
-        split_above: float = 2.0,
-        merge_below: float = 0.25,
-        load_above: "float | None" = None,
-    ) -> bool:
+    def rebalance(self) -> bool:
         """One automatic rebalancing step; ``True`` if anything changed.
 
-        Splits a shard holding more than ``split_above`` times the mean
-        live load; otherwise merges a shard starved below
-        ``merge_below`` times the mean (keeping at least one shard).
-
-        ``load_above`` adds a *serve-time* trigger on top of the size
-        policy: when set, a shard whose observed load factor (mean of
-        its mean-normalised verification-pair share and busy-seconds
-        share, :meth:`shard_load`) exceeds ``load_above`` is split even
-        though sizes are balanced — hot shards that dominate phase-C
-        verification stop serialising the merge.
+        Splits a shard holding more than :data:`SPLIT_ABOVE` times the
+        mean live load; otherwise merges a shard starved below
+        :data:`MERGE_BELOW` times the mean (keeping at least one shard).
         """
-        if split_above <= 1.0 or not 0.0 <= merge_below < 1.0:
-            raise ParameterError(
-                "rebalance needs split_above > 1 and 0 <= merge_below < 1"
-            )
-        if load_above is not None and load_above <= 1.0:
-            raise ParameterError(
-                f"rebalance needs load_above > 1, got {load_above}"
-            )
         sizes = self.shard_sizes()
         if self.n_active == 0:
             return False
         mean = self.n_active / self.n_shards
-        if sizes.max() > split_above * mean and sizes.max() >= 2:
+        if sizes.max() > SPLIT_ABOVE * mean and sizes.max() >= 2:
             self.split_shard(int(np.argmax(sizes)))
             return True
-        if self.n_shards > 1 and sizes.min() < merge_below * mean:
+        if self.n_shards > 1 and sizes.min() < MERGE_BELOW * mean:
             self.merge_shards(int(np.argmin(sizes)))
             return True
-        if load_above is not None:
-            load = self.shard_load()
-            hot = int(np.argmax(load))
-            if load[hot] > float(load_above) and sizes[hot] >= 2:
-                self.split_shard(hot)
-                return True
         return False
 
     def _collect_states(self) -> list[dict]:
@@ -1282,16 +1232,16 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             alive=self._alive.copy(),
             shard_of=self._shard_of,
             shards=states,
-            # Over the full log, prepared once: a shared-store log is
-            # already prepared, and angular rows would re-normalise.
             dataset=self.log_dataset(),
         ))
 
     @classmethod
     def load(cls, path, objects, **kwargs) -> "MutableShardedDetectionEngine":
         """Rebuild a saved mutable engine (any shard count) against its
-        full object log, tombstoned positions included.  ``kwargs`` are
-        execution knobs for the constructor (``workers``, ...).
+        full object log, tombstoned positions included: the objects as
+        inserted, or a :class:`Dataset` of prepared rows such as
+        :meth:`log_dataset` returns.  ``kwargs`` are execution knobs for
+        the constructor (``workers``, ...).
         """
         from ..io import read_snapshot
 
@@ -1316,7 +1266,9 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
             pinned=[float(r) for r in meta.get("pinned", ())],
             **kwargs,
         )
-        engine._adopt_log(snap.log)
+        # The reader prepared the log once to check its fingerprint:
+        # adopt those rows rather than preparing them again.
+        engine._append(engine._prepare_rows(snap.dataset))
         engine._alive = snap.alive.astype(bool)
         engine._shard_of = snap.shard_of.astype(np.int64)
         engine._prior_outliers = np.zeros(engine.n_total, dtype=bool)
@@ -1336,7 +1288,7 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         return EngineCapabilities(
             mutable=True, sharded=True, snapshot=True, pinned_radii=True,
             epoch_barrier=True, top_n=self.n_shards == 1,
-            zero_copy_store=self.store_kind == "shm",
+            zero_copy_store=self.metric.is_vector,
         )
 
     @property
@@ -1370,35 +1322,30 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         """Object-store accounting (``/stats`` and the benchmarks).
 
         ``replicas`` counts copies of the object log across the engine
-        family: one per shard actor plus the parent's on the list
-        store, exactly one shared segment on the shm store.
+        family: exactly one shared segment for vector objects, one list
+        per shard actor plus the parent's otherwise.
         ``resident_nbytes`` is the total bytes those copies pin.
         """
-        if self.store_kind == "shm":
-            if self._store is None:
-                return {
-                    "kind": "shm", "length": 0, "capacity": 0,
-                    "generation": 0, "tombstones": 0, "nbytes": 0,
-                    "replicas": 1, "resident_nbytes": 0,
-                }
-            out = self._store.stats()
-            out["replicas"] = 1
-            out["resident_nbytes"] = int(out["nbytes"])
-            return out
-        if not self._objects:
-            nbytes = 0
-        elif self.metric.is_vector:
-            nbytes = int(np.asarray(self._objects, dtype=np.float64).nbytes)
-        else:
+        if not self.metric.is_vector:
             nbytes = int(sum(len(str(o)) for o in self._objects))
-        replicas = self.n_shards + 1
-        return {
-            "kind": "list",
-            "length": len(self._objects),
-            "nbytes": nbytes,
-            "replicas": replicas,
-            "resident_nbytes": nbytes * replicas,
-        }
+            replicas = self.n_shards + 1
+            return {
+                "kind": "list",
+                "length": len(self._objects),
+                "nbytes": nbytes,
+                "replicas": replicas,
+                "resident_nbytes": nbytes * replicas,
+            }
+        if self._store is None:
+            return {
+                "kind": "shm", "length": 0, "capacity": 0,
+                "generation": 0, "tombstones": 0, "nbytes": 0,
+                "replicas": 1, "resident_nbytes": 0,
+            }
+        out = self._store.stats()
+        out["replicas"] = 1
+        out["resident_nbytes"] = int(out["nbytes"])
+        return out
 
     def worker_store_nbytes(self) -> "list[int]":
         """Per-actor private bytes pinned by each worker's dataset."""

@@ -212,7 +212,6 @@ def create_engine(
     cache_radii: "int | None" = None,
     rebuild_every: "int | None" = None,
     start_method: "str | None" = None,
-    store: str = "ram",
     build_workers: int = 1,
     **graph_params,
 ) -> EngineCore:
@@ -229,9 +228,9 @@ def create_engine(
     (static engines require it; mutable engines may start empty and be
     populated through ``insert``).  ``shards > 1`` selects a sharded
     static engine; ``mutable=True`` selects the mutable sharded engine
-    at every shard count (one shard runs in-process).  ``store`` picks where object data lives: ``"ram"`` (private copies,
-    the default) or ``"shm"`` (one growable shared segment, mutable
-    engines only).  Out-of-core
+    at every shard count (one shard runs in-process), whose vector log
+    is one shared-memory segment.  A :class:`~repro.data.Dataset` is
+    served over its own prepared rows at every shape.  Out-of-core
     ``"memmap"`` storage is a dataset-loading choice
     (:func:`repro.io.open_memmap_dataset`), not an engine knob.  This
     is the **only** place the engine class is chosen — callers above
@@ -241,17 +240,6 @@ def create_engine(
 
     if shards < 1:
         raise ParameterError(f"shards must be >= 1, got {shards}")
-    store_kind = {"list": "ram"}.get(str(store), str(store))
-    if store_kind not in ("ram", "shm"):
-        raise ParameterError(
-            f"store must be 'ram' or 'shm', got {store!r} (memmap data is "
-            f"opened with repro.io.open_memmap_dataset, not an engine store)"
-        )
-    if store_kind == "shm" and not mutable:
-        raise ParameterError(
-            "store='shm' needs mutable=True: the growable shared store "
-            "backs the mutable sharded engine"
-        )
     is_dataset = isinstance(data, Dataset)
     if mutable:
         # Mutable engines build their graphs incrementally (and rebuild
@@ -261,23 +249,18 @@ def create_engine(
                 f"mutable engines do not take graph parameters: "
                 f"{sorted(graph_params)}"
             )
-        objects = None
-        if data is not None:
-            objects = (
-                [data.get(i) for i in range(data.n)] if is_dataset else data
-            )
-            metric = data.metric if is_dataset else metric
+        if is_dataset:
+            metric = data.metric
         from .mutable_sharded import MutableShardedDetectionEngine
 
         engine = MutableShardedDetectionEngine(
             metric=metric, n_shards=shards, workers=workers, graph=graph,
             K=K, seed=seed, pinned=pinned, cache_radii=cache_radii,
             rebuild_every=rebuild_every, start_method=start_method,
-            store="shm" if store_kind == "shm" else "list",
             build_workers=build_workers,
         )
-        if objects is not None:
-            engine.bulk_load(objects)
+        if data is not None:
+            engine.bulk_load(data)
         return engine
     if data is None:
         raise ParameterError("static engines need data; pass mutable=True "

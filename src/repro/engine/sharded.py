@@ -492,8 +492,6 @@ class _ShardMergeBase:
         lbs = [p[0] for p in prep]
         ubs = [p[1] for p in prep]
         pairs["cache"] = sum(p[2] for p in prep)
-        for s, p in enumerate(prep):
-            self._shard_load[s] += p[2]
         lb_tot = np.sum(lbs, axis=0)
         span = lb_tot.size
         ub_known = np.ones(span, dtype=bool)
@@ -516,7 +514,6 @@ class _ShardMergeBase:
         filtered = self._pool.call("filter", shard_args=shard_args)
         for s, (ids_s, counts_s, exact_s, pairs_s) in enumerate(filtered):
             pairs["filter"] += pairs_s
-            self._shard_load[s] += pairs_s
             if ids_s.size == 0:
                 continue
             np.maximum.at(lbs[s], ids_s, counts_s)
@@ -611,7 +608,6 @@ class _ShardMergeBase:
         pairs = 0
         for s, (counts, exact_s, shard_pairs) in enumerate(results):
             pairs += shard_pairs
-            self._shard_load[s] += shard_pairs
             bound[s, send[s]] = np.maximum(bound[s, send[s]], counts)
             exact[s, send[s]] = exact_s
         outlier = bound.sum(axis=0) < k
@@ -644,29 +640,6 @@ class _ShardMergeBase:
         for rv, kv in _sweep_order(queries):
             sweep.results[(rv, kv)] = self.query(rv, kv)
         return sweep
-
-    def shard_load(self) -> np.ndarray:
-        """Mean-normalised load factor per shard (1.0 == even load).
-
-        Averages two serve-time signals the merge already collects:
-        the per-shard verification/filter pair counts
-        (``_shard_load``, reset at every pool epoch) and the pool's
-        cumulative per-shard busy-seconds.  Each signal is normalised
-        to mean 1 before averaging so pairs and seconds weigh equally;
-        with no recorded work the load is uniformly 1.  The mutable
-        engine's ``rebalance(load_above=...)`` splits the argmax shard
-        when its factor exceeds the threshold even though sizes are
-        balanced.
-        """
-        n = self.n_shards
-        signals = []
-        for signal in (self._shard_load, self._pool.busy_seconds()):
-            signal = np.asarray(signal, dtype=np.float64)
-            if signal.sum() > 0:
-                signals.append(signal * (n / signal.sum()))
-        if not signals:
-            return np.ones(n, dtype=np.float64)
-        return np.mean(signals, axis=0)
 
     def barrier(self) -> int:
         """Drain in-flight shard work; returns the new pool epoch.
@@ -772,9 +745,6 @@ class ShardedDetectionEngine(_ShardMergeBase):
                 self._transport = None
             raise
         self.stats: dict = self._fresh_merge_stats()
-        #: per-shard verify-pairs accumulator — the second load signal
-        #: (besides pool busy-seconds) stats-driven rebalancing reads.
-        self._shard_load = np.zeros(self.n_shards, dtype=np.int64)
 
     # -- construction helpers ------------------------------------------------
 

@@ -365,8 +365,7 @@ class EngineSnapshot:
     shard without one).  ``dataset`` is the prepared data the snapshot
     is about (a mutable engine's full log, dead rows included):
     :func:`write_snapshot` fingerprints it, :func:`read_snapshot`
-    checks it.  ``log`` is a mutable snapshot's re-supplied insertion
-    log.
+    checks it, and a loading engine serves over its rows.
     """
 
     kind: str
@@ -375,7 +374,6 @@ class EngineSnapshot:
     shard_of: np.ndarray
     shards: list
     dataset: Any
-    log: "list | None" = None
 
 
 def _fingerprint(dataset) -> dict:
@@ -384,11 +382,13 @@ def _fingerprint(dataset) -> dict:
     The snapshot stores cached bounds *about specific objects*; loading
     it against other data would silently serve wrong answers, so the
     digest covers every row the engine serves over.  A mutable log is
-    prepared before it is hashed, at save and at load, so the raw
-    insertion log loads; rows that were prepared twice (an angular
-    ``store="shm"`` engine's ``object_log()``) differ in their bits and
-    are refused.  Vector rows are hashed in chunks, so a memmap store
-    is never read whole.
+    prepared exactly once before it is hashed: at save the engine's
+    stored rows, at load the raw insertion log prepared by the reader
+    (or a re-supplied :class:`~repro.data.Dataset`, taken as prepared).
+    Rows that were prepared twice (an angular engine's prepared rows
+    passed back as raw objects) differ in their bits and are refused.
+    Vector rows are hashed in chunks, so a memmap store is never read
+    whole.
     """
     metric = dataset.metric
     digest = hashlib.sha256()
@@ -553,7 +553,9 @@ def read_snapshot(
     """The one validating snapshot reader behind every engine's ``load``.
 
     A static snapshot needs its ``dataset`` re-supplied, a mutable one
-    the full insertion-ordered ``objects`` log.  ``kind`` (when given)
+    the full insertion-ordered ``objects`` log: the objects as inserted,
+    or a :class:`~repro.data.Dataset` of prepared rows (such as the
+    engine's ``log_dataset()``).  ``kind`` (when given)
     and ``one_shard`` state what the calling engine class can load.
     Raises :class:`GraphError` on every malformed input: no manifest, an
     earlier layout or version, a snapshot of the other kind or with
@@ -565,7 +567,6 @@ def read_snapshot(
     """
     from .data import Dataset
     from .engine.evidence import EvidenceCache
-    from .metrics import resolve_metric
 
     path = Path(path)
     manifest_path = path / _MANIFEST_NAME
@@ -627,7 +628,8 @@ def read_snapshot(
                 f"{path}: a mutable engine snapshot needs the full object "
                 f"log re-supplied (objects=...)"
             )
-        objects = list(objects)
+        if not isinstance(objects, Dataset):
+            objects = list(objects)
         what, given = "object log", len(objects)
     if given != n_total:
         raise GraphError(
@@ -690,16 +692,14 @@ def read_snapshot(
             f"for {n_shards} shards"
         )
     if found == "mutable":
-        metric = resolve_metric(str(meta.get("metric", "l2")))
-        dataset = Dataset(
-            np.asarray(objects, dtype=np.float64) if metric.is_vector
-            else objects,
-            metric,
+        dataset = (
+            objects if isinstance(objects, Dataset)
+            else Dataset(objects, str(meta.get("metric", "l2")))
         )
     _check_fingerprint(meta.get("fingerprint"), dataset, manifest_path)
     snap = EngineSnapshot(
         kind=found, meta=meta, alive=alive, shard_of=shard_of, shards=[],
-        dataset=dataset, log=objects if found == "mutable" else None,
+        dataset=dataset,
     )
     snapshot_id = meta.get("snapshot_id")
     for members, fname in zip(lists, shard_files):
@@ -755,7 +755,7 @@ def load_any_engine(
     does: a static snapshot (needs ``dataset``) with one shard gives a
     :class:`~repro.engine.DetectionEngine`, with more a
     :class:`~repro.engine.ShardedDetectionEngine`; a mutable one (needs
-    the ``objects`` log) gives the
+    the ``objects`` log, raw or a prepared ``Dataset``) gives the
     :class:`~repro.engine.MutableShardedDetectionEngine` at any shard
     count.  Callers -- the CLI in particular -- never pick a loader by
     engine class.  ``workers`` and ``start_method`` go to the sharded

@@ -65,8 +65,10 @@ class Metric(ABC):
 
     #: short registry name, e.g. ``"l2"``.
     name: str = ""
-    #: True when objects are rows of a 2-D float array.
+    #: True when objects are rows of a 2-D numeric array.
     is_vector: bool = True
+    #: dtype of a vector metric's prepared rows (what ``prepare`` returns).
+    store_dtype = np.dtype(np.float64)
 
     @abstractmethod
     def prepare(self, objects: Any) -> Any:

@@ -22,6 +22,7 @@ class Hamming(Metric):
 
     name = "hamming"
     is_vector = True
+    store_dtype = np.dtype(np.uint8)
 
     def prepare(self, objects) -> np.ndarray:
         arr = np.ascontiguousarray(objects)

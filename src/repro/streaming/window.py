@@ -161,7 +161,7 @@ class SlidingWindowDOD:
                     victim: {self.r: np.asarray(succ, dtype=np.int64)}
                 },
             )
-        new_id = int(self._engine.insert([self.dataset.get(obj_id)])[0])
+        new_id = int(self._engine.insert(self.dataset.subset([obj_id]))[0])
         within = self._engine.last_insert_neighbors[0].get(
             self.r, np.empty(0, dtype=np.int64)
         )

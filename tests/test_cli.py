@@ -239,10 +239,11 @@ def test_update_command_sharded_with_snapshot(tmp_path, capsys):
 
 def test_update_command_shm_store_with_snapshot(tmp_path, capsys):
     # glove is angular: the shared store holds normalised rows, and the
-    # second run hands the raw suite objects back to the loader.
+    # second run hands the raw suite objects back to the loader, which
+    # prepares them once.
     snap = str(tmp_path / "shm_snap")
     args = ["update", "--suite", "glove", "--n", "300", "--batches", "3",
-            "--churn", "0.1", "--K", "8", "--store", "shm", "--check",
+            "--churn", "0.1", "--K", "8", "--check",
             "--snapshot", snap]
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -319,7 +320,7 @@ def test_serve_stops_cleanly_on_signal(signum, sigint):
     proc = subprocess.Popen(
         [sys.executable, "-c", _SERVE_CHILD, sigint, "serve", "--suite",
          "glove", "--n", "250", "--K", "8", "--mutable", "--shards", "2",
-         "--workers", "1", "--store", "shm", "--port", "0"],
+         "--workers", "1", "--port", "0"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, start_new_session=True,
     )
@@ -344,3 +345,75 @@ def test_serve_stops_cleanly_on_signal(signum, sigint):
         proc.stdout.close()
     assert code == 0
     assert not _shm_entries() - before
+
+
+def _group_members(pgid):
+    """Live (not zombie) processes in process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # After the command name: state, parent pid, process group.
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc")
+def test_serve_signalled_while_building_leaves_nothing_behind():
+    """SIGTERM while the engine is still being built: within 10 s the
+    server has exited, no shard worker is left, and its shared segment
+    is gone from /dev/shm."""
+    import time
+
+    before = _shm_entries()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--suite", "glove",
+         "--n", "8000", "--K", "8", "--mutable", "--shards", "2",
+         "--workers", "2", "--port", "0"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, start_new_session=True,
+    )
+    lines: queue.Queue = queue.Queue()
+    reader = threading.Thread(
+        target=_pump, args=(proc.stdout, lines), daemon=True
+    )
+    reader.start()
+    try:
+        deadline = time.monotonic() + 120
+        # The server and its two shard workers: the build has begun.
+        while len(_group_members(proc.pid)) < 3:
+            assert proc.poll() is None, "server exited before building"
+            assert time.monotonic() < deadline, "no shard workers started"
+            time.sleep(0.02)
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGTERM)
+        signalled = time.monotonic()
+        code = proc.wait(timeout=10)
+        while _group_members(proc.pid) and time.monotonic() < signalled + 10:
+            time.sleep(0.05)
+        left = _group_members(proc.pid)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in _group_members(proc.pid):
+            os.kill(pid, signal.SIGKILL)
+        reader.join(timeout=5)
+        proc.stdout.close()
+    output = []
+    while not lines.empty():
+        output.append(lines.get())
+    assert not any(
+        line and line.startswith("listening on") for line in output
+    ), "the signal landed after the build"
+    assert not left
+    assert not _shm_entries() - before
+    assert code == 0

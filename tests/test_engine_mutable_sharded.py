@@ -19,8 +19,11 @@ from repro import (
     Dataset,
     DetectionEngine,
     MutableShardedDetectionEngine,
+    create_engine,
     supports,
 )
+from repro.core.store import SharedObjectStore
+from repro.engine.mutable_sharded import MERGE_BELOW, SPLIT_ABOVE
 from repro.exceptions import GraphError, MetricError, ParameterError
 from repro.graphs.base import build_graph
 from repro.index import brute_force_outliers
@@ -165,26 +168,25 @@ def test_rebalance_policy(pool):
         (eng._shard_of == 1) & eng._alive
     )[:55]
     eng.remove(victims.tolist())
-    assert eng.rebalance(split_above=10.0, merge_below=0.25)
+    assert eng.shard_sizes()[1] < MERGE_BELOW * eng.n_active / 2
+    assert eng.rebalance()
     assert eng.n_shards == 1
     _oracle_check(eng, 1.8, 5)
-    # Skew the load again: one shard far above the mean splits.
+    # Skew the load again over three shards: shard 0 ends up above
+    # SPLIT_ABOVE times the mean, and splits.
     eng.split_shard()
-    assert eng.n_shards == 2
-    eng.insert(pool[120:160])
-    eng.insert(pool[160:200])
-    moved = np.flatnonzero(
-        (eng._shard_of == 1) & eng._alive
-    )
-    eng.remove(moved[: max(0, moved.size - 10)].tolist())
-    assert eng.shard_sizes()[0] > 1.5 * eng.n_active / 2
-    assert eng.rebalance(split_above=1.5, merge_below=0.0) is True
+    eng.split_shard()
     assert eng.n_shards == 3
+    eng.insert(pool[120:200])
+    for s in (1, 2):
+        members = np.flatnonzero((eng._shard_of == s) & eng._alive)
+        eng.remove(members[10:].tolist())
+    assert eng.shard_sizes()[0] > SPLIT_ABOVE * eng.n_active / 3
+    assert eng.rebalance() is True
+    assert eng.n_shards == 4
     _oracle_check(eng, 1.8, 5)
     # Balanced-enough load: nothing to do.
-    assert eng.rebalance(split_above=5.0, merge_below=0.0) is False
-    with pytest.raises(ParameterError):
-        eng.rebalance(split_above=1.0)
+    assert eng.rebalance() is False
     eng.close()
 
 
@@ -347,7 +349,7 @@ def test_snapshot_roundtrip(pool, rng, tmp_path):
     path = tmp_path / "snap"
     eng.save(path)
     warm = MutableShardedDetectionEngine.load(
-        path, eng.object_log(), workers=1
+        path, eng.log_dataset(), workers=1
     )
     restored = warm.detect(1.8, 5)
     np.testing.assert_array_equal(restored.outliers, reference.outliers)
@@ -383,16 +385,27 @@ def test_validation(pool):
     eng.close()
 
 
-@pytest.mark.parametrize("store", ["ram", "shm"])
+@pytest.mark.parametrize("source", ["ram", "shm"])
 @pytest.mark.parametrize(
     "kind, error", [("width", GraphError), ("nan", MetricError)]
 )
-def test_malformed_insert_leaves_engine_unchanged(pool, store, kind, error):
-    """Both stores reject a bad batch before any state changes."""
+def test_malformed_insert_leaves_engine_unchanged(pool, source, kind, error):
+    """A bad batch is rejected before any state changes, whether the log
+    was seeded from raw rows (prepared into RAM) or from a ``"shm"``
+    Dataset viewing a caller's segment, which the log copies: the
+    segment is unlinked before the bad batch arrives."""
     eng = MutableShardedDetectionEngine(
-        metric="l2", n_shards=2, workers=1, K=6, seed=0, store=store
+        metric="l2", n_shards=2, workers=1, K=6, seed=0
     )
-    eng.insert(pool[:100])
+    if source == "ram":
+        eng.insert(pool[:100])
+    else:
+        with SharedObjectStore(dim=pool.shape[1], capacity=100) as segment:
+            segment.append(pool[:100])
+            shared = Dataset.from_prepared(segment.rows(), "l2", kind="shm")
+            assert shared.store_kind == "shm"
+            eng.insert(shared)
+            del shared
     eng.detect(1.8, 5)
     n_total, active = eng.n_total, eng.active_ids()
     bad = pool[100:104].copy()
@@ -408,6 +421,60 @@ def test_malformed_insert_leaves_engine_unchanged(pool, store, kind, error):
     np.testing.assert_array_equal(
         eng.insert(pool[100:104]), np.arange(100, 104)
     )
+    _oracle_check(eng, 1.8, 5)
+    eng.close()
+
+
+# -- one object log -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("metric", ["angular", "hamming"])
+def test_dataset_rows_are_served_as_prepared(metric, rng):
+    """A Dataset is served over its own prepared rows: after inserts and
+    removes that leave exactly its objects live, the engine's live rows
+    equal the dataset's bit for bit (angular rows prepared a second
+    time would not)."""
+    raw = (
+        rng.normal(size=(150, 8)) if metric == "angular"
+        else rng.integers(0, 2, size=(150, 24))
+    )
+    ds = Dataset(raw[:120], metric)
+    with create_engine(ds, mutable=True, shards=2, workers=1, K=6) as eng:
+        extra = eng.insert(raw[120:])
+        eng.remove(extra[::2].tolist())
+        eng.remove(extra[1::2].tolist())
+        live = eng.live_dataset().store
+        assert live.dtype == ds.store.dtype
+        assert live.tobytes() == ds.store.tobytes()
+        # An inserted Dataset is taken as prepared too.
+        eng.remove([0, 1])
+        eng.insert(ds.subset([0, 1]))
+        live = eng.live_dataset().store
+    assert live.tobytes() == ds.store[np.r_[2:120, 0, 1]].tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_vector_log_is_one_shared_segment(pool, n_shards, workers):
+    """At every shape the vector log is one segment: one replica, no
+    private worker copy, and an insert broadcasts its metadata only."""
+    eng = MutableShardedDetectionEngine(
+        metric="l2", n_shards=n_shards, workers=workers, K=6, seed=0
+    )
+    eng.insert(pool[:100])
+    sent = []
+    call = eng._pool.call
+
+    def spy(method, shard_args=None, common=()):
+        if method == "ingest":
+            sent.extend(args[0] for args in shard_args)
+        return call(method, shard_args=shard_args, common=common)
+
+    eng._pool.call = spy
+    eng.insert(pool[100:140])
+    assert sent == [eng._store.meta()] * n_shards
+    assert eng.store_stats()["replicas"] == 1
+    assert eng.worker_store_nbytes() == [0] * n_shards
     _oracle_check(eng, 1.8, 5)
     eng.close()
 
@@ -463,30 +530,6 @@ def test_transfer_counters_cover_merge(pool):
     assert eng.stats["evidence_rows_transferred"] > before
     assert eng.last_transfer["before"] > 0
     _oracle_check(eng, 1.8, 5)
-    eng.close()
-
-
-def test_rebalance_load_trigger_and_validation(pool):
-    eng = MutableShardedDetectionEngine(
-        metric="l2", n_shards=2, workers=1, K=6, seed=0
-    )
-    eng.insert(pool[:120])
-    eng.detect(1.8, 5)
-    with pytest.raises(ParameterError):
-        eng.rebalance(load_above=1.0)
-    load = eng.shard_load()
-    assert load.shape == (2,)
-    assert np.isclose(load.mean(), 1.0)
-    # Sizes are balanced, so the size-only policy stands pat ...
-    assert eng.rebalance(split_above=5.0, merge_below=0.0) is False
-    hot = float(load.max())
-    if hot > 1.001:
-        # ... but the serve-time signal can still split the hot shard.
-        assert eng.rebalance(
-            split_above=5.0, merge_below=0.0, load_above=(1.0 + hot) / 2
-        ) is True
-        assert eng.n_shards == 3
-        _oracle_check(eng, 1.8, 5)
     eng.close()
 
 

@@ -149,10 +149,8 @@ def test_load_any_engine_resolves_every_format(points, tmp_path):
     assert warm.n_shards == 1
     np.testing.assert_array_equal(warm.query(1.8, 5).outliers, expected)
     warm.close()
-    # One mutable format: the same one-shard snapshot loads on the
-    # shared store too.
-    warm = load_any_engine(snaps[2], objects=list(points), store="shm",
-                           workers=1)
+    # The same one-shard snapshot loads from the prepared dataset too.
+    warm = load_any_engine(snaps[2], objects=dataset, workers=1)
     assert isinstance(warm, MutableShardedDetectionEngine)
     np.testing.assert_array_equal(warm.query(1.8, 5).outliers, expected)
     warm.close()

@@ -356,6 +356,7 @@ def test_shard_worker_sweep_counts_match_linear_oracle(l2_dataset, l2_params):
     candidates alike (a member never counts itself).  Workers without
     cells (a mutable worker, a metric with no rounding margin) answer
     the same through a linear sweep."""
+    from repro.core import SharedObjectStore
     from repro.engine import ShardWorker
     from repro.engine.mutable_sharded import MutableShardWorker
 
@@ -370,18 +371,20 @@ def test_shard_worker_sweep_counts_match_linear_oracle(l2_dataset, l2_params):
     assert worker._serve.cells is not None
     counts = _check_count_range(worker, l2_dataset, members, qs, r)
     plain = Dataset(l2_dataset.store, Unmargined(2.0))
-    mutable = MutableShardWorker(
-        "l2", 0, K=6, graph="kgraph", objects=list(l2_dataset.store),
-        member_gids=members.tolist(), build=True,
-    )
-    for other, dataset in (
-        (ShardWorker(plain, members, graph="kgraph", K=6, seed=3), plain),
-        (mutable, l2_dataset),
-    ):
-        assert other._ensure_serve().cells is None
-        np.testing.assert_array_equal(
-            _check_count_range(other, dataset, members, qs, r), counts
+    with SharedObjectStore(dim=l2_dataset.store.shape[1]) as log:
+        log.append(l2_dataset.store)
+        mutable = MutableShardWorker(
+            "l2", 0, K=6, graph="kgraph", store_meta=log.meta(),
+            member_gids=members.tolist(), build=True,
         )
+        for other, dataset in (
+            (ShardWorker(plain, members, graph="kgraph", K=6, seed=3), plain),
+            (mutable, l2_dataset),
+        ):
+            assert other._ensure_serve().cells is None
+            np.testing.assert_array_equal(
+                _check_count_range(other, dataset, members, qs, r), counts
+            )
 
 
 def test_count_range_is_exact_when_every_member_is_open(l2_dataset):
@@ -443,19 +446,6 @@ def test_sharded_stats_phase_breakdown(l2_dataset, l2_params):
     assert res.pairs == pp["cache"] + pp["filter"] + pp["verify"]
     assert res.phase_pairs["verify"] == res.phase_pairs["verify_sweep"]
     assert all(v >= 0.0 for v in engine.stats["phase_seconds"].values())
-    engine.close()
-
-
-def test_shard_load_is_mean_normalised(l2_dataset, l2_params):
-    r, k = l2_params
-    engine = ShardedDetectionEngine(
-        l2_dataset, n_shards=3, workers=1, graph="kgraph", K=8, rng=0
-    )
-    engine.query(r, k)
-    load = engine.shard_load()
-    assert load.shape == (3,)
-    assert np.all(load >= 0.0)
-    assert np.isclose(load.mean(), 1.0)
     engine.close()
 
 

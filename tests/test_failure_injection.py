@@ -148,7 +148,7 @@ def test_killed_worker_mid_churn_still_unlinks_shared_segment():
     before = repro_segments()
     rng = np.random.default_rng(11)
     engine = MutableShardedDetectionEngine(
-        metric="l2", n_shards=2, workers=2, K=8, seed=0, store="shm",
+        metric="l2", n_shards=2, workers=2, K=8, seed=0,
     )
     engine.bulk_load(rng.standard_normal((80, 4)))
     engine.insert(rng.standard_normal((10, 4)))
@@ -182,7 +182,7 @@ def test_engine_garbage_collection_unlinks_shared_segment():
 
     before = repro_segments()
     engine = MutableShardedDetectionEngine(
-        metric="l2", n_shards=2, workers=1, K=8, seed=0, store="shm",
+        metric="l2", n_shards=2, workers=1, K=8, seed=0,
     )
     engine.bulk_load(np.random.default_rng(3).standard_normal((60, 4)))
     assert repro_segments() - before

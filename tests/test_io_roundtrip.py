@@ -378,7 +378,7 @@ def test_mutable_snapshot_roundtrip_serves_warm(mutable_engine, tmp_path):
     (shard_file,) = _shard_files(path)
     assert shard_file.startswith("shard_0000_")
     assert sorted(p.name for p in path.iterdir()) == ["manifest.npz", shard_file]
-    loaded = MutableShardedDetectionEngine.load(path, mutable_engine.object_log())
+    loaded = MutableShardedDetectionEngine.load(path, mutable_engine.log_dataset())
     assert loaded.stats == mutable_engine.stats
     assert loaded.n_total == mutable_engine.n_total
     assert loaded.n_active == mutable_engine.n_active
@@ -395,7 +395,7 @@ def test_mutable_snapshot_roundtrip_serves_warm(mutable_engine, tmp_path):
 def test_mutable_save_method_matches_module_function(mutable_engine, tmp_path):
     path = tmp_path / "a"
     mutable_engine.save(path)
-    log = mutable_engine.object_log()
+    log = mutable_engine.log_dataset()
     ea = MutableShardedDetectionEngine.load(path, log)
     eb = load_any_engine(path, objects=log)
     assert type(eb) is MutableShardedDetectionEngine
@@ -416,7 +416,7 @@ def test_load_mutable_rejects_truncated_archive(mutable_engine, mutable_snapshot
         archive.write_bytes(blob[: int(len(blob) * 0.6)])
         with pytest.raises(GraphError):
             MutableShardedDetectionEngine.load(
-                mutable_snapshot, mutable_engine.object_log()
+                mutable_snapshot, mutable_engine.log_dataset()
             )
         archive.write_bytes(blob)
 
@@ -435,7 +435,7 @@ def test_load_mutable_rejects_static_engine_snapshot(
 def test_static_load_rejects_mutable_engine_snapshot(
     mutable_engine, mutable_snapshot
 ):
-    dataset = Dataset(mutable_engine.object_log(), "l2")
+    dataset = mutable_engine.log_dataset()
     for cls in (DetectionEngine, ShardedDetectionEngine):
         with pytest.raises(GraphError, match="holds a mutable engine snapshot"):
             cls.load(mutable_snapshot, dataset)
@@ -445,23 +445,24 @@ def test_load_mutable_rejects_wrong_version(mutable_engine, mutable_snapshot):
     _rewrite_manifest(mutable_snapshot, snapshot_format_version=np.asarray(77))
     with pytest.raises(GraphError, match="version 77"):
         MutableShardedDetectionEngine.load(
-            mutable_snapshot, mutable_engine.object_log()
+            mutable_snapshot, mutable_engine.log_dataset()
         )
 
 
 def test_load_mutable_rejects_wrong_log_length(mutable_engine, mutable_snapshot):
+    short = mutable_engine.log_dataset().subset(
+        np.arange(mutable_engine.n_total - 3)
+    )
     with pytest.raises(GraphError, match="wrong object log"):
-        MutableShardedDetectionEngine.load(
-            mutable_snapshot, mutable_engine.object_log()[:-3]
-        )
+        MutableShardedDetectionEngine.load(mutable_snapshot, short)
 
 
 def test_load_mutable_rejects_different_objects(
     mutable_engine, mutable_snapshot, rng
 ):
     fake = list(rng.normal(size=(mutable_engine.n_total, 6)))
-    shifted = mutable_engine.object_log()
-    shifted[0] = np.asarray(shifted[0], dtype=np.float64) + 50.0
+    shifted = [row.copy() for row in mutable_engine.log_dataset().store]
+    shifted[0] += 50.0
     for log in (fake, shifted):
         with pytest.raises(GraphError, match="fingerprint"):
             MutableShardedDetectionEngine.load(mutable_snapshot, log)
@@ -469,37 +470,64 @@ def test_load_mutable_rejects_different_objects(
 
 def test_angular_shm_snapshot_roundtrip(tmp_path):
     # The shared store holds prepared unit rows.  The fingerprint is of
-    # prepared rows, so the raw insertion log loads, and the stored
-    # rows object_log() returns, which preparing again re-normalises
-    # to other bits, are refused.
+    # prepared rows, so the raw insertion log loads and so does the
+    # log_dataset() of stored rows; those rows passed back as raw
+    # objects, which preparing again re-normalises to other bits, are
+    # refused.
     points = np.random.default_rng(5).normal(size=(300, 8))
     d = Dataset(points, "angular").pair_dist(np.arange(299), np.arange(1, 300))
     r, k = float(np.quantile(d, 0.05)), 3
     path = tmp_path / "angular"
     with MutableShardedDetectionEngine(
-        metric="angular", n_shards=2, workers=1, K=6, seed=0, store="shm"
+        metric="angular", n_shards=2, workers=1, K=6, seed=0
     ) as eng:
         eng.insert(points)
         expected = eng.query(r, k).outliers
         eng.save(path)
-        stored = eng.object_log()
-    twice = Dataset(np.asarray(stored), "angular").store
-    assert not np.array_equal(twice, np.asarray(stored))
+        log = eng.log_dataset()
+    stored = list(log.store)
+    twice = Dataset(log.store, "angular").store
+    assert not np.array_equal(twice, log.store)
     with pytest.raises(GraphError, match="fingerprint"):
-        load_any_engine(path, objects=stored, workers=1, store="shm")
-    with load_any_engine(path, objects=points, workers=1, store="shm") as loaded:
-        assert loaded.store_kind == "shm"
-        np.testing.assert_array_equal(loaded.query(r, k).outliers, expected)
-        np.testing.assert_array_equal(
-            expected, brute_force_outliers(loaded.live_dataset().view(), r, k)
-        )
+        load_any_engine(path, objects=stored, workers=1)
+    for objects in (points, log):
+        with load_any_engine(path, objects=objects, workers=1) as loaded:
+            assert loaded.store_stats()["kind"] == "shm"
+            np.testing.assert_array_equal(loaded.query(r, k).outliers, expected)
+            np.testing.assert_array_equal(
+                loaded.live_dataset().store, log.store
+            )
+            np.testing.assert_array_equal(
+                expected,
+                brute_force_outliers(loaded.live_dataset().view(), r, k),
+            )
+
+
+def test_hamming_snapshot_roundtrip(tmp_path):
+    """Hamming codes are stored as the uint8 rows ``prepare`` returns, so
+    the engine reloads its own snapshot from the raw codes and from
+    ``log_dataset()``, with the same outliers."""
+    codes = np.random.default_rng(7).integers(0, 2, size=(120, 24))
+    r, k = 8.0, 4
+    path = tmp_path / "hamming"
+    with create_engine(
+        codes, metric="hamming", mutable=True, shards=2, workers=1, K=6
+    ) as eng:
+        eng.remove(list(range(0, 120, 9)))
+        expected = eng.query(r, k).outliers
+        eng.save(path)
+        log = eng.log_dataset()
+    assert expected.size and log.store.dtype == np.uint8
+    for objects in (codes, log):
+        with load_any_engine(path, objects=objects, workers=1) as loaded:
+            np.testing.assert_array_equal(loaded.query(r, k).outliers, expected)
 
 
 def test_load_mutable_rejects_bad_alive_mask(mutable_engine, mutable_snapshot):
     _rewrite_manifest(mutable_snapshot, alive=np.ones(3, dtype=bool))
     with pytest.raises(GraphError, match="alive mask"):
         MutableShardedDetectionEngine.load(
-            mutable_snapshot, mutable_engine.object_log()
+            mutable_snapshot, mutable_engine.log_dataset()
         )
 
 
@@ -507,7 +535,7 @@ def test_load_mutable_rejects_bad_metadata_json(mutable_engine, mutable_snapshot
     _rewrite_manifest(mutable_snapshot, manifest_meta=np.asarray("{nope"))
     with pytest.raises(GraphError, match="JSON"):
         MutableShardedDetectionEngine.load(
-            mutable_snapshot, mutable_engine.object_log()
+            mutable_snapshot, mutable_engine.log_dataset()
         )
 
 
@@ -521,7 +549,7 @@ def test_mutable_snapshot_restores_rebuild_countdown(blob_points, tmp_path, shar
     path = tmp_path / "countdown"
     eng.save(path)
     warm = load_any_engine(
-        path, objects=eng.object_log(), workers=1, rebuild_every=50
+        path, objects=eng.log_dataset(), workers=1, rebuild_every=50
     )
     assert type(warm) is type(eng)
     assert warm.stats["rebuilds"] == 0
@@ -568,21 +596,21 @@ def test_load_mutable_rejects_torn_member_lists(blob_points, tmp_path, kind):
         lists, alive = _torn(lists, data["alive"], kind)
     _rewrite_manifest(path, member_gids=np.concatenate(lists), alive=alive)
     with pytest.raises(GraphError, match="member list"):
-        MutableShardedDetectionEngine.load(path, eng.object_log(), workers=1)
+        MutableShardedDetectionEngine.load(path, eng.log_dataset(), workers=1)
     eng.close()
 
 
-def test_mutable_snapshots_cross_load(mutable_engine, tmp_path):
-    """One format: a one-shard snapshot of the list store loads through
-    the class and through ``load_any_engine`` on either store — same
-    answers, warm on the first detect."""
+def test_mutable_snapshots_cross_load(mutable_engine, blob_points, tmp_path):
+    """One format: a one-shard snapshot loads through the class and
+    through ``load_any_engine``, from the prepared log and from the raw
+    objects — same answers, warm on the first detect."""
     reference = mutable_engine.detect(1.8, 5)
     mutable_engine.save(tmp_path / "one_shard")
-    log = mutable_engine.object_log()
+    log = mutable_engine.log_dataset()
     for loaded in (
         MutableShardedDetectionEngine.load(tmp_path / "one_shard", log),
         load_any_engine(tmp_path / "one_shard", objects=log),
-        load_any_engine(tmp_path / "one_shard", objects=log, store="shm"),
+        load_any_engine(tmp_path / "one_shard", objects=blob_points),
     ):
         assert loaded.n_shards == 1 and loaded.workers == 1
         res = loaded.detect(1.8, 5)
@@ -1021,7 +1049,7 @@ def test_mutable_snapshot_with_null_build_workers(blob_points, tmp_path):
     eng.save(path)
     _null_build_workers(path / "manifest.npz", "manifest_meta")
     loaded = MutableShardedDetectionEngine.load(
-        path, eng.object_log(), rebuild_every=20
+        path, eng.log_dataset(), rebuild_every=20
     )
     assert loaded.build_workers == 1
     np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
@@ -1057,7 +1085,7 @@ def test_mutable_sharded_snapshot_with_null_build_workers(blob_points, tmp_path)
     path = tmp_path / "msharded"
     eng.save(path)
     _null_build_workers(path / "manifest.npz", "manifest_meta")
-    loaded = MutableShardedDetectionEngine.load(path, eng.object_log(), workers=1)
+    loaded = MutableShardedDetectionEngine.load(path, eng.log_dataset(), workers=1)
     assert loaded.build_workers == 1
     np.testing.assert_array_equal(loaded.detect(1.8, 5).outliers, reference.outliers)
     new_index = loaded.split_shard()  # rebuilds both halves' graphs

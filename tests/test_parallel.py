@@ -184,25 +184,32 @@ def test_shard_pool_close_is_idempotent():
 # -- shared-memory dataset transport ----------------------------------------------
 
 
-def test_shared_memory_store_roundtrip():
-    from repro.core import SharedMemoryStore
+def test_shared_memory_store_roundtrip(l2_dataset):
+    """A vector store rides one fixed-capacity SharedObjectStore segment:
+    pickling carries its metadata only, and the clone maps the same
+    pages."""
     import pickle
 
-    arr = np.arange(24, dtype=np.float64).reshape(4, 6)
-    store = SharedMemoryStore(arr)
+    from repro.core import DatasetTransport
+    from repro.core.store import STORE_NAME_PREFIX
+
+    transport = DatasetTransport(l2_dataset)
     try:
-        np.testing.assert_array_equal(store.array(), arr)
-        # Pickling carries only the attachment handle, not the bytes.
-        clone = pickle.loads(pickle.dumps(store))
-        assert len(pickle.dumps(store)) < arr.nbytes
-        view = clone.array()
-        np.testing.assert_array_equal(view, arr)
+        assert transport.kind == "shm"
+        assert transport.payload["name"].startswith(STORE_NAME_PREFIX)
+        assert transport.payload["capacity"] == l2_dataset.n
+        blob = pickle.dumps(transport)
+        assert len(blob) < l2_dataset.store.nbytes
+        received = pickle.loads(blob)  # holds the mapping the clone views
+        clone = received.materialize()
+        assert clone.store_kind == "shm" and clone.resident_nbytes == 0
+        np.testing.assert_array_equal(clone.store, l2_dataset.store)
         # Both sides map the *same* pages.
-        view[0, 0] = 123.0
-        assert store.array()[0, 0] == 123.0
-        clone.close()
+        original = transport.materialize()
+        clone.store[0, 0] = 123.0
+        assert original.store[0, 0] == 123.0
     finally:
-        store.unlink()
+        transport.release()
 
 
 def test_dataset_transport_vector_store(l2_dataset):
@@ -327,57 +334,51 @@ def test_store_handles_remap_across_start_methods(start_method):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-def test_shm_engine_matches_list_engine_across_start_methods(start_method):
-    """One churn trace, two stores, both start methods: identical answers."""
+def test_shared_log_engine_matches_in_process_across_start_methods(
+    start_method,
+):
+    """One churn trace on worker processes of either start method and in
+    process: identical answers, each equal to brute force."""
     _require_start_method(start_method)
     from repro.engine.mutable_sharded import MutableShardedDetectionEngine
+    from repro.index import brute_force_outliers
 
     rng = np.random.default_rng(5)
     data = rng.standard_normal((90, 5))
     batch = rng.standard_normal((40, 5))  # overflows capacity: relocation
     engines = [
         MutableShardedDetectionEngine(
-            metric="l2", n_shards=2, workers=2, K=8, seed=0,
-            store=store, start_method=start_method,
+            metric="l2", n_shards=2, workers=workers, K=8, seed=0,
+            start_method=start_method,
         )
-        for store in ("shm", "list")
+        for workers in (2, 1)
     ]
+
+    def detect(eng):
+        res = eng.detect(1.7, 6)
+        brute = eng.active_ids()[
+            brute_force_outliers(eng.live_dataset(), 1.7, 6)
+        ]
+        np.testing.assert_array_equal(res.outliers, brute)
+        return res.outliers.tolist()
+
     try:
         traces = []
         for eng in engines:
             eng.bulk_load(data)
             trace = [eng.insert(batch).tolist()]
             eng.remove(eng.active_ids()[::7].tolist())
-            res = eng.detect(1.7, 6)
-            trace.append(res.outliers.tolist())
-            eng.rebalance()  # workers re-map their shard subsets
+            trace.append(detect(eng))
+            eng.split_shard()  # workers re-map their shard subsets
             trace.append(eng.vacuum().tolist())
-            res = eng.detect(1.7, 6)
-            trace.append(res.outliers.tolist())
+            trace.append(detect(eng))
             traces.append(trace)
+            assert eng.store_stats()["replicas"] == 1
+            assert eng.worker_store_nbytes() == [0] * eng.n_shards
         assert traces[0] == traces[1]
-        assert engines[0].store_stats()["kind"] == "shm"
-        assert engines[0].store_stats()["replicas"] == 1
     finally:
         for eng in engines:
             eng.close()
-
-
-def test_shared_memory_store_close_unlink_idempotent():
-    from repro.core import SharedMemoryStore
-
-    arr = np.arange(6, dtype=np.float64).reshape(2, 3)
-    first = SharedMemoryStore(arr)
-    first.close()
-    first.close()  # double close must be a no-op
-    first.unlink()  # a detached owner can still destroy the segment
-    first.unlink()
-    second = SharedMemoryStore(arr)
-    second.unlink()
-    second.unlink()
-    second.close()
-    with pytest.raises(ParameterError, match="after unlink"):
-        second.array()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -405,29 +406,61 @@ def test_shard_pool_call_where_validates_lengths():
             pool.call_where("add", [(0,), (1,), (2,)], [True])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_shard_pool_busy_seconds(workers):
-    import time as _time
+def _running(pid):
+    """``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
-    from repro.core import ShardPool
 
-    class _Sleeper:
-        def __init__(self, shard):
-            self.shard = shard
+_ORPHAN_PARENT = (
+    "import time\n"
+    "from functools import partial\n"
+    "from repro.core import ShardPool\n"
+    "pool = ShardPool([partial(dict) for _ in range(2)], workers=2, "
+    "start_method='fork')\n"
+    "print(' '.join(str(p.pid) for p in pool._procs), flush=True)\n"
+    "time.sleep(120)\n"
+)
 
-        def nap(self):
-            _time.sleep(0.02)
-            return self.shard
 
-    def factory(shard):
-        from functools import partial
+@pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="needs fork",
+)
+def test_shard_workers_exit_when_their_parent_is_killed():
+    """A forked worker holds the parent's end of its own pipe, so it
+    never reads EOF; after a SIGKILL of the parent both workers of a
+    two-worker pool still exit within a few poll intervals."""
+    import os
+    import subprocess
+    import sys
+    import time
 
-        return partial(_Sleeper, shard)
+    import repro
 
-    with ShardPool([factory(s) for s in range(3)], workers=workers) as pool:
-        baseline = pool.busy_seconds()
-        assert baseline.shape == (3,)
-        pool.call_where("nap", [() for _ in range(3)], [True, False, True])
-        busy = pool.busy_seconds()
-        assert busy[0] > baseline[0] and busy[2] > baseline[2]
-        assert busy[1] == baseline[1]  # the masked-out shard never worked
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_PARENT],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    pids = [int(pid) for pid in parent.stdout.readline().split()]
+    try:
+        assert len(pids) == 2 and all(_running(pid) for pid in pids)
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids))
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        parent.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, 9)

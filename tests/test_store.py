@@ -300,5 +300,5 @@ def test_float32_store_roundtrip():
 def test_invalid_construction():
     with pytest.raises(ParameterError, match="dim"):
         SharedObjectStore(dim=0)
-    with pytest.raises(ParameterError, match="float"):
-        SharedObjectStore(dim=2, dtype=np.int64)
+    with pytest.raises(ParameterError, match="numeric"):
+        SharedObjectStore(dim=2, dtype=object)

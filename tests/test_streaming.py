@@ -110,6 +110,19 @@ def test_sharded_window_matches_oracle(stream_dataset):
                 np.testing.assert_array_equal(np.unique(got), np.unique(ref))
 
 
+def test_window_engine_serves_the_dataset_rows():
+    """The window's engine serves over the dataset's own prepared rows:
+    an angular stream is not normalised a second time."""
+    ds = Dataset(np.random.default_rng(4).normal(size=(90, 8)), "angular")
+    with SlidingWindowDOD(ds, r=0.9, k=3, window=40) as monitor:
+        monitor.run(np.arange(70), report_every=35)
+        held = monitor._engine_ids >= 0
+        order = np.argsort(monitor._engine_ids[held])
+        live = monitor._engine.live_dataset().store
+        expected = ds.store[monitor._ids[held][order]]
+    assert live.tobytes() == expected.tobytes()
+
+
 def test_validation(stream_dataset):
     with pytest.raises(ParameterError):
         SlidingWindowDOD(stream_dataset, r=-1.0, k=2, window=5)
