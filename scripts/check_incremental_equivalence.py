@@ -77,6 +77,11 @@ def churn_trace(dataset_objects, metric, r, k, label: str) -> list[str]:
             victims = gen.choice(live, size=live.size // 8, replace=False)
             engine.remove(victims.tolist())
         failures += oracle_mismatches(engine, r, k, f"{label}/phase{phase}")
+        # r = +inf is a legal radius: every object has n_active - 1
+        # neighbors there, so a newcomer counting itself shows up.
+        failures += oracle_mismatches(
+            engine, np.inf, engine.n_active, f"{label}/phase{phase}-inf"
+        )
         if phase == 2:
             engine.rebuild()
             failures += oracle_mismatches(

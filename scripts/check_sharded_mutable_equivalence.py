@@ -99,6 +99,11 @@ def churn_trace(
         failures += oracle_mismatches(
             engine, single, r, k, f"{label}/phase{phase}"
         )
+        # r = +inf is a legal radius: every object has n_active - 1
+        # neighbors there, so a newcomer counting itself shows up.
+        failures += oracle_mismatches(
+            engine, single, np.inf, engine.n_active, f"{label}/phase{phase}-inf"
+        )
         if phase == 2:
             # Rebalancing epoch mid-trace: split the largest shard,
             # then fold the smallest back in.  Both must be invisible

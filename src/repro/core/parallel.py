@@ -419,9 +419,9 @@ class DatasetTransport:
     def materialize(self) -> Dataset:
         """Rebuild the dataset around the transported store.
 
-        A shared-memory store is a view of a mapping this transport
-        holds: keep the transport referenced while the dataset is in
-        use (a pool's actor factory does).
+        A shared-memory store is a view of the mapping this transport
+        attaches; the view keeps the pages mapped after the transport
+        is gone.
         """
         if self.kind == "memmap":
             from ..io import open_memmap_dataset

@@ -37,6 +37,13 @@ them in a compaction epoch behind
 :meth:`~repro.core.parallel.ShardPool.barrier`
 (:meth:`SharedObjectStore.compact`).
 
+A mapping outlives its side's use of it while any view of it does:
+every array :meth:`SharedObjectStore.rows` hands out is a view of one
+array per mapping, and a relocated or closed mapping is unmapped only
+once that array is garbage (a ``weakref.finalize``).  A view held across
+an append, a compaction or a close reads the rows as they were, never
+unmapped pages.
+
 Ownership is pid-guarded: a forked child inherits the owner object but
 must never unlink the parent's segment, so :meth:`unlink` (and the
 best-effort ``__del__``) act only in the creating process.  All
@@ -50,6 +57,7 @@ from __future__ import annotations
 import os
 import secrets
 import threading
+import weakref
 
 import numpy as np
 
@@ -177,17 +185,30 @@ class SharedObjectStore:
     def _segment_nbytes(self, capacity: int) -> int:
         return _HEADER_BYTES + capacity * self.dim * self.dtype.itemsize
 
-    def _views(self):
-        header = np.ndarray(
-            (_HEADER_FIELDS,), dtype=np.int64, buffer=self._shm.buf
+    def _bind(self, shm, capacity: int) -> None:
+        """Adopt ``shm`` as this side's mapping: its header and row views."""
+        self._release()
+        self._shm = shm
+        self._capacity = int(capacity)
+        self._header = np.ndarray(
+            (_HEADER_FIELDS,), dtype=np.int64, buffer=shm.buf
         )
-        data = np.ndarray(
+        self._data = np.ndarray(
             (self._capacity, self.dim),
             dtype=self.dtype,
-            buffer=self._shm.buf,
+            buffer=shm.buf,
             offset=_HEADER_BYTES,
         )
-        return header, data
+
+    def _release(self) -> None:
+        """Drop this side's mapping; it is unmapped once no view is left.
+
+        Every view :meth:`rows` returns derives from ``_data``, so the
+        mapping closes when the last of them (and ``_data``) is gone.
+        """
+        if self._shm is not None:
+            weakref.finalize(self._data, self._shm.close)
+        self._shm = self._header = self._data = None
 
     def _allocate(self, capacity: int) -> None:
         """Owner: create a fresh named segment and write its header."""
@@ -203,10 +224,9 @@ class SharedObjectStore:
                 break
             except FileExistsError:  # pragma: no cover - 64-bit collision
                 continue
-        self._shm = shm
+        self._bind(shm, capacity)
         self.name = shm.name.lstrip("/")
-        self._capacity = int(capacity)
-        header, _ = self._views()
+        header = self._header
         header[_H_MAGIC] = _MAGIC
         header[_H_GEN] = self._generation
         header[_H_LEN] = self._length
@@ -255,11 +275,8 @@ class SharedObjectStore:
                 f"{mapped_gen} does not match broadcast "
                 f"generation {generation}"
             )
-        if self._shm is not None:
-            self._shm.close()
-        self._shm = shm
+        self._bind(shm, capacity)
         self.name = name.lstrip("/")
-        self._capacity = capacity
         self._generation = generation
 
     # -- introspection -----------------------------------------------------
@@ -314,6 +331,8 @@ class SharedObjectStore:
 
         ``length`` defaults to everything this side knows about; a
         handle passes the length from the broadcast it last synced.
+        The view keeps its mapping alive: after a relocation or a close
+        it still reads the rows it was taken over.
         """
         if self._shm is None:
             raise ParameterError(f"shared store {self.name}: used after close")
@@ -323,8 +342,7 @@ class SharedObjectStore:
                 f"shared store {self.name}: rows({n}) outside capacity "
                 f"{self._capacity}"
             )
-        _, data = self._views()
-        return data[:n]
+        return self._data[:n]
 
     # -- owner mutations ---------------------------------------------------
 
@@ -356,10 +374,9 @@ class SharedObjectStore:
         needed = first + arr.shape[0]
         if needed > self._capacity:
             self._relocate(max(needed, 2 * self._capacity))
-        header, data = self._views()
-        data[first:needed] = arr
+        self._data[first:needed] = arr
         self._length = needed
-        header[_H_LEN] = needed
+        self._header[_H_LEN] = needed
         return first
 
     def tombstone(self, offsets) -> None:
@@ -389,11 +406,10 @@ class SharedObjectStore:
                 f"shared store {self.name}: compact keeps offsets outside "
                 f"the log (length {self._length})"
             )
-        _, data = self._views()
         # Always pass the gathered rows — an empty keep must compact to
         # an empty log, not fall into _relocate's carry-everything
         # growth path (rows=None).
-        kept = np.ascontiguousarray(data[keep])
+        kept = np.ascontiguousarray(self._data[keep])
         self._relocate(max(1, keep.size), rows=kept)
         self._tombstoned.clear()
 
@@ -403,24 +419,20 @@ class SharedObjectStore:
         ``rows=None`` carries the current log across (growth);
         otherwise ``rows`` *becomes* the log (compaction).
         """
-        old_shm, old_name = self._shm, self.name
-        header, data = self._views()
+        # Holding the old row array keeps the old mapping alive until
+        # its header is stamped below.
+        old_name, old_header, old_data = self.name, self._header, self._data
         if rows is None:
-            rows = np.ascontiguousarray(data[: self._length])
-        new_generation = self._generation + 1
-        self._generation = new_generation
-        self._length = int(rows.shape[0]) if rows is not None else 0
+            rows = old_data[: self._length]
+        self._generation += 1
+        self._length = int(rows.shape[0])
         self._allocate(int(new_capacity))
-        new_header, new_data = self._views()
-        if rows is not None and rows.shape[0]:
-            new_data[: rows.shape[0]] = rows
-        new_header[_H_LEN] = self._length
+        self._data[: self._length] = rows
         # Stamp the old header so a handle that missed the broadcast and
         # re-attaches (or reads its mapped header) sees the relocation
         # instead of silently serving superseded pages.
-        header[_H_MAGIC] = _MOVED
-        header[_H_GEN] = new_generation
-        old_shm.close()
+        old_header[_H_MAGIC] = _MOVED
+        old_header[_H_GEN] = self._generation
         from multiprocessing import shared_memory
 
         try:
@@ -472,10 +484,11 @@ class SharedObjectStore:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Detach this process's mapping (idempotent)."""
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
+        """Detach this process's mapping (idempotent).
+
+        Views still held keep the pages mapped until they are gone.
+        """
+        self._release()
 
     def unlink(self) -> None:
         """Destroy the segment (owner only, idempotent, safe after close).

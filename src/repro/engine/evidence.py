@@ -11,29 +11,31 @@ yield exact counts at any radius.  All of these are monotone in ``r``:
 * an exact count at radius ``r`` upper-bounds the count at every
   ``r' <= r`` (the ball only shrinks).
 
-:class:`EvidenceCache` stores these facts as dense per-radius bound
-arrays, so deciding a whole dataset against a new ``(r, k)`` query is a
-handful of vectorised max/min/compare passes — no graph traversal, no
-distance computation.  Objects whose interval ``[lb, ub]`` still
-straddles ``k`` are the only ones the engine has to touch.
-
-Bound folding is *cumulative*: radii are kept sorted and the running
-max (lb) / min (ub) folds are materialised lazily, so a query touches
-only the stored radii its own radius actually depends on — radii
-``<= r`` for lower bounds, radii ``>= r`` for upper bounds — instead
-of re-scanning every stored radius per call.
+:class:`EvidenceCache` stores each side as one ``(radii x ids)`` int64
+matrix over its ascending radii, the layout snapshots write.  Deciding
+a whole dataset against a new ``(r, k)`` query is then one max over the
+lower-bound rows at radii ``<= r``, one min over the upper-bound rows at
+radii ``>= r`` and a compare: no graph traversal, no distance
+computation.  Objects whose interval ``[lb, ub]`` still straddles ``k``
+are the only ones the engine has to touch.
 
 The monotonicity laws extend to *mutations* of the underlying
 collection, which is what makes the cache repairable instead of
-disposable (see ``docs/incremental.md``):
+disposable (see ``docs/incremental.md``).  Both laws act on blocks:
 
-* inserting an object can only **raise** neighbor counts, and only for
-  objects within its radius — so every lower bound stays valid as-is,
-  and both bounds of the touched objects move up by exactly one
-  (:meth:`apply_insert`);
-* deleting an object can only **lower** counts, again only within its
-  radius — so every upper bound stays valid as-is, and the touched
-  bounds move down by exactly one (:meth:`apply_delete`).
+* inserting objects can only **raise** neighbor counts, and only for
+  objects within their radius — so every lower bound stays valid as-is,
+  and the bounds of a touched object move up by the number of
+  newcomers within ``r`` (:meth:`EvidenceCache.apply_insert_batch`);
+* deleting objects can only **lower** counts — so every upper bound
+  stays valid as-is, and the touched bounds move down by the number of
+  victims within ``r`` (:meth:`EvidenceCache.apply_delete_batch`).
+
+A repair computes its batch's distance block once
+(:func:`distance_chunks`), places every distance among the sorted radii
+with one ``searchsorted``, and takes cumulative counts over those
+positions (:func:`radius_counts`): every radius's increment at once,
+applied as one matrix add per side.
 
 A budgeted eviction policy (``max_radii``) folds the most-dominated
 radius of a side into its neighbor when a serving process accumulates
@@ -47,10 +49,71 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.result import ObjectEvidence
+from ..data import pairs_per_kernel
 from ..exceptions import ParameterError
 
 #: sentinel upper bound: "nothing known" (any count fits below it).
 NO_BOUND = np.iinfo(np.int64).max
+
+#: the entry of a side that holds no evidence.
+_VACUOUS = {"lb": 0, "ub": NO_BOUND}
+
+
+def distance_chunks(dataset, sources, targets, bound):
+    """Yield ``(lo, D)``: the ``sources x targets`` distances, in row blocks.
+
+    Each block starts at source row ``lo`` and is one ``pair_dist``
+    kernel of at most :func:`~repro.data.pairs_per_kernel` pairs.
+    ``bound`` passes through: verdicts ``D <= r`` are exact at every
+    ``r <= bound``.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    step = max(1, pairs_per_kernel(dataset) // max(1, targets.size))
+    for lo in range(0, sources.size, step):
+        rows = sources[lo:lo + step]
+        yield lo, dataset.pair_dist(
+            np.repeat(rows, targets.size),
+            np.tile(targets, rows.size),
+            bound=bound,
+        ).reshape(rows.size, targets.size)
+
+
+def radius_positions(radii, D, sources, targets) -> np.ndarray:
+    """Where each distance of the block ``D`` falls among ``radii``.
+
+    ``pos = np.searchsorted(radii, D)``, so ``D[x, c] <= radii[j]``
+    exactly when ``pos[x, c] <= j``.  An object's pair with itself gets
+    ``len(radii)`` and so counts at no radius: self is excluded by
+    position, never by a distance value (``+inf`` is a legal radius).
+    """
+    pos = np.searchsorted(radii, D)
+    pos[np.asarray(sources)[:, None] == np.asarray(targets)[None, :]] = len(radii)
+    return pos
+
+
+def radius_counts(pos: np.ndarray, m: int, cols=None, width=None) -> np.ndarray:
+    """Per column of ``pos``, how many of its entries lie within each radius.
+
+    ``pos`` comes from :func:`radius_positions` over ``m`` radii.
+    Returns the ``(m, width)`` counts, column ``c`` of ``pos`` landing
+    in column ``cols[c]`` (default: the identity over ``pos``'s
+    columns): one histogram of the positions, cumulated over the radii.
+    """
+    if cols is None:
+        cols = np.arange(pos.shape[1])
+        width = pos.shape[1]
+    flat = (pos * width + cols).ravel()
+    hist = np.bincount(flat, minlength=(m + 1) * width)
+    return hist.reshape(m + 1, width)[:m].cumsum(axis=0)
+
+
+def _index_in(radii: np.ndarray, wanted: np.ndarray):
+    """Positions of ``wanted`` in the ascending ``radii``, and which are there."""
+    at = np.searchsorted(radii, wanted)
+    found = at < radii.size
+    found[found] = radii[at[found]] == wanted[found]
+    return at, found
 
 
 def build_delete_evidence(
@@ -60,67 +123,61 @@ def build_delete_evidence(
     radii,
     known: "dict | None",
     n_total: int,
-) -> dict:
+) -> tuple:
     """Reduce a delete batch to :meth:`EvidenceCache.apply_delete_batch` form.
 
-    The one copy of the batched delete-repair law, shared by the
-    single-process engine and every shard worker: victims without
-    supplied bookkeeping are ranged against ``survivors`` in one
-    ``pair_dist`` sweep, victims with ``known`` per-radius neighbor
-    lists contribute those instead, and a radius any victim lacks
-    evidence for is omitted (the caller's lower-bound row there must
-    be dropped).  Returns ``{r: (touched_ids, dec)}``.
+    The one copy of the batched delete-repair law, run by every shard
+    worker: victims without supplied bookkeeping are ranged against
+    ``survivors`` in one distance block, victims with ``known``
+    per-radius neighbor lists contribute those instead.  Returns
+    ``(covered, dec)``: the radii of the ascending ``radii`` at which
+    every victim has evidence, and ``dec[j, p]``, how many victims lie
+    within ``covered[j]`` of object ``p``.  A radius some victim lacks
+    evidence for is left out (the cache drops its lower-bound row).
     """
     known = known or {}
-    radii = list(radii)
-    victims = [int(v) for v in victims]
+    radii = np.asarray(radii, dtype=np.float64)
+    m = radii.size
+    dec = np.zeros((m, n_total), dtype=np.int64)
+    covered = np.ones(m, dtype=bool)
     scan = np.asarray(
-        [v for v in victims if known.get(v) is None], dtype=np.int64
+        [v for v in victims if known.get(int(v)) is None], dtype=np.int64
     )
-    dec = {r: np.zeros(n_total, dtype=np.int64) for r in radii}
-    covered = dict.fromkeys(radii, True)
-    if scan.size and survivors.size and radii:
-        # Only per-radius verdicts are consumed, and values within the
-        # largest radius are exact, so one bound serves every radius.
-        D = dataset.pair_dist(
-            np.repeat(scan, survivors.size),
-            np.tile(survivors, scan.size),
-            bound=max(radii),
-        ).reshape(scan.size, survivors.size)
-        for r in radii:
-            dec[r][survivors] += (D <= r).sum(axis=0)
+    if scan.size and survivors.size and m:
+        # Only verdicts are consumed, and values within the largest
+        # radius are exact, so one bound serves every radius.
+        for lo, D in distance_chunks(dataset, scan, survivors, radii[-1]):
+            pos = radius_positions(
+                radii, D, scan[lo:lo + D.shape[0]], survivors
+            )
+            dec += radius_counts(pos, m, survivors, n_total)
     for v in victims:
-        listed = known.get(v)
+        listed = known.get(int(v))
         if listed is None:
             continue
-        listed = {
-            float(r): np.asarray(w, dtype=np.int64) for r, w in listed.items()
-        }
-        for r in radii:
-            within = listed.get(r)
-            if within is None:
-                covered[r] = False
-            elif within.size:
-                np.add.at(dec[r], within, 1)
-    evidence = {}
-    for r in radii:
-        if covered[r]:
-            touched = np.flatnonzero(dec[r])
-            evidence[r] = (touched, dec[r][touched])
-    return evidence
+        listed = {float(r): np.asarray(w, dtype=np.int64) for r, w in listed.items()}
+        hit = np.isin(radii, list(listed))
+        covered &= hit
+        for j in np.flatnonzero(hit):
+            np.add.at(dec[j], listed[float(radii[j])], 1)
+    return radii[covered], dec[covered]
 
 
 class EvidenceCache:
     """Accumulated per-object neighbor-count bounds, indexed by radius.
 
-    ``lower_bounds(r)`` / ``upper_bounds(r)`` fold every relevant stored
-    radius through the monotonicity rules above, returning the tightest
-    bounds provable at ``r`` from everything any past query learned.
+    ``_lb[j]`` holds the lower bounds proved at ``_lb_radii[j]`` and
+    ``_ub[j]`` the upper bounds at ``_ub_radii[j]``; each side's radii
+    are ascending and unique, and an entry without evidence is 0 (lb)
+    or :data:`NO_BOUND` (ub).  ``lower_bounds(r)`` / ``upper_bounds(r)``
+    fold every relevant row through the monotonicity rules above,
+    returning the tightest bounds provable at ``r`` from everything any
+    past query learned.
 
     Parameters
     ----------
     n:
-        Number of objects covered (rows per bound array).
+        Number of objects covered (columns per bound matrix).
     max_radii:
         Optional per-side budget on distinct stored radii.  When a new
         radius would exceed it, the closest pair of adjacent radii is
@@ -134,116 +191,78 @@ class EvidenceCache:
             raise ParameterError(f"max_radii must be >= 1, got {max_radii}")
         self.n = int(n)
         self.max_radii = max_radii
-        self._lb: dict[float, np.ndarray] = {}
-        self._ub: dict[float, np.ndarray] = {}
-        # Lazily-materialised cumulative folds over the sorted radii:
-        # _lb_cum[i] = elementwise max of the lb rows at radii[0..i],
-        # valid for i < _lb_valid; _ub_cum[i] = elementwise min of the
-        # ub rows at radii[i..m-1], valid for i >= _ub_valid_from.
-        self._lb_radii: np.ndarray = np.empty(0, dtype=np.float64)
-        self._lb_cum: list[np.ndarray] = []
-        self._lb_valid = 0
-        self._ub_radii: np.ndarray = np.empty(0, dtype=np.float64)
-        self._ub_cum: list[np.ndarray] = []
-        self._ub_valid_from = 0
+        self.clear()
 
-    # -- fold bookkeeping --------------------------------------------------
+    def clear(self) -> None:
+        """Forget every bound."""
+        for side in _VACUOUS:
+            self._set(side, [], [], 0)
 
-    def _touch_lb(self, r: float, new: bool) -> None:
-        """Invalidate lb folds affected by a write at radius ``r``."""
-        if new:
-            self._lb_radii = np.asarray(sorted(self._lb), dtype=np.float64)
-            self._lb_valid = 0
-        else:
-            idx = int(np.searchsorted(self._lb_radii, r))
-            self._lb_valid = min(self._lb_valid, idx)
+    def _set(self, side: str, radii, cols, values) -> None:
+        """Replace ``side`` by rows at ``radii``: ``values`` in ``cols``,
+        vacuous elsewhere."""
+        rows = np.full((len(radii), self.n), _VACUOUS[side], dtype=np.int64)
+        rows[:, cols] = values
+        setattr(self, f"_{side}_radii", np.asarray(radii, dtype=np.float64))
+        setattr(self, f"_{side}", rows)
 
-    def _touch_ub(self, r: float, new: bool) -> None:
-        """Invalidate ub folds affected by a write at radius ``r``."""
-        if new:
-            self._ub_radii = np.asarray(sorted(self._ub), dtype=np.float64)
-            self._ub_cum = [None] * self._ub_radii.size  # type: ignore[list-item]
-            self._ub_valid_from = self._ub_radii.size
-        else:
-            idx = int(np.searchsorted(self._ub_radii, r))
-            self._ub_valid_from = max(self._ub_valid_from, idx + 1)
-
-    def _invalidate_folds(self) -> None:
-        """Drop all fold state (bulk mutation: repair, grow, evict)."""
-        self._lb_radii = np.asarray(sorted(self._lb), dtype=np.float64)
-        self._lb_cum = []
-        self._lb_valid = 0
-        self._ub_radii = np.asarray(sorted(self._ub), dtype=np.float64)
-        self._ub_cum = [None] * self._ub_radii.size  # type: ignore[list-item]
-        self._ub_valid_from = self._ub_radii.size
+    def _rows(self, side: str, radii) -> np.ndarray:
+        """Row indices of ``radii`` on ``side``; missing radii get vacuous rows."""
+        radii = np.asarray(radii, dtype=np.float64)
+        have = getattr(self, f"_{side}_radii")
+        at, found = _index_in(have, radii)
+        if found.all():
+            return at
+        merged = np.union1d(have, radii)
+        rows = np.full((merged.size, self.n), _VACUOUS[side], dtype=np.int64)
+        rows[np.searchsorted(merged, have)] = getattr(self, f"_{side}")
+        setattr(self, f"_{side}_radii", merged)
+        setattr(self, f"_{side}", rows)
+        return np.searchsorted(merged, radii)
 
     # -- queries -----------------------------------------------------------
 
     @property
     def radii(self) -> list[float]:
         """Every radius with recorded evidence, ascending."""
-        return sorted(set(self._lb) | set(self._ub))
+        return np.union1d(self._lb_radii, self._ub_radii).tolist()
 
     def lower_bounds(self, r: float) -> np.ndarray:
         """Tightest provable lower bound per object at radius ``r``.
 
-        Cost is proportional to the *new* stored radii ``<= r`` since
-        the last call (the cumulative fold is extended, not rebuilt).
+        The max over the rows at radii ``<= r``; always a fresh array.
         """
-        radii = self._lb_radii
-        idx = int(np.searchsorted(radii, float(r), side="right")) - 1
-        if idx < 0:
+        i = int(np.searchsorted(self._lb_radii, float(r), side="right"))
+        if i == 0:
             return np.zeros(self.n, dtype=np.int64)
-        del self._lb_cum[self._lb_valid:]
-        while self._lb_valid <= idx:
-            i = self._lb_valid
-            row = self._lb[float(radii[i])]
-            self._lb_cum.append(
-                row.copy() if i == 0 else np.maximum(self._lb_cum[i - 1], row)
-            )
-            self._lb_valid += 1
-        return self._lb_cum[idx].copy()
+        return self._lb[:i].max(axis=0)
 
     def upper_bounds(self, r: float) -> np.ndarray:
         """Tightest provable upper bound per object at radius ``r``.
 
-        Entries without evidence are :data:`NO_BOUND`.  Cost is
-        proportional to the new stored radii ``>= r`` since the last
-        call.
+        The min over the rows at radii ``>= r``; always a fresh array.
+        Entries without evidence are :data:`NO_BOUND`.
         """
-        radii = self._ub_radii
-        m = radii.size
-        idx = int(np.searchsorted(radii, float(r), side="left"))
-        if idx >= m:
+        i = int(np.searchsorted(self._ub_radii, float(r), side="left"))
+        if i == self._ub_radii.size:
             return np.full(self.n, NO_BOUND, dtype=np.int64)
-        while self._ub_valid_from > idx:
-            i = self._ub_valid_from - 1
-            row = self._ub[float(radii[i])]
-            self._ub_cum[i] = (
-                row.copy() if i == m - 1 else np.minimum(self._ub_cum[i + 1], row)
-            )
-            self._ub_valid_from -= 1
-        return self._ub_cum[idx].copy()
+        return self._ub[i:].min(axis=0)
+
+    def _lb_at(self, radii, cols=slice(None)) -> np.ndarray:
+        """:meth:`lower_bounds` at each of ``radii`` (rows), over ``cols``."""
+        folds = np.maximum.accumulate(self._lb[:, cols], axis=0)
+        zero = np.zeros((1, folds.shape[1]), dtype=np.int64)
+        i = np.searchsorted(self._lb_radii, radii, side="right")
+        return np.concatenate([zero, folds])[i]
+
+    def _ub_at(self, radii, cols=slice(None)) -> np.ndarray:
+        """:meth:`upper_bounds` at each of ``radii`` (rows), over ``cols``."""
+        folds = np.minimum.accumulate(self._ub[::-1, cols], axis=0)[::-1]
+        none = np.full((1, folds.shape[1]), NO_BOUND, dtype=np.int64)
+        i = np.searchsorted(self._ub_radii, radii, side="left")
+        return np.concatenate([folds, none])[i]
 
     # -- updates -----------------------------------------------------------
-
-    def _lb_row(self, r: float) -> np.ndarray:
-        row = self._lb.get(r)
-        if row is None:
-            row = self._lb[r] = np.zeros(self.n, dtype=np.int64)
-            self._touch_lb(r, new=True)
-        else:
-            self._touch_lb(r, new=False)
-        return row
-
-    def _ub_row(self, r: float) -> np.ndarray:
-        row = self._ub.get(r)
-        if row is None:
-            row = self._ub[r] = np.full(self.n, NO_BOUND, dtype=np.int64)
-            self._touch_ub(r, new=True)
-        else:
-            self._touch_ub(r, new=False)
-        return row
 
     def record(
         self,
@@ -257,16 +276,17 @@ class EvidenceCache:
         ``counts`` are lower bounds; where ``exact_mask`` is set they are
         true counts and double as upper bounds.
         """
-        r = float(r)
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return
         counts = np.asarray(counts, dtype=np.int64)
-        np.maximum.at(self._lb_row(r), ids, counts)
+        (j,) = self._rows("lb", [float(r)])
+        np.maximum.at(self._lb[j], ids, counts)
         if exact_mask is not None:
             exact_mask = np.asarray(exact_mask, dtype=bool)
             if exact_mask.any():
-                np.minimum.at(self._ub_row(r), ids[exact_mask], counts[exact_mask])
+                (j,) = self._rows("ub", [float(r)])
+                np.minimum.at(self._ub[j], ids[exact_mask], counts[exact_mask])
         self._enforce_budget()
 
     def ingest(self, evidence: ObjectEvidence) -> None:
@@ -282,304 +302,121 @@ class EvidenceCache:
             evidence.exact_mask,
         )
 
-    def clear(self) -> None:
-        self._lb.clear()
-        self._ub.clear()
-        self._invalidate_folds()
-
     # -- mutation repair ---------------------------------------------------
 
     def grow(self, n_new: int) -> None:
         """Extend every bound row for objects appended to the collection.
 
-        New rows carry the vacuous bounds (lb 0, ub :data:`NO_BOUND`).
+        New columns carry the vacuous bounds (lb 0, ub :data:`NO_BOUND`).
         """
         if n_new < self.n:
             raise ParameterError(
                 f"cannot shrink cache from {self.n} to {n_new} objects"
             )
-        if n_new == self.n:
+        pad = int(n_new) - self.n
+        if pad == 0:
             return
-        pad = n_new - self.n
-        for r, row in self._lb.items():
-            self._lb[r] = np.concatenate([row, np.zeros(pad, dtype=np.int64)])
-        for r, row in self._ub.items():
-            self._ub[r] = np.concatenate(
-                [row, np.full(pad, NO_BOUND, dtype=np.int64)]
-            )
+        for side, fill in _VACUOUS.items():
+            rows = getattr(self, f"_{side}")
+            blank = np.full((rows.shape[0], pad), fill, dtype=np.int64)
+            setattr(self, f"_{side}", np.concatenate([rows, blank], axis=1))
         self.n = int(n_new)
-        self._invalidate_folds()
 
-    def apply_insert(
-        self,
-        obj_id: int,
-        neighbors: "dict[float, np.ndarray] | None",
-    ) -> None:
-        """Repair the cache after object ``obj_id`` joined the collection.
+    def _check_ids(self, ids, verb: str) -> np.ndarray:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.n):
+            raise ParameterError(
+                f"{verb} ids out of range (n={self.n}): {ids.tolist()}"
+            )
+        return ids
 
-        ``neighbors`` maps each stored radius to the **complete** set of
-        pre-existing live object ids within that radius of the new
-        object (the mutation's distance evaluations).  An insert only
-        raises counts, so every lower bound stays valid untouched; the
-        upper bounds of the listed neighbors are patched up by one, and
-        their lower bounds tightened by one.  The new object itself
-        receives the *exact* count ``len(neighbors[r])`` at every
-        covered radius.
-
-        With ``neighbors=None`` (no distance evaluations were made) the
-        lower bounds are kept — still sound — and every upper-bound row
-        is dropped, since any of its entries might now understate.
-        """
-        obj_id = int(obj_id)
-        if obj_id >= self.n:
-            if obj_id != self.n:
-                raise ParameterError(
-                    f"insert id {obj_id} skips rows (cache holds {self.n})"
-                )
-            self.grow(obj_id + 1)
-        if neighbors is None:
-            if self._ub:
-                self._ub.clear()
-            self._invalidate_folds()
-            return
-        neighbors = {
-            float(r): np.asarray(v, dtype=np.int64) for r, v in neighbors.items()
-        }
-        for r in list(self._lb):
-            within = neighbors.get(r)
-            if within is not None and within.size:
-                self._lb[r][within] += 1
-        for r in list(self._ub):
-            within = neighbors.get(r)
-            if within is None:
-                # No distance evidence at this radius: entries of
-                # touched-but-unknown objects would understate.
-                del self._ub[r]
-            elif within.size:
-                row = self._ub[r]
-                known = row[within] != NO_BOUND
-                row[within[known]] += 1
-        for r, within in neighbors.items():
-            exact = np.int64(within.size)
-            self._lb_row(r)[obj_id] = exact
-            self._ub_row(r)[obj_id] = exact
-        self._invalidate_folds()
-        self._enforce_budget()
-
-    def apply_delete(
-        self,
-        obj_id: int,
-        neighbors: "dict[float, np.ndarray] | None" = None,
-    ) -> None:
-        """Repair the cache after object ``obj_id`` left the collection.
-
-        ``neighbors`` maps each stored radius to the complete set of
-        *remaining* live object ids within that radius of the deleted
-        object.  A delete only lowers counts, so every upper bound stays
-        valid untouched; the listed neighbors' lower bounds are patched
-        down by one, and their upper bounds tightened by one.
-
-        With ``neighbors=None`` the repair is conservative: every
-        lower-bound entry is decremented (any object might have lost a
-        neighbor), and upper bounds are kept.  Sound, but looser.
-
-        The deleted object's own rows are reset to the vacuous bounds;
-        callers exclude it from answers by compaction.
-        """
-        obj_id = int(obj_id)
-        if not 0 <= obj_id < self.n:
-            raise ParameterError(f"delete id {obj_id} out of range (n={self.n})")
-        if neighbors is None:
-            for row in self._lb.values():
-                np.subtract(row, 1, out=row)
-                np.maximum(row, 0, out=row)
-        else:
-            neighbors = {
-                float(r): np.asarray(v, dtype=np.int64)
-                for r, v in neighbors.items()
-            }
-            for r in list(self._lb):
-                within = neighbors.get(r)
-                if within is None:
-                    # No distance evidence at this radius: any entry
-                    # might overstate now.
-                    del self._lb[r]
-                elif within.size:
-                    row = self._lb[r]
-                    row[within] -= 1
-                    np.maximum(row, 0, out=row)
-            for r in list(self._ub):
-                within = neighbors.get(r)
-                if within is not None and within.size:
-                    row = self._ub[r]
-                    known = row[within] != NO_BOUND
-                    hit = within[known]
-                    row[hit] -= 1
-                    np.maximum(row, 0, out=row)
-        for row in self._lb.values():
-            row[obj_id] = 0
-        for row in self._ub.values():
-            row[obj_id] = NO_BOUND
-        self._invalidate_folds()
-
-    # -- batched mutation repair --------------------------------------------
-    #
-    # The block forms of :meth:`apply_insert` / :meth:`apply_delete`:
-    # one call repairs the cache for a whole mutation batch.  Callers
-    # compute the batch-vs-live distance matrix in O(1) ``pair_dist``
-    # sweeps and reduce it to per-radius *increment vectors* (how many
-    # batch members landed within ``r`` of each touched live object);
-    # the repair is then one fancy-indexed add per stored radius
-    # instead of one broadcast per object.
-
-    def apply_insert_batch(
-        self,
-        new_ids: np.ndarray,
-        evidence: "dict[float, tuple[np.ndarray, np.ndarray, np.ndarray | None]] | None",
-    ) -> None:
+    def apply_insert_batch(self, new_ids: np.ndarray, evidence: tuple) -> None:
         """Repair the cache after a *block* of objects joined.
 
-        ``evidence`` maps each covered radius ``r`` to a triple
-        ``(touched_ids, inc, own_counts)``:
+        The newcomers' columns must exist (:meth:`grow` first).
+        ``evidence`` is ``(radii, inc, own)`` over ascending ``radii``
+        that cover every stored radius:
 
-        * ``touched_ids`` / ``inc`` — pre-existing live objects within
-          ``r`` of at least one newcomer, and *how many* newcomers each
-          gained (the complete count delta at ``r``, reduced from the
-          batch-vs-live distance matrix);
-        * ``own_counts`` — the newcomers' exact counts at ``r`` (aligned
-          with ``new_ids``), or ``None`` to leave their rows vacuous
-          (sound lower bound 0).
+        * ``inc[j, p]`` — how many newcomers lie within ``radii[j]`` of
+          object ``p`` (the complete count delta);
+        * ``own[j, i]`` — the exact count of ``new_ids[i]`` at
+          ``radii[j]``.
 
-        Radii the evidence does not cover follow the single-object
-        rules: lower bounds stay (inserts only raise counts), upper
-        bounds are dropped (any entry might now understate).  With
-        ``evidence=None`` no distances were evaluated at all: every
-        upper-bound row is dropped, lower bounds survive.
+        An insert only raises counts, so every lower bound and every
+        known upper bound moves up by ``inc``, and the newcomers get
+        exact bounds at every radius of ``radii``.
         """
-        new_ids = np.asarray(new_ids, dtype=np.int64)
+        new_ids = self._check_ids(new_ids, "insert")
         if new_ids.size == 0:
             return
-        top = int(new_ids.max())
-        if top >= self.n:
-            self.grow(top + 1)
-        if evidence is None:
-            if self._ub:
-                self._ub.clear()
-            self._invalidate_folds()
-            return
-        evidence = {
-            float(r): (
-                np.asarray(touched, dtype=np.int64),
-                np.asarray(inc, dtype=np.int64),
-                None if own is None else np.asarray(own, dtype=np.int64),
+        radii, inc, own = evidence
+        radii = np.asarray(radii, dtype=np.float64)
+        at_lb, found_lb = _index_in(radii, self._lb_radii)
+        at_ub, found_ub = _index_in(radii, self._ub_radii)
+        if not (found_lb.all() and found_ub.all()):
+            raise ParameterError(
+                "insert evidence must cover every stored radius"
             )
-            for r, (touched, inc, own) in evidence.items()
-        }
-        for r in list(self._lb):
-            hit = evidence.get(r)
-            if hit is not None and hit[0].size:
-                self._lb[r][hit[0]] += hit[1]
-        for r in list(self._ub):
-            hit = evidence.get(r)
-            if hit is None:
-                del self._ub[r]
-            elif hit[0].size:
-                row = self._ub[r]
-                touched, inc, _ = hit
-                known = row[touched] != NO_BOUND
-                row[touched[known]] += inc[known]
-        for r, (_, _, own) in evidence.items():
-            if own is not None:
-                self._lb_row(r)[new_ids] = own
-                self._ub_row(r)[new_ids] = own
-        self._invalidate_folds()
+        self._lb += inc[at_lb]
+        np.add(self._ub, inc[at_ub], out=self._ub, where=self._ub != NO_BOUND)
+        # Locate (or add) the rows first: adding one replaces the matrix.
+        rows = self._rows("lb", radii)
+        self._lb[np.ix_(rows, new_ids)] = own
+        rows = self._rows("ub", radii)
+        self._ub[np.ix_(rows, new_ids)] = own
         self._enforce_budget()
 
     def apply_delete_batch(
-        self,
-        ids: np.ndarray,
-        evidence: "dict[float, tuple[np.ndarray, np.ndarray]] | None",
+        self, ids: np.ndarray, evidence: "tuple | None" = None
     ) -> None:
         """Repair the cache after a *block* of objects left.
 
-        ``evidence`` maps each covered radius ``r`` to
-        ``(touched_ids, dec)``: the remaining live objects within ``r``
-        of at least one victim and how many neighbors each lost (the
-        complete delta at ``r``).  Touched lower bounds come down by
-        ``dec`` (they could overstate), touched upper bounds tighten by
-        the same amount.  Radii the evidence does not cover lose their
-        lower-bound row (any entry might overstate); upper bounds stay
-        sound untouched.  With ``evidence=None`` the repair is the
-        conservative single-object rule applied ``len(ids)`` times:
-        every lower bound drops by the batch size.
+        ``evidence`` is ``(radii, dec)`` as :func:`build_delete_evidence`
+        returns it: ``dec[j, p]`` victims lay within ``radii[j]`` of
+        object ``p`` (the complete delta).  Lower bounds come down by
+        ``dec`` (they could overstate), known upper bounds tighten by the
+        same amount.  A stored radius the evidence does not cover loses
+        its lower-bound row (any entry might overstate); upper bounds
+        stay sound untouched.  With ``evidence=None`` the repair is
+        conservative: every lower bound drops by the batch size.
 
-        The victims' own rows are reset to the vacuous bounds.
+        The victims' own columns are reset to the vacuous bounds.
         """
-        ids = np.asarray(ids, dtype=np.int64)
+        ids = self._check_ids(ids, "delete")
         if ids.size == 0:
             return
-        if ids.min() < 0 or ids.max() >= self.n:
-            raise ParameterError(
-                f"delete ids out of range (n={self.n}): {ids.tolist()}"
-            )
         if evidence is None:
-            for row in self._lb.values():
-                np.subtract(row, np.int64(ids.size), out=row)
-                np.maximum(row, 0, out=row)
+            np.maximum(self._lb - ids.size, 0, out=self._lb)
         else:
-            evidence = {
-                float(r): (
-                    np.asarray(touched, dtype=np.int64),
-                    np.asarray(dec, dtype=np.int64),
-                )
-                for r, (touched, dec) in evidence.items()
-            }
-            for r in list(self._lb):
-                hit = evidence.get(r)
-                if hit is None:
-                    del self._lb[r]
-                elif hit[0].size:
-                    row = self._lb[r]
-                    row[hit[0]] -= hit[1]
-                    np.maximum(row, 0, out=row)
-            for r in list(self._ub):
-                hit = evidence.get(r)
-                if hit is not None and hit[0].size:
-                    row = self._ub[r]
-                    touched, dec = hit
-                    known = row[touched] != NO_BOUND
-                    row[touched[known]] -= dec[known]
-                    np.maximum(row, 0, out=row)
-        for row in self._lb.values():
-            row[ids] = 0
-        for row in self._ub.values():
-            row[ids] = NO_BOUND
-        self._invalidate_folds()
+            radii, dec = evidence
+            radii = np.asarray(radii, dtype=np.float64)
+            at, found = _index_in(radii, self._lb_radii)
+            if not found.all():
+                self._lb_radii, self._lb = self._lb_radii[found], self._lb[found]
+            self._lb -= dec[at[found]]
+            np.maximum(self._lb, 0, out=self._lb)
+            at, found = _index_in(radii, self._ub_radii)
+            rows = self._ub[found]
+            np.subtract(rows, dec[at[found]], out=rows, where=rows != NO_BOUND)
+            self._ub[found] = np.maximum(rows, 0)
+        self.reset_rows(ids)
 
     def reset_rows(self, ids: np.ndarray) -> None:
-        """Reset the rows of ``ids`` to the vacuous bounds.
+        """Reset the columns of ``ids`` to the vacuous bounds.
 
         Used by shard caches for objects retired by *other* shards:
-        their within-shard counts did not change, but the rows must not
-        outlive the objects they describe.
+        their within-shard counts did not change, but the bounds must
+        not outlive the objects they describe.
         """
         ids = np.asarray(ids, dtype=np.int64)
-        if ids.size == 0:
-            return
-        for row in self._lb.values():
-            row[ids] = 0
-        for row in self._ub.values():
-            row[ids] = NO_BOUND
-        self._invalidate_folds()
+        self._lb[:, ids] = 0
+        self._ub[:, ids] = NO_BOUND
 
     def nonvacuous_rows(self) -> np.ndarray:
         """Ids holding *any* evidence (some lb > 0, or some ub known)."""
-        mask = np.zeros(self.n, dtype=bool)
-        for row in self._lb.values():
-            mask |= row > 0
-        for row in self._ub.values():
-            mask |= row != NO_BOUND
-        return np.flatnonzero(mask)
+        return np.flatnonzero(
+            (self._lb > 0).any(axis=0) | (self._ub != NO_BOUND).any(axis=0)
+        )
 
     def entry_count(self) -> int:
         """Non-vacuous bound entries across all stored rows.
@@ -587,12 +424,10 @@ class EvidenceCache:
         The unit of the rebalance transfer accounting: each positive
         lower bound and each known upper bound counts once.
         """
-        total = 0
-        for row in self._lb.values():
-            total += int(np.count_nonzero(row > 0))
-        for row in self._ub.values():
-            total += int(np.count_nonzero(row != NO_BOUND))
-        return total
+        return int(
+            np.count_nonzero(self._lb > 0)
+            + np.count_nonzero(self._ub != NO_BOUND)
+        )
 
     # -- rebalance decomposition -------------------------------------------
     #
@@ -604,21 +439,18 @@ class EvidenceCache:
     # rebalancing can *transfer* evidence instead of resetting it.
 
     def split_by_counts(
-        self,
-        rows: np.ndarray,
-        moved_counts: "dict[float, np.ndarray]",
+        self, rows: np.ndarray, moved_counts: np.ndarray
     ) -> "tuple[EvidenceCache, EvidenceCache]":
         """Decompose into ``(stay, moved)`` caches for a shard split.
 
-        ``moved_counts[r]`` (aligned with ``rows``) is the **exact**
-        number of moved members within ``r`` of each row object
-        (self-excluded), for every stored radius; ``rows`` must cover
-        every non-vacuous row.  Subtracting the exact moved
-        contribution from a bound on ``c_members`` leaves a valid bound
-        on ``c_stay`` — lower bounds clamp at 0, known upper bounds
-        come down by the same exact amount — and the moved cache gets
-        ``moved_counts`` itself as exact rows.  Tightness may be lost
-        (a lower bound can under-shoot the stay half it came from);
+        ``moved_counts[j, i]`` is the **exact** number of moved members
+        within ``self.radii[j]`` of object ``rows[i]`` (self-excluded);
+        ``rows`` must cover every non-vacuous id.  Subtracting the exact
+        moved contribution from a bound on ``c_members`` leaves a valid
+        bound on ``c_stay`` — lower bounds clamp at 0, known upper
+        bounds come down by the same exact amount — and the moved cache
+        gets ``moved_counts`` itself as exact rows.  Tightness may be
+        lost (a lower bound can under-shoot the stay half it came from);
         soundness cannot.
         """
         rows = np.asarray(rows, dtype=np.int64)
@@ -626,34 +458,24 @@ class EvidenceCache:
         moved = EvidenceCache(self.n, max_radii=self.max_radii)
         if rows.size == 0:
             return stay, moved
-        for r in self.radii:
-            c = np.asarray(moved_counts[float(r)], dtype=np.int64)
-            if c.shape != rows.shape:
-                raise ParameterError(
-                    f"split_by_counts: counts at r={r} cover {c.size} "
-                    f"objects for {rows.size} rows"
-                )
-            lb = self.lower_bounds(r)[rows]
-            ub = self.upper_bounds(r)[rows]
-            stay_lb = np.maximum(lb - c, 0)
-            if stay_lb.any():
-                row = np.zeros(self.n, dtype=np.int64)
-                row[rows] = stay_lb
-                stay._lb[float(r)] = row
-            known = ub != NO_BOUND
-            if known.any():
-                row = np.full(self.n, NO_BOUND, dtype=np.int64)
-                row[rows[known]] = np.maximum(ub[known] - c[known], 0)
-                stay._ub[float(r)] = row
-            lb_row = np.zeros(self.n, dtype=np.int64)
-            lb_row[rows] = c
-            ub_row = np.full(self.n, NO_BOUND, dtype=np.int64)
-            ub_row[rows] = c
-            moved._lb[float(r)] = lb_row
-            moved._ub[float(r)] = ub_row
-        stay._invalidate_folds()
+        radii = np.asarray(self.radii)
+        c = np.asarray(moved_counts, dtype=np.int64)
+        if c.shape != (radii.size, rows.size):
+            raise ParameterError(
+                f"split_by_counts: counts of shape {c.shape} for "
+                f"{radii.size} radii x {rows.size} rows"
+            )
+        lb = np.maximum(self._lb_at(radii, rows) - c, 0)
+        keep = lb.any(axis=1)
+        stay._set("lb", radii[keep], rows, lb[keep])
+        ub = self._ub_at(radii, rows)
+        known = ub != NO_BOUND
+        ub = np.where(known, np.maximum(ub - c, 0), NO_BOUND)
+        keep = known.any(axis=1)
+        stay._set("ub", radii[keep], rows, ub[keep])
+        for side in _VACUOUS:
+            moved._set(side, radii, rows, c)
         stay._enforce_budget()
-        moved._invalidate_folds()
         moved._enforce_budget()
         return stay, moved
 
@@ -673,24 +495,22 @@ class EvidenceCache:
             )
         budget = self.max_radii if self.max_radii is not None else other.max_radii
         merged = EvidenceCache(self.n, max_radii=budget)
-        for r in sorted(set(self._lb) | set(other._lb)):
-            row = self.lower_bounds(r) + other.lower_bounds(r)
-            if row.any():
-                merged._lb[float(r)] = row
-        for r in sorted(set(self._ub) | set(other._ub)):
-            a = self.upper_bounds(r)
-            b = other.upper_bounds(r)
-            known = (a != NO_BOUND) & (b != NO_BOUND)
-            if known.any():
-                row = np.full(self.n, NO_BOUND, dtype=np.int64)
-                row[known] = a[known] + b[known]
-                merged._ub[float(r)] = row
-        merged._invalidate_folds()
+        radii = np.union1d(self._lb_radii, other._lb_radii)
+        lb = self._lb_at(radii) + other._lb_at(radii)
+        keep = lb.any(axis=1)
+        merged._lb_radii, merged._lb = radii[keep], lb[keep]
+        radii = np.union1d(self._ub_radii, other._ub_radii)
+        a, b = self._ub_at(radii), other._ub_at(radii)
+        known = (a != NO_BOUND) & (b != NO_BOUND)
+        ub = np.full(a.shape, NO_BOUND, dtype=np.int64)
+        ub[known] = a[known] + b[known]
+        keep = known.any(axis=1)
+        merged._ub_radii, merged._ub = radii[keep], ub[keep]
         merged._enforce_budget()
         return merged
 
     def take(self, ids: np.ndarray) -> "EvidenceCache":
-        """A new cache holding only the rows of ``ids`` (re-numbered).
+        """A new cache holding only the columns of ``ids`` (re-numbered).
 
         Evidence is about the data, not about any index built over it,
         so a compacted view of the collection can keep every bound.
@@ -699,11 +519,8 @@ class EvidenceCache:
         if ids.size == 0:
             raise ParameterError("take: empty id set")
         sliced = EvidenceCache(ids.size, max_radii=self.max_radii)
-        for r, row in self._lb.items():
-            sliced._lb[r] = row[ids].copy()
-        for r, row in self._ub.items():
-            sliced._ub[r] = row[ids].copy()
-        sliced._invalidate_folds()
+        sliced._lb_radii, sliced._lb = self._lb_radii.copy(), self._lb[:, ids]
+        sliced._ub_radii, sliced._ub = self._ub_radii.copy(), self._ub[:, ids]
         return sliced
 
     # -- eviction ----------------------------------------------------------
@@ -711,31 +528,18 @@ class EvidenceCache:
     def _enforce_budget(self) -> None:
         if self.max_radii is None:
             return
-        changed = False
-        while len(self._lb) > self.max_radii:
-            radii = sorted(self._lb)
-            gaps = np.diff(np.asarray(radii))
-            i = int(np.argmin(gaps))
+        while self._lb_radii.size > self.max_radii:
+            i = int(np.argmin(np.diff(self._lb_radii)))
             # A bound proved at radii[i] holds at radii[i+1]: fold up.
-            np.maximum(
-                self._lb[radii[i + 1]], self._lb[radii[i]],
-                out=self._lb[radii[i + 1]],
-            )
-            del self._lb[radii[i]]
-            changed = True
-        while len(self._ub) > self.max_radii:
-            radii = sorted(self._ub)
-            gaps = np.diff(np.asarray(radii))
-            i = int(np.argmin(gaps))
+            np.maximum(self._lb[i + 1], self._lb[i], out=self._lb[i + 1])
+            self._lb_radii = np.delete(self._lb_radii, i)
+            self._lb = np.delete(self._lb, i, axis=0)
+        while self._ub_radii.size > self.max_radii:
+            i = int(np.argmin(np.diff(self._ub_radii)))
             # An exact count at radii[i+1] bounds radii[i]: fold down.
-            np.minimum(
-                self._ub[radii[i]], self._ub[radii[i + 1]],
-                out=self._ub[radii[i]],
-            )
-            del self._ub[radii[i + 1]]
-            changed = True
-        if changed:
-            self._invalidate_folds()
+            np.minimum(self._ub[i], self._ub[i + 1], out=self._ub[i])
+            self._ub_radii = np.delete(self._ub_radii, i + 1)
+            self._ub = np.delete(self._ub, i + 1, axis=0)
 
     def evict(self, max_radii: int) -> None:
         """One-shot budget enforcement down to ``max_radii`` per side."""
@@ -750,21 +554,11 @@ class EvidenceCache:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Dense snapshot of the cache (for :func:`repro.io.write_snapshot`)."""
-        lb_radii = sorted(self._lb)
-        ub_radii = sorted(self._ub)
         return {
-            "cache_lb_radii": np.asarray(lb_radii, dtype=np.float64),
-            "cache_lb": (
-                np.stack([self._lb[r] for r in lb_radii])
-                if lb_radii
-                else np.empty((0, self.n), dtype=np.int64)
-            ),
-            "cache_ub_radii": np.asarray(ub_radii, dtype=np.float64),
-            "cache_ub": (
-                np.stack([self._ub[r] for r in ub_radii])
-                if ub_radii
-                else np.empty((0, self.n), dtype=np.int64)
-            ),
+            "cache_lb_radii": self._lb_radii.copy(),
+            "cache_lb": self._lb.copy(),
+            "cache_ub_radii": self._ub_radii.copy(),
+            "cache_ub": self._ub.copy(),
         }
 
     @classmethod
@@ -773,34 +567,30 @@ class EvidenceCache:
     ) -> "EvidenceCache":
         """Rebuild a cache from :meth:`state_arrays` output.
 
-        The radius list and bound matrix of each kind must pair up
-        exactly — a silent zip would attribute bounds to radii they were
-        never proven at, which breaks exactness.
+        Each kind's radii must be strictly ascending (the snapshot
+        reader checks), and its radius list and bound matrix must pair
+        up exactly — a silent zip would attribute bounds to radii they
+        were never proven at, which breaks exactness.
         """
         cache = cls(n)
-        for kind, store in (("lb", cache._lb), ("ub", cache._ub)):
-            radii = arrays[f"cache_{kind}_radii"]
-            rows = arrays[f"cache_{kind}"]
-            if len(radii) != len(rows):
+        for side in _VACUOUS:
+            radii = np.asarray(arrays[f"cache_{side}_radii"], dtype=np.float64)
+            rows = np.asarray(arrays[f"cache_{side}"], dtype=np.int64)
+            if rows.shape != (radii.size, cache.n):
                 raise ParameterError(
-                    f"cache_{kind}_radii lists {len(radii)} radii but "
-                    f"cache_{kind} has {len(rows)} bound rows"
+                    f"cache_{side}_radii lists {radii.size} radii over "
+                    f"{cache.n} objects but cache_{side} has shape {rows.shape}"
                 )
-            for r, row in zip(radii, rows):
-                store[float(r)] = np.asarray(row, dtype=np.int64).copy()
-        cache._invalidate_folds()
+            cache._set(side, radii, slice(None), rows)
         return cache
 
     @property
     def nbytes(self) -> int:
-        """Memory held by the stored bound arrays (folds excluded)."""
-        total = 0
-        for arr in (*self._lb.values(), *self._ub.values()):
-            total += arr.nbytes
-        return total
+        """Memory held by the two bound matrices."""
+        return int(self._lb.nbytes + self._ub.nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"EvidenceCache(n={self.n}, lb_radii={len(self._lb)}, "
-            f"ub_radii={len(self._ub)})"
+            f"EvidenceCache(n={self.n}, lb_radii={self._lb_radii.size}, "
+            f"ub_radii={self._ub_radii.size})"
         )

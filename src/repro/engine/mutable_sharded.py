@@ -21,15 +21,16 @@ engine):
   shard and broadcasts the batch (the store's metadata for a vector
   log), while the *owning* shard links the newcomers into its
   shard-local proximity graph.
-* **Batch-vectorised repair.**  Each owning shard evaluates its
-  newcomers against the live collection in **O(1) ``pair_dist``
-  sweeps per batch** and repairs its shard-local
-  :class:`~repro.engine.evidence.EvidenceCache` through the PR-4
-  ``apply_insert``/``apply_delete`` laws in their block form
-  (:meth:`EvidenceCache.apply_insert_batch`): per radius, one
-  increment vector patches every touched bound at once.  Within-shard
-  counts decompose over any partition, so the repaired bounds stay
-  exactly as sound as one shard's.
+* **One-pass repair.**  Each owning shard ranges its newcomers (or
+  victims) against the live collection in **one distance block per
+  batch** and repairs its shard-local
+  :class:`~repro.engine.evidence.EvidenceCache` through the block
+  repair laws (:meth:`EvidenceCache.apply_insert_batch`,
+  :meth:`EvidenceCache.apply_delete_batch`): each distance is placed
+  among the sorted radii once, and cumulative counts give every
+  radius's increment as one matrix add.  Within-shard counts decompose
+  over any partition, so the repaired bounds stay exactly as sound as
+  one shard's.
 * **Exact merge.**  Queries run the same three-phase conservative
   merge as the static engine (the shared
   :class:`~repro.engine.sharded._ShardMergeBase`), restricted to the
@@ -60,11 +61,16 @@ from ..data import Dataset
 from ..exceptions import GraphError, ParameterError
 from ..graphs.adjacency import Graph
 from ..graphs.base import build_graph
-from ..index.linear import linear_count_block
 from ..metrics import Metric, resolve_metric
 from ..params import check_ids, check_query
 from ..rng import ensure_rng
-from .evidence import EvidenceCache, build_delete_evidence
+from .evidence import (
+    EvidenceCache,
+    build_delete_evidence,
+    distance_chunks,
+    radius_counts,
+    radius_positions,
+)
 from .protocol import EngineCapabilities
 from .sharded import _EMPTY, ShardWorker, _ServeView, _ShardMergeBase
 
@@ -86,7 +92,7 @@ class MutableShardWorker(ShardWorker):
     proximity graph over the members.  Mutations arrive as broadcasts:
     every worker appends/retires log entries, the owning worker
     additionally repairs its graph and cache from the batch's own
-    distance sweeps.  Queries run the inherited protocol over a lazily
+    distance block.  Queries run the inherited protocol over a lazily
     compacted live-member view, rebuilt per mutation epoch.
     """
 
@@ -183,8 +189,8 @@ class MutableShardWorker(ShardWorker):
 
     def _sync_store(self, meta: dict) -> None:
         """Map the shared log as a metadata broadcast describes it."""
-        # Drop the mapped view first: a relocation re-maps, which unmaps
-        # pages a stale dataset view would still dereference.
+        # Drop the dataset over the old mapping first: after a
+        # relocation it would serve the superseded rows.
         self._bank_pairs()
         self._full = None
         if self._store_handle is None:
@@ -276,12 +282,12 @@ class MutableShardWorker(ShardWorker):
         metadata-only broadcast (``batch`` is a
         :meth:`SharedObjectStore.meta` dict) — or, for non-vector
         objects, appends the batch to its list replica; the owned
-        positions are linked into the local
-        graph and repaired into the cache from **O(1) ``pair_dist``
-        sweeps**: one owned-vs-live matrix covers linking, per-radius
-        increments, exact own counts and exact-K'NN list patching at
-        once.  Returns the per-newcomer within-radius neighbor dicts
-        (global ids) for the owned positions, plus pairs.
+        positions are linked into the local graph and repaired into the
+        cache from **one owned-vs-live distance block**, which covers
+        linking, every radius's increments and exact own counts, and
+        exact-K'NN list patching at once.  Returns, per owned newcomer,
+        its within-radius neighbors (global ids) at the pinned radii,
+        plus pairs.
         """
         first_gid = int(first_gid)
         if first_gid != self.n_total:
@@ -319,55 +325,44 @@ class MutableShardWorker(ShardWorker):
         assert self._full is not None
         members = np.asarray(self._member_gids, dtype=np.int64)
         live_members = members[self._alive[members]]
-        radii = self._scan_radii()
+        radii = np.asarray(self._scan_radii(), dtype=np.float64)
+        m = radii.size
         # Scan targets: with maintained radii the owned newcomers must
         # range the whole live collection (foreign rows hold within-
         # shard bounds about them too); otherwise live members suffice
         # for linking and list patching.
-        targets = np.flatnonzero(self._alive) if radii else live_members
-        B = owned_gids.size
-        neighbors_out: list[dict] = [dict() for _ in range(B)]
-        if targets.size:
-            bound = (
-                None if self._graph.exact_knn or not radii else max(radii)
-            )
-            D = self._full.pair_dist(
-                np.repeat(owned_gids, targets.size),
-                np.tile(targets, B),
-                bound=bound,
-            ).reshape(B, targets.size)
-            D[targets[None, :] == owned_gids[:, None]] = np.inf
-            is_member = np.isin(targets, live_members)
-            if radii:
-                evidence: dict = {}
-                for r in radii:
-                    within = D <= r
-                    inc = within.sum(axis=0)
-                    hit = inc > 0
-                    evidence[r] = (
-                        targets[hit],
-                        inc[hit],
-                        within[:, is_member].sum(axis=1),
-                    )
-                self.cache.apply_insert_batch(owned_gids, evidence)
-                neighbors_out = [
-                    {r: targets[D[i] <= r] for r in radii} for i in range(B)
-                ]
-            # Linking: K nearest live members per newcomer.
-            mem_cols = np.flatnonzero(is_member)
-            for i in range(B):
+        targets = np.flatnonzero(self._alive) if m else live_members
+        neighbors_out: list[dict] = [dict() for _ in owned_gids]
+        if targets.size == 0:
+            return neighbors_out, self._take_pairs()
+        pinned = np.searchsorted(radii, sorted(self._pinned))
+        mem_cols = np.flatnonzero(np.isin(targets, live_members))
+        inc = np.zeros((m, n_total), dtype=np.int64)
+        own = np.zeros((m, owned_gids.size), dtype=np.int64)
+        bound = None if self._graph.exact_knn or not m else radii[-1]
+        for lo, D in distance_chunks(self._full, owned_gids, targets, bound):
+            src = owned_gids[lo:lo + D.shape[0]]
+            pos = radius_positions(radii, D, src, targets)
+            if m:
+                inc += radius_counts(pos, m, targets, n_total)
+                own[:, lo:lo + src.size] = radius_counts(pos[:, mem_cols].T, m)
+            for i, gid in enumerate(src):
+                neighbors_out[lo + i] = {
+                    float(radii[j]): targets[pos[i] <= j] for j in pinned
+                }
+                # Linking: K nearest live members (not itself).
                 d_row = D[i, mem_cols]
-                finite = np.isfinite(d_row)
-                cand = mem_cols[finite]
-                if cand.size == 0:
-                    continue
+                keep = np.isfinite(d_row) & (targets[mem_cols] != gid)
+                cand = mem_cols[keep]
                 if cand.size > self.K:
-                    order = np.argpartition(d_row[finite], self.K - 1)[: self.K]
+                    order = np.argpartition(d_row[keep], self.K - 1)[: self.K]
                     cand = cand[order]
-                u = self._local_of[int(owned_gids[i])]
+                u = self._local_of[int(gid)]
                 for c in cand:
                     self._graph.add_edge(u, self._local_of[int(targets[c])])
-            self._maintain_exact_knn(owned_gids, targets, D)
+            self._maintain_exact_knn(src, targets, D)
+        if m:
+            self.cache.apply_insert_batch(owned_gids, (radii, inc, own))
         return neighbors_out, self._take_pairs()
 
     def _maintain_exact_knn(
@@ -582,6 +577,8 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         self._mutations_since_rebuild = 0
         self.epoch = 0
         self.pairs = 0
+        #: per newcomer of the last insert, its within-``r`` neighbors
+        #: (global ids) at each pinned radius ``r``.
         self.last_insert_neighbors: list[dict[float, np.ndarray]] = []
         self.stats = self._fresh_merge_stats()
         self.stats.update({
@@ -788,9 +785,8 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
     def log_dataset(self) -> Dataset:
         """The full log, dead rows included, prepared exactly once.
 
-        Vector rows are a private copy of the stored rows: the segment
-        relocates when it grows, and a view held across an insert would
-        read unmapped pages.  This is what :meth:`load` takes back.
+        Vector rows are a private copy of the stored rows, which the
+        caller may keep and edit.  This is what :meth:`load` takes back.
         """
         if not self.metric.is_vector:
             return Dataset(self._objects, self.metric)
@@ -819,9 +815,10 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         Each newcomer routes to the **least-loaded shard** (live member
         count, updated within the batch); one broadcast carries the
         whole batch — for vector objects, only the segment metadata —
-        and each owning shard repairs its graph and cache from O(1)
-        distance sweeps.  A :class:`Dataset` of the engine's metric is
-        taken as already prepared.
+        and each owning shard repairs its graph and cache from one
+        distance block.  A :class:`Dataset` of the engine's metric is
+        taken as already prepared.  ``last_insert_neighbors`` then lists
+        each newcomer's neighbors at the pinned radii.
         """
         if not isinstance(objects, Dataset):
             objects = list(objects)
@@ -1078,27 +1075,26 @@ class MutableShardedDetectionEngine(_ShardMergeBase):
         set, so for every cached row the *moved* contribution — the
         exact neighbor count inside ``move`` at each stored radius — is
         subtracted from the stay half's bounds and becomes the moved
-        half's exact rows (:meth:`EvidenceCache.split_by_counts`).  The
-        counting sweep is rows x move, orders of magnitude cheaper than
-        the evidence the transfer preserves, and its pairs are charged
-        to ``stats['rebalance_pairs']``.
+        half's exact rows (:meth:`EvidenceCache.split_by_counts`).  One
+        rows x move distance block counts every stored radius at once,
+        orders of magnitude cheaper than the evidence the transfer
+        preserves; its pairs are charged to ``stats['rebalance_pairs']``.
         """
         if cache is None:
             return None, None
         rows = cache.nonvacuous_rows()
-        radii = cache.radii
-        if rows.size == 0 or not radii or move.size == 0:
+        radii = np.asarray(cache.radii, dtype=np.float64)
+        if rows.size == 0 or not radii.size or move.size == 0:
             return cache, None
         before = cache.entry_count()
-        ds = self.log_dataset()
-        counts: dict[float, np.ndarray] = {}
-        for r in radii:
-            counts[float(r)] = linear_count_block(
-                ds, rows, float(r), subset=move
-            )
-            pairs = int(rows.size) * int(move.size)
-            self.pairs += pairs
-            self.stats["rebalance_pairs"] += pairs
+        counts = np.empty((radii.size, rows.size), dtype=np.int64)
+        for lo, D in distance_chunks(self.log_dataset(), rows, move, radii[-1]):
+            src = rows[lo:lo + D.shape[0]]
+            pos = radius_positions(radii, D, src, move)
+            counts[:, lo:lo + src.size] = radius_counts(pos.T, radii.size)
+        pairs = int(rows.size) * int(move.size)
+        self.pairs += pairs
+        self.stats["rebalance_pairs"] += pairs
         stay_cache, move_cache = cache.split_by_counts(rows, counts)
         after = stay_cache.entry_count() + move_cache.entry_count()
         self.stats["evidence_rows_transferred"] += after

@@ -437,11 +437,17 @@ def _cache_arrays_from(data, n: int, path: Path) -> dict:
             raise GraphError(
                 f"{path}: evidence cache array {key!r} does not match n={n}"
             )
-        n_radii = cache_arrays[f"{key}_radii"].size
-        if cache_arrays[key].shape[0] != n_radii:
+        radii = cache_arrays[f"{key}_radii"]
+        if cache_arrays[key].shape[0] != radii.size:
             raise GraphError(
                 f"{path}: {key!r} holds {cache_arrays[key].shape[0]} bound "
-                f"rows but {key}_radii lists {n_radii} radii"
+                f"rows but {key}_radii lists {radii.size} radii"
+            )
+        # The bound folds read each side as rows over sorted radii.
+        if not (np.all(radii >= 0) and np.all(np.diff(radii) > 0)):
+            raise GraphError(
+                f"{path}: {key}_radii must be non-negative and strictly "
+                f"ascending, got {radii.tolist()}"
             )
     return cache_arrays
 

@@ -14,10 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro import Dataset
 from repro.engine import DetectionEngine, MutableShardedDetectionEngine
-from repro.engine.evidence import NO_BOUND, EvidenceCache
+from repro.engine.evidence import NO_BOUND, EvidenceCache, build_delete_evidence
 from repro.exceptions import GraphError, MetricError, ParameterError
 from repro.graphs.base import build_graph
 from repro.index import brute_force_outliers
@@ -419,8 +426,20 @@ def _true_counts(dataset: Dataset, live: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
+def _block_counts(dataset, radii, block, targets, n) -> np.ndarray:
+    """Brute-force block deltas: ``out[j, p]`` members of ``block`` other
+    than ``p`` within ``radii[j]`` of each target ``p`` (``n`` columns)."""
+    block = np.asarray(block, dtype=np.int64)
+    out = np.zeros((len(radii), n), dtype=np.int64)
+    for p in targets:
+        d = dataset.dist_many(int(p), block)
+        for j, r in enumerate(radii):
+            out[j, int(p)] = np.count_nonzero((d <= r) & (block != p))
+    return out
+
+
 def test_cache_eviction_interleaved_with_repair_churn():
-    """Budgeted radius eviction x apply_insert/apply_delete repairs.
+    """Budgeted radius eviction x one-object block repairs.
 
     The eviction fold (lb up, ub down) and the mutation repairs (+1/-1
     deltas) compose in arbitrary orders; after every step the capped
@@ -457,28 +476,28 @@ def test_cache_eviction_interleaved_with_repair_churn():
         check()
         stored = capped.radii
         if step % 3 == 2 and np.count_nonzero(alive) > 25:
-            # Delete two objects with a full repair scan.
+            # Delete two objects, one block each, with a full repair scan.
             victims = rng.choice(
                 np.flatnonzero(alive[: capped.n]), size=2, replace=False
             )
             for v in victims:
                 alive[v] = False
                 others = np.flatnonzero(alive[: capped.n])
-                neighbors = {
-                    r: others[dataset.dist_many(int(v), others) <= r]
-                    for r in stored
-                }
-                capped.apply_delete(int(v), neighbors)
+                dec = _block_counts(dataset, stored, [v], others, capped.n)
+                capped.apply_delete_batch([int(v)], (stored, dec))
         elif next_id < 70:
             # Insert one new object with a full repair scan.
             v = next_id
             next_id += 1
-            prior = np.flatnonzero(alive[: min(capped.n, v)])
-            neighbors = {
-                r: prior[dataset.dist_many(v, prior) <= r] for r in stored
-            }
             alive[v] = True
-            capped.apply_insert(v, neighbors)
+            live = np.flatnonzero(alive[: v + 1])
+            capped.grow(v + 1)
+            inc = _block_counts(dataset, stored, [v], live, v + 1)
+            own = np.asarray(
+                [[_true_counts(dataset, live, r)[v]] for r in stored],
+                dtype=np.int64,
+            ).reshape(len(stored), 1)
+            capped.apply_insert_batch([v], (stored, inc, own))
         check()
 
 
@@ -498,61 +517,32 @@ def test_engine_cache_radii_budget_under_churn(pool, rng):
     eng.close()
 
 
-def test_apply_insert_batch_matches_sequential():
+def test_apply_insert_batch_matches_brute_force():
+    """A complete block repair of an exact cache leaves it exact:
+    lb = ub = the brute-force counts of the grown collection."""
     rng = np.random.default_rng(21)
-    pts = rng.normal(size=(50, 3))
-    dataset = Dataset(pts, "l2")
+    dataset = Dataset(rng.normal(size=(38, 3)), "l2")
     radii = [1.0, 1.8]
-    live = np.arange(30)
-
-    def seeded() -> EvidenceCache:
-        cache = EvidenceCache(30)
-        for r in radii:
-            truth = _true_counts(dataset.subset(np.arange(30)), live, r)
-            cache.record(r, live, truth, exact_mask=np.ones(30, bool))
-        return cache
-
-    new_ids = np.arange(30, 38)
-    # Sequential: one apply_insert per object, growing prior set.
-    seq = seeded()
-    alive = np.zeros(50, dtype=bool)
-    alive[:30] = True
-    for v in new_ids:
-        prior = np.flatnonzero(alive)
-        neighbors = {
-            r: prior[dataset.dist_many(int(v), prior) <= r] for r in radii
-        }
-        alive[v] = True
-        seq.apply_insert(int(v), neighbors)
-    # Batched: one evidence dict for the whole block.
-    bat = seeded()
-    bat.grow(38)
-    prior = np.arange(30)
-    evidence = {}
+    prior, new_ids, everyone = np.arange(30), np.arange(30, 38), np.arange(38)
+    cache = EvidenceCache(30)
     for r in radii:
-        within_prior = np.stack(
-            [dataset.dist_many(int(v), prior) <= r for v in new_ids]
-        )
-        intra = np.stack(
-            [dataset.dist_many(int(v), new_ids) <= r for v in new_ids]
-        )
-        np.fill_diagonal(intra, False)
-        inc = within_prior.sum(axis=0)
-        hit = inc > 0
-        evidence[r] = (
-            prior[hit], inc[hit],
-            within_prior.sum(axis=1) + intra.sum(axis=1),
-        )
-    bat.apply_insert_batch(new_ids, evidence)
-    for q in radii:
-        np.testing.assert_array_equal(seq.lower_bounds(q), bat.lower_bounds(q))
-        np.testing.assert_array_equal(seq.upper_bounds(q), bat.upper_bounds(q))
+        truth = _true_counts(dataset.subset(prior), prior, r)
+        cache.record(r, prior, truth, exact_mask=np.ones(30, bool))
+    cache.grow(38)
+    inc = _block_counts(dataset, radii, new_ids, everyone, 38)
+    own = np.stack([_true_counts(dataset, everyone, r)[new_ids] for r in radii])
+    cache.apply_insert_batch(new_ids, (radii, inc, own))
+    for r in radii:
+        truth = _true_counts(dataset, everyone, r)
+        np.testing.assert_array_equal(cache.lower_bounds(r), truth)
+        np.testing.assert_array_equal(cache.upper_bounds(r), truth)
 
 
-def test_apply_delete_batch_matches_sequential():
+def test_apply_delete_batch_matches_brute_force():
+    """``build_delete_evidence`` is the brute-force block delta, and the
+    repair it drives leaves an exact cache exact on the survivors."""
     rng = np.random.default_rng(22)
-    pts = rng.normal(size=(40, 3))
-    dataset = Dataset(pts, "l2")
+    dataset = Dataset(rng.normal(size=(40, 3)), "l2")
     radii = [1.0, 1.8]
     live = np.arange(40)
 
@@ -564,29 +554,22 @@ def test_apply_delete_batch_matches_sequential():
         return cache
 
     victims = np.asarray([3, 11, 25, 38])
-    seq = seeded()
-    alive = np.ones(40, dtype=bool)
-    for v in victims:
-        alive[v] = False
-        others = np.flatnonzero(alive)
-        neighbors = {
-            r: others[dataset.dist_many(int(v), others) <= r] for r in radii
-        }
-        seq.apply_delete(int(v), neighbors)
-    bat = seeded()
     survivors = np.setdiff1d(live, victims)
-    evidence = {}
+    covered, dec = build_delete_evidence(
+        dataset, victims, survivors, radii, None, 40
+    )
+    np.testing.assert_array_equal(covered, radii)
+    np.testing.assert_array_equal(
+        dec, _block_counts(dataset, radii, victims, survivors, 40)
+    )
+    cache = seeded()
+    cache.apply_delete_batch(victims, (covered, dec))
     for r in radii:
-        dec = np.zeros(40, dtype=np.int64)
-        for v in victims:
-            within = survivors[dataset.dist_many(int(v), survivors) <= r]
-            dec[within] += 1
-        touched = np.flatnonzero(dec)
-        evidence[r] = (touched, dec[touched])
-    bat.apply_delete_batch(victims, evidence)
-    for q in radii:
-        np.testing.assert_array_equal(seq.lower_bounds(q), bat.lower_bounds(q))
-        np.testing.assert_array_equal(seq.upper_bounds(q), bat.upper_bounds(q))
+        truth = _true_counts(dataset, survivors, r)[survivors]
+        np.testing.assert_array_equal(cache.lower_bounds(r)[survivors], truth)
+        np.testing.assert_array_equal(cache.upper_bounds(r)[survivors], truth)
+        assert np.all(cache.lower_bounds(r)[victims] == 0)
+        assert np.all(cache.upper_bounds(r)[victims] == NO_BOUND)
     # The conservative (no-evidence) form drops lb by the batch size.
     con = seeded()
     before = con.lower_bounds(1.0).copy()
@@ -626,10 +609,14 @@ def test_block_insert_matches_per_object_inserts(pool):
 
 def test_cache_repair_rejects_bad_ids():
     cache = EvidenceCache(4)
+    no_radii = (np.empty(0), np.zeros((0, 4), np.int64), np.zeros((0, 1), np.int64))
     with pytest.raises(ParameterError):
-        cache.apply_insert(6, None)  # skips row 4, 5
+        cache.apply_insert_batch([6], no_radii)  # column 6 was never grown
     with pytest.raises(ParameterError):
-        cache.apply_delete(9)
+        cache.apply_delete_batch([9])
+    cache.record(1.0, [0], [1])
+    with pytest.raises(ParameterError, match="cover"):
+        cache.apply_insert_batch([3], no_radii)  # misses the stored 1.0
     with pytest.raises(ParameterError):
         cache.grow(2)
     with pytest.raises(ParameterError):
@@ -638,6 +625,150 @@ def test_cache_repair_rejects_bad_ids():
         cache.evict(0)
     with pytest.raises(ParameterError):
         EvidenceCache(4, max_radii=0)
+
+
+_SM_POINTS = np.random.default_rng(12).normal(size=(36, 2))
+_SM_DATA = Dataset(_SM_POINTS, "l2")
+_SM_ALL = np.arange(36)
+#: every pairwise distance, as the kernels compute it
+_SM_DIST = _SM_DATA.pair_dist(
+    np.repeat(_SM_ALL, 36), np.tile(_SM_ALL, 36)
+).reshape(36, 36)
+_SM_RADII = (0.4, 0.8, 1.2, 2.0, np.inf)
+_SM_PROBES = (0.0, 0.4, 0.6, 1.0, 1.2, 3.0, np.inf)
+_seeds = st.integers(0, 2**16)
+
+
+class EvidenceCacheMachine(RuleBasedStateMachine):
+    """Random interleavings of every cache operation against brute force.
+
+    Column ``c`` of the cache describes point ``pt[c]`` of a fixed set
+    and ``alive[c]`` says whether it is live; inserts append columns.
+    After every step each live object's bounds bracket its brute-force
+    count among the live objects at every probe radius (``+inf``
+    included), and the bound arrays a query gets are its own.
+    """
+
+    @initialize(n=st.integers(2, 12), budget=st.sampled_from([None, 2, 3]))
+    def start(self, n, budget):
+        self.pt = np.arange(n)
+        self.alive = np.ones(n, dtype=bool)
+        self.cache = EvidenceCache(n, max_radii=budget)
+
+    def truth(self, r, among=None) -> np.ndarray:
+        """Per column: objects in ``among`` (default: live) within ``r``,
+        itself excluded by position."""
+        among = self.alive if among is None else among
+        within = _SM_DIST[np.ix_(self.pt, self.pt)] <= r
+        np.fill_diagonal(within, False)
+        return (within & among[None, :]).sum(axis=1)
+
+    def pick(self, seed, pool, low=0, keep=0) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        size = rng.integers(low, max(low, pool.size - keep) + 1)
+        return np.sort(rng.choice(pool, size=size, replace=False))
+
+    def check(self, cache, among) -> None:
+        live = np.flatnonzero(self.alive)
+        for q in _SM_PROBES:
+            truth = self.truth(q, among)[live]
+            lb, ub = cache.lower_bounds(q), cache.upper_bounds(q)
+            assert np.all(lb[live] <= truth) and np.all(truth <= ub[live])
+            lb += 1
+            ub -= 1
+            assert np.array_equal(cache.lower_bounds(q), lb - 1)
+            assert np.array_equal(cache.upper_bounds(q), ub + 1)
+
+    @invariant()
+    def bounds_bracket_truth(self):
+        self.check(self.cache, self.alive)
+
+    @rule(r=st.sampled_from(_SM_RADII), seed=_seeds, slack=st.integers(0, 2))
+    def record(self, r, seed, slack):
+        ids = self.pick(seed, np.flatnonzero(self.alive))
+        counts = self.truth(r)[ids]
+        exact = np.random.default_rng(seed).random(ids.size) < 0.5
+        counts[~exact] = np.maximum(counts[~exact] - slack, 0)
+        self.cache.record(r, ids, counts, exact_mask=exact)
+
+    @precondition(lambda self: self.pt.max() < _SM_ALL.size - 1)
+    @rule(b=st.integers(1, 4), extra=st.sampled_from(_SM_RADII))
+    def insert(self, b, extra):
+        n = self.pt.size
+        fresh = np.arange(self.pt.max() + 1, min(_SM_ALL.size, self.pt.max() + 1 + b))
+        new = np.arange(n, n + fresh.size)
+        self.pt = np.concatenate([self.pt, fresh])
+        self.alive = np.concatenate([self.alive, np.ones(fresh.size, bool)])
+        newcomer = np.zeros(self.pt.size, dtype=bool)
+        newcomer[new] = True
+        radii = sorted(set(self.cache.radii) | {extra})
+        inc = np.stack([self.truth(r, newcomer) * self.alive for r in radii])
+        own = np.stack([self.truth(r)[new] for r in radii])
+        self.cache.grow(self.pt.size)
+        self.cache.apply_insert_batch(new, (radii, inc, own))
+
+    @precondition(lambda self: self.alive.sum() > 2)
+    @rule(seed=_seeds, how=st.sampled_from(["scan", "known", "none"]))
+    def delete(self, seed, how):
+        victims = self.pick(seed, np.flatnonzero(self.alive), low=1, keep=2)
+        self.alive[victims] = False
+        evidence = None
+        if how != "none":
+            known = None
+            radii = self.cache.radii
+            if how == "known":  # lists at some radii only: the rest is uncovered
+                v = int(victims[0])
+                lists = {
+                    r: np.flatnonzero(self.alive & (_SM_DIST[self.pt[v], self.pt] <= r))
+                    for r in radii
+                }
+                known = {v: {r: lists[r] for r in radii[: seed % (len(radii) + 1)]}}
+            evidence = build_delete_evidence(
+                _SM_DATA.subset(self.pt), victims, np.flatnonzero(self.alive),
+                radii, known, self.pt.size,
+            )
+        self.cache.apply_delete_batch(victims, evidence)
+
+    @rule(seed=_seeds)
+    def reset_rows(self, seed):
+        self.cache.reset_rows(self.pick(seed, np.arange(self.pt.size)))
+
+    @rule(k=st.integers(1, 3))
+    def evict(self, k):
+        self.cache.evict(k)
+
+    @rule()
+    def take(self):
+        keep = np.flatnonzero(self.alive)
+        self.cache = self.cache.take(keep)
+        self.pt, self.alive = self.pt[keep], self.alive[keep]
+
+    @rule(seed=_seeds)
+    def split_and_merge(self, seed):
+        moved = np.zeros(self.pt.size, dtype=bool)
+        moved[self.pick(seed, np.flatnonzero(self.alive))] = True
+        rows = self.cache.nonvacuous_rows()
+        radii = self.cache.radii
+        counts = np.zeros((len(radii), rows.size), dtype=np.int64)
+        for j, r in enumerate(radii):
+            counts[j] = self.truth(r, moved)[rows]
+        stay_half, moved_half = self.cache.split_by_counts(rows, counts)
+        self.check(stay_half, self.alive & ~moved)
+        self.check(moved_half, moved)
+        self.cache = stay_half.merged_with(moved_half)
+
+    @rule()
+    def state_arrays_roundtrip(self):
+        budget = self.cache.max_radii
+        arrays = self.cache.state_arrays()
+        self.cache = EvidenceCache.from_state_arrays(self.cache.n, arrays)
+        self.cache.max_radii = budget
+
+
+EvidenceCacheMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None
+)
+test_evidence_cache_state_machine = EvidenceCacheMachine.TestCase
 
 
 @given(

@@ -302,6 +302,23 @@ def test_last_insert_neighbors_match_single_engine(pool):
     single.close()
 
 
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_newcomers_do_not_count_themselves_at_infinite_radius(n_shards):
+    """``+inf`` is a legal radius and every distance lies within it, so a
+    newcomer must be kept out of its own count by position: after an
+    insert each of the 50 objects has 49 neighbors at ``r = inf``."""
+    pts = np.random.default_rng(0).normal(size=(50, 3))
+    eng = MutableShardedDetectionEngine(
+        metric="l2", n_shards=n_shards, workers=1, K=6, seed=0
+    )
+    eng.insert(pts[:40])
+    assert eng.query(np.inf, 40).n_outliers == 40  # caches r = inf
+    eng.insert(pts[40:])
+    assert _oracle_check(eng, np.inf, 50).n_outliers == 50
+    assert _oracle_check(eng, np.inf, 49).n_outliers == 0
+    eng.close()
+
+
 def test_top_n_needs_one_shard(pool):
     """Ranking needs every object in one shard: at two shards ``top_n``
     raises and the capability says so; merged to one, it ranks."""

@@ -332,6 +332,32 @@ def test_load_engine_rejects_radii_row_count_mismatch(engine, l2_dataset, tmp_pa
         DetectionEngine.load(path, l2_dataset)
 
 
+@pytest.mark.parametrize("side", ["lb", "ub"])
+@pytest.mark.parametrize("tamper", ["repeated", "descending", "negative", "nan"])
+def test_load_engine_rejects_unsorted_cache_radii(
+    engine, l2_dataset, tmp_path, side, tamper
+):
+    # Each side's bounds are rows over strictly ascending radii: a
+    # repeated radius would silently drop a row, and the folds read a
+    # prefix (lb) or suffix (ub) of the rows.
+    path = tmp_path / "e"
+    engine.save(path)
+    with np.load(_shard(path)) as data:
+        radii = data[f"cache_{side}_radii"].copy()
+    assert radii.size >= 2, "fixture engine must have served several radii"
+    if tamper == "repeated":
+        radii[1] = radii[0]
+    elif tamper == "descending":
+        radii = radii[::-1].copy()
+    elif tamper == "negative":
+        radii[0] = -1.0
+    else:
+        radii[-1] = np.nan
+    _rewrite(_shard(path), **{f"cache_{side}_radii": radii})
+    with pytest.raises(GraphError, match="ascending"):
+        DetectionEngine.load(path, l2_dataset)
+
+
 def test_load_engine_rejects_bad_engine_metadata(engine, l2_dataset, tmp_path):
     path = tmp_path / "e"
     engine.save(path)

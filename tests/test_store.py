@@ -10,11 +10,16 @@ must equal distances over the model's private copy.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.store import STORE_NAME_PREFIX, SharedObjectStore
 from repro.data import Dataset
 from repro.exceptions import GraphError, ParameterError
@@ -302,3 +307,79 @@ def test_invalid_construction():
         SharedObjectStore(dim=0)
     with pytest.raises(ParameterError, match="numeric"):
         SharedObjectStore(dim=2, dtype=object)
+
+
+# -- views outlive their mapping's owner -----------------------------------
+
+_OLD = "np.arange(12.0).reshape(4, 3)"
+
+_STALE_VIEW_CASES = {
+    "owner_grows": f"""
+store = SharedObjectStore(dim=3, capacity=4)
+store.append({_OLD})
+view = store.rows()
+store.append(np.ones((64, 3)))
+assert np.array_equal(view, {_OLD})
+store.unlink()
+""",
+    "owner_compacts_then_closes": f"""
+store = SharedObjectStore(dim=3, capacity=4)
+store.append({_OLD})
+view = store.rows()[1:]
+store.compact([0])
+store.unlink()
+assert np.array_equal(view, {_OLD}[1:])
+""",
+    "handle_follows_a_relocation": f"""
+store = SharedObjectStore(dim=3, capacity=4)
+store.append({_OLD})
+handle = SharedObjectStore.attach(store.meta())
+view = handle.rows()
+store.append(np.ones((64, 3)))
+handle.sync(store.meta())
+assert np.array_equal(view, {_OLD})
+store.unlink()
+""",
+    "handle_dropped": f"""
+store = SharedObjectStore(dim=3, capacity=4)
+store.append({_OLD})
+handle = SharedObjectStore.attach(store.meta())
+view = handle.rows()
+del handle
+gc.collect()
+store.unlink()
+assert np.array_equal(view, {_OLD})
+""",
+    "materialized_dataset_outlives_its_transport": f"""
+from repro.core.parallel import DatasetTransport
+from repro.data import Dataset
+transport = DatasetTransport(Dataset({_OLD}, "l2"))
+remote = pickle.loads(pickle.dumps(transport))
+dataset = remote.materialize()
+del remote
+gc.collect()
+transport.release()
+assert np.array_equal(dataset.store, {_OLD})
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STALE_VIEW_CASES))
+def test_a_view_keeps_its_mapping_readable(case):
+    """A view read after its segment relocated, or after its owner or
+    handle let go, sees the old rows.  Each case runs in a child
+    process: an unmapped read kills the interpreter (SIGSEGV)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import gc, pickle\nimport numpy as np\n"
+        "from repro.core.store import SharedObjectStore\n"
+        + _STALE_VIEW_CASES[case]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
